@@ -3,7 +3,7 @@
 Subcommands::
 
     temcodec run <config> [--out-dir DIR] [--quad-tol X] [--sv-cutoff X]
-                          [--seed N] [--workers N]
+                          [--workers N]
     temcodec validate <config>
     temcodec compare <report_a.json> <report_b.json>
 
@@ -45,7 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override quadrature tolerance")
     run_p.add_argument("--sv-cutoff", type=float, default=None,
                        help="override relative singular-value cutoff")
-    run_p.add_argument("--seed", type=int, default=None, help="override RNG seed")
     run_p.add_argument("--workers", type=int, default=1,
                        help="worker threads for system assembly (results are "
                             "independent of this value)")
@@ -70,8 +69,6 @@ def _cmd_run(args) -> int:
             if args.sv_cutoff <= 0:
                 raise ConfigError("--sv-cutoff must be positive")
             cfg.sv_cutoff = args.sv_cutoff
-        if args.seed is not None:
-            cfg.seed = args.seed
         if args.workers < 1:
             raise ConfigError("--workers must be >= 1")
     except ConfigError as exc:

@@ -82,7 +82,6 @@ class ExperimentConfig:
     window: tuple
     grid_step: float
     guard_fraction: float
-    seed: int
     tem_params: Optional[tem.TemParams] = None
     alpha: Optional[float] = None
     band: Optional[BandSpec] = None
@@ -166,7 +165,13 @@ def load_config(path) -> ExperimentConfig:
         guard = _num(exp.get("guard_fraction", "0.15"))
         if not 0 <= guard < 0.5:
             raise ConfigError(f"guard_fraction must lie in [0, 0.5), got {guard}")
-        seed = int(exp.get("seed", "0"))
+        c0, c1 = _central_window((w0, w1), guard)
+        # the first grid point at or after c0 must not lie past c1
+        if w0 + grid_step * math.ceil((c0 - w0) / grid_step) > c1:
+            raise ConfigError(
+                f"grid_step {grid_step} leaves no evaluation point in the central "
+                f"window [{c0}, {c1}]"
+            )
         out_dir = exp.get("out_dir", None)
 
         if "signal" not in parser:
@@ -239,7 +244,6 @@ def load_config(path) -> ExperimentConfig:
         window=(w0, w1),
         grid_step=grid_step,
         guard_fraction=guard,
-        seed=seed,
         tem_params=tem_params,
         alpha=alpha,
         band=band,
@@ -286,10 +290,15 @@ def _gap_stats(times: np.ndarray) -> dict:
     }
 
 
-def _metrics(t_eval, x_true, x_hat, window, guard) -> dict:
+def _central_window(window, guard) -> tuple:
+    """The window without its guard margins: where error metrics are taken."""
     w0, w1 = window
     span = w1 - w0
-    c0, c1 = w0 + guard * span, w1 - guard * span
+    return w0 + guard * span, w1 - guard * span
+
+
+def _metrics(t_eval, x_true, x_hat, window, guard) -> dict:
+    c0, c1 = _central_window(window, guard)
     central = (t_eval >= c0) & (t_eval <= c1)
     err = x_hat - x_true
     ss = float(np.sum(x_true[central] ** 2))
@@ -352,12 +361,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir, workers: int = 1) -> Experime
     files = []
 
     report = {
-        "schema": 1,
+        "schema": 2,
         "mode": cfg.mode,
         "window": [cfg.window[0], cfg.window[1]],
         "grid_step": cfg.grid_step,
         "guard_fraction": cfg.guard_fraction,
-        "seed": cfg.seed,
         "signal": cfg.signal_desc,
     }
 

@@ -9,6 +9,11 @@ Kohlenberg's second-order sampling kernel: its spectrum is piecewise
 constant on the two sub-segments of the band that alias onto the mirror
 band under shifts of ``K0*B`` and ``(K0+1)*B`` respectively, which is
 what makes the alias contributions of the two sample streams cancel.
+
+A sample record is a special case of the bandpass kernel expansion of
+:mod:`temcodec.recon`: the samples are the coefficients, every shift is
+``d`` and the odd samples carry the time-reversed kernel.
+:func:`reconstruct_pns` evaluates it with :func:`temcodec.recon.evaluate_model`.
 """
 
 from __future__ import annotations
@@ -148,93 +153,7 @@ def kernel_gbp(t, d, band: BandSpec):
     return out
 
 
-def _gbp_cosine_terms(d: float, band: BandSpec):
-    """The kernel as four signed terms ``sign*cos(a*t - phi)/(B*t*sin(phi))``."""
-    b_ = band.bandwidth
-    a_mid = band.k0 * b_ - band.omega_l
-    phi1 = 0.5 * band.k0 * b_ * d
-    phi2 = 0.5 * (band.k0 + 1) * b_ * d
-    return [
-        (+1.0, band.omega_u, phi2),
-        (-1.0, a_mid, phi2),
-        (+1.0, a_mid, phi1),
-        (-1.0, band.omega_l, phi1),
-    ]
-
-
-def _reconstruct_direct(samples, grid, t_arr, chunk):
-    even_t, even_v = samples.times[0::2], samples.values[0::2]
-    odd_t, odd_v = samples.times[1::2], samples.values[1::2]
-    d = grid.shift
-    out = np.zeros_like(t_arr)
-    for lo in range(0, t_arr.size, chunk):
-        block = t_arr[lo:lo + chunk, None]
-        acc = kernel_gbp(block - even_t[None, :], d, grid.band) @ even_v
-        acc += kernel_gbp(odd_t[None, :] - block, d, grid.band) @ odd_v
-        out[lo:lo + chunk] = acc
-    return out
-
-
-def _reconstruct_separated(samples, grid, t_arr, chunk):
-    """Same sum as :func:`_reconstruct_direct`, reorganized for large records.
-
-    Writing each kernel term as ``cos(a*t - c_k)/(t - tau_k)`` and expanding
-    the cosine of a difference turns the double sum into a handful of
-    weighted sums ``sum_k w_k/(t - tau_k)``, evaluated as one matrix product
-    per channel.  Points that fall within ``1e-5 * period`` of a sample
-    instant are recomputed with the cancellation-free direct kernel.
-    """
-    d = grid.shift
-    band = grid.band
-    terms = _gbp_cosine_terms(d, band)
-    out = np.zeros_like(t_arr)
-    guard = 1e-5 * grid.period
-    for reversed_kernel in (False, True):
-        tau = samples.times[1::2] if reversed_kernel else samples.times[0::2]
-        val = samples.values[1::2] if reversed_kernel else samples.values[0::2]
-        weights = np.empty((tau.size, 8))
-        combine = []  # per weight column: callable of t giving the cofactor
-        for j, (sign, a, phi) in enumerate(terms):
-            scale = sign / (band.bandwidth * math.sin(phi))
-            if reversed_kernel:
-                # cos(a*(tau - t) - phi)/(tau - t)
-                weights[:, 2 * j] = -val * np.cos(a * tau - phi) * scale
-                weights[:, 2 * j + 1] = -val * np.sin(a * tau - phi) * scale
-                combine.append(lambda t, a=a: np.cos(a * t))
-                combine.append(lambda t, a=a: np.sin(a * t))
-            else:
-                weights[:, 2 * j] = val * np.cos(a * tau) * scale
-                weights[:, 2 * j + 1] = val * np.sin(a * tau) * scale
-                combine.append(lambda t, a=a, phi=phi: np.cos(a * t - phi))
-                combine.append(lambda t, a=a, phi=phi: np.sin(a * t - phi))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for lo in range(0, t_arr.size, chunk):
-                block = t_arr[lo:lo + chunk]
-                recip = 1.0 / (block[:, None] - tau[None, :])
-                sums = recip @ weights  # (m, 8)
-                acc = np.zeros_like(block)
-                for col, cof in enumerate(combine):
-                    acc += cof(block) * sums[:, col]
-                out[lo:lo + chunk] += acc
-    # Repair points that sat (nearly) on a sample instant.
-    near = _near_any(t_arr, samples.times, guard)
-    if np.any(near):
-        out[near] = _reconstruct_direct(samples, grid, t_arr[near], chunk)
-    return out
-
-
-def _near_any(t_arr, sorted_times, guard):
-    """Boolean mask of entries of ``t_arr`` within ``guard`` of any sorted time."""
-    if sorted_times.size == 0:
-        return np.zeros(t_arr.shape, dtype=bool)
-    idx = np.searchsorted(sorted_times, t_arr)
-    left = sorted_times[np.clip(idx - 1, 0, sorted_times.size - 1)]
-    right = sorted_times[np.clip(idx, 0, sorted_times.size - 1)]
-    return np.minimum(np.abs(t_arr - left), np.abs(t_arr - right)) < guard
-
-
-def reconstruct_pns(samples: PnsSamples, grid: PnsGrid, t, chunk: int = 2048,
-                    method: str = "auto"):
+def reconstruct_pns(samples: PnsSamples, grid: PnsGrid, t):
     """Evaluate the truncated interpolation series at times ``t``.
 
     Even samples contribute ``x_2k * g_bp(t - k*T, d)``; odd samples the
@@ -242,21 +161,15 @@ def reconstruct_pns(samples: PnsSamples, grid: PnsGrid, t, chunk: int = 2048,
     samples in the record, so accuracy near the window edges is limited by
     the 1/t kernel decay; callers should evaluate inside a guard margin.
 
-    ``method`` selects the evaluation strategy: ``"direct"`` evaluates the
-    kernel per (point, sample) pair, ``"separated"`` uses an algebraically
-    identical factorization that is much faster for long sample records,
-    and ``"auto"`` picks by problem size.  The two strategies agree to
-    float round-off.
+    The record is a bandpass :class:`~temcodec.recon.ReconModel` whose
+    coefficients are the samples, every shift ``d`` and every odd sample
+    reflected; :func:`~temcodec.recon.evaluate_model` evaluates it.
     """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if method == "auto":
-        method = "separated" if t_arr.size * samples.times.size > 2_000_000 else "direct"
-    if method == "direct":
-        out = _reconstruct_direct(samples, grid, t_arr, chunk)
-    elif method == "separated":
-        # keep the per-chunk scratch (chunk x n_samples) within ~100 MB
-        sep_chunk = max(16, min(chunk, int(1.2e7 / max(1, samples.times.size // 2))))
-        out = _reconstruct_separated(samples, grid, t_arr, sep_chunk)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return out if np.ndim(t) else float(out[0])
+    from .recon import ReconModel, evaluate_model  # recon imports this module
+
+    n = samples.times.size
+    model = ReconModel(
+        "bandpass", samples.times, samples.values, band=grid.band,
+        shifts=np.full(n, grid.shift), reflected=np.arange(n) % 2 == 1,
+    )
+    return evaluate_model(model, t)

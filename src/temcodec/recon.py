@@ -14,6 +14,12 @@ Two kernel families are supported:
   Knots pair up (one per channel); the pair's first knot carries the
   plain kernel and its partner the time-reversed kernel, mirroring the
   even/odd roles of exact PNS.
+
+:func:`evaluate_model` is the single evaluator for both families and for
+PNS records (:func:`temcodec.pns.reconstruct_pns` builds a bandpass
+model).  It evaluates every kernel in a separated form, one matrix
+product per block of points, and uses the direct kernel only to repair
+point-knot pairs closer than half the shortest kernel period.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import numpy as np
 
 from .signals import BandSpec, QuadratureError, integrate_columns
 from .tem import MergedTrain, SpikeTrain, amplitude_integrals
-from .pns import DegenerateShiftError, kernel_gbp, shift_is_degenerate
+from .pns import DEGENERACY_TOL, DegenerateShiftError, kernel_gbp, shift_is_degenerate
 
 __all__ = [
     "BandpassKnots",
@@ -49,6 +55,7 @@ __all__ = [
 ENTRY_ZERO_FLOOR = 1e-14  # Gram entries below this magnitude stored as exact zeros
 DEFAULT_SV_CUTOFF = 1e-8
 DEFAULT_QUAD_TOL = 1e-9
+EVAL_CHUNK_ELEMENTS = 1 << 19  # entries of one 1/(t - s) block in evaluate_model (4 MB)
 
 
 class DegenerateSystemError(RuntimeError):
@@ -294,23 +301,90 @@ def model_from(system: GramSystem, solution: SolveResult) -> ReconModel:
     )
 
 
-def evaluate_model(model: ReconModel, t, chunk: int = 1024):
-    """Evaluate ``sum_l c_l * kernel_l(t)``; accepts scalars or arrays."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.empty_like(t_arr)
-    knots = model.knot_times
+def _cosine_terms(model: ReconModel):
+    """The model as terms ``w_l*cos(a*(t - s_l) - phi_l)/(t - s_l)``, plus its direct kernel.
+
+    Returns ``(freqs, terms, kernel)``.  ``terms`` lists ``(f, w, phi)``:
+    per-knot weight and phase arrays of one term at frequency ``freqs[f]``.
+    ``kernel(u, idx)`` is the direct kernel of knots ``idx`` at offsets
+    ``u = t - s``.  A reflected knot's term is ``-cos(a*(t - s) + phi)/(t - s)``,
+    so reflection flips the weight's sign and negates the phase.
+    """
     coeff = model.coefficients
-    if model.kind == "bandpass":
-        sign = np.where(model.reflected, -1.0, 1.0)
-    for lo in range(0, t_arr.size, chunk):
-        block = t_arr[lo:lo + chunk, None]
-        if model.kind == "lowpass":
-            kern = _lowpass_kernel(block - knots[None, :], model.omega)
-        else:
-            kern = kernel_gbp(
-                (block - knots[None, :]) * sign[None, :], model.shifts[None, :], model.band
+    if model.kind == "lowpass":
+        omega = model.omega
+        # sin(omega*u)/(pi*u) = cos(omega*u - pi/2)/(pi*u)
+        terms = [(0, coeff / math.pi, np.full(coeff.size, 0.5 * math.pi))]
+        return (omega,), terms, lambda u, idx: _lowpass_kernel(u, omega)
+    if model.kind != "bandpass":
+        raise ValueError(
+            f"unknown ReconModel.kind {model.kind!r}; expected 'lowpass' or 'bandpass'"
+        )
+    band, shifts = model.band, model.shifts
+    b_ = band.bandwidth
+    sigma = np.where(model.reflected, -1.0, 1.0)
+    terms = []
+    # Each spectral segment of kernel_gbp (outer: k = k0 + 1 from freqs[1] to
+    # freqs[0]; inner: k = k0 from freqs[2] to freqs[1]) contributes
+    # [cos(hi*u - phi) - cos(lo*u - phi)] / (B*u*sin(phi)) with phi = k*B*d/2.
+    for k, f_hi in ((band.k0 + 1, 0), (band.k0, 1)):
+        phi = 0.5 * k * b_ * shifts
+        sin_phi = np.sin(phi)
+        bad = np.flatnonzero(np.abs(sin_phi) < math.pi * DEGENERACY_TOL)
+        if bad.size:
+            raise DegenerateShiftError(
+                f"knot {bad[0]}: pair shift {shifts[bad[0]]} is degenerate for k0={band.k0}"
             )
-        out[lo:lo + chunk] = kern @ coeff
+        w = sigma * coeff / (b_ * sin_phi)
+        terms += [(f_hi, w, sigma * phi), (f_hi + 1, -w, sigma * phi)]
+    freqs = (band.omega_u, band.k0 * b_ - band.omega_l, band.omega_l)
+    return freqs, terms, lambda u, idx: kernel_gbp(u * sigma[idx], shifts[idx], band)
+
+
+def evaluate_model(model: ReconModel, t):
+    """Evaluate ``sum_l c_l * kernel_l(t)``; accepts scalars or arrays.
+
+    This is the one evaluator for lowpass, bandpass and PNS models.  Every
+    kernel is a sum of terms ``cos(a*(t - s_l) - phi_l)/(t - s_l)``; expanding
+    the cosine of the difference folds each knot's coefficient, shift and
+    reflection into weights, so a block of points costs one ``1/(t - s)``
+    matrix times an ``(n, 2F)`` weight matrix (``F`` distinct frequencies),
+    combined with ``cos(a*t)`` and ``sin(a*t)``.  Point-knot pairs closer than
+    ``pi/a_max``, where that expansion cancels badly, are left out of the
+    matrix and added back with the direct kernel.
+    """
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    freqs, terms, kernel = _cosine_terms(model)
+    knots, coeff = model.knot_times, model.coefficients
+    weights = np.zeros((knots.size, 2 * len(freqs)))
+    for f, w, phi in terms:
+        arg = freqs[f] * knots + phi
+        weights[:, 2 * f] += w * np.cos(arg)
+        weights[:, 2 * f + 1] += w * np.sin(arg)
+    order = np.argsort(knots, kind="stable")
+    s, weights = knots[order], weights[order]
+    near = math.pi / max(freqs)
+    rows = max(1, EVAL_CHUNK_ELEMENTS // max(1, s.size))
+    out = np.empty_like(t_arr)
+    for lo in range(0, t_arr.size, rows):
+        block = t_arr[lo:lo + rows]
+        first = np.searchsorted(s, block - near, side="right")
+        count = np.searchsorted(s, block + near, side="left") - first
+        # near pairs as (row, column): the k-th pair of a row is knot first[row] + k
+        pair_row = np.repeat(np.arange(block.size), count)
+        pair_col = np.arange(pair_row.size) + np.repeat(first - np.cumsum(count) + count, count)
+        recip = np.subtract.outer(block, s)
+        recip[pair_row, pair_col] = np.inf  # 1/inf = 0 drops the near pairs
+        np.reciprocal(recip, out=recip)
+        sums = recip @ weights
+        idx = order[pair_col]
+        acc = out[lo:lo + rows]
+        acc[:] = np.bincount(
+            pair_row, coeff[idx] * kernel(block[pair_row] - knots[idx], idx),
+            minlength=block.size,
+        )
+        for f, a in enumerate(freqs):
+            acc += np.cos(a * block) * sums[:, 2 * f] + np.sin(a * block) * sums[:, 2 * f + 1]
     return out if np.ndim(t) else float(out[0])
 
 

@@ -99,6 +99,7 @@ class TestValidate:
             lambda s: s.replace("bias = 3", "bias = 1"),  # below signal bound
             lambda s: s.replace("window_end = 0.3", "window_end = -0.4"),
             lambda s: s.replace("[band]\nomega_l_hz = 35\nomega_u_hz = 65\n", ""),
+            lambda s: s.replace("grid_step = 1/500", "grid_step = 0.6"),
         ],
     )
     def test_broken_configs_exit_2(self, tmp_path, mangle):
@@ -140,7 +141,7 @@ class TestRun:
     def test_report_schema_and_manifest(self, small_run):
         _, _, out = small_run
         report = json.loads((out / "report.json").read_text())
-        assert report["schema"] == 1
+        assert report["schema"] == 2
         assert list(report)[0] == "schema"
         manifest = {entry["name"]: entry for entry in report["files"]}
         assert set(manifest) == {"spikes.txt", "recon.csv", "psd.csv"}
@@ -193,10 +194,9 @@ class TestRun:
         out = tmp / "out_flags"
         assert run_cli(
             "run", cfg, "--out-dir", str(out),
-            "--sv-cutoff", "1e-10", "--seed", "7",
+            "--sv-cutoff", "1e-10",
         ) == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["seed"] == 7
         assert report["gram"]["sv_cutoff"] == 1e-10
 
     def test_bad_flag_values_exit_2(self, small_run):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis.extra import numpy as hnp
 from hypothesis import strategies as st
 
 from temcodec.signals import Constant, Tone, TWO_PI, band_spec_from_edges
@@ -16,6 +17,7 @@ from temcodec.pns import (
     sample_pns,
     shift_is_degenerate,
 )
+from temcodec.recon import ReconModel, evaluate_model
 
 
 @pytest.fixture
@@ -223,17 +225,44 @@ class TestReconstruction:
         dropped += old_odd_v[-1] * kernel_gbp(old_odd_t[-1] - t, d, band_35_65)
         assert np.max(np.abs(x1 - x2 - dropped)) < 1e-9
 
-    def test_separated_method_matches_direct(self, band_35_65):
-        T = band_35_65.period
-        grid = PnsGrid(T, 0.01, (-1.0, 1.0), band_35_65)
-        tone = Tone(1.0, TWO_PI * 44.0, 0.2)
-        s = sample_pns(tone, grid)
-        t = np.concatenate([np.linspace(-0.5, 0.5, 333), s.times[10:20]])
-        direct = reconstruct_pns(s, grid, t, method="direct")
-        split = reconstruct_pns(s, grid, t, method="separated")
-        assert np.max(np.abs(direct - split)) < 1e-10
 
-    def test_unknown_method_rejected(self, grid_35_65):
-        s = sample_pns(Constant(0.0), grid_35_65)
-        with pytest.raises(ValueError):
-            reconstruct_pns(s, grid_35_65, 0.1, method="fancy")
+def direct_kernel_sum(model, t):
+    """``sum_l c_l * kernel_l(t)`` with every kernel evaluated directly."""
+    u = t[:, None] - model.knot_times[None, :]
+    if model.kind == "lowpass":
+        kern = (model.omega / math.pi) * np.sinc(model.omega * u / math.pi)
+    else:
+        sign = np.where(model.reflected, -1.0, 1.0)
+        kern = kernel_gbp(u * sign, model.shifts, model.band)
+    return kern @ model.coefficients
+
+
+class TestEvaluatorMatchesDirectSum:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(["lowpass", "bandpass"]),
+        knots=hnp.arrays(float, st.integers(1, 30), elements=st.floats(-1.0, 1.0)),
+        data=st.data(),
+    )
+    def test_evaluate_model_equals_direct_kernel_sum(self, band_35_65, kind, knots, data):
+        n = knots.size
+        unit = st.floats(-1.0, 1.0)
+        coeff = data.draw(hnp.arrays(float, n, elements=unit))
+        if kind == "lowpass":
+            model = ReconModel("lowpass", knots, coeff, omega=TWO_PI * 65.0)
+        else:
+            frac = data.draw(hnp.arrays(float, n, elements=st.floats(0.01, 0.99)))
+            # keep |sin(phi)| of both kernel segments away from 0 (degenerate shifts)
+            k0 = band_35_65.k0
+            assume(all(np.min(np.abs(np.sin(k * np.pi * frac))) > 0.05 for k in (k0, k0 + 1)))
+            model = ReconModel(
+                "bandpass", knots, coeff, band=band_35_65,
+                shifts=frac * band_35_65.period,
+                reflected=data.draw(hnp.arrays(bool, n)),
+            )
+        offsets = data.draw(hnp.arrays(float, n, elements=st.floats(-1e-9, 1e-9)))
+        free = data.draw(hnp.arrays(float, 16, elements=st.floats(-1.5, 1.5)))
+        tol = 1e-11 * (1.0 + np.sum(np.abs(coeff)))
+        # ``free`` alone may have no point near a knot
+        for t in (free, np.concatenate([free, knots, knots + offsets])):
+            assert np.max(np.abs(evaluate_model(model, t) - direct_kernel_sum(model, t))) <= tol

@@ -262,6 +262,20 @@ class TestModel:
         assert isinstance(lp(0.3), float)
         assert lp(0.3) == evaluate_model(lp, 0.3)
 
+    def test_unknown_kind_rejected(self):
+        model = ReconModel("highpass", np.array([0.0]), np.array([1.0]), omega=1.0)
+        with pytest.raises(ValueError, match="highpass"):
+            evaluate_model(model, 0.3)
+
+    def test_degenerate_knot_shift_names_knot(self, band_35_65):
+        model = ReconModel(
+            "bandpass", np.array([0.0, 0.01]), np.array([1.0, 1.0]), band=band_35_65,
+            shifts=np.array([0.01, band_35_65.period / 3.0]),
+            reflected=np.array([False, True]),
+        )
+        with pytest.raises(DegenerateShiftError, match="knot 1"):
+            evaluate_model(model, 0.3)
+
     def test_lowpass_tone_snr(self):
         # tone below the cutoff, encoder interval under the Nyquist interval
         sig = Tone(1.0, TWO_PI * 30.0, 0.9)
