@@ -94,6 +94,28 @@ class ExperimentConfig:
     out_dir: Optional[str] = None
 
 
+class _Section:
+    """Read access to one config section that records which keys were read."""
+
+    def __init__(self, proxy):
+        self._proxy = proxy
+        self._read = set()
+
+    def __contains__(self, key):
+        return key in self._proxy
+
+    def __getitem__(self, key):
+        self._read.add(key)
+        return self._proxy[key]
+
+    def get(self, key, default=None):
+        self._read.add(key)
+        return self._proxy.get(key, default)
+
+    def unread(self) -> list:
+        return [key for key in self._proxy if key not in self._read]
+
+
 def _build_signal(section) -> tuple:
     kind = section.get("kind", "").strip()
     if kind == "modulated_tone":
@@ -144,14 +166,17 @@ def load_config(path) -> ExperimentConfig:
 
     Every cross-module constraint (encoder parameter bounds, band edges,
     PNS shift degeneracy, alpha range) is checked here, so a config that
-    loads is a config that runs.
+    loads is a config that runs.  A key the mode does not read, such as a
+    misspelt one, is rejected with its ``section.key`` name.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     read = parser.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path}")
+    sections = {name: _Section(parser[name]) for name in parser.sections()}
+    empty = _Section({})
     try:
-        exp = parser["experiment"]
+        exp = sections["experiment"]
         mode = exp.get("mode", "").strip()
         if mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
@@ -174,11 +199,11 @@ def load_config(path) -> ExperimentConfig:
             )
         out_dir = exp.get("out_dir", None)
 
-        if "signal" not in parser:
+        if "signal" not in sections:
             raise ConfigError("missing [signal] section")
-        sig, desc = _build_signal(parser["signal"])
+        sig, desc = _build_signal(sections["signal"])
 
-        solver = parser["solver"] if "solver" in parser else {}
+        solver = sections.get("solver", empty)
         sv_cutoff = _num(solver.get("sv_cutoff", "1e-8"))
         quad_tol = _num(solver.get("quad_tol", "1e-9"))
         spike_tol = _num(solver.get("spike_tol", "1e-10"))
@@ -191,17 +216,17 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError(f"pair_anchor must be 'even' or 'odd', got {pair_anchor!r}")
 
         band = None
-        if "band" in parser:
+        if "band" in sections:
             band = band_spec_from_edges(
-                TWO_PI * _num(parser["band"].get("omega_l_hz", "35")),
-                TWO_PI * _num(parser["band"].get("omega_u_hz", "65")),
+                TWO_PI * _num(sections["band"].get("omega_l_hz", "35")),
+                TWO_PI * _num(sections["band"].get("omega_u_hz", "65")),
             )
 
         tem_params = alpha = lowpass_cutoff = pns_shift = None
         if mode in ("single_tem", "two_tem"):
-            if "tem" not in parser:
+            if "tem" not in sections:
                 raise ConfigError(f"mode {mode} requires a [tem] section")
-            sec = parser["tem"]
+            sec = sections["tem"]
             tem_params = tem.TemParams(
                 kappa=_num(sec.get("kappa", "1")),
                 delta=_num(sec.get("delta", "")),
@@ -219,19 +244,28 @@ def load_config(path) -> ExperimentConfig:
                 if band is None:
                     raise ConfigError("mode two_tem requires a [band] section")
         if mode == "single_tem":
-            if "recon" not in parser or "lowpass_cutoff_hz" not in parser["recon"]:
+            recon_sec = sections.get("recon", empty)
+            if "lowpass_cutoff_hz" not in recon_sec:
                 raise ConfigError("mode single_tem requires [recon] lowpass_cutoff_hz")
-            lowpass_cutoff = TWO_PI * _num(parser["recon"]["lowpass_cutoff_hz"])
+            lowpass_cutoff = TWO_PI * _num(recon_sec["lowpass_cutoff_hz"])
             if not lowpass_cutoff > 0:
                 raise ConfigError("lowpass_cutoff_hz must be positive")
         if mode == "pns":
             if band is None:
                 raise ConfigError("mode pns requires a [band] section")
-            if "pns" not in parser or "shift" not in parser["pns"]:
+            pns_sec = sections.get("pns", empty)
+            if "shift" not in pns_sec:
                 raise ConfigError("mode pns requires [pns] shift")
-            pns_shift = _num(parser["pns"]["shift"])
+            pns_shift = _num(pns_sec["shift"])
             # constructing the grid performs the full validity check
             pns.PnsGrid(band.period, pns_shift, (w0, w1), band)
+        # A key nothing read would silently leave its setting at the default.
+        unread = [f"{name}.{key}" for name, sec in sections.items() for key in sec.unread()]
+        if unread:
+            raise ConfigError(
+                f"unknown config key(s) {', '.join(unread)}: misspelt, or not used "
+                f"in mode {mode}"
+            )
     except ConfigError:
         raise
     except (KeyError, ValueError) as exc:

@@ -5,12 +5,14 @@ integrates; every time the running integral reaches the threshold
 ``delta`` a spike time is recorded and the integrator resets to
 ``-delta``.  With ``|x| <= c < b`` the biased integrand is strictly
 positive, so every threshold crossing is a unique root of a strictly
-increasing function; spike times are located by marching plus bisection,
-never by fixed-step simulation.
+increasing function whose slope ``x + b`` lies in ``[b - c, b + c]``.
+Spike times are located by a safeguarded Newton iteration inside the
+bracket that slope range gives, never by fixed-step simulation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -161,16 +163,26 @@ def encode(
         Integrator state at ``t0``, in ``[-delta, delta)``.  Default
         ``-delta`` (as if a spike had just occurred at ``t0``).
     spike_tol : float
-        Absolute tolerance on each located spike time (seconds).
+        Newton step tolerance (seconds): the search for a spike time stops
+        once a step, Newton or bisection, moves it by at most this much.
     quad_tol : float
         Absolute tolerance for each segment integral.
     channel : str
         Tag stored on the returned train.
+
+    Raises
+    ------
+    ValueError
+        If ``x + bias <= 0`` at a Newton point, or a crossing lies outside
+        the gap bracket ``[min_gap, max_gap]`` scaled to its interval
+        integral; either means ``|sig|`` exceeded ``params.amplitude_bound``.
+        The message names the spike index and the time.
     """
     t0, t1 = float(window[0]), float(window[1])
     if not t1 >= t0:
         raise ValueError(f"window must satisfy t0 <= t1, got ({t0}, {t1})")
     delta, kappa, bias = params.delta, params.kappa, params.bias
+    bound = params.amplitude_bound
     z0 = -delta if initial_integrator is None else float(initial_integrator)
     if not (-delta <= z0 < delta):
         raise ValueError(f"initial integrator {z0} outside [-delta, delta)")
@@ -178,37 +190,52 @@ def encode(
     def biased(u):
         return np.asarray(sig(u), dtype=float) + bias
 
-    step = params.min_gap
     times = []
-    base_t = t0
-    run = 0.0  # integral of (x + bias) from base_t, accumulated past segments
+    base = t0
     target = kappa * (delta - z0)
-    while base_t < t1:
-        t_hi = min(base_t + step, t1)
-        if not t_hi > base_t:  # step vanished in float arithmetic
-            break
-        s_hi = run + integrate(biased, base_t, t_hi, quad_tol)
-        if s_hi < target:
-            base_t, run = t_hi, s_hi
-            continue
-        # Crossing bracketed in (base_t, t_hi]; the cumulative integral is
-        # strictly increasing, so bisection is guaranteed to converge.
-        lo, hi = base_t, t_hi
-        for _ in range(200):
-            if hi - lo <= spike_tol:
+    while True:
+        # With |x| <= bound the integral of x + bias grows at a rate in
+        # [bias - bound, bias + bound], which brackets the crossing.
+        lo = base + target / (bias + bound)
+        hi = base + target / (bias - bound)
+        if hi > t1:
+            if integrate(biased, base, t1, quad_tol) < target:
+                break  # the crossing, if any, lies past the window end
+            hi = t1
+        t = min(base + target / bias, hi)
+        while True:
+            g = integrate(biased, base, t, quad_tol) - target
+            slope = float(biased(np.array([t]))[0])
+            if not slope > 0.0:
+                raise ValueError(
+                    f"spike {len(times)}: x + bias = {slope!r} <= 0 at t={t!r}; "
+                    f"the signal exceeds its amplitude bound {bound!r}"
+                )
+            # The crossing lies at least |g|/(bias + bound) from t, on the side
+            # the sign of g points to; beyond the bracket end means the
+            # integrand left [bias - bound, bias + bound] somewhere.
+            reach = t - lo if g > 0.0 else hi - t
+            if abs(g) > (bias + bound) * reach + quad_tol:
+                raise ValueError(
+                    f"spike {len(times)}: crossing outside [{lo!r}, {hi!r}] seen at "
+                    f"t={t!r}; the signal exceeds its amplitude bound {bound!r}"
+                )
+            if g > 0.0:
+                hi = t
+            elif g < 0.0:
+                lo = t
+            # A step of a few ulps is rounding noise, whatever spike_tol asks.
+            tol = max(spike_tol, 4.0 * math.ulp(t))
+            t_next = t - g / slope
+            if abs(t_next - t) > tol and not lo <= t_next <= hi:
+                t_next = 0.5 * (lo + hi)  # Newton left the bracket: bisect
+            done = abs(t_next - t) <= tol
+            t = t_next
+            if done:
                 break
-            mid = 0.5 * (lo + hi)
-            s_mid = run + integrate(biased, base_t, mid, quad_tol)
-            if s_mid >= target:
-                hi = mid
-            else:
-                lo = mid
-        t_spike = 0.5 * (lo + hi)
-        times.append(t_spike)
-        # Exact reset to -delta: the crossing instant defines the integral
-        # as exactly `target`, so restart the accumulator from the spike.
-        base_t = t_spike
-        run = 0.0
+        times.append(t)
+        # Exact reset to -delta: the next interval integrates 2*kappa*delta.
+        base = t
         target = 2.0 * kappa * delta
     return SpikeTrain(np.asarray(times), channel, params, (t0, t1))
 

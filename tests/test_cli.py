@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from temcodec.cli import main
-from temcodec.tem import read_spike_file
+from temcodec.experiment import PipelineError, load_config, run_experiment
+from temcodec.signals import TWO_PI, Tone
+from temcodec.tem import TemParams, read_spike_file
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -18,7 +20,6 @@ window_start = -0.3
 window_end = 0.3
 grid_step = 1/500
 guard_fraction = 0.15
-seed = 0
 
 [signal]
 kind = modulated_tone
@@ -100,6 +101,7 @@ class TestValidate:
             lambda s: s.replace("window_end = 0.3", "window_end = -0.4"),
             lambda s: s.replace("[band]\nomega_l_hz = 35\nomega_u_hz = 65\n", ""),
             lambda s: s.replace("grid_step = 1/500", "grid_step = 0.6"),
+            lambda s: s.replace("grid_step = 1/500", "grid_stp = 1/500"),  # misspelt key
         ],
     )
     def test_broken_configs_exit_2(self, tmp_path, mangle):
@@ -118,6 +120,16 @@ class TestRun:
         # stage rejects the pair and the run reports a pipeline failure
         cfg = write_cfg(tmp_path, SMALL_TWO.replace("alpha = 1/40", "alpha = 1/30"))
         assert run_cli("run", cfg, "--out-dir", str(tmp_path / "out")) == 3
+
+    def test_amplitude_bound_violation_fails_at_encode(self, tmp_path):
+        # load_config takes the bound from the signal, so understate it directly
+        cfg = load_config(write_cfg(tmp_path, SMALL_TWO))
+        cfg.signal = Tone(2.0, TWO_PI * 5.0)
+        cfg.tem_params = TemParams(kappa=1.0, delta=0.01, bias=1.5, amplitude_bound=1.0)
+        cfg.alpha = 0.015
+        with pytest.raises(PipelineError) as info:
+            run_experiment(cfg, tmp_path / "out")
+        assert info.value.stage == "encode"
 
     def test_zero_signal_run(self, tmp_path):
         cfg = write_cfg(tmp_path, ZERO_SINGLE)

@@ -53,12 +53,13 @@ class TestEncode:
         train = encode(Constant(0.0), p, (0.0, 0.5))
         period = 2.0 * p.kappa * p.delta / p.bias
         assert len(train) == int(0.5 / period)
-        # absolute positions drift by at most one bisection tolerance per spike
+        # absolute positions drift by at most one step tolerance per spike
         assert np.allclose(train.times, period * np.arange(1, len(train) + 1),
                            atol=len(train) * SPIKE_TOL, rtol=0)
         assert np.allclose(np.diff(train.times), period, atol=5 * SPIKE_TOL, rtol=0)
 
-    @pytest.mark.parametrize("level", [1.5, -1.2])
+    # at +-2.0, the amplitude bound, each crossing sits on an end of its bracket
+    @pytest.mark.parametrize("level", [1.5, -1.2, 2.0, -2.0])
     def test_constant_signal_period(self, level):
         p = TemParams(1.0, 0.01, 2.5, 2.0)
         train = encode(Constant(level), p, (0.0, 0.4))
@@ -105,6 +106,69 @@ class TestEncode:
     def test_strictly_increasing_enforced(self, params_free):
         with pytest.raises(ValueError):
             SpikeTrain(np.array([0.0, 0.1, 0.1]), "single", params_free, (0.0, 1.0))
+
+    @pytest.mark.parametrize("phase", [0.0, np.pi])
+    def test_amplitude_bound_violation_names_spike(self, phase):
+        # |x| reaches 2 under a declared bound of 1, so x + bias dips below 0
+        p = TemParams(kappa=1.0, delta=0.01, bias=1.5, amplitude_bound=1.0)
+        with pytest.raises(ValueError, match=r"spike \d+: .*t=.*amplitude bound"):
+            encode(Tone(2.0, TWO_PI * 5.0, phase), p, (0.0, 1.0))
+
+
+def _identity_residuals(sig, train, t0, z0):
+    """|integral of x - (target - bias*gap)| for the first and every later interval."""
+    p = train.params
+    edges = np.concatenate(([t0], train.times))
+    targets = np.full(len(train), 2.0 * p.kappa * p.delta)
+    targets[0] = p.kappa * (p.delta - z0)
+    expected = targets - p.bias * np.diff(edges)
+    return np.array([
+        abs(integrate(sig, a, b, tol=1e-14) - q)
+        for a, b, q in zip(edges[:-1], edges[1:], expected)
+    ])
+
+
+class TestEncoderAccuracy:
+    def test_interval_identity_on_every_interval(self, test_signal, two_channel_record):
+        params, train_a, train_b, _ = two_channel_record
+        for tr, z0 in ((train_a, -0.5 * params.delta), (train_b, -params.delta)):
+            assert len(tr) == 180
+            assert np.max(_identity_residuals(test_signal, tr, -1.0, z0)) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        amplitude=st.floats(min_value=-2.0, max_value=2.0),
+        freq_hz=st.floats(min_value=0.5, max_value=120.0),
+        phase=st.floats(min_value=0.0, max_value=TWO_PI),
+        z0_frac=st.floats(min_value=-1.0, max_value=1.0, exclude_max=True),
+    )
+    def test_tone_within_bound_meets_identity(self, amplitude, freq_hz, phase, z0_frac):
+        p = TemParams(kappa=1.0, delta=0.01, bias=2.5, amplitude_bound=2.0)
+        sig = Tone(amplitude, TWO_PI * freq_hz, phase)
+        z0 = z0_frac * p.delta
+        train = encode(sig, p, (0.0, 0.1), initial_integrator=z0)
+        assert len(train) >= int(0.1 / p.max_gap) - 1
+        # the first entry is the first-spike target kappa*(delta - z0)
+        assert np.max(_identity_residuals(sig, train, 0.0, z0)) <= 1e-12
+
+    def test_first_spikes_match_scipy_oracle(self, test_signal, two_channel_record):
+        quad = pytest.importorskip("scipy.integrate").quad
+        brentq = pytest.importorskip("scipy.optimize").brentq
+        p, train_a, _, _ = two_channel_record
+
+        def biased(u):
+            return float(test_signal(np.array([u]))[0]) + p.bias
+
+        z0 = -0.5 * p.delta  # channel A at alpha = 1.5*delta
+        base, target = -1.0, p.kappa * (p.delta - z0)
+        for k in range(20):
+            def excess(t, base=base, target=target):
+                return quad(biased, base, t, epsabs=1e-14, epsrel=1e-14)[0] - target
+
+            hi = base + target / (p.bias - p.amplitude_bound)
+            t = brentq(excess, base, hi, xtol=1e-15, rtol=8.9e-16)
+            assert train_a.times[k] == pytest.approx(t, abs=1e-13), k
+            base, target = t, 2.0 * p.kappa * p.delta
 
 
 class TestAmplitudeIntegrals:
