@@ -3,7 +3,6 @@
 Subcommands::
 
     temcodec run <config> [--out-dir DIR] [--quad-tol X] [--sv-cutoff X]
-                          [--workers N]
     temcodec validate <config>
     temcodec compare <report_a.json> <report_b.json>
 
@@ -45,9 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override quadrature tolerance")
     run_p.add_argument("--sv-cutoff", type=float, default=None,
                        help="override relative singular-value cutoff")
-    run_p.add_argument("--workers", type=int, default=1,
-                       help="worker threads for system assembly (results are "
-                            "independent of this value)")
 
     val_p = sub.add_parser("validate", help="check a config without running it")
     val_p.add_argument("config")
@@ -69,14 +65,12 @@ def _cmd_run(args) -> int:
             if args.sv_cutoff <= 0:
                 raise ConfigError("--sv-cutoff must be positive")
             cfg.sv_cutoff = args.sv_cutoff
-        if args.workers < 1:
-            raise ConfigError("--workers must be >= 1")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     out_dir = args.out_dir or cfg.out_dir or f"runs/{Path(args.config).stem}"
     try:
-        result = run_experiment(cfg, out_dir, workers=args.workers)
+        result = run_experiment(cfg, out_dir)
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PIPELINE

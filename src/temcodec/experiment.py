@@ -301,8 +301,14 @@ class ExperimentReport:
 
 
 def _snap_grid(window, step):
+    """Grid ``w0 + k*step`` up to ``w1``, snapped to 12 significant digits.
+
+    The point count is floored, not rounded, so no point passes ``w1``; the
+    tolerance keeps a step that divides the window exactly in float noise
+    from losing its last point.
+    """
     w0, w1 = window
-    n = int(round((w1 - w0) / step))
+    n = math.floor((w1 - w0) / step + 1e-9)
     raw = w0 + step * np.arange(n + 1)
     return np.array([tem.snap_time(v) for v in raw])
 
@@ -351,11 +357,10 @@ def _metrics(t_eval, x_true, x_hat, window, guard) -> dict:
 
 
 def _write_csv(path: Path, header: str, columns) -> None:
-    rows = zip(*columns)
+    row_format = ",".join(["%.12g"] * len(columns)) + "\n"
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
+        fh.writelines(row_format % row for row in zip(*columns))
 
 
 def _psd(t_eval, x, step) -> tuple:
@@ -380,12 +385,11 @@ def _manifest(out_dir: Path, names) -> list:
     return entries
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir, workers: int = 1) -> ExperimentReport:
+def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentReport:
     """Execute the configured pipeline and write all output files.
 
     Raises :class:`PipelineError` naming the failing stage.  Deterministic:
-    identical configs (and any ``workers`` value) produce byte-identical
-    files.
+    identical configs produce byte-identical files.
     """
     started = time.perf_counter()
     out_path = Path(out_dir)
@@ -415,9 +419,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, workers: int = 1) -> Experime
             report["recon_kernel"] = {"kind": "lowpass", "cutoff_hz": cfg.lowpass_cutoff / TWO_PI}
             report["spikes"] = {"single": _gap_stats(train.times)}
             stage = "assemble"
-            system = recon.build_gram_lowpass(
-                train, cfg.lowpass_cutoff, quad_tol=cfg.quad_tol, workers=workers
-            )
+            system = recon.build_gram_lowpass(train, cfg.lowpass_cutoff, quad_tol=cfg.quad_tol)
             stage = "solve"
             solution = recon.solve_coefficients(system, sv_cutoff=cfg.sv_cutoff)
             model = recon.model_from(system, solution)
@@ -449,8 +451,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, workers: int = 1) -> Experime
             }
             stage = "assemble"
             system = recon.build_gram_bandpass(
-                merged, cfg.band, quad_tol=cfg.quad_tol,
-                anchor=cfg.pair_anchor, workers=workers,
+                merged, cfg.band, quad_tol=cfg.quad_tol, anchor=cfg.pair_anchor
             )
             stage = "solve"
             solution = recon.solve_coefficients(system, sv_cutoff=cfg.sv_cutoff)

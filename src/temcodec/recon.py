@@ -6,6 +6,15 @@ expansion over every spike interval to the amplitude integrals recovered
 from the spike gaps, and solves the resulting linear system ``G c = q``
 with a truncated-SVD pseudo-inverse.
 
+Every Gram entry is integrated by one Gauss-Legendre rule per system.  The
+kernels are entire functions of exponential type, so an a-priori error
+bound fixes the smallest order that meets ``quad_tol`` on the longest row
+interval; under the reconstruction condition (spike gaps shorter than the
+kernel period) that order is small: 6 nodes (lowpass) and 7 (bandpass)
+at the default ``quad_tol`` on the shipped presets.  All rows are
+evaluated at once, in row blocks, and contracted over the nodes with one
+``einsum``.
+
 Two kernel families are supported:
 
 * lowpass: ``sin(omega*t)/(pi*t)`` shifted to each knot;
@@ -26,15 +35,22 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .signals import BandSpec, QuadratureError, integrate_columns
+# integrate_columns is not called here; the benchmark tracer (perfbench/tracing.py)
+# patches and restores the name recon.integrate_columns, so it stays importable.
+from .signals import BandSpec, integrate_columns  # noqa: F401
 from .tem import MergedTrain, SpikeTrain, amplitude_integrals
-from .pns import DEGENERACY_TOL, DegenerateShiftError, kernel_gbp, shift_is_degenerate
+from .pns import (
+    DEGENERACY_TOL,
+    DegenerateShiftError,
+    _kernel_factors,
+    kernel_gbp,
+    shift_is_degenerate,
+)
 
 __all__ = [
     "BandpassKnots",
@@ -56,6 +72,8 @@ ENTRY_ZERO_FLOOR = 1e-14  # Gram entries below this magnitude stored as exact ze
 DEFAULT_SV_CUTOFF = 1e-8
 DEFAULT_QUAD_TOL = 1e-9
 EVAL_CHUNK_ELEMENTS = 1 << 19  # entries of one 1/(t - s) block in evaluate_model (4 MB)
+GRAM_BLOCK_ELEMENTS = 1 << 16  # kernel values per row block in Gram assembly (512 KB)
+MAX_GL_ORDER = 256  # highest Gauss-Legendre order Gram assembly will use
 
 
 class DegenerateSystemError(RuntimeError):
@@ -148,13 +166,52 @@ def _lowpass_kernel(t, omega):
     return (omega / math.pi) * np.sinc(omega * np.asarray(t) / math.pi)
 
 
-def _assemble(row_intervals, row_fn, workers: int):
-    if workers <= 1:
-        rows = [row_fn(a, b) for a, b in row_intervals]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda ab: row_fn(*ab), row_intervals))
-    matrix = np.vstack(rows)
+def _gl_order(h: float, k_max: float, a_max: float, tol: float) -> int:
+    """Smallest Gauss-Legendre order whose error bound on a length-``h`` interval is <= ``tol``.
+
+    The integrand is entire with ``|f(z)| <= k_max*exp(a_max*|Im z|)``, so on
+    the Bernstein ellipse of parameter ``rho`` about the interval it is at most
+    ``M = k_max*exp(a_max*h*(rho - 1/rho)/4)``, and an ``m``-point rule errs by
+    at most ``(h/2)*(64/15)*M*rho**(-2*(m - 1))/(rho**2 - 1)`` (Trefethen,
+    *Approximation Theory and Approximation Practice*, Thm 19.3), minimised
+    here over a log grid of ``rho``.  Raises ``ValueError`` when no order up
+    to ``MAX_GL_ORDER`` suffices: the interval then spans tens of kernel
+    periods, far beyond the reconstruction condition.
+    """
+    rho = 1.0 + np.logspace(-6.0, 6.0, 481)
+    log_scale = math.log(0.5 * h * (64.0 / 15.0) * k_max)
+    log_rest = 0.25 * a_max * h * (rho - 1.0 / rho) - np.log(rho * rho - 1.0)
+    log_rho, log_tol = np.log(rho), math.log(tol)
+    for m in range(2, MAX_GL_ORDER + 1):
+        if log_scale + np.min(log_rest - 2.0 * (m - 1) * log_rho) <= log_tol:
+            return m
+    raise ValueError(
+        f"no Gauss-Legendre order up to {MAX_GL_ORDER} meets quad_tol={tol:g} on a "
+        f"row interval of {h:.6g} s"
+    )
+
+
+def _gram_matrix(starts, ends, kernel, ncols: int, k_max: float, a_max: float, quad_tol: float):
+    """Rows ``integral_{starts[r]}^{ends[r]} kernel(u)[:, col] du`` by one fixed-order rule.
+
+    ``kernel`` maps node times of shape (rows, m) to kernel values of shape
+    (rows, m, ncols); its magnitude and exponential type are ``k_max`` and
+    ``a_max`` (see :func:`_gl_order`).  The order comes from the longest row,
+    and rows are evaluated in blocks of at most ``GRAM_BLOCK_ELEMENTS`` kernel
+    values.
+    """
+    if not quad_tol > 0.0:
+        raise ValueError(f"quad_tol must be positive, got {quad_tol}")
+    half = 0.5 * (ends - starts)
+    mid = 0.5 * (ends + starts)
+    order = _gl_order(2.0 * float(np.max(half)), k_max, a_max, quad_tol)
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    matrix = np.empty((half.size, ncols))
+    rows = max(1, GRAM_BLOCK_ELEMENTS // (order * ncols))
+    for lo in range(0, half.size, rows):
+        block = slice(lo, lo + rows)
+        u = mid[block, None] + half[block, None] * nodes
+        matrix[block] = np.einsum("rj,rjn->rn", half[block, None] * weights, kernel(u))
     matrix[np.abs(matrix) < ENTRY_ZERO_FLOOR] = 0.0
     return matrix
 
@@ -163,13 +220,13 @@ def build_gram_lowpass(
     train: SpikeTrain,
     omega: float,
     quad_tol: float = DEFAULT_QUAD_TOL,
-    workers: int = 1,
 ) -> GramSystem:
     """Gram matrix ``G[k,l] = integral over spike interval k of g_lp(u - s_l)``.
 
     Knots ``s_l`` are the spike-interval midpoints; the right-hand side is
-    the amplitude-integral sequence of the train.  Entries are computed
-    with the adaptive quadrature oracle at ``quad_tol``.
+    the amplitude-integral sequence of the train.  Every entry is integrated
+    by one Gauss-Legendre rule whose order an a-priori error bound fixes at
+    ``quad_tol`` on the longest spike interval.
     """
     if not omega > 0.0:
         raise ValueError(f"omega must be positive, got {omega}")
@@ -177,13 +234,11 @@ def build_gram_lowpass(
         raise ValueError("need at least 2 spikes to assemble a system")
     t = train.times
     knots = 0.5 * (t[:-1] + t[1:])
-
-    def row(a, b):
-        return integrate_columns(
-            lambda u: _lowpass_kernel(u[:, None] - knots[None, :], omega), a, b, quad_tol
-        )
-
-    matrix = _assemble(list(zip(t[:-1], t[1:])), row, workers)
+    # |sin(omega*z)/(pi*z)| <= (omega/pi)*exp(omega*|Im z|)
+    matrix = _gram_matrix(
+        t[:-1], t[1:], lambda u: _lowpass_kernel(u[..., None] - knots, omega),
+        knots.size, omega / math.pi, omega, quad_tol,
+    )
     rhs = amplitude_integrals(train).values
     return GramSystem(matrix, rhs, "lowpass", knots, omega=omega)
 
@@ -193,13 +248,14 @@ def build_gram_bandpass(
     band: BandSpec,
     quad_tol: float = DEFAULT_QUAD_TOL,
     anchor: str = "even",
-    workers: int = 1,
 ) -> GramSystem:
     """Gram matrix over stride-2 intervals of a merged two-channel record.
 
     Row ``l`` integrates every knot kernel over ``[t[l], t[l+2]]``; column
     ``k`` holds the kernel of knot ``k`` (time-reversed where the knot is a
-    pair partner).  If the largest stride-1 spike gap reaches the kernel
+    pair partner).  Every entry is integrated by one Gauss-Legendre rule
+    whose order an a-priori error bound fixes at ``quad_tol`` on the longest
+    stride-2 interval.  If the largest stride-1 spike gap reaches the kernel
     period ``2*pi/B``, reconstruction is no longer guaranteed: a warning
     diagnostic is attached and assembly proceeds.
 
@@ -226,16 +282,17 @@ def build_gram_bandpass(
     sign = np.where(knots.reflected, -1.0, 1.0)
     s_times = knots.times
     shifts = knots.shifts
-
-    def row(a, b):
-        return integrate_columns(
-            lambda u: kernel_gbp(
-                (u[:, None] - s_times[None, :]) * sign[None, :], shifts[None, :], band
-            ),
-            a, b, quad_tol,
-        )
-
-    matrix = _assemble(list(zip(t[:-2], t[2:])), row, workers)
+    # each term -2*sin(p*z - phi)*sin(q*z)/(B*z*sin(phi)) is at most
+    # 2*q/(B*|sin(phi)|)*exp((p + q)*|Im z|), and p + q <= omega_u
+    k_max = sum(
+        2.0 * q / (band.bandwidth * float(np.min(np.abs(np.sin(phi)))))
+        for _, q, phi in _kernel_factors(shifts, band)
+    )
+    matrix = _gram_matrix(
+        t[:-2], t[2:],
+        lambda u: kernel_gbp((u[..., None] - s_times) * sign, shifts, band),
+        s_times.size, k_max, band.omega_u, quad_tol,
+    )
     rhs = merged.integrals.values
     return GramSystem(
         matrix, rhs, "bandpass", s_times,
@@ -393,10 +450,9 @@ def reconstruct_lowpass(
     omega: float,
     quad_tol: float = DEFAULT_QUAD_TOL,
     sv_cutoff: float = DEFAULT_SV_CUTOFF,
-    workers: int = 1,
 ):
     """Assemble, solve and package a lowpass model; returns (model, system, solution)."""
-    system = build_gram_lowpass(train, omega, quad_tol=quad_tol, workers=workers)
+    system = build_gram_lowpass(train, omega, quad_tol=quad_tol)
     solution = solve_coefficients(system, sv_cutoff=sv_cutoff)
     return model_from(system, solution), system, solution
 
@@ -407,11 +463,8 @@ def reconstruct_bandpass(
     quad_tol: float = DEFAULT_QUAD_TOL,
     sv_cutoff: float = DEFAULT_SV_CUTOFF,
     anchor: str = "even",
-    workers: int = 1,
 ):
     """Assemble, solve and package a bandpass model; returns (model, system, solution)."""
-    system = build_gram_bandpass(
-        merged, band, quad_tol=quad_tol, anchor=anchor, workers=workers
-    )
+    system = build_gram_bandpass(merged, band, quad_tol=quad_tol, anchor=anchor)
     solution = solve_coefficients(system, sv_cutoff=sv_cutoff)
     return model_from(system, solution), system, solution

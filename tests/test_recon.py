@@ -4,7 +4,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from temcodec.signals import Constant, Tone, SignalSum, TWO_PI, band_spec_from_edges
+from temcodec.signals import Constant, Tone, SignalSum, TWO_PI, integrate_columns
 from temcodec.tem import SpikeTrain, TemParams, encode, encode_two_channel, interleave
 from temcodec.pns import DegenerateShiftError, kernel_gbp
 from temcodec.recon import (
@@ -107,16 +107,71 @@ class TestGramLowpass:
         assert system.matrix[0, 0] == pytest.approx(expect, abs=1e-10)
         assert system.matrix[0, 0] > 0.0
 
-    def test_worker_count_does_not_change_entries(self, small_system, test_signal):
-        train, system = small_system
-        again = build_gram_lowpass(train, TWO_PI * 65.0, workers=3)
-        assert np.array_equal(system.matrix, again.matrix)
-
     def test_needs_two_spikes(self):
         params = TemParams(1.0, 0.002, 3.0, 0.0)
         train = SpikeTrain(np.array([0.1]), "single", params, (0.0, 0.2))
         with pytest.raises(ValueError):
             build_gram_lowpass(train, 1.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        quad_tol=st.sampled_from([1e-6, 1e-9, 1e-12]),
+        omega=st.floats(min_value=TWO_PI * 5.0, max_value=TWO_PI * 120.0),
+        periods=st.lists(st.floats(min_value=0.01, max_value=4.0), min_size=1, max_size=10),
+        start=st.floats(min_value=-1.0, max_value=1.0),
+    )
+    def test_entries_within_quad_tol_of_closed_form(self, quad_tol, omega, periods, start):
+        # spike gaps from a hundredth of a kernel period 2*pi/omega to four periods
+        times = start + (TWO_PI / omega) * np.concatenate([[0.0], np.cumsum(periods)])
+        params = TemParams(1.0, 0.002, 3.0, 0.0)
+        train = SpikeTrain(times, "single", params, (times[0], times[-1]))
+        system = build_gram_lowpass(train, omega, quad_tol=quad_tol)
+        s = system.knot_times
+        upper = scipy.special.sici(omega * (times[1:, None] - s[None, :]))[0]
+        lower = scipy.special.sici(omega * (times[:-1, None] - s[None, :]))[0]
+        assert np.max(np.abs(system.matrix - (upper - lower) / np.pi)) <= quad_tol
+
+    @pytest.mark.parametrize("quad_tol", [0.0, -1e-9, float("nan")])
+    def test_nonpositive_quad_tol_rejected(self, small_system, quad_tol):
+        train, _ = small_system
+        with pytest.raises(ValueError, match="quad_tol"):
+            build_gram_lowpass(train, TWO_PI * 65.0, quad_tol=quad_tol)
+
+    def test_interval_beyond_every_order_rejected(self):
+        # a 10 s gap spans 650 kernel periods; no order up to the cap reaches the tolerance
+        params = TemParams(1.0, 0.002, 3.0, 0.0)
+        train = SpikeTrain(np.array([0.0, 10.0]), "single", params, (0.0, 10.0))
+        with pytest.raises(ValueError, match="Gauss-Legendre order"):
+            build_gram_lowpass(train, TWO_PI * 65.0)
+
+
+def premise_violating_record(band):
+    """Merged record whose largest spike gap exceeds the kernel period ``2*pi/B``."""
+    params = TemParams(1.0, band.period / 2.0, 3.0, 2.0)
+    a = SpikeTrain(np.array([0.0, 0.05, 0.10]), "A", params, (0.0, 0.2))
+    b = SpikeTrain(np.array([0.04, 0.09, 0.14]), "B", params, (0.0, 0.2))
+    return interleave(a, b)
+
+
+@pytest.fixture(scope="module")
+def bandpass_oracle(test_signal, band_35_65):
+    """Short encoded and premise-violating records with their Gram matrices by the
+    adaptive quadrature at tolerance 1e-14, one row at a time."""
+    params = TemParams(1.0, band_35_65.period / 2.0, 3.0, 2.0)
+    a, b = encode_two_channel(test_signal, params, (-0.2, 0.2), alpha=1.5 * params.delta)
+    out = {}
+    for name, merged in (("encoded", interleave(a, b)),
+                         ("premise_violating", premise_violating_record(band_35_65))):
+        t = merged.times
+        knots = knots_and_shifts(t)
+        sign = np.where(knots.reflected, -1.0, 1.0)
+
+        def kernel(u):
+            return kernel_gbp((u[:, None] - knots.times) * sign, knots.shifts, band_35_65)
+
+        rows = [integrate_columns(kernel, lo, hi, tol=1e-14) for lo, hi in zip(t[:-2], t[2:])]
+        out[name] = (merged, np.array(rows))
+    return out
 
 
 class TestGramBandpass:
@@ -156,15 +211,28 @@ class TestGramBandpass:
             build_gram_bandpass(merged, band_35_65)
 
     def test_gap_premise_violation_warns_and_proceeds(self, band_35_65):
-        params = TemParams(1.0, band_35_65.period / 2.0, 3.0, 2.0)
-        a = SpikeTrain(np.array([0.0, 0.05, 0.10]), "A", params, (0.0, 0.2))
-        b = SpikeTrain(np.array([0.04, 0.09, 0.14]), "B", params, (0.0, 0.2))
-        merged = interleave(a, b)
+        merged = premise_violating_record(band_35_65)
         assert merged.max_gap >= band_35_65.period
         with pytest.warns(RuntimeWarning, match="kernel period"):
             system = build_gram_bandpass(merged, band_35_65)
         assert not system.gap_premise_ok
         assert np.all(np.isfinite(system.matrix))
+
+    @pytest.mark.filterwarnings("ignore:max merged spike gap:RuntimeWarning")
+    @pytest.mark.parametrize("quad_tol", [1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("record", ["encoded", "premise_violating"])
+    def test_entries_within_quad_tol_of_adaptive_oracle(
+        self, bandpass_oracle, band_35_65, record, quad_tol
+    ):
+        merged, oracle = bandpass_oracle[record]
+        system = build_gram_bandpass(merged, band_35_65, quad_tol=quad_tol)
+        assert np.max(np.abs(system.matrix - oracle)) <= quad_tol
+
+    @pytest.mark.parametrize("quad_tol", [0.0, -1e-9, float("nan")])
+    def test_nonpositive_quad_tol_rejected(self, bandpass_oracle, band_35_65, quad_tol):
+        merged, _ = bandpass_oracle["encoded"]
+        with pytest.raises(ValueError, match="quad_tol"):
+            build_gram_bandpass(merged, band_35_65, quad_tol=quad_tol)
 
 
 class TestSolve:
