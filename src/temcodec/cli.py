@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -58,12 +59,12 @@ def _cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
         if args.quad_tol is not None:
-            if args.quad_tol <= 0:
-                raise ConfigError("--quad-tol must be positive")
+            if not (args.quad_tol > 0 and math.isfinite(args.quad_tol)):
+                raise ConfigError(f"--quad-tol must be positive and finite, got {args.quad_tol}")
             cfg.quad_tol = args.quad_tol
         if args.sv_cutoff is not None:
-            if args.sv_cutoff <= 0:
-                raise ConfigError("--sv-cutoff must be positive")
+            if not (args.sv_cutoff > 0 and math.isfinite(args.sv_cutoff)):
+                raise ConfigError(f"--sv-cutoff must be positive and finite, got {args.sv_cutoff}")
             cfg.sv_cutoff = args.sv_cutoff
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

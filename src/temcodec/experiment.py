@@ -209,8 +209,8 @@ def load_config(path) -> ExperimentConfig:
         spike_tol = _num(solver.get("spike_tol", "1e-10"))
         for name, v in (("sv_cutoff", sv_cutoff), ("quad_tol", quad_tol),
                         ("spike_tol", spike_tol)):
-            if not v > 0:
-                raise ConfigError(f"{name} must be positive, got {v}")
+            if not (v > 0 and math.isfinite(v)):
+                raise ConfigError(f"{name} must be positive and finite, got {v}")
         pair_anchor = str(solver.get("pair_anchor", "even")).strip()
         if pair_anchor not in ("even", "odd"):
             raise ConfigError(f"pair_anchor must be 'even' or 'odd', got {pair_anchor!r}")

@@ -26,9 +26,17 @@ Two kernel families are supported:
 
 :func:`evaluate_model` is the single evaluator for both families and for
 PNS records (:func:`temcodec.pns.reconstruct_pns` builds a bandpass
-model).  It evaluates every kernel in a separated form, one matrix
-product per block of points, and uses the direct kernel only to repair
-point-knot pairs closer than half the shortest kernel period.
+model).  Every kernel is a sum of terms ``cos(a*(t - s) - phi)/(t - s)``,
+so the model is ``cos(a*t)`` and ``sin(a*t)`` times Cauchy sums
+``sum_l W_l/(t - s_l)`` (two weight columns per distinct frequency ``a``).
+The sorted points are cut into equal boxes whose width balances near- and
+far-field work.  Knots in a box or within one box width of it are summed
+directly, with the direct kernel repairing pairs closer than half the
+shortest kernel period.  The other knots' sums are smooth on the box: they
+are evaluated at ``CHEB_POINTS`` Chebyshev points, a number an a-priori
+bound fixes at machine precision, and interpolated to the box's points
+(the one-level core of the black-box fast multipole method, Fong & Darve,
+*J. Comput. Phys.* 2009).  Few points make one box, every knot direct.
 """
 
 from __future__ import annotations
@@ -71,9 +79,14 @@ __all__ = [
 ENTRY_ZERO_FLOOR = 1e-14  # Gram entries below this magnitude stored as exact zeros
 DEFAULT_SV_CUTOFF = 1e-8
 DEFAULT_QUAD_TOL = 1e-9
-EVAL_CHUNK_ELEMENTS = 1 << 19  # entries of one 1/(t - s) block in evaluate_model (4 MB)
+# entries of one 1/(t - s) block in evaluate_model (4 MB): a chunk of a box's
+# points against its near knots, or its Chebyshev points against far knots
+EVAL_CHUNK_ELEMENTS = 1 << 19
 GRAM_BLOCK_ELEMENTS = 1 << 16  # kernel values per row block in Gram assembly (512 KB)
 MAX_GL_ORDER = 256  # highest Gauss-Legendre order Gram assembly will use
+# fixed cost of one evaluate_model box in direct 1/(t - s) terms: its numpy call
+# overhead measured about 200 us against about 4 ns per term on a 2-core x86-64 host
+BOX_OVERHEAD_TERMS = 50_000
 
 
 class DegenerateSystemError(RuntimeError):
@@ -398,19 +411,113 @@ def _cosine_terms(model: ReconModel):
     return freqs, terms, lambda u, idx: kernel_gbp(u * sigma[idx], shifts[idx], band)
 
 
+def _chebyshev_points(tol: float) -> int:
+    """Fewest Chebyshev points that interpolate every far-field term to ``tol``.
+
+    In a box's normalised coordinate ``x`` in ``[-1, 1]`` a far knot (one at
+    least a box width beyond the box) contributes ``1/(x - z)`` with real
+    ``|z| >= 3``.  That term is analytic inside the Bernstein ellipse of
+    parameter ``rho < 3 + sqrt(8)`` and bounded there by
+    ``M = 1/(3 - (rho + 1/rho)/2)``, so its interpolant in ``p`` Chebyshev
+    points errs by at most ``4*M*rho**(1 - p)/(rho - 1)`` (Trefethen,
+    *Approximation Theory and Approximation Practice*, Thm 8.2), minimised
+    here over a grid of ``rho``.  The bound is held to ``tol`` times 1/4,
+    the smallest value the term takes on the box.
+    """
+    rho = 1.0 + (2.0 + math.sqrt(8.0)) * np.linspace(1e-3, 1.0 - 1e-3, 999)
+    log_rest = np.log(4.0 / ((3.0 - 0.5 * (rho + 1.0 / rho)) * (rho - 1.0)))
+    log_rho, log_tol = np.log(rho), math.log(0.25 * tol)
+    p = 2
+    while np.min(log_rest - (p - 1) * log_rho) > log_tol:
+        p += 1
+    return p
+
+
+CHEB_POINTS = _chebyshev_points(np.finfo(float).eps)  # 24
+# Chebyshev points of the second kind on [0, 1], and their barycentric weights
+_CHEB_UNIT = np.sin(0.5 * math.pi * np.arange(CHEB_POINTS) / (CHEB_POINTS - 1)) ** 2
+_CHEB_WEIGHTS = (-1.0) ** np.arange(CHEB_POINTS)
+_CHEB_WEIGHTS[[0, -1]] *= 0.5
+
+
+def _box_nodes(lo: float, hi: float) -> np.ndarray:
+    """The Chebyshev points of the box ``[lo, hi]``."""
+    return lo + (hi - lo) * _CHEB_UNIT
+
+
+def _box_edges(x: np.ndarray, s: np.ndarray, near: float) -> Optional[np.ndarray]:
+    """Edges of the equal boxes that split sorted points ``x``; ``None`` for one dense box.
+
+    Work is counted in direct ``1/(t - s)`` terms.  A box of width ``w``
+    sums about ``3*w*n/L`` knots per point directly (the box and one width
+    either side; ``n`` knots, ``L`` the span of points and knots together)
+    and interpolates at a cost of about ``2*p`` per point; it evaluates
+    ``p*n`` terms at its ``p = CHEB_POINTS`` nodes and has a fixed cost of
+    ``BOX_OVERHEAD_TERMS``.  For ``m`` points over ``span`` the total is least
+    at ``w = sqrt(span*L*(p*n + overhead)/(3*m*n))``, taken at least ``near``
+    so that every pair closer than ``near`` is in the near field.  One box,
+    every knot near, when fewer than two boxes fit or they would not beat the
+    ``m*n`` terms of the dense sum.
+    """
+    m, n = x.size, s.size
+    if m < 2 or n == 0:
+        return None
+    span = x[-1] - x[0]
+    whole = max(x[-1], s[-1]) - min(x[0], s[0])
+    per_box = CHEB_POINTS * n + BOX_OVERHEAD_TERMS
+    width = max(near, math.sqrt(span * whole * per_box / (3.0 * m * n)))
+    boxes = int(span // width)
+    if boxes < 2 or m * (3.0 * width * n / whole + 2.0 * CHEB_POINTS) + boxes * per_box >= m * n:
+        return None
+    edges = x[0] + (span / boxes) * np.arange(boxes + 1)
+    edges[-1] = x[-1]
+    return edges
+
+
+def _cauchy_sums(x: np.ndarray, s: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``sum_l weights[l]/(x - s_l)`` at a few points ``x`` that are on no knot."""
+    out = np.zeros((x.size, weights.shape[1]))
+    cols = max(1, EVAL_CHUNK_ELEMENTS // x.size)
+    for lo in range(0, s.size, cols):
+        out += (1.0 / np.subtract.outer(x, s[lo:lo + cols])) @ weights[lo:lo + cols]
+    return out
+
+
+def _barycentric(x: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Matrix taking values at a box's Chebyshev ``nodes`` to their interpolant at ``x``."""
+    d = np.subtract.outer(x, nodes)
+    hit = d == 0.0
+    d[hit] = 1.0
+    q = _CHEB_WEIGHTS / d
+    on_node = hit.any(axis=1)
+    q[on_node] = hit[on_node]  # a point on a node takes that node's value
+    q /= q.sum(axis=1, keepdims=True)
+    return q
+
+
 def evaluate_model(model: ReconModel, t):
     """Evaluate ``sum_l c_l * kernel_l(t)``; accepts scalars or arrays.
 
     This is the one evaluator for lowpass, bandpass and PNS models.  Every
     kernel is a sum of terms ``cos(a*(t - s_l) - phi_l)/(t - s_l)``; expanding
     the cosine of the difference folds each knot's coefficient, shift and
-    reflection into weights, so a block of points costs one ``1/(t - s)``
-    matrix times an ``(n, 2F)`` weight matrix (``F`` distinct frequencies),
-    combined with ``cos(a*t)`` and ``sin(a*t)``.  Point-knot pairs closer than
-    ``pi/a_max``, where that expansion cancels badly, are left out of the
-    matrix and added back with the direct kernel.
+    reflection into weights, so the model is ``sum_f cos(a_f*t)*C_f(t) +
+    sin(a_f*t)*S_f(t)`` over its ``F`` distinct frequencies, with ``2F``
+    Cauchy sums ``C_f, S_f = sum_l W_l/(t - s_l)``.
+
+    The sorted points are cut into equal boxes (see :func:`_box_edges`).  For
+    the points of a box, the knots inside it and within one box width of it
+    (the near field) are summed directly: one ``1/(t - s)`` block times the
+    ``(n, 2F)`` weight matrix per chunk of points.  Point-knot pairs closer
+    than ``pi/a_max``, where that expansion cancels badly, are left out of
+    the block and added back with the direct kernel.  The remaining knots'
+    Cauchy sums are smooth on the box; they are evaluated exactly at its
+    ``CHEB_POINTS`` Chebyshev points and carried to its points by barycentric
+    interpolation, to machine precision per term (:func:`_chebyshev_points`).
+    With few points the whole input is one box and every knot is near.
+    Non-finite points evaluate to NaN.
     """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    t_in = np.asarray(t, dtype=float)
     freqs, terms, kernel = _cosine_terms(model)
     knots, coeff = model.knot_times, model.coefficients
     weights = np.zeros((knots.size, 2 * len(freqs)))
@@ -421,28 +528,69 @@ def evaluate_model(model: ReconModel, t):
     order = np.argsort(knots, kind="stable")
     s, weights = knots[order], weights[order]
     near = math.pi / max(freqs)
-    rows = max(1, EVAL_CHUNK_ELEMENTS // max(1, s.size))
-    out = np.empty_like(t_arr)
-    for lo in range(0, t_arr.size, rows):
-        block = t_arr[lo:lo + rows]
-        first = np.searchsorted(s, block - near, side="right")
-        count = np.searchsorted(s, block + near, side="left") - first
-        # near pairs as (row, column): the k-th pair of a row is knot first[row] + k
-        pair_row = np.repeat(np.arange(block.size), count)
-        pair_col = np.arange(pair_row.size) + np.repeat(first - np.cumsum(count) + count, count)
-        recip = np.subtract.outer(block, s)
-        recip[pair_row, pair_col] = np.inf  # 1/inf = 0 drops the near pairs
-        np.reciprocal(recip, out=recip)
-        sums = recip @ weights
-        idx = order[pair_col]
-        acc = out[lo:lo + rows]
-        acc[:] = np.bincount(
-            pair_row, coeff[idx] * kernel(block[pair_row] - knots[idx], idx),
-            minlength=block.size,
-        )
-        for f, a in enumerate(freqs):
-            acc += np.cos(a * block) * sums[:, 2 * f] + np.sin(a * block) * sums[:, 2 * f + 1]
-    return out if np.ndim(t) else float(out[0])
+
+    points = t_in.ravel()
+    finite = np.isfinite(points)
+    x = points if finite.all() else points[finite]
+    perm = None
+    if np.any(x[1:] < x[:-1]):
+        perm = np.argsort(x, kind="stable")
+        x = x[perm]
+    values = np.empty_like(x)
+
+    def box(lo, hi, i0, i1, nodes=None):
+        """``values[lo:hi]``: knots ``i0:i1`` summed directly, the rest through ``nodes``."""
+        s_near, w_near = s[i0:i1], weights[i0:i1]
+        if nodes is not None:
+            far = _cauchy_sums(nodes, s[:i0], weights[:i0])
+            far += _cauchy_sums(nodes, s[i1:], weights[i1:])
+        rows = max(1, EVAL_CHUNK_ELEMENTS // max(s_near.size, CHEB_POINTS))
+        for r in range(lo, hi, rows):
+            block = x[r:min(r + rows, hi)]
+            first = np.searchsorted(s_near, block - near, side="right")
+            count = np.searchsorted(s_near, block + near, side="left") - first
+            # near pairs as (row, column): the k-th pair of a row is knot first[row] + k
+            pair_row = np.repeat(np.arange(block.size), count)
+            pair_col = np.arange(pair_row.size)
+            pair_col += np.repeat(first - np.cumsum(count) + count, count)
+            recip = np.subtract.outer(block, s_near)
+            recip[pair_row, pair_col] = np.inf  # 1/inf = 0 drops the near pairs
+            np.reciprocal(recip, out=recip)
+            sums = recip @ w_near
+            if nodes is not None:
+                sums += _barycentric(block, nodes) @ far
+            idx = order[i0 + pair_col]
+            acc = values[r:r + block.size]
+            acc[:] = np.bincount(
+                pair_row, coeff[idx] * kernel(block[pair_row] - knots[idx], idx),
+                minlength=block.size,
+            )
+            for f, a in enumerate(freqs):
+                acc += np.cos(a * block) * sums[:, 2 * f] + np.sin(a * block) * sums[:, 2 * f + 1]
+
+    edges = _box_edges(x, s, near)
+    if edges is None:
+        box(0, x.size, 0, s.size)
+    else:
+        # far knots lie at least a box width (the interpolation bound) and
+        # at least ``near`` (the direct-kernel repair) beyond their box
+        reach = max(edges[1] - edges[0], near)
+        bounds = np.concatenate(([0], np.searchsorted(x, edges[1:-1]), [x.size]))
+        for b in np.flatnonzero(np.diff(bounds)):
+            lo, hi = edges[b], edges[b + 1]
+            box(
+                bounds[b], bounds[b + 1],
+                np.searchsorted(s, lo - reach, side="left"),
+                np.searchsorted(s, hi + reach, side="right"),
+                _box_nodes(lo, hi),
+            )
+    if perm is not None:
+        values[perm] = values.copy()
+    if not finite.all():
+        out = np.full(points.shape, np.nan)
+        out[finite] = values
+        values = out
+    return values.reshape(t_in.shape) if t_in.ndim else float(values[0])
 
 
 def reconstruct_lowpass(

@@ -102,6 +102,12 @@ class TestValidate:
             lambda s: s.replace("[band]\nomega_l_hz = 35\nomega_u_hz = 65\n", ""),
             lambda s: s.replace("grid_step = 1/500", "grid_step = 0.6"),
             lambda s: s.replace("grid_step = 1/500", "grid_stp = 1/500"),  # misspelt key
+            lambda s: s + "\n[solver]\nquad_tol = nan\n",
+            lambda s: s + "\n[solver]\nquad_tol = inf\n",
+            lambda s: s + "\n[solver]\nsv_cutoff = nan\n",
+            lambda s: s + "\n[solver]\nsv_cutoff = inf\n",
+            lambda s: s + "\n[solver]\nspike_tol = nan\n",
+            lambda s: s + "\n[solver]\nspike_tol = -inf\n",
         ],
     )
     def test_broken_configs_exit_2(self, tmp_path, mangle):
@@ -206,7 +212,10 @@ class TestRun:
 
     def test_bad_flag_values_exit_2(self, small_run):
         tmp, cfg, _ = small_run
-        assert run_cli("run", cfg, "--quad-tol", "-1") == 2
+        for flag in ("--quad-tol", "--sv-cutoff"):
+            for value in ("-1", "0", "nan", "inf", "-inf"):
+                # "--flag=value": argparse reads a separate "-inf" as an option
+                assert run_cli("run", cfg, f"{flag}={value}") == 2, (flag, value)
 
 
 class TestPnsRun:

@@ -17,6 +17,7 @@ from temcodec.pns import (
     sample_pns,
     shift_is_degenerate,
 )
+from temcodec import recon
 from temcodec.recon import ReconModel, evaluate_model
 
 
@@ -266,3 +267,61 @@ class TestEvaluatorMatchesDirectSum:
         # ``free`` alone may have no point near a knot
         for t in (free, np.concatenate([free, knots, knots + offsets])):
             assert np.max(np.abs(evaluate_model(model, t) - direct_kernel_sum(model, t))) <= tol
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        kind=st.sampled_from(["lowpass", "bandpass"]),
+        n=st.integers(300, 600),
+        m=st.integers(4000, 6000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_box_path_equals_direct_kernel_sum(self, band_35_65, kind, n, m, seed):
+        # enough points per knot that the evaluator cuts them into several boxes
+        rng = np.random.default_rng(seed)
+        knots = rng.uniform(-1.0, 1.0, n)
+        coeff = rng.uniform(-1.0, 1.0, n)
+        if kind == "lowpass":
+            model = ReconModel("lowpass", knots, coeff, omega=TWO_PI * 65.0)
+            near = 1.0 / 130.0
+        else:
+            frac = rng.uniform(0.01, 0.99, n)
+            k0 = band_35_65.k0
+            bad = np.zeros(n, dtype=bool)
+            for k in (k0, k0 + 1):
+                bad |= np.abs(np.sin(k * np.pi * frac)) <= 0.05
+            frac[bad] = 0.3  # the pns preset's shift ratio, non-degenerate for k0 = 3
+            model = ReconModel(
+                "bandpass", knots, coeff, band=band_35_65,
+                shifts=frac * band_35_65.period, reflected=rng.random(n) < 0.5,
+            )
+            near = math.pi / band_35_65.omega_u
+        s = np.sort(knots)
+
+        def layout(t):
+            edges = recon._box_edges(np.sort(t), s, near)
+            assert edges is not None and edges.size >= 3
+            return edges
+
+        # points beyond the knot span on both sides; the end points fix the
+        # span, so with the count they fix the box layout
+        t = rng.uniform(-1.5, 1.5, m)
+        t[:2] = -1.5, 1.5
+        edges = layout(t)
+        # the rest exercises: points on a knot, duplicates, box edges, Chebyshev nodes
+        special = [knots[:20], t[-20:], edges[1:-1]]
+        special += [recon._box_nodes(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+        special = np.concatenate(special)
+        t[2:2 + special.size] = special
+        assert np.unique(t).size < t.size
+        rng.shuffle(t)
+        assert np.array_equal(layout(t), edges)
+        # a block of points with no pair closer than pi/a_max
+        t_clear = rng.uniform(1.0 + 2.0 * near, 2.5, m)
+        layout(t_clear)
+
+        tol = 1e-11 * (1.0 + np.sum(np.abs(coeff)))
+        for pts in (t, t_clear):
+            direct = np.concatenate(
+                [direct_kernel_sum(model, c) for c in np.array_split(pts, 16)]
+            )
+            assert np.max(np.abs(evaluate_model(model, pts) - direct)) <= tol

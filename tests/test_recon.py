@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from temcodec.signals import Constant, Tone, SignalSum, TWO_PI, integrate_columns
 from temcodec.tem import SpikeTrain, TemParams, encode, encode_two_channel, interleave
 from temcodec.pns import DegenerateShiftError, kernel_gbp
+from temcodec import recon
 from temcodec.recon import (
     DegenerateSystemError,
     GramSystem,
@@ -301,6 +302,19 @@ class TestSolve:
         assert rel <= 1e-6
 
 
+class TestFarField:
+    def test_nearest_far_term_interpolates_to_rounding(self):
+        # on a box [-1, 1], a far knot is at least one box width beyond it:
+        # the term 1/(x - z) with |z| >= 3, interpolated at the box's nodes
+        nodes = recon._box_nodes(-1.0, 1.0)
+        x = np.linspace(-1.0, 1.0, 2001)
+        interp = recon._barycentric(x, nodes)
+        for z in (3.0, -3.0, 4.0, 10.0):
+            exact = 1.0 / (x - z)
+            err = np.max(np.abs(interp @ (1.0 / (nodes - z)) - exact))
+            assert err <= 4.0 * np.finfo(float).eps * np.max(np.abs(exact))
+
+
 class TestModel:
     def test_zero_coefficients_evaluate_to_zero(self, band_35_65):
         model = ReconModel(
@@ -329,6 +343,35 @@ class TestModel:
         lp = ReconModel("lowpass", np.array([0.0]), np.array([1.0]), omega=1.0)
         assert isinstance(lp(0.3), float)
         assert lp(0.3) == evaluate_model(lp, 0.3)
+
+    def test_empty_input_returns_empty_float_array(self):
+        lp = ReconModel("lowpass", np.array([0.0]), np.array([1.0]), omega=1.0)
+        out = evaluate_model(lp, np.array([]))
+        assert out.shape == (0,) and out.dtype == float
+
+    @pytest.fixture(scope="class")
+    def boxed(self):
+        """A lowpass model and points that the evaluator cuts into several boxes."""
+        rng = np.random.default_rng(5)
+        knots = rng.uniform(-1.0, 1.0, 400)
+        model = ReconModel("lowpass", knots, rng.uniform(-1.0, 1.0, 400), omega=TWO_PI * 65.0)
+        t = np.linspace(-1.2, 1.2, 5001)
+        assert recon._box_edges(t, np.sort(knots), 1.0 / 130.0).size > 2
+        return model, t
+
+    def test_non_finite_points_yield_nan_only_there(self, boxed):
+        model, t = boxed
+        values = evaluate_model(model, t)
+        spoilt = np.insert(t, [0, 1000, 5001], [np.nan, np.inf, -np.inf])
+        out = evaluate_model(model, spoilt)
+        bad = ~np.isfinite(spoilt)
+        assert np.all(np.isnan(out[bad]))
+        assert np.array_equal(out[~bad], values)
+
+    def test_permuted_input_permutes_output(self, boxed):
+        model, t = boxed
+        perm = np.random.default_rng(6).permutation(t.size)
+        assert np.array_equal(evaluate_model(model, t[perm]), evaluate_model(model, t)[perm])
 
     def test_unknown_kind_rejected(self):
         model = ReconModel("highpass", np.array([0.0]), np.array([1.0]), omega=1.0)
