@@ -42,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("config", help="path to an experiment .cfg file")
     run_p.add_argument("--out-dir", default=None, help="output directory")
     run_p.add_argument("--quad-tol", type=float, default=None,
-                       help="override quadrature tolerance")
+                       help="absolute error allowed in each Gram entry")
     run_p.add_argument("--sv-cutoff", type=float, default=None,
                        help="override relative singular-value cutoff")
 

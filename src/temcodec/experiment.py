@@ -67,11 +67,20 @@ class PipelineError(RuntimeError):
 
 
 def _num(text: str) -> float:
-    """Parse a config number: decimal/scientific float or exact fraction a/b."""
+    """Parse a config number: decimal/scientific float or exact fraction a/b.
+
+    Raises :class:`ConfigError` for a value that is not finite (``inf``,
+    ``nan``, a zero denominator, a fraction beyond the float range): no
+    setting takes one.
+    """
     text = text.strip()
-    if "/" in text:
-        return float(Fraction(text))
-    return float(text)
+    try:
+        value = float(Fraction(text)) if "/" in text else float(text)
+    except (ZeroDivisionError, OverflowError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"config numbers must be finite, got {text!r}")
+    return value
 
 
 @dataclass
@@ -424,6 +433,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentReport:
             solution = recon.solve_coefficients(system, sv_cutoff=cfg.sv_cutoff)
             model = recon.model_from(system, solution)
             report["gram"] = _gram_dict(system, solution)
+            del system  # free the factors, the largest arrays, before evaluation
             stage = "evaluate"
             x_hat = model(t_eval)
 
@@ -457,6 +467,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentReport:
             solution = recon.solve_coefficients(system, sv_cutoff=cfg.sv_cutoff)
             model = recon.model_from(system, solution)
             report["gram"] = _gram_dict(system, solution)
+            del system  # free the factors, the largest arrays, before evaluation
             stage = "evaluate"
             x_hat = model(t_eval)
 
@@ -530,8 +541,8 @@ def _band_dict(band: BandSpec) -> dict:
 def _gram_dict(system: recon.GramSystem, sol: recon.SolveResult) -> dict:
     rhs_norm = float(np.linalg.norm(system.rhs))
     return {
-        "rows": int(system.matrix.shape[0]),
-        "cols": int(system.matrix.shape[1]),
+        "rows": int(system.shape[0]),
+        "cols": int(system.shape[1]),
         "sigma_max": sol.sigma_max,
         "sigma_min": sol.sigma_min,
         "effective_rank": sol.effective_rank,

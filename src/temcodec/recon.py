@@ -6,14 +6,20 @@ expansion over every spike interval to the amplitude integrals recovered
 from the spike gaps, and solves the resulting linear system ``G c = q``
 with a truncated-SVD pseudo-inverse.
 
-Every Gram entry is integrated by one Gauss-Legendre rule per system.  The
-kernels are entire functions of exponential type, so an a-priori error
-bound fixes the smallest order that meets ``quad_tol`` on the longest row
-interval; under the reconstruction condition (spike gaps shorter than the
-kernel period) that order is small: 6 nodes (lowpass) and 7 (bandpass)
-at the default ``quad_tol`` on the shipped presets.  All rows are
-evaluated at once, in row blocks, and contracted over the nodes with one
-``einsum``.
+Both kernels are Fourier integrals over their band: each is a sum of
+terms ``w_l * integral_lo^hi cos(nu*(u - s_l) - psi_l) dnu``.  One
+Gauss-Legendre rule in the frequency ``nu`` per band segment therefore
+writes the Gram matrix exactly as ``G = A @ B.T``: the integral of
+``cos(nu*u)`` and ``sin(nu*u)`` over a spike interval is closed-form, so
+``A`` holds it per row and node, and ``B`` holds ``cos(nu*s_l + psi_l)``
+and ``sin(nu*s_l + psi_l)`` times the knot's weight.  In ``nu`` the
+integrand is entire, of exponential type the record span, so an a-priori
+error bound fixes each rule's order at ``quad_tol`` per entry; it grows
+with the span (234 nodes, 468 columns, for the 779 rows of the 2 s
+single-channel preset).  The solve never forms ``G``: a QR of each factor
+reduces it to the SVD of a small core (the trigonometric-space view of
+TEM decoding of Lazar & Pnevmatikakis, *EURASIP J. Adv. Signal Process.*,
+2009, applied here to the paper's own Gram matrix).
 
 Two kernel families are supported:
 
@@ -52,13 +58,7 @@ import numpy as np
 # patches and restores the name recon.integrate_columns, so it stays importable.
 from .signals import BandSpec, integrate_columns  # noqa: F401
 from .tem import MergedTrain, SpikeTrain, amplitude_integrals
-from .pns import (
-    DEGENERACY_TOL,
-    DegenerateShiftError,
-    _kernel_factors,
-    kernel_gbp,
-    shift_is_degenerate,
-)
+from .pns import DEGENERACY_TOL, DegenerateShiftError, kernel_gbp, shift_is_degenerate
 
 __all__ = [
     "BandpassKnots",
@@ -76,14 +76,11 @@ __all__ = [
     "reconstruct_bandpass",
 ]
 
-ENTRY_ZERO_FLOOR = 1e-14  # Gram entries below this magnitude stored as exact zeros
 DEFAULT_SV_CUTOFF = 1e-8
 DEFAULT_QUAD_TOL = 1e-9
 # entries of one 1/(t - s) block in evaluate_model (4 MB): a chunk of a box's
 # points against its near knots, or its Chebyshev points against far knots
 EVAL_CHUNK_ELEMENTS = 1 << 19
-GRAM_BLOCK_ELEMENTS = 1 << 16  # kernel values per row block in Gram assembly (512 KB)
-MAX_GL_ORDER = 256  # highest Gauss-Legendre order Gram assembly will use
 # fixed cost of one evaluate_model box in direct 1/(t - s) terms: its numpy call
 # overhead measured about 200 us against about 4 ns per term on a 2-core x86-64 host
 BOX_OVERHEAD_TERMS = 50_000
@@ -147,9 +144,15 @@ def knots_and_shifts(merged_times, anchor: str = "even") -> BandpassKnots:
 
 @dataclass(frozen=True)
 class GramSystem:
-    """Assembled linear system linking kernel coefficients to amplitude integrals."""
+    """Linear system ``G c = q`` linking kernel coefficients to amplitude integrals.
 
-    matrix: np.ndarray
+    ``G`` is held as two factors, ``G = left @ right.T``: one row of ``left``
+    per spike interval, one row of ``right`` per knot.  A dense ``G`` is the
+    pair ``(G, np.eye(cols))``.
+    """
+
+    left: np.ndarray
+    right: np.ndarray
     rhs: np.ndarray
     kind: str  # "lowpass" | "bandpass"
     knot_times: np.ndarray
@@ -160,8 +163,13 @@ class GramSystem:
     gap_premise_ok: bool = True
 
     @property
+    def matrix(self) -> np.ndarray:
+        """The Gram matrix ``left @ right.T``, formed on each access."""
+        return self.left @ self.right.T
+
+    @property
     def shape(self):
-        return self.matrix.shape
+        return self.left.shape[0], self.right.shape[0]
 
 
 @dataclass(frozen=True)
@@ -186,47 +194,68 @@ def _gl_order(h: float, k_max: float, a_max: float, tol: float) -> int:
     the Bernstein ellipse of parameter ``rho`` about the interval it is at most
     ``M = k_max*exp(a_max*h*(rho - 1/rho)/4)``, and an ``m``-point rule errs by
     at most ``(h/2)*(64/15)*M*rho**(-2*(m - 1))/(rho**2 - 1)`` (Trefethen,
-    *Approximation Theory and Approximation Practice*, Thm 19.3), minimised
-    here over a log grid of ``rho``.  Raises ``ValueError`` when no order up
-    to ``MAX_GL_ORDER`` suffices: the interval then spans tens of kernel
-    periods, far beyond the reconstruction condition.
+    *Approximation Theory and Approximation Practice*, Thm 19.3).  Each
+    ``rho`` of a log grid gives the least ``m`` meeting ``tol``; the order
+    is the smallest of those, and at least 2.
     """
     rho = 1.0 + np.logspace(-6.0, 6.0, 481)
     log_scale = math.log(0.5 * h * (64.0 / 15.0) * k_max)
     log_rest = 0.25 * a_max * h * (rho - 1.0 / rho) - np.log(rho * rho - 1.0)
-    log_rho, log_tol = np.log(rho), math.log(tol)
-    for m in range(2, MAX_GL_ORDER + 1):
-        if log_scale + np.min(log_rest - 2.0 * (m - 1) * log_rho) <= log_tol:
-            return m
-    raise ValueError(
-        f"no Gauss-Legendre order up to {MAX_GL_ORDER} meets quad_tol={tol:g} on a "
-        f"row interval of {h:.6g} s"
-    )
+    needed = 1.0 + (log_scale + log_rest - math.log(tol)) / (2.0 * np.log(rho))
+    return math.ceil(max(2.0, float(np.min(needed))))
 
 
-def _gram_matrix(starts, ends, kernel, ncols: int, k_max: float, a_max: float, quad_tol: float):
-    """Rows ``integral_{starts[r]}^{ends[r]} kernel(u)[:, col] du`` by one fixed-order rule.
+def _spectral_factors(starts, ends, knots, segments, quad_tol: float):
+    """Factors ``(A, B)`` with ``(A @ B.T)[r, l] = integral_{starts[r]}^{ends[r]} kernel_l(u) du``.
 
-    ``kernel`` maps node times of shape (rows, m) to kernel values of shape
-    (rows, m, ncols); its magnitude and exponential type are ``k_max`` and
-    ``a_max`` (see :func:`_gl_order`).  The order comes from the longest row,
-    and rows are evaluated in blocks of at most ``GRAM_BLOCK_ELEMENTS`` kernel
-    values.
+    Knot ``l``'s kernel is ``sum w_l*integral_lo^hi cos(nu*(u - knots[l]) - psi_l) dnu``
+    over ``segments``, a list of ``(lo, hi, w, psi)`` with ``0 <= lo`` and
+    per-knot arrays ``w`` and ``psi``.  Each segment's ``nu`` integral is one
+    Gauss-Legendre rule with nodes ``nu_j`` and weights ``g_j``, and splitting
+    the cosine gives per node the column pair
+
+    * ``A[r] = g_j*2h_r*sinc(nu_j*h_r)*[cos, sin](nu_j*m_r)``, the exact
+      integrals of ``cos(nu*u)`` and ``sin(nu*u)`` over the row interval
+      (midpoint ``m_r``, half-width ``h_r``), free of cancellation;
+    * ``B[l] = w_l*[cos, sin](nu_j*s_l + psi_l)``.
+
+    Times are measured from the record midpoint.  In ``nu`` an entry is entire
+    and bounded by ``|w|*2h*exp(span*|Im nu|)`` (``span`` the record span), so
+    :func:`_gl_order` fixes each segment's order at an equal share of
+    ``quad_tol``.  Empty segments are skipped.
     """
     if not quad_tol > 0.0:
         raise ValueError(f"quad_tol must be positive, got {quad_tol}")
+    centre = 0.5 * (starts[0] + ends[-1])
+    span = float(ends[-1] - starts[0])
     half = 0.5 * (ends - starts)
-    mid = 0.5 * (ends + starts)
-    order = _gl_order(2.0 * float(np.max(half)), k_max, a_max, quad_tol)
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    matrix = np.empty((half.size, ncols))
-    rows = max(1, GRAM_BLOCK_ELEMENTS // (order * ncols))
-    for lo in range(0, half.size, rows):
-        block = slice(lo, lo + rows)
-        u = mid[block, None] + half[block, None] * nodes
-        matrix[block] = np.einsum("rj,rjn->rn", half[block, None] * weights, kernel(u))
-    matrix[np.abs(matrix) < ENTRY_ZERO_FLOOR] = 0.0
-    return matrix
+    mid = 0.5 * (ends + starts) - centre
+    s = knots - centre
+    segments = [seg for seg in segments if seg[1] > seg[0]]
+    orders = [
+        _gl_order(hi - lo, 2.0 * float(np.max(half)) * float(np.max(np.abs(w))), span,
+                  quad_tol / len(segments))
+        for lo, hi, w, _ in segments
+    ]
+    left = np.empty((half.size, 2 * sum(orders)))
+    right = np.empty((s.size, 2 * sum(orders)))
+    col = 0
+    for (lo, hi, w, psi), order in zip(segments, orders):
+        nodes, weights = np.polynomial.legendre.leggauss(order)
+        nu = 0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes
+        cos_cols, sin_cols = slice(col, col + order), slice(col + order, col + 2 * order)
+        col += 2 * order
+        # g*2h*sinc(nu*h) = g*2*sin(nu*h)/nu, and nu > 0 at every node
+        amp = np.sin(np.outer(half, nu))
+        amp *= (0.5 * (hi - lo) * weights) * 2.0 / nu
+        phase = np.outer(s, nu)
+        phase += psi[:, None]
+        for out, arg, scale in ((left, np.outer(mid, nu), amp), (right, phase, w[:, None])):
+            np.cos(arg, out=out[:, cos_cols])
+            out[:, cos_cols] *= scale
+            np.sin(arg, out=arg)
+            np.multiply(arg, scale, out=out[:, sin_cols])
+    return left, right
 
 
 def build_gram_lowpass(
@@ -234,12 +263,13 @@ def build_gram_lowpass(
     omega: float,
     quad_tol: float = DEFAULT_QUAD_TOL,
 ) -> GramSystem:
-    """Gram matrix ``G[k,l] = integral over spike interval k of g_lp(u - s_l)``.
+    """Gram system ``G[k,l] = integral over spike interval k of g_lp(u - s_l)``.
 
     Knots ``s_l`` are the spike-interval midpoints; the right-hand side is
-    the amplitude-integral sequence of the train.  Every entry is integrated
-    by one Gauss-Legendre rule whose order an a-priori error bound fixes at
-    ``quad_tol`` on the longest spike interval.
+    the amplitude-integral sequence of the train.  ``G`` is built as its
+    spectral factors from ``sin(omega*u)/(pi*u) = (1/pi)*integral_0^omega
+    cos(nu*u) dnu`` (see :func:`_spectral_factors`), every entry within
+    ``quad_tol``.
     """
     if not omega > 0.0:
         raise ValueError(f"omega must be positive, got {omega}")
@@ -247,13 +277,13 @@ def build_gram_lowpass(
         raise ValueError("need at least 2 spikes to assemble a system")
     t = train.times
     knots = 0.5 * (t[:-1] + t[1:])
-    # |sin(omega*z)/(pi*z)| <= (omega/pi)*exp(omega*|Im z|)
-    matrix = _gram_matrix(
-        t[:-1], t[1:], lambda u: _lowpass_kernel(u[..., None] - knots, omega),
-        knots.size, omega / math.pi, omega, quad_tol,
+    left, right = _spectral_factors(
+        t[:-1], t[1:], knots,
+        [(0.0, omega, np.full(knots.size, 1.0 / math.pi), np.zeros(knots.size))],
+        quad_tol,
     )
     rhs = amplitude_integrals(train).values
-    return GramSystem(matrix, rhs, "lowpass", knots, omega=omega)
+    return GramSystem(left, right, rhs, "lowpass", knots, omega=omega)
 
 
 def build_gram_bandpass(
@@ -262,13 +292,16 @@ def build_gram_bandpass(
     quad_tol: float = DEFAULT_QUAD_TOL,
     anchor: str = "even",
 ) -> GramSystem:
-    """Gram matrix over stride-2 intervals of a merged two-channel record.
+    """Gram system over stride-2 intervals of a merged two-channel record.
 
     Row ``l`` integrates every knot kernel over ``[t[l], t[l+2]]``; column
     ``k`` holds the kernel of knot ``k`` (time-reversed where the knot is a
-    pair partner).  Every entry is integrated by one Gauss-Legendre rule
-    whose order an a-priori error bound fixes at ``quad_tol`` on the longest
-    stride-2 interval.  If the largest stride-1 spike gap reaches the kernel
+    pair partner).  Each of the kernel's two spectral segments, with
+    ``phi = k*B*d/2``, contributes ``-(1/(B*sin(phi)))*integral_lo^hi
+    sin(nu*u - phi) dnu``: ``[k0*B - omega_l, omega_u]`` with ``k = k0 + 1``
+    and ``[omega_l, k0*B - omega_l]`` with ``k = k0``.  ``G`` is built as its
+    spectral factors (see :func:`_spectral_factors`), every entry within
+    ``quad_tol``.  If the largest stride-1 spike gap reaches the kernel
     period ``2*pi/B``, reconstruction is no longer guaranteed: a warning
     diagnostic is attached and assembly proceeds.
 
@@ -292,24 +325,19 @@ def build_gram_bandpass(
             RuntimeWarning,
             stacklevel=2,
         )
-    sign = np.where(knots.reflected, -1.0, 1.0)
-    s_times = knots.times
-    shifts = knots.shifts
-    # each term -2*sin(p*z - phi)*sin(q*z)/(B*z*sin(phi)) is at most
-    # 2*q/(B*|sin(phi)|)*exp((p + q)*|Im z|), and p + q <= omega_u
-    k_max = sum(
-        2.0 * q / (band.bandwidth * float(np.min(np.abs(np.sin(phi)))))
-        for _, q, phi in _kernel_factors(shifts, band)
-    )
-    matrix = _gram_matrix(
-        t[:-2], t[2:],
-        lambda u: kernel_gbp((u[..., None] - s_times) * sign, shifts, band),
-        s_times.size, k_max, band.omega_u, quad_tol,
-    )
+    b_ = band.bandwidth
+    a_mid = band.k0 * b_ - band.omega_l
+    sigma = np.where(knots.reflected, -1.0, 1.0)
+    segments = []
+    for k, lo, hi in ((band.k0 + 1, a_mid, band.omega_u), (band.k0, band.omega_l, a_mid)):
+        # sin(nu*sigma*u - phi) = sigma*cos(nu*u - psi) with psi = sigma*phi + pi/2
+        phi = 0.5 * k * b_ * knots.shifts
+        segments.append((lo, hi, -sigma / (b_ * np.sin(phi)), sigma * phi + 0.5 * math.pi))
+    left, right = _spectral_factors(t[:-2], t[2:], knots.times, segments, quad_tol)
     rhs = merged.integrals.values
     return GramSystem(
-        matrix, rhs, "bandpass", s_times,
-        band=band, shifts=shifts, reflected=knots.reflected,
+        left, right, rhs, "bandpass", knots.times,
+        band=band, shifts=knots.shifts, reflected=knots.reflected,
         gap_premise_ok=premise_ok,
     )
 
@@ -317,13 +345,26 @@ def build_gram_bandpass(
 def solve_coefficients(system: GramSystem, sv_cutoff: float = DEFAULT_SV_CUTOFF) -> SolveResult:
     """Minimum-norm least squares via SVD with a relative singular-value cutoff.
 
-    Singular values below ``sv_cutoff * sigma_max`` are zeroed.  Returns the
+    With ``G = left @ right.T`` and QR factorisations ``left = Qa Ra`` and
+    ``right = Qb Rb``, ``G = Qa (Ra Rb^T) Qb^T``, so the SVD of the small core
+    ``Ra Rb^T`` is that of ``G``.  Neither ``G`` nor ``Qa`` is formed: only
+    ``Qa^T q`` is needed, and the QR of ``[left, q]`` gives it.  Singular
+    values below ``sv_cutoff * sigma_max`` are zeroed.  Returns the
     coefficients together with the residual norm ``||G c - q||``, effective
-    rank, and the singular-value extremes.  Deterministic: solving the same
-    system twice is bit-identical.
+    rank, and the singular-value extremes; ``sigma_min`` is 0.0 when the
+    factors are narrower than the system, since ``G`` then has exactly
+    zero singular values.  Deterministic: solving the same system twice is
+    bit-identical.
     """
-    matrix, rhs = system.matrix, system.rhs
-    u, sv, vt = np.linalg.svd(matrix, full_matrices=False)
+    left, right, rhs = system.left, system.right, system.rhs
+    inner = min(left.shape)
+    # Householder QR goes column by column: the R of [left, rhs] is R_left
+    # with Q_left^T rhs as its last column
+    r_aug = np.linalg.qr(np.column_stack([left, rhs]), mode="r")
+    q_right, r_right = np.linalg.qr(right)
+    core, projected = r_aug[:inner, :-1] @ r_right.T, r_aug[:inner, -1].copy()
+    del r_aug, r_right  # not held through the SVD, whose outputs set the peak memory
+    u, sv, vt = np.linalg.svd(core, full_matrices=False)
     if sv.size == 0 or sv[0] <= 0.0:
         raise DegenerateSystemError("system has no nonzero singular values")
     keep = sv >= sv_cutoff * sv[0]
@@ -331,14 +372,14 @@ def solve_coefficients(system: GramSystem, sv_cutoff: float = DEFAULT_SV_CUTOFF)
         raise DegenerateSystemError(
             f"all singular values below cutoff {sv_cutoff} * {sv[0]:.3e}"
         )
-    coeff = vt[keep].T @ ((u[:, keep].T @ rhs) / sv[keep])
-    residual = float(np.linalg.norm(matrix @ coeff - rhs))
+    coeff = q_right @ (vt[keep].T @ ((u[:, keep].T @ projected) / sv[keep]))
+    residual = float(np.linalg.norm(left @ (right.T @ coeff) - rhs))
     return SolveResult(
         coefficients=coeff,
         residual_norm=residual,
         effective_rank=int(np.count_nonzero(keep)),
         sigma_max=float(sv[0]),
-        sigma_min=float(sv[-1]),
+        sigma_min=float(sv[-1]) if sv.size == min(system.shape) else 0.0,
         sv_cutoff=sv_cutoff,
     )
 

@@ -39,6 +39,26 @@ omega_l_hz = 35
 omega_u_hz = 65
 """
 
+SMALL_TWO_SIGNAL = (
+    "kind = modulated_tone\ncarrier_hz = 50\nam_hz = 10\npm_hz = 5/2\namplitude = 2\n"
+)
+SMALL_TWO_TEM = "[tem]\nkappa = 1\ndelta = 1/60\nbias = 3\nalpha = 1/40\n"
+assert SMALL_TWO_SIGNAL in SMALL_TWO and SMALL_TWO_TEM in SMALL_TWO
+
+
+def with_signal(body):
+    """A mangle that turns SMALL_TWO into a PNS config whose [signal] keys are ``body``.
+
+    PNS has no encoder, so no amplitude-bound check can reject the signal first.
+    """
+    def mangle(s):
+        s = s.replace("mode = two_tem", "mode = pns")
+        s = s.replace(SMALL_TWO_TEM, "[pns]\nshift = 1/100\n")
+        return s.replace(SMALL_TWO_SIGNAL, body)
+
+    return mangle
+
+
 ZERO_SINGLE = """\
 [experiment]
 mode = single_tem
@@ -108,11 +128,26 @@ class TestValidate:
             lambda s: s + "\n[solver]\nsv_cutoff = inf\n",
             lambda s: s + "\n[solver]\nspike_tol = nan\n",
             lambda s: s + "\n[solver]\nspike_tol = -inf\n",
+            lambda s: s.replace("window_end = 0.3", "window_end = inf"),
+            lambda s: s.replace("window_end = 0.3", "window_end = 1/0"),
+            lambda s: s.replace("window_end = 0.3", "window_end = 1" + "0" * 400 + "/3"),
+            with_signal("kind = tone\nfreq_hz = inf\n"),
+            with_signal("kind = tone\nfreq_hz = nan\n"),
+            with_signal("kind = tone\nphase = inf\n"),
+            with_signal("kind = tone\namplitude = nan\n"),
+            with_signal("kind = constant\nvalue = inf\n"),
         ],
     )
     def test_broken_configs_exit_2(self, tmp_path, mangle):
         cfg = write_cfg(tmp_path, mangle(SMALL_TWO))
         assert run_cli("validate", cfg) == 2
+
+    @pytest.mark.parametrize(
+        "body", ["kind = tone\nfreq_hz = 40\n", "kind = constant\nvalue = 1\n"]
+    )
+    def test_finite_signal_variants_are_valid(self, tmp_path, body):
+        # with finite values the configs above validate: they fail on the value alone
+        assert run_cli("validate", write_cfg(tmp_path, with_signal(body)(SMALL_TWO))) == 0
 
     def test_degenerate_pns_shift_exit_2(self, tmp_path):
         text = SMALL_TWO.replace("mode = two_tem", "mode = pns") + "\n[pns]\nshift = 1/90\n"

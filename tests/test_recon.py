@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from temcodec.signals import Constant, Tone, SignalSum, TWO_PI, integrate_columns
+from temcodec.signals import (
+    Constant, Tone, SignalSum, TWO_PI, band_spec_from_edges, integrate_columns,
+)
 from temcodec.tem import SpikeTrain, TemParams, encode, encode_two_channel, interleave
 from temcodec.pns import DegenerateShiftError, kernel_gbp
 from temcodec import recon
@@ -138,12 +140,30 @@ class TestGramLowpass:
         with pytest.raises(ValueError, match="quad_tol"):
             build_gram_lowpass(train, TWO_PI * 65.0, quad_tol=quad_tol)
 
-    def test_interval_beyond_every_order_rejected(self):
-        # a 10 s gap spans 650 kernel periods; no order up to the cap reaches the tolerance
+    def test_ten_second_interval_matches_closed_form(self):
+        # a 10 s gap spans 650 kernel periods; centred on its knot the entry is
+        # 2*Si(omega*5)/pi, and the rule's order grows with the span to meet it
+        omega = TWO_PI * 65.0
         params = TemParams(1.0, 0.002, 3.0, 0.0)
         train = SpikeTrain(np.array([0.0, 10.0]), "single", params, (0.0, 10.0))
-        with pytest.raises(ValueError, match="Gauss-Legendre order"):
-            build_gram_lowpass(train, TWO_PI * 65.0)
+        system = build_gram_lowpass(train, omega)
+        expect = 2.0 * scipy.special.sici(omega * 5.0)[0] / np.pi
+        assert abs(system.matrix[0, 0] - expect) <= recon.DEFAULT_QUAD_TOL
+
+    def test_three_second_record_rows_within_quad_tol(self, test_signal):
+        # the single-channel preset's spike rate over 3 s: the nu rule needs
+        # more than 256 nodes, and sampled rows still meet quad_tol
+        omega = TWO_PI * 65.0
+        params = TemParams(1.0, 1.0 / 260.0, 3.0, 2.0)
+        train = encode(test_signal, params, (-1.5, 1.5))
+        system = build_gram_lowpass(train, omega)
+        assert system.left.shape[1] > 2 * 256
+        t, s = train.times, system.knot_times
+        rows = np.arange(0, len(train) - 1, 37)
+        upper = scipy.special.sici(omega * (t[rows + 1, None] - s[None, :]))[0]
+        lower = scipy.special.sici(omega * (t[rows, None] - s[None, :]))[0]
+        entries = system.left[rows] @ system.right.T
+        assert np.max(np.abs(entries - (upper - lower) / np.pi)) <= recon.DEFAULT_QUAD_TOL
 
 
 def premise_violating_record(band):
@@ -229,6 +249,25 @@ class TestGramBandpass:
         system = build_gram_bandpass(merged, band_35_65, quad_tol=quad_tol)
         assert np.max(np.abs(system.matrix - oracle)) <= quad_tol
 
+    def test_integer_band_position_within_quad_tol_of_adaptive_oracle(self):
+        # 40-60 Hz: 2*omega_l/B = 4 = k0, so the inner segment [omega_l, k0*B - omega_l]
+        # is empty (its ends differ by rounding only) and the kernel is one segment
+        band = band_spec_from_edges(TWO_PI * 40.0, TWO_PI * 60.0)
+        params = TemParams(1.0, band.period / 2.0, 3.0, 0.5)
+        a, b = encode_two_channel(Tone(0.5, TWO_PI * 50.0, 0.3), params, (-0.25, 0.25),
+                                  alpha=1.5 * params.delta)
+        merged = interleave(a, b)
+        system = build_gram_bandpass(merged, band)
+        t = merged.times
+        knots = knots_and_shifts(t)
+        sign = np.where(knots.reflected, -1.0, 1.0)
+
+        def kernel(u):
+            return kernel_gbp((u[:, None] - knots.times) * sign, knots.shifts, band)
+
+        oracle = [integrate_columns(kernel, lo, hi, tol=1e-14) for lo, hi in zip(t[:-2], t[2:])]
+        assert np.max(np.abs(system.matrix - np.array(oracle))) <= recon.DEFAULT_QUAD_TOL
+
     @pytest.mark.parametrize("quad_tol", [0.0, -1e-9, float("nan")])
     def test_nonpositive_quad_tol_rejected(self, bandpass_oracle, band_35_65, quad_tol):
         merged, _ = bandpass_oracle["encoded"]
@@ -239,7 +278,7 @@ class TestGramBandpass:
 class TestSolve:
     def test_identity_system(self):
         q = np.array([3.0, -1.0, 0.5])
-        system = GramSystem(np.eye(3), q, "lowpass", np.arange(3.0), omega=1.0)
+        system = GramSystem(np.eye(3), np.eye(3), q, "lowpass", np.arange(3.0), omega=1.0)
         sol = solve_coefficients(system)
         assert np.allclose(sol.coefficients, q, atol=1e-14)
         assert sol.effective_rank == 3
@@ -247,7 +286,7 @@ class TestSolve:
 
     def test_zero_rhs_gives_exact_zero(self):
         rng = np.random.RandomState(7)
-        system = GramSystem(rng.randn(6, 4), np.zeros(6), "lowpass",
+        system = GramSystem(rng.randn(6, 4), np.eye(4), np.zeros(6), "lowpass",
                             np.arange(4.0), omega=1.0)
         sol = solve_coefficients(system)
         assert np.all(sol.coefficients == 0.0)
@@ -255,14 +294,14 @@ class TestSolve:
     def test_duplicate_columns_share_mass_equally(self):
         # minimum-norm solution splits the coefficient across identical columns
         col = np.array([1.0, 2.0])
-        system = GramSystem(np.column_stack([col, col]), np.array([1.0, 2.0]),
+        system = GramSystem(np.column_stack([col, col]), np.eye(2), np.array([1.0, 2.0]),
                             "lowpass", np.arange(2.0), omega=1.0)
         sol = solve_coefficients(system)
         assert np.allclose(sol.coefficients, [0.5, 0.5], atol=1e-12)
         assert sol.effective_rank == 1
 
     def test_all_below_cutoff_rejected(self):
-        system = GramSystem(np.zeros((3, 3)), np.ones(3), "lowpass",
+        system = GramSystem(np.zeros((3, 3)), np.eye(3), np.ones(3), "lowpass",
                             np.arange(3.0), omega=1.0)
         with pytest.raises(DegenerateSystemError):
             solve_coefficients(system)
@@ -281,11 +320,52 @@ class TestSolve:
         rng = np.random.RandomState(11)
         matrix = rng.randn(8, 5)
         q = rng.randn(8)
-        base = GramSystem(matrix, q, "lowpass", np.arange(5.0), omega=1.0)
-        scaled = GramSystem(matrix, gamma * q, "lowpass", np.arange(5.0), omega=1.0)
+        base = GramSystem(matrix, np.eye(5), q, "lowpass", np.arange(5.0), omega=1.0)
+        scaled = GramSystem(matrix, np.eye(5), gamma * q, "lowpass", np.arange(5.0), omega=1.0)
         ca = solve_coefficients(base).coefficients
         cb = solve_coefficients(scaled).coefficients
         assert np.allclose(cb, gamma * ca, rtol=1e-11, atol=1e-13)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        rows=st.integers(min_value=1, max_value=12),
+        cols=st.integers(min_value=1, max_value=12),
+        width=st.integers(min_value=1, max_value=16),
+        inner=st.integers(min_value=1, max_value=16),
+    )
+    @example(seed=1, rows=10, cols=9, width=4, inner=4)  # narrow
+    @example(seed=2, rows=6, cols=8, width=10, inner=10)  # wide
+    @example(seed=3, rows=9, cols=9, width=8, inner=3)  # rank-deficient
+    def test_factored_solve_matches_dense_truncated_svd(self, seed, rows, cols, width, inner):
+        # narrow (width < min(rows, cols)), wide (width >= rows) and, through a
+        # shared inner dimension below the width, rank-deficient factor pairs
+        rng = np.random.default_rng(seed)
+        mix = rng.standard_normal((min(inner, width), width))
+        left = rng.standard_normal((rows, mix.shape[0])) @ mix
+        right = rng.standard_normal((cols, width))
+        q = rng.standard_normal(rows)
+        dense = left @ right.T
+        u, sv, vt = np.linalg.svd(dense, full_matrices=False)
+        cutoff = recon.DEFAULT_SV_CUTOFF * sv[0]
+        # a singular value at the cutoff would make either rank a coin toss
+        assume(sv[0] > 0.0 and not np.any((sv > 1e-3 * cutoff) & (sv < 1e3 * cutoff)))
+        keep = sv >= cutoff
+        expect = vt[keep].T @ ((u[:, keep].T @ q) / sv[keep])
+        sol = solve_coefficients(
+            GramSystem(left, right, q, "lowpass", np.arange(float(cols)), omega=1.0)
+        )
+        assert sol.effective_rank == np.count_nonzero(keep)
+        scale = np.linalg.norm(expect) + np.linalg.norm(q) / sv[0]
+        assert np.max(np.abs(sol.coefficients - expect)) <= 1e-9 * scale
+        assert sol.residual_norm == pytest.approx(
+            np.linalg.norm(dense @ expect - q), abs=1e-9 * (sv[0] * scale + np.linalg.norm(q))
+        )
+        assert sol.sigma_max == pytest.approx(sv[0], rel=1e-12)
+        if width < min(rows, cols):
+            assert sol.sigma_min == 0.0
+        else:
+            assert sol.sigma_min == pytest.approx(sv[-1], rel=1e-9, abs=1e-13 * sv[0])
 
     def test_residual_consistency_at_full_effective_rank(self, band_35_65):
         # near-Landau spike density keeps the kernel frame well conditioned;
