@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import BandSpec, TWO_PI
+from .signals import BandSpec, TWO_PI, sinc_pi
 
 __all__ = [
     "PnsGrid",
@@ -149,7 +149,7 @@ def kernel_gbp(t, d, band: BandSpec):
                 f"kernel denominator sin(phi) ~ 0 for shift(s) {d!r} with k0={band.k0}"
             )
         # sin(q*t)/(q*t) * q = sin(q*t)/t without the t=0 singularity
-        out = out - 2.0 * np.sin(p * t - phi) * np.sinc(q * t / math.pi) * q / (b_ * sin_phi)
+        out = out - 2.0 * np.sin(p * t - phi) * sinc_pi(q * t / math.pi) * q / (b_ * sin_phi)
     return out
 
 

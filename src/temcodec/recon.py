@@ -54,9 +54,10 @@ from typing import Optional
 
 import numpy as np
 
+from .signals import BandSpec, sinc_pi
 # integrate_columns is not called here; the benchmark tracer (perfbench/tracing.py)
 # patches and restores the name recon.integrate_columns, so it stays importable.
-from .signals import BandSpec, integrate_columns  # noqa: F401
+from .signals import integrate_columns  # noqa: F401
 from .tem import MergedTrain, SpikeTrain, amplitude_integrals
 from .pns import DEGENERACY_TOL, DegenerateShiftError, kernel_gbp, shift_is_degenerate
 
@@ -183,8 +184,8 @@ class SolveResult:
 
 
 def _lowpass_kernel(t, omega):
-    # sin(omega*t)/(pi*t); np.sinc fills the t = 0 limit omega/pi
-    return (omega / math.pi) * np.sinc(omega * np.asarray(t) / math.pi)
+    # sin(omega*t)/(pi*t); sinc_pi fills the t = 0 limit omega/pi
+    return (omega / math.pi) * sinc_pi(omega * np.asarray(t) / math.pi)
 
 
 def _gl_order(h: float, k_max: float, a_max: float, tol: float) -> int:

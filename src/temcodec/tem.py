@@ -173,9 +173,10 @@ def encode(
     Raises
     ------
     ValueError
-        If ``x + bias <= 0`` at a Newton point, or a crossing lies outside
-        the gap bracket ``[min_gap, max_gap]`` scaled to its interval
-        integral; either means ``|sig|`` exceeded ``params.amplitude_bound``.
+        If ``x + bias <= 0`` at a quadrature node or a Newton point, or a
+        crossing lies outside the gap bracket ``[min_gap, max_gap]`` scaled
+        to its interval integral; either means ``|sig|`` exceeded
+        ``params.amplitude_bound``.
         The message names the spike index and the time.
     """
     t0, t1 = float(window[0]), float(window[1])
@@ -187,10 +188,20 @@ def encode(
     if not (-delta <= z0 < delta):
         raise ValueError(f"initial integrator {z0} outside [-delta, delta)")
 
-    def biased(u):
-        return np.asarray(sig(u), dtype=float) + bias
-
     times = []
+
+    def biased(u):
+        # Every quadrature node and Newton point passes through here, so the
+        # whole premise x + bias > 0 is checked wherever x is sampled.
+        values = np.asarray(sig(u), dtype=float) + bias
+        if not values.min() > 0.0:  # a NaN fails too
+            bad = int(np.argmax(~(values > 0.0)))  # the first offending point
+            raise ValueError(
+                f"spike {len(times)}: x + bias = {float(values[bad])!r} <= 0 at "
+                f"t={float(u[bad])!r}; the signal exceeds its amplitude bound {bound!r}"
+            )
+        return values
+
     base = t0
     target = kappa * (delta - z0)
     while True:
@@ -206,11 +217,6 @@ def encode(
         while True:
             g = integrate(biased, base, t, quad_tol) - target
             slope = float(biased(np.array([t]))[0])
-            if not slope > 0.0:
-                raise ValueError(
-                    f"spike {len(times)}: x + bias = {slope!r} <= 0 at t={t!r}; "
-                    f"the signal exceeds its amplitude bound {bound!r}"
-                )
             # The crossing lies at least |g|/(bias + bound) from t, on the side
             # the sign of g points to; beyond the bracket end means the
             # integrand left [bias - bound, bias + bound] somewhere.

@@ -93,6 +93,20 @@ def run_cli(*args):
     return main(list(args))
 
 
+def assert_metrics_recomputable(out):
+    """The report's snr_db, max_abs_err and n_central follow exactly from recon.csv."""
+    report = json.loads((out / "report.json").read_text())
+    rows = np.loadtxt(out / "recon.csv", delimiter=",", skiprows=1)
+    t, x_true, x_hat = rows[:, 0], rows[:, 1], rows[:, 2]
+    m = report["metrics"]
+    central = (t >= m["central_start"]) & (t <= m["central_end"])
+    err = (x_hat - x_true)[central]
+    snr = 10.0 * math.log10(float(np.sum(x_true[central] ** 2)) / float(np.sum(err ** 2)))
+    assert snr == m["snr_db"]
+    assert float(np.max(np.abs(err))) == m["max_abs_err"]
+    assert int(np.count_nonzero(central)) == m["n_central"]
+
+
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("small_two")
@@ -172,6 +186,17 @@ class TestRun:
             run_experiment(cfg, tmp_path / "out")
         assert info.value.stage == "encode"
 
+    def test_violation_only_quadrature_nodes_see_fails_at_encode(self, tmp_path):
+        # the SMALL_TWO signal under a bias of 1.5: x + bias dips to -0.44 near
+        # t = 0 between Newton points, inside brackets that still hold
+        cfg = load_config(write_cfg(tmp_path, SMALL_TWO))
+        cfg.tem_params = TemParams(kappa=1.0, delta=1.0 / 60.0, bias=1.5, amplitude_bound=1.0)
+        with pytest.raises(PipelineError) as info:
+            run_experiment(cfg, tmp_path / "out")
+        assert info.value.stage == "encode"
+        assert str(info.value.cause).startswith("spike 13: x + bias = -")
+        assert not (tmp_path / "out" / "spikes.txt").exists()
+
     def test_zero_signal_run(self, tmp_path):
         cfg = write_cfg(tmp_path, ZERO_SINGLE)
         out = tmp_path / "out"
@@ -218,15 +243,7 @@ class TestRun:
 
     def test_snr_recomputable_from_csv(self, small_run):
         _, _, out = small_run
-        report = json.loads((out / "report.json").read_text())
-        rows = np.loadtxt(out / "recon.csv", delimiter=",", skiprows=1)
-        t, x_true, x_hat = rows[:, 0], rows[:, 1], rows[:, 2]
-        m = report["metrics"]
-        central = (t >= m["central_start"]) & (t <= m["central_end"])
-        snr = 10.0 * math.log10(
-            float(np.sum(x_true[central] ** 2)) / float(np.sum((x_hat - x_true)[central] ** 2))
-        )
-        assert abs(snr - m["snr_db"]) <= 1e-9
+        assert_metrics_recomputable(out)
 
     def test_rerun_is_byte_identical(self, small_run):
         tmp, cfg, out = small_run
@@ -254,6 +271,11 @@ class TestRun:
 
 
 class TestPnsRun:
+    def test_metrics_recomputable_from_csv(self, tmp_path):
+        out = tmp_path / "pns"
+        assert run_cli("run", str(CONFIG_DIR / "pns.cfg"), "--out-dir", str(out)) == 0
+        assert_metrics_recomputable(out)
+
     def test_samples_match_closed_form(self, tmp_path):
         from temcodec.signals import modulated_test_signal
 
@@ -295,7 +317,41 @@ class TestCompare:
         assert run_cli("compare", str(tmp_path / "nope.json"), str(tmp_path / "nope.json")) == 2
 
 
+EDGE_VALUES = [-0.0, 5e-324, 1e300, np.inf, -np.inf, np.nan, 1.0 / 3.0, -2.5e-7]
+
+
 class TestOutputHelpers:
+    # chunks*CSV_CHUNK_ROWS + extra rows: 0, 1, chunk - 1, chunk, chunk + 1, 2*chunk + 1
+    @pytest.mark.parametrize("chunks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)])
+    def test_chunked_csv_equals_per_value_format(self, tmp_path, chunks, extra):
+        from temcodec.experiment import CSV_CHUNK_ROWS, _write_csv
+
+        n = chunks * CSV_CHUNK_ROWS + extra
+        rng = np.random.default_rng(n)
+        floats = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
+        floats[: len(EDGE_VALUES)] = EDGE_VALUES[:n]
+        columns = (np.arange(n), floats, floats[::-1].copy())
+        path = tmp_path / "x.csv"
+        _write_csv(path, "i,a,b", columns)
+        expect = "i,a,b\n" + "".join(
+            ",".join(f"{v:.12g}" for v in row) + "\n" for row in zip(*columns)
+        )
+        assert path.read_bytes() == expect.encode("ascii")
+        assert len(path.read_text().splitlines()) == n + 1
+
+    def test_snap_equals_per_value_snap_time(self):
+        from temcodec.experiment import _snap
+        from temcodec.tem import snap_time
+
+        rng = np.random.default_rng(3)
+        values = np.concatenate(
+            (EDGE_VALUES, rng.standard_normal(500) * 10.0 ** rng.integers(-320, 300, 500)))
+        snapped = _snap(values)
+        expect = np.array([snap_time(v) for v in values])
+        assert snapped.dtype == np.float64 and snapped.shape == values.shape
+        assert snapped.tobytes() == expect.tobytes()
+        assert _snap(np.empty(0)).shape == (0,)
+
     def test_csv_rows_format_each_value_to_12_digits(self, tmp_path):
         from temcodec.experiment import _write_csv
 

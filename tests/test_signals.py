@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from temcodec.signals import (
     BandSpec,
@@ -18,6 +19,7 @@ from temcodec.signals import (
     band_spec_from_edges,
     integrate,
     modulated_test_signal,
+    sinc_pi,
 )
 
 # High-precision references computed with a 50-digit evaluation of the
@@ -71,6 +73,29 @@ class TestEval:
     def test_signal_sum_bound_is_sum(self):
         s = SignalSum([Tone(0.5, 1.0), Constant(0.25)])
         assert s.amplitude_bound == 0.75
+
+
+SINC_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, 1.0, -3.0, 0.5, 1e308,
+              np.inf, -np.inf, np.nan]
+
+
+class TestSincPi:
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(0, 40),
+                      elements=st.floats(allow_nan=True, allow_infinity=True,
+                                         allow_subnormal=True)))
+    @example(np.array(SINC_EDGES))
+    def test_bit_identical_to_numpy_sinc(self, x):
+        with np.errstate(invalid="ignore", over="ignore"):
+            got, expect = sinc_pi(x), np.sinc(x)
+        assert got.dtype == expect.dtype and got.shape == expect.shape
+        assert got.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("x", SINC_EDGES)
+    def test_scalar_bit_identical_to_numpy_sinc(self, x):
+        with np.errstate(invalid="ignore", over="ignore"):
+            got, expect = np.float64(sinc_pi(x)), np.float64(np.sinc(x))
+        assert got.tobytes() == expect.tobytes()
 
 
 class TestIntegrate:

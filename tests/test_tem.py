@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from temcodec.signals import Constant, Tone, TWO_PI, integrate
+from temcodec.signals import Constant, Tone, TWO_PI, integrate, modulated_test_signal
 from temcodec.tem import (
     AmplitudeIntegralSeq,
     InterleavingError,
@@ -113,6 +115,23 @@ class TestEncode:
         p = TemParams(kappa=1.0, delta=0.01, bias=1.5, amplitude_bound=1.0)
         with pytest.raises(ValueError, match=r"spike \d+: .*t=.*amplitude bound"):
             encode(Tone(2.0, TWO_PI * 5.0, phase), p, (0.0, 1.0))
+
+    def test_violation_between_newton_points_caught_at_a_quadrature_node(self):
+        # x + bias reaches -0.44 near t = 0, but stays positive at every Newton
+        # point and every crossing stays inside its bracket: only the nodes see it
+        sig = modulated_test_signal()
+        p = TemParams(kappa=1.0, delta=1.0 / 60.0, bias=1.5, amplitude_bound=1.0)
+        with pytest.raises(ValueError) as info:
+            encode_two_channel(sig, p, (-0.3, 0.3), alpha=1.0 / 40.0)
+        message = str(info.value)
+        assert "np." not in message  # plain floats, not numpy reprs
+        found = re.fullmatch(
+            r"spike (\d+): x \+ bias = (\S+) <= 0 at t=(\S+); the signal exceeds "
+            r"its amplitude bound 1\.0", message)
+        assert found, message
+        value, t = float(found.group(2)), float(found.group(3))
+        assert int(found.group(1)) == 13 and -0.3 < t < 0.3
+        assert value <= 0.0 and value == float(sig(np.array([t]))[0]) + p.bias
 
 
 def _identity_residuals(sig, train, t0, z0):
