@@ -42,17 +42,20 @@ class DegenerateShiftError(ValueError):
     """The channel shift makes the interpolation kernel singular."""
 
 
-def shift_is_degenerate(shift: float, period: float, k0: int, tol: float = DEGENERACY_TOL) -> bool:
+def shift_is_degenerate(shift, period: float, k0: int, tol: float = DEGENERACY_TOL):
     """True when ``shift*k0/period`` or ``shift*(k0+1)/period`` is an integer.
 
     At those shifts one of the kernel's ``sin`` denominators vanishes and
     the two sample streams no longer separate the spectral aliases.
+    ``shift`` may be an array; the answer is then a boolean array of its
+    shape.
     """
+    shift = np.asarray(shift, dtype=float)
+    degenerate = np.zeros(shift.shape, dtype=bool)
     for k in (k0, k0 + 1):
         frac = shift * k / period
-        if abs(frac - round(frac)) <= tol:
-            return True
-    return False
+        degenerate |= np.abs(frac - np.round(frac)) <= tol
+    return degenerate if degenerate.ndim else bool(degenerate)
 
 
 @dataclass(frozen=True)

@@ -313,11 +313,11 @@ def build_gram_bandpass(
     if t.size < 3:
         raise ValueError(f"need at least 3 merged spikes, got {t.size}")
     knots = knots_and_shifts(t, anchor=anchor)
-    for k, d_k in enumerate(knots.shifts):
-        if shift_is_degenerate(d_k, band.period, band.k0):
-            raise DegenerateShiftError(
-                f"knot {k}: pair shift {d_k} is degenerate for k0={band.k0}"
-            )
+    bad = np.flatnonzero(shift_is_degenerate(knots.shifts, band.period, band.k0))
+    if bad.size:
+        raise DegenerateShiftError(
+            f"knot {bad[0]}: pair shift {knots.shifts[bad[0]]} is degenerate for k0={band.k0}"
+        )
     premise_ok = merged.max_gap < band.period
     if not premise_ok:
         warnings.warn(

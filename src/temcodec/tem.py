@@ -6,8 +6,22 @@ integrates; every time the running integral reaches the threshold
 ``-delta``.  With ``|x| <= c < b`` the biased integrand is strictly
 positive, so every threshold crossing is a unique root of a strictly
 increasing function whose slope ``x + b`` lies in ``[b - c, b + c]``.
-Spike times are located by a safeguarded Newton iteration inside the
-bracket that slope range gives, never by fixed-step simulation.
+
+Because the reset is exact, spike ``k`` is where the one global
+antiderivative ``F(t) = integral_{t0}^{t} (x + b)`` reaches
+``kappa*(delta - z0) + 2*kappa*delta*k`` (the t-transform of Lazar and
+Toth, IEEE TCAS-I 2004).  :func:`encode` first builds ``F`` once from
+15-point Gauss-Legendre panels, each at most ``min_gap/2`` wide, with one
+vectorised signal call over all their nodes, and inverts every target at
+once.  Each spike is then polished by a safeguarded Newton iteration
+inside the bracket the slope range gives, started from that seed: the
+seed is within rounding of the crossing, so the first adaptive
+:func:`~temcodec.signals.integrate` call ends the search and doubles as
+the check of the interval identity.  That is one quadrature call per
+spike, never fixed-step simulation.  ``x + b > 0`` is checked at every
+node of the global pass and at every point a per-spike integral or
+Newton step samples; a violation names the spike by how many spikes
+precede the offending point.
 """
 
 from __future__ import annotations
@@ -17,8 +31,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.polynomial import legendre
 
-from .signals import integrate
+from .signals import _GL_NODES, _GL_WEIGHTS, integrate
 
 __all__ = [
     "TemParams",
@@ -134,6 +149,92 @@ class InterleavingError(ValueError):
         self.index = index
 
 
+def _bound_error(spike, value, t, bound) -> ValueError:
+    return ValueError(
+        f"spike {spike}: x + bias = {value!r} <= 0 at t={t!r}; "
+        f"the signal exceeds its amplitude bound {bound!r}"
+    )
+
+
+def _legendre_maps():
+    """Maps from values at the 15 Gauss-Legendre nodes of ``[-1, 1]``.
+
+    ``to_coef`` (15 x 15) gives the Legendre coefficients of the
+    interpolant through the values, ``to_int`` (16 x 15) those of its
+    antiderivative that vanishes at -1.
+    """
+    n = _GL_NODES.size
+    to_coef = (np.arange(n) + 0.5)[:, None] * (legendre.legvander(_GL_NODES, n - 1).T * _GL_WEIGHTS)
+    return to_coef, legendre.legint(to_coef, lbnd=-1.0, axis=0)
+
+
+# Newton steps (or bisections) per seed before the search gives up refining.
+MAX_SEED_STEPS = 64
+
+
+def _seed_times(sig, params: TemParams, t0: float, t1: float, first: float) -> np.ndarray:
+    """Where ``F(t) = integral_{t0}^{t} (x + bias)`` reaches each spike target.
+
+    The targets are ``first + 2*kappa*delta*k``.  ``F`` is built from
+    15-point Gauss-Legendre panels at most ``min_gap/2`` wide (so a panel
+    holds at most one crossing), with ``x + bias > 0`` checked at every
+    node, and is inverted for every target ``F(t1)`` reaches at once by a
+    vectorised Newton iteration inside each target's panel, bisecting
+    whenever a step leaves the panel's shrinking bracket.  The returned
+    seeds end with ``t1``, the seed of any target beyond ``F(t1)``.
+
+    Raises ValueError at the first node where ``x + bias <= 0``; the spike
+    index is the number of targets ``F`` has reached at that node.
+    """
+    step = 2.0 * params.kappa * params.delta
+    n_panels = max(1, math.ceil((t1 - t0) / (0.5 * params.min_gap)))
+    edges = np.linspace(t0, t1, n_panels + 1)
+    half = 0.5 * np.diff(edges)
+    mid = edges[:-1] + half
+    nodes = mid[:, None] + half[:, None] * _GL_NODES
+    values = np.asarray(sig(nodes.ravel()), dtype=float).reshape(nodes.shape) + params.bias
+    to_coef, to_int = _legendre_maps()
+    # F at the panel edges: the first is 0, the rest the running panel sums.
+    f_edges = np.concatenate(([0.0], np.cumsum(half * (values @ _GL_WEIGHTS))))
+
+    def reached(f):
+        """How many targets lie at or below ``f``."""
+        return max(0, math.floor((f - first) / step) + 1)
+
+    if not values.min() > 0.0:  # a NaN fails too
+        bad = int(np.argmax(~(values.ravel() > 0.0)))  # the first offending node
+        panel, node = divmod(bad, _GL_NODES.size)
+        f_node = f_edges[panel] + half[panel] * float(
+            legendre.legval(_GL_NODES[node], to_int @ values[panel]))
+        if math.isnan(f_node):  # a NaN in the panel: count up to its left edge
+            f_node = f_edges[panel]
+        raise _bound_error(reached(f_node), float(values.flat[bad]),
+                           float(nodes.flat[bad]), params.amplitude_bound)
+
+    targets = first + step * np.arange(reached(f_edges[-1]))
+    j = np.minimum(np.searchsorted(f_edges, targets, side="right") - 1, n_panels - 1)
+    # Solve A_j(x) = r on [-1, 1], A_j the scaled local antiderivative.
+    coef = values[j] @ to_coef.T
+    coef_int = values[j] @ to_int.T
+    r = (targets - f_edges[j]) / half[j]
+    lo, hi = np.full(targets.size, -1.0), np.ones(targets.size)
+    x = 2.0 * (targets - f_edges[j]) / (f_edges[j + 1] - f_edges[j]) - 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(MAX_SEED_STEPS):
+            vander = legendre.legvander(x, coef_int.shape[1] - 1)
+            g = np.einsum("ij,ij->i", vander, coef_int) - r
+            slope = np.einsum("ij,ij->i", vander[:, :-1], coef)
+            hi = np.where(g > 0.0, x, hi)
+            lo = np.where(g < 0.0, x, lo)
+            x_next = x - g / slope
+            x_next = np.where((lo <= x_next) & (x_next <= hi), x_next, 0.5 * (lo + hi))
+            moved = np.abs(x_next - x)
+            x = x_next
+            if not moved.size or moved.max() <= 4.0 * np.finfo(float).eps:
+                break
+    return np.append(mid[j] + half[j] * x, t1)
+
+
 def encode(
     sig,
     params: TemParams,
@@ -150,6 +251,16 @@ def encode(
     the first one satisfies the same with right side
     ``delta - initial_integrator``.  The caller guarantees
     ``|sig| <= params.amplitude_bound`` on the window.
+
+    A global pass first builds ``F(t) = integral_{t0}^{t} (x + bias)`` on
+    Gauss-Legendre panels at most ``min_gap/2`` wide, from one call of
+    ``sig`` on all their nodes, and seeds every spike where ``F`` reaches
+    its target (a target beyond ``F(t1)`` seeds at ``t1``).  Each spike is
+    then found by safeguarded Newton inside its gap bracket, chained from
+    the previous spike and started from its seed clipped to the bracket.
+    The seed is within rounding of the crossing, so the search normally
+    ends after one adaptive ``integrate`` call per spike; one more call per
+    spike whose bracket passes ``t1`` decides whether that spike exists.
 
     Parameters
     ----------
@@ -173,11 +284,13 @@ def encode(
     Raises
     ------
     ValueError
-        If ``x + bias <= 0`` at a quadrature node or a Newton point, or a
-        crossing lies outside the gap bracket ``[min_gap, max_gap]`` scaled
-        to its interval integral; either means ``|sig|`` exceeded
-        ``params.amplitude_bound``.
-        The message names the spike index and the time.
+        If ``x + bias <= 0`` at a node of the global pass, at a quadrature
+        node of a per-spike integral or at a Newton point, or a crossing
+        lies outside the gap bracket ``[min_gap, max_gap]`` scaled to its
+        interval integral; either means ``|sig|`` exceeded
+        ``params.amplitude_bound``.  The message names the time and the
+        spike index: the number of spikes before the offending point (for
+        the global pass, the number of targets ``F`` has reached there).
     """
     t0, t1 = float(window[0]), float(window[1])
     if not t1 >= t0:
@@ -196,14 +309,12 @@ def encode(
         values = np.asarray(sig(u), dtype=float) + bias
         if not values.min() > 0.0:  # a NaN fails too
             bad = int(np.argmax(~(values > 0.0)))  # the first offending point
-            raise ValueError(
-                f"spike {len(times)}: x + bias = {float(values[bad])!r} <= 0 at "
-                f"t={float(u[bad])!r}; the signal exceeds its amplitude bound {bound!r}"
-            )
+            raise _bound_error(len(times), float(values[bad]), float(u[bad]), bound)
         return values
 
     base = t0
     target = kappa * (delta - z0)
+    seeds = _seed_times(sig, params, t0, t1, target)
     while True:
         # With |x| <= bound the integral of x + bias grows at a rate in
         # [bias - bound, bias + bound], which brackets the crossing.
@@ -213,7 +324,8 @@ def encode(
             if integrate(biased, base, t1, quad_tol) < target:
                 break  # the crossing, if any, lies past the window end
             hi = t1
-        t = min(base + target / bias, hi)
+        # A spike past every target F reached by t1 takes the last seed, t1.
+        t = min(max(float(seeds[min(len(times), seeds.size - 1)]), lo), hi)
         while True:
             g = integrate(biased, base, t, quad_tol) - target
             slope = float(biased(np.array([t]))[0])

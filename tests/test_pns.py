@@ -63,6 +63,16 @@ class TestGridValidation:
         )
         assert shift_is_degenerate(d, T, k0) == expected
 
+    @settings(max_examples=50, deadline=None)
+    @given(fracs=st.lists(st.sampled_from([0.25, 1.0 / 3.0, 0.5]) | st.floats(0.001, 0.999),
+                          min_size=1, max_size=12))
+    def test_detector_on_an_array_matches_it_per_value(self, band_35_65, fracs):
+        T, k0 = band_35_65.period, band_35_65.k0
+        shifts = np.array(fracs) * T
+        flags = shift_is_degenerate(shifts, T, k0)
+        assert flags.shape == shifts.shape and flags.dtype == bool
+        assert flags.tolist() == [shift_is_degenerate(float(d), T, k0) for d in shifts]
+
 
 class TestSampling:
     def test_zero_signal(self, grid_35_65):

@@ -231,6 +231,17 @@ class TestGramBandpass:
         with pytest.raises(DegenerateShiftError, match="knot 0"):
             build_gram_bandpass(merged, band_35_65)
 
+    def test_degenerate_pair_shift_names_the_first_bad_knot(self, band_35_65):
+        # channel B lags A by 0.3*T for three spikes, then by T/3; pair m of
+        # knots (2m, 2m + 1) has shift (s_m + s_{m+1})/2, first T/3 at pair 3
+        T = band_35_65.period
+        lag = np.array([0.3, 0.3, 0.3] + [1.0 / 3.0] * 5) * T
+        params = TemParams(1.0, T / 2.0, 3.0, 2.0)
+        a = SpikeTrain(T * np.arange(8), "A", params, (0.0, 8.0 * T))
+        b = SpikeTrain(T * np.arange(8) + lag, "B", params, (0.0, 8.0 * T))
+        with pytest.raises(DegenerateShiftError, match=r"^knot 6: "):
+            build_gram_bandpass(interleave(a, b), band_35_65)
+
     def test_gap_premise_violation_warns_and_proceeds(self, band_35_65):
         merged = premise_violating_record(band_35_65)
         assert merged.max_gap >= band_35_65.period

@@ -1,10 +1,14 @@
+import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from temcodec import tem
+from temcodec.experiment import load_config
 from temcodec.signals import Constant, Tone, TWO_PI, integrate, modulated_test_signal
 from temcodec.tem import (
     AmplitudeIntegralSeq,
@@ -21,6 +25,7 @@ from temcodec.tem import (
 )
 
 SPIKE_TOL = 1e-10
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture
@@ -132,6 +137,142 @@ class TestEncode:
         value, t = float(found.group(2)), float(found.group(3))
         assert int(found.group(1)) == 13 and -0.3 < t < 0.3
         assert value <= 0.0 and value == float(sig(np.array([t]))[0]) + p.bias
+
+    @staticmethod
+    def _dip(center):
+        """x(t) = -2 exp(-((t - center)/0.002)^2): x + 1.5 < 0 within 1 ms of center."""
+        return lambda t: -2.0 * np.exp(-((np.asarray(t) - center) / 0.002) ** 2)
+
+    # kappa = 1, delta = 0.01, bias 1.5: F(t) is about 1.5*(t - t0) outside the
+    # dip, and spike k fires where it reaches 0.02 + 0.02*k
+    @pytest.mark.parametrize("center, spike", [
+        (0.005, 0),  # F is about 0.006 there, short of the first target 0.02
+        (0.1, 7),  # F is about 0.147: targets 0.02 ... 0.14 are reached, 0.16 is not
+    ])
+    def test_violation_off_every_crossing_names_the_spikes_before_it(self, center, spike):
+        p = TemParams(kappa=1.0, delta=0.01, bias=1.5, amplitude_bound=1.0)
+        with pytest.raises(ValueError) as info:
+            encode(self._dip(center), p, (0.0, 0.105))
+        found = re.fullmatch(r"spike (\d+): x \+ bias = (\S+) <= 0 at t=(\S+); .*", str(info.value))
+        assert found and int(found.group(1)) == spike, str(info.value)
+        assert abs(float(found.group(3)) - center) < 0.001
+
+
+def _count_integrate_calls(monkeypatch):
+    calls = []
+    real = tem.integrate
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tem, "integrate", counting)
+    return calls
+
+
+class TestQuadratureBudget:
+    """The global pass seeds each spike within rounding of its crossing, so
+    each costs one adaptive integral, plus one per spike whose bracket passes
+    the window end."""
+
+    def test_single_channel_preset(self, monkeypatch):
+        cfg = load_config(str(CONFIG_DIR / "single_channel.cfg"))
+        calls = _count_integrate_calls(monkeypatch)
+        train = encode(cfg.signal, cfg.tem_params, (-1.0, 1.0), spike_tol=cfg.spike_tol)
+        assert len(train) == 780
+        assert len(calls) <= len(train) + 4
+
+    def test_two_channel_preset_each_channel(self, monkeypatch):
+        cfg = load_config(str(CONFIG_DIR / "two_channel.cfg"))
+        p = cfg.tem_params
+        calls = _count_integrate_calls(monkeypatch)
+        for z0 in (p.delta - cfg.alpha, -p.delta):  # channel A, then channel B
+            del calls[:]
+            train = encode(cfg.signal, p, (-1.0, 1.0), initial_integrator=z0,
+                           spike_tol=cfg.spike_tol)
+            assert len(train) == 180
+            assert len(calls) <= len(train) + 4
+
+
+def _oracle_times(sig, p, window, z0):
+    """Spike times by scipy: chained quad + brentq, window-end rule as the encoder's."""
+    quad = pytest.importorskip("scipy.integrate").quad
+    brentq = pytest.importorskip("scipy.optimize").brentq
+
+    def biased(u):
+        return float(sig(np.array([u]))[0]) + p.bias
+
+    def integral(a, b):
+        return quad(biased, a, b, epsabs=1e-15, epsrel=1e-15, limit=200)[0]
+
+    t0, t1 = window
+    base, target, times = t0, p.kappa * (p.delta - z0), []
+    while True:
+        hi = base + target / (p.bias - p.amplitude_bound)
+        if hi > t1:
+            if integral(base, t1) < target:
+                return np.array(times)
+            hi = t1
+        if integral(base, hi) < target:  # a target below the resolution of t
+            times.append(hi)
+        else:
+            times.append(brentq(lambda t: integral(base, t) - target, base, hi,
+                                xtol=1e-15, rtol=8.9e-16))
+        base, target = times[-1], 2.0 * p.kappa * p.delta
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+class TestEdgeWindows:
+    P = TemParams(kappa=1.0, delta=1.0 / 60.0, bias=3.0, amplitude_bound=2.0)
+    Z0 = -0.25 / 60.0
+
+    @pytest.mark.parametrize("t1", [-0.2, -0.195])  # t0 == t1; before the first crossing
+    def test_window_without_a_crossing(self, test_signal, t1):
+        train = encode(test_signal, self.P, (-0.2, t1), initial_integrator=self.Z0)
+        assert len(train) == len(_oracle_times(test_signal, self.P, (-0.2, t1), self.Z0)) == 0
+
+    @pytest.fixture(scope="class")
+    def crossings(self, test_signal):
+        return _oracle_times(test_signal, self.P, (-0.2, -0.05), self.Z0)
+
+    @pytest.mark.parametrize("k", [3, 11])
+    @pytest.mark.parametrize("ulps", [-64, -6, -1, 0, 1, 6, 64])
+    def test_window_ending_at_a_crossing(self, test_signal, crossings, k, ulps):
+        # Within a few ulps of crossing k, whether it lies inside the window is
+        # rounding: the global pass, the chained encoder and the oracle may each
+        # decide either way, and only a spike at the window end may differ.
+        crossing = crossings[k]
+        window = (-0.2, crossing + ulps * math.ulp(crossing))
+        oracle = _oracle_times(test_signal, self.P, window, self.Z0)
+        train = encode(test_signal, self.P, window, initial_integrator=self.Z0)
+        if abs(ulps) > 16:
+            assert len(train) == len(oracle) == k + (ulps > 0)
+        assert k <= len(train) <= k + 1 and k <= len(oracle) <= k + 1
+        assert np.max(np.abs(train.times[:k] - oracle[:k])) <= 1e-13
+        if len(train) > k:
+            assert abs(train.times[k] - crossing) <= 1e-13 and train.times[k] <= window[1]
+
+    def test_spikes_past_the_seeds_start_at_the_window_end(self, test_signal, monkeypatch):
+        # A chained loop that outruns the global pass seeds at t1 and still
+        # converges: here every spike does.
+        window = (-0.2, 0.0)
+        monkeypatch.setattr(tem, "_seed_times", lambda sig, p, t0, t1, first: np.array([t1]))
+        train = encode(test_signal, self.P, window, initial_integrator=self.Z0)
+        oracle = _oracle_times(test_signal, self.P, window, self.Z0)
+        assert len(train) == len(oracle) > 0
+        assert np.max(np.abs(train.times - oracle)) <= 1e-13
+
+    @settings(max_examples=15, deadline=None)
+    @given(z0_frac=st.floats(min_value=-1.0, max_value=1.0, exclude_max=True))
+    @example(z0_frac=-1.0)
+    @example(z0_frac=0.9999999999999999)  # first target below the resolution of t0
+    def test_initial_integrator_matches_oracle(self, test_signal, z0_frac):
+        z0 = z0_frac * self.P.delta
+        window = (-0.05, 0.05)
+        train = encode(test_signal, self.P, window, initial_integrator=z0)
+        oracle = _oracle_times(test_signal, self.P, window, z0)
+        assert len(train) == len(oracle)
+        assert np.max(np.abs(train.times - oracle)) <= 1e-13
 
 
 def _identity_residuals(sig, train, t0, z0):
