@@ -73,20 +73,22 @@ class PipelineError(RuntimeError):
         self.cause = cause
 
 
-def _num(text: str) -> float:
-    """Parse a config number: decimal/scientific float or exact fraction a/b.
+def _num(text: str, key: str) -> float:
+    """Parse the config number ``text`` of ``key``: a decimal/scientific float or a fraction a/b.
 
-    Raises :class:`ConfigError` for a value that is not finite (``inf``,
-    ``nan``, a zero denominator, a fraction beyond the float range): no
-    setting takes one.
+    Raises :class:`ConfigError` naming ``key`` for text that is not a number
+    and for a value that is not finite (``inf``, ``nan``, a zero
+    denominator, a fraction beyond the float range): no setting takes one.
     """
     text = text.strip()
     try:
         value = float(Fraction(text)) if "/" in text else float(text)
     except (ZeroDivisionError, OverflowError):
         value = math.nan
+    except ValueError:
+        raise ConfigError(f"{key} must be a number or a fraction a/b, got {text!r}") from None
     if not math.isfinite(value):
-        raise ConfigError(f"config numbers must be finite, got {text!r}")
+        raise ConfigError(f"{key} must be finite, got {text!r}")
     return value
 
 
@@ -106,14 +108,14 @@ class ExperimentConfig:
     pair_anchor: str = "even"
     sv_cutoff: float = recon.DEFAULT_SV_CUTOFF
     quad_tol: float = recon.DEFAULT_QUAD_TOL
-    spike_tol: float = tem.DEFAULT_SPIKE_TOL
     out_dir: Optional[str] = None
 
 
 class _Section:
-    """Read access to one config section that records which keys were read."""
+    """Read access to config section ``name`` that records which keys were read."""
 
-    def __init__(self, proxy):
+    def __init__(self, name, proxy):
+        self.name = name
         self._proxy = proxy
         self._read = set()
 
@@ -128,6 +130,17 @@ class _Section:
         self._read.add(key)
         return self._proxy.get(key, default)
 
+    def num(self, key, default=None) -> float:
+        """The number at ``key``, or at ``default`` when absent; no ``default``: required."""
+        text = self.get(key, default)
+        if text is None:
+            raise ConfigError(f"missing {self.name}.{key}")
+        return _num(text, f"{self.name}.{key}")
+
+    def nums(self, key) -> list:
+        """The comma-separated numbers at ``key``; an absent key is an empty list."""
+        return [_num(v, f"{self.name}.{key}") for v in self.get(key, "").split(",") if v.strip()]
+
     def unread(self) -> list:
         return [key for key in self._proxy if key not in self._read]
 
@@ -137,10 +150,10 @@ def _build_signal(section) -> tuple:
     if kind == "modulated_tone":
         desc = {
             "kind": kind,
-            "carrier_hz": _num(section.get("carrier_hz", "50")),
-            "am_hz": _num(section.get("am_hz", "10")),
-            "pm_hz": _num(section.get("pm_hz", "2.5")),
-            "amplitude": _num(section.get("amplitude", "2")),
+            "carrier_hz": section.num("carrier_hz", "50"),
+            "am_hz": section.num("am_hz", "10"),
+            "pm_hz": section.num("pm_hz", "2.5"),
+            "amplitude": section.num("amplitude", "2"),
         }
         sig = ModulatedTone(
             carrier_omega=TWO_PI * desc["carrier_hz"],
@@ -151,15 +164,15 @@ def _build_signal(section) -> tuple:
     elif kind == "tone":
         desc = {
             "kind": kind,
-            "freq_hz": _num(section.get("freq_hz", "50")),
-            "amplitude": _num(section.get("amplitude", "1")),
-            "phase": _num(section.get("phase", "0")),
+            "freq_hz": section.num("freq_hz", "50"),
+            "amplitude": section.num("amplitude", "1"),
+            "phase": section.num("phase", "0"),
         }
         sig = Tone(desc["amplitude"], TWO_PI * desc["freq_hz"], desc["phase"])
     elif kind == "tone_sum":
-        freqs = [_num(v) for v in section.get("freqs_hz", "").split(",") if v.strip()]
-        amps = [_num(v) for v in section.get("amplitudes", "").split(",") if v.strip()]
-        phases = [_num(v) for v in section.get("phases", "").split(",") if v.strip()]
+        freqs = section.nums("freqs_hz")
+        amps = section.nums("amplitudes")
+        phases = section.nums("phases")
         if not (len(freqs) == len(amps) == len(phases)) or not freqs:
             raise ConfigError("tone_sum needs matching freqs_hz, amplitudes, phases lists")
         desc = {"kind": kind, "freqs_hz": freqs, "amplitudes": amps, "phases": phases}
@@ -167,7 +180,7 @@ def _build_signal(section) -> tuple:
             [Tone(a, TWO_PI * f, p) for a, f, p in zip(amps, freqs, phases)]
         )
     elif kind == "constant":
-        desc = {"kind": kind, "value": _num(section.get("value", "0"))}
+        desc = {"kind": kind, "value": section.num("value", "0")}
         sig = Constant(desc["value"])
     elif kind == "zero":
         desc = {"kind": kind}
@@ -183,27 +196,27 @@ def load_config(path) -> ExperimentConfig:
     Every cross-module constraint (encoder parameter bounds, band edges,
     PNS shift degeneracy, alpha range) is checked here, so a config that
     loads is a config that runs.  A key the mode does not read, such as a
-    misspelt one, is rejected with its ``section.key`` name.
+    misspelt one, is rejected with its ``section.key`` name, and so is a
+    missing or malformed number.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     read = parser.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path}")
-    sections = {name: _Section(parser[name]) for name in parser.sections()}
-    empty = _Section({})
+    sections = {name: _Section(name, parser[name]) for name in parser.sections()}
     try:
         exp = sections["experiment"]
         mode = exp.get("mode", "").strip()
         if mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-        w0 = _num(exp.get("window_start", "-1"))
-        w1 = _num(exp.get("window_end", "1"))
+        w0 = exp.num("window_start", "-1")
+        w1 = exp.num("window_end", "1")
         if not w0 < w1:
             raise ConfigError(f"window must be nonempty, got ({w0}, {w1})")
-        grid_step = _num(exp.get("grid_step", "1/1000"))
+        grid_step = exp.num("grid_step", "1/1000")
         if not 0 < grid_step <= (w1 - w0):
             raise ConfigError(f"grid_step {grid_step} outside (0, window span]")
-        guard = _num(exp.get("guard_fraction", "0.15"))
+        guard = exp.num("guard_fraction", "0.15")
         if not 0 <= guard < 0.5:
             raise ConfigError(f"guard_fraction must lie in [0, 0.5), got {guard}")
         c0, c1 = _central_window((w0, w1), guard)
@@ -219,14 +232,12 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError("missing [signal] section")
         sig, desc = _build_signal(sections["signal"])
 
-        solver = sections.get("solver", empty)
-        sv_cutoff = _num(solver.get("sv_cutoff", "1e-8"))
-        quad_tol = _num(solver.get("quad_tol", "1e-9"))
-        spike_tol = _num(solver.get("spike_tol", "1e-10"))
-        for name, v in (("sv_cutoff", sv_cutoff), ("quad_tol", quad_tol),
-                        ("spike_tol", spike_tol)):
-            if not (v > 0 and math.isfinite(v)):
-                raise ConfigError(f"{name} must be positive and finite, got {v}")
+        solver = sections.get("solver", _Section("solver", {}))
+        sv_cutoff = solver.num("sv_cutoff", "1e-8")
+        quad_tol = solver.num("quad_tol", "1e-9")
+        for name, v in (("sv_cutoff", sv_cutoff), ("quad_tol", quad_tol)):
+            if not v > 0:
+                raise ConfigError(f"solver.{name} must be positive, got {v}")
         pair_anchor = str(solver.get("pair_anchor", "even")).strip()
         if pair_anchor not in ("even", "odd"):
             raise ConfigError(f"pair_anchor must be 'even' or 'odd', got {pair_anchor!r}")
@@ -234,8 +245,8 @@ def load_config(path) -> ExperimentConfig:
         band = None
         if "band" in sections:
             band = band_spec_from_edges(
-                TWO_PI * _num(sections["band"].get("omega_l_hz", "35")),
-                TWO_PI * _num(sections["band"].get("omega_u_hz", "65")),
+                TWO_PI * sections["band"].num("omega_l_hz", "35"),
+                TWO_PI * sections["band"].num("omega_u_hz", "65"),
             )
 
         tem_params = alpha = lowpass_cutoff = pns_shift = None
@@ -244,15 +255,13 @@ def load_config(path) -> ExperimentConfig:
                 raise ConfigError(f"mode {mode} requires a [tem] section")
             sec = sections["tem"]
             tem_params = tem.TemParams(
-                kappa=_num(sec.get("kappa", "1")),
-                delta=_num(sec.get("delta", "")),
-                bias=_num(sec.get("bias", "")),
+                kappa=sec.num("kappa", "1"),
+                delta=sec.num("delta"),
+                bias=sec.num("bias"),
                 amplitude_bound=sig.amplitude_bound,
             )
             if mode == "two_tem":
-                alpha = (
-                    _num(sec["alpha"]) if "alpha" in sec else 1.5 * tem_params.delta
-                )
+                alpha = sec.num("alpha") if "alpha" in sec else 1.5 * tem_params.delta
                 if not (tem_params.delta < alpha <= 2.0 * tem_params.delta):
                     raise ConfigError(
                         f"alpha {alpha} outside (delta, 2*delta] for delta={tem_params.delta}"
@@ -260,19 +269,14 @@ def load_config(path) -> ExperimentConfig:
                 if band is None:
                     raise ConfigError("mode two_tem requires a [band] section")
         if mode == "single_tem":
-            recon_sec = sections.get("recon", empty)
-            if "lowpass_cutoff_hz" not in recon_sec:
-                raise ConfigError("mode single_tem requires [recon] lowpass_cutoff_hz")
-            lowpass_cutoff = TWO_PI * _num(recon_sec["lowpass_cutoff_hz"])
+            recon_sec = sections.get("recon", _Section("recon", {}))
+            lowpass_cutoff = TWO_PI * recon_sec.num("lowpass_cutoff_hz")
             if not lowpass_cutoff > 0:
                 raise ConfigError("lowpass_cutoff_hz must be positive")
         if mode == "pns":
             if band is None:
                 raise ConfigError("mode pns requires a [band] section")
-            pns_sec = sections.get("pns", empty)
-            if "shift" not in pns_sec:
-                raise ConfigError("mode pns requires [pns] shift")
-            pns_shift = _num(pns_sec["shift"])
+            pns_shift = sections.get("pns", _Section("pns", {})).num("shift")
             # constructing the grid performs the full validity check
             pns.PnsGrid(band.period, pns_shift, (w0, w1), band)
         # A key nothing read would silently leave its setting at the default.
@@ -302,7 +306,6 @@ def load_config(path) -> ExperimentConfig:
         pair_anchor=pair_anchor,
         sv_cutoff=sv_cutoff,
         quad_tol=quad_tol,
-        spike_tol=spike_tol,
         out_dir=out_dir,
     )
 
@@ -450,9 +453,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentReport:
     try:
         if cfg.mode == "single_tem":
             stage = "encode"
-            train = _snap_train(
-                tem.encode(cfg.signal, cfg.tem_params, cfg.window, spike_tol=cfg.spike_tol)
-            )
+            train = _snap_train(tem.encode(cfg.signal, cfg.tem_params, cfg.window))
             tem.write_spike_file(out_path / "spikes.txt", [train])
             files.append("spikes.txt")
             report["tem"] = _tem_dict(cfg.tem_params)
@@ -460,19 +461,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentReport:
             report["spikes"] = {"single": _gap_stats(train.times)}
             stage = "assemble"
             system = recon.build_gram_lowpass(train, cfg.lowpass_cutoff, quad_tol=cfg.quad_tol)
-            stage = "solve"
-            solution = recon.solve_coefficients(system, sv_cutoff=cfg.sv_cutoff)
-            model = recon.model_from(system, solution)
-            report["gram"] = _gram_dict(system, solution)
-            del system  # free the factors, the largest arrays, before evaluation
-            stage = "evaluate"
-            x_hat = model(t_eval)
 
         elif cfg.mode == "two_tem":
             stage = "encode"
             train_a, train_b = tem.encode_two_channel(
-                cfg.signal, cfg.tem_params, cfg.window,
-                alpha=cfg.alpha, spike_tol=cfg.spike_tol,
+                cfg.signal, cfg.tem_params, cfg.window, alpha=cfg.alpha
             )
             train_a, train_b = _snap_train(train_a), _snap_train(train_b)
             merged = tem.interleave(train_a, train_b)
@@ -494,13 +487,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentReport:
             system = recon.build_gram_bandpass(
                 merged, cfg.band, quad_tol=cfg.quad_tol, anchor=cfg.pair_anchor
             )
-            stage = "solve"
-            solution = recon.solve_coefficients(system, sv_cutoff=cfg.sv_cutoff)
-            model = recon.model_from(system, solution)
-            report["gram"] = _gram_dict(system, solution)
-            del system  # free the factors, the largest arrays, before evaluation
-            stage = "evaluate"
-            x_hat = model(t_eval)
 
         else:  # pns
             stage = "encode"
@@ -519,6 +505,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentReport:
             }
             stage = "evaluate"
             x_hat = pns.reconstruct_pns(samples, grid, t_eval)
+
+        if cfg.mode != "pns":  # both encoders end in the same reconstruction
+            stage = "solve"
+            solution = recon.solve_coefficients(system, sv_cutoff=cfg.sv_cutoff)
+            model = recon.model_from(system, solution)
+            report["gram"] = _gram_dict(system, solution)
+            del system  # free the factors, the largest arrays, before evaluation
+            stage = "evaluate"
+            x_hat = model(t_eval)
 
         stage = "metrics"
         # metrics are computed on the 12-digit values the CSV will carry, so

@@ -6,21 +6,6 @@ expansion over every spike interval to the amplitude integrals recovered
 from the spike gaps, and solves the resulting linear system ``G c = q``
 with a truncated-SVD pseudo-inverse.
 
-Both kernels are Fourier integrals over their band: each is a sum of
-terms ``w_l * integral_lo^hi cos(nu*(u - s_l) - psi_l) dnu``.  One
-Gauss-Legendre rule in the frequency ``nu`` per band segment therefore
-writes the Gram matrix exactly as ``G = A @ B.T``: the integral of
-``cos(nu*u)`` and ``sin(nu*u)`` over a spike interval is closed-form, so
-``A`` holds it per row and node, and ``B`` holds ``cos(nu*s_l + psi_l)``
-and ``sin(nu*s_l + psi_l)`` times the knot's weight.  In ``nu`` the
-integrand is entire, of exponential type the record span, so an a-priori
-error bound fixes each rule's order at ``quad_tol`` per entry; it grows
-with the span (234 nodes, 468 columns, for the 779 rows of the 2 s
-single-channel preset).  The solve never forms ``G``: a QR of each factor
-reduces it to the SVD of a small core (the trigonometric-space view of
-TEM decoding of Lazar & Pnevmatikakis, *EURASIP J. Adv. Signal Process.*,
-2009, applied here to the paper's own Gram matrix).
-
 Two kernel families are supported:
 
 * lowpass: ``sin(omega*t)/(pi*t)`` shifted to each knot;
@@ -30,19 +15,32 @@ Two kernel families are supported:
   plain kernel and its partner the time-reversed kernel, mirroring the
   even/odd roles of exact PNS.
 
-:func:`evaluate_model` is the single evaluator for both families and for
-PNS records (:func:`temcodec.pns.reconstruct_pns` builds a bandpass
-model).  Every kernel is a sum of terms ``cos(a*(t - s) - phi)/(t - s)``,
-so the model is ``cos(a*t)`` and ``sin(a*t)`` times Cauchy sums
-``sum_l W_l/(t - s_l)`` (two weight columns per distinct frequency ``a``).
-The sorted points are cut into equal boxes whose width balances near- and
-far-field work.  Knots in a box or within one box width of it are summed
-directly, with the direct kernel repairing pairs closer than half the
-shortest kernel period.  The other knots' sums are smooth on the box: they
-are evaluated at ``CHEB_POINTS`` Chebyshev points, a number an a-priori
-bound fixes at machine precision, and interpolated to the box's points
-(the one-level core of the black-box fast multipole method, Fong & Darve,
-*J. Comput. Phys.* 2009).  Few points make one box, every knot direct.
+:func:`_kernel_segments` describes every knot's kernel once, as spectral
+segments ``w_l * integral_lo^hi cos(nu*(t - s_l) - psi_l) dnu``, and is the
+one place that rejects a degenerate bandpass shift.  Everything else is
+derived from those segments:
+
+* Gram assembly: one Gauss-Legendre rule in the frequency ``nu`` per
+  segment writes the Gram matrix exactly as ``G = A @ B.T``
+  (:func:`_spectral_factors`).  In ``nu`` the integrand is entire, of
+  exponential type the record span, so an a-priori error bound fixes each
+  rule's order at ``quad_tol`` per entry; it grows with the span (234
+  nodes, 468 columns, for the 779 rows of the 2 s single-channel preset).
+  The solve never forms ``G``: a QR of each factor reduces it to the SVD
+  of a small core (the trigonometric-space view of TEM decoding of Lazar &
+  Pnevmatikakis, *EURASIP J. Adv. Signal Process.*, 2009, applied here to
+  the paper's own Gram matrix).
+* Evaluation: :func:`evaluate_model`, the single evaluator for both
+  families and for PNS records (:func:`temcodec.pns.reconstruct_pns`
+  builds a bandpass model), writes the model as ``cos(a*t)`` and
+  ``sin(a*t)`` times Cauchy sums ``sum_l W_l/(t - s_l)``, two weight
+  columns per segment edge ``a``.  The sorted points are cut into equal
+  boxes; knots near a box are summed directly, pairs closer than half the
+  shortest kernel period through the segments' cancellation-free form, and
+  the far knots' sums are interpolated from ``CHEB_POINTS`` Chebyshev
+  points per box, a number an a-priori bound fixes at machine precision
+  (the one-level core of the black-box fast multipole method, Fong &
+  Darve, *J. Comput. Phys.* 2009).
 """
 
 from __future__ import annotations
@@ -59,7 +57,7 @@ from .signals import BandSpec, sinc_pi
 # patches and restores the name recon.integrate_columns, so it stays importable.
 from .signals import integrate_columns  # noqa: F401
 from .tem import MergedTrain, SpikeTrain, amplitude_integrals
-from .pns import DEGENERACY_TOL, DegenerateShiftError, kernel_gbp, shift_is_degenerate
+from .pns import DegenerateShiftError, shift_is_degenerate
 
 __all__ = [
     "BandpassKnots",
@@ -183,9 +181,61 @@ class SolveResult:
     sv_cutoff: float
 
 
-def _lowpass_kernel(t, omega):
-    # sin(omega*t)/(pi*t); sinc_pi fills the t = 0 limit omega/pi
-    return (omega / math.pi) * sinc_pi(omega * np.asarray(t) / math.pi)
+def _kernel_segments(kind: str, n: int, omega=None, band=None, shifts=None, reflected=None):
+    """The ``n`` knot kernels as spectral segments, a list of ``(lo, hi, w, psi)``.
+
+    Knot ``l``'s kernel at offset ``u = t - s_l`` is the sum over segments of
+    ``w[l] * integral_lo^hi cos(nu*u - psi[l]) dnu``, with ``0 <= lo <= hi``
+    and per-knot arrays ``w`` and ``psi``; a segment from ``nu = 0`` has
+    ``psi = 0``.
+
+    * lowpass: ``sin(omega*u)/(pi*u)`` is the one segment ``[0, omega]``
+      with ``w = 1/pi``.
+    * bandpass: :func:`~temcodec.pns.kernel_gbp` with the knot's shift
+      ``d`` is piecewise constant in frequency: ``[k0*B - omega_l,
+      omega_u]`` with ``k = k0 + 1`` and ``[omega_l, k0*B - omega_l]``
+      with ``k = k0``, each contributing ``-(1/(B*sin(phi)))*integral_lo^hi
+      sin(nu*u - phi) dnu`` with ``phi = k*B*d/2``.  A ``reflected`` knot
+      carries the time-reversed kernel; with ``sigma`` -1 there and +1
+      elsewhere, ``sin(nu*sigma*u - phi) = sigma*cos(nu*u - psi)`` for
+      ``psi = sigma*phi + pi/2``.
+
+    Raises :class:`~temcodec.pns.DegenerateShiftError` naming the first
+    knot whose shift :func:`~temcodec.pns.shift_is_degenerate` rejects, and
+    ``ValueError`` for an unknown ``kind``.
+    """
+    if kind == "lowpass":
+        return [(0.0, omega, np.full(n, 1.0 / math.pi), np.zeros(n))]
+    if kind != "bandpass":
+        raise ValueError(f"unknown kernel kind {kind!r}; expected 'lowpass' or 'bandpass'")
+    bad = np.flatnonzero(shift_is_degenerate(shifts, band.period, band.k0))
+    if bad.size:
+        raise DegenerateShiftError(
+            f"knot {bad[0]}: shift {shifts[bad[0]]} is degenerate for k0={band.k0}"
+        )
+    b_ = band.bandwidth
+    a_mid = band.k0 * b_ - band.omega_l
+    sigma = np.where(reflected, -1.0, 1.0)
+    segments = []
+    for k, lo, hi in ((band.k0 + 1, a_mid, band.omega_u), (band.k0, band.omega_l, a_mid)):
+        phi = 0.5 * k * b_ * shifts
+        segments.append((lo, hi, -sigma / (b_ * np.sin(phi)), sigma * phi + 0.5 * math.pi))
+    return segments
+
+
+def _segment_kernel(segments, u, idx):
+    """The kernels of knots ``idx`` at offsets ``u``, summed directly from their segments.
+
+    ``integral_lo^hi cos(nu*u - psi) dnu = (hi - lo)*sinc((hi - lo)*u/2)*cos(mid*u - psi)``
+    with ``mid`` the segment's centre and ``sinc(x) = sin(x)/x``: no
+    cancellation as ``u`` goes to 0, where it takes its limit.
+    """
+    out = np.zeros(np.shape(u))
+    for lo, hi, w, psi in segments:
+        width = hi - lo
+        out += w[idx] * width * sinc_pi((0.5 / math.pi) * width * u) * np.cos(
+            0.5 * (hi + lo) * u - psi[idx])
+    return out
 
 
 def _gl_order(h: float, k_max: float, a_max: float, tol: float) -> int:
@@ -209,9 +259,8 @@ def _gl_order(h: float, k_max: float, a_max: float, tol: float) -> int:
 def _spectral_factors(starts, ends, knots, segments, quad_tol: float):
     """Factors ``(A, B)`` with ``(A @ B.T)[r, l] = integral_{starts[r]}^{ends[r]} kernel_l(u) du``.
 
-    Knot ``l``'s kernel is ``sum w_l*integral_lo^hi cos(nu*(u - knots[l]) - psi_l) dnu``
-    over ``segments``, a list of ``(lo, hi, w, psi)`` with ``0 <= lo`` and
-    per-knot arrays ``w`` and ``psi``.  Each segment's ``nu`` integral is one
+    Knot ``l``'s kernel is given by ``segments`` (see :func:`_kernel_segments`)
+    at offsets ``u - knots[l]``.  Each segment's ``nu`` integral is one
     Gauss-Legendre rule with nodes ``nu_j`` and weights ``g_j``, and splitting
     the cosine gives per node the column pair
 
@@ -267,10 +316,9 @@ def build_gram_lowpass(
     """Gram system ``G[k,l] = integral over spike interval k of g_lp(u - s_l)``.
 
     Knots ``s_l`` are the spike-interval midpoints; the right-hand side is
-    the amplitude-integral sequence of the train.  ``G`` is built as its
-    spectral factors from ``sin(omega*u)/(pi*u) = (1/pi)*integral_0^omega
-    cos(nu*u) dnu`` (see :func:`_spectral_factors`), every entry within
-    ``quad_tol``.
+    the amplitude-integral sequence of the train.  ``G`` is built as the
+    spectral factors (see :func:`_spectral_factors`) of the kernel's one
+    segment, every entry within ``quad_tol``.
     """
     if not omega > 0.0:
         raise ValueError(f"omega must be positive, got {omega}")
@@ -278,11 +326,8 @@ def build_gram_lowpass(
         raise ValueError("need at least 2 spikes to assemble a system")
     t = train.times
     knots = 0.5 * (t[:-1] + t[1:])
-    left, right = _spectral_factors(
-        t[:-1], t[1:], knots,
-        [(0.0, omega, np.full(knots.size, 1.0 / math.pi), np.zeros(knots.size))],
-        quad_tol,
-    )
+    segments = _kernel_segments("lowpass", knots.size, omega=omega)
+    left, right = _spectral_factors(t[:-1], t[1:], knots, segments, quad_tol)
     rhs = amplitude_integrals(train).values
     return GramSystem(left, right, rhs, "lowpass", knots, omega=omega)
 
@@ -297,11 +342,9 @@ def build_gram_bandpass(
 
     Row ``l`` integrates every knot kernel over ``[t[l], t[l+2]]``; column
     ``k`` holds the kernel of knot ``k`` (time-reversed where the knot is a
-    pair partner).  Each of the kernel's two spectral segments, with
-    ``phi = k*B*d/2``, contributes ``-(1/(B*sin(phi)))*integral_lo^hi
-    sin(nu*u - phi) dnu``: ``[k0*B - omega_l, omega_u]`` with ``k = k0 + 1``
-    and ``[omega_l, k0*B - omega_l]`` with ``k = k0``.  ``G`` is built as its
-    spectral factors (see :func:`_spectral_factors`), every entry within
+    pair partner), whose pair shift ``d`` fixes its two spectral segments
+    (see :func:`_kernel_segments`).  ``G`` is built as their spectral
+    factors (see :func:`_spectral_factors`), every entry within
     ``quad_tol``.  If the largest stride-1 spike gap reaches the kernel
     period ``2*pi/B``, reconstruction is no longer guaranteed: a warning
     diagnostic is attached and assembly proceeds.
@@ -313,11 +356,9 @@ def build_gram_bandpass(
     if t.size < 3:
         raise ValueError(f"need at least 3 merged spikes, got {t.size}")
     knots = knots_and_shifts(t, anchor=anchor)
-    bad = np.flatnonzero(shift_is_degenerate(knots.shifts, band.period, band.k0))
-    if bad.size:
-        raise DegenerateShiftError(
-            f"knot {bad[0]}: pair shift {knots.shifts[bad[0]]} is degenerate for k0={band.k0}"
-        )
+    segments = _kernel_segments(
+        "bandpass", knots.times.size, band=band, shifts=knots.shifts, reflected=knots.reflected
+    )
     premise_ok = merged.max_gap < band.period
     if not premise_ok:
         warnings.warn(
@@ -326,14 +367,6 @@ def build_gram_bandpass(
             RuntimeWarning,
             stacklevel=2,
         )
-    b_ = band.bandwidth
-    a_mid = band.k0 * b_ - band.omega_l
-    sigma = np.where(knots.reflected, -1.0, 1.0)
-    segments = []
-    for k, lo, hi in ((band.k0 + 1, a_mid, band.omega_u), (band.k0, band.omega_l, a_mid)):
-        # sin(nu*sigma*u - phi) = sigma*cos(nu*u - psi) with psi = sigma*phi + pi/2
-        phi = 0.5 * k * b_ * knots.shifts
-        segments.append((lo, hi, -sigma / (b_ * np.sin(phi)), sigma * phi + 0.5 * math.pi))
     left, right = _spectral_factors(t[:-2], t[2:], knots.times, segments, quad_tol)
     rhs = merged.integrals.values
     return GramSystem(
@@ -411,46 +444,6 @@ def model_from(system: GramSystem, solution: SolveResult) -> ReconModel:
         shifts=system.shifts,
         reflected=system.reflected,
     )
-
-
-def _cosine_terms(model: ReconModel):
-    """The model as terms ``w_l*cos(a*(t - s_l) - phi_l)/(t - s_l)``, plus its direct kernel.
-
-    Returns ``(freqs, terms, kernel)``.  ``terms`` lists ``(f, w, phi)``:
-    per-knot weight and phase arrays of one term at frequency ``freqs[f]``.
-    ``kernel(u, idx)`` is the direct kernel of knots ``idx`` at offsets
-    ``u = t - s``.  A reflected knot's term is ``-cos(a*(t - s) + phi)/(t - s)``,
-    so reflection flips the weight's sign and negates the phase.
-    """
-    coeff = model.coefficients
-    if model.kind == "lowpass":
-        omega = model.omega
-        # sin(omega*u)/(pi*u) = cos(omega*u - pi/2)/(pi*u)
-        terms = [(0, coeff / math.pi, np.full(coeff.size, 0.5 * math.pi))]
-        return (omega,), terms, lambda u, idx: _lowpass_kernel(u, omega)
-    if model.kind != "bandpass":
-        raise ValueError(
-            f"unknown ReconModel.kind {model.kind!r}; expected 'lowpass' or 'bandpass'"
-        )
-    band, shifts = model.band, model.shifts
-    b_ = band.bandwidth
-    sigma = np.where(model.reflected, -1.0, 1.0)
-    terms = []
-    # Each spectral segment of kernel_gbp (outer: k = k0 + 1 from freqs[1] to
-    # freqs[0]; inner: k = k0 from freqs[2] to freqs[1]) contributes
-    # [cos(hi*u - phi) - cos(lo*u - phi)] / (B*u*sin(phi)) with phi = k*B*d/2.
-    for k, f_hi in ((band.k0 + 1, 0), (band.k0, 1)):
-        phi = 0.5 * k * b_ * shifts
-        sin_phi = np.sin(phi)
-        bad = np.flatnonzero(np.abs(sin_phi) < math.pi * DEGENERACY_TOL)
-        if bad.size:
-            raise DegenerateShiftError(
-                f"knot {bad[0]}: pair shift {shifts[bad[0]]} is degenerate for k0={band.k0}"
-            )
-        w = sigma * coeff / (b_ * sin_phi)
-        terms += [(f_hi, w, sigma * phi), (f_hi + 1, -w, sigma * phi)]
-    freqs = (band.omega_u, band.k0 * b_ - band.omega_l, band.omega_l)
-    return freqs, terms, lambda u, idx: kernel_gbp(u * sigma[idx], shifts[idx], band)
 
 
 def _chebyshev_points(tol: float) -> int:
@@ -540,19 +533,24 @@ def _barycentric(x: np.ndarray, nodes: np.ndarray) -> np.ndarray:
 def evaluate_model(model: ReconModel, t):
     """Evaluate ``sum_l c_l * kernel_l(t)``; accepts scalars or arrays.
 
-    This is the one evaluator for lowpass, bandpass and PNS models.  Every
-    kernel is a sum of terms ``cos(a*(t - s_l) - phi_l)/(t - s_l)``; expanding
-    the cosine of the difference folds each knot's coefficient, shift and
-    reflection into weights, so the model is ``sum_f cos(a_f*t)*C_f(t) +
-    sin(a_f*t)*S_f(t)`` over its ``F`` distinct frequencies, with ``2F``
-    Cauchy sums ``C_f, S_f = sum_l W_l/(t - s_l)``.
+    This is the one evaluator for lowpass, bandpass and PNS models.  Each
+    kernel segment (see :func:`_kernel_segments`) integrates to
+    ``w*[sin(hi*u - psi) - sin(lo*u - psi)]/u`` at ``u = t - s``, and with
+    ``theta = a*s + psi``, ``sin(a*(t - s) - psi) = sin(a*t)*cos(theta) -
+    cos(a*t)*sin(theta)``.  So the model is ``sum_f cos(a_f*t)*C_f(t) +
+    sin(a_f*t)*S_f(t)`` over its ``F`` distinct segment edges ``a_f``, with
+    ``2F`` Cauchy sums ``C_f, S_f = sum_l W_l/(t - s_l)`` whose weights fold
+    in each knot's coefficient, shift and reflection.  An edge at ``nu = 0``
+    starts a segment with ``psi = 0``, where its term ``sin(-psi)/u``
+    vanishes, so it gets no columns.
 
     The sorted points are cut into equal boxes (see :func:`_box_edges`).  For
     the points of a box, the knots inside it and within one box width of it
     (the near field) are summed directly: one ``1/(t - s)`` block times the
     ``(n, 2F)`` weight matrix per chunk of points.  Point-knot pairs closer
     than ``pi/a_max``, where that expansion cancels badly, are left out of
-    the block and added back with the direct kernel.  The remaining knots'
+    the block and added back from the segments directly
+    (:func:`_segment_kernel`).  The remaining knots'
     Cauchy sums are smooth on the box; they are evaluated exactly at its
     ``CHEB_POINTS`` Chebyshev points and carried to its points by barycentric
     interpolation, to machine precision per term (:func:`_chebyshev_points`).
@@ -560,16 +558,26 @@ def evaluate_model(model: ReconModel, t):
     Non-finite points evaluate to NaN.
     """
     t_in = np.asarray(t, dtype=float)
-    freqs, terms, kernel = _cosine_terms(model)
-    knots, coeff = model.knot_times, model.coefficients
-    weights = np.zeros((knots.size, 2 * len(freqs)))
-    for f, w, phi in terms:
-        arg = freqs[f] * knots + phi
-        weights[:, 2 * f] += w * np.cos(arg)
-        weights[:, 2 * f + 1] += w * np.sin(arg)
+    knots = model.knot_times
     order = np.argsort(knots, kind="stable")
-    s, weights = knots[order], weights[order]
-    near = math.pi / max(freqs)
+    s, coeff = knots[order], model.coefficients[order]
+    segments = [
+        (lo, hi, coeff * w[order], psi[order])
+        for lo, hi, w, psi in _kernel_segments(
+            model.kind, knots.size, omega=model.omega, band=model.band,
+            shifts=model.shifts, reflected=model.reflected,
+        )
+    ]
+    freqs = sorted({edge for seg in segments for edge in seg[:2] if edge > 0.0}, reverse=True)
+    weights = np.zeros((s.size, 2 * len(freqs)))
+    for lo, hi, w, psi in segments:
+        for edge, sign in ((hi, 1.0), (lo, -1.0)):
+            if edge > 0.0:
+                f = freqs.index(edge)
+                theta = edge * s + psi
+                weights[:, 2 * f] -= sign * w * np.sin(theta)
+                weights[:, 2 * f + 1] += sign * w * np.cos(theta)
+    near = math.pi / freqs[0]
 
     points = t_in.ravel()
     finite = np.isfinite(points)
@@ -601,10 +609,10 @@ def evaluate_model(model: ReconModel, t):
             sums = recip @ w_near
             if nodes is not None:
                 sums += _barycentric(block, nodes) @ far
-            idx = order[i0 + pair_col]
+            idx = i0 + pair_col
             acc = values[r:r + block.size]
             acc[:] = np.bincount(
-                pair_row, coeff[idx] * kernel(block[pair_row] - knots[idx], idx),
+                pair_row, _segment_kernel(segments, block[pair_row] - s[idx], idx),
                 minlength=block.size,
             )
             for f, a in enumerate(freqs):

@@ -50,8 +50,11 @@ __all__ = [
     "read_spike_file",
 ]
 
-DEFAULT_SPIKE_TOL = 1e-10
-DEFAULT_QUAD_TOL = 1e-12
+# Newton step tolerance (seconds): a spike's search stops once a step, Newton
+# or bisection, moves it by at most this much (or by a few ulps)
+SPIKE_TOL = 1e-10
+# absolute tolerance of each per-spike adaptive integral
+QUAD_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -240,8 +243,6 @@ def encode(
     params: TemParams,
     window,
     initial_integrator: Optional[float] = None,
-    spike_tol: float = DEFAULT_SPIKE_TOL,
-    quad_tol: float = DEFAULT_QUAD_TOL,
     channel: str = "single",
 ) -> SpikeTrain:
     """Encode a signal into spike times over ``window = (t0, t1)``.
@@ -261,6 +262,8 @@ def encode(
     The seed is within rounding of the crossing, so the search normally
     ends after one adaptive ``integrate`` call per spike; one more call per
     spike whose bracket passes ``t1`` decides whether that spike exists.
+    The search stops at a step of ``SPIKE_TOL`` seconds, and each integral
+    is taken to ``QUAD_TOL``.
 
     Parameters
     ----------
@@ -273,11 +276,6 @@ def encode(
     initial_integrator : float, optional
         Integrator state at ``t0``, in ``[-delta, delta)``.  Default
         ``-delta`` (as if a spike had just occurred at ``t0``).
-    spike_tol : float
-        Newton step tolerance (seconds): the search for a spike time stops
-        once a step, Newton or bisection, moves it by at most this much.
-    quad_tol : float
-        Absolute tolerance for each segment integral.
     channel : str
         Tag stored on the returned train.
 
@@ -321,19 +319,19 @@ def encode(
         lo = base + target / (bias + bound)
         hi = base + target / (bias - bound)
         if hi > t1:
-            if integrate(biased, base, t1, quad_tol) < target:
+            if integrate(biased, base, t1, QUAD_TOL) < target:
                 break  # the crossing, if any, lies past the window end
             hi = t1
         # A spike past every target F reached by t1 takes the last seed, t1.
         t = min(max(float(seeds[min(len(times), seeds.size - 1)]), lo), hi)
         while True:
-            g = integrate(biased, base, t, quad_tol) - target
+            g = integrate(biased, base, t, QUAD_TOL) - target
             slope = float(biased(np.array([t]))[0])
             # The crossing lies at least |g|/(bias + bound) from t, on the side
             # the sign of g points to; beyond the bracket end means the
             # integrand left [bias - bound, bias + bound] somewhere.
             reach = t - lo if g > 0.0 else hi - t
-            if abs(g) > (bias + bound) * reach + quad_tol:
+            if abs(g) > (bias + bound) * reach + QUAD_TOL:
                 raise ValueError(
                     f"spike {len(times)}: crossing outside [{lo!r}, {hi!r}] seen at "
                     f"t={t!r}; the signal exceeds its amplitude bound {bound!r}"
@@ -342,8 +340,8 @@ def encode(
                 hi = t
             elif g < 0.0:
                 lo = t
-            # A step of a few ulps is rounding noise, whatever spike_tol asks.
-            tol = max(spike_tol, 4.0 * math.ulp(t))
+            # A step of a few ulps is rounding noise, whatever SPIKE_TOL asks.
+            tol = max(SPIKE_TOL, 4.0 * math.ulp(t))
             t_next = t - g / slope
             if abs(t_next - t) > tol and not lo <= t_next <= hi:
                 t_next = 0.5 * (lo + hi)  # Newton left the bracket: bisect
@@ -372,8 +370,6 @@ def encode_two_channel(
     params: TemParams,
     window,
     alpha: Optional[float] = None,
-    spike_tol: float = DEFAULT_SPIKE_TOL,
-    quad_tol: float = DEFAULT_QUAD_TOL,
 ):
     """Encode with two identical machines whose integrators are offset.
 
@@ -392,16 +388,8 @@ def encode_two_channel(
     alpha = float(alpha)
     if not (delta < alpha <= 2.0 * delta):
         raise ValueError(f"alpha must lie in (delta, 2*delta], got {alpha} with delta={delta}")
-    train_a = encode(
-        sig, params, window,
-        initial_integrator=delta - alpha,
-        spike_tol=spike_tol, quad_tol=quad_tol, channel="A",
-    )
-    train_b = encode(
-        sig, params, window,
-        initial_integrator=-delta,
-        spike_tol=spike_tol, quad_tol=quad_tol, channel="B",
-    )
+    train_a = encode(sig, params, window, initial_integrator=delta - alpha, channel="A")
+    train_b = encode(sig, params, window, initial_integrator=-delta, channel="B")
     return train_a, train_b
 
 

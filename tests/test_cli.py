@@ -77,9 +77,6 @@ bias = 3
 
 [recon]
 lowpass_cutoff_hz = 65
-
-[solver]
-spike_tol = 1e-12
 """
 
 
@@ -140,8 +137,8 @@ class TestValidate:
             lambda s: s + "\n[solver]\nquad_tol = inf\n",
             lambda s: s + "\n[solver]\nsv_cutoff = nan\n",
             lambda s: s + "\n[solver]\nsv_cutoff = inf\n",
-            lambda s: s + "\n[solver]\nspike_tol = nan\n",
-            lambda s: s + "\n[solver]\nspike_tol = -inf\n",
+            lambda s: s + "\n[solver]\nspike_tol = 1e-10\n",  # no longer a key
+            lambda s: s + "\n[solver]\nquad_tol = -1e-9\n",
             lambda s: s.replace("window_end = 0.3", "window_end = inf"),
             lambda s: s.replace("window_end = 0.3", "window_end = 1/0"),
             lambda s: s.replace("window_end = 0.3", "window_end = 1" + "0" * 400 + "/3"),
@@ -162,6 +159,19 @@ class TestValidate:
     def test_finite_signal_variants_are_valid(self, tmp_path, body):
         # with finite values the configs above validate: they fail on the value alone
         assert run_cli("validate", write_cfg(tmp_path, with_signal(body)(SMALL_TWO))) == 0
+
+    @pytest.mark.parametrize(
+        "mangle, key",
+        [
+            (lambda s: s.replace("delta = 1/60\n", ""), "missing tem.delta"),
+            (lambda s: s.replace("omega_l_hz = 35", "omega_l_hz = abc"), "band.omega_l_hz"),
+            (lambda s: s + "\n[solver]\nspike_tol = 1e-10\n", "solver.spike_tol"),
+        ],
+    )
+    def test_config_error_names_the_key(self, tmp_path, capsys, mangle, key):
+        cfg = write_cfg(tmp_path, mangle(SMALL_TWO))
+        assert run_cli("validate", cfg) == 2
+        assert key in capsys.readouterr().err
 
     def test_degenerate_pns_shift_exit_2(self, tmp_path):
         text = SMALL_TWO.replace("mode = two_tem", "mode = pns") + "\n[pns]\nshift = 1/90\n"

@@ -406,6 +406,42 @@ class TestFarField:
             assert err <= 4.0 * np.finfo(float).eps * np.max(np.abs(exact))
 
 
+def near_offsets(a_max):
+    """Offsets the evaluator's near-pair repair sees: 0, +-1e-300 and up to pi/a_max."""
+    near = np.pi / a_max
+    return np.concatenate(([0.0, 1e-300, -1e-300], np.linspace(-near, near, 401)))
+
+
+class TestSegmentKernel:
+    """The direct segment sum against each kernel's own closed form."""
+
+    @pytest.mark.parametrize("edges_hz", [(35.0, 65.0), (20.0, 50.0), (40.0, 55.0)])
+    def test_bandpass_equals_kernel_gbp(self, edges_hz):
+        band = band_spec_from_edges(TWO_PI * edges_hz[0], TWO_PI * edges_hz[1])
+        shifts = band.period * np.array([0.3, 0.3, 0.45, 0.45])
+        reflected = np.array([False, True, False, True])
+        segments = recon._kernel_segments(
+            "bandpass", shifts.size, band=band, shifts=shifts, reflected=reflected
+        )
+        u = near_offsets(band.omega_u)
+        for k in range(shifts.size):
+            got = recon._segment_kernel(segments, u, np.full(u.size, k))
+            expect = kernel_gbp(-u if reflected[k] else u, shifts[k], band)
+            # relative to the kernel's scale: both forms round near its zeros
+            scale = np.max(np.abs(expect))
+            np.testing.assert_allclose(got, expect, rtol=1e-13, atol=1e-13 * scale)
+            assert got[0] == pytest.approx(1.0, abs=1e-14)
+
+    def test_lowpass_equals_sinc(self):
+        omega = TWO_PI * 65.0
+        u = near_offsets(omega)
+        segments = recon._kernel_segments("lowpass", 3, omega=omega)
+        got = recon._segment_kernel(segments, u, np.full(u.size, 2))
+        safe = np.where(u == 0.0, 1.0, u)
+        expect = np.where(u == 0.0, omega / np.pi, np.sin(omega * u) / (np.pi * safe))
+        np.testing.assert_allclose(got, expect, rtol=1e-13, atol=1e-13 * omega / np.pi)
+
+
 class TestModel:
     def test_zero_coefficients_evaluate_to_zero(self, band_35_65):
         model = ReconModel(

@@ -178,7 +178,7 @@ class TestQuadratureBudget:
     def test_single_channel_preset(self, monkeypatch):
         cfg = load_config(str(CONFIG_DIR / "single_channel.cfg"))
         calls = _count_integrate_calls(monkeypatch)
-        train = encode(cfg.signal, cfg.tem_params, (-1.0, 1.0), spike_tol=cfg.spike_tol)
+        train = encode(cfg.signal, cfg.tem_params, (-1.0, 1.0))
         assert len(train) == 780
         assert len(calls) <= len(train) + 4
 
@@ -188,8 +188,7 @@ class TestQuadratureBudget:
         calls = _count_integrate_calls(monkeypatch)
         for z0 in (p.delta - cfg.alpha, -p.delta):  # channel A, then channel B
             del calls[:]
-            train = encode(cfg.signal, p, (-1.0, 1.0), initial_integrator=z0,
-                           spike_tol=cfg.spike_tol)
+            train = encode(cfg.signal, p, (-1.0, 1.0), initial_integrator=z0)
             assert len(train) == 180
             assert len(calls) <= len(train) + 4
 
