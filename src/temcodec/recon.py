@@ -20,16 +20,19 @@ segments ``w_l * integral_lo^hi cos(nu*(t - s_l) - psi_l) dnu``, and is the
 one place that rejects a degenerate bandpass shift.  Everything else is
 derived from those segments:
 
-* Gram assembly: one Gauss-Legendre rule in the frequency ``nu`` per
-  segment writes the Gram matrix exactly as ``G = A @ B.T``
-  (:func:`_spectral_factors`).  In ``nu`` the integrand is entire, of
-  exponential type the record span, so an a-priori error bound fixes each
-  rule's order at ``quad_tol`` per entry; it grows with the span (234
-  nodes, 468 columns, for the 779 rows of the 2 s single-channel preset).
-  The solve never forms ``G``: a QR of each factor reduces it to the SVD
-  of a small core (the trigonometric-space view of TEM decoding of Lazar &
-  Pnevmatikakis, *EURASIP J. Adv. Signal Process.*, 2009, applied here to
-  the paper's own Gram matrix).
+* Gram assembly: one quadrature rule in the frequency ``nu`` per segment
+  writes the Gram matrix exactly as ``G = A @ B.T``
+  (:func:`_spectral_factors`).  The rule is Gauss-Legendre with its nodes
+  moved by a conformal "sausage" map, which spends fewer nodes at the ends
+  of the band than the plain rule (Hale & Trefethen, *SIAM J. Numer.
+  Anal.*, 2008).  In ``nu`` the integrand is entire, of exponential type
+  the record span, so an a-priori error bound fixes each rule's order at
+  ``quad_tol`` per entry; it grows with the span (185 nodes, 370 columns,
+  for the 779 rows of the 2 s single-channel preset; the plain rule needs
+  234).  The solve never forms ``G``: a QR of each factor reduces it to
+  the SVD of a small core (the trigonometric-space view of TEM decoding of
+  Lazar & Pnevmatikakis, *EURASIP J. Adv. Signal Process.*, 2009, applied
+  here to the paper's own Gram matrix).
 * Evaluation: :func:`evaluate_model`, the single evaluator for both
   families and for PNS records (:func:`temcodec.pns.reconstruct_pns`
   builds a bandpass model), writes the model as ``cos(a*t)`` and
@@ -45,6 +48,7 @@ derived from those segments:
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -81,7 +85,8 @@ DEFAULT_QUAD_TOL = 1e-9
 # points against its near knots, or its Chebyshev points against far knots
 EVAL_CHUNK_ELEMENTS = 1 << 19
 # fixed cost of one evaluate_model box in direct 1/(t - s) terms: its numpy call
-# overhead measured about 200 us against about 4 ns per term on a 2-core x86-64 host
+# overhead measured 150-170 us against about 3 ns per term of a 1/(t - s) block
+# times its weights, on a 2-core x86-64 host
 BOX_OVERHEAD_TERMS = 50_000
 
 
@@ -238,20 +243,60 @@ def _segment_kernel(segments, u, idx):
     return out
 
 
-def _gl_order(h: float, k_max: float, a_max: float, tol: float) -> int:
-    """Smallest Gauss-Legendre order whose error bound on a length-``h`` interval is <= ``tol``.
+# Hale & Trefethen's "sausage" map g of [-1, 1] onto itself: arcsin's Taylor
+# series to degree 9, coefficients of x, x^3, ..., x^9 scaled so g(+-1) = +-1
+_MAP_ODD = np.array([1.0, 1.0 / 6.0, 3.0 / 40.0, 5.0 / 112.0, 35.0 / 1152.0])
+_MAP_ODD /= _MAP_ODD.sum()
 
-    The integrand is entire with ``|f(z)| <= k_max*exp(a_max*|Im z|)``, so on
-    the Bernstein ellipse of parameter ``rho`` about the interval it is at most
-    ``M = k_max*exp(a_max*h*(rho - 1/rho)/4)``, and an ``m``-point rule errs by
-    at most ``(h/2)*(64/15)*M*rho**(-2*(m - 1))/(rho**2 - 1)`` (Trefethen,
-    *Approximation Theory and Approximation Practice*, Thm 19.3).  Each
-    ``rho`` of a log grid gives the least ``m`` meeting ``tol``; the order
-    is the smallest of those, and at least 2.
+
+def _sausage(x):
+    """The map ``g`` and its derivative ``g'`` at ``x`` (real or complex)."""
+    x2 = x * x
+    g = dg = 0.0
+    for k in range(_MAP_ODD.size - 1, -1, -1):
+        g = g * x2 + _MAP_ODD[k]
+        dg = dg * x2 + (2 * k + 1) * _MAP_ODD[k]
+    return x * g, dg
+
+
+@functools.cache
+def _ellipse_maxima():
+    """Bernstein parameters ``rho`` with ``max |Im g|`` and ``max |g'|`` on each ellipse ``E_rho``.
+
+    ``E_rho`` is ``(rho*e^(i*theta) + e^(-i*theta)/rho)/2``; both functions are
+    harmonic or analytic, so their maxima over the ellipse's interior are on
+    it.  ``g`` is odd with real coefficients, so both moduli are symmetric
+    about both axes, and a quarter of the ellipse, ``theta`` in ``[0, pi/2]``,
+    carries their maxima.  Computed on first use, not at import: the
+    sampling costs a few milliseconds.
     """
-    rho = 1.0 + np.logspace(-6.0, 6.0, 481)
+    rho = 1.0 + np.logspace(-6.0, 1.0, 141)
+    circle = np.exp(1j * np.linspace(0.0, 0.5 * math.pi, 257))
+    g, dg = _sausage(0.5 * (rho[:, None] * circle + 1.0 / (rho[:, None] * circle)))
+    maxima = rho, np.max(np.abs(g.imag), axis=1), np.max(np.abs(dg), axis=1)
+    for values in maxima:
+        values.flags.writeable = False  # one cached copy serves every caller
+    return maxima
+
+
+def _gl_order(h: float, k_max: float, a_max: float, tol: float) -> int:
+    """Least order of the mapped Gauss-Legendre rule that meets ``tol`` on a length-``h`` interval.
+
+    The rule integrates ``f`` over ``[c - h/2, c + h/2]`` as the plain rule in
+    ``x`` on ``[-1, 1]`` applied to ``(h/2)*g'(x)*f(c + (h/2)*g(x))`` (see
+    :func:`_sausage`).  ``f`` is entire with ``|f(z)| <= k_max*exp(a_max*|Im z|)``,
+    so on the Bernstein ellipse ``E_rho`` the mapped integrand is at most
+    ``(h/2)*M`` with ``M = k_max*exp(a_max*(h/2)*max|Im g|)*max|g'|``
+    (:func:`_ellipse_maxima`), and an ``m``-point rule errs by at most
+    ``(h/2)*(64/15)*M*rho**(-2*(m - 1))/(rho**2 - 1)`` (Trefethen,
+    *Approximation Theory and Approximation Practice*, Thm 19.3).  Each
+    ``rho`` of the grid gives the least ``m`` meeting ``tol``; the order is
+    the smallest of those, and at least 2.  With ``g(x) = x`` this is the
+    plain rule's bound.
+    """
+    rho, im_max, dg_max = _ellipse_maxima()
     log_scale = math.log(0.5 * h * (64.0 / 15.0) * k_max)
-    log_rest = 0.25 * a_max * h * (rho - 1.0 / rho) - np.log(rho * rho - 1.0)
+    log_rest = 0.5 * a_max * h * im_max + np.log(dg_max) - np.log(rho * rho - 1.0)
     needed = 1.0 + (log_scale + log_rest - math.log(tol)) / (2.0 * np.log(rho))
     return math.ceil(max(2.0, float(np.min(needed))))
 
@@ -260,11 +305,13 @@ def _spectral_factors(starts, ends, knots, segments, quad_tol: float):
     """Factors ``(A, B)`` with ``(A @ B.T)[r, l] = integral_{starts[r]}^{ends[r]} kernel_l(u) du``.
 
     Knot ``l``'s kernel is given by ``segments`` (see :func:`_kernel_segments`)
-    at offsets ``u - knots[l]``.  Each segment's ``nu`` integral is one
-    Gauss-Legendre rule with nodes ``nu_j`` and weights ``g_j``, and splitting
-    the cosine gives per node the column pair
+    at offsets ``u - knots[l]``.  Each segment's ``nu`` integral is one mapped
+    Gauss-Legendre rule: the Legendre nodes ``x_j`` and weights ``c_j`` on
+    ``[-1, 1]`` become ``g(x_j)`` and ``c_j*g'(x_j)`` (:func:`_sausage`), then
+    are scaled to the segment as nodes ``nu_j`` and weights ``q_j``.
+    Splitting the cosine gives per node the column pair
 
-    * ``A[r] = g_j*2h_r*sinc(nu_j*h_r)*[cos, sin](nu_j*m_r)``, the exact
+    * ``A[r] = q_j*2h_r*sinc(nu_j*h_r)*[cos, sin](nu_j*m_r)``, the exact
       integrals of ``cos(nu*u)`` and ``sin(nu*u)`` over the row interval
       (midpoint ``m_r``, half-width ``h_r``), free of cancellation;
     * ``B[l] = w_l*[cos, sin](nu_j*s_l + psi_l)``.
@@ -272,7 +319,9 @@ def _spectral_factors(starts, ends, knots, segments, quad_tol: float):
     Times are measured from the record midpoint.  In ``nu`` an entry is entire
     and bounded by ``|w|*2h*exp(span*|Im nu|)`` (``span`` the record span), so
     :func:`_gl_order` fixes each segment's order at an equal share of
-    ``quad_tol``.  Empty segments are skipped.
+    ``quad_tol``: 185 for the 2 s single-channel preset, 43 and 70 for the
+    two segments of the two-channel one (the plain rule needs 234, and 46
+    and 81).  Empty segments are skipped.
     """
     if not quad_tol > 0.0:
         raise ValueError(f"quad_tol must be positive, got {quad_tol}")
@@ -292,6 +341,8 @@ def _spectral_factors(starts, ends, knots, segments, quad_tol: float):
     col = 0
     for (lo, hi, w, psi), order in zip(segments, orders):
         nodes, weights = np.polynomial.legendre.leggauss(order)
+        nodes, stretch = _sausage(nodes)
+        weights *= stretch
         nu = 0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes
         cos_cols, sin_cols = slice(col, col + order), slice(col + order, col + 2 * order)
         col += 2 * order
@@ -381,23 +432,27 @@ def solve_coefficients(system: GramSystem, sv_cutoff: float = DEFAULT_SV_CUTOFF)
 
     With ``G = left @ right.T`` and QR factorisations ``left = Qa Ra`` and
     ``right = Qb Rb``, ``G = Qa (Ra Rb^T) Qb^T``, so the SVD of the small core
-    ``Ra Rb^T`` is that of ``G``.  Neither ``G`` nor ``Qa`` is formed: only
-    ``Qa^T q`` is needed, and the QR of ``[left, q]`` gives it.  Singular
-    values below ``sv_cutoff * sigma_max`` are zeroed.  Returns the
-    coefficients together with the residual norm ``||G c - q||``, effective
-    rank, and the singular-value extremes; ``sigma_min`` is 0.0 when the
-    factors are narrower than the system, since ``G`` then has exactly
-    zero singular values.  Deterministic: solving the same system twice is
-    bit-identical.
+    ``Ra Rb^T`` is that of ``G``.  Neither ``G``, ``Qa`` nor ``Qb`` is
+    formed: only ``Qa^T q`` is needed, and the QR of ``[left, q]`` gives it;
+    ``Qb`` is applied to the one solution vector through its Householder
+    reflectors.  Singular values below ``sv_cutoff * sigma_max`` are
+    zeroed.  Returns the coefficients together with the residual norm
+    ``||G c - q||``, effective rank, and the singular-value extremes;
+    ``sigma_min`` is 0.0 when the factors are narrower than the system,
+    since ``G`` then has exactly zero singular values.  Deterministic:
+    solving the same system twice is bit-identical.
     """
     left, right, rhs = system.left, system.right, system.rhs
     inner = min(left.shape)
     # Householder QR goes column by column: the R of [left, rhs] is R_left
     # with Q_left^T rhs as its last column
     r_aug = np.linalg.qr(np.column_stack([left, rhs]), mode="r")
-    q_right, r_right = np.linalg.qr(right)
-    core, projected = r_aug[:inner, :-1] @ r_right.T, r_aug[:inner, -1].copy()
-    del r_aug, r_right  # not held through the SVD, whose outputs set the peak memory
+    # LAPACK's packed QR of right, transposed: R_right.T on and below the
+    # diagonal of its first columns, reflector j's tail right of entry (j, j)
+    reflectors, tau = np.linalg.qr(right, mode="raw")
+    core = r_aug[:inner, :-1] @ np.tril(reflectors[:, :tau.size])
+    projected = r_aug[:inner, -1].copy()
+    del r_aug  # not held through the SVD, whose outputs set the peak memory
     u, sv, vt = np.linalg.svd(core, full_matrices=False)
     if sv.size == 0 or sv[0] <= 0.0:
         raise DegenerateSystemError("system has no nonzero singular values")
@@ -406,7 +461,15 @@ def solve_coefficients(system: GramSystem, sv_cutoff: float = DEFAULT_SV_CUTOFF)
         raise DegenerateSystemError(
             f"all singular values below cutoff {sv_cutoff} * {sv[0]:.3e}"
         )
-    coeff = q_right @ (vt[keep].T @ ((u[:, keep].T @ projected) / sv[keep]))
+    coeff = np.zeros(right.shape[0])
+    coeff[:tau.size] = vt[keep].T @ ((u[:, keep].T @ projected) / sv[keep])
+    # Q_right @ coeff as H_0 H_1 ... H_(k-1) coeff, H_j = I - tau_j v_j v_j^T
+    # with v_j = (0, ..., 0, 1, reflectors[j, j+1:])
+    for j in range(tau.size - 1, -1, -1):
+        v = reflectors[j, j + 1:]
+        step = tau[j] * (coeff[j] + v @ coeff[j + 1:])
+        coeff[j] -= step
+        coeff[j + 1:] -= step * v
     residual = float(np.linalg.norm(left @ (right.T @ coeff) - rhs))
     return SolveResult(
         coefficients=coeff,

@@ -1,15 +1,21 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.special
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import temcodec
 from temcodec.signals import (
     Constant, Tone, SignalSum, TWO_PI, band_spec_from_edges, integrate_columns,
 )
 from temcodec.tem import SpikeTrain, TemParams, encode, encode_two_channel, interleave
 from temcodec.pns import DegenerateShiftError, kernel_gbp
-from temcodec import recon
+from temcodec import experiment, recon
 from temcodec.recon import (
     DegenerateSystemError,
     GramSystem,
@@ -23,6 +29,10 @@ from temcodec.recon import (
     reconstruct_lowpass,
     solve_coefficients,
 )
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+PRESETS = ("single_channel", "two_channel", "pns")
 
 
 def uniform_interleaved(period, shift, n):
@@ -166,6 +176,90 @@ class TestGramLowpass:
         assert np.max(np.abs(entries - (upper - lower) / np.pi)) <= recon.DEFAULT_QUAD_TOL
 
 
+@pytest.fixture(scope="module")
+def preset_systems():
+    """The Gram systems and solver cutoffs of the single- and two-channel presets,
+    built from the snapped spike trains the pipeline writes."""
+    out = {}
+    cfg = experiment.load_config(CONFIG_DIR / "single_channel.cfg")
+    train = experiment._snap_train(encode(cfg.signal, cfg.tem_params, cfg.window))
+    out["single_channel"] = (
+        build_gram_lowpass(train, cfg.lowpass_cutoff, quad_tol=cfg.quad_tol), cfg.sv_cutoff
+    )
+    cfg = experiment.load_config(CONFIG_DIR / "two_channel.cfg")
+    a, b = encode_two_channel(cfg.signal, cfg.tem_params, cfg.window, alpha=cfg.alpha)
+    merged = interleave(experiment._snap_train(a), experiment._snap_train(b))
+    out["two_channel"] = (
+        build_gram_bandpass(merged, cfg.band, quad_tol=cfg.quad_tol, anchor=cfg.pair_anchor),
+        cfg.sv_cutoff,
+    )
+    return out
+
+
+def sausage_polynomial():
+    """The map as a polynomial: arcsin's Taylor series to degree 9, scaled to g(1) = 1."""
+    coef = np.zeros(10)
+    coef[1::2] = [1.0, 1.0 / 6.0, 3.0 / 40.0, 5.0 / 112.0, 35.0 / 1152.0]
+    return np.polynomial.Polynomial(coef / coef.sum())
+
+
+class TestMappedRule:
+    def test_map_fixes_the_interval_ends(self):
+        g = sausage_polynomial()
+        x = np.linspace(-1.0, 1.0, 101)
+        got, slope = recon._sausage(x)
+        np.testing.assert_allclose(got, g(x), rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(slope, g.deriv()(x), rtol=0.0, atol=1e-15)
+        assert got[0] == pytest.approx(-1.0, abs=1e-15) and got[-1] == pytest.approx(1.0, abs=1e-15)
+        assert slope[-1] == pytest.approx(1.869, abs=1e-3)
+        assert np.all(np.diff(got) > 0.0)
+
+    @pytest.mark.parametrize("h, k_max, a_max, tol", [
+        (TWO_PI * 65.0, 2.0 / (260.0 * np.pi), 2.0, 1e-9),  # the lowpass preset
+        (TWO_PI * 10.0, 1e-4, 2.0, 5e-10),  # the bandpass preset's two segments
+        (TWO_PI * 20.0, 1.2e-4, 2.0, 5e-10),
+        (TWO_PI * 65.0, 0.01, 0.01, 1e-6),
+        (TWO_PI * 65.0, 0.01, 0.1, 1e-12),
+        (TWO_PI * 65.0, 0.01, 0.4, 1e-9),
+        (TWO_PI * 65.0, 0.01, 10.0, 1e-11),
+        (TWO_PI * 65.0, 0.01, 40.0, 1e-9),
+        (TWO_PI * 30.0, 5.0, 3.0, 1e-6),
+        (1e-3, 1.0, 1.0, 1e-9),
+    ])
+    def test_quarter_ellipse_orders_match_full_ellipse(self, monkeypatch, h, k_max, a_max, tol):
+        expect = recon._gl_order(h, k_max, a_max, tol)
+        rho = recon._ellipse_maxima()[0]
+        g = sausage_polynomial()
+        circle = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 4097))
+        z = 0.5 * (rho[:, None] * circle + 1.0 / (rho[:, None] * circle))
+        full = (rho, np.max(np.abs(g(z).imag), axis=1), np.max(np.abs(g.deriv()(z)), axis=1))
+        monkeypatch.setattr(recon, "_ellipse_maxima", lambda: full)
+        assert recon._gl_order(h, k_max, a_max, tol) == expect
+
+    def test_preset_factor_widths(self, preset_systems):
+        # the plain Gauss-Legendre rule needs 468 and 254 columns
+        assert preset_systems["single_channel"][0].left.shape[1] <= 380
+        assert preset_systems["two_channel"][0].left.shape[1] <= 230
+
+    def test_import_and_config_loading_leave_the_ellipse_cache_empty(self):
+        probe = (
+            "import sys\n"
+            "import temcodec\n"
+            "from temcodec import recon\n"
+            "from temcodec.experiment import load_config\n"
+            "for path in sys.argv[1:]:\n"
+            "    load_config(path)\n"
+            "print(recon._ellipse_maxima.cache_info().currsize)\n"
+        )
+        src = str(Path(temcodec.__file__).resolve().parent.parent)
+        out = subprocess.run(
+            [sys.executable, "-c", probe, *(str(CONFIG_DIR / f"{p}.cfg") for p in PRESETS)],
+            capture_output=True, text=True, check=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert out.stdout.strip() == "0"
+
+
 def premise_violating_record(band):
     """Merged record whose largest spike gap exceeds the kernel period ``2*pi/B``."""
     params = TemParams(1.0, band.period / 2.0, 3.0, 2.0)
@@ -195,7 +289,75 @@ def bandpass_oracle(test_signal, band_35_65):
     return out
 
 
+def bandpass_closed_form(merged, band):
+    """Bandpass Gram entries from the sine and cosine integrals.
+
+    A segment ``(lo, hi, w, psi)`` of knot ``s`` integrates over ``[a, b]`` to
+    ``w*integral_lo^hi [sin(nu*(b - s) - psi) - sin(nu*(a - s) - psi)]/nu dnu``, and
+    ``integral_lo^hi sin(nu*x - psi)/nu dnu = cos(psi)*sign(x)*(Si(hi*|x|) - Si(lo*|x|))
+    - sin(psi)*(Ci(hi*|x|) - Ci(lo*|x|))``, with ``log(hi/lo)`` for the cosine
+    integrals' difference at ``x = 0``.
+    """
+    t = merged.times
+    knots = knots_and_shifts(t)
+    segments = recon._kernel_segments(
+        "bandpass", knots.times.size, band=band, shifts=knots.shifts, reflected=knots.reflected
+    )
+    out = np.zeros((t.size - 2, knots.times.size))
+    for lo, hi, w, psi in segments:
+        if not hi > lo:
+            continue
+        for edge, sign in ((t[2:], 1.0), (t[:-2], -1.0)):
+            x = edge[:, None] - knots.times[None, :]
+            ax = np.abs(x)
+            si_hi, ci_hi = scipy.special.sici(hi * ax)
+            si_lo, ci_lo = scipy.special.sici(lo * ax)
+            ci = np.where(ax > 0.0, ci_hi - ci_lo, np.log(hi / lo))
+            out += sign * w * (np.cos(psi) * np.sign(x) * (si_hi - si_lo) - np.sin(psi) * ci)
+    return out
+
+
+def jittered_record(band, span, seed):
+    """Two-channel record over ``span`` s: channel gaps about ``0.45*period`` with
+    jitter, channel B a varying fraction of a gap behind A."""
+    rng = np.random.default_rng(seed)
+    step = 0.45 * band.period
+    n = int(span / step) + 1
+    a_times = step * (np.arange(n) + rng.uniform(-0.15, 0.15, n))
+    b_times = a_times + step * rng.uniform(0.3, 0.7, n)
+    params = TemParams(1.0, step / 2.0, 3.0, 2.0)
+    window = (a_times[0], b_times[-1])
+    return interleave(SpikeTrain(a_times, "A", params, window),
+                      SpikeTrain(b_times, "B", params, window))
+
+
 class TestGramBandpass:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        omega_l_hz=st.floats(min_value=5.0, max_value=80.0),
+        bandwidth_hz=st.floats(min_value=8.0, max_value=40.0),
+        span=st.floats(min_value=0.2, max_value=3.0),
+        quad_tol=st.sampled_from([1e-6, 1e-9, 1e-11]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_entries_within_quad_tol_of_si_ci_closed_form(
+        self, omega_l_hz, bandwidth_hz, span, quad_tol, seed
+    ):
+        band = band_spec_from_edges(TWO_PI * omega_l_hz, TWO_PI * (omega_l_hz + bandwidth_hz))
+        merged = jittered_record(band, span, seed)
+        shifts = knots_and_shifts(merged.times).shifts
+        # keep every kernel weight 1/(B*sin(phi)) within 10/B: near a degenerate
+        # shift the entries, and their rounding, grow without bound
+        for k in (band.k0, band.k0 + 1):
+            assume(np.min(np.abs(np.sin(0.5 * k * band.bandwidth * shifts))) > 0.1)
+        system = build_gram_bandpass(merged, band, quad_tol=quad_tol)
+        oracle = bandpass_closed_form(merged, band)
+        assert np.max(np.abs(system.matrix - oracle)) <= quad_tol
+
+    def test_closed_form_matches_adaptive_oracle(self, bandpass_oracle, band_35_65):
+        merged, oracle = bandpass_oracle["encoded"]
+        assert np.max(np.abs(bandpass_closed_form(merged, band_35_65) - oracle)) <= 1e-13
+
     def test_zero_signal_gives_null_system(self, band_35_65):
         T = band_35_65.period
         params = TemParams(1.0, T / 2.0, 3.0, 0.0)
@@ -348,9 +510,12 @@ class TestSolve:
     @example(seed=1, rows=10, cols=9, width=4, inner=4)  # narrow
     @example(seed=2, rows=6, cols=8, width=10, inner=10)  # wide
     @example(seed=3, rows=9, cols=9, width=8, inner=3)  # rank-deficient
+    @example(seed=4, rows=12, cols=5, width=8, inner=8)  # fewer knots than columns
     def test_factored_solve_matches_dense_truncated_svd(self, seed, rows, cols, width, inner):
         # narrow (width < min(rows, cols)), wide (width >= rows) and, through a
-        # shared inner dimension below the width, rank-deficient factor pairs
+        # shared inner dimension below the width, rank-deficient factor pairs;
+        # the right factor has more knots than columns (cols > width: its
+        # reflectors act on a zero-padded vector) or fewer (cols <= width)
         rng = np.random.default_rng(seed)
         mix = rng.standard_normal((min(inner, width), width))
         left = rng.standard_normal((rows, mix.shape[0])) @ mix
@@ -377,6 +542,23 @@ class TestSolve:
             assert sol.sigma_min == 0.0
         else:
             assert sol.sigma_min == pytest.approx(sv[-1], rel=1e-9, abs=1e-13 * sv[0])
+
+    @pytest.mark.parametrize("preset, rank", [("single_channel", 273), ("two_channel", 142)])
+    def test_reflector_solve_matches_explicit_q(self, preset_systems, preset, rank):
+        system, sv_cutoff = preset_systems[preset]
+        # reference: the same solve with Q_right formed and multiplied out
+        left, right, rhs = system.left, system.right, system.rhs
+        inner = min(left.shape)
+        r_aug = np.linalg.qr(np.column_stack([left, rhs]), mode="r")
+        q_right, r_right = np.linalg.qr(right)
+        u, sv, vt = np.linalg.svd(r_aug[:inner, :-1] @ r_right.T, full_matrices=False)
+        keep = sv >= sv_cutoff * sv[0]
+        expect = q_right @ (vt[keep].T @ ((u[:, keep].T @ r_aug[:inner, -1]) / sv[keep]))
+        first = solve_coefficients(system, sv_cutoff=sv_cutoff)
+        again = solve_coefficients(system, sv_cutoff=sv_cutoff)
+        assert first.effective_rank == np.count_nonzero(keep) == rank
+        assert np.max(np.abs(first.coefficients - expect)) <= 1e-12 * np.linalg.norm(expect)
+        assert np.array_equal(first.coefficients, again.coefficients)
 
     def test_residual_consistency_at_full_effective_rank(self, band_35_65):
         # near-Landau spike density keeps the kernel frame well conditioned;
