@@ -63,8 +63,10 @@ def _cmd_run(args) -> int:
                 raise ConfigError(f"--quad-tol must be positive and finite, got {args.quad_tol}")
             cfg.quad_tol = args.quad_tol
         if args.sv_cutoff is not None:
-            if not (args.sv_cutoff > 0 and math.isfinite(args.sv_cutoff)):
-                raise ConfigError(f"--sv-cutoff must be positive and finite, got {args.sv_cutoff}")
+            if not 0 < args.sv_cutoff < 1:
+                raise ConfigError(
+                    f"--sv-cutoff (solver.sv_cutoff) must lie in (0, 1), got {args.sv_cutoff}"
+                )
             cfg.sv_cutoff = args.sv_cutoff
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

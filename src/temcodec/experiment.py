@@ -235,9 +235,10 @@ def load_config(path) -> ExperimentConfig:
         solver = sections.get("solver", _Section("solver", {}))
         sv_cutoff = solver.num("sv_cutoff", "1e-8")
         quad_tol = solver.num("quad_tol", "1e-9")
-        for name, v in (("sv_cutoff", sv_cutoff), ("quad_tol", quad_tol)):
-            if not v > 0:
-                raise ConfigError(f"solver.{name} must be positive, got {v}")
+        if not 0 < sv_cutoff < 1:
+            raise ConfigError(f"solver.sv_cutoff must lie in (0, 1), got {sv_cutoff}")
+        if not quad_tol > 0:
+            raise ConfigError(f"solver.quad_tol must be positive, got {quad_tol}")
         pair_anchor = str(solver.get("pair_anchor", "even")).strip()
         if pair_anchor not in ("even", "odd"):
             raise ConfigError(f"pair_anchor must be 'even' or 'odd', got {pair_anchor!r}")
@@ -569,12 +570,14 @@ def _gram_dict(system: recon.GramSystem, sol: recon.SolveResult) -> dict:
     return {
         "rows": int(system.shape[0]),
         "cols": int(system.shape[1]),
+        "factor_cols": int(system.left.shape[1]),
         "sigma_max": sol.sigma_max,
         "sigma_min": sol.sigma_min,
         "effective_rank": sol.effective_rank,
         "residual_norm": sol.residual_norm,
         "relative_residual": sol.residual_norm / rhs_norm if rhs_norm > 0 else None,
         "sv_cutoff": sol.sv_cutoff,
+        "solve_blas_threads": sol.blas_threads,
         "gap_premise_ok": bool(system.gap_premise_ok),
     }
 

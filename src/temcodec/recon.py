@@ -29,10 +29,12 @@ derived from those segments:
   the record span, so an a-priori error bound fixes each rule's order at
   ``quad_tol`` per entry; it grows with the span (185 nodes, 370 columns,
   for the 779 rows of the 2 s single-channel preset; the plain rule needs
-  234).  The solve never forms ``G``: a QR of each factor reduces it to
-  the SVD of a small core (the trigonometric-space view of TEM decoding of
-  Lazar & Pnevmatikakis, *EURASIP J. Adv. Signal Process.*, 2009, applied
-  here to the paper's own Gram matrix).
+  234, and is kept on short records where it needs fewer).  The solve
+  never forms ``G``: a QR of each factor reduces it to a truncated least
+  squares problem on a small core (the trigonometric-space view of TEM
+  decoding of Lazar & Pnevmatikakis, *EURASIP J. Adv. Signal Process.*,
+  2009, applied here to the paper's own Gram matrix), solved on one BLAS
+  thread.
 * Evaluation: :func:`evaluate_model`, the single evaluator for both
   families and for PNS records (:func:`temcodec.pns.reconstruct_pns`
   builds a bandpass model), writes the model as ``cos(a*t)`` and
@@ -48,10 +50,14 @@ derived from those segments:
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import math
+import threading
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -184,6 +190,7 @@ class SolveResult:
     sigma_max: float
     sigma_min: float
     sv_cutoff: float
+    blas_threads: Optional[int] = None  # 1 when the solve ran pinned; None: the caller's threads
 
 
 def _kernel_segments(kind: str, n: int, omega=None, band=None, shifts=None, reflected=None):
@@ -279,22 +286,25 @@ def _ellipse_maxima():
     return maxima
 
 
-def _gl_order(h: float, k_max: float, a_max: float, tol: float) -> int:
-    """Least order of the mapped Gauss-Legendre rule that meets ``tol`` on a length-``h`` interval.
+def _gl_order(h: float, k_max: float, a_max: float, tol: float, mapped: bool = True) -> int:
+    """Least order of the Gauss-Legendre rule that meets ``tol`` on a length-``h`` interval.
 
-    The rule integrates ``f`` over ``[c - h/2, c + h/2]`` as the plain rule in
-    ``x`` on ``[-1, 1]`` applied to ``(h/2)*g'(x)*f(c + (h/2)*g(x))`` (see
-    :func:`_sausage`).  ``f`` is entire with ``|f(z)| <= k_max*exp(a_max*|Im z|)``,
-    so on the Bernstein ellipse ``E_rho`` the mapped integrand is at most
+    The mapped rule integrates ``f`` over ``[c - h/2, c + h/2]`` as the plain
+    rule in ``x`` on ``[-1, 1]`` applied to ``(h/2)*g'(x)*f(c + (h/2)*g(x))``
+    (see :func:`_sausage`); ``mapped=False`` takes ``g(x) = x``, the plain
+    rule.  ``f`` is entire with ``|f(z)| <= k_max*exp(a_max*|Im z|)``, so on
+    the Bernstein ellipse ``E_rho`` the integrand in ``x`` is at most
     ``(h/2)*M`` with ``M = k_max*exp(a_max*(h/2)*max|Im g|)*max|g'|``
-    (:func:`_ellipse_maxima`), and an ``m``-point rule errs by at most
+    (:func:`_ellipse_maxima`; for ``g(x) = x``, ``max|Im g| = (rho -
+    1/rho)/2`` and ``g' = 1``), and an ``m``-point rule errs by at most
     ``(h/2)*(64/15)*M*rho**(-2*(m - 1))/(rho**2 - 1)`` (Trefethen,
     *Approximation Theory and Approximation Practice*, Thm 19.3).  Each
     ``rho`` of the grid gives the least ``m`` meeting ``tol``; the order is
-    the smallest of those, and at least 2.  With ``g(x) = x`` this is the
-    plain rule's bound.
+    the smallest of those, and at least 2.
     """
     rho, im_max, dg_max = _ellipse_maxima()
+    if not mapped:
+        im_max, dg_max = 0.5 * (rho - 1.0 / rho), 1.0
     log_scale = math.log(0.5 * h * (64.0 / 15.0) * k_max)
     log_rest = 0.5 * a_max * h * im_max + np.log(dg_max) - np.log(rho * rho - 1.0)
     needed = 1.0 + (log_scale + log_rest - math.log(tol)) / (2.0 * np.log(rho))
@@ -305,10 +315,13 @@ def _spectral_factors(starts, ends, knots, segments, quad_tol: float):
     """Factors ``(A, B)`` with ``(A @ B.T)[r, l] = integral_{starts[r]}^{ends[r]} kernel_l(u) du``.
 
     Knot ``l``'s kernel is given by ``segments`` (see :func:`_kernel_segments`)
-    at offsets ``u - knots[l]``.  Each segment's ``nu`` integral is one mapped
-    Gauss-Legendre rule: the Legendre nodes ``x_j`` and weights ``c_j`` on
-    ``[-1, 1]`` become ``g(x_j)`` and ``c_j*g'(x_j)`` (:func:`_sausage`), then
-    are scaled to the segment as nodes ``nu_j`` and weights ``q_j``.
+    at offsets ``u - knots[l]``.  Each segment's ``nu`` integral is one
+    Gauss-Legendre rule.  Where the mapped rule needs fewer nodes than the
+    plain one, the Legendre nodes ``x_j`` and weights ``c_j`` on ``[-1, 1]``
+    become ``g(x_j)`` and ``c_j*g'(x_j)`` (:func:`_sausage`); on short
+    records, whose integrands vary little over the segment, the plain rule
+    needs fewer and is kept.  Then nodes and weights are scaled to the
+    segment as nodes ``nu_j`` and weights ``q_j``.
     Splitting the cosine gives per node the column pair
 
     * ``A[r] = q_j*2h_r*sinc(nu_j*h_r)*[cos, sin](nu_j*m_r)``, the exact
@@ -319,9 +332,11 @@ def _spectral_factors(starts, ends, knots, segments, quad_tol: float):
     Times are measured from the record midpoint.  In ``nu`` an entry is entire
     and bounded by ``|w|*2h*exp(span*|Im nu|)`` (``span`` the record span), so
     :func:`_gl_order` fixes each segment's order at an equal share of
-    ``quad_tol``: 185 for the 2 s single-channel preset, 43 and 70 for the
-    two segments of the two-channel one (the plain rule needs 234, and 46
-    and 81).  Empty segments are skipped.
+    ``quad_tol``: 185 mapped nodes for the 2 s single-channel preset, 43 and
+    70 for the two segments of the two-channel one (the plain rule needs
+    234, and 46 and 81).  On one 65 Hz lowpass interval the plain rule wins
+    below spans of about 0.35 s: 4 nodes against 9 mapped at 0.1 ms, 23
+    against 29 at 0.1 s.  Empty segments are skipped.
     """
     if not quad_tol > 0.0:
         raise ValueError(f"quad_tol must be positive, got {quad_tol}")
@@ -331,18 +346,21 @@ def _spectral_factors(starts, ends, knots, segments, quad_tol: float):
     mid = 0.5 * (ends + starts) - centre
     s = knots - centre
     segments = [seg for seg in segments if seg[1] > seg[0]]
-    orders = [
-        _gl_order(hi - lo, 2.0 * float(np.max(half)) * float(np.max(np.abs(w))), span,
-                  quad_tol / len(segments))
-        for lo, hi, w, _ in segments
-    ]
-    left = np.empty((half.size, 2 * sum(orders)))
-    right = np.empty((s.size, 2 * sum(orders)))
+    rules = []  # (order, mapped) per segment
+    for lo, hi, w, _ in segments:
+        bound = (hi - lo, 2.0 * float(np.max(half)) * float(np.max(np.abs(w))), span,
+                 quad_tol / len(segments))
+        plain, mapped = _gl_order(*bound, mapped=False), _gl_order(*bound)
+        rules.append((mapped, True) if mapped < plain else (plain, False))
+    width = 2 * sum(order for order, _ in rules)
+    left = np.empty((half.size, width))
+    right = np.empty((s.size, width))
     col = 0
-    for (lo, hi, w, psi), order in zip(segments, orders):
+    for (lo, hi, w, psi), (order, mapped) in zip(segments, rules):
         nodes, weights = np.polynomial.legendre.leggauss(order)
-        nodes, stretch = _sausage(nodes)
-        weights *= stretch
+        if mapped:
+            nodes, stretch = _sausage(nodes)
+            weights *= stretch
         nu = 0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes
         cos_cols, sin_cols = slice(col, col + order), slice(col + order, col + 2 * order)
         col += 2 * order
@@ -427,57 +445,126 @@ def build_gram_bandpass(
     )
 
 
+@functools.cache
+def _blas_thread_controls():
+    """The ``(get, set)`` thread-count functions of numpy's bundled OpenBLAS, or ``None``.
+
+    Wheels of numpy 2 ship ``scipy_openblas`` in ``numpy.libs``, numpy 1.x
+    ``openblas``, both with the 64-bit-integer symbol suffix; ``ctypes``
+    reaches the copy numpy has already loaded.  ``None`` when no such library
+    or symbols are found (another BLAS, another platform's layout).  Looked up
+    on first use, not at import.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            get = getattr(lib, f"{prefix}_get_num_threads64_", None)
+            put = getattr(lib, f"{prefix}_set_num_threads64_", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+# held while the process-wide BLAS thread count is pinned, so that pinned blocks
+# in several Python threads cannot save one another's pinned count as the caller's
+_PIN_LOCK = threading.Lock()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one BLAS thread, then restore the caller's count.
+
+    Yields 1 when pinned and ``None`` when no OpenBLAS controls were found,
+    in which case the block runs on the caller's threads.  The count is
+    process-wide: BLAS calls from other Python threads run single-threaded
+    meanwhile, and pinned blocks in several threads run one at a time.
+    """
+    controls = _blas_thread_controls()
+    if controls is None:
+        yield None
+        return
+    get, put = controls
+    with _PIN_LOCK:
+        before = get()
+        put(1)
+        try:
+            yield 1
+        finally:
+            put(before)
+
+
 def solve_coefficients(system: GramSystem, sv_cutoff: float = DEFAULT_SV_CUTOFF) -> SolveResult:
-    """Minimum-norm least squares via SVD with a relative singular-value cutoff.
+    """Minimum-norm least squares with a relative singular-value cutoff.
 
     With ``G = left @ right.T`` and QR factorisations ``left = Qa Ra`` and
-    ``right = Qb Rb``, ``G = Qa (Ra Rb^T) Qb^T``, so the SVD of the small core
-    ``Ra Rb^T`` is that of ``G``.  Neither ``G``, ``Qa`` nor ``Qb`` is
-    formed: only ``Qa^T q`` is needed, and the QR of ``[left, q]`` gives it;
-    ``Qb`` is applied to the one solution vector through its Householder
-    reflectors.  Singular values below ``sv_cutoff * sigma_max`` are
-    zeroed.  Returns the coefficients together with the residual norm
+    ``right = Qb Rb``, ``G = Qa (Ra Rb^T) Qb^T``, so the singular values of
+    the small core ``Ra Rb^T`` are those of ``G``.  Neither ``G``, ``Qa`` nor
+    ``Qb`` is formed: only ``Qa^T q`` is needed, and the QR of ``[left, q]``
+    gives it; the core system is solved by LAPACK's ``gelsd``
+    (``np.linalg.lstsq``), which keeps the singular values
+    ``sv > sv_cutoff * sigma_max`` and never forms singular vectors; ``Qb``
+    is applied to its solution through its Householder reflectors.
+    Returns the coefficients together with the residual norm
     ``||G c - q||``, effective rank, and the singular-value extremes;
     ``sigma_min`` is 0.0 when the factors are narrower than the system,
-    since ``G`` then has exactly zero singular values.  Deterministic:
-    solving the same system twice is bit-identical.
+    since ``G`` then has exactly zero singular values.
+
+    The whole solve runs on one OpenBLAS thread (see
+    :func:`_one_blas_thread`), so its result does not depend on the
+    caller's thread count; ``blas_threads`` is 1 then.  Where numpy's
+    OpenBLAS controls are not found it runs on the caller's threads and
+    ``blas_threads`` is ``None``.  Deterministic: solving the same system
+    twice is bit-identical.
+
+    Raises ``ValueError`` unless ``0 < sv_cutoff < 1`` (``gelsd`` would
+    silently replace such a cutoff), and :class:`DegenerateSystemError`
+    when no singular value is kept.
     """
+    if not 0.0 < sv_cutoff < 1.0:
+        raise ValueError(f"sv_cutoff must lie in (0, 1), got {sv_cutoff}")
     left, right, rhs = system.left, system.right, system.rhs
     inner = min(left.shape)
-    # Householder QR goes column by column: the R of [left, rhs] is R_left
-    # with Q_left^T rhs as its last column
-    r_aug = np.linalg.qr(np.column_stack([left, rhs]), mode="r")
-    # LAPACK's packed QR of right, transposed: R_right.T on and below the
-    # diagonal of its first columns, reflector j's tail right of entry (j, j)
-    reflectors, tau = np.linalg.qr(right, mode="raw")
-    core = r_aug[:inner, :-1] @ np.tril(reflectors[:, :tau.size])
-    projected = r_aug[:inner, -1].copy()
-    del r_aug  # not held through the SVD, whose outputs set the peak memory
-    u, sv, vt = np.linalg.svd(core, full_matrices=False)
-    if sv.size == 0 or sv[0] <= 0.0:
-        raise DegenerateSystemError("system has no nonzero singular values")
-    keep = sv >= sv_cutoff * sv[0]
-    if not np.any(keep):
-        raise DegenerateSystemError(
-            f"all singular values below cutoff {sv_cutoff} * {sv[0]:.3e}"
-        )
-    coeff = np.zeros(right.shape[0])
-    coeff[:tau.size] = vt[keep].T @ ((u[:, keep].T @ projected) / sv[keep])
-    # Q_right @ coeff as H_0 H_1 ... H_(k-1) coeff, H_j = I - tau_j v_j v_j^T
-    # with v_j = (0, ..., 0, 1, reflectors[j, j+1:])
-    for j in range(tau.size - 1, -1, -1):
-        v = reflectors[j, j + 1:]
-        step = tau[j] * (coeff[j] + v @ coeff[j + 1:])
-        coeff[j] -= step
-        coeff[j + 1:] -= step * v
-    residual = float(np.linalg.norm(left @ (right.T @ coeff) - rhs))
+    with _one_blas_thread() as threads:
+        # Householder QR goes column by column: the R of [left, rhs] is R_left
+        # with Q_left^T rhs as its last column
+        r_aug = np.linalg.qr(np.column_stack([left, rhs]), mode="r")
+        # LAPACK's packed QR of right, transposed: R_right.T on and below the
+        # diagonal of its first columns, reflector j's tail right of entry (j, j)
+        reflectors, tau = np.linalg.qr(right, mode="raw")
+        core = r_aug[:inner, :-1] @ np.tril(reflectors[:, :tau.size])
+        projected = r_aug[:inner, -1].copy()
+        del r_aug  # not held through gelsd
+        solved, _, rank, sv = np.linalg.lstsq(core, projected, rcond=sv_cutoff)
+        if sv.size == 0 or sv[0] <= 0.0:
+            raise DegenerateSystemError("system has no nonzero singular values")
+        if rank == 0:
+            raise DegenerateSystemError(
+                f"all singular values below cutoff {sv_cutoff} * {sv[0]:.3e}"
+            )
+        coeff = np.zeros(right.shape[0])
+        coeff[:tau.size] = solved
+        # Q_right @ coeff as H_0 H_1 ... H_(k-1) coeff, H_j = I - tau_j v_j v_j^T
+        # with v_j = (0, ..., 0, 1, reflectors[j, j+1:])
+        for j in range(tau.size - 1, -1, -1):
+            v = reflectors[j, j + 1:]
+            step = tau[j] * (coeff[j] + v @ coeff[j + 1:])
+            coeff[j] -= step
+            coeff[j + 1:] -= step * v
+        residual = float(np.linalg.norm(left @ (right.T @ coeff) - rhs))
     return SolveResult(
         coefficients=coeff,
         residual_norm=residual,
-        effective_rank=int(np.count_nonzero(keep)),
+        effective_rank=int(rank),
         sigma_max=float(sv[0]),
         sigma_min=float(sv[-1]) if sv.size == min(system.shape) else 0.0,
         sv_cutoff=sv_cutoff,
+        blas_threads=threads,
     )
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from temcodec import recon
 from temcodec.cli import main
 from temcodec.experiment import PipelineError, load_config, run_experiment
 from temcodec.signals import TWO_PI, Tone
@@ -137,6 +138,9 @@ class TestValidate:
             lambda s: s + "\n[solver]\nquad_tol = inf\n",
             lambda s: s + "\n[solver]\nsv_cutoff = nan\n",
             lambda s: s + "\n[solver]\nsv_cutoff = inf\n",
+            lambda s: s + "\n[solver]\nsv_cutoff = 0\n",
+            lambda s: s + "\n[solver]\nsv_cutoff = 1\n",
+            lambda s: s + "\n[solver]\nsv_cutoff = 2\n",
             lambda s: s + "\n[solver]\nspike_tol = 1e-10\n",  # no longer a key
             lambda s: s + "\n[solver]\nquad_tol = -1e-9\n",
             lambda s: s.replace("window_end = 0.3", "window_end = inf"),
@@ -166,6 +170,7 @@ class TestValidate:
             (lambda s: s.replace("delta = 1/60\n", ""), "missing tem.delta"),
             (lambda s: s.replace("omega_l_hz = 35", "omega_l_hz = abc"), "band.omega_l_hz"),
             (lambda s: s + "\n[solver]\nspike_tol = 1e-10\n", "solver.spike_tol"),
+            (lambda s: s + "\n[solver]\nsv_cutoff = 1\n", "solver.sv_cutoff"),
         ],
     )
     def test_config_error_names_the_key(self, tmp_path, capsys, mangle, key):
@@ -231,6 +236,11 @@ class TestRun:
         report = json.loads((out / "report.json").read_text())
         assert report["schema"] == 2
         assert list(report)[0] == "schema"
+        gram = report["gram"]
+        # cols counts knots; factor_cols is the width 2Q of the factors the solve sees
+        assert gram["factor_cols"] % 2 == 0 and 0 < gram["factor_cols"] < gram["cols"]
+        controls = recon._blas_thread_controls()
+        assert gram["solve_blas_threads"] == (1 if controls is not None else None)
         manifest = {entry["name"]: entry for entry in report["files"]}
         assert set(manifest) == {"spikes.txt", "recon.csv", "psd.csv"}
         import hashlib
@@ -278,6 +288,13 @@ class TestRun:
             for value in ("-1", "0", "nan", "inf", "-inf"):
                 # "--flag=value": argparse reads a separate "-inf" as an option
                 assert run_cli("run", cfg, f"{flag}={value}") == 2, (flag, value)
+        for value in ("1", "2"):
+            assert run_cli("run", cfg, f"--sv-cutoff={value}") == 2, value
+
+    def test_sv_cutoff_flag_error_names_the_key(self, small_run, capsys):
+        _, cfg, _ = small_run
+        assert run_cli("run", cfg, "--sv-cutoff=1") == 2
+        assert "solver.sv_cutoff" in capsys.readouterr().err
 
 
 class TestPnsRun:

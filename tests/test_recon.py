@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +134,13 @@ class TestGramLowpass:
         periods=st.lists(st.floats(min_value=0.01, max_value=4.0), min_size=1, max_size=10),
         start=st.floats(min_value=-1.0, max_value=1.0),
     )
+    # short records, where the plain rule needs fewer nodes than the mapped one:
+    # one 65 Hz interval of 0.1 ms, 1 ms, 10 ms and 0.1 s, and five short gaps
+    @example(quad_tol=1e-9, omega=TWO_PI * 65.0, periods=[0.0065], start=0.0)
+    @example(quad_tol=1e-12, omega=TWO_PI * 65.0, periods=[0.065], start=0.3)
+    @example(quad_tol=1e-9, omega=TWO_PI * 65.0, periods=[0.65], start=-0.2)
+    @example(quad_tol=1e-6, omega=TWO_PI * 65.0, periods=[6.5], start=0.0)
+    @example(quad_tol=1e-12, omega=TWO_PI * 65.0, periods=[0.01, 0.2, 0.05, 0.3, 0.02], start=0.7)
     def test_entries_within_quad_tol_of_closed_form(self, quad_tol, omega, periods, start):
         # spike gaps from a hundredth of a kernel period 2*pi/omega to four periods
         times = start + (TWO_PI / omega) * np.concatenate([[0.0], np.cumsum(periods)])
@@ -238,8 +246,19 @@ class TestMappedRule:
 
     def test_preset_factor_widths(self, preset_systems):
         # the plain Gauss-Legendre rule needs 468 and 254 columns
-        assert preset_systems["single_channel"][0].left.shape[1] <= 380
-        assert preset_systems["two_channel"][0].left.shape[1] <= 230
+        assert preset_systems["single_channel"][0].left.shape[1] == 370
+        assert preset_systems["two_channel"][0].left.shape[1] == 226
+
+    @pytest.mark.parametrize("span", [1e-4, 1e-3, 1e-2, 0.1, 0.3, 0.4, 2.0])
+    def test_each_segment_takes_the_smaller_order(self, span):
+        # one 65 Hz interval: the plain rule wins below about 0.35 s, the map above
+        omega = TWO_PI * 65.0
+        params = TemParams(1.0, 0.002, 3.0, 0.0)
+        train = SpikeTrain(np.array([0.0, span]), "single", params, (0.0, span))
+        bound = (omega, span / np.pi, span, recon.DEFAULT_QUAD_TOL)
+        plain, mapped = recon._gl_order(*bound, mapped=False), recon._gl_order(*bound)
+        assert (plain < mapped) == (span < 0.35)
+        assert build_gram_lowpass(train, omega).left.shape[1] == 2 * min(plain, mapped)
 
     def test_import_and_config_loading_leave_the_ellipse_cache_empty(self):
         probe = (
@@ -340,6 +359,11 @@ class TestGramBandpass:
         quad_tol=st.sampled_from([1e-6, 1e-9, 1e-11]),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
+    # records of 4 and 8 merged spikes (spans of 20 and 50 ms), where both
+    # segments take the plain rule
+    @example(omega_l_hz=35.0, bandwidth_hz=30.0, span=0.02, quad_tol=1e-9, seed=0)
+    @example(omega_l_hz=35.0, bandwidth_hz=30.0, span=0.05, quad_tol=1e-11, seed=3)
+    @example(omega_l_hz=5.0, bandwidth_hz=40.0, span=0.02, quad_tol=1e-6, seed=0)
     def test_entries_within_quad_tol_of_si_ci_closed_form(
         self, omega_l_hz, bandwidth_hz, span, quad_tol, seed
     ):
@@ -448,7 +472,92 @@ class TestGramBandpass:
             build_gram_bandpass(merged, band_35_65, quad_tol=quad_tol)
 
 
+@pytest.fixture
+def blas_threads():
+    """Set numpy's OpenBLAS thread count for the test, restoring it after; skips
+    where the solve finds no thread controls."""
+    controls = recon._blas_thread_controls()
+    if controls is None:
+        pytest.skip("no OpenBLAS thread controls in this numpy")
+    get, put = controls
+    before = get()
+    yield get, put
+    put(before)
+
+
 class TestSolve:
+    @pytest.mark.parametrize("sv_cutoff", [0.0, -1.0, 1.0, 2.0, float("nan"), float("inf")])
+    def test_cutoff_outside_unit_interval_rejected(self, sv_cutoff):
+        rng = np.random.RandomState(3)
+        system = GramSystem(rng.randn(8, 3) @ rng.randn(3, 8), np.eye(8), rng.randn(8),
+                            "lowpass", np.arange(8.0), omega=1.0)
+        with pytest.raises(ValueError, match="sv_cutoff"):
+            solve_coefficients(system, sv_cutoff=sv_cutoff)
+
+    @pytest.mark.parametrize("preset", ["single_channel", "two_channel"])
+    def test_coefficients_independent_of_caller_blas_threads(
+        self, preset_systems, blas_threads, preset
+    ):
+        system, sv_cutoff = preset_systems[preset]
+        _, put = blas_threads
+        solutions = []
+        for threads in (1, 2):
+            put(threads)
+            solutions.append(solve_coefficients(system, sv_cutoff=sv_cutoff))
+        one, two = solutions
+        assert one.blas_threads == two.blas_threads == 1
+        assert np.array_equal(one.coefficients, two.coefficients)
+        assert (one.residual_norm, one.sigma_max) == (two.residual_norm, two.sigma_max)
+
+    def test_caller_blas_threads_restored(self, blas_threads):
+        get, put = blas_threads
+        put(2)
+        q = np.array([3.0, -1.0, 0.5])
+        solve_coefficients(GramSystem(np.eye(3), np.eye(3), q, "lowpass", np.arange(3.0), omega=1.0))
+        assert get() == 2
+        with pytest.raises(DegenerateSystemError):
+            solve_coefficients(GramSystem(np.zeros((3, 3)), np.eye(3), q, "lowpass",
+                                          np.arange(3.0), omega=1.0))
+        assert get() == 2
+
+    def test_concurrent_solves_restore_caller_blas_threads(self, blas_threads):
+        get, put = blas_threads
+        put(2)
+        rng = np.random.RandomState(5)
+        system = GramSystem(rng.randn(40, 12), rng.randn(30, 12), rng.randn(40), "lowpass",
+                            np.arange(30.0), omega=1.0)
+        expect = solve_coefficients(system).coefficients
+        results, errors = [], []
+
+        def work():
+            try:
+                for _ in range(25):
+                    results.append(solve_coefficients(system).coefficients)
+            except Exception as exc:  # reported through the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work) for _ in range(4)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers) and not errors
+        assert len(results) == 100 and all(np.array_equal(r, expect) for r in results)
+        assert get() == 2
+
+    def test_without_thread_controls_solves_on_caller_threads(self, monkeypatch):
+        monkeypatch.setattr(recon, "_blas_thread_controls", lambda: None)
+        q = np.array([3.0, -1.0, 0.5])
+        sol = solve_coefficients(GramSystem(np.eye(3), np.eye(3), q, "lowpass",
+                                            np.arange(3.0), omega=1.0))
+        assert sol.blas_threads is None
+        assert np.allclose(sol.coefficients, q, atol=1e-14)
+
     def test_identity_system(self):
         q = np.array([3.0, -1.0, 0.5])
         system = GramSystem(np.eye(3), np.eye(3), q, "lowpass", np.arange(3.0), omega=1.0)
@@ -546,17 +655,22 @@ class TestSolve:
     @pytest.mark.parametrize("preset, rank", [("single_channel", 273), ("two_channel", 142)])
     def test_reflector_solve_matches_explicit_q(self, preset_systems, preset, rank):
         system, sv_cutoff = preset_systems[preset]
-        # reference: the same solve with Q_right formed and multiplied out
+        # reference: the same solve with Q_right formed and multiplied out, its
+        # core solved the same way on the same one BLAS thread; the cutoff
+        # admits a condition number of 1/sv_cutoff, which amplifies the rounding
+        # differences of another core solver or thread count past the tolerance
         left, right, rhs = system.left, system.right, system.rhs
         inner = min(left.shape)
-        r_aug = np.linalg.qr(np.column_stack([left, rhs]), mode="r")
-        q_right, r_right = np.linalg.qr(right)
-        u, sv, vt = np.linalg.svd(r_aug[:inner, :-1] @ r_right.T, full_matrices=False)
-        keep = sv >= sv_cutoff * sv[0]
-        expect = q_right @ (vt[keep].T @ ((u[:, keep].T @ r_aug[:inner, -1]) / sv[keep]))
+        with recon._one_blas_thread():
+            r_aug = np.linalg.qr(np.column_stack([left, rhs]), mode="r")
+            q_right, r_right = np.linalg.qr(right)
+            core, _, rank_ref, _ = np.linalg.lstsq(
+                r_aug[:inner, :-1] @ r_right.T, r_aug[:inner, -1], rcond=sv_cutoff
+            )
+            expect = q_right @ core
         first = solve_coefficients(system, sv_cutoff=sv_cutoff)
         again = solve_coefficients(system, sv_cutoff=sv_cutoff)
-        assert first.effective_rank == np.count_nonzero(keep) == rank
+        assert first.effective_rank == rank_ref == rank
         assert np.max(np.abs(first.coefficients - expect)) <= 1e-12 * np.linalg.norm(expect)
         assert np.array_equal(first.coefficients, again.coefficients)
 
