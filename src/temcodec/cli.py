@@ -21,6 +21,7 @@ from pathlib import Path
 from .experiment import (
     ConfigError,
     PipelineError,
+    checked_sv_cutoff,
     compare_runs,
     load_config,
     run_experiment,
@@ -63,11 +64,7 @@ def _cmd_run(args) -> int:
                 raise ConfigError(f"--quad-tol must be positive and finite, got {args.quad_tol}")
             cfg.quad_tol = args.quad_tol
         if args.sv_cutoff is not None:
-            if not 0 < args.sv_cutoff < 1:
-                raise ConfigError(
-                    f"--sv-cutoff (solver.sv_cutoff) must lie in (0, 1), got {args.sv_cutoff}"
-                )
-            cfg.sv_cutoff = args.sv_cutoff
+            cfg.sv_cutoff = checked_sv_cutoff(args.sv_cutoff)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

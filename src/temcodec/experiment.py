@@ -190,6 +190,16 @@ def _build_signal(section) -> tuple:
     return sig, desc
 
 
+def checked_sv_cutoff(value: float) -> float:
+    """``value``, or a :class:`ConfigError` naming ``solver.sv_cutoff`` where
+    :func:`recon.check_sv_cutoff` rejects it."""
+    try:
+        recon.check_sv_cutoff(value)
+    except ValueError as exc:
+        raise ConfigError(f"solver.sv_cutoff: {exc}") from None
+    return value
+
+
 def load_config(path) -> ExperimentConfig:
     """Parse and fully validate an experiment config file.
 
@@ -233,10 +243,8 @@ def load_config(path) -> ExperimentConfig:
         sig, desc = _build_signal(sections["signal"])
 
         solver = sections.get("solver", _Section("solver", {}))
-        sv_cutoff = solver.num("sv_cutoff", "1e-8")
+        sv_cutoff = checked_sv_cutoff(solver.num("sv_cutoff", "1e-8"))
         quad_tol = solver.num("quad_tol", "1e-9")
-        if not 0 < sv_cutoff < 1:
-            raise ConfigError(f"solver.sv_cutoff must lie in (0, 1), got {sv_cutoff}")
         if not quad_tol > 0:
             raise ConfigError(f"solver.quad_tol must be positive, got {quad_tol}")
         pair_anchor = str(solver.get("pair_anchor", "even")).strip()

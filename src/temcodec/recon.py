@@ -29,12 +29,11 @@ derived from those segments:
   the record span, so an a-priori error bound fixes each rule's order at
   ``quad_tol`` per entry; it grows with the span (185 nodes, 370 columns,
   for the 779 rows of the 2 s single-channel preset; the plain rule needs
-  234, and is kept on short records where it needs fewer).  The solve
-  never forms ``G``: a QR of each factor reduces it to a truncated least
-  squares problem on a small core (the trigonometric-space view of TEM
-  decoding of Lazar & Pnevmatikakis, *EURASIP J. Adv. Signal Process.*,
-  2009, applied here to the paper's own Gram matrix), solved on one BLAS
-  thread.
+  234).  The solve never forms ``G``: a QR of each factor reduces it to a
+  truncated least squares problem on a small core (the trigonometric-space
+  view of TEM decoding of Lazar & Pnevmatikakis, *EURASIP J. Adv. Signal
+  Process.*, 2009, applied here to the paper's own Gram matrix), solved on
+  one BLAS thread.
 * Evaluation: :func:`evaluate_model`, the single evaluator for both
   families and for PNS records (:func:`temcodec.pns.reconstruct_pns`
   builds a bandpass model), writes the model as ``cos(a*t)`` and
@@ -286,25 +285,22 @@ def _ellipse_maxima():
     return maxima
 
 
-def _gl_order(h: float, k_max: float, a_max: float, tol: float, mapped: bool = True) -> int:
-    """Least order of the Gauss-Legendre rule that meets ``tol`` on a length-``h`` interval.
+def _gl_order(h: float, k_max: float, a_max: float, tol: float) -> int:
+    """Least order of the mapped Gauss-Legendre rule that meets ``tol`` on a length-``h`` interval.
 
-    The mapped rule integrates ``f`` over ``[c - h/2, c + h/2]`` as the plain
-    rule in ``x`` on ``[-1, 1]`` applied to ``(h/2)*g'(x)*f(c + (h/2)*g(x))``
-    (see :func:`_sausage`); ``mapped=False`` takes ``g(x) = x``, the plain
-    rule.  ``f`` is entire with ``|f(z)| <= k_max*exp(a_max*|Im z|)``, so on
-    the Bernstein ellipse ``E_rho`` the integrand in ``x`` is at most
+    The rule integrates ``f`` over ``[c - h/2, c + h/2]`` as the plain rule in
+    ``x`` on ``[-1, 1]`` applied to ``(h/2)*g'(x)*f(c + (h/2)*g(x))`` (see
+    :func:`_sausage`).  ``f`` is entire with ``|f(z)| <= k_max*exp(a_max*|Im z|)``,
+    so on the Bernstein ellipse ``E_rho`` the mapped integrand is at most
     ``(h/2)*M`` with ``M = k_max*exp(a_max*(h/2)*max|Im g|)*max|g'|``
-    (:func:`_ellipse_maxima`; for ``g(x) = x``, ``max|Im g| = (rho -
-    1/rho)/2`` and ``g' = 1``), and an ``m``-point rule errs by at most
+    (:func:`_ellipse_maxima`), and an ``m``-point rule errs by at most
     ``(h/2)*(64/15)*M*rho**(-2*(m - 1))/(rho**2 - 1)`` (Trefethen,
     *Approximation Theory and Approximation Practice*, Thm 19.3).  Each
     ``rho`` of the grid gives the least ``m`` meeting ``tol``; the order is
-    the smallest of those, and at least 2.
+    the smallest of those, and at least 2.  With ``g(x) = x`` this is the
+    plain rule's bound.
     """
     rho, im_max, dg_max = _ellipse_maxima()
-    if not mapped:
-        im_max, dg_max = 0.5 * (rho - 1.0 / rho), 1.0
     log_scale = math.log(0.5 * h * (64.0 / 15.0) * k_max)
     log_rest = 0.5 * a_max * h * im_max + np.log(dg_max) - np.log(rho * rho - 1.0)
     needed = 1.0 + (log_scale + log_rest - math.log(tol)) / (2.0 * np.log(rho))
@@ -315,13 +311,10 @@ def _spectral_factors(starts, ends, knots, segments, quad_tol: float):
     """Factors ``(A, B)`` with ``(A @ B.T)[r, l] = integral_{starts[r]}^{ends[r]} kernel_l(u) du``.
 
     Knot ``l``'s kernel is given by ``segments`` (see :func:`_kernel_segments`)
-    at offsets ``u - knots[l]``.  Each segment's ``nu`` integral is one
-    Gauss-Legendre rule.  Where the mapped rule needs fewer nodes than the
-    plain one, the Legendre nodes ``x_j`` and weights ``c_j`` on ``[-1, 1]``
-    become ``g(x_j)`` and ``c_j*g'(x_j)`` (:func:`_sausage`); on short
-    records, whose integrands vary little over the segment, the plain rule
-    needs fewer and is kept.  Then nodes and weights are scaled to the
-    segment as nodes ``nu_j`` and weights ``q_j``.
+    at offsets ``u - knots[l]``.  Each segment's ``nu`` integral is one mapped
+    Gauss-Legendre rule: the Legendre nodes ``x_j`` and weights ``c_j`` on
+    ``[-1, 1]`` become ``g(x_j)`` and ``c_j*g'(x_j)`` (:func:`_sausage`), then
+    are scaled to the segment as nodes ``nu_j`` and weights ``q_j``.
     Splitting the cosine gives per node the column pair
 
     * ``A[r] = q_j*2h_r*sinc(nu_j*h_r)*[cos, sin](nu_j*m_r)``, the exact
@@ -332,11 +325,9 @@ def _spectral_factors(starts, ends, knots, segments, quad_tol: float):
     Times are measured from the record midpoint.  In ``nu`` an entry is entire
     and bounded by ``|w|*2h*exp(span*|Im nu|)`` (``span`` the record span), so
     :func:`_gl_order` fixes each segment's order at an equal share of
-    ``quad_tol``: 185 mapped nodes for the 2 s single-channel preset, 43 and
-    70 for the two segments of the two-channel one (the plain rule needs
-    234, and 46 and 81).  On one 65 Hz lowpass interval the plain rule wins
-    below spans of about 0.35 s: 4 nodes against 9 mapped at 0.1 ms, 23
-    against 29 at 0.1 s.  Empty segments are skipped.
+    ``quad_tol``: 185 for the 2 s single-channel preset, 43 and 70 for the
+    two segments of the two-channel one (the plain rule needs 234, and 46
+    and 81).  Empty segments are skipped.
     """
     if not quad_tol > 0.0:
         raise ValueError(f"quad_tol must be positive, got {quad_tol}")
@@ -346,21 +337,18 @@ def _spectral_factors(starts, ends, knots, segments, quad_tol: float):
     mid = 0.5 * (ends + starts) - centre
     s = knots - centre
     segments = [seg for seg in segments if seg[1] > seg[0]]
-    rules = []  # (order, mapped) per segment
-    for lo, hi, w, _ in segments:
-        bound = (hi - lo, 2.0 * float(np.max(half)) * float(np.max(np.abs(w))), span,
-                 quad_tol / len(segments))
-        plain, mapped = _gl_order(*bound, mapped=False), _gl_order(*bound)
-        rules.append((mapped, True) if mapped < plain else (plain, False))
-    width = 2 * sum(order for order, _ in rules)
-    left = np.empty((half.size, width))
-    right = np.empty((s.size, width))
+    orders = [
+        _gl_order(hi - lo, 2.0 * float(np.max(half)) * float(np.max(np.abs(w))), span,
+                  quad_tol / len(segments))
+        for lo, hi, w, _ in segments
+    ]
+    left = np.empty((half.size, 2 * sum(orders)))
+    right = np.empty((s.size, 2 * sum(orders)))
     col = 0
-    for (lo, hi, w, psi), (order, mapped) in zip(segments, rules):
+    for (lo, hi, w, psi), order in zip(segments, orders):
         nodes, weights = np.polynomial.legendre.leggauss(order)
-        if mapped:
-            nodes, stretch = _sausage(nodes)
-            weights *= stretch
+        nodes, stretch = _sausage(nodes)
+        weights *= stretch
         nu = 0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes
         cos_cols, sin_cols = slice(col, col + order), slice(col + order, col + 2 * order)
         col += 2 * order
@@ -472,8 +460,9 @@ def _blas_thread_controls():
 
 
 # held while the process-wide BLAS thread count is pinned, so that pinned blocks
-# in several Python threads cannot save one another's pinned count as the caller's
-_PIN_LOCK = threading.Lock()
+# in several Python threads cannot save one another's pinned count as the caller's;
+# reentrant, so a solve inside a pinned block saves 1 and the outer block restores
+_PIN_LOCK = threading.RLock()
 
 
 @contextlib.contextmanager
@@ -483,7 +472,8 @@ def _one_blas_thread():
     Yields 1 when pinned and ``None`` when no OpenBLAS controls were found,
     in which case the block runs on the caller's threads.  The count is
     process-wide: BLAS calls from other Python threads run single-threaded
-    meanwhile, and pinned blocks in several threads run one at a time.
+    meanwhile, and pinned blocks in several threads run one at a time.  A
+    block nested in another on the same thread stays pinned.
     """
     controls = _blas_thread_controls()
     if controls is None:
@@ -497,6 +487,16 @@ def _one_blas_thread():
             yield 1
         finally:
             put(before)
+
+
+def check_sv_cutoff(sv_cutoff: float) -> None:
+    """Raise ``ValueError`` unless ``0 < sv_cutoff < 1`` (NaN fails too).
+
+    ``gelsd`` would silently replace a cutoff outside that interval by
+    machine epsilon, keeping noise singular values.
+    """
+    if not 0.0 < sv_cutoff < 1.0:
+        raise ValueError(f"sv_cutoff must lie in (0, 1), got {sv_cutoff}")
 
 
 def solve_coefficients(system: GramSystem, sv_cutoff: float = DEFAULT_SV_CUTOFF) -> SolveResult:
@@ -522,12 +522,11 @@ def solve_coefficients(system: GramSystem, sv_cutoff: float = DEFAULT_SV_CUTOFF)
     ``blas_threads`` is ``None``.  Deterministic: solving the same system
     twice is bit-identical.
 
-    Raises ``ValueError`` unless ``0 < sv_cutoff < 1`` (``gelsd`` would
-    silently replace such a cutoff), and :class:`DegenerateSystemError`
-    when no singular value is kept.
+    Raises ``ValueError`` unless ``0 < sv_cutoff < 1``
+    (:func:`check_sv_cutoff`), and :class:`DegenerateSystemError` when no
+    singular value is kept.
     """
-    if not 0.0 < sv_cutoff < 1.0:
-        raise ValueError(f"sv_cutoff must lie in (0, 1), got {sv_cutoff}")
+    check_sv_cutoff(sv_cutoff)
     left, right, rhs = system.left, system.right, system.rhs
     inner = min(left.shape)
     with _one_blas_thread() as threads:
