@@ -54,8 +54,6 @@ from .recon import (
     evaluate_model,
     knots_and_shifts,
     model_from,
-    reconstruct_bandpass,
-    reconstruct_lowpass,
     solve_coefficients,
 )
 from .experiment import (

@@ -7,9 +7,10 @@ and both signal traces are snapped to their 12-significant-digit file
 representation before any downstream use, so every emitted file parses
 back to exactly the arrays the pipeline used, and the metrics recomputed
 from ``recon.csv`` equal the report's.  :func:`_snap` passes each value
-through ``tem.snap_time`` as a Python float; :func:`_write_csv` formats
-``CSV_CHUNK_ROWS`` rows per ``%`` operation from Python numbers, so the
-text of the whole table never sits in memory at once.
+through ``tem.snap_time`` as a Python float and :func:`_write_csv` formats
+``CSV_CHUNK_ROWS`` rows per ``%`` operation from Python numbers; both walk
+their arrays ``CSV_CHUNK_ROWS`` values at a time, so neither a whole column
+as Python floats nor the text of the whole table sits in memory at once.
 
 Emitted per run: a spike-train file (or PNS sample file), the
 reconstruction trace ``recon.csv`` (``t,x_true,x_hat,abs_err``), a
@@ -56,8 +57,9 @@ __all__ = [
 ]
 
 MODES = ("single_tem", "two_tem", "pns")
-# rows formatted per write in _write_csv: bounds the memory of the row text
-CSV_CHUNK_ROWS = 4096
+# values snapped per slice in _snap and rows formatted per write in _write_csv:
+# bounds the Python floats and row text alive at once
+CSV_CHUNK_ROWS = 1024
 
 
 class ConfigError(ValueError):
@@ -331,12 +333,19 @@ class ExperimentReport:
 def _snap(values) -> np.ndarray:
     """Float array ``values`` snapped one by one to their 12-significant-digit file form.
 
-    Each value goes through ``tem.snap_time``, looked up on the module when
-    the call starts so a patched ``snap_time`` sees every value, as a Python
-    float from ``tolist()``: formatting a Python float is cheaper than
-    formatting an ``np.float64``.
+    Each value goes through one ``tem.snap_time`` call, in order; the
+    function is looked up on the module when the call starts, so a patched
+    ``snap_time`` sees every value.  The input is walked ``CSV_CHUNK_ROWS``
+    values at a time, each slice taken as Python floats with ``tolist()``
+    (formatting a Python float is cheaper than formatting an
+    ``np.float64``), so no more than one slice of them is alive at once.
     """
-    return np.fromiter(map(tem.snap_time, values.tolist()), dtype=float, count=values.size)
+    snap = tem.snap_time
+    out = np.empty(values.size)
+    for start in range(0, values.size, CSV_CHUNK_ROWS):
+        chunk = values[start:start + CSV_CHUNK_ROWS].tolist()
+        out[start:start + len(chunk)] = np.fromiter(map(snap, chunk), dtype=float, count=len(chunk))
+    return out
 
 
 def _snap_grid(window, step):

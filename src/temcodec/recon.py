@@ -80,15 +80,17 @@ __all__ = [
     "solve_coefficients",
     "evaluate_model",
     "model_from",
-    "reconstruct_lowpass",
-    "reconstruct_bandpass",
 ]
 
 DEFAULT_SV_CUTOFF = 1e-8
 DEFAULT_QUAD_TOL = 1e-9
-# entries of one 1/(t - s) block in evaluate_model (4 MB): a chunk of a box's
-# points against its near knots, or its Chebyshev points against far knots
-EVAL_CHUNK_ELEMENTS = 1 << 19
+# entries of one 1/(t - s) block in evaluate_model: a chunk of a box's points
+# against its near knots, or its Chebyshev points against far knots.  1 MiB of
+# float64, half the 2 MiB per-core L2 cache of the x86-64 host it was measured
+# on, so a block stays in cache from subtraction through reciprocal to product.
+# One block is live at a time: each is inverted in place and released before
+# the next is made, so the evaluator's memory is bounded by this budget.
+EVAL_CHUNK_ELEMENTS = 1 << 17
 # fixed cost of one evaluate_model box in direct 1/(t - s) terms: its numpy call
 # overhead measured 150-170 us against about 3 ns per term of a 1/(t - s) block
 # times its weights, on a 2-core x86-64 host
@@ -663,7 +665,8 @@ def _cauchy_sums(x: np.ndarray, s: np.ndarray, weights: np.ndarray) -> np.ndarra
     out = np.zeros((x.size, weights.shape[1]))
     cols = max(1, EVAL_CHUNK_ELEMENTS // x.size)
     for lo in range(0, s.size, cols):
-        out += (1.0 / np.subtract.outer(x, s[lo:lo + cols])) @ weights[lo:lo + cols]
+        d = np.subtract.outer(x, s[lo:lo + cols])
+        out += np.reciprocal(d, out=d) @ weights[lo:lo + cols]
     return out
 
 
@@ -756,6 +759,7 @@ def evaluate_model(model: ReconModel, t):
             recip[pair_row, pair_col] = np.inf  # 1/inf = 0 drops the near pairs
             np.reciprocal(recip, out=recip)
             sums = recip @ w_near
+            del recip  # released before the next chunk's block is made
             if nodes is not None:
                 sums += _barycentric(block, nodes) @ far
             idx = i0 + pair_col
@@ -790,28 +794,3 @@ def evaluate_model(model: ReconModel, t):
         out[finite] = values
         values = out
     return values.reshape(t_in.shape) if t_in.ndim else float(values[0])
-
-
-def reconstruct_lowpass(
-    train: SpikeTrain,
-    omega: float,
-    quad_tol: float = DEFAULT_QUAD_TOL,
-    sv_cutoff: float = DEFAULT_SV_CUTOFF,
-):
-    """Assemble, solve and package a lowpass model; returns (model, system, solution)."""
-    system = build_gram_lowpass(train, omega, quad_tol=quad_tol)
-    solution = solve_coefficients(system, sv_cutoff=sv_cutoff)
-    return model_from(system, solution), system, solution
-
-
-def reconstruct_bandpass(
-    merged: MergedTrain,
-    band: BandSpec,
-    quad_tol: float = DEFAULT_QUAD_TOL,
-    sv_cutoff: float = DEFAULT_SV_CUTOFF,
-    anchor: str = "even",
-):
-    """Assemble, solve and package a bandpass model; returns (model, system, solution)."""
-    system = build_gram_bandpass(merged, band, quad_tol=quad_tol, anchor=anchor)
-    solution = solve_coefficients(system, sv_cutoff=sv_cutoff)
-    return model_from(system, solution), system, solution

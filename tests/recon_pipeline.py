@@ -1,0 +1,30 @@
+"""Assemble, solve and package a reconstruction model in one call, for tests.
+
+The experiment pipeline runs these steps itself, stage by stage; tests that
+only need the solved model and its system call these.
+"""
+
+from temcodec.recon import (
+    DEFAULT_QUAD_TOL,
+    DEFAULT_SV_CUTOFF,
+    build_gram_bandpass,
+    build_gram_lowpass,
+    model_from,
+    solve_coefficients,
+)
+
+
+def reconstruct_lowpass(train, omega, quad_tol=DEFAULT_QUAD_TOL, sv_cutoff=DEFAULT_SV_CUTOFF):
+    """Assemble, solve and package a lowpass model; returns (model, system, solution)."""
+    system = build_gram_lowpass(train, omega, quad_tol=quad_tol)
+    solution = solve_coefficients(system, sv_cutoff=sv_cutoff)
+    return model_from(system, solution), system, solution
+
+
+def reconstruct_bandpass(
+    merged, band, quad_tol=DEFAULT_QUAD_TOL, sv_cutoff=DEFAULT_SV_CUTOFF, anchor="even"
+):
+    """Assemble, solve and package a bandpass model; returns (model, system, solution)."""
+    system = build_gram_bandpass(merged, band, quad_tol=quad_tol, anchor=anchor)
+    solution = solve_coefficients(system, sv_cutoff=sv_cutoff)
+    return model_from(system, solution), system, solution

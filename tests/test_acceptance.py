@@ -27,10 +27,10 @@ from temcodec.pns import PnsGrid, reconstruct_pns, sample_pns
 from temcodec.recon import (
     GramSystem,
     build_gram_bandpass,
-    reconstruct_bandpass,
-    reconstruct_lowpass,
     solve_coefficients,
 )
+
+from recon_pipeline import reconstruct_bandpass, reconstruct_lowpass
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 WINDOW = (-1.0, 1.0)

@@ -366,18 +366,31 @@ class TestOutputHelpers:
         assert path.read_bytes() == expect.encode("ascii")
         assert len(path.read_text().splitlines()) == n + 1
 
-    def test_snap_equals_per_value_snap_time(self):
-        from temcodec.experiment import _snap
-        from temcodec.tem import snap_time
+    # sizes 0, 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1 and 3*CSV_CHUNK_ROWS + 7
+    @pytest.mark.parametrize("chunks, extra", [(0, 0), (0, 1), (1, 0), (1, 1), (3, 7)])
+    def test_snap_equals_per_value_snap_time(self, monkeypatch, chunks, extra):
+        from temcodec import tem
+        from temcodec.experiment import CSV_CHUNK_ROWS, _snap
 
-        rng = np.random.default_rng(3)
-        values = np.concatenate(
-            (EDGE_VALUES, rng.standard_normal(500) * 10.0 ** rng.integers(-320, 300, 500)))
+        n = chunks * CSV_CHUNK_ROWS + extra
+        rng = np.random.default_rng(n)
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
+        values[: len(EDGE_VALUES)] = EDGE_VALUES[:n]
+        expect = np.array([tem.snap_time(v) for v in values], dtype=float)
+        seen = []
+        real = tem.snap_time
+
+        def counting(v):
+            seen.append(v)
+            return real(v)
+
+        monkeypatch.setattr(tem, "snap_time", counting)
         snapped = _snap(values)
-        expect = np.array([snap_time(v) for v in values])
         assert snapped.dtype == np.float64 and snapped.shape == values.shape
         assert snapped.tobytes() == expect.tobytes()
-        assert _snap(np.empty(0)).shape == (0,)
+        # one snap_time call per value, in order
+        assert len(seen) == n
+        assert np.array_equal(seen, values, equal_nan=True)
 
     def test_csv_rows_format_each_value_to_12_digits(self, tmp_path):
         from temcodec.experiment import _write_csv

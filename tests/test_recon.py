@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,10 +27,10 @@ from temcodec.recon import (
     evaluate_model,
     knots_and_shifts,
     model_from,
-    reconstruct_bandpass,
-    reconstruct_lowpass,
     solve_coefficients,
 )
+
+from recon_pipeline import reconstruct_bandpass, reconstruct_lowpass
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -793,6 +794,43 @@ class TestModel:
         model, t = boxed
         perm = np.random.default_rng(6).permutation(t.size)
         assert np.array_equal(evaluate_model(model, t[perm]), evaluate_model(model, t)[perm])
+
+    @pytest.fixture(scope="class")
+    def dense(self):
+        """A lowpass model of 358 knots and 2,300 points that the evaluator takes as one box."""
+        rng = np.random.default_rng(7)
+        knots = rng.uniform(-1.0, 1.0, 358)
+        model = ReconModel("lowpass", knots, rng.uniform(-1.0, 1.0, 358), omega=TWO_PI * 65.0)
+        t = np.linspace(-1.0, 1.0, 2300)
+        assert recon._box_edges(t, np.sort(knots), 1.0 / 130.0) is None
+        return model, t
+
+    def test_dense_box_holds_one_block_at_a_time(self, dense):
+        model, t = dense
+        budget = 8 * recon.EVAL_CHUNK_ELEMENTS  # bytes of one 1/(t - s) block
+        # the box's first two chunks of points together outweigh the bound, so
+        # holding one chunk's block while making the next would fail the test
+        rows = recon.EVAL_CHUNK_ELEMENTS // model.knot_times.size
+        assert 8 * min(2 * rows, t.size) * model.knot_times.size > 1.5 * budget
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            evaluate_model(model, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 1.5 * budget
+
+    @pytest.mark.parametrize("case", ["dense", "boxed"])
+    def test_small_budget_matches_default(self, request, monkeypatch, case):
+        # 1,000 elements: a chunk of a few points, so near pairs straddle chunk
+        # edges, and far fields of up to 343 knots (boxed) cut into 41-knot
+        # column chunks of _cauchy_sums
+        model, t = request.getfixturevalue(case)
+        expect = evaluate_model(model, t)
+        monkeypatch.setattr(recon, "EVAL_CHUNK_ELEMENTS", 1000)
+        got = evaluate_model(model, t)
+        assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
     def test_unknown_kind_rejected(self):
         model = ReconModel("highpass", np.array([0.0]), np.array([1.0]), omega=1.0)
