@@ -14,14 +14,10 @@ from .signals import (
     ModulatedTone,
     QuadratureError,
     SignalSum,
-    SincTone,
     Tone,
-    band_spec_from_edges,
     integrate,
-    modulated_test_signal,
 )
 from .tem import (
-    AmplitudeIntegralSeq,
     InterleavingError,
     MergedTrain,
     SpikeTrain,
@@ -35,16 +31,14 @@ from .tem import (
     write_spike_file,
 )
 from .pns import (
-    DegenerateShiftError,
     PnsGrid,
     PnsSamples,
-    kernel_gbp,
     reconstruct_pns,
     sample_pns,
-    shift_is_degenerate,
 )
 from .recon import (
     BandpassKnots,
+    DegenerateShiftError,
     DegenerateSystemError,
     GramSystem,
     ReconModel,
@@ -52,8 +46,10 @@ from .recon import (
     build_gram_bandpass,
     build_gram_lowpass,
     evaluate_model,
+    kernel_gbp,
     knots_and_shifts,
     model_from,
+    shift_is_degenerate,
     solve_coefficients,
 )
 from .experiment import (

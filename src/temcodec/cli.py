@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
 from .experiment import (
     ConfigError,
     PipelineError,
-    checked_sv_cutoff,
+    checked_solver_setting,
     compare_runs,
     load_config,
     run_experiment,
@@ -59,12 +58,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
-        if args.quad_tol is not None:
-            if not (args.quad_tol > 0 and math.isfinite(args.quad_tol)):
-                raise ConfigError(f"--quad-tol must be positive and finite, got {args.quad_tol}")
-            cfg.quad_tol = args.quad_tol
-        if args.sv_cutoff is not None:
-            cfg.sv_cutoff = checked_sv_cutoff(args.sv_cutoff)
+        for key in ("quad_tol", "sv_cutoff"):
+            value = getattr(args, key)
+            if value is not None:
+                setattr(cfg, key, checked_solver_setting(key, value))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -43,7 +43,6 @@ from .signals import (
     SignalSum,
     Tone,
     TWO_PI,
-    band_spec_from_edges,
 )
 
 __all__ = [
@@ -192,13 +191,17 @@ def _build_signal(section) -> tuple:
     return sig, desc
 
 
-def checked_sv_cutoff(value: float) -> float:
-    """``value``, or a :class:`ConfigError` naming ``solver.sv_cutoff`` where
-    :func:`recon.check_sv_cutoff` rejects it."""
+# the recon check of each solver setting that a config key or a run flag can set
+_SOLVER_CHECKS = {"quad_tol": recon.check_quad_tol, "sv_cutoff": recon.check_sv_cutoff}
+
+
+def checked_solver_setting(key: str, value: float) -> float:
+    """``value``, or a :class:`ConfigError` naming ``solver.<key>`` where
+    its recon check (:data:`_SOLVER_CHECKS`) rejects it."""
     try:
-        recon.check_sv_cutoff(value)
+        _SOLVER_CHECKS[key](value)
     except ValueError as exc:
-        raise ConfigError(f"solver.sv_cutoff: {exc}") from None
+        raise ConfigError(f"solver.{key}: {exc}") from None
     return value
 
 
@@ -245,17 +248,15 @@ def load_config(path) -> ExperimentConfig:
         sig, desc = _build_signal(sections["signal"])
 
         solver = sections.get("solver", _Section("solver", {}))
-        sv_cutoff = checked_sv_cutoff(solver.num("sv_cutoff", "1e-8"))
-        quad_tol = solver.num("quad_tol", "1e-9")
-        if not quad_tol > 0:
-            raise ConfigError(f"solver.quad_tol must be positive, got {quad_tol}")
+        sv_cutoff = checked_solver_setting("sv_cutoff", solver.num("sv_cutoff", "1e-8"))
+        quad_tol = checked_solver_setting("quad_tol", solver.num("quad_tol", "1e-9"))
         pair_anchor = str(solver.get("pair_anchor", "even")).strip()
         if pair_anchor not in ("even", "odd"):
             raise ConfigError(f"pair_anchor must be 'even' or 'odd', got {pair_anchor!r}")
 
         band = None
         if "band" in sections:
-            band = band_spec_from_edges(
+            band = BandSpec(
                 TWO_PI * sections["band"].num("omega_l_hz", "35"),
                 TWO_PI * sections["band"].num("omega_u_hz", "65"),
             )
@@ -421,7 +422,7 @@ def _write_csv(path: Path, header: str, columns) -> None:
             fh.write(row_format * len(chunk[0]) % values)
 
 
-def _psd(t_eval, x, step) -> tuple:
+def _psd(x, step) -> tuple:
     """Hann-windowed periodogram of the dense signal trace; plotting aid only."""
     n = x.size
     win = np.hanning(n)
@@ -545,7 +546,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentReport:
             (t_eval, x_true_q, x_hat_q, np.abs(x_true_q - x_hat_q)),
         )
         files.append("recon.csv")
-        freqs, psd_vals = _psd(t_eval, x_true, cfg.grid_step)
+        freqs, psd_vals = _psd(x_true, cfg.grid_step)
         _write_csv(out_path / "psd.csv", "freq_hz,psd", (freqs, psd_vals))
         files.append("psd.csv")
         report["files"] = _manifest(out_path, files)

@@ -9,17 +9,20 @@ with a truncated-SVD pseudo-inverse.
 Two kernel families are supported:
 
 * lowpass: ``sin(omega*t)/(pi*t)`` shifted to each knot;
-* bandpass: the two-channel PNS interpolant of :mod:`temcodec.pns`, with
-  per-knot shifts derived from the interleaved two-channel spike record.
+* bandpass: the two-channel PNS interpolant ``g_bp`` (:func:`kernel_gbp`),
+  with per-knot shifts derived from the interleaved two-channel spike record.
   Knots pair up (one per channel); the pair's first knot carries the
   plain kernel and its partner the time-reversed kernel, mirroring the
   even/odd roles of exact PNS.
 
 :func:`_kernel_segments` describes every knot's kernel once, as spectral
 segments ``w_l * integral_lo^hi cos(nu*(t - s_l) - psi_l) dnu``, and is the
-one place that rejects a degenerate bandpass shift.  Everything else is
-derived from those segments:
+one place that rejects a degenerate bandpass shift
+(:func:`shift_is_degenerate`).  Everything else is derived from those
+segments:
 
+* the kernel ``g_bp`` itself: :func:`kernel_gbp` sums its segments
+  directly (:func:`_segment_kernel`);
 * Gram assembly: one quadrature rule in the frequency ``nu`` per segment
   writes the Gram matrix exactly as ``G = A @ B.T``
   (:func:`_spectral_factors`).  The rule is Gauss-Legendre with its nodes
@@ -66,9 +69,11 @@ from .signals import BandSpec, sinc_pi
 # patches and restores the name recon.integrate_columns, so it stays importable.
 from .signals import integrate_columns  # noqa: F401
 from .tem import MergedTrain, SpikeTrain, amplitude_integrals
-from .pns import DegenerateShiftError, shift_is_degenerate
 
 __all__ = [
+    "DegenerateShiftError",
+    "shift_is_degenerate",
+    "kernel_gbp",
     "BandpassKnots",
     "GramSystem",
     "SolveResult",
@@ -84,6 +89,8 @@ __all__ = [
 
 DEFAULT_SV_CUTOFF = 1e-8
 DEFAULT_QUAD_TOL = 1e-9
+# distance of shift*k/period from an integer below which a bandpass shift is degenerate
+DEGENERACY_TOL = 1e-9
 # entries of one 1/(t - s) block in evaluate_model: a chunk of a box's points
 # against its near knots, or its Chebyshev points against far knots.  1 MiB of
 # float64, half the 2 MiB per-core L2 cache of the x86-64 host it was measured
@@ -99,6 +106,27 @@ BOX_OVERHEAD_TERMS = 50_000
 
 class DegenerateSystemError(RuntimeError):
     """Every singular value fell below the cutoff; the system carries no information."""
+
+
+class DegenerateShiftError(ValueError):
+    """The channel shift makes the bandpass interpolation kernel singular."""
+
+
+def shift_is_degenerate(shift, period: float, k0: int):
+    """True when ``shift*k0/period`` or ``shift*(k0+1)/period`` is within
+    ``DEGENERACY_TOL`` of an integer.
+
+    At those shifts one of the bandpass kernel's ``sin`` denominators
+    vanishes (see :func:`_kernel_segments`) and the two sample streams no
+    longer separate the spectral aliases.  ``shift`` may be an array; the
+    answer is then a boolean array of its shape.
+    """
+    shift = np.asarray(shift, dtype=float)
+    degenerate = np.zeros(shift.shape, dtype=bool)
+    for k in (k0, k0 + 1):
+        frac = shift * k / period
+        degenerate |= np.abs(frac - np.round(frac)) <= DEGENERACY_TOL
+    return degenerate if degenerate.ndim else bool(degenerate)
 
 
 @dataclass(frozen=True)
@@ -204,18 +232,19 @@ def _kernel_segments(kind: str, n: int, omega=None, band=None, shifts=None, refl
 
     * lowpass: ``sin(omega*u)/(pi*u)`` is the one segment ``[0, omega]``
       with ``w = 1/pi``.
-    * bandpass: :func:`~temcodec.pns.kernel_gbp` with the knot's shift
-      ``d`` is piecewise constant in frequency: ``[k0*B - omega_l,
-      omega_u]`` with ``k = k0 + 1`` and ``[omega_l, k0*B - omega_l]``
-      with ``k = k0``, each contributing ``-(1/(B*sin(phi)))*integral_lo^hi
+    * bandpass: Kohlenberg's second-order sampling kernel ``g_bp``
+      (:func:`kernel_gbp`) with the knot's shift ``d`` is piecewise
+      constant in frequency: ``[k0*B - omega_l, omega_u]`` with
+      ``k = k0 + 1`` and ``[omega_l, k0*B - omega_l]`` with ``k = k0``,
+      each contributing ``-(1/(B*sin(phi)))*integral_lo^hi
       sin(nu*u - phi) dnu`` with ``phi = k*B*d/2``.  A ``reflected`` knot
       carries the time-reversed kernel; with ``sigma`` -1 there and +1
       elsewhere, ``sin(nu*sigma*u - phi) = sigma*cos(nu*u - psi)`` for
       ``psi = sigma*phi + pi/2``.
 
-    Raises :class:`~temcodec.pns.DegenerateShiftError` naming the first
-    knot whose shift :func:`~temcodec.pns.shift_is_degenerate` rejects, and
-    ``ValueError`` for an unknown ``kind``.
+    Raises :class:`DegenerateShiftError` naming the first knot whose shift
+    :func:`shift_is_degenerate` rejects, and ``ValueError`` for an unknown
+    ``kind``.
     """
     if kind == "lowpass":
         return [(0.0, omega, np.full(n, 1.0 / math.pi), np.zeros(n))]
@@ -249,6 +278,24 @@ def _segment_kernel(segments, u, idx):
         out += w[idx] * width * sinc_pi((0.5 / math.pi) * width * u) * np.cos(
             0.5 * (hi + lo) * u - psi[idx])
     return out
+
+
+def kernel_gbp(t, d, band: BandSpec):
+    """Bandpass interpolation kernel ``g_bp(t, d)``; broadcasts over t and d.
+
+    ``kernel_gbp(0, d, band) == 1`` and the kernel vanishes at every other
+    grid instant ``k*period`` and ``k*period + d`` (channel A viewpoint);
+    the channel-B interpolant is its time reverse ``kernel_gbp(-t, d, band)``.
+    Summed directly from the bandpass segments of :func:`_kernel_segments`.
+
+    Raises :class:`DegenerateShiftError` where :func:`shift_is_degenerate`
+    rejects a shift.
+    """
+    t, d = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(d, dtype=float))
+    shifts = d.ravel()
+    segments = _kernel_segments("bandpass", shifts.size, band=band, shifts=shifts, reflected=False)
+    # [()] turns a 0-d result into a scalar and leaves arrays as they are
+    return _segment_kernel(segments, t.ravel(), np.arange(shifts.size)).reshape(t.shape)[()]
 
 
 # Hale & Trefethen's "sausage" map g of [-1, 1] onto itself: arcsin's Taylor
@@ -309,6 +356,16 @@ def _gl_order(h: float, k_max: float, a_max: float, tol: float) -> int:
     return math.ceil(max(2.0, float(np.min(needed))))
 
 
+def check_quad_tol(quad_tol: float) -> None:
+    """Raise ``ValueError`` unless ``quad_tol`` is positive and finite (NaN fails too).
+
+    An infinite tolerance would let :func:`_gl_order` choose its least
+    order, 2, and build factors that resolve nothing.
+    """
+    if not 0.0 < quad_tol < math.inf:
+        raise ValueError(f"quad_tol must be positive and finite, got {quad_tol}")
+
+
 def _spectral_factors(starts, ends, knots, segments, quad_tol: float):
     """Factors ``(A, B)`` with ``(A @ B.T)[r, l] = integral_{starts[r]}^{ends[r]} kernel_l(u) du``.
 
@@ -329,10 +386,10 @@ def _spectral_factors(starts, ends, knots, segments, quad_tol: float):
     :func:`_gl_order` fixes each segment's order at an equal share of
     ``quad_tol``: 185 for the 2 s single-channel preset, 43 and 70 for the
     two segments of the two-channel one (the plain rule needs 234, and 46
-    and 81).  Empty segments are skipped.
+    and 81).  Empty segments are skipped.  Raises ``ValueError`` unless
+    ``quad_tol`` is positive and finite (:func:`check_quad_tol`).
     """
-    if not quad_tol > 0.0:
-        raise ValueError(f"quad_tol must be positive, got {quad_tol}")
+    check_quad_tol(quad_tol)
     centre = 0.5 * (starts[0] + ends[-1])
     span = float(ends[-1] - starts[0])
     half = 0.5 * (ends - starts)
@@ -387,7 +444,7 @@ def build_gram_lowpass(
     knots = 0.5 * (t[:-1] + t[1:])
     segments = _kernel_segments("lowpass", knots.size, omega=omega)
     left, right = _spectral_factors(t[:-1], t[1:], knots, segments, quad_tol)
-    rhs = amplitude_integrals(train).values
+    rhs = amplitude_integrals(train)
     return GramSystem(left, right, rhs, "lowpass", knots, omega=omega)
 
 
@@ -408,8 +465,8 @@ def build_gram_bandpass(
     period ``2*pi/B``, reconstruction is no longer guaranteed: a warning
     diagnostic is attached and assembly proceeds.
 
-    Raises :class:`~temcodec.pns.DegenerateShiftError`, naming the knot,
-    if some pair shift makes the kernel singular.
+    Raises :class:`DegenerateShiftError`, naming the knot, if some pair
+    shift makes the kernel singular (:func:`shift_is_degenerate`).
     """
     t = merged.times
     if t.size < 3:
@@ -427,7 +484,7 @@ def build_gram_bandpass(
             stacklevel=2,
         )
     left, right = _spectral_factors(t[:-2], t[2:], knots.times, segments, quad_tol)
-    rhs = merged.integrals.values
+    rhs = merged.integrals
     return GramSystem(
         left, right, rhs, "bandpass", knots.times,
         band=band, shifts=knots.shifts, reflected=knots.reflected,

@@ -21,12 +21,9 @@ import numpy as np
 __all__ = [
     "Constant",
     "Tone",
-    "SincTone",
     "ModulatedTone",
     "SignalSum",
-    "modulated_test_signal",
     "BandSpec",
-    "band_spec_from_edges",
     "integrate",
     "QuadratureError",
     "sinc_pi",
@@ -88,28 +85,6 @@ class Tone:
 
 
 @dataclass(frozen=True)
-class SincTone:
-    """Sinc-enveloped tone ``amplitude * sinc(env_omega*t) * cos(omega*t + phase)``.
-
-    ``sinc`` is the unnormalized sin(z)/z, so the envelope peaks at 1 and the
-    amplitude bound stays exactly ``|amplitude|``.
-    """
-
-    amplitude: float
-    env_omega: float
-    omega: float
-    phase: float = 0.0
-
-    @property
-    def amplitude_bound(self) -> float:
-        return abs(self.amplitude)
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.amplitude * _sinc(self.env_omega * t) * np.cos(self.omega * t + self.phase)
-
-
-@dataclass(frozen=True)
 class ModulatedTone:
     """Amplitude- and phase-modulated tone.
 
@@ -166,25 +141,6 @@ class SignalSum:
         return out
 
 
-def modulated_test_signal(
-    carrier_hz: float = 50.0,
-    am_hz: float = 10.0,
-    pm_hz: float = 2.5,
-    amplitude: float = 2.0,
-) -> ModulatedTone:
-    """Bandpass test waveform used by the shipped experiment presets.
-
-    Defaults give a 50 Hz carrier with a 10 Hz sinc amplitude envelope and a
-    2.5 Hz sinc phase modulation, bounded by the amplitude 2.
-    """
-    return ModulatedTone(
-        carrier_omega=TWO_PI * carrier_hz,
-        am_omega=TWO_PI * am_hz,
-        pm_omega=TWO_PI * pm_hz,
-        amplitude=amplitude,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Band description
 
@@ -225,11 +181,6 @@ class BandSpec:
     def period(self) -> float:
         """Nominal per-channel sampling period, 2*pi/bandwidth (seconds)."""
         return TWO_PI / self.bandwidth
-
-
-def band_spec_from_edges(omega_l: float, omega_u: float) -> BandSpec:
-    """Build a :class:`BandSpec` from band edges in rad/s."""
-    return BandSpec(omega_l=omega_l, omega_u=omega_u)
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +279,8 @@ def integrate(sig, a: float, b: float, tol: float = 1e-10, max_panels: int = 409
     """
     if a > b:
         raise ValueError(f"integration limits must satisfy a <= b, got ({a}, {b})")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not tol > 0.0:  # NaN fails too
+        raise ValueError(f"tol must be positive, got {tol}")
     if a == b:
         return 0.0
     value, _ = _adaptive(sig, a, b, tol, max_panels)
@@ -345,6 +296,8 @@ def integrate_columns(f, a: float, b: float, tol: float = 1e-10, max_panels: int
     """
     if a > b:
         raise ValueError(f"integration limits must satisfy a <= b, got ({a}, {b})")
+    if not tol > 0.0:  # NaN fails too
+        raise ValueError(f"tol must be positive, got {tol}")
     if a == b:
         probe = np.asarray(f(np.array([a])), dtype=float)
         return np.zeros(probe.shape[1])

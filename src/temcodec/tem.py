@@ -38,7 +38,6 @@ from .signals import _GL_NODES, _GL_WEIGHTS, integrate
 __all__ = [
     "TemParams",
     "SpikeTrain",
-    "AmplitudeIntegralSeq",
     "MergedTrain",
     "InterleavingError",
     "encode",
@@ -125,23 +124,6 @@ class SpikeTrain:
     @property
     def gaps(self) -> np.ndarray:
         return np.diff(self.times)
-
-
-@dataclass(frozen=True)
-class AmplitudeIntegralSeq:
-    """Signal integrals recovered from spike gaps.
-
-    ``values[k] = 2*kappa*delta - bias*(t[k+stride] - t[k])`` equals the
-    integral of the raw signal over ``[t[k], t[k+stride]]``.
-    ``start_times[k]`` is the left endpoint of that interval.
-    """
-
-    start_times: np.ndarray
-    values: np.ndarray
-    stride: int
-
-    def __len__(self) -> int:
-        return int(self.values.size)
 
 
 class InterleavingError(ValueError):
@@ -356,13 +338,14 @@ def encode(
     return SpikeTrain(np.asarray(times), channel, params, (t0, t1))
 
 
-def amplitude_integrals(train: SpikeTrain) -> AmplitudeIntegralSeq:
-    """Per-interval signal integrals ``2*kappa*delta - bias*gap`` (stride 1)."""
+def amplitude_integrals(train: SpikeTrain) -> np.ndarray:
+    """Signal integrals recovered from the spike gaps.
+
+    Entry ``k`` is ``2*kappa*delta - bias*(t[k+1] - t[k])``, the integral of
+    the raw signal over ``[t[k], t[k+1]]``; empty for fewer than 2 spikes.
+    """
     p = train.params
-    if len(train) < 2:
-        return AmplitudeIntegralSeq(np.empty(0), np.empty(0), stride=1)
-    values = 2.0 * p.kappa * p.delta - p.bias * np.diff(train.times)
-    return AmplitudeIntegralSeq(train.times[:-1].copy(), values, stride=1)
+    return 2.0 * p.kappa * p.delta - p.bias * np.diff(train.times)
 
 
 def encode_two_channel(
@@ -405,7 +388,7 @@ class MergedTrain:
     """
 
     times: np.ndarray
-    integrals: AmplitudeIntegralSeq
+    integrals: np.ndarray
     max_gap: float
     params: TemParams
     window: tuple
@@ -439,11 +422,7 @@ def interleave(train_a: SpikeTrain, train_b: SpikeTrain) -> MergedTrain:
     merged[0::2] = a
     merged[1::2] = b
     p = train_a.params
-    if merged.size >= 3:
-        values = 2.0 * p.kappa * p.delta - p.bias * (merged[2:] - merged[:-2])
-        integrals = AmplitudeIntegralSeq(merged[:-2].copy(), values, stride=2)
-    else:
-        integrals = AmplitudeIntegralSeq(np.empty(0), np.empty(0), stride=2)
+    integrals = 2.0 * p.kappa * p.delta - p.bias * (merged[2:] - merged[:-2])
     max_gap = float(np.max(np.diff(merged))) if merged.size > 1 else 0.0
     return MergedTrain(merged, integrals, max_gap, p, train_a.window)
 

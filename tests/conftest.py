@@ -1,17 +1,19 @@
 import pytest
 
-from temcodec.signals import TWO_PI, band_spec_from_edges, modulated_test_signal
+from temcodec.signals import BandSpec, ModulatedTone, TWO_PI
 from temcodec.tem import TemParams, encode_two_channel, interleave
 
 
 @pytest.fixture(scope="session")
 def test_signal():
-    return modulated_test_signal()
+    """The shipped presets' waveform: 50 Hz carrier, 10 Hz sinc envelope,
+    2.5 Hz sinc phase modulation, amplitude 2."""
+    return ModulatedTone(TWO_PI * 50.0, TWO_PI * 10.0, TWO_PI * 2.5, 2.0)
 
 
 @pytest.fixture(scope="session")
 def band_35_65():
-    return band_spec_from_edges(TWO_PI * 35.0, TWO_PI * 65.0)
+    return BandSpec(TWO_PI * 35.0, TWO_PI * 65.0)
 
 
 @pytest.fixture(scope="session")

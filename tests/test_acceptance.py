@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from temcodec.cli import main as cli_main
-from temcodec.signals import Tone, TWO_PI, band_spec_from_edges, integrate
+from temcodec.signals import BandSpec, Tone, TWO_PI, integrate
 from temcodec.tem import (
     TemParams,
     amplitude_integrals,
@@ -138,13 +138,13 @@ class TestCriterion2IntegralIdentity:
                 oracle = integrate(
                     test_signal, train.times[k], train.times[k + 1], 1e-10
                 )
-                worst = max(worst, abs(oracle - seq.values[k]))
+                worst = max(worst, abs(oracle - seq[k]))
         merged = two_run["merged"]
         for k in range(len(merged.integrals)):
             oracle = integrate(
                 test_signal, merged.times[k], merged.times[k + 2], 1e-10
             )
-            worst = max(worst, abs(oracle - merged.integrals.values[k]))
+            worst = max(worst, abs(oracle - merged.integrals[k]))
         ok = worst <= 1e-7
         _announce(2, ok, f"max |quadrature - (2*k*d - b*gap)| = {worst:.3e} <= 1e-7")
         assert worst <= 1e-7
@@ -186,7 +186,7 @@ class TestCriterion4PnsExactness:
     def test_mid_band_tone_reconstruction(self):
         t0 = time.perf_counter()
         # band position k0 = 4 keeps the one-third-period shift non-degenerate
-        band = band_spec_from_edges(TWO_PI * 50.0, TWO_PI * 80.0)
+        band = BandSpec(TWO_PI * 50.0, TWO_PI * 80.0)
         period = band.period
         shift = period / 3.0
         tone = Tone(1.0, TWO_PI * 65.0, 0.3)

@@ -296,6 +296,11 @@ class TestRun:
         assert run_cli("run", cfg, "--sv-cutoff=1") == 2
         assert "solver.sv_cutoff" in capsys.readouterr().err
 
+    def test_quad_tol_flag_error_names_the_key(self, small_run, capsys):
+        _, cfg, _ = small_run
+        assert run_cli("run", cfg, "--quad-tol=inf") == 2
+        assert "solver.quad_tol: quad_tol must be positive and finite" in capsys.readouterr().err
+
 
 class TestPnsRun:
     def test_metrics_recomputable_from_csv(self, tmp_path):
@@ -303,16 +308,13 @@ class TestPnsRun:
         assert run_cli("run", str(CONFIG_DIR / "pns.cfg"), "--out-dir", str(out)) == 0
         assert_metrics_recomputable(out)
 
-    def test_samples_match_closed_form(self, tmp_path):
-        from temcodec.signals import modulated_test_signal
-
+    def test_samples_match_closed_form(self, tmp_path, test_signal):
         out = tmp_path / "pns"
         assert run_cli("run", str(CONFIG_DIR / "pns.cfg"), "--out-dir", str(out)) == 0
         rows = np.loadtxt(out / "samples.csv", delimiter=",", skiprows=1)
         t, x = rows[:, 1], rows[:, 2]
-        sig = modulated_test_signal()
         assert t.size == 120
-        assert np.max(np.abs(x - sig(t))) < 1e-9
+        assert np.max(np.abs(x - test_signal(t))) < 1e-9
         gaps = np.diff(t)
         assert np.allclose(gaps[0::2], 0.01, atol=1e-9)
         assert np.allclose(gaps[1::2], 1.0 / 30.0 - 0.01, atol=1e-9)

@@ -3,22 +3,22 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis.extra import numpy as hnp
 from hypothesis import strategies as st
 
-from temcodec.signals import Constant, Tone, TWO_PI, band_spec_from_edges
-from temcodec.pns import (
+from temcodec.signals import BandSpec, Constant, Tone, TWO_PI
+from temcodec import recon
+from temcodec.pns import PnsGrid, PnsSamples, reconstruct_pns, sample_pns
+from temcodec.recon import (
     DegenerateShiftError,
-    PnsGrid,
-    PnsSamples,
+    ReconModel,
+    evaluate_model,
     kernel_gbp,
-    reconstruct_pns,
-    sample_pns,
     shift_is_degenerate,
 )
-from temcodec import recon
-from temcodec.recon import ReconModel, evaluate_model
+
+from kernel_oracle import closed_form_gbp
 
 
 @pytest.fixture
@@ -134,13 +134,40 @@ class TestKernel:
         with pytest.raises(DegenerateShiftError):
             kernel_gbp(0.1, band_35_65.period / 3.0, band_35_65)
 
-    def test_matches_spectral_construction(self, band_35_65):
+    @settings(max_examples=100, deadline=None)
+    @given(frac=st.sampled_from([0.25, 1.0 / 3.0, 0.5, 0.75]) | st.floats(0.001, 0.999))
+    # just inside and just outside the 1e-9 band around shift*3/period = 1
+    @example(frac=(1.0 + 0.9e-9) / 3.0)
+    @example(frac=(1.0 + 1.1e-9) / 3.0)
+    def test_raises_exactly_where_the_shift_is_degenerate(self, band_35_65, frac):
+        T, k0 = band_35_65.period, band_35_65.k0
+        d = frac * T
+        shifts = np.array([0.3 * T, d])  # an array raises if any of its shifts is degenerate
+        if shift_is_degenerate(d, T, k0):
+            for shift in (d, shifts):
+                with pytest.raises(DegenerateShiftError):
+                    kernel_gbp(0.1, shift, band_35_65)
+        else:
+            assert np.all(np.isfinite(kernel_gbp(0.1, shifts, band_35_65)))
+
+    def test_broadcasts_t_against_d(self, band_35_65):
+        t = np.linspace(-0.3, 0.3, 7)[:, None]
+        d = np.array([0.01, 0.0121, 0.02])
+        got = kernel_gbp(t, d, band_35_65)
+        assert got.shape == (7, 3)
+        for j, dj in enumerate(d):
+            assert np.array_equal(got[:, j], kernel_gbp(t[:, 0], dj, band_35_65))
+        np.testing.assert_allclose(got, closed_form_gbp(t, d, band_35_65), rtol=0, atol=1e-13)
+        assert isinstance(kernel_gbp(0.1, 0.01, band_35_65), float)
+
+    @pytest.mark.parametrize("edges_hz", [(35.0, 65.0), (20.0, 50.0), (40.0, 55.0)])
+    def test_matches_spectral_construction(self, edges_hz):
         # Rebuild the interpolant from first principles: its transform is
         # piecewise constant on the two sub-segments of the band coupled to
         # the mirror band by shifts of k0*B and (k0+1)*B, with values fixed
         # by the alias-cancellation conditions.  Integrate that spectrum
-        # numerically and compare with the closed form.
-        band = band_35_65
+        # numerically and compare with kernel_gbp and the closed form.
+        band = BandSpec(TWO_PI * edges_hz[0], TWO_PI * edges_hz[1])
         d = 0.0121
         b_, k0 = band.bandwidth, band.k0
         seg_edge = k0 * b_ - band.omega_l
@@ -159,8 +186,11 @@ class TestKernel:
                 total += (amp * (re + 1j * im)).real
             return total / math.pi
 
+        assert not shift_is_degenerate(d, T, k0)
         for t in (0.0131, 0.2, -0.37, 1.1, -0.004):
-            assert float(kernel_gbp(t, d, band)) == pytest.approx(spectral(t), abs=1e-9)
+            expect = spectral(t)
+            assert float(kernel_gbp(t, d, band)) == pytest.approx(expect, abs=1e-9)
+            assert float(closed_form_gbp(t, d, band)) == pytest.approx(expect, abs=1e-9)
 
 
 class TestReconstruction:
@@ -177,6 +207,29 @@ class TestReconstruction:
         central = (s.times >= -2.0 + 0.8) & (s.times <= 2.0 - 0.8)
         got = reconstruct_pns(s, grid, s.times[central])
         assert np.max(np.abs(got - s.values[central])) <= 1e-9 * np.max(np.abs(s.values))
+
+    def test_evaluates_through_the_recon_module_attribute(self, grid_35_65, monkeypatch):
+        # the benchmark tracer replaces recon.evaluate_model; pns must reach it
+        s = sample_pns(Tone(1.0, TWO_PI * 50.0), grid_35_65)
+        t = np.linspace(-0.1, 0.1, 5)
+        calls = []
+        real = recon.evaluate_model
+
+        def spy(model, points):
+            calls.append((model, points))
+            return real(model, points)
+
+        monkeypatch.setattr(recon, "evaluate_model", spy)
+        got = reconstruct_pns(s, grid_35_65, t)
+        assert len(calls) == 1
+        model, points = calls[0]
+        assert points is t
+        assert model.kind == "bandpass" and model.band == grid_35_65.band
+        assert np.array_equal(model.knot_times, s.times)
+        assert np.array_equal(model.coefficients, s.values)
+        assert np.all(model.shifts == grid_35_65.shift)
+        assert np.array_equal(model.reflected, np.arange(s.times.size) % 2 == 1)
+        assert np.array_equal(got, real(model, t))
 
     def test_scalar_evaluation(self, grid_35_65):
         s = sample_pns(Tone(1.0, TWO_PI * 50.0), grid_35_65)
@@ -244,7 +297,7 @@ def direct_kernel_sum(model, t):
         kern = (model.omega / math.pi) * np.sinc(model.omega * u / math.pi)
     else:
         sign = np.where(model.reflected, -1.0, 1.0)
-        kern = kernel_gbp(u * sign, model.shifts, model.band)
+        kern = closed_form_gbp(u * sign, model.shifts, model.band)
     return kern @ model.coefficients
 
 

@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 
 import temcodec
 from temcodec.signals import (
-    Constant, Tone, SignalSum, TWO_PI, band_spec_from_edges, integrate_columns,
+    BandSpec, Constant, Tone, SignalSum, TWO_PI, integrate_columns,
 )
 from temcodec.tem import SpikeTrain, TemParams, encode, encode_two_channel, interleave
-from temcodec.pns import DegenerateShiftError, kernel_gbp
 from temcodec import experiment, recon
 from temcodec.recon import (
+    DegenerateShiftError,
     DegenerateSystemError,
     GramSystem,
     ReconModel,
@@ -30,6 +30,7 @@ from temcodec.recon import (
     solve_coefficients,
 )
 
+from kernel_oracle import closed_form_gbp
 from recon_pipeline import reconstruct_bandpass, reconstruct_lowpass
 
 
@@ -153,10 +154,11 @@ class TestGramLowpass:
         lower = scipy.special.sici(omega * (times[:-1, None] - s[None, :]))[0]
         assert np.max(np.abs(system.matrix - (upper - lower) / np.pi)) <= quad_tol
 
-    @pytest.mark.parametrize("quad_tol", [0.0, -1e-9, float("nan")])
+    # inf too: it would let every segment's rule take its least order, 2
+    @pytest.mark.parametrize("quad_tol", [0.0, -1e-9, float("nan"), float("inf")])
     def test_nonpositive_quad_tol_rejected(self, small_system, quad_tol):
         train, _ = small_system
-        with pytest.raises(ValueError, match="quad_tol"):
+        with pytest.raises(ValueError, match="quad_tol must be positive and finite"):
             build_gram_lowpass(train, TWO_PI * 65.0, quad_tol=quad_tol)
 
     def test_ten_second_interval_matches_closed_form(self):
@@ -291,7 +293,7 @@ def bandpass_oracle(test_signal, band_35_65):
         sign = np.where(knots.reflected, -1.0, 1.0)
 
         def kernel(u):
-            return kernel_gbp((u[:, None] - knots.times) * sign, knots.shifts, band_35_65)
+            return closed_form_gbp((u[:, None] - knots.times) * sign, knots.shifts, band_35_65)
 
         rows = [integrate_columns(kernel, lo, hi, tol=1e-14) for lo, hi in zip(t[:-2], t[2:])]
         out[name] = (merged, np.array(rows))
@@ -356,7 +358,7 @@ class TestGramBandpass:
     def test_entries_within_quad_tol_of_si_ci_closed_form(
         self, omega_l_hz, bandwidth_hz, span, quad_tol, seed
     ):
-        band = band_spec_from_edges(TWO_PI * omega_l_hz, TWO_PI * (omega_l_hz + bandwidth_hz))
+        band = BandSpec(TWO_PI * omega_l_hz, TWO_PI * (omega_l_hz + bandwidth_hz))
         merged = jittered_record(band, span, seed)
         shifts = knots_and_shifts(merged.times).shifts
         # keep every kernel weight 1/(B*sin(phi)) within 10/B: near a degenerate
@@ -438,7 +440,7 @@ class TestGramBandpass:
     def test_integer_band_position_within_quad_tol_of_adaptive_oracle(self):
         # 40-60 Hz: 2*omega_l/B = 4 = k0, so the inner segment [omega_l, k0*B - omega_l]
         # is empty (its ends differ by rounding only) and the kernel is one segment
-        band = band_spec_from_edges(TWO_PI * 40.0, TWO_PI * 60.0)
+        band = BandSpec(TWO_PI * 40.0, TWO_PI * 60.0)
         params = TemParams(1.0, band.period / 2.0, 3.0, 0.5)
         a, b = encode_two_channel(Tone(0.5, TWO_PI * 50.0, 0.3), params, (-0.25, 0.25),
                                   alpha=1.5 * params.delta)
@@ -449,15 +451,16 @@ class TestGramBandpass:
         sign = np.where(knots.reflected, -1.0, 1.0)
 
         def kernel(u):
-            return kernel_gbp((u[:, None] - knots.times) * sign, knots.shifts, band)
+            return closed_form_gbp((u[:, None] - knots.times) * sign, knots.shifts, band)
 
         oracle = [integrate_columns(kernel, lo, hi, tol=1e-14) for lo, hi in zip(t[:-2], t[2:])]
         assert np.max(np.abs(system.matrix - np.array(oracle))) <= recon.DEFAULT_QUAD_TOL
 
-    @pytest.mark.parametrize("quad_tol", [0.0, -1e-9, float("nan")])
+    # inf too: it would let every segment's rule take its least order, 2
+    @pytest.mark.parametrize("quad_tol", [0.0, -1e-9, float("nan"), float("inf")])
     def test_nonpositive_quad_tol_rejected(self, bandpass_oracle, band_35_65, quad_tol):
         merged, _ = bandpass_oracle["encoded"]
-        with pytest.raises(ValueError, match="quad_tol"):
+        with pytest.raises(ValueError, match="quad_tol must be positive and finite"):
             build_gram_bandpass(merged, band_35_65, quad_tol=quad_tol)
 
 
@@ -712,7 +715,7 @@ class TestSegmentKernel:
 
     @pytest.mark.parametrize("edges_hz", [(35.0, 65.0), (20.0, 50.0), (40.0, 55.0)])
     def test_bandpass_equals_kernel_gbp(self, edges_hz):
-        band = band_spec_from_edges(TWO_PI * edges_hz[0], TWO_PI * edges_hz[1])
+        band = BandSpec(TWO_PI * edges_hz[0], TWO_PI * edges_hz[1])
         shifts = band.period * np.array([0.3, 0.3, 0.45, 0.45])
         reflected = np.array([False, True, False, True])
         segments = recon._kernel_segments(
@@ -721,7 +724,7 @@ class TestSegmentKernel:
         u = near_offsets(band.omega_u)
         for k in range(shifts.size):
             got = recon._segment_kernel(segments, u, np.full(u.size, k))
-            expect = kernel_gbp(-u if reflected[k] else u, shifts[k], band)
+            expect = closed_form_gbp(-u if reflected[k] else u, shifts[k], band)
             # relative to the kernel's scale: both forms round near its zeros
             scale = np.max(np.abs(expect))
             np.testing.assert_allclose(got, expect, rtol=1e-13, atol=1e-13 * scale)
@@ -759,7 +762,7 @@ class TestModel:
             "bandpass", np.array([0.07]), np.array([1.0]),
             band=band_35_65, shifts=np.array([0.01]), reflected=np.array([True]),
         )
-        assert np.allclose(bp(t), kernel_gbp(0.07 - t, 0.01, band_35_65), atol=1e-12)
+        assert np.allclose(bp(t), closed_form_gbp(0.07 - t, 0.01, band_35_65), atol=1e-12)
 
     def test_scalar_evaluation_returns_float(self):
         lp = ReconModel("lowpass", np.array([0.0]), np.array([1.0]), omega=1.0)

@@ -13,12 +13,10 @@ from temcodec.signals import (
     ModulatedTone,
     QuadratureError,
     SignalSum,
-    SincTone,
     Tone,
     TWO_PI,
-    band_spec_from_edges,
     integrate,
-    modulated_test_signal,
+    integrate_columns,
     sinc_pi,
 )
 
@@ -48,9 +46,12 @@ class TestEval:
             assert test_signal(float(ti)) == vi
 
     def test_total_at_sinc_singularities(self):
-        sig = SincTone(1.0, TWO_PI * 10.0, TWO_PI * 50.0)
-        assert np.isfinite(sig(0.0))
-        assert sig(0.0) == pytest.approx(1.0, rel=1e-15)
+        # t = 0 is the removable singularity of both sinc factors: envelope 1,
+        # phase term 1, so the value is amplitude*cos(1) at +0 and at -0
+        sig = ModulatedTone(TWO_PI * 60.0, TWO_PI * 5.0, TWO_PI * 1.5, 0.8)
+        for t in (0.0, -0.0):
+            assert np.isfinite(sig(t))
+            assert sig(t) == pytest.approx(0.8 * math.cos(1.0), rel=1e-15)
 
     def test_modulated_tone_rejects_zero_rates(self):
         with pytest.raises(ValueError):
@@ -59,9 +60,8 @@ class TestEval:
     @pytest.mark.parametrize(
         "sig",
         [
-            modulated_test_signal(),
+            ModulatedTone(TWO_PI * 50.0, TWO_PI * 10.0, TWO_PI * 2.5, 2.0),
             Tone(1.3, TWO_PI * 41.0, 0.2),
-            SincTone(0.8, TWO_PI * 5.0, TWO_PI * 60.0, 1.0),
             Constant(-1.1),
             SignalSum([Tone(0.5, TWO_PI * 40.0), Tone(0.25, TWO_PI * 55.0, 1.0)]),
         ],
@@ -130,6 +130,20 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(test_signal, 0.0, 1.0, tol=0.0)
 
+    def test_nan_tol_rejected_before_any_panel(self):
+        calls = []
+
+        def sig(t):
+            calls.append(t)
+            return np.cos(t)
+
+        for tol in (float("nan"), 0.0, -1.0):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                integrate(sig, 0.0, 1.0, tol=tol)
+            with pytest.raises(ValueError, match="tol must be positive"):
+                integrate_columns(lambda t: sig(t)[:, None], 0.0, 1.0, tol=tol)
+        assert calls == []
+
     def test_budget_exhaustion_reports_estimate(self):
         with pytest.raises(QuadratureError) as info:
             integrate(Tone(1.0, TWO_PI * 50.0), 0.0, 1.0, tol=1e-30, max_panels=8)
@@ -142,9 +156,9 @@ class TestIntegrate:
         b=st.floats(-1.0, 1.0),
         c=st.floats(-1.0, 1.0),
     )
-    def test_additive_over_subintervals(self, a, b, c):
+    def test_additive_over_subintervals(self, test_signal, a, b, c):
         lo, mid, hi = sorted((a, b, c))
-        sig = modulated_test_signal()
+        sig = test_signal
         tol = 1e-10
         whole = integrate(sig, lo, hi, tol)
         parts = integrate(sig, lo, mid, tol) + integrate(sig, mid, hi, tol)
@@ -172,11 +186,11 @@ class TestBandSpec:
 
     def test_integer_band_position(self):
         b = 10.0
-        spec = band_spec_from_edges(b, 2.0 * b)
+        spec = BandSpec(b, 2.0 * b)
         assert spec.k0 == 2
 
     def test_bandwidth_is_exact_difference(self):
-        spec = band_spec_from_edges(217.3, 421.9)
+        spec = BandSpec(217.3, 421.9)
         assert spec.bandwidth + spec.omega_l == spec.omega_u
 
     @settings(max_examples=50, deadline=None)
@@ -185,7 +199,7 @@ class TestBandSpec:
         width=st.floats(0.1, 1e4),
     )
     def test_invariants_hold_generically(self, lo, width):
-        spec = band_spec_from_edges(lo, lo + width)
+        spec = BandSpec(lo, lo + width)
         assert spec.bandwidth + spec.omega_l == spec.omega_u
         ratio = 2.0 * spec.omega_l / spec.bandwidth
         assert spec.k0 >= math.ceil(ratio - 1e-9)
@@ -194,4 +208,4 @@ class TestBandSpec:
     @pytest.mark.parametrize("edges", [(0.0, 1.0), (-1.0, 2.0), (2.0, 1.0), (1.0, 1.0)])
     def test_bad_edges_rejected(self, edges):
         with pytest.raises(ValueError):
-            band_spec_from_edges(*edges)
+            BandSpec(*edges)

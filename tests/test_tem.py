@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from temcodec import tem
 from temcodec.experiment import load_config
-from temcodec.signals import Constant, Tone, TWO_PI, integrate, modulated_test_signal
+from temcodec.signals import Constant, Tone, TWO_PI, integrate
 from temcodec.tem import (
-    AmplitudeIntegralSeq,
     InterleavingError,
     SpikeTrain,
     TemParams,
@@ -121,10 +120,10 @@ class TestEncode:
         with pytest.raises(ValueError, match=r"spike \d+: .*t=.*amplitude bound"):
             encode(Tone(2.0, TWO_PI * 5.0, phase), p, (0.0, 1.0))
 
-    def test_violation_between_newton_points_caught_at_a_quadrature_node(self):
+    def test_violation_between_newton_points_caught_at_a_quadrature_node(self, test_signal):
         # x + bias reaches -0.44 near t = 0, but stays positive at every Newton
         # point and every crossing stays inside its bracket: only the nodes see it
-        sig = modulated_test_signal()
+        sig = test_signal
         p = TemParams(kappa=1.0, delta=1.0 / 60.0, bias=1.5, amplitude_bound=1.0)
         with pytest.raises(ValueError) as info:
             encode_two_channel(sig, p, (-0.3, 0.3), alpha=1.0 / 40.0)
@@ -335,22 +334,22 @@ class TestAmplitudeIntegrals:
         p = TemParams(1.0, 0.01, 2.5, 0.0)
         train = encode(Constant(0.0), p, (0.0, 0.5))
         seq = amplitude_integrals(train)
-        assert seq.stride == 1
-        assert np.max(np.abs(seq.values)) < 1e-8
+        assert seq.shape == (len(train) - 1,)
+        assert np.max(np.abs(seq)) < 1e-8
 
     def test_constant_signal_integrals(self):
         level = 0.75
         p = TemParams(1.0, 0.01, 2.5, 1.0)
         train = encode(Constant(level), p, (0.0, 0.5))
         seq = amplitude_integrals(train)
-        assert np.allclose(seq.values, level * np.diff(train.times), atol=1e-8, rtol=0)
+        assert np.allclose(seq, level * np.diff(train.times), atol=1e-8, rtol=0)
 
     def test_matches_quadrature_oracle(self, test_signal, two_channel_record):
         _, train_a, _, _ = two_channel_record
         seq = amplitude_integrals(train_a)
         for k in range(0, len(seq), 17):
             oracle = integrate(test_signal, train_a.times[k], train_a.times[k + 1], 1e-10)
-            assert seq.values[k] == pytest.approx(oracle, abs=1e-8)
+            assert seq[k] == pytest.approx(oracle, abs=1e-8)
 
     def test_short_train_yields_empty(self, params_free):
         train = SpikeTrain(np.array([0.5]), "single", params_free, (0.0, 1.0))
@@ -424,11 +423,11 @@ class TestInterleave:
 
     def test_merged_integrals_equal_channel_integrals(self, two_channel_record):
         _, train_a, train_b, merged = two_channel_record
-        ya = amplitude_integrals(train_a).values
-        yb = amplitude_integrals(train_b).values
-        assert merged.integrals.stride == 2
-        assert np.array_equal(merged.integrals.values[0::2], ya)
-        assert np.array_equal(merged.integrals.values[1::2][: yb.size], yb)
+        ya = amplitude_integrals(train_a)
+        yb = amplitude_integrals(train_b)
+        assert merged.integrals.shape == (merged.times.size - 2,)
+        assert np.array_equal(merged.integrals[0::2], ya)
+        assert np.array_equal(merged.integrals[1::2][: yb.size], yb)
 
     def test_merged_times_follow_channel_order(self, two_channel_record):
         _, train_a, train_b, merged = two_channel_record
