@@ -43,12 +43,13 @@ from .recon import (
     GramSystem,
     ReconModel,
     SolveResult,
+    bandpass_segments,
     build_gram_bandpass,
     build_gram_lowpass,
     evaluate_model,
     kernel_gbp,
     knots_and_shifts,
-    model_from,
+    lowpass_segments,
     shift_is_degenerate,
     solve_coefficients,
 )

@@ -528,7 +528,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentReport:
         if cfg.mode != "pns":  # both encoders end in the same reconstruction
             stage = "solve"
             solution = recon.solve_coefficients(system, sv_cutoff=cfg.sv_cutoff)
-            model = recon.model_from(system, solution)
+            model = recon.ReconModel(system.knot_times, solution.coefficients, system.segments)
             report["gram"] = _gram_dict(system, solution)
             del system  # free the factors, the largest arrays, before evaluation
             stage = "evaluate"

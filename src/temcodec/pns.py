@@ -98,14 +98,12 @@ def reconstruct_pns(samples: PnsSamples, grid: PnsGrid, t):
     samples in the record, so accuracy near the window edges is limited by
     the 1/t kernel decay; callers should evaluate inside a guard margin.
 
-    The record is a bandpass :class:`~temcodec.recon.ReconModel` whose
-    coefficients are the samples, every shift ``d`` and every odd sample
-    reflected; :func:`~temcodec.recon.evaluate_model` evaluates it, looked
-    up on its module at each call.
+    The record is a :class:`~temcodec.recon.ReconModel` whose coefficients
+    are the samples and whose segments are the
+    :func:`~temcodec.recon.bandpass_segments` with every shift ``d`` and
+    every odd sample reflected; :func:`~temcodec.recon.evaluate_model`
+    evaluates it, looked up on its module at each call.
     """
     n = samples.times.size
-    model = recon.ReconModel(
-        "bandpass", samples.times, samples.values, band=grid.band,
-        shifts=np.full(n, grid.shift), reflected=np.arange(n) % 2 == 1,
-    )
-    return recon.evaluate_model(model, t)
+    segments = recon.bandpass_segments(np.full(n, grid.shift), np.arange(n) % 2 == 1, grid.band)
+    return recon.evaluate_model(recon.ReconModel(samples.times, samples.values, segments), t)

@@ -15,11 +15,12 @@ Two kernel families are supported:
   plain kernel and its partner the time-reversed kernel, mirroring the
   even/odd roles of exact PNS.
 
-:func:`_kernel_segments` describes every knot's kernel once, as spectral
-segments ``w_l * integral_lo^hi cos(nu*(t - s_l) - psi_l) dnu``, and is the
-one place that rejects a degenerate bandpass shift
-(:func:`shift_is_degenerate`).  Everything else is derived from those
-segments:
+:func:`lowpass_segments` and :func:`bandpass_segments` describe every
+knot's kernel once, as spectral segments ``w_l * integral_lo^hi
+cos(nu*(t - s_l) - psi_l) dnu``; the latter is the one place that rejects a
+degenerate bandpass shift (:func:`shift_is_degenerate`).  A
+:class:`GramSystem` and the :class:`ReconModel` solved from it carry those
+segments, and everything else is derived from them:
 
 * the kernel ``g_bp`` itself: :func:`kernel_gbp` sums its segments
   directly (:func:`_segment_kernel`);
@@ -80,11 +81,12 @@ __all__ = [
     "ReconModel",
     "DegenerateSystemError",
     "knots_and_shifts",
+    "lowpass_segments",
+    "bandpass_segments",
     "build_gram_lowpass",
     "build_gram_bandpass",
     "solve_coefficients",
     "evaluate_model",
-    "model_from",
 ]
 
 DEFAULT_SV_CUTOFF = 1e-8
@@ -117,7 +119,7 @@ def shift_is_degenerate(shift, period: float, k0: int):
     ``DEGENERACY_TOL`` of an integer.
 
     At those shifts one of the bandpass kernel's ``sin`` denominators
-    vanishes (see :func:`_kernel_segments`) and the two sample streams no
+    vanishes (see :func:`bandpass_segments`) and the two sample streams no
     longer separate the spectral aliases.  ``shift`` may be an array; the
     answer is then a boolean array of its shape.
     """
@@ -186,19 +188,15 @@ class GramSystem:
     """Linear system ``G c = q`` linking kernel coefficients to amplitude integrals.
 
     ``G`` is held as two factors, ``G = left @ right.T``: one row of ``left``
-    per spike interval, one row of ``right`` per knot.  A dense ``G`` is the
-    pair ``(G, np.eye(cols))``.
+    per spike interval, one row of ``right`` per knot, whose kernel is in
+    ``segments``.  A dense ``G`` is the pair ``(G, np.eye(cols))``.
     """
 
     left: np.ndarray
     right: np.ndarray
     rhs: np.ndarray
-    kind: str  # "lowpass" | "bandpass"
     knot_times: np.ndarray
-    omega: Optional[float] = None
-    band: Optional[BandSpec] = None
-    shifts: Optional[np.ndarray] = None
-    reflected: Optional[np.ndarray] = None
+    segments: tuple
     gap_premise_ok: bool = True
 
     @property
@@ -222,34 +220,32 @@ class SolveResult:
     blas_threads: Optional[int] = None  # 1 when the solve ran pinned; None: the caller's threads
 
 
-def _kernel_segments(kind: str, n: int, omega=None, band=None, shifts=None, reflected=None):
-    """The ``n`` knot kernels as spectral segments, a list of ``(lo, hi, w, psi)``.
+def lowpass_segments(n: int, omega: float):
+    """Spectral segments, a tuple of ``(lo, hi, w, psi)``, of ``n`` kernels ``sin(omega*u)/(pi*u)``.
 
     Knot ``l``'s kernel at offset ``u = t - s_l`` is the sum over segments of
-    ``w[l] * integral_lo^hi cos(nu*u - psi[l]) dnu``, with ``0 <= lo <= hi``
-    and per-knot arrays ``w`` and ``psi``; a segment from ``nu = 0`` has
-    ``psi = 0``.
+    ``w[l] * integral_lo^hi cos(nu*u - psi[l]) dnu``, ``0 <= lo <= hi``; a
+    segment from ``nu = 0`` has ``psi = 0``.  Here: ``[0, omega]``, ``w = 1/pi``.
+    """
+    return ((0.0, omega, np.full(n, 1.0 / math.pi), np.zeros(n)),)
 
-    * lowpass: ``sin(omega*u)/(pi*u)`` is the one segment ``[0, omega]``
-      with ``w = 1/pi``.
-    * bandpass: Kohlenberg's second-order sampling kernel ``g_bp``
-      (:func:`kernel_gbp`) with the knot's shift ``d`` is piecewise
-      constant in frequency: ``[k0*B - omega_l, omega_u]`` with
-      ``k = k0 + 1`` and ``[omega_l, k0*B - omega_l]`` with ``k = k0``,
-      each contributing ``-(1/(B*sin(phi)))*integral_lo^hi
-      sin(nu*u - phi) dnu`` with ``phi = k*B*d/2``.  A ``reflected`` knot
-      carries the time-reversed kernel; with ``sigma`` -1 there and +1
-      elsewhere, ``sin(nu*sigma*u - phi) = sigma*cos(nu*u - psi)`` for
-      ``psi = sigma*phi + pi/2``.
+
+def bandpass_segments(shifts, reflected, band: BandSpec):
+    """Spectral segments of bandpass knot kernels with per-knot ``shifts``.
+
+    Segments are as in :func:`lowpass_segments`.  Kohlenberg's second-order
+    sampling kernel ``g_bp`` (:func:`kernel_gbp`) with the knot's shift
+    ``d`` is piecewise constant in frequency: ``[k0*B - omega_l, omega_u]``
+    with ``k = k0 + 1`` and ``[omega_l, k0*B - omega_l]`` with ``k = k0``,
+    each contributing ``-(1/(B*sin(phi)))*integral_lo^hi sin(nu*u - phi)
+    dnu`` with ``phi = k*B*d/2``.  A ``reflected`` knot (a boolean, or a
+    mask over the knots) carries the time-reversed kernel; with ``sigma`` -1
+    there and +1 elsewhere, ``sin(nu*sigma*u - phi) = sigma*cos(nu*u -
+    psi)`` for ``psi = sigma*phi + pi/2``.
 
     Raises :class:`DegenerateShiftError` naming the first knot whose shift
-    :func:`shift_is_degenerate` rejects, and ``ValueError`` for an unknown
-    ``kind``.
+    :func:`shift_is_degenerate` rejects.
     """
-    if kind == "lowpass":
-        return [(0.0, omega, np.full(n, 1.0 / math.pi), np.zeros(n))]
-    if kind != "bandpass":
-        raise ValueError(f"unknown kernel kind {kind!r}; expected 'lowpass' or 'bandpass'")
     bad = np.flatnonzero(shift_is_degenerate(shifts, band.period, band.k0))
     if bad.size:
         raise DegenerateShiftError(
@@ -262,7 +258,7 @@ def _kernel_segments(kind: str, n: int, omega=None, band=None, shifts=None, refl
     for k, lo, hi in ((band.k0 + 1, a_mid, band.omega_u), (band.k0, band.omega_l, a_mid)):
         phi = 0.5 * k * b_ * shifts
         segments.append((lo, hi, -sigma / (b_ * np.sin(phi)), sigma * phi + 0.5 * math.pi))
-    return segments
+    return tuple(segments)
 
 
 def _segment_kernel(segments, u, idx):
@@ -286,16 +282,15 @@ def kernel_gbp(t, d, band: BandSpec):
     ``kernel_gbp(0, d, band) == 1`` and the kernel vanishes at every other
     grid instant ``k*period`` and ``k*period + d`` (channel A viewpoint);
     the channel-B interpolant is its time reverse ``kernel_gbp(-t, d, band)``.
-    Summed directly from the bandpass segments of :func:`_kernel_segments`.
+    Summed directly from its :func:`bandpass_segments`.
 
     Raises :class:`DegenerateShiftError` where :func:`shift_is_degenerate`
     rejects a shift.
     """
     t, d = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(d, dtype=float))
-    shifts = d.ravel()
-    segments = _kernel_segments("bandpass", shifts.size, band=band, shifts=shifts, reflected=False)
+    segments = bandpass_segments(d.ravel(), False, band)
     # [()] turns a 0-d result into a scalar and leaves arrays as they are
-    return _segment_kernel(segments, t.ravel(), np.arange(shifts.size)).reshape(t.shape)[()]
+    return _segment_kernel(segments, t.ravel(), np.arange(d.size)).reshape(t.shape)[()]
 
 
 # Hale & Trefethen's "sausage" map g of [-1, 1] onto itself: arcsin's Taylor
@@ -369,7 +364,7 @@ def check_quad_tol(quad_tol: float) -> None:
 def _spectral_factors(starts, ends, knots, segments, quad_tol: float):
     """Factors ``(A, B)`` with ``(A @ B.T)[r, l] = integral_{starts[r]}^{ends[r]} kernel_l(u) du``.
 
-    Knot ``l``'s kernel is given by ``segments`` (see :func:`_kernel_segments`)
+    Knot ``l``'s kernel is given by ``segments`` (see :func:`lowpass_segments`)
     at offsets ``u - knots[l]``.  Each segment's ``nu`` integral is one mapped
     Gauss-Legendre rule: the Legendre nodes ``x_j`` and weights ``c_j`` on
     ``[-1, 1]`` become ``g(x_j)`` and ``c_j*g'(x_j)`` (:func:`_sausage`), then
@@ -442,10 +437,9 @@ def build_gram_lowpass(
         raise ValueError("need at least 2 spikes to assemble a system")
     t = train.times
     knots = 0.5 * (t[:-1] + t[1:])
-    segments = _kernel_segments("lowpass", knots.size, omega=omega)
+    segments = lowpass_segments(knots.size, omega)
     left, right = _spectral_factors(t[:-1], t[1:], knots, segments, quad_tol)
-    rhs = amplitude_integrals(train)
-    return GramSystem(left, right, rhs, "lowpass", knots, omega=omega)
+    return GramSystem(left, right, amplitude_integrals(train), knots, segments)
 
 
 def build_gram_bandpass(
@@ -459,7 +453,7 @@ def build_gram_bandpass(
     Row ``l`` integrates every knot kernel over ``[t[l], t[l+2]]``; column
     ``k`` holds the kernel of knot ``k`` (time-reversed where the knot is a
     pair partner), whose pair shift ``d`` fixes its two spectral segments
-    (see :func:`_kernel_segments`).  ``G`` is built as their spectral
+    (see :func:`bandpass_segments`).  ``G`` is built as their spectral
     factors (see :func:`_spectral_factors`), every entry within
     ``quad_tol``.  If the largest stride-1 spike gap reaches the kernel
     period ``2*pi/B``, reconstruction is no longer guaranteed: a warning
@@ -472,9 +466,7 @@ def build_gram_bandpass(
     if t.size < 3:
         raise ValueError(f"need at least 3 merged spikes, got {t.size}")
     knots = knots_and_shifts(t, anchor=anchor)
-    segments = _kernel_segments(
-        "bandpass", knots.times.size, band=band, shifts=knots.shifts, reflected=knots.reflected
-    )
+    segments = bandpass_segments(knots.shifts, knots.reflected, band)
     premise_ok = merged.max_gap < band.period
     if not premise_ok:
         warnings.warn(
@@ -484,12 +476,7 @@ def build_gram_bandpass(
             stacklevel=2,
         )
     left, right = _spectral_factors(t[:-2], t[2:], knots.times, segments, quad_tol)
-    rhs = merged.integrals
-    return GramSystem(
-        left, right, rhs, "bandpass", knots.times,
-        band=band, shifts=knots.shifts, reflected=knots.reflected,
-        gap_premise_ok=premise_ok,
-    )
+    return GramSystem(left, right, merged.integrals, knots.times, segments, premise_ok)
 
 
 @functools.cache
@@ -628,30 +615,23 @@ def solve_coefficients(system: GramSystem, sv_cutoff: float = DEFAULT_SV_CUTOFF)
 
 @dataclass(frozen=True)
 class ReconModel:
-    """Solved kernel expansion, evaluable at any time (callable)."""
+    """Solved kernel expansion ``sum_l c_l * kernel_l(t)``, evaluable at any time (callable).
 
-    kind: str
+    ``segments`` holds the knot kernels.  Raises ``ValueError`` unless ``coefficients``
+    and every segment's ``w`` and ``psi`` hold one entry per knot.
+    """
+
     knot_times: np.ndarray
     coefficients: np.ndarray
-    omega: Optional[float] = None
-    band: Optional[BandSpec] = None
-    shifts: Optional[np.ndarray] = None
-    reflected: Optional[np.ndarray] = None
+    segments: tuple
+
+    def __post_init__(self):
+        arrays = [self.coefficients] + [a for seg in self.segments for a in seg[2:]]
+        if any(np.shape(a) != np.shape(self.knot_times) for a in arrays):
+            raise ValueError("coefficients and segment weights need one entry per knot")
 
     def __call__(self, t):
         return evaluate_model(self, t)
-
-
-def model_from(system: GramSystem, solution: SolveResult) -> ReconModel:
-    return ReconModel(
-        kind=system.kind,
-        knot_times=system.knot_times,
-        coefficients=solution.coefficients,
-        omega=system.omega,
-        band=system.band,
-        shifts=system.shifts,
-        reflected=system.reflected,
-    )
 
 
 def _chebyshev_points(tol: float) -> int:
@@ -743,7 +723,7 @@ def evaluate_model(model: ReconModel, t):
     """Evaluate ``sum_l c_l * kernel_l(t)``; accepts scalars or arrays.
 
     This is the one evaluator for lowpass, bandpass and PNS models.  Each
-    kernel segment (see :func:`_kernel_segments`) integrates to
+    kernel segment of ``model.segments`` integrates to
     ``w*[sin(hi*u - psi) - sin(lo*u - psi)]/u`` at ``u = t - s``, and with
     ``theta = a*s + psi``, ``sin(a*(t - s) - psi) = sin(a*t)*cos(theta) -
     cos(a*t)*sin(theta)``.  So the model is ``sum_f cos(a_f*t)*C_f(t) +
@@ -767,16 +747,9 @@ def evaluate_model(model: ReconModel, t):
     Non-finite points evaluate to NaN.
     """
     t_in = np.asarray(t, dtype=float)
-    knots = model.knot_times
-    order = np.argsort(knots, kind="stable")
-    s, coeff = knots[order], model.coefficients[order]
-    segments = [
-        (lo, hi, coeff * w[order], psi[order])
-        for lo, hi, w, psi in _kernel_segments(
-            model.kind, knots.size, omega=model.omega, band=model.band,
-            shifts=model.shifts, reflected=model.reflected,
-        )
-    ]
+    order = np.argsort(model.knot_times, kind="stable")
+    s, coeff = model.knot_times[order], model.coefficients[order]
+    segments = [(lo, hi, coeff * w[order], psi[order]) for lo, hi, w, psi in model.segments]
     freqs = sorted({edge for seg in segments for edge in seg[:2] if edge > 0.0}, reverse=True)
     weights = np.zeros((s.size, 2 * len(freqs)))
     for lo, hi, w, psi in segments:

@@ -466,23 +466,30 @@ def write_spike_file(path, trains) -> None:
 
 
 def read_spike_file(path):
-    """Parse a spike-train file back into a list of :class:`SpikeTrain`."""
+    """Parse a spike-train file back into a list of :class:`SpikeTrain`.
+
+    Raises ``ValueError`` naming the path and the line of a malformed file.
+    """
     with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("# tem "):
+        lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, 1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("# tem "):
         raise ValueError(f"{path}: missing spike-file header")
-    fields = dict(item.split("=", 1) for item in lines[0][len("# tem "):].split(" "))
-    w0, w1 = (float(v) for v in fields["window"].split(","))
-    params = TemParams(
-        kappa=float(fields["kappa"]),
-        delta=float(fields["delta"]),
-        bias=float(fields["bias"]),
-        amplitude_bound=float(fields["bound"]),
-    )
     by_channel: dict = {}
-    for ln in lines[1:]:
-        tag, idx, t = ln.split(",")
-        by_channel.setdefault(tag, []).append((int(idx), float(t)))
+    no, ln = lines[0]
+    try:
+        fields = dict(item.split("=", 1) for item in ln[len("# tem "):].split(" "))
+        w0, w1 = (float(v) for v in fields["window"].split(","))
+        params = TemParams(
+            kappa=float(fields["kappa"]),
+            delta=float(fields["delta"]),
+            bias=float(fields["bias"]),
+            amplitude_bound=float(fields["bound"]),
+        )
+        for no, ln in lines[1:]:
+            tag, idx, t = ln.split(",")
+            by_channel.setdefault(tag, []).append((int(idx), float(t)))
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"{path}, line {no}: cannot parse {ln!r}: {exc!r}") from exc
     trains = []
     for tag, rows in by_channel.items():
         if [i for i, _ in rows] != list(range(len(rows))):

@@ -1,7 +1,7 @@
 """Closed form of the bandpass interpolation kernel ``g_bp``, kept as a test oracle.
 
 The package computes ``g_bp`` from its spectral segments
-(``recon._kernel_segments``); this is the kernel written out term by term,
+(``recon.bandpass_segments``); this is the kernel written out term by term,
 independent of that code path, so tests can compare the two.
 """
 

@@ -7,9 +7,9 @@ only need the solved model and its system call these.
 from temcodec.recon import (
     DEFAULT_QUAD_TOL,
     DEFAULT_SV_CUTOFF,
+    ReconModel,
     build_gram_bandpass,
     build_gram_lowpass,
-    model_from,
     solve_coefficients,
 )
 
@@ -18,7 +18,7 @@ def reconstruct_lowpass(train, omega, quad_tol=DEFAULT_QUAD_TOL, sv_cutoff=DEFAU
     """Assemble, solve and package a lowpass model; returns (model, system, solution)."""
     system = build_gram_lowpass(train, omega, quad_tol=quad_tol)
     solution = solve_coefficients(system, sv_cutoff=sv_cutoff)
-    return model_from(system, solution), system, solution
+    return ReconModel(system.knot_times, solution.coefficients, system.segments), system, solution
 
 
 def reconstruct_bandpass(
@@ -27,4 +27,4 @@ def reconstruct_bandpass(
     """Assemble, solve and package a bandpass model; returns (model, system, solution)."""
     system = build_gram_bandpass(merged, band, quad_tol=quad_tol, anchor=anchor)
     solution = solve_coefficients(system, sv_cutoff=sv_cutoff)
-    return model_from(system, solution), system, solution
+    return ReconModel(system.knot_times, solution.coefficients, system.segments), system, solution

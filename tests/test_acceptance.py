@@ -27,6 +27,7 @@ from temcodec.pns import PnsGrid, reconstruct_pns, sample_pns
 from temcodec.recon import (
     GramSystem,
     build_gram_bandpass,
+    lowpass_segments,
     solve_coefficients,
 )
 
@@ -277,13 +278,13 @@ class TestCriterion6RoundTrip:
 class TestCriterion7SolverProperties:
     def test_zero_rhs_duplicate_columns_residual(self, band_35_65):
         rng = np.random.RandomState(3)
-        zero_sys = GramSystem(rng.randn(7, 5), np.eye(5), np.zeros(7), "lowpass",
-                              np.arange(5.0), omega=1.0)
+        zero_sys = GramSystem(rng.randn(7, 5), np.eye(5), np.zeros(7), np.arange(5.0),
+                              lowpass_segments(5, 1.0))
         zeros_exact = bool(np.all(solve_coefficients(zero_sys).coefficients == 0.0))
 
         col = np.array([1.0, 2.0, -0.5])
-        dup_sys = GramSystem(np.column_stack([col, col]), np.eye(2), col.copy(), "lowpass",
-                             np.arange(2.0), omega=1.0)
+        dup_sys = GramSystem(np.column_stack([col, col]), np.eye(2), col.copy(), np.arange(2.0),
+                             lowpass_segments(2, 1.0))
         dup = solve_coefficients(dup_sys).coefficients
         dup_ok = bool(np.allclose(dup, [0.5, 0.5], atol=1e-12))
 

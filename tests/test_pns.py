@@ -13,8 +13,10 @@ from temcodec.pns import PnsGrid, PnsSamples, reconstruct_pns, sample_pns
 from temcodec.recon import (
     DegenerateShiftError,
     ReconModel,
+    bandpass_segments,
     evaluate_model,
     kernel_gbp,
+    lowpass_segments,
     shift_is_degenerate,
 )
 
@@ -224,11 +226,14 @@ class TestReconstruction:
         assert len(calls) == 1
         model, points = calls[0]
         assert points is t
-        assert model.kind == "bandpass" and model.band == grid_35_65.band
         assert np.array_equal(model.knot_times, s.times)
         assert np.array_equal(model.coefficients, s.values)
-        assert np.all(model.shifts == grid_35_65.shift)
-        assert np.array_equal(model.reflected, np.arange(s.times.size) % 2 == 1)
+        n = s.times.size
+        odd = np.arange(n) % 2 == 1
+        expect = bandpass_segments(np.full(n, grid_35_65.shift), odd, grid_35_65.band)
+        assert len(model.segments) == len(expect)
+        for got_seg, expect_seg in zip(model.segments, expect):
+            assert all(np.array_equal(a, b) for a, b in zip(got_seg, expect_seg))
         assert np.array_equal(got, real(model, t))
 
     def test_scalar_evaluation(self, grid_35_65):
@@ -290,15 +295,20 @@ class TestReconstruction:
         assert np.max(np.abs(x1 - x2 - dropped)) < 1e-9
 
 
-def direct_kernel_sum(model, t):
-    """``sum_l c_l * kernel_l(t)`` with every kernel evaluated directly."""
-    u = t[:, None] - model.knot_times[None, :]
-    if model.kind == "lowpass":
-        kern = (model.omega / math.pi) * np.sinc(model.omega * u / math.pi)
-    else:
-        sign = np.where(model.reflected, -1.0, 1.0)
-        kern = closed_form_gbp(u * sign, model.shifts, model.band)
-    return kern @ model.coefficients
+def lowpass_kernel(omega):
+    """The lowpass kernel ``sin(omega*u)/(pi*u)`` of every knot, from ``np.sinc``."""
+    return lambda u: (omega / math.pi) * np.sinc(omega * u / math.pi)
+
+
+def bandpass_kernel(shifts, reflected, band):
+    """Each knot's bandpass kernel, from its closed form."""
+    sign = np.where(reflected, -1.0, 1.0)
+    return lambda u: closed_form_gbp(u * sign, shifts, band)
+
+
+def direct_kernel_sum(knots, coeff, kernel, t):
+    """``sum_l c_l * kernel_l(t)`` with every kernel evaluated directly, as ``kernel(t - s_l)``."""
+    return kernel(t[:, None] - knots[None, :]) @ coeff
 
 
 class TestEvaluatorMatchesDirectSum:
@@ -313,23 +323,25 @@ class TestEvaluatorMatchesDirectSum:
         unit = st.floats(-1.0, 1.0)
         coeff = data.draw(hnp.arrays(float, n, elements=unit))
         if kind == "lowpass":
-            model = ReconModel("lowpass", knots, coeff, omega=TWO_PI * 65.0)
+            segments = lowpass_segments(n, TWO_PI * 65.0)
+            kernel = lowpass_kernel(TWO_PI * 65.0)
         else:
             frac = data.draw(hnp.arrays(float, n, elements=st.floats(0.01, 0.99)))
             # keep |sin(phi)| of both kernel segments away from 0 (degenerate shifts)
             k0 = band_35_65.k0
             assume(all(np.min(np.abs(np.sin(k * np.pi * frac))) > 0.05 for k in (k0, k0 + 1)))
-            model = ReconModel(
-                "bandpass", knots, coeff, band=band_35_65,
-                shifts=frac * band_35_65.period,
-                reflected=data.draw(hnp.arrays(bool, n)),
-            )
+            shifts = frac * band_35_65.period
+            reflected = data.draw(hnp.arrays(bool, n))
+            segments = bandpass_segments(shifts, reflected, band_35_65)
+            kernel = bandpass_kernel(shifts, reflected, band_35_65)
+        model = ReconModel(knots, coeff, segments)
         offsets = data.draw(hnp.arrays(float, n, elements=st.floats(-1e-9, 1e-9)))
         free = data.draw(hnp.arrays(float, 16, elements=st.floats(-1.5, 1.5)))
         tol = 1e-11 * (1.0 + np.sum(np.abs(coeff)))
         # ``free`` alone may have no point near a knot
         for t in (free, np.concatenate([free, knots, knots + offsets])):
-            assert np.max(np.abs(evaluate_model(model, t) - direct_kernel_sum(model, t))) <= tol
+            direct = direct_kernel_sum(knots, coeff, kernel, t)
+            assert np.max(np.abs(evaluate_model(model, t) - direct)) <= tol
 
     @settings(max_examples=8, deadline=None)
     @given(
@@ -344,7 +356,8 @@ class TestEvaluatorMatchesDirectSum:
         knots = rng.uniform(-1.0, 1.0, n)
         coeff = rng.uniform(-1.0, 1.0, n)
         if kind == "lowpass":
-            model = ReconModel("lowpass", knots, coeff, omega=TWO_PI * 65.0)
+            segments = lowpass_segments(n, TWO_PI * 65.0)
+            kernel = lowpass_kernel(TWO_PI * 65.0)
             near = 1.0 / 130.0
         else:
             frac = rng.uniform(0.01, 0.99, n)
@@ -353,11 +366,11 @@ class TestEvaluatorMatchesDirectSum:
             for k in (k0, k0 + 1):
                 bad |= np.abs(np.sin(k * np.pi * frac)) <= 0.05
             frac[bad] = 0.3  # the pns preset's shift ratio, non-degenerate for k0 = 3
-            model = ReconModel(
-                "bandpass", knots, coeff, band=band_35_65,
-                shifts=frac * band_35_65.period, reflected=rng.random(n) < 0.5,
-            )
+            shifts, reflected = frac * band_35_65.period, rng.random(n) < 0.5
+            segments = bandpass_segments(shifts, reflected, band_35_65)
+            kernel = bandpass_kernel(shifts, reflected, band_35_65)
             near = math.pi / band_35_65.omega_u
+        model = ReconModel(knots, coeff, segments)
         s = np.sort(knots)
 
         def layout(t):
@@ -385,6 +398,6 @@ class TestEvaluatorMatchesDirectSum:
         tol = 1e-11 * (1.0 + np.sum(np.abs(coeff)))
         for pts in (t, t_clear):
             direct = np.concatenate(
-                [direct_kernel_sum(model, c) for c in np.array_split(pts, 16)]
+                [direct_kernel_sum(knots, coeff, kernel, c) for c in np.array_split(pts, 16)]
             )
             assert np.max(np.abs(evaluate_model(model, pts) - direct)) <= tol

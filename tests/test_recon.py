@@ -22,11 +22,12 @@ from temcodec.recon import (
     DegenerateSystemError,
     GramSystem,
     ReconModel,
+    bandpass_segments,
     build_gram_bandpass,
     build_gram_lowpass,
     evaluate_model,
     knots_and_shifts,
-    model_from,
+    lowpass_segments,
     solve_coefficients,
 )
 
@@ -105,7 +106,7 @@ class TestGramLowpass:
         # int sin(w(u-s))/(pi(u-s)) du = [Si(w(u-s))/pi] between the endpoints
         train, system = small_system
         t = train.times
-        omega = system.omega
+        omega = TWO_PI * 65.0  # the fixture's cutoff
         s = system.knot_times
         upper = scipy.special.sici(omega * (t[1:, None] - s[None, :]))[0]
         lower = scipy.special.sici(omega * (t[:-1, None] - s[None, :]))[0]
@@ -311,9 +312,7 @@ def bandpass_closed_form(merged, band):
     """
     t = merged.times
     knots = knots_and_shifts(t)
-    segments = recon._kernel_segments(
-        "bandpass", knots.times.size, band=band, shifts=knots.shifts, reflected=knots.reflected
-    )
+    segments = bandpass_segments(knots.shifts, knots.reflected, band)
     out = np.zeros((t.size - 2, knots.times.size))
     for lo, hi, w, psi in segments:
         if not hi > lo:
@@ -482,7 +481,7 @@ class TestSolve:
     def test_cutoff_outside_unit_interval_rejected(self, sv_cutoff):
         rng = np.random.RandomState(3)
         system = GramSystem(rng.randn(8, 3) @ rng.randn(3, 8), np.eye(8), rng.randn(8),
-                            "lowpass", np.arange(8.0), omega=1.0)
+                            np.arange(8.0), lowpass_segments(8, 1.0))
         with pytest.raises(ValueError, match="sv_cutoff"):
             solve_coefficients(system, sv_cutoff=sv_cutoff)
 
@@ -505,19 +504,20 @@ class TestSolve:
         get, put = blas_threads
         put(2)
         q = np.array([3.0, -1.0, 0.5])
-        solve_coefficients(GramSystem(np.eye(3), np.eye(3), q, "lowpass", np.arange(3.0), omega=1.0))
+        solve_coefficients(GramSystem(np.eye(3), np.eye(3), q, np.arange(3.0),
+                                      lowpass_segments(3, 1.0)))
         assert get() == 2
         with pytest.raises(DegenerateSystemError):
-            solve_coefficients(GramSystem(np.zeros((3, 3)), np.eye(3), q, "lowpass",
-                                          np.arange(3.0), omega=1.0))
+            solve_coefficients(GramSystem(np.zeros((3, 3)), np.eye(3), q, np.arange(3.0),
+                                          lowpass_segments(3, 1.0)))
         assert get() == 2
 
     def test_concurrent_solves_restore_caller_blas_threads(self, blas_threads):
         get, put = blas_threads
         put(2)
         rng = np.random.RandomState(5)
-        system = GramSystem(rng.randn(40, 12), rng.randn(30, 12), rng.randn(40), "lowpass",
-                            np.arange(30.0), omega=1.0)
+        system = GramSystem(rng.randn(40, 12), rng.randn(30, 12), rng.randn(40), np.arange(30.0),
+                            lowpass_segments(30, 1.0))
         expect = solve_coefficients(system).coefficients
         results, errors = [], []
 
@@ -547,22 +547,22 @@ class TestSolve:
         put(2)
         q = np.array([3.0, -1.0, 0.5])
         with recon._one_blas_thread():
-            sol = solve_coefficients(GramSystem(np.eye(3), np.eye(3), q, "lowpass",
-                                                np.arange(3.0), omega=1.0))
+            sol = solve_coefficients(GramSystem(np.eye(3), np.eye(3), q, np.arange(3.0),
+                                                lowpass_segments(3, 1.0)))
             assert get() == 1
         assert sol.blas_threads == 1 and get() == 2
 
     def test_without_thread_controls_solves_on_caller_threads(self, monkeypatch):
         monkeypatch.setattr(recon, "_blas_thread_controls", lambda: None)
         q = np.array([3.0, -1.0, 0.5])
-        sol = solve_coefficients(GramSystem(np.eye(3), np.eye(3), q, "lowpass",
-                                            np.arange(3.0), omega=1.0))
+        sol = solve_coefficients(GramSystem(np.eye(3), np.eye(3), q, np.arange(3.0),
+                                            lowpass_segments(3, 1.0)))
         assert sol.blas_threads is None
         assert np.allclose(sol.coefficients, q, atol=1e-14)
 
     def test_identity_system(self):
         q = np.array([3.0, -1.0, 0.5])
-        system = GramSystem(np.eye(3), np.eye(3), q, "lowpass", np.arange(3.0), omega=1.0)
+        system = GramSystem(np.eye(3), np.eye(3), q, np.arange(3.0), lowpass_segments(3, 1.0))
         sol = solve_coefficients(system)
         assert np.allclose(sol.coefficients, q, atol=1e-14)
         assert sol.effective_rank == 3
@@ -570,8 +570,8 @@ class TestSolve:
 
     def test_zero_rhs_gives_exact_zero(self):
         rng = np.random.RandomState(7)
-        system = GramSystem(rng.randn(6, 4), np.eye(4), np.zeros(6), "lowpass",
-                            np.arange(4.0), omega=1.0)
+        system = GramSystem(rng.randn(6, 4), np.eye(4), np.zeros(6), np.arange(4.0),
+                            lowpass_segments(4, 1.0))
         sol = solve_coefficients(system)
         assert np.all(sol.coefficients == 0.0)
 
@@ -579,14 +579,14 @@ class TestSolve:
         # minimum-norm solution splits the coefficient across identical columns
         col = np.array([1.0, 2.0])
         system = GramSystem(np.column_stack([col, col]), np.eye(2), np.array([1.0, 2.0]),
-                            "lowpass", np.arange(2.0), omega=1.0)
+                            np.arange(2.0), lowpass_segments(2, 1.0))
         sol = solve_coefficients(system)
         assert np.allclose(sol.coefficients, [0.5, 0.5], atol=1e-12)
         assert sol.effective_rank == 1
 
     def test_all_below_cutoff_rejected(self):
-        system = GramSystem(np.zeros((3, 3)), np.eye(3), np.ones(3), "lowpass",
-                            np.arange(3.0), omega=1.0)
+        system = GramSystem(np.zeros((3, 3)), np.eye(3), np.ones(3), np.arange(3.0),
+                            lowpass_segments(3, 1.0))
         with pytest.raises(DegenerateSystemError):
             solve_coefficients(system)
 
@@ -604,8 +604,8 @@ class TestSolve:
         rng = np.random.RandomState(11)
         matrix = rng.randn(8, 5)
         q = rng.randn(8)
-        base = GramSystem(matrix, np.eye(5), q, "lowpass", np.arange(5.0), omega=1.0)
-        scaled = GramSystem(matrix, np.eye(5), gamma * q, "lowpass", np.arange(5.0), omega=1.0)
+        base = GramSystem(matrix, np.eye(5), q, np.arange(5.0), lowpass_segments(5, 1.0))
+        scaled = GramSystem(matrix, np.eye(5), gamma * q, np.arange(5.0), lowpass_segments(5, 1.0))
         ca = solve_coefficients(base).coefficients
         cb = solve_coefficients(scaled).coefficients
         assert np.allclose(cb, gamma * ca, rtol=1e-11, atol=1e-13)
@@ -640,7 +640,7 @@ class TestSolve:
         keep = sv >= cutoff
         expect = vt[keep].T @ ((u[:, keep].T @ q) / sv[keep])
         sol = solve_coefficients(
-            GramSystem(left, right, q, "lowpass", np.arange(float(cols)), omega=1.0)
+            GramSystem(left, right, q, np.arange(float(cols)), lowpass_segments(cols, 1.0))
         )
         assert sol.effective_rank == np.count_nonzero(keep)
         scale = np.linalg.norm(expect) + np.linalg.norm(q) / sv[0]
@@ -718,9 +718,7 @@ class TestSegmentKernel:
         band = BandSpec(TWO_PI * edges_hz[0], TWO_PI * edges_hz[1])
         shifts = band.period * np.array([0.3, 0.3, 0.45, 0.45])
         reflected = np.array([False, True, False, True])
-        segments = recon._kernel_segments(
-            "bandpass", shifts.size, band=band, shifts=shifts, reflected=reflected
-        )
+        segments = bandpass_segments(shifts, reflected, band)
         u = near_offsets(band.omega_u)
         for k in range(shifts.size):
             got = recon._segment_kernel(segments, u, np.full(u.size, k))
@@ -733,7 +731,7 @@ class TestSegmentKernel:
     def test_lowpass_equals_sinc(self):
         omega = TWO_PI * 65.0
         u = near_offsets(omega)
-        segments = recon._kernel_segments("lowpass", 3, omega=omega)
+        segments = lowpass_segments(3, omega)
         got = recon._segment_kernel(segments, u, np.full(u.size, 2))
         safe = np.where(u == 0.0, 1.0, u)
         expect = np.where(u == 0.0, omega / np.pi, np.sin(omega * u) / (np.pi * safe))
@@ -742,35 +740,29 @@ class TestSegmentKernel:
 
 class TestModel:
     def test_zero_coefficients_evaluate_to_zero(self, band_35_65):
-        model = ReconModel(
-            kind="bandpass",
-            knot_times=np.array([0.0, 0.01]),
-            coefficients=np.zeros(2),
-            band=band_35_65,
-            shifts=np.array([0.01, 0.01]),
-            reflected=np.array([False, True]),
-        )
+        segments = bandpass_segments(np.array([0.01, 0.01]), np.array([False, True]), band_35_65)
+        model = ReconModel(np.array([0.0, 0.01]), np.zeros(2), segments)
         t = np.linspace(-1, 1, 55)
         assert np.all(model(t) == 0.0)
 
     def test_single_unit_coefficient_is_shifted_kernel(self, band_35_65):
         t = np.linspace(-0.4, 0.4, 111)
-        lp = ReconModel("lowpass", np.array([0.07]), np.array([1.0]), omega=TWO_PI * 65.0)
+        lp = ReconModel(np.array([0.07]), np.array([1.0]), lowpass_segments(1, TWO_PI * 65.0))
         expect = (TWO_PI * 65.0 / np.pi) * np.sinc(65.0 * 2.0 * (t - 0.07))
         assert np.allclose(lp(t), expect, atol=1e-12)
         bp = ReconModel(
-            "bandpass", np.array([0.07]), np.array([1.0]),
-            band=band_35_65, shifts=np.array([0.01]), reflected=np.array([True]),
+            np.array([0.07]), np.array([1.0]),
+            bandpass_segments(np.array([0.01]), np.array([True]), band_35_65),
         )
         assert np.allclose(bp(t), closed_form_gbp(0.07 - t, 0.01, band_35_65), atol=1e-12)
 
     def test_scalar_evaluation_returns_float(self):
-        lp = ReconModel("lowpass", np.array([0.0]), np.array([1.0]), omega=1.0)
+        lp = ReconModel(np.array([0.0]), np.array([1.0]), lowpass_segments(1, 1.0))
         assert isinstance(lp(0.3), float)
         assert lp(0.3) == evaluate_model(lp, 0.3)
 
     def test_empty_input_returns_empty_float_array(self):
-        lp = ReconModel("lowpass", np.array([0.0]), np.array([1.0]), omega=1.0)
+        lp = ReconModel(np.array([0.0]), np.array([1.0]), lowpass_segments(1, 1.0))
         out = evaluate_model(lp, np.array([]))
         assert out.shape == (0,) and out.dtype == float
 
@@ -779,7 +771,7 @@ class TestModel:
         """A lowpass model and points that the evaluator cuts into several boxes."""
         rng = np.random.default_rng(5)
         knots = rng.uniform(-1.0, 1.0, 400)
-        model = ReconModel("lowpass", knots, rng.uniform(-1.0, 1.0, 400), omega=TWO_PI * 65.0)
+        model = ReconModel(knots, rng.uniform(-1.0, 1.0, 400), lowpass_segments(400, TWO_PI * 65.0))
         t = np.linspace(-1.2, 1.2, 5001)
         assert recon._box_edges(t, np.sort(knots), 1.0 / 130.0).size > 2
         return model, t
@@ -803,7 +795,7 @@ class TestModel:
         """A lowpass model of 358 knots and 2,300 points that the evaluator takes as one box."""
         rng = np.random.default_rng(7)
         knots = rng.uniform(-1.0, 1.0, 358)
-        model = ReconModel("lowpass", knots, rng.uniform(-1.0, 1.0, 358), omega=TWO_PI * 65.0)
+        model = ReconModel(knots, rng.uniform(-1.0, 1.0, 358), lowpass_segments(358, TWO_PI * 65.0))
         t = np.linspace(-1.0, 1.0, 2300)
         assert recon._box_edges(t, np.sort(knots), 1.0 / 130.0) is None
         return model, t
@@ -835,19 +827,20 @@ class TestModel:
         got = evaluate_model(model, t)
         assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
-    def test_unknown_kind_rejected(self):
-        model = ReconModel("highpass", np.array([0.0]), np.array([1.0]), omega=1.0)
-        with pytest.raises(ValueError, match="highpass"):
-            evaluate_model(model, 0.3)
+    @pytest.mark.parametrize("n_coeff", [1, 3])
+    def test_coefficients_not_one_per_knot_rejected(self, n_coeff):
+        # three coefficients once evaluated silently, dropping the third
+        with pytest.raises(ValueError, match="one entry per knot"):
+            ReconModel(np.array([0.0, 0.1]), np.ones(n_coeff), lowpass_segments(2, TWO_PI * 65.0))
+
+    def test_segments_not_one_per_knot_rejected(self):
+        with pytest.raises(ValueError, match="one entry per knot"):
+            ReconModel(np.array([0.0, 0.1]), np.ones(2), lowpass_segments(3, TWO_PI * 65.0))
 
     def test_degenerate_knot_shift_names_knot(self, band_35_65):
-        model = ReconModel(
-            "bandpass", np.array([0.0, 0.01]), np.array([1.0, 1.0]), band=band_35_65,
-            shifts=np.array([0.01, band_35_65.period / 3.0]),
-            reflected=np.array([False, True]),
-        )
+        shifts = np.array([0.01, band_35_65.period / 3.0])
         with pytest.raises(DegenerateShiftError, match="knot 1"):
-            evaluate_model(model, 0.3)
+            bandpass_segments(shifts, np.array([False, True]), band_35_65)
 
     def test_lowpass_tone_snr(self):
         # tone below the cutoff, encoder interval under the Nyquist interval
@@ -904,12 +897,3 @@ class TestModel:
         # pairing knots within a channel-A..channel-B pair tracks the actual
         # integrator stagger and reconstructs better than the alternative
         assert snrs["even"] >= snrs["odd"]
-
-    def test_model_from_carries_system_fields(self, two_channel_record, band_35_65):
-        _, _, _, merged = two_channel_record
-        system = build_gram_bandpass(merged, band_35_65)
-        sol = solve_coefficients(system)
-        model = model_from(system, sol)
-        assert model.kind == "bandpass"
-        assert np.array_equal(model.knot_times, system.knot_times)
-        assert np.array_equal(model.coefficients, sol.coefficients)

@@ -476,10 +476,16 @@ class TestSpikeFiles:
         assert lines[1] == "single,0,0.125"
         assert lines[2] == "single,1,0.25"
 
-    def test_missing_header_rejected(self, tmp_path):
+    @pytest.mark.parametrize("text", [
+        "A,0,0.5\n",
+        "# tem kappa=1.0 delta=0.01 bias=3.0 bound=2.0\nA,0,0.5\n",
+        "# tem kappa=1.0 delta=0.01 bias=3.0 bound=2.0 window=0.0,1.0 extra\nA,0,0.5\n",
+        "# tem kappa=1.0 delta=0.01 bias=3.0 bound=2.0 window=0.0,1.0\nA,0\n",
+    ], ids=["no_header", "header_without_window", "header_field_without_equals", "short_record"])
+    def test_missing_header_rejected(self, tmp_path, text):
         path = tmp_path / "bad.txt"
-        path.write_text("A,0,0.5\n")
-        with pytest.raises(ValueError):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
             read_spike_file(path)
 
     def test_mixed_params_rejected(self, tmp_path, params_free):
