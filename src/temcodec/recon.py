@@ -626,6 +626,8 @@ class ReconModel:
     segments: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "knot_times", np.asarray(self.knot_times, dtype=float))
+        object.__setattr__(self, "coefficients", np.asarray(self.coefficients, dtype=float))
         arrays = [self.coefficients] + [a for seg in self.segments for a in seg[2:]]
         if any(np.shape(a) != np.shape(self.knot_times) for a in arrays):
             raise ValueError("coefficients and segment weights need one entry per knot")

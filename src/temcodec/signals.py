@@ -44,8 +44,18 @@ def sinc_pi(x):
 
 
 def _sinc(z):
-    """sin(z)/z with the removable singularity filled (``_sinc(0) == 1``)."""
-    return sinc_pi(np.asarray(z) / np.pi)
+    """sin(z)/z with the removable singularity filled (``_sinc(0) == 1``).
+
+    ``z`` is a float ndarray that is overwritten: the steps of
+    ``sinc_pi(z / pi)`` run in place, in the same order, so the values are
+    bit-identical to it while only the result is allocated.
+    """
+    z /= np.pi
+    z *= np.pi
+    z[z == 0.0] = sys.float_info.epsilon
+    out = np.sin(z)
+    out /= z
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +126,15 @@ class ModulatedTone:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        envelope = self.amplitude * _sinc(self.am_omega * t)
-        return envelope * np.cos(self.carrier_omega * t + _sinc(self.pm_omega * t))
+        # Both sinc factors in one pass: row 0 the envelope's, row 1 the phase's.
+        sinc = _sinc(np.multiply.outer((self.am_omega, self.pm_omega), t))
+        envelope = sinc[0]
+        envelope *= self.amplitude
+        phase = self.carrier_omega * t
+        phase += sinc[1]
+        out = np.cos(phase)
+        out *= envelope
+        return out
 
 
 @dataclass(frozen=True)

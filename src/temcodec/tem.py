@@ -11,17 +11,20 @@ Because the reset is exact, spike ``k`` is where the one global
 antiderivative ``F(t) = integral_{t0}^{t} (x + b)`` reaches
 ``kappa*(delta - z0) + 2*kappa*delta*k`` (the t-transform of Lazar and
 Toth, IEEE TCAS-I 2004).  :func:`encode` first builds ``F`` once from
-15-point Gauss-Legendre panels, each at most ``min_gap/2`` wide, with one
-vectorised signal call over all their nodes, and inverts every target at
-once.  Each spike is then polished by a safeguarded Newton iteration
-inside the bracket the slope range gives, started from that seed: the
-seed is within rounding of the crossing, so the first adaptive
-:func:`~temcodec.signals.integrate` call ends the search and doubles as
-the check of the interval identity.  That is one quadrature call per
-spike, never fixed-step simulation.  ``x + b > 0`` is checked at every
-node of the global pass and at every point a per-spike integral or
-Newton step samples; a violation names the spike by how many spikes
-precede the offending point.
+15-point Gauss-Legendre panels, each at most ``min_gap/2`` wide, in
+blocks of ``SEED_BLOCK_PANELS`` panels with one vectorised signal call
+per block and ``F`` carried across blocks, and inverts every target a
+block reaches at once.  Each spike is then polished by a safeguarded
+Newton iteration inside the bracket the slope range gives, started from
+that seed: the seed is within rounding of the crossing, so the first
+adaptive :func:`~temcodec.signals.integrate` call ends the search and
+doubles as the check of the interval identity.  That step takes its
+slope, ``x + b`` at the seed, from the global pass's interpolant, so it
+samples the signal only at the integral's nodes.  That is one quadrature
+call per spike, never fixed-step simulation.  ``x + b > 0`` is checked at
+every node of the global pass and of each per-spike integral, and at the
+start of any further Newton step; a violation names the spike by how
+many spikes precede the offending point.
 """
 
 from __future__ import annotations
@@ -153,20 +156,31 @@ def _legendre_maps():
     return to_coef, legendre.legint(to_coef, lbnd=-1.0, axis=0)
 
 
+# Built once, at import, like the rule itself (``signals._GL_NODES``).
+_TO_COEF, _TO_INT = _legendre_maps()
+
 # Newton steps (or bisections) per seed before the search gives up refining.
 MAX_SEED_STEPS = 64
+# Panels per block of the global pass, which holds one block's node values at
+# a time; the presets need 2,600 (single channel) and 600 (per channel).
+SEED_BLOCK_PANELS = 4096
 
 
-def _seed_times(sig, params: TemParams, t0: float, t1: float, first: float) -> np.ndarray:
+def _seed_times(sig, params: TemParams, t0: float, t1: float, first: float):
     """Where ``F(t) = integral_{t0}^{t} (x + bias)`` reaches each spike target.
 
     The targets are ``first + 2*kappa*delta*k``.  ``F`` is built from
     15-point Gauss-Legendre panels at most ``min_gap/2`` wide (so a panel
     holds at most one crossing), with ``x + bias > 0`` checked at every
-    node, and is inverted for every target ``F(t1)`` reaches at once by a
-    vectorised Newton iteration inside each target's panel, bisecting
-    whenever a step leaves the panel's shrinking bracket.  The returned
-    seeds end with ``t1``, the seed of any target beyond ``F(t1)``.
+    node.  The panels are taken in blocks of ``SEED_BLOCK_PANELS``, one
+    signal call each, with ``F`` carried from block to block; every target
+    a block's ``F`` reaches is inverted at once by a vectorised Newton
+    iteration inside the target's panel, bisecting whenever a step leaves
+    the panel's shrinking bracket.
+
+    Returns ``(seeds, slopes)``.  The seeds end with ``t1``, the seed of
+    any target beyond ``F(t1)``; ``slopes[k]``, one per target, is the
+    panel's interpolant of ``x + bias`` at seed ``k``.
 
     Raises ValueError at the first node where ``x + bias <= 0``; the spike
     index is the number of targets ``F`` has reached at that node.
@@ -174,50 +188,60 @@ def _seed_times(sig, params: TemParams, t0: float, t1: float, first: float) -> n
     step = 2.0 * params.kappa * params.delta
     n_panels = max(1, math.ceil((t1 - t0) / (0.5 * params.min_gap)))
     edges = np.linspace(t0, t1, n_panels + 1)
-    half = 0.5 * np.diff(edges)
-    mid = edges[:-1] + half
-    nodes = mid[:, None] + half[:, None] * _GL_NODES
-    values = np.asarray(sig(nodes.ravel()), dtype=float).reshape(nodes.shape) + params.bias
-    to_coef, to_int = _legendre_maps()
-    # F at the panel edges: the first is 0, the rest the running panel sums.
-    f_edges = np.concatenate(([0.0], np.cumsum(half * (values @ _GL_WEIGHTS))))
 
     def reached(f):
         """How many targets lie at or below ``f``."""
         return max(0, math.floor((f - first) / step) + 1)
 
-    if not values.min() > 0.0:  # a NaN fails too
-        bad = int(np.argmax(~(values.ravel() > 0.0)))  # the first offending node
-        panel, node = divmod(bad, _GL_NODES.size)
-        f_node = f_edges[panel] + half[panel] * float(
-            legendre.legval(_GL_NODES[node], to_int @ values[panel]))
-        if math.isnan(f_node):  # a NaN in the panel: count up to its left edge
-            f_node = f_edges[panel]
-        raise _bound_error(reached(f_node), float(values.flat[bad]),
-                           float(nodes.flat[bad]), params.amplitude_bound)
+    seeds, slopes = [], []
+    f_start, n_reached = 0.0, 0
+    for start in range(0, n_panels, SEED_BLOCK_PANELS):
+        block = edges[start:start + SEED_BLOCK_PANELS + 1]
+        half = 0.5 * np.diff(block)
+        mid = block[:-1] + half
+        nodes = mid[:, None] + half[:, None] * _GL_NODES
+        values = np.asarray(sig(nodes.ravel()), dtype=float).reshape(nodes.shape) + params.bias
+        # F at the block's panel edges: the carried value, then the running
+        # panel sums, in the same sequential order as one sum over the window.
+        f_edges = np.cumsum(np.concatenate(([f_start], half * (values @ _GL_WEIGHTS))))
 
-    targets = first + step * np.arange(reached(f_edges[-1]))
-    j = np.minimum(np.searchsorted(f_edges, targets, side="right") - 1, n_panels - 1)
-    # Solve A_j(x) = r on [-1, 1], A_j the scaled local antiderivative.
-    coef = values[j] @ to_coef.T
-    coef_int = values[j] @ to_int.T
-    r = (targets - f_edges[j]) / half[j]
-    lo, hi = np.full(targets.size, -1.0), np.ones(targets.size)
-    x = 2.0 * (targets - f_edges[j]) / (f_edges[j + 1] - f_edges[j]) - 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(MAX_SEED_STEPS):
-            vander = legendre.legvander(x, coef_int.shape[1] - 1)
-            g = np.einsum("ij,ij->i", vander, coef_int) - r
-            slope = np.einsum("ij,ij->i", vander[:, :-1], coef)
-            hi = np.where(g > 0.0, x, hi)
-            lo = np.where(g < 0.0, x, lo)
-            x_next = x - g / slope
-            x_next = np.where((lo <= x_next) & (x_next <= hi), x_next, 0.5 * (lo + hi))
-            moved = np.abs(x_next - x)
-            x = x_next
-            if not moved.size or moved.max() <= 4.0 * np.finfo(float).eps:
-                break
-    return np.append(mid[j] + half[j] * x, t1)
+        if not values.min() > 0.0:  # a NaN fails too
+            bad = int(np.argmax(~(values.ravel() > 0.0)))  # the first offending node
+            panel, node = divmod(bad, _GL_NODES.size)
+            f_node = f_edges[panel] + half[panel] * float(
+                legendre.legval(_GL_NODES[node], _TO_INT @ values[panel]))
+            if math.isnan(f_node):  # a NaN in the panel: count up to its left edge
+                f_node = f_edges[panel]
+            raise _bound_error(reached(f_node), float(values.flat[bad]),
+                               float(nodes.flat[bad]), params.amplitude_bound)
+
+        count = reached(f_edges[-1])
+        targets = first + step * np.arange(n_reached, count)
+        j = np.clip(np.searchsorted(f_edges, targets, side="right") - 1, 0, half.size - 1)
+        # Solve A_j(x) = r on [-1, 1], A_j the scaled local antiderivative.
+        coef = values[j] @ _TO_COEF.T
+        coef_int = values[j] @ _TO_INT.T
+        r = (targets - f_edges[j]) / half[j]
+        lo, hi = np.full(targets.size, -1.0), np.ones(targets.size)
+        x = 2.0 * (targets - f_edges[j]) / (f_edges[j + 1] - f_edges[j]) - 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(MAX_SEED_STEPS):
+                vander = legendre.legvander(x, coef_int.shape[1] - 1)
+                g = np.einsum("ij,ij->i", vander, coef_int) - r
+                slope = np.einsum("ij,ij->i", vander[:, :-1], coef)
+                hi = np.where(g > 0.0, x, hi)
+                lo = np.where(g < 0.0, x, lo)
+                x_next = x - g / slope
+                x_next = np.where((lo <= x_next) & (x_next <= hi), x_next, 0.5 * (lo + hi))
+                moved = np.abs(x_next - x)
+                x = x_next
+                if not moved.size or moved.max() <= 4.0 * np.finfo(float).eps:
+                    break
+        seeds.append(mid[j] + half[j] * x)
+        slopes.append(np.einsum("ij,ij->i", legendre.legvander(x, coef.shape[1] - 1), coef))
+        f_start, n_reached = f_edges[-1], count
+    seeds.append([t1])
+    return np.concatenate(seeds), np.concatenate(slopes)
 
 
 def encode(
@@ -237,15 +261,18 @@ def encode(
 
     A global pass first builds ``F(t) = integral_{t0}^{t} (x + bias)`` on
     Gauss-Legendre panels at most ``min_gap/2`` wide, from one call of
-    ``sig`` on all their nodes, and seeds every spike where ``F`` reaches
-    its target (a target beyond ``F(t1)`` seeds at ``t1``).  Each spike is
-    then found by safeguarded Newton inside its gap bracket, chained from
-    the previous spike and started from its seed clipped to the bracket.
+    ``sig`` per block of ``SEED_BLOCK_PANELS`` panels, and seeds every
+    spike where ``F`` reaches its target (a target beyond ``F(t1)`` seeds
+    at ``t1``).  Each spike is then found by safeguarded Newton inside its
+    gap bracket, chained from the previous spike and started from its seed
+    clipped to the bracket.  A step that starts at its unclipped seed takes
+    its slope from the global pass's interpolant of ``x + bias`` there, if
+    that value is finite and positive; any other step samples ``sig``.
     The seed is within rounding of the crossing, so the search normally
-    ends after one adaptive ``integrate`` call per spike; one more call per
-    spike whose bracket passes ``t1`` decides whether that spike exists.
-    The search stops at a step of ``SPIKE_TOL`` seconds, and each integral
-    is taken to ``QUAD_TOL``.
+    ends after one adaptive ``integrate`` call per spike, three calls of
+    ``sig`` on its panels; one more call per spike whose bracket passes
+    ``t1`` decides whether that spike exists.  The search stops at a step
+    of ``SPIKE_TOL`` seconds, and each integral is taken to ``QUAD_TOL``.
 
     Parameters
     ----------
@@ -265,7 +292,7 @@ def encode(
     ------
     ValueError
         If ``x + bias <= 0`` at a node of the global pass, at a quadrature
-        node of a per-spike integral or at a Newton point, or a crossing
+        node of a per-spike integral or at a sampled Newton point, or a crossing
         lies outside the gap bracket ``[min_gap, max_gap]`` scaled to its
         interval integral; either means ``|sig|`` exceeded
         ``params.amplitude_bound``.  The message names the time and the
@@ -294,7 +321,7 @@ def encode(
 
     base = t0
     target = kappa * (delta - z0)
-    seeds = _seed_times(sig, params, t0, t1, target)
+    seeds, slopes = _seed_times(sig, params, t0, t1, target)
     while True:
         # With |x| <= bound the integral of x + bias grows at a rate in
         # [bias - bound, bias + bound], which brackets the crossing.
@@ -305,10 +332,14 @@ def encode(
                 break  # the crossing, if any, lies past the window end
             hi = t1
         # A spike past every target F reached by t1 takes the last seed, t1.
-        t = min(max(float(seeds[min(len(times), seeds.size - 1)]), lo), hi)
+        seed = float(seeds[min(len(times), seeds.size - 1)])
+        t = min(max(seed, lo), hi)
+        # A step from the unclipped seed takes its slope from the global pass.
+        slope = float(slopes[len(times)]) if t == seed and len(times) < slopes.size else math.nan
         while True:
             g = integrate(biased, base, t, QUAD_TOL) - target
-            slope = float(biased(np.array([t]))[0])
+            if not 0.0 < slope < math.inf:  # none from the seed (a NaN fails too)
+                slope = float(biased(np.array([t]))[0])
             # The crossing lies at least |g|/(bias + bound) from t, on the side
             # the sign of g points to; beyond the bracket end means the
             # integrand left [bias - bound, bias + bound] somewhere.
@@ -325,6 +356,7 @@ def encode(
             # A step of a few ulps is rounding noise, whatever SPIKE_TOL asks.
             tol = max(SPIKE_TOL, 4.0 * math.ulp(t))
             t_next = t - g / slope
+            slope = math.nan  # a further step samples x + bias where it starts
             if abs(t_next - t) > tol and not lo <= t_next <= hi:
                 t_next = 0.5 * (lo + hi)  # Newton left the bracket: bisect
             done = abs(t_next - t) <= tol

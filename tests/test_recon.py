@@ -833,6 +833,13 @@ class TestModel:
         with pytest.raises(ValueError, match="one entry per knot"):
             ReconModel(np.array([0.0, 0.1]), np.ones(n_coeff), lowpass_segments(2, TWO_PI * 65.0))
 
+    def test_model_from_lists_evaluates_as_from_arrays(self):
+        # lists once passed the length check, then raised a bare TypeError
+        segments = lowpass_segments(2, TWO_PI * 65.0)
+        from_lists = ReconModel([0.0, 0.1], [1.0, 1.0], segments)
+        from_arrays = ReconModel(np.array([0.0, 0.1]), np.array([1.0, 1.0]), segments)
+        assert from_lists(0.05) == from_arrays(0.05) == 12.732395447351628
+
     def test_segments_not_one_per_knot_rejected(self):
         with pytest.raises(ValueError, match="one entry per knot"):
             ReconModel(np.array([0.0, 0.1]), np.ones(2), lowpass_segments(3, TWO_PI * 65.0))

@@ -98,6 +98,53 @@ class TestSincPi:
         assert got.tobytes() == expect.tobytes()
 
 
+def modulated_tone_oracle(sig, t):
+    """``ModulatedTone``'s value as two separate sinc calls, one per factor."""
+    t = np.asarray(t, dtype=float)
+    envelope = sig.amplitude * np.sinc(np.asarray(sig.am_omega * t) / np.pi)
+    return envelope * np.cos(sig.carrier_omega * t + np.sinc(np.asarray(sig.pm_omega * t) / np.pi))
+
+
+TONES = [
+    ModulatedTone(TWO_PI * 50.0, TWO_PI * 10.0, TWO_PI * 2.5, 2.0),  # the presets' waveform
+    ModulatedTone(-TWO_PI * 7.0, -TWO_PI * 3.3, TWO_PI * 0.7, -0.6),
+]
+
+
+class TestModulatedToneOneSincPass:
+    """Both sinc factors share one pass; the values stay those of two calls."""
+
+    @pytest.mark.parametrize("sig", TONES)
+    @settings(max_examples=100, deadline=None)
+    @given(t=hnp.arrays(np.float64, st.integers(0, 40),
+                        elements=st.floats(-1e6, 1e6, allow_subnormal=True)))
+    @example(t=np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, 0.137]))
+    def test_arrays_bit_identical_to_two_sinc_calls(self, sig, t):
+        got, expect = sig(t), modulated_tone_oracle(sig, t)
+        assert got.dtype == expect.dtype and got.shape == expect.shape
+        assert got.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("sig", TONES)
+    @pytest.mark.parametrize("t", [0.0, -0.0, 0.137, -0.9, 1e-300])
+    def test_scalars_bit_identical_to_two_sinc_calls(self, sig, t):
+        for value in (t, np.float64(t), np.array(t)):
+            got, expect = sig(value), modulated_tone_oracle(sig, value)
+            assert type(got) is type(expect) is np.float64
+            assert got.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("sig", TONES)
+    def test_two_dimensional_input_bit_identical_to_two_sinc_calls(self, sig):
+        t = np.linspace(-0.3, 0.3, 15).reshape(3, 5)  # holds t = 0
+        got, expect = sig(t), modulated_tone_oracle(sig, t)
+        assert got.shape == (3, 5) and got.tobytes() == expect.tobytes()
+
+    def test_input_left_unchanged(self, test_signal):
+        t = np.linspace(-0.3, 0.3, 15)
+        before = t.copy()
+        test_signal(t)
+        assert np.array_equal(t, before)
+
+
 class TestIntegrate:
     def test_zero_integrand(self):
         assert integrate(Constant(0.0), -1.0, 3.0, 1e-12) == 0.0

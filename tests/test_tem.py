@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -148,7 +149,11 @@ class TestEncode:
         (0.005, 0),  # F is about 0.006 there, short of the first target 0.02
         (0.1, 7),  # F is about 0.147: targets 0.02 ... 0.14 are reached, 0.16 is not
     ])
-    def test_violation_off_every_crossing_names_the_spikes_before_it(self, center, spike):
+    # 27 panels of 4 ms: one block, or seven with the dip at 0.1 s in the last
+    @pytest.mark.parametrize("block", [tem.SEED_BLOCK_PANELS, 4])
+    def test_violation_off_every_crossing_names_the_spikes_before_it(
+            self, center, spike, block, monkeypatch):
+        monkeypatch.setattr(tem, "SEED_BLOCK_PANELS", block)
         p = TemParams(kappa=1.0, delta=0.01, bias=1.5, amplitude_bound=1.0)
         with pytest.raises(ValueError) as info:
             encode(self._dip(center), p, (0.0, 0.105))
@@ -169,27 +174,115 @@ def _count_integrate_calls(monkeypatch):
     return calls
 
 
+def _count_signal_calls(sig):
+    calls = []
+
+    def counting(t):
+        calls.append(np.size(t))
+        return sig(t)
+
+    return counting, calls
+
+
 class TestQuadratureBudget:
     """The global pass seeds each spike within rounding of its crossing, so
     each costs one adaptive integral, plus one per spike whose bracket passes
-    the window end."""
+    the window end.  The signal is called once for the global pass and once
+    for each of an integral's three panels: the Newton slope at a seed comes
+    from the global pass."""
 
     def test_single_channel_preset(self, monkeypatch):
         cfg = load_config(str(CONFIG_DIR / "single_channel.cfg"))
         calls = _count_integrate_calls(monkeypatch)
-        train = encode(cfg.signal, cfg.tem_params, (-1.0, 1.0))
+        sig, signal_calls = _count_signal_calls(cfg.signal)
+        train = encode(sig, cfg.tem_params, (-1.0, 1.0))
         assert len(train) == 780
         assert len(calls) <= len(train) + 4
+        assert len(signal_calls) == 1 + 3 * len(calls) == 2350
 
     def test_two_channel_preset_each_channel(self, monkeypatch):
         cfg = load_config(str(CONFIG_DIR / "two_channel.cfg"))
         p = cfg.tem_params
         calls = _count_integrate_calls(monkeypatch)
+        sig, signal_calls = _count_signal_calls(cfg.signal)
         for z0 in (p.delta - cfg.alpha, -p.delta):  # channel A, then channel B
-            del calls[:]
-            train = encode(cfg.signal, p, (-1.0, 1.0), initial_integrator=z0)
+            del calls[:], signal_calls[:]
+            train = encode(sig, p, (-1.0, 1.0), initial_integrator=z0)
             assert len(train) == 180
             assert len(calls) <= len(train) + 4
+            assert len(signal_calls) == 1 + 3 * len(calls)
+
+
+def _seeds_with_slopes(monkeypatch, slopes_from):
+    """Make ``_seed_times`` return its seeds with ``slopes_from(slopes)``."""
+    real = tem._seed_times
+
+    def patched(*args):
+        seeds, slopes = real(*args)
+        return seeds, slopes_from(slopes)
+
+    monkeypatch.setattr(tem, "_seed_times", patched)
+
+
+class TestSeedSlopes:
+    """A seed slope that is not finite and positive is replaced by a sample."""
+
+    @pytest.mark.parametrize("slopes_from", [
+        lambda s: np.full_like(s, np.nan),
+        lambda s: -s,
+        lambda s: np.zeros_like(s),
+        lambda s: np.full_like(s, np.inf),
+    ], ids=["nan", "negative", "zero", "inf"])
+    def test_spike_times_bit_identical_to_a_normal_run(self, test_signal, monkeypatch,
+                                                      slopes_from):
+        cfg = load_config(str(CONFIG_DIR / "single_channel.cfg"))
+        expect = encode(test_signal, cfg.tem_params, (-1.0, 1.0))
+        _seeds_with_slopes(monkeypatch, slopes_from)
+        got = encode(test_signal, cfg.tem_params, (-1.0, 1.0))
+        assert got.times.tobytes() == expect.times.tobytes()
+
+    def test_seed_slope_is_x_plus_bias_at_the_seed(self, test_signal, params_free):
+        # the global pass's interpolant of x + bias, in place of a sample there
+        p = params_free
+        seeds, slopes = tem._seed_times(test_signal, p, -0.2, 0.2, p.kappa * p.delta)
+        assert seeds.size == slopes.size + 1 > 1 and seeds[-1] == 0.2
+        sampled = test_signal(seeds[:-1]) + p.bias
+        assert np.max(np.abs(slopes - sampled)) <= 1e-12
+
+
+class TestSeedBlocks:
+    """The global pass takes ``SEED_BLOCK_PANELS`` panels per signal call."""
+
+    @pytest.mark.parametrize("block", [1, 100, 1299])
+    def test_blocks_match_one_block(self, test_signal, monkeypatch, block):
+        # the preset's 2 s window is 2,600 panels: one block by default
+        p = load_config(str(CONFIG_DIR / "single_channel.cfg")).tem_params
+        first = 2.0 * p.kappa * p.delta
+        seeds, slopes = tem._seed_times(test_signal, p, -1.0, 1.0, first)
+        expect = encode(test_signal, p, (-1.0, 1.0))
+        monkeypatch.setattr(tem, "SEED_BLOCK_PANELS", block)
+        sig, signal_calls = _count_signal_calls(test_signal)
+        blocked_seeds, blocked_slopes = tem._seed_times(sig, p, -1.0, 1.0, first)
+        assert len(signal_calls) == math.ceil(2600 / block)
+        assert max(signal_calls) == 15 * block
+        assert blocked_seeds.size == seeds.size and blocked_slopes.size == slopes.size
+        assert np.max(np.abs(blocked_seeds - seeds)) <= 1e-14
+        got = encode(test_signal, p, (-1.0, 1.0))
+        assert len(got) == len(expect) == 780
+        assert np.max(np.abs(got.times - expect.times)) <= 1e-14
+
+    def test_long_window_memory_is_bounded(self, test_signal):
+        # a 40 s window is 52,000 panels, whose node values all held at once
+        # would take 45 MB; one block of them at a time keeps the pass near 4 MB
+        p = load_config(str(CONFIG_DIR / "single_channel.cfg")).tem_params
+        tracemalloc.start()
+        try:
+            seeds, _ = tem._seed_times(test_signal, p, -20.0, 20.0, 2.0 * p.kappa * p.delta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seeds.size == 15601
+        assert peak <= 8e6
 
 
 def _oracle_times(sig, p, window, z0):
@@ -254,7 +347,8 @@ class TestEdgeWindows:
         # A chained loop that outruns the global pass seeds at t1 and still
         # converges: here every spike does.
         window = (-0.2, 0.0)
-        monkeypatch.setattr(tem, "_seed_times", lambda sig, p, t0, t1, first: np.array([t1]))
+        monkeypatch.setattr(tem, "_seed_times",
+                            lambda sig, p, t0, t1, first: (np.array([t1]), np.empty(0)))
         train = encode(test_signal, self.P, window, initial_integrator=self.Z0)
         oracle = _oracle_times(test_signal, self.P, window, self.Z0)
         assert len(train) == len(oracle) > 0
