@@ -106,9 +106,8 @@ class ExperimentConfig:
     band: Optional[BandSpec] = None
     lowpass_cutoff: Optional[float] = None
     pns_shift: Optional[float] = None
-    pair_anchor: str = "even"
-    sv_cutoff: float = recon.DEFAULT_SV_CUTOFF
-    quad_tol: float = recon.DEFAULT_QUAD_TOL
+    sv_cutoff: Optional[float] = None
+    quad_tol: Optional[float] = None
     out_dir: Optional[str] = None
 
 
@@ -210,9 +209,13 @@ def load_config(path) -> ExperimentConfig:
 
     Every cross-module constraint (encoder parameter bounds, band edges,
     PNS shift degeneracy, alpha range) is checked here, so a config that
-    loads is a config that runs.  A key the mode does not read, such as a
-    misspelt one, is rejected with its ``section.key`` name, and so is a
-    missing or malformed number.
+    loads is a config that runs.  Every mode reads ``[experiment]`` and
+    ``[signal]``; ``single_tem`` also reads ``[tem]``, ``[recon]`` and
+    ``[solver]``, ``two_tem`` ``[tem]``, ``[band]`` and ``[solver]``, and
+    ``pns`` ``[band]`` and ``[pns]``.  A key the mode does not read, such as
+    a misspelt one or any key of a section the mode does not use, is
+    rejected with its ``section.key`` name, and so is a missing or malformed
+    number.  Absent solver settings take the ``recon`` defaults.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     read = parser.read(path)
@@ -247,22 +250,24 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError("missing [signal] section")
         sig, desc = _build_signal(sections["signal"])
 
-        solver = sections.get("solver", _Section("solver", {}))
-        sv_cutoff = checked_solver_setting("sv_cutoff", solver.num("sv_cutoff", "1e-8"))
-        quad_tol = checked_solver_setting("quad_tol", solver.num("quad_tol", "1e-9"))
-        pair_anchor = str(solver.get("pair_anchor", "even")).strip()
-        if pair_anchor not in ("even", "odd"):
-            raise ConfigError(f"pair_anchor must be 'even' or 'odd', got {pair_anchor!r}")
-
         band = None
-        if "band" in sections:
+        if mode in ("two_tem", "pns"):
+            if "band" not in sections:
+                raise ConfigError(f"mode {mode} requires a [band] section")
             band = BandSpec(
                 TWO_PI * sections["band"].num("omega_l_hz", "35"),
                 TWO_PI * sections["band"].num("omega_u_hz", "65"),
             )
 
-        tem_params = alpha = lowpass_cutoff = pns_shift = None
+        tem_params = alpha = lowpass_cutoff = pns_shift = sv_cutoff = quad_tol = None
         if mode in ("single_tem", "two_tem"):
+            solver = sections.get("solver", _Section("solver", {}))
+            sv_cutoff = checked_solver_setting(
+                "sv_cutoff", solver.num("sv_cutoff", str(recon.DEFAULT_SV_CUTOFF))
+            )
+            quad_tol = checked_solver_setting(
+                "quad_tol", solver.num("quad_tol", str(recon.DEFAULT_QUAD_TOL))
+            )
             if "tem" not in sections:
                 raise ConfigError(f"mode {mode} requires a [tem] section")
             sec = sections["tem"]
@@ -278,16 +283,12 @@ def load_config(path) -> ExperimentConfig:
                     raise ConfigError(
                         f"alpha {alpha} outside (delta, 2*delta] for delta={tem_params.delta}"
                     )
-                if band is None:
-                    raise ConfigError("mode two_tem requires a [band] section")
         if mode == "single_tem":
             recon_sec = sections.get("recon", _Section("recon", {}))
             lowpass_cutoff = TWO_PI * recon_sec.num("lowpass_cutoff_hz")
             if not lowpass_cutoff > 0:
                 raise ConfigError("lowpass_cutoff_hz must be positive")
         if mode == "pns":
-            if band is None:
-                raise ConfigError("mode pns requires a [band] section")
             pns_shift = sections.get("pns", _Section("pns", {})).num("shift")
             # constructing the grid performs the full validity check
             pns.PnsGrid(band.period, pns_shift, (w0, w1), band)
@@ -315,7 +316,6 @@ def load_config(path) -> ExperimentConfig:
         band=band,
         lowpass_cutoff=lowpass_cutoff,
         pns_shift=pns_shift,
-        pair_anchor=pair_anchor,
         sv_cutoff=sv_cutoff,
         quad_tol=quad_tol,
         out_dir=out_dir,
@@ -503,9 +503,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentReport:
                 "gap_premise_ok": bool(merged.max_gap < cfg.band.period),
             }
             stage = "assemble"
-            system = recon.build_gram_bandpass(
-                merged, cfg.band, quad_tol=cfg.quad_tol, anchor=cfg.pair_anchor
-            )
+            system = recon.build_gram_bandpass(merged, cfg.band, quad_tol=cfg.quad_tol)
 
         else:  # pns
             stage = "encode"

@@ -137,50 +137,38 @@ class BandpassKnots:
 
     ``times[l]`` is the midpoint of the stride-2 spike interval starting at
     merged index ``l``; even indices are channel-A knots, odd channel-B.
-    ``shifts`` assigns each knot of a pair the gap between the pair's two
-    knots.  ``anchor`` selects the pairing: ``"even"`` pairs each A knot
-    with the following B knot (the pair gap is then the local B-behind-A
-    delay, reducing to the fixed channel shift for a uniform record);
-    ``"odd"`` pairs each B knot with the following A knot.  Knots left
-    unpaired at the boundaries copy the nearest assigned shift.
+    Each A knot ``2j`` is paired with the B knot ``2j+1`` that follows it,
+    as in Kohlenberg's second-order interpolant, and both take the pair gap
+    ``times[2j+1] - times[2j]`` as their shift: the local B-behind-A delay,
+    which is the fixed channel shift for a uniform record.  With an odd knot
+    count the last knot is unpaired and copies its predecessor's shift.
     """
 
     times: np.ndarray
     shifts: np.ndarray
-    anchor: str
 
     @property
     def reflected(self) -> np.ndarray:
-        """Mask of knots carrying the time-reversed kernel (the pair partners)."""
-        parity = 1 if self.anchor == "even" else 0
-        return np.arange(self.times.size) % 2 == parity
+        """Mask of knots carrying the time-reversed kernel: the B knots, odd indices."""
+        return np.arange(self.times.size) % 2 == 1
 
 
-def knots_and_shifts(merged_times, anchor: str = "even") -> BandpassKnots:
+def knots_and_shifts(merged_times) -> BandpassKnots:
     """Derive knots ``(t[l] + t[l+2])/2`` and paired shifts from merged spike times."""
-    if anchor not in ("even", "odd"):
-        raise ValueError(f"anchor must be 'even' or 'odd', got {anchor!r}")
     t = np.asarray(merged_times, dtype=float)
     if t.size < 3:
         raise ValueError(f"need at least 3 merged times, got {t.size}")
     if not np.all(np.diff(t) > 0.0):
         raise ValueError("merged times must be strictly increasing")
     knots = 0.5 * (t[:-2] + t[2:])
-    n = knots.size
-    gaps = np.diff(knots)
-    shifts = np.full(n, np.nan)
-    start = 0 if anchor == "even" else 1
-    for k in range(start, n - 1, 2):
-        shifts[k] = shifts[k + 1] = gaps[k]
-    unassigned = np.flatnonzero(np.isnan(shifts))
-    assigned = np.flatnonzero(~np.isnan(shifts))
-    if assigned.size == 0:
+    if knots.size == 1:
         # Single knot; no pair exists, fall back to the spike gap.
-        shifts[:] = t[1] - t[0]
-    else:
-        for k in unassigned:
-            shifts[k] = shifts[assigned[np.argmin(np.abs(assigned - k))]]
-    return BandpassKnots(knots, shifts, anchor)
+        return BandpassKnots(knots, np.array([t[1] - t[0]]))
+    # pair (2j, 2j+1) takes knots[2j+1] - knots[2j]
+    shifts = np.repeat(np.diff(knots)[0::2], 2)
+    if knots.size % 2:
+        shifts = np.append(shifts, shifts[-1])
+    return BandpassKnots(knots, shifts)
 
 
 @dataclass(frozen=True)
@@ -446,7 +434,6 @@ def build_gram_bandpass(
     merged: MergedTrain,
     band: BandSpec,
     quad_tol: float = DEFAULT_QUAD_TOL,
-    anchor: str = "even",
 ) -> GramSystem:
     """Gram system over stride-2 intervals of a merged two-channel record.
 
@@ -465,7 +452,7 @@ def build_gram_bandpass(
     t = merged.times
     if t.size < 3:
         raise ValueError(f"need at least 3 merged spikes, got {t.size}")
-    knots = knots_and_shifts(t, anchor=anchor)
+    knots = knots_and_shifts(t)
     segments = bandpass_segments(knots.shifts, knots.reflected, band)
     premise_ok = merged.max_gap < band.period
     if not premise_ok:

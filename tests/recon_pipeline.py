@@ -21,10 +21,8 @@ def reconstruct_lowpass(train, omega, quad_tol=DEFAULT_QUAD_TOL, sv_cutoff=DEFAU
     return ReconModel(system.knot_times, solution.coefficients, system.segments), system, solution
 
 
-def reconstruct_bandpass(
-    merged, band, quad_tol=DEFAULT_QUAD_TOL, sv_cutoff=DEFAULT_SV_CUTOFF, anchor="even"
-):
+def reconstruct_bandpass(merged, band, quad_tol=DEFAULT_QUAD_TOL, sv_cutoff=DEFAULT_SV_CUTOFF):
     """Assemble, solve and package a bandpass model; returns (model, system, solution)."""
-    system = build_gram_bandpass(merged, band, quad_tol=quad_tol, anchor=anchor)
+    system = build_gram_bandpass(merged, band, quad_tol=quad_tol)
     solution = solve_coefficients(system, sv_cutoff=sv_cutoff)
     return ReconModel(system.knot_times, solution.coefficients, system.segments), system, solution

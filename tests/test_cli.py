@@ -44,7 +44,20 @@ SMALL_TWO_SIGNAL = (
     "kind = modulated_tone\ncarrier_hz = 50\nam_hz = 10\npm_hz = 5/2\namplitude = 2\n"
 )
 SMALL_TWO_TEM = "[tem]\nkappa = 1\ndelta = 1/60\nbias = 3\nalpha = 1/40\n"
-assert SMALL_TWO_SIGNAL in SMALL_TWO and SMALL_TWO_TEM in SMALL_TWO
+SMALL_TWO_BAND = "[band]\nomega_l_hz = 35\nomega_u_hz = 65\n"
+assert all(part in SMALL_TWO for part in (SMALL_TWO_SIGNAL, SMALL_TWO_TEM, SMALL_TWO_BAND))
+
+
+def as_pns(s):
+    """SMALL_TWO as a valid PNS config: its [tem] section becomes a [pns] one."""
+    s = s.replace("mode = two_tem", "mode = pns")
+    return s.replace(SMALL_TWO_TEM, "[pns]\nshift = 1/100\n")
+
+
+def as_single(s):
+    """SMALL_TWO as a valid single-channel config: no alpha, [recon] in place of [band]."""
+    s = s.replace("mode = two_tem", "mode = single_tem").replace("alpha = 1/40\n", "")
+    return s.replace(SMALL_TWO_BAND, "[recon]\nlowpass_cutoff_hz = 65\n")
 
 
 def with_signal(body):
@@ -53,9 +66,7 @@ def with_signal(body):
     PNS has no encoder, so no amplitude-bound check can reject the signal first.
     """
     def mangle(s):
-        s = s.replace("mode = two_tem", "mode = pns")
-        s = s.replace(SMALL_TWO_TEM, "[pns]\nshift = 1/100\n")
-        return s.replace(SMALL_TWO_SIGNAL, body)
+        return as_pns(s).replace(SMALL_TWO_SIGNAL, body)
 
     return mangle
 
@@ -131,7 +142,7 @@ class TestValidate:
             lambda s: s.replace("alpha = 1/40", "alpha = 1/20"),  # > 2*delta
             lambda s: s.replace("bias = 3", "bias = 1"),  # below signal bound
             lambda s: s.replace("window_end = 0.3", "window_end = -0.4"),
-            lambda s: s.replace("[band]\nomega_l_hz = 35\nomega_u_hz = 65\n", ""),
+            lambda s: s.replace(SMALL_TWO_BAND, ""),
             lambda s: s.replace("grid_step = 1/500", "grid_step = 0.6"),
             lambda s: s.replace("grid_step = 1/500", "grid_stp = 1/500"),  # misspelt key
             lambda s: s + "\n[solver]\nquad_tol = nan\n",
@@ -171,12 +182,22 @@ class TestValidate:
             (lambda s: s.replace("omega_l_hz = 35", "omega_l_hz = abc"), "band.omega_l_hz"),
             (lambda s: s + "\n[solver]\nspike_tol = 1e-10\n", "solver.spike_tol"),
             (lambda s: s + "\n[solver]\nsv_cutoff = 1\n", "solver.sv_cutoff"),
+            # no setting selects the knot pairing
+            (lambda s: s + "\n[solver]\npair_anchor = even\n", "solver.pair_anchor"),
+            # a section the mode does not read is rejected key by key
+            (lambda s: as_pns(s) + "\n[solver]\nsv_cutoff = 0.5\n", "solver.sv_cutoff"),
+            (lambda s: as_single(s) + "\n" + SMALL_TWO_BAND, "band.omega_l_hz"),
         ],
     )
     def test_config_error_names_the_key(self, tmp_path, capsys, mangle, key):
         cfg = write_cfg(tmp_path, mangle(SMALL_TWO))
         assert run_cli("validate", cfg) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mangle", [as_pns, as_single])
+    def test_other_mode_bases_are_valid(self, tmp_path, mangle):
+        # the bases the section-rejection cases above build on validate as they are
+        assert run_cli("validate", write_cfg(tmp_path, mangle(SMALL_TWO))) == 0
 
     def test_degenerate_pns_shift_exit_2(self, tmp_path):
         text = SMALL_TWO.replace("mode = two_tem", "mode = pns") + "\n[pns]\nshift = 1/90\n"

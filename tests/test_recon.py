@@ -52,19 +52,29 @@ class TestKnotsAndShifts:
         assert np.array_equal(k.times, [1.0])
         assert np.array_equal(k.shifts, [1.0])
 
-    def test_uniform_record_even_anchor_recovers_channel_shift(self):
+    def test_uniform_record_recovers_channel_shift(self):
         T, d = 0.05, 0.017
-        k = knots_and_shifts(uniform_interleaved(T, d, 12), anchor="even")
+        k = knots_and_shifts(uniform_interleaved(T, d, 12))
         # knots are sample instants pushed half a period up
         assert np.allclose(k.times[0::2], T * np.arange(11) + T / 2, atol=1e-12)
         assert np.allclose(k.shifts, d, atol=1e-12)
         assert not k.reflected[0] and k.reflected[1]
 
-    def test_uniform_record_odd_anchor_gives_complement(self):
-        T, d = 0.05, 0.017
-        k = knots_and_shifts(uniform_interleaved(T, d, 12), anchor="odd")
-        assert np.allclose(k.shifts, T - d, atol=1e-12)
-        assert k.reflected[0] and not k.reflected[1]
+    def test_jittered_records_of_both_parities(self):
+        # merged counts 4..61 give knot counts 2..59, odd and even alike
+        rng = np.random.default_rng(7)
+        for count in range(4, 62):
+            k = knots_and_shifts(np.cumsum(rng.uniform(0.5, 1.5, count)))
+            n = k.times.size
+            end = n // 2 * 2
+            gap = k.times[1:end:2] - k.times[0:end:2]
+            # each pair (2j, 2j+1) shares its own gap
+            assert np.array_equal(k.shifts[0:end:2], gap)
+            assert np.array_equal(k.shifts[1:end:2], gap)
+            # a trailing unpaired knot copies its predecessor's shift
+            assert k.shifts.size == n
+            assert n == end or k.shifts[-1] == k.shifts[-2]
+            assert np.array_equal(np.flatnonzero(k.reflected), np.arange(1, n, 2))
 
     def test_knots_strictly_increasing(self, two_channel_record):
         _, _, _, merged = two_channel_record
@@ -79,10 +89,6 @@ class TestKnotsAndShifts:
     def test_non_increasing_rejected(self):
         with pytest.raises(ValueError):
             knots_and_shifts([0.0, 1.0, 1.0])
-
-    def test_unknown_anchor_rejected(self):
-        with pytest.raises(ValueError):
-            knots_and_shifts([0.0, 1.0, 2.0], anchor="middle")
 
 
 @pytest.fixture(scope="module")
@@ -202,7 +208,7 @@ def preset_systems():
     a, b = encode_two_channel(cfg.signal, cfg.tem_params, cfg.window, alpha=cfg.alpha)
     merged = interleave(experiment._snap_train(a), experiment._snap_train(b))
     out["two_channel"] = (
-        build_gram_bandpass(merged, cfg.band, quad_tol=cfg.quad_tol, anchor=cfg.pair_anchor),
+        build_gram_bandpass(merged, cfg.band, quad_tol=cfg.quad_tol),
         cfg.sv_cutoff,
     )
     return out
@@ -889,18 +895,3 @@ class TestModel:
             n = min(orig.size, len(redo))
             worst = max(worst, float(np.max(np.abs(redo.times[:n] - orig[:n]))))
         assert worst <= 1e-9
-
-    def test_anchor_variants_both_reconstruct(self, two_channel_record, band_35_65, test_signal):
-        _, _, _, merged = two_channel_record
-        t = np.arange(-0.7, 0.7005, 1e-3)
-        xt = test_signal(t)
-        snrs = {}
-        for anchor in ("even", "odd"):
-            model, _, _ = reconstruct_bandpass(merged, band_35_65, anchor=anchor)
-            xh = model(t)
-            snrs[anchor] = 10 * np.log10(np.sum(xt ** 2) / np.sum((xh - xt) ** 2))
-        assert snrs["even"] >= 25.0
-        assert snrs["odd"] >= 25.0
-        # pairing knots within a channel-A..channel-B pair tracks the actual
-        # integrator stagger and reconstructs better than the alternative
-        assert snrs["even"] >= snrs["odd"]
