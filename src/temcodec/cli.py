@@ -60,8 +60,15 @@ def _cmd_run(args) -> int:
         cfg = load_config(args.config)
         for key in ("quad_tol", "sv_cutoff"):
             value = getattr(args, key)
-            if value is not None:
-                setattr(cfg, key, checked_solver_setting(key, value))
+            if value is None:
+                continue
+            # load_config leaves a solver setting None in a mode without a solve
+            if getattr(cfg, key) is None:
+                raise ConfigError(
+                    f"--{key.replace('_', '-')} sets solver.{key}, which mode "
+                    f"{cfg.mode} does not use"
+                )
+            setattr(cfg, key, checked_solver_setting(key, value))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -29,15 +29,20 @@ segments, and everything else is derived from them:
   (:func:`_spectral_factors`).  The rule is Gauss-Legendre with its nodes
   moved by a conformal "sausage" map, which spends fewer nodes at the ends
   of the band than the plain rule (Hale & Trefethen, *SIAM J. Numer.
-  Anal.*, 2008).  In ``nu`` the integrand is entire, of exponential type
-  the record span, so an a-priori error bound fixes each rule's order at
-  ``quad_tol`` per entry; it grows with the span (185 nodes, 370 columns,
-  for the 779 rows of the 2 s single-channel preset; the plain rule needs
-  234).  The solve never forms ``G``: a QR of each factor reduces it to a
-  truncated least squares problem on a small core (the trigonometric-space
-  view of TEM decoding of Lazar & Pnevmatikakis, *EURASIP J. Adv. Signal
-  Process.*, 2009, applied here to the paper's own Gram matrix), solved on
-  one BLAS thread.
+  Anal.*, 2008); each order's rule is built once per process
+  (:func:`_mapped_rule`).  In ``nu`` the integrand is entire, of
+  exponential type the record span, so an a-priori error bound fixes each
+  rule's order at ``quad_tol`` per entry; it grows with the span (185
+  nodes, 370 columns, for the 779 rows of the 2 s single-channel preset;
+  the plain rule needs 234).  The knots are the row midpoints, so both
+  factors share one trigonometric table per segment (recomputed only
+  where a segment carries a phase), and both are column-major, the layout
+  LAPACK reads.  The solve never forms ``G``: a QR of each factor reduces
+  it to a truncated least squares problem on a small core (the
+  trigonometric-space view of TEM decoding of Lazar & Pnevmatikakis,
+  *EURASIP J. Adv. Signal Process.*, 2009, applied here to the paper's own
+  Gram matrix), solved on one BLAS thread; its residual is read from the
+  R factors.
 * Evaluation: :func:`evaluate_model`, the single evaluator for both
   families and for PNS records (:func:`temcodec.pns.reconstruct_pns`
   builds a bandpass model), writes the model as ``cos(a*t)`` and
@@ -349,20 +354,44 @@ def check_quad_tol(quad_tol: float) -> None:
         raise ValueError(f"quad_tol must be positive and finite, got {quad_tol}")
 
 
-def _spectral_factors(starts, ends, knots, segments, quad_tol: float):
+# bounded because the order follows the record span: a process decoding many
+# spans would otherwise keep every order's rule (16*order bytes each)
+@functools.lru_cache(maxsize=64)
+def _mapped_rule(order: int):
+    """Nodes ``g(x_j)`` and weights ``c_j*g'(x_j)`` of the ``order``-point mapped rule on ``[-1, 1]``.
+
+    ``x_j`` and ``c_j`` are the Gauss-Legendre nodes and weights and ``g`` the
+    sausage map (:func:`_sausage`).  ``leggauss`` solves an eigenproblem of
+    the order's size, so each order's rule is built once per process and its
+    read-only arrays are shared by every later Gram assembly.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, stretch = _sausage(nodes)
+    weights *= stretch
+    for values in (nodes, weights):
+        values.flags.writeable = False  # one cached copy serves every caller
+    return nodes, weights
+
+
+def _spectral_factors(starts, ends, segments, quad_tol: float):
     """Factors ``(A, B)`` with ``(A @ B.T)[r, l] = integral_{starts[r]}^{ends[r]} kernel_l(u) du``.
 
-    Knot ``l``'s kernel is given by ``segments`` (see :func:`lowpass_segments`)
-    at offsets ``u - knots[l]``.  Each segment's ``nu`` integral is one mapped
-    Gauss-Legendre rule: the Legendre nodes ``x_j`` and weights ``c_j`` on
-    ``[-1, 1]`` become ``g(x_j)`` and ``c_j*g'(x_j)`` (:func:`_sausage`), then
-    are scaled to the segment as nodes ``nu_j`` and weights ``q_j``.
-    Splitting the cosine gives per node the column pair
+    The knots are the row midpoints ``s_l = (starts[l] + ends[l])/2``, one per
+    row, as both Gram builders place them; knot ``l``'s kernel is given by
+    ``segments`` (see :func:`lowpass_segments`) at offsets ``u - s_l``.  Each
+    segment's ``nu`` integral is one mapped Gauss-Legendre rule
+    (:func:`_mapped_rule`), scaled to the segment as nodes ``nu_j`` and
+    weights ``q_j``.  Splitting the cosine gives per node the column pair
 
     * ``A[r] = q_j*2h_r*sinc(nu_j*h_r)*[cos, sin](nu_j*m_r)``, the exact
       integrals of ``cos(nu*u)`` and ``sin(nu*u)`` over the row interval
       (midpoint ``m_r``, half-width ``h_r``), free of cancellation;
     * ``B[l] = w_l*[cos, sin](nu_j*s_l + psi_l)``.
+
+    Since ``s_l = m_l``, one ``[cos, sin](nu_j*m)`` table serves both
+    factors; it is recomputed for ``B`` only in a segment whose ``psi`` is
+    not all zero (the bandpass ones).  Both factors are column-major, so each
+    node's column is contiguous and QR reads them without a transposing copy.
 
     Times are measured from the record midpoint.  In ``nu`` an entry is entire
     and bounded by ``|w|*2h*exp(span*|Im nu|)`` (``span`` the record span), so
@@ -377,33 +406,33 @@ def _spectral_factors(starts, ends, knots, segments, quad_tol: float):
     span = float(ends[-1] - starts[0])
     half = 0.5 * (ends - starts)
     mid = 0.5 * (ends + starts) - centre
-    s = knots - centre
     segments = [seg for seg in segments if seg[1] > seg[0]]
     orders = [
         _gl_order(hi - lo, 2.0 * float(np.max(half)) * float(np.max(np.abs(w))), span,
                   quad_tol / len(segments))
         for lo, hi, w, _ in segments
     ]
-    left = np.empty((half.size, 2 * sum(orders)))
-    right = np.empty((s.size, 2 * sum(orders)))
+    left = np.empty((half.size, 2 * sum(orders)), order="F")
+    right = np.empty_like(left)
     col = 0
     for (lo, hi, w, psi), order in zip(segments, orders):
-        nodes, weights = np.polynomial.legendre.leggauss(order)
-        nodes, stretch = _sausage(nodes)
-        weights *= stretch
+        nodes, weights = _mapped_rule(order)
         nu = 0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes
+        cols = slice(col, col + 2 * order)
         cos_cols, sin_cols = slice(col, col + order), slice(col + order, col + 2 * order)
         col += 2 * order
+        # outer products as (nodes, rows), transposed: column-major like the factors
         # g*2h*sinc(nu*h) = g*2*sin(nu*h)/nu, and nu > 0 at every node
-        amp = np.sin(np.outer(half, nu))
+        amp = np.sin(np.outer(nu, half).T)
         amp *= (0.5 * (hi - lo) * weights) * 2.0 / nu
-        phase = np.outer(s, nu)
-        phase += psi[:, None]
-        for out, arg, scale in ((left, np.outer(mid, nu), amp), (right, phase, w[:, None])):
-            np.cos(arg, out=out[:, cos_cols])
-            out[:, cos_cols] *= scale
-            np.sin(arg, out=arg)
-            np.multiply(arg, scale, out=out[:, sin_cols])
+        arg = np.outer(nu, mid).T
+        for trig, part in ((np.cos, cos_cols), (np.sin, sin_cols)):
+            np.multiply(trig(arg, out=right[:, part]), amp, out=left[:, part])
+        if np.any(psi):
+            arg += psi[:, None]
+            np.cos(arg, out=right[:, cos_cols])
+            np.sin(arg, out=right[:, sin_cols])
+        right[:, cols] *= w[:, None]
     return left, right
 
 
@@ -426,7 +455,7 @@ def build_gram_lowpass(
     t = train.times
     knots = 0.5 * (t[:-1] + t[1:])
     segments = lowpass_segments(knots.size, omega)
-    left, right = _spectral_factors(t[:-1], t[1:], knots, segments, quad_tol)
+    left, right = _spectral_factors(t[:-1], t[1:], segments, quad_tol)
     return GramSystem(left, right, amplitude_integrals(train), knots, segments)
 
 
@@ -462,7 +491,7 @@ def build_gram_bandpass(
             RuntimeWarning,
             stacklevel=2,
         )
-    left, right = _spectral_factors(t[:-2], t[2:], knots.times, segments, quad_tol)
+    left, right = _spectral_factors(t[:-2], t[2:], segments, quad_tol)
     return GramSystem(left, right, merged.integrals, knots.times, segments, premise_ok)
 
 
@@ -546,7 +575,15 @@ def solve_coefficients(system: GramSystem, sv_cutoff: float = DEFAULT_SV_CUTOFF)
     Returns the coefficients together with the residual norm
     ``||G c - q||``, effective rank, and the singular-value extremes;
     ``sigma_min`` is 0.0 when the factors are narrower than the system,
-    since ``G`` then has exactly zero singular values.
+    since ``G`` then has exactly zero singular values.  The residual comes
+    from the R factors, not from ``G c``: with ``y`` the core solution it
+    is ``sqrt(||core y - Qa^T q||^2 + r^2)``, ``r`` the entry of the R of
+    ``[left, q]`` below ``Ra`` in its last column (0 when ``left`` has no
+    more rows than columns).  So the factors are read only by the two QRs.
+
+    The factors may be in either memory layout, with bit-identical results;
+    the Gram builders make them column-major, which numpy's QR copies into
+    LAPACK's input without transposing.
 
     The whole solve runs on one OpenBLAS thread (see
     :func:`_one_blas_thread`), so its result does not depend on the
@@ -564,13 +601,19 @@ def solve_coefficients(system: GramSystem, sv_cutoff: float = DEFAULT_SV_CUTOFF)
     inner = min(left.shape)
     with _one_blas_thread() as threads:
         # Householder QR goes column by column: the R of [left, rhs] is R_left
-        # with Q_left^T rhs as its last column
-        r_aug = np.linalg.qr(np.column_stack([left, rhs]), mode="r")
+        # with Q_left^T rhs as its last column.  numpy returns R and the
+        # reflectors in layouts that follow its input's; fixing them fixes the
+        # summation order of the products below.
+        r_aug = np.ascontiguousarray(np.linalg.qr(np.column_stack([left, rhs]), mode="r"))
         # LAPACK's packed QR of right, transposed: R_right.T on and below the
         # diagonal of its first columns, reflector j's tail right of entry (j, j)
         reflectors, tau = np.linalg.qr(right, mode="raw")
+        reflectors = np.asfortranarray(reflectors)
         core = r_aug[:inner, :-1] @ np.tril(reflectors[:, :tau.size])
         projected = r_aug[:inner, -1].copy()
+        # the part of rhs outside the column space of left: the entry below
+        # R_left in the last column, where [left, rhs] has a row there
+        outside = float(r_aug[inner, -1]) if r_aug.shape[0] > inner else 0.0
         del r_aug  # not held through gelsd
         solved, _, rank, sv = np.linalg.lstsq(core, projected, rcond=sv_cutoff)
         if sv.size == 0 or sv[0] <= 0.0:
@@ -588,7 +631,9 @@ def solve_coefficients(system: GramSystem, sv_cutoff: float = DEFAULT_SV_CUTOFF)
             step = tau[j] * (coeff[j] + v @ coeff[j + 1:])
             coeff[j] -= step
             coeff[j + 1:] -= step * v
-        residual = float(np.linalg.norm(left @ (right.T @ coeff) - rhs))
+        # G c - q = Q_left (R_left R_right^T Q_right^T c - Q_left^T q), and
+        # Q_right^T c is ``solved`` padded with zeros
+        residual = math.hypot(float(np.linalg.norm(core @ solved - projected)), outside)
     return SolveResult(
         coefficients=coeff,
         residual_norm=residual,

@@ -324,6 +324,15 @@ class TestRun:
 
 
 class TestPnsRun:
+    @pytest.mark.parametrize("flag, value", [("--sv-cutoff", "0.5"), ("--quad-tol", "1e-3")])
+    def test_solver_flags_rejected(self, tmp_path, capsys, flag, value):
+        # PNS runs no solve, so a solver flag would be silently ignored
+        out = tmp_path / "pns"
+        assert run_cli("run", str(CONFIG_DIR / "pns.cfg"), flag, value, "--out-dir", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and flag in err and "mode pns" in err
+        assert not out.exists()
+
     def test_metrics_recomputable_from_csv(self, tmp_path):
         out = tmp_path / "pns"
         assert run_cli("run", str(CONFIG_DIR / "pns.cfg"), "--out-dir", str(out)) == 0

@@ -254,6 +254,16 @@ class TestMappedRule:
         monkeypatch.setattr(recon, "_ellipse_maxima", lambda: full)
         assert recon._gl_order(h, k_max, a_max, tol) == expect
 
+    @pytest.mark.parametrize("order", [2, 43, 185])
+    def test_rule_is_cached_read_only(self, order):
+        nodes, weights = recon._mapped_rule(order)
+        again = recon._mapped_rule(order)
+        assert again[0] is nodes and again[1] is weights
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        x, c = np.polynomial.legendre.leggauss(order)
+        g, dg = recon._sausage(x)
+        assert np.array_equal(nodes, g) and np.array_equal(weights, c * dg)
+
     def test_preset_factor_widths(self, preset_systems):
         # the plain Gauss-Legendre rule needs 468 and 254 columns
         assert preset_systems["single_channel"][0].left.shape[1] <= 380
@@ -267,7 +277,8 @@ class TestMappedRule:
             "from temcodec.experiment import load_config\n"
             "for path in sys.argv[1:]:\n"
             "    load_config(path)\n"
-            "print(recon._ellipse_maxima.cache_info().currsize)\n"
+            "print(recon._ellipse_maxima.cache_info().currsize,\n"
+            "      recon._mapped_rule.cache_info().currsize)\n"
         )
         src = str(Path(temcodec.__file__).resolve().parent.parent)
         out = subprocess.run(
@@ -275,7 +286,62 @@ class TestMappedRule:
             capture_output=True, text=True, check=True, timeout=60,
             env=dict(os.environ, PYTHONPATH=src),
         )
-        assert out.stdout.strip() == "0"
+        assert out.stdout.split() == ["0", "0"]
+
+
+def direct_right(times, knots, segments, orders):
+    """The right factor computed entry by entry: per segment and mapped-rule node,
+    the columns ``w*cos(nu*s + psi)`` and ``w*sin(nu*s + psi)`` at the knots ``s``
+    measured from the record midpoint."""
+    s = knots - 0.5 * (times[0] + times[-1])
+    columns = []
+    for (lo, hi, w, psi), order in zip(segments, orders):
+        nu = 0.5 * (hi + lo) + 0.5 * (hi - lo) * recon._mapped_rule(order)[0]
+        phase = np.outer(s, nu) + psi[:, None]
+        columns += [np.cos(phase) * w[:, None], np.sin(phase) * w[:, None]]
+    return np.hstack(columns)
+
+
+class TestFactorLayout:
+    """Column-major factors, their shared trig table, and a layout-blind solve."""
+
+    @pytest.mark.parametrize("preset", ["single_channel", "two_channel"])
+    def test_preset_factors_are_column_major(self, preset_systems, preset):
+        system = preset_systems[preset][0]
+        assert system.left.flags.f_contiguous and system.right.flags.f_contiguous
+
+    def test_lowpass_right_is_the_direct_table(self, small_system):
+        # the knots are the row midpoints, so right reuses left's trig table;
+        # it must equal the table computed at the knots, bit for bit
+        train, system = small_system
+        expect = direct_right(train.times, system.knot_times, system.segments,
+                              [system.right.shape[1] // 2])
+        assert np.array_equal(system.right, expect)
+
+    def test_bandpass_right_is_the_direct_table(self, monkeypatch, two_channel_record,
+                                                band_35_65):
+        # a segment with nonzero psi recomputes its table with the phase added
+        merged = two_channel_record[3]
+        orders, rule = [], recon._mapped_rule
+        monkeypatch.setattr(recon, "_mapped_rule", lambda order: orders.append(order) or rule(order))
+        system = build_gram_bandpass(merged, band_35_65)
+        assert len(orders) == 2 and 2 * sum(orders) == system.right.shape[1]
+        expect = direct_right(merged.times, system.knot_times, system.segments, orders[:2])
+        assert np.array_equal(system.right, expect)
+
+    @pytest.mark.parametrize("preset", ["single_channel", "two_channel"])
+    def test_solve_independent_of_factor_layout(self, preset_systems, preset):
+        system, sv_cutoff = preset_systems[preset]
+        row_major = GramSystem(
+            np.ascontiguousarray(system.left), np.ascontiguousarray(system.right),
+            system.rhs, system.knot_times, system.segments, system.gap_premise_ok,
+        )
+        assert row_major.left.flags.c_contiguous and row_major.right.flags.c_contiguous
+        a = solve_coefficients(system, sv_cutoff=sv_cutoff)
+        b = solve_coefficients(row_major, sv_cutoff=sv_cutoff)
+        assert np.array_equal(a.coefficients, b.coefficients)
+        assert (a.residual_norm, a.effective_rank, a.sigma_max) == (
+            b.residual_norm, b.effective_rank, b.sigma_max)
 
 
 def premise_violating_record(band):
@@ -659,6 +725,27 @@ class TestSolve:
             assert sol.sigma_min == 0.0
         else:
             assert sol.sigma_min == pytest.approx(sv[-1], rel=1e-9, abs=1e-13 * sv[0])
+
+    @pytest.mark.parametrize("rows, width, cols", [
+        (40, 12, 30),  # tall: rhs has a part outside the column space of left
+        (25, 8, 6),  # tall, fewer knots than factor columns
+        (12, 12, 30),  # rows equal to factor columns: [left, rhs] has no row below R
+        (8, 16, 20),  # wide
+        (5, 16, 3),  # wide, fewer knots than rows
+    ])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_residual_from_r_matches_direct_norm(self, rows, width, cols, seed):
+        rng = np.random.default_rng(seed)
+        left = rng.standard_normal((rows, width))
+        right = rng.standard_normal((cols, width))
+        q = rng.standard_normal(rows)
+        sol = solve_coefficients(
+            GramSystem(left, right, q, np.arange(float(cols)), lowpass_segments(cols, 1.0))
+        )
+        direct = np.linalg.norm(left @ (right.T @ sol.coefficients) - q)
+        # relative to the residual, or to q where the system is solved exactly
+        assert sol.residual_norm == pytest.approx(
+            direct, rel=1e-12, abs=1e-12 * np.linalg.norm(q))
 
     @pytest.mark.parametrize("preset, rank", [("single_channel", 273), ("two_channel", 142)])
     def test_reflector_solve_matches_explicit_q(self, preset_systems, preset, rank):
