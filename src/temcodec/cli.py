@@ -2,12 +2,15 @@
 
 Subcommands::
 
-    temcodec run <config> [--out-dir DIR] [--quad-tol X] [--sv-cutoff X]
+    temcodec run <config> [--out-dir DIR]
     temcodec validate <config>
     temcodec compare <report_a.json> <report_b.json>
 
-Exit codes: 0 success, 2 invalid config or arguments, 3 pipeline
-numerical failure.
+Every run setting comes from the config file; ``--out-dir`` (default
+``runs/<config stem>``) only says where the output files go.
+
+Exit codes: 0 success, 2 invalid config, report or arguments (a file that
+cannot be parsed included), 3 pipeline failure.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from pathlib import Path
 from .experiment import (
     ConfigError,
     PipelineError,
-    checked_solver_setting,
     compare_runs,
     load_config,
     run_experiment,
@@ -40,11 +42,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one experiment config")
     run_p.add_argument("config", help="path to an experiment .cfg file")
-    run_p.add_argument("--out-dir", default=None, help="output directory")
-    run_p.add_argument("--quad-tol", type=float, default=None,
-                       help="absolute error allowed in each Gram entry")
-    run_p.add_argument("--sv-cutoff", type=float, default=None,
-                       help="override relative singular-value cutoff")
+    run_p.add_argument("--out-dir", default=None,
+                       help="output directory (default: runs/<config stem>)")
 
     val_p = sub.add_parser("validate", help="check a config without running it")
     val_p.add_argument("config")
@@ -58,21 +57,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
-        for key in ("quad_tol", "sv_cutoff"):
-            value = getattr(args, key)
-            if value is None:
-                continue
-            # load_config leaves a solver setting None in a mode without a solve
-            if getattr(cfg, key) is None:
-                raise ConfigError(
-                    f"--{key.replace('_', '-')} sets solver.{key}, which mode "
-                    f"{cfg.mode} does not use"
-                )
-            setattr(cfg, key, checked_solver_setting(key, value))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    out_dir = args.out_dir or cfg.out_dir or f"runs/{Path(args.config).stem}"
+    out_dir = args.out_dir or f"runs/{Path(args.config).stem}"
     try:
         result = run_experiment(cfg, out_dir)
     except PipelineError as exc:

@@ -107,8 +107,6 @@ class ExperimentConfig:
     lowpass_cutoff: Optional[float] = None
     pns_shift: Optional[float] = None
     sv_cutoff: Optional[float] = None
-    quad_tol: Optional[float] = None
-    out_dir: Optional[str] = None
 
 
 class _Section:
@@ -190,20 +188,6 @@ def _build_signal(section) -> tuple:
     return sig, desc
 
 
-# the recon check of each solver setting that a config key or a run flag can set
-_SOLVER_CHECKS = {"quad_tol": recon.check_quad_tol, "sv_cutoff": recon.check_sv_cutoff}
-
-
-def checked_solver_setting(key: str, value: float) -> float:
-    """``value``, or a :class:`ConfigError` naming ``solver.<key>`` where
-    its recon check (:data:`_SOLVER_CHECKS`) rejects it."""
-    try:
-        _SOLVER_CHECKS[key](value)
-    except ValueError as exc:
-        raise ConfigError(f"solver.{key}: {exc}") from None
-    return value
-
-
 def load_config(path) -> ExperimentConfig:
     """Parse and fully validate an experiment config file.
 
@@ -215,10 +199,17 @@ def load_config(path) -> ExperimentConfig:
     ``pns`` ``[band]`` and ``[pns]``.  A key the mode does not read, such as
     a misspelt one or any key of a section the mode does not use, is
     rejected with its ``section.key`` name, and so is a missing or malformed
-    number.  Absent solver settings take the ``recon`` defaults.
+    number.  ``solver.sv_cutoff`` is the one solver setting; when absent it
+    is ``recon.DEFAULT_SV_CUTOFF``.  A file that cannot be parsed (a
+    duplicate key or section, no section header, bytes that do not decode)
+    is rejected naming its path.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
+    # values are read literally: a "%" is text, never an interpolation
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    try:
+        read = parser.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     sections = {name: _Section(name, parser[name]) for name in parser.sections()}
@@ -244,7 +235,6 @@ def load_config(path) -> ExperimentConfig:
                 f"grid_step {grid_step} leaves no evaluation point in the central "
                 f"window [{c0}, {c1}]"
             )
-        out_dir = exp.get("out_dir", None)
 
         if "signal" not in sections:
             raise ConfigError("missing [signal] section")
@@ -259,15 +249,14 @@ def load_config(path) -> ExperimentConfig:
                 TWO_PI * sections["band"].num("omega_u_hz", "65"),
             )
 
-        tem_params = alpha = lowpass_cutoff = pns_shift = sv_cutoff = quad_tol = None
+        tem_params = alpha = lowpass_cutoff = pns_shift = sv_cutoff = None
         if mode in ("single_tem", "two_tem"):
             solver = sections.get("solver", _Section("solver", {}))
-            sv_cutoff = checked_solver_setting(
-                "sv_cutoff", solver.num("sv_cutoff", str(recon.DEFAULT_SV_CUTOFF))
-            )
-            quad_tol = checked_solver_setting(
-                "quad_tol", solver.num("quad_tol", str(recon.DEFAULT_QUAD_TOL))
-            )
+            sv_cutoff = solver.num("sv_cutoff", str(recon.DEFAULT_SV_CUTOFF))
+            try:
+                recon.check_sv_cutoff(sv_cutoff)
+            except ValueError as exc:
+                raise ConfigError(f"solver.sv_cutoff: {exc}") from None
             if "tem" not in sections:
                 raise ConfigError(f"mode {mode} requires a [tem] section")
             sec = sections["tem"]
@@ -317,8 +306,6 @@ def load_config(path) -> ExperimentConfig:
         lowpass_cutoff=lowpass_cutoff,
         pns_shift=pns_shift,
         sv_cutoff=sv_cutoff,
-        quad_tol=quad_tol,
-        out_dir=out_dir,
     )
 
 
@@ -450,12 +437,12 @@ def _manifest(out_dir: Path, names) -> list:
 def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentReport:
     """Execute the configured pipeline and write all output files.
 
-    Raises :class:`PipelineError` naming the failing stage.  Deterministic:
-    identical configs produce byte-identical files.
+    Raises :class:`PipelineError` naming the failing stage (``write`` when
+    ``out_dir`` cannot be made).  Deterministic: identical configs produce
+    byte-identical files.
     """
     started = time.perf_counter()
     out_path = Path(out_dir)
-    out_path.mkdir(parents=True, exist_ok=True)
     t_eval = _snap_grid(cfg.window, cfg.grid_step)
     x_true = np.asarray(cfg.signal(t_eval), dtype=float)
     files = []
@@ -470,6 +457,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentReport:
     }
 
     try:
+        stage = "write"  # a directory that cannot be made fails as an output write
+        out_path.mkdir(parents=True, exist_ok=True)
         if cfg.mode == "single_tem":
             stage = "encode"
             train = _snap_train(tem.encode(cfg.signal, cfg.tem_params, cfg.window))
@@ -479,7 +468,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentReport:
             report["recon_kernel"] = {"kind": "lowpass", "cutoff_hz": cfg.lowpass_cutoff / TWO_PI}
             report["spikes"] = {"single": _gap_stats(train.times)}
             stage = "assemble"
-            system = recon.build_gram_lowpass(train, cfg.lowpass_cutoff, quad_tol=cfg.quad_tol)
+            system = recon.build_gram_lowpass(train, cfg.lowpass_cutoff)
 
         elif cfg.mode == "two_tem":
             stage = "encode"
@@ -503,7 +492,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentReport:
                 "gap_premise_ok": bool(merged.max_gap < cfg.band.period),
             }
             stage = "assemble"
-            system = recon.build_gram_bandpass(merged, cfg.band, quad_tol=cfg.quad_tol)
+            system = recon.build_gram_bandpass(merged, cfg.band)
 
         else:  # pns
             stage = "encode"
@@ -602,13 +591,20 @@ def compare_runs(report_a: dict, report_b: dict) -> dict:
     """Tabulate spike-rate, max-gap and SNR deltas between two run reports.
 
     Both reports must cover the same window and signal; mismatches are
-    rejected with ValueError.
+    rejected with ValueError, and so is a report that is not a JSON object
+    or lacks the ``window``, ``signal`` or ``metrics.snr_db`` key.
     """
-    if report_a.get("window") != report_b.get("window"):
-        raise ValueError(
-            f"windows differ: {report_a.get('window')} vs {report_b.get('window')}"
-        )
-    if report_a.get("signal") != report_b.get("signal"):
+    for name, rep in (("report_a", report_a), ("report_b", report_b)):
+        if not isinstance(rep, dict):
+            raise ValueError(f"{name} is a JSON {type(rep).__name__}, not a run report object")
+        for key in ("window", "signal", "metrics"):
+            if key not in rep:
+                raise ValueError(f"{name} has no {key!r} key: not a run report")
+        if not isinstance(rep["metrics"], dict) or "snr_db" not in rep["metrics"]:
+            raise ValueError(f"{name} has no 'metrics.snr_db' key: not a run report")
+    if report_a["window"] != report_b["window"]:
+        raise ValueError(f"windows differ: {report_a['window']} vs {report_b['window']}")
+    if report_a["signal"] != report_b["signal"]:
         raise ValueError("signals differ between reports")
 
     def rate_and_gaps(rep):

@@ -32,7 +32,7 @@ segments, and everything else is derived from them:
   Anal.*, 2008); each order's rule is built once per process
   (:func:`_mapped_rule`).  In ``nu`` the integrand is entire, of
   exponential type the record span, so an a-priori error bound fixes each
-  rule's order at ``quad_tol`` per entry; it grows with the span (185
+  rule's order at ``QUAD_TOL`` per entry; it grows with the span (185
   nodes, 370 columns, for the 779 rows of the 2 s single-channel preset;
   the plain rule needs 234).  The knots are the row midpoints, so both
   factors share one trigonometric table per segment (recomputed only
@@ -95,7 +95,8 @@ __all__ = [
 ]
 
 DEFAULT_SV_CUTOFF = 1e-8
-DEFAULT_QUAD_TOL = 1e-9
+# absolute error allowed in each Gram entry
+QUAD_TOL = 1e-9
 # distance of shift*k/period from an integer below which a bandpass shift is degenerate
 DEGENERACY_TOL = 1e-9
 # entries of one 1/(t - s) block in evaluate_model: a chunk of a box's points
@@ -335,23 +336,14 @@ def _gl_order(h: float, k_max: float, a_max: float, tol: float) -> int:
     *Approximation Theory and Approximation Practice*, Thm 19.3).  Each
     ``rho`` of the grid gives the least ``m`` meeting ``tol``; the order is
     the smallest of those, and at least 2.  With ``g(x) = x`` this is the
-    plain rule's bound.
+    plain rule's bound.  Gram assembly asks each segment for an equal share
+    of ``QUAD_TOL`` (:func:`_spectral_factors`).
     """
     rho, im_max, dg_max = _ellipse_maxima()
     log_scale = math.log(0.5 * h * (64.0 / 15.0) * k_max)
     log_rest = 0.5 * a_max * h * im_max + np.log(dg_max) - np.log(rho * rho - 1.0)
     needed = 1.0 + (log_scale + log_rest - math.log(tol)) / (2.0 * np.log(rho))
     return math.ceil(max(2.0, float(np.min(needed))))
-
-
-def check_quad_tol(quad_tol: float) -> None:
-    """Raise ``ValueError`` unless ``quad_tol`` is positive and finite (NaN fails too).
-
-    An infinite tolerance would let :func:`_gl_order` choose its least
-    order, 2, and build factors that resolve nothing.
-    """
-    if not 0.0 < quad_tol < math.inf:
-        raise ValueError(f"quad_tol must be positive and finite, got {quad_tol}")
 
 
 # bounded because the order follows the record span: a process decoding many
@@ -396,12 +388,11 @@ def _spectral_factors(starts, ends, segments, quad_tol: float):
     Times are measured from the record midpoint.  In ``nu`` an entry is entire
     and bounded by ``|w|*2h*exp(span*|Im nu|)`` (``span`` the record span), so
     :func:`_gl_order` fixes each segment's order at an equal share of
-    ``quad_tol``: 185 for the 2 s single-channel preset, 43 and 70 for the
+    ``quad_tol``.  At ``QUAD_TOL``, the tolerance both Gram builders pass,
+    the orders are 185 for the 2 s single-channel preset, 43 and 70 for the
     two segments of the two-channel one (the plain rule needs 234, and 46
-    and 81).  Empty segments are skipped.  Raises ``ValueError`` unless
-    ``quad_tol`` is positive and finite (:func:`check_quad_tol`).
+    and 81).  Empty segments are skipped.
     """
-    check_quad_tol(quad_tol)
     centre = 0.5 * (starts[0] + ends[-1])
     span = float(ends[-1] - starts[0])
     half = 0.5 * (ends - starts)
@@ -436,17 +427,13 @@ def _spectral_factors(starts, ends, segments, quad_tol: float):
     return left, right
 
 
-def build_gram_lowpass(
-    train: SpikeTrain,
-    omega: float,
-    quad_tol: float = DEFAULT_QUAD_TOL,
-) -> GramSystem:
+def build_gram_lowpass(train: SpikeTrain, omega: float) -> GramSystem:
     """Gram system ``G[k,l] = integral over spike interval k of g_lp(u - s_l)``.
 
     Knots ``s_l`` are the spike-interval midpoints; the right-hand side is
     the amplitude-integral sequence of the train.  ``G`` is built as the
     spectral factors (see :func:`_spectral_factors`) of the kernel's one
-    segment, every entry within ``quad_tol``.
+    segment, every entry within ``QUAD_TOL``.
     """
     if not omega > 0.0:
         raise ValueError(f"omega must be positive, got {omega}")
@@ -455,15 +442,11 @@ def build_gram_lowpass(
     t = train.times
     knots = 0.5 * (t[:-1] + t[1:])
     segments = lowpass_segments(knots.size, omega)
-    left, right = _spectral_factors(t[:-1], t[1:], segments, quad_tol)
+    left, right = _spectral_factors(t[:-1], t[1:], segments, QUAD_TOL)
     return GramSystem(left, right, amplitude_integrals(train), knots, segments)
 
 
-def build_gram_bandpass(
-    merged: MergedTrain,
-    band: BandSpec,
-    quad_tol: float = DEFAULT_QUAD_TOL,
-) -> GramSystem:
+def build_gram_bandpass(merged: MergedTrain, band: BandSpec) -> GramSystem:
     """Gram system over stride-2 intervals of a merged two-channel record.
 
     Row ``l`` integrates every knot kernel over ``[t[l], t[l+2]]``; column
@@ -471,7 +454,7 @@ def build_gram_bandpass(
     pair partner), whose pair shift ``d`` fixes its two spectral segments
     (see :func:`bandpass_segments`).  ``G`` is built as their spectral
     factors (see :func:`_spectral_factors`), every entry within
-    ``quad_tol``.  If the largest stride-1 spike gap reaches the kernel
+    ``QUAD_TOL``.  If the largest stride-1 spike gap reaches the kernel
     period ``2*pi/B``, reconstruction is no longer guaranteed: a warning
     diagnostic is attached and assembly proceeds.
 
@@ -491,7 +474,7 @@ def build_gram_bandpass(
             RuntimeWarning,
             stacklevel=2,
         )
-    left, right = _spectral_factors(t[:-2], t[2:], segments, quad_tol)
+    left, right = _spectral_factors(t[:-2], t[2:], segments, QUAD_TOL)
     return GramSystem(left, right, merged.integrals, knots.times, segments, premise_ok)
 
 

@@ -5,7 +5,6 @@ only need the solved model and its system call these.
 """
 
 from temcodec.recon import (
-    DEFAULT_QUAD_TOL,
     DEFAULT_SV_CUTOFF,
     ReconModel,
     build_gram_bandpass,
@@ -14,15 +13,15 @@ from temcodec.recon import (
 )
 
 
-def reconstruct_lowpass(train, omega, quad_tol=DEFAULT_QUAD_TOL, sv_cutoff=DEFAULT_SV_CUTOFF):
+def reconstruct_lowpass(train, omega, sv_cutoff=DEFAULT_SV_CUTOFF):
     """Assemble, solve and package a lowpass model; returns (model, system, solution)."""
-    system = build_gram_lowpass(train, omega, quad_tol=quad_tol)
+    system = build_gram_lowpass(train, omega)
     solution = solve_coefficients(system, sv_cutoff=sv_cutoff)
     return ReconModel(system.knot_times, solution.coefficients, system.segments), system, solution
 
 
-def reconstruct_bandpass(merged, band, quad_tol=DEFAULT_QUAD_TOL, sv_cutoff=DEFAULT_SV_CUTOFF):
+def reconstruct_bandpass(merged, band, sv_cutoff=DEFAULT_SV_CUTOFF):
     """Assemble, solve and package a bandpass model; returns (model, system, solution)."""
-    system = build_gram_bandpass(merged, band, quad_tol=quad_tol)
+    system = build_gram_bandpass(merged, band)
     solution = solve_coefficients(system, sv_cutoff=sv_cutoff)
     return ReconModel(system.knot_times, solution.coefficients, system.segments), system, solution

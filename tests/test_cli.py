@@ -145,15 +145,14 @@ class TestValidate:
             lambda s: s.replace(SMALL_TWO_BAND, ""),
             lambda s: s.replace("grid_step = 1/500", "grid_step = 0.6"),
             lambda s: s.replace("grid_step = 1/500", "grid_stp = 1/500"),  # misspelt key
-            lambda s: s + "\n[solver]\nquad_tol = nan\n",
-            lambda s: s + "\n[solver]\nquad_tol = inf\n",
             lambda s: s + "\n[solver]\nsv_cutoff = nan\n",
             lambda s: s + "\n[solver]\nsv_cutoff = inf\n",
+            lambda s: s + "\n[solver]\nsv_cutoff = -inf\n",
+            lambda s: s + "\n[solver]\nsv_cutoff = -1\n",
             lambda s: s + "\n[solver]\nsv_cutoff = 0\n",
             lambda s: s + "\n[solver]\nsv_cutoff = 1\n",
             lambda s: s + "\n[solver]\nsv_cutoff = 2\n",
             lambda s: s + "\n[solver]\nspike_tol = 1e-10\n",  # no longer a key
-            lambda s: s + "\n[solver]\nquad_tol = -1e-9\n",
             lambda s: s.replace("window_end = 0.3", "window_end = inf"),
             lambda s: s.replace("window_end = 0.3", "window_end = 1/0"),
             lambda s: s.replace("window_end = 0.3", "window_end = 1" + "0" * 400 + "/3"),
@@ -182,6 +181,13 @@ class TestValidate:
             (lambda s: s.replace("omega_l_hz = 35", "omega_l_hz = abc"), "band.omega_l_hz"),
             (lambda s: s + "\n[solver]\nspike_tol = 1e-10\n", "solver.spike_tol"),
             (lambda s: s + "\n[solver]\nsv_cutoff = 1\n", "solver.sv_cutoff"),
+            # the Gram tolerance is the constant recon.QUAD_TOL, and --out-dir
+            # alone chooses the output directory
+            (lambda s: s + "\n[solver]\nquad_tol = 1e-9\n", "solver.quad_tol"),
+            (lambda s: s.replace("[experiment]\n", "[experiment]\nout_dir = runs/x\n"),
+             "experiment.out_dir"),
+            # values are literal text: "%" is not an interpolation
+            (with_signal("kind = tone\nfreq_hz = 40%\n"), "signal.freq_hz"),
             # no setting selects the knot pairing
             (lambda s: s + "\n[solver]\npair_anchor = even\n", "solver.pair_anchor"),
             # a section the mode does not read is rejected key by key
@@ -193,6 +199,23 @@ class TestValidate:
         cfg = write_cfg(tmp_path, mangle(SMALL_TWO))
         assert run_cli("validate", cfg) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            SMALL_TWO.replace("mode = two_tem\n", "mode = two_tem\nmode = two_tem\n").encode(),
+            (SMALL_TWO + "\n" + SMALL_TWO_BAND).encode(),  # [band] twice
+            ("mode = two_tem\n" + SMALL_TWO).encode(),  # a key before any section header
+            b"\xff\xfe" + SMALL_TWO.encode(),  # a UTF-16 byte-order mark
+        ],
+        ids=["duplicate_key", "duplicate_section", "no_section_header", "undecodable"],
+    )
+    def test_unparsable_file_exits_2_naming_the_path(self, tmp_path, capsys, text):
+        path = tmp_path / "exp.cfg"
+        path.write_bytes(text)
+        assert run_cli("validate", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot parse config file") and str(path) in err
 
     @pytest.mark.parametrize("mangle", [as_pns, as_single])
     def test_other_mode_bases_are_valid(self, tmp_path, mangle):
@@ -293,46 +316,41 @@ class TestRun:
         for name in ("spikes.txt", "recon.csv", "psd.csv", "report.json"):
             assert (out / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_flag_overrides_recorded(self, small_run):
-        tmp, cfg, _ = small_run
-        out = tmp / "out_flags"
-        assert run_cli(
-            "run", cfg, "--out-dir", str(out),
-            "--sv-cutoff", "1e-10",
-        ) == 0
+    def test_default_sv_cutoff_recorded(self, small_run):
+        _, _, out = small_run
+        report = json.loads((out / "report.json").read_text())
+        assert report["gram"]["sv_cutoff"] == recon.DEFAULT_SV_CUTOFF
+
+    def test_config_sv_cutoff_recorded(self, small_run):
+        # the [solver] key is the one way to set the cutoff; the report records it
+        tmp, _, _ = small_run
+        cfg = write_cfg(tmp, SMALL_TWO + "\n[solver]\nsv_cutoff = 1e-10\n", name="cutoff.cfg")
+        out = tmp / "out_cutoff"
+        assert run_cli("run", cfg, "--out-dir", str(out)) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["gram"]["sv_cutoff"] == 1e-10
 
-    def test_bad_flag_values_exit_2(self, small_run):
+    @pytest.mark.parametrize("flag", ["--sv-cutoff", "--quad-tol"])
+    def test_config_setting_flags_rejected(self, small_run, capsys, flag):
+        # every run setting comes from the config file; argparse rejects the flag
         tmp, cfg, _ = small_run
-        for flag in ("--quad-tol", "--sv-cutoff"):
-            for value in ("-1", "0", "nan", "inf", "-inf"):
-                # "--flag=value": argparse reads a separate "-inf" as an option
-                assert run_cli("run", cfg, f"{flag}={value}") == 2, (flag, value)
-        for value in ("1", "2"):
-            assert run_cli("run", cfg, f"--sv-cutoff={value}") == 2, value
+        with pytest.raises(SystemExit) as info:
+            run_cli("run", cfg, flag, "1e-8", "--out-dir", str(tmp / "out_flag"))
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp / "out_flag").exists()
 
-    def test_sv_cutoff_flag_error_names_the_key(self, small_run, capsys):
-        _, cfg, _ = small_run
-        assert run_cli("run", cfg, "--sv-cutoff=1") == 2
-        assert "solver.sv_cutoff" in capsys.readouterr().err
-
-    def test_quad_tol_flag_error_names_the_key(self, small_run, capsys):
-        _, cfg, _ = small_run
-        assert run_cli("run", cfg, "--quad-tol=inf") == 2
-        assert "solver.quad_tol: quad_tol must be positive and finite" in capsys.readouterr().err
+    def test_uncreatable_out_dir_exits_3_at_write(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert run_cli("run", str(CONFIG_DIR / "pns.cfg"), "--out-dir", str(blocker)) == 3
+        assert "pipeline failure at stage 'write'" in capsys.readouterr().err
+        with pytest.raises(PipelineError) as info:
+            run_experiment(load_config(CONFIG_DIR / "pns.cfg"), blocker / "sub")
+        assert info.value.stage == "write"
 
 
 class TestPnsRun:
-    @pytest.mark.parametrize("flag, value", [("--sv-cutoff", "0.5"), ("--quad-tol", "1e-3")])
-    def test_solver_flags_rejected(self, tmp_path, capsys, flag, value):
-        # PNS runs no solve, so a solver flag would be silently ignored
-        out = tmp_path / "pns"
-        assert run_cli("run", str(CONFIG_DIR / "pns.cfg"), flag, value, "--out-dir", str(out)) == 2
-        err = capsys.readouterr().err
-        assert "config error" in err and flag in err and "mode pns" in err
-        assert not out.exists()
-
     def test_metrics_recomputable_from_csv(self, tmp_path):
         out = tmp_path / "pns"
         assert run_cli("run", str(CONFIG_DIR / "pns.cfg"), "--out-dir", str(out)) == 0
@@ -374,6 +392,15 @@ class TestCompare:
 
     def test_unreadable_report_rejected(self, tmp_path):
         assert run_cli("compare", str(tmp_path / "nope.json"), str(tmp_path / "nope.json")) == 2
+
+    @pytest.mark.parametrize("text, named", [("{}", "'window' key"), ("[1]", "list")])
+    def test_non_report_json_rejected(self, small_run, tmp_path, capsys, text, named):
+        _, _, out = small_run
+        other = tmp_path / "other.json"
+        other.write_text(text)
+        assert run_cli("compare", str(out / "report.json"), str(other)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("compare error: report_b") and named in err
 
 
 EDGE_VALUES = [-0.0, 5e-324, 1e300, np.inf, -np.inf, np.nan, 1.0 / 3.0, -2.5e-7]

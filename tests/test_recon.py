@@ -46,6 +46,21 @@ def uniform_interleaved(period, shift, n):
     return t
 
 
+def lowpass_gram(times, omega, quad_tol):
+    """Dense ``G`` of ``build_gram_lowpass`` on spike ``times``, assembled at ``quad_tol``."""
+    segments = lowpass_segments(times.size - 1, omega)
+    left, right = recon._spectral_factors(times[:-1], times[1:], segments, quad_tol)
+    return left @ right.T
+
+
+def bandpass_gram(times, band, quad_tol):
+    """Dense ``G`` of ``build_gram_bandpass`` on merged ``times``, assembled at ``quad_tol``."""
+    knots = knots_and_shifts(times)
+    segments = bandpass_segments(knots.shifts, knots.reflected, band)
+    left, right = recon._spectral_factors(times[:-2], times[2:], segments, quad_tol)
+    return left @ right.T
+
+
 class TestKnotsAndShifts:
     def test_three_times_single_knot(self):
         k = knots_and_shifts([0.0, 1.0, 2.0])
@@ -153,20 +168,17 @@ class TestGramLowpass:
     def test_entries_within_quad_tol_of_closed_form(self, quad_tol, omega, periods, start):
         # spike gaps from a hundredth of a kernel period 2*pi/omega to four periods
         times = start + (TWO_PI / omega) * np.concatenate([[0.0], np.cumsum(periods)])
-        params = TemParams(1.0, 0.002, 3.0, 0.0)
-        train = SpikeTrain(times, "single", params, (times[0], times[-1]))
-        system = build_gram_lowpass(train, omega, quad_tol=quad_tol)
-        s = system.knot_times
+        s = 0.5 * (times[:-1] + times[1:])
         upper = scipy.special.sici(omega * (times[1:, None] - s[None, :]))[0]
         lower = scipy.special.sici(omega * (times[:-1, None] - s[None, :]))[0]
-        assert np.max(np.abs(system.matrix - (upper - lower) / np.pi)) <= quad_tol
+        gram = lowpass_gram(times, omega, quad_tol)
+        assert np.max(np.abs(gram - (upper - lower) / np.pi)) <= quad_tol
 
-    # inf too: it would let every segment's rule take its least order, 2
-    @pytest.mark.parametrize("quad_tol", [0.0, -1e-9, float("nan"), float("inf")])
-    def test_nonpositive_quad_tol_rejected(self, small_system, quad_tol):
-        train, _ = small_system
-        with pytest.raises(ValueError, match="quad_tol must be positive and finite"):
-            build_gram_lowpass(train, TWO_PI * 65.0, quad_tol=quad_tol)
+    def test_builder_assembles_at_quad_tol(self, small_system):
+        # the bound tests above call the builder's assembly at other tolerances
+        train, system = small_system
+        gram = lowpass_gram(train.times, TWO_PI * 65.0, recon.QUAD_TOL)
+        assert np.array_equal(system.matrix, gram)
 
     def test_ten_second_interval_matches_closed_form(self):
         # a 10 s gap spans 650 kernel periods; centred on its knot the entry is
@@ -176,7 +188,7 @@ class TestGramLowpass:
         train = SpikeTrain(np.array([0.0, 10.0]), "single", params, (0.0, 10.0))
         system = build_gram_lowpass(train, omega)
         expect = 2.0 * scipy.special.sici(omega * 5.0)[0] / np.pi
-        assert abs(system.matrix[0, 0] - expect) <= recon.DEFAULT_QUAD_TOL
+        assert abs(system.matrix[0, 0] - expect) <= recon.QUAD_TOL
 
     def test_three_second_record_rows_within_quad_tol(self, test_signal):
         # the single-channel preset's spike rate over 3 s: the nu rule needs
@@ -191,7 +203,7 @@ class TestGramLowpass:
         upper = scipy.special.sici(omega * (t[rows + 1, None] - s[None, :]))[0]
         lower = scipy.special.sici(omega * (t[rows, None] - s[None, :]))[0]
         entries = system.left[rows] @ system.right.T
-        assert np.max(np.abs(entries - (upper - lower) / np.pi)) <= recon.DEFAULT_QUAD_TOL
+        assert np.max(np.abs(entries - (upper - lower) / np.pi)) <= recon.QUAD_TOL
 
 
 @pytest.fixture(scope="module")
@@ -201,16 +213,11 @@ def preset_systems():
     out = {}
     cfg = experiment.load_config(CONFIG_DIR / "single_channel.cfg")
     train = experiment._snap_train(encode(cfg.signal, cfg.tem_params, cfg.window))
-    out["single_channel"] = (
-        build_gram_lowpass(train, cfg.lowpass_cutoff, quad_tol=cfg.quad_tol), cfg.sv_cutoff
-    )
+    out["single_channel"] = (build_gram_lowpass(train, cfg.lowpass_cutoff), cfg.sv_cutoff)
     cfg = experiment.load_config(CONFIG_DIR / "two_channel.cfg")
     a, b = encode_two_channel(cfg.signal, cfg.tem_params, cfg.window, alpha=cfg.alpha)
     merged = interleave(experiment._snap_train(a), experiment._snap_train(b))
-    out["two_channel"] = (
-        build_gram_bandpass(merged, cfg.band, quad_tol=cfg.quad_tol),
-        cfg.sv_cutoff,
-    )
+    out["two_channel"] = (build_gram_bandpass(merged, cfg.band), cfg.sv_cutoff)
     return out
 
 
@@ -436,9 +443,9 @@ class TestGramBandpass:
         # shift the entries, and their rounding, grow without bound
         for k in (band.k0, band.k0 + 1):
             assume(np.min(np.abs(np.sin(0.5 * k * band.bandwidth * shifts))) > 0.1)
-        system = build_gram_bandpass(merged, band, quad_tol=quad_tol)
         oracle = bandpass_closed_form(merged, band)
-        assert np.max(np.abs(system.matrix - oracle)) <= quad_tol
+        gram = bandpass_gram(merged.times, band, quad_tol)
+        assert np.max(np.abs(gram - oracle)) <= quad_tol
 
     def test_closed_form_matches_adaptive_oracle(self, bandpass_oracle, band_35_65):
         merged, oracle = bandpass_oracle["encoded"]
@@ -505,8 +512,8 @@ class TestGramBandpass:
         self, bandpass_oracle, band_35_65, record, quad_tol
     ):
         merged, oracle = bandpass_oracle[record]
-        system = build_gram_bandpass(merged, band_35_65, quad_tol=quad_tol)
-        assert np.max(np.abs(system.matrix - oracle)) <= quad_tol
+        gram = bandpass_gram(merged.times, band_35_65, quad_tol)
+        assert np.max(np.abs(gram - oracle)) <= quad_tol
 
     def test_integer_band_position_within_quad_tol_of_adaptive_oracle(self):
         # 40-60 Hz: 2*omega_l/B = 4 = k0, so the inner segment [omega_l, k0*B - omega_l]
@@ -525,14 +532,14 @@ class TestGramBandpass:
             return closed_form_gbp((u[:, None] - knots.times) * sign, knots.shifts, band)
 
         oracle = [integrate_columns(kernel, lo, hi, tol=1e-14) for lo, hi in zip(t[:-2], t[2:])]
-        assert np.max(np.abs(system.matrix - np.array(oracle))) <= recon.DEFAULT_QUAD_TOL
+        assert np.max(np.abs(system.matrix - np.array(oracle))) <= recon.QUAD_TOL
 
-    # inf too: it would let every segment's rule take its least order, 2
-    @pytest.mark.parametrize("quad_tol", [0.0, -1e-9, float("nan"), float("inf")])
-    def test_nonpositive_quad_tol_rejected(self, bandpass_oracle, band_35_65, quad_tol):
+    def test_builder_assembles_at_quad_tol(self, bandpass_oracle, band_35_65):
+        # the bound tests above call the builder's assembly at other tolerances
         merged, _ = bandpass_oracle["encoded"]
-        with pytest.raises(ValueError, match="quad_tol must be positive and finite"):
-            build_gram_bandpass(merged, band_35_65, quad_tol=quad_tol)
+        system = build_gram_bandpass(merged, band_35_65)
+        gram = bandpass_gram(merged.times, band_35_65, recon.QUAD_TOL)
+        assert np.array_equal(system.matrix, gram)
 
 
 @pytest.fixture
@@ -969,9 +976,7 @@ class TestModel:
         params = TemParams(1.0, T / 2.0, 3.0, 2.0)
         a, b = encode_two_channel(sig, params, (-1.0, 1.0), alpha=1.5 * params.delta)
         merged = interleave(a, b)
-        model, _, _ = reconstruct_bandpass(
-            merged, band_35_65, sv_cutoff=1e-12, quad_tol=1e-10
-        )
+        model, _, _ = reconstruct_bandpass(merged, band_35_65, sv_cutoff=1e-12)
         worst = 0.0
         for train in (a, b):
             inside = np.flatnonzero((train.times >= -0.7) & (train.times <= 0.7))
