@@ -413,12 +413,16 @@ def _psd(x, step) -> tuple:
     """Hann-windowed periodogram of the dense signal trace; plotting aid only."""
     n = x.size
     win = np.hanning(n)
-    spectrum = np.fft.rfft(x * win)
-    fs = 1.0 / step
-    scale = fs * float(np.sum(win ** 2))
-    psd = (np.abs(spectrum) ** 2) / scale
-    freqs = np.fft.rfftfreq(n, d=step)
-    return freqs, psd
+    scale = (1.0 / step) * float(np.sum(win ** 2))
+    win *= x  # the windowed trace, in place of the window
+    spectrum = np.fft.rfft(win)
+    del win
+    # the power spectrum in place: each step overwrites its input
+    psd = np.abs(spectrum)
+    del spectrum
+    psd **= 2
+    psd /= scale
+    return np.fft.rfftfreq(n, d=step), psd
 
 
 def _manifest(out_dir: Path, names) -> list:
@@ -517,7 +521,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentReport:
             solution = recon.solve_coefficients(system, sv_cutoff=cfg.sv_cutoff)
             model = recon.ReconModel(system.knot_times, solution.coefficients, system.segments)
             report["gram"] = _gram_dict(system, solution)
-            del system  # free the factors, the largest arrays, before evaluation
+            del system  # free the reduced factors, the largest arrays, before evaluation
             stage = "evaluate"
             x_hat = model(t_eval)
 
@@ -575,7 +579,7 @@ def _gram_dict(system: recon.GramSystem, sol: recon.SolveResult) -> dict:
     return {
         "rows": int(system.shape[0]),
         "cols": int(system.shape[1]),
-        "factor_cols": int(system.left.shape[1]),
+        "factor_cols": int(system.reflectors.shape[0]),
         "sigma_max": sol.sigma_max,
         "sigma_min": sol.sigma_min,
         "effective_rank": sol.effective_rank,
@@ -591,8 +595,10 @@ def compare_runs(report_a: dict, report_b: dict) -> dict:
     """Tabulate spike-rate, max-gap and SNR deltas between two run reports.
 
     Both reports must cover the same window and signal; mismatches are
-    rejected with ValueError, and so is a report that is not a JSON object
-    or lacks the ``window``, ``signal`` or ``metrics.snr_db`` key.
+    rejected with ValueError, and so is a report that is not a JSON object,
+    lacks the ``window``, ``signal`` or ``metrics.snr_db`` key, or has a
+    ``spikes`` entry that is not an object of channels with ``count``,
+    ``gap_mean`` and ``gap_max``.
     """
     for name, rep in (("report_a", report_a), ("report_b", report_b)):
         if not isinstance(rep, dict):
@@ -607,10 +613,16 @@ def compare_runs(report_a: dict, report_b: dict) -> dict:
     if report_a["signal"] != report_b["signal"]:
         raise ValueError("signals differ between reports")
 
-    def rate_and_gaps(rep):
+    def rate_and_gaps(name, rep):
         spikes = rep.get("spikes")
         if not spikes:
             return None, None, None
+        if not isinstance(spikes, dict):
+            raise ValueError(f"{name} 'spikes' is a JSON {type(spikes).__name__}, not an object")
+        for channel, stats in spikes.items():
+            for key in ("count", "gap_mean", "gap_max"):
+                if not isinstance(stats, dict) or key not in stats:
+                    raise ValueError(f"{name} spikes channel {channel!r} has no {key!r} key")
         w0, w1 = rep["window"]
         span = w1 - w0
         counts = [ch["count"] for ch in spikes.values()]
@@ -619,8 +631,8 @@ def compare_runs(report_a: dict, report_b: dict) -> dict:
         rate = sum(counts) / span / len(counts)
         return rate, (sum(means) / len(means) if means else None), (max(maxes) if maxes else None)
 
-    rate_a, mean_a, max_a = rate_and_gaps(report_a)
-    rate_b, mean_b, max_b = rate_and_gaps(report_b)
+    rate_a, mean_a, max_a = rate_and_gaps("report_a", report_a)
+    rate_b, mean_b, max_b = rate_and_gaps("report_b", report_b)
     snr_a = report_a["metrics"]["snr_db"]
     snr_b = report_b["metrics"]["snr_db"]
     return {

@@ -34,15 +34,18 @@ segments, and everything else is derived from them:
   exponential type the record span, so an a-priori error bound fixes each
   rule's order at ``QUAD_TOL`` per entry; it grows with the span (185
   nodes, 370 columns, for the 779 rows of the 2 s single-channel preset;
-  the plain rule needs 234).  The knots are the row midpoints, so both
-  factors share one trigonometric table per segment (recomputed only
-  where a segment carries a phase), and both are column-major, the layout
-  LAPACK reads.  The solve never forms ``G``: a QR of each factor reduces
-  it to a truncated least squares problem on a small core (the
+  the plain rule needs 234).  Both factors are column-major, the layout
+  LAPACK reads.  A builder never holds both: it builds the left factor,
+  with the amplitude integrals in a spare last column, reduces it to the R
+  of its QR and drops it, and only then builds the right factor and
+  reduces it to its packed QR (:func:`_reduce`); a :class:`GramSystem` is
+  these QRs.  The solve never forms ``G``: the QRs reduce it to a
+  truncated least squares problem on a small core (the
   trigonometric-space view of TEM decoding of Lazar & Pnevmatikakis,
   *EURASIP J. Adv. Signal Process.*, 2009, applied here to the paper's own
   Gram matrix), solved on one BLAS thread; its residual is read from the
-  R factors.
+  R factors.  The dense ``G`` is rebuilt only on request, as an oracle
+  (:attr:`GramSystem.matrix`).
 * Evaluation: :func:`evaluate_model`, the single evaluator for both
   families and for PNS records (:func:`temcodec.pns.reconstruct_pns`
   builds a bandpass model), writes the model as ``cos(a*t)`` and
@@ -179,28 +182,45 @@ def knots_and_shifts(merged_times) -> BandpassKnots:
 
 @dataclass(frozen=True)
 class GramSystem:
-    """Linear system ``G c = q`` linking kernel coefficients to amplitude integrals.
+    """Linear system ``G c = q`` linking kernel coefficients to amplitude integrals, held reduced.
 
-    ``G`` is held as two factors, ``G = left @ right.T``: one row of ``left``
-    per spike interval, one row of ``right`` per knot, whose kernel is in
-    ``segments``.  A dense ``G`` is the pair ``(G, np.eye(cols))``.
+    ``G = left @ right.T`` has one row of ``left`` per spike interval
+    ``[starts[r], ends[r]]`` and one row of ``right`` per knot, whose kernel
+    is in ``segments`` (see :func:`_spectral_factors`).  Neither factor is
+    kept, only their QRs (:func:`_reduce`), which is all
+    :func:`solve_coefficients` reads: ``r_aug``, the R of ``[left, rhs]``
+    (upper triangular, row-major), and ``reflectors`` and ``tau``, the packed
+    QR of ``right`` as ``np.linalg.qr(right, mode="raw")`` returns it, made
+    column-major.  A system reduced from hand-made factors has no row
+    intervals (``starts`` and ``ends`` are ``None``).
     """
 
-    left: np.ndarray
-    right: np.ndarray
+    r_aug: np.ndarray
+    reflectors: np.ndarray
+    tau: np.ndarray
     rhs: np.ndarray
     knot_times: np.ndarray
     segments: tuple
+    starts: Optional[np.ndarray]
+    ends: Optional[np.ndarray]
     gap_premise_ok: bool = True
 
     @property
     def matrix(self) -> np.ndarray:
-        """The Gram matrix ``left @ right.T``, formed on each access."""
-        return self.left @ self.right.T
+        """The dense Gram matrix ``left @ right.T``, rebuilt on each access; an oracle.
+
+        The factors are rebuilt from the row intervals by
+        :func:`_spectral_factors` at ``QUAD_TOL``, bit for bit the ones the
+        builder reduced, and both are held at once, as nothing else in the
+        package does.  The solve never calls this; the benchmark tracer and
+        the tests read it until the tracer reads :attr:`shape` instead.
+        """
+        left, right = _spectral_factors(self.starts, self.ends, self.segments, QUAD_TOL)
+        return left @ right.T
 
     @property
     def shape(self):
-        return self.left.shape[0], self.right.shape[0]
+        return self.rhs.size, self.knot_times.size
 
 
 @dataclass(frozen=True)
@@ -365,6 +385,69 @@ def _mapped_rule(order: int):
     return nodes, weights
 
 
+def _factor_rule(starts, ends, segments, quad_tol: float):
+    """The quadrature behind :func:`_spectral_factors`: ``(half, mid, parts)``.
+
+    ``half`` holds the row intervals' half-widths and ``mid`` their
+    midpoints, measured from the record midpoint; ``parts`` holds per non-empty segment
+    its rule's nodes ``nu``, the gains ``q*2/nu`` of its weights ``q``, and
+    the segment's ``w`` and ``psi``.  Each factor is built from this alone
+    (:func:`_left_factor`, :func:`_right_factor`).
+    """
+    centre = 0.5 * (starts[0] + ends[-1])
+    span = float(ends[-1] - starts[0])
+    half = 0.5 * (ends - starts)
+    mid = 0.5 * (ends + starts) - centre
+    segments = [seg for seg in segments if seg[1] > seg[0]]
+    parts = []
+    for lo, hi, w, psi in segments:
+        order = _gl_order(hi - lo, 2.0 * float(np.max(half)) * float(np.max(np.abs(w))), span,
+                          quad_tol / len(segments))
+        nodes, weights = _mapped_rule(order)
+        nu = 0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes
+        parts.append((nu, (0.5 * (hi - lo) * weights) * 2.0 / nu, w, psi))
+    return half, mid, parts
+
+
+def _left_factor(rule, rhs=None):
+    """The factor ``A`` of :func:`_spectral_factors`, column-major; ``rhs``, if
+    given, fills a spare last column."""
+    half, mid, parts = rule
+    width = 2 * sum(nu.size for nu, *_ in parts)
+    left = np.empty((half.size, width + (rhs is not None)), order="F")
+    col = 0
+    for nu, gain, _, _ in parts:
+        # outer products as (nodes, rows), transposed: column-major like the factor
+        # q*2h*sinc(nu*h) = q*2*sin(nu*h)/nu, and nu > 0 at every node
+        amp = np.sin(np.outer(nu, half).T)
+        amp *= gain
+        arg = np.outer(nu, mid).T
+        for trig in (np.cos, np.sin):
+            part = left[:, col:col + nu.size]
+            trig(arg, out=part)
+            part *= amp
+            col += nu.size
+    if rhs is not None:
+        left[:, -1] = rhs
+    return left
+
+
+def _right_factor(rule):
+    """The factor ``B`` of :func:`_spectral_factors`, column-major."""
+    half, mid, parts = rule
+    right = np.empty((half.size, 2 * sum(nu.size for nu, *_ in parts)), order="F")
+    col = 0
+    for nu, _, w, psi in parts:
+        arg = np.outer(nu, mid).T
+        if np.any(psi):
+            arg += psi[:, None]
+        np.cos(arg, out=right[:, col:col + nu.size])
+        np.sin(arg, out=right[:, col + nu.size:col + 2 * nu.size])
+        right[:, col:col + 2 * nu.size] *= w[:, None]
+        col += 2 * nu.size
+    return right
+
+
 def _spectral_factors(starts, ends, segments, quad_tol: float):
     """Factors ``(A, B)`` with ``(A @ B.T)[r, l] = integral_{starts[r]}^{ends[r]} kernel_l(u) du``.
 
@@ -380,51 +463,57 @@ def _spectral_factors(starts, ends, segments, quad_tol: float):
       (midpoint ``m_r``, half-width ``h_r``), free of cancellation;
     * ``B[l] = w_l*[cos, sin](nu_j*s_l + psi_l)``.
 
-    Since ``s_l = m_l``, one ``[cos, sin](nu_j*m)`` table serves both
-    factors; it is recomputed for ``B`` only in a segment whose ``psi`` is
-    not all zero (the bandpass ones).  Both factors are column-major, so each
-    node's column is contiguous and QR reads them without a transposing copy.
+    Since ``s_l = m_l``, ``B``'s table is ``A``'s ``[cos, sin](nu_j*m)`` in a
+    segment whose ``psi`` is all zero; each factor computes its own
+    (:func:`_left_factor`, :func:`_right_factor`), so that one can be built
+    after the other is gone (:func:`_reduced_factors`).  Both factors are
+    column-major, so each node's column is contiguous and QR reads them
+    without a transposing copy.
 
     Times are measured from the record midpoint.  In ``nu`` an entry is entire
     and bounded by ``|w|*2h*exp(span*|Im nu|)`` (``span`` the record span), so
     :func:`_gl_order` fixes each segment's order at an equal share of
-    ``quad_tol``.  At ``QUAD_TOL``, the tolerance both Gram builders pass,
-    the orders are 185 for the 2 s single-channel preset, 43 and 70 for the
-    two segments of the two-channel one (the plain rule needs 234, and 46
-    and 81).  Empty segments are skipped.
+    ``quad_tol`` (:func:`_factor_rule`).  At ``QUAD_TOL``, the tolerance both
+    Gram builders use, the orders are 185 for the 2 s single-channel preset,
+    43 and 70 for the two segments of the two-channel one (the plain rule
+    needs 234, and 46 and 81).  Empty segments are skipped.
+
+    Only the tests and the dense oracle :attr:`GramSystem.matrix` hold both
+    factors at once; the builders reduce them one at a time.
     """
-    centre = 0.5 * (starts[0] + ends[-1])
-    span = float(ends[-1] - starts[0])
-    half = 0.5 * (ends - starts)
-    mid = 0.5 * (ends + starts) - centre
-    segments = [seg for seg in segments if seg[1] > seg[0]]
-    orders = [
-        _gl_order(hi - lo, 2.0 * float(np.max(half)) * float(np.max(np.abs(w))), span,
-                  quad_tol / len(segments))
-        for lo, hi, w, _ in segments
-    ]
-    left = np.empty((half.size, 2 * sum(orders)), order="F")
-    right = np.empty_like(left)
-    col = 0
-    for (lo, hi, w, psi), order in zip(segments, orders):
-        nodes, weights = _mapped_rule(order)
-        nu = 0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes
-        cols = slice(col, col + 2 * order)
-        cos_cols, sin_cols = slice(col, col + order), slice(col + order, col + 2 * order)
-        col += 2 * order
-        # outer products as (nodes, rows), transposed: column-major like the factors
-        # g*2h*sinc(nu*h) = g*2*sin(nu*h)/nu, and nu > 0 at every node
-        amp = np.sin(np.outer(nu, half).T)
-        amp *= (0.5 * (hi - lo) * weights) * 2.0 / nu
-        arg = np.outer(nu, mid).T
-        for trig, part in ((np.cos, cos_cols), (np.sin, sin_cols)):
-            np.multiply(trig(arg, out=right[:, part]), amp, out=left[:, part])
-        if np.any(psi):
-            arg += psi[:, None]
-            np.cos(arg, out=right[:, cos_cols])
-            np.sin(arg, out=right[:, sin_cols])
-        right[:, cols] *= w[:, None]
-    return left, right
+    rule = _factor_rule(starts, ends, segments, quad_tol)
+    return _left_factor(rule), _right_factor(rule)
+
+
+def _reduce(make_left, make_right):
+    """``(r_aug, reflectors, tau)`` of the factors that ``make_left()`` and ``make_right()`` build.
+
+    ``make_left`` returns the left factor with the right-hand side as its last
+    column.  Each factor is built when its QR needs it and is gone when the
+    QR returns, so the two are never held together: ``r_aug`` is the R of
+    the left one (Householder QR goes column by column, so it is ``R_left``
+    with ``Q_left^T rhs`` as its last column), from ``mode="raw"``,
+    row-major; ``reflectors`` and ``tau`` are the right one's packed QR,
+    column-major.  numpy returns R and the reflectors in layouts that follow
+    its input's; fixing them fixes the summation order of the solve's
+    products.  Both QRs run on one BLAS thread (:func:`_one_blas_thread`),
+    so the result does not depend on the caller's thread count.
+    """
+    with _one_blas_thread():
+        raw, _ = np.linalg.qr(make_left(), mode="raw")
+        # raw is the packed QR transposed: R on and above the diagonal of raw.T
+        r_aug = np.ascontiguousarray(raw.T[:min(raw.shape)])
+        del raw
+        r_aug[np.tri(*r_aug.shape, k=-1, dtype=bool)] = 0.0
+        raw, tau = np.linalg.qr(make_right(), mode="raw")
+        return r_aug, np.asfortranarray(raw), tau
+
+
+def _reduced_factors(starts, ends, segments, rhs):
+    """:func:`_reduce` of the spectral factors (:func:`_spectral_factors`) at ``QUAD_TOL``,
+    the left one with ``rhs`` in a spare last column."""
+    rule = _factor_rule(starts, ends, segments, QUAD_TOL)
+    return _reduce(lambda: _left_factor(rule, rhs), lambda: _right_factor(rule))
 
 
 def build_gram_lowpass(train: SpikeTrain, omega: float) -> GramSystem:
@@ -433,7 +522,8 @@ def build_gram_lowpass(train: SpikeTrain, omega: float) -> GramSystem:
     Knots ``s_l`` are the spike-interval midpoints; the right-hand side is
     the amplitude-integral sequence of the train.  ``G`` is built as the
     spectral factors (see :func:`_spectral_factors`) of the kernel's one
-    segment, every entry within ``QUAD_TOL``.
+    segment, every entry within ``QUAD_TOL``, each factor reduced to its QR
+    as soon as it is built (:func:`_reduced_factors`).
     """
     if not omega > 0.0:
         raise ValueError(f"omega must be positive, got {omega}")
@@ -442,8 +532,9 @@ def build_gram_lowpass(train: SpikeTrain, omega: float) -> GramSystem:
     t = train.times
     knots = 0.5 * (t[:-1] + t[1:])
     segments = lowpass_segments(knots.size, omega)
-    left, right = _spectral_factors(t[:-1], t[1:], segments, QUAD_TOL)
-    return GramSystem(left, right, amplitude_integrals(train), knots, segments)
+    rhs = amplitude_integrals(train)
+    return GramSystem(*_reduced_factors(t[:-1], t[1:], segments, rhs), rhs, knots, segments,
+                      t[:-1], t[1:])
 
 
 def build_gram_bandpass(merged: MergedTrain, band: BandSpec) -> GramSystem:
@@ -454,9 +545,10 @@ def build_gram_bandpass(merged: MergedTrain, band: BandSpec) -> GramSystem:
     pair partner), whose pair shift ``d`` fixes its two spectral segments
     (see :func:`bandpass_segments`).  ``G`` is built as their spectral
     factors (see :func:`_spectral_factors`), every entry within
-    ``QUAD_TOL``.  If the largest stride-1 spike gap reaches the kernel
-    period ``2*pi/B``, reconstruction is no longer guaranteed: a warning
-    diagnostic is attached and assembly proceeds.
+    ``QUAD_TOL``, each reduced to its QR as soon as it is built
+    (:func:`_reduced_factors`).  If the largest stride-1 spike gap reaches
+    the kernel period ``2*pi/B``, reconstruction is no longer guaranteed: a
+    warning diagnostic is attached and assembly proceeds.
 
     Raises :class:`DegenerateShiftError`, naming the knot, if some pair
     shift makes the kernel singular (:func:`shift_is_degenerate`).
@@ -474,8 +566,8 @@ def build_gram_bandpass(merged: MergedTrain, band: BandSpec) -> GramSystem:
             RuntimeWarning,
             stacklevel=2,
         )
-    left, right = _spectral_factors(t[:-2], t[2:], segments, QUAD_TOL)
-    return GramSystem(left, right, merged.integrals, knots.times, segments, premise_ok)
+    return GramSystem(*_reduced_factors(t[:-2], t[2:], segments, merged.integrals),
+                      merged.integrals, knots.times, segments, t[:-2], t[2:], premise_ok)
 
 
 @functools.cache
@@ -549,24 +641,22 @@ def solve_coefficients(system: GramSystem, sv_cutoff: float = DEFAULT_SV_CUTOFF)
 
     With ``G = left @ right.T`` and QR factorisations ``left = Qa Ra`` and
     ``right = Qb Rb``, ``G = Qa (Ra Rb^T) Qb^T``, so the singular values of
-    the small core ``Ra Rb^T`` are those of ``G``.  Neither ``G``, ``Qa`` nor
-    ``Qb`` is formed: only ``Qa^T q`` is needed, and the QR of ``[left, q]``
-    gives it; the core system is solved by LAPACK's ``gelsd``
-    (``np.linalg.lstsq``), which keeps the singular values
-    ``sv > sv_cutoff * sigma_max`` and never forms singular vectors; ``Qb``
-    is applied to its solution through its Householder reflectors.
-    Returns the coefficients together with the residual norm
+    the small core ``Ra Rb^T`` are those of ``G``.  The system holds only
+    the two QRs (see :class:`GramSystem`), and the solve starts from the
+    core product: ``Ra`` and ``Qa^T q`` are ``r_aug`` without and in its
+    last column, ``Rb^T`` is on and below the diagonal of ``reflectors``.
+    Neither ``G``, a factor, ``Qa`` nor ``Qb`` is formed.  The core system
+    is solved by LAPACK's ``gelsd`` (``np.linalg.lstsq``), which keeps the
+    singular values ``sv > sv_cutoff * sigma_max`` and never forms singular
+    vectors; ``Qb`` is applied to its solution through its Householder
+    reflectors.  Returns the coefficients together with the residual norm
     ``||G c - q||``, effective rank, and the singular-value extremes;
     ``sigma_min`` is 0.0 when the factors are narrower than the system,
     since ``G`` then has exactly zero singular values.  The residual comes
     from the R factors, not from ``G c``: with ``y`` the core solution it
-    is ``sqrt(||core y - Qa^T q||^2 + r^2)``, ``r`` the entry of the R of
-    ``[left, q]`` below ``Ra`` in its last column (0 when ``left`` has no
-    more rows than columns).  So the factors are read only by the two QRs.
-
-    The factors may be in either memory layout, with bit-identical results;
-    the Gram builders make them column-major, which numpy's QR copies into
-    LAPACK's input without transposing.
+    is ``sqrt(||core y - Qa^T q||^2 + r^2)``, ``r`` the entry of ``r_aug``
+    below ``Ra`` in its last column (0 when ``left`` has no more rows than
+    columns).
 
     The whole solve runs on one OpenBLAS thread (see
     :func:`_one_blas_thread`), so its result does not depend on the
@@ -580,24 +670,15 @@ def solve_coefficients(system: GramSystem, sv_cutoff: float = DEFAULT_SV_CUTOFF)
     singular value is kept.
     """
     check_sv_cutoff(sv_cutoff)
-    left, right, rhs = system.left, system.right, system.rhs
-    inner = min(left.shape)
+    r_aug, reflectors, tau = system.r_aug, system.reflectors, system.tau
+    # Ra is square, of the smaller of left's row and column counts
+    inner = min(r_aug.shape[0], r_aug.shape[1] - 1)
     with _one_blas_thread() as threads:
-        # Householder QR goes column by column: the R of [left, rhs] is R_left
-        # with Q_left^T rhs as its last column.  numpy returns R and the
-        # reflectors in layouts that follow its input's; fixing them fixes the
-        # summation order of the products below.
-        r_aug = np.ascontiguousarray(np.linalg.qr(np.column_stack([left, rhs]), mode="r"))
-        # LAPACK's packed QR of right, transposed: R_right.T on and below the
-        # diagonal of its first columns, reflector j's tail right of entry (j, j)
-        reflectors, tau = np.linalg.qr(right, mode="raw")
-        reflectors = np.asfortranarray(reflectors)
         core = r_aug[:inner, :-1] @ np.tril(reflectors[:, :tau.size])
-        projected = r_aug[:inner, -1].copy()
+        projected = r_aug[:inner, -1]
         # the part of rhs outside the column space of left: the entry below
         # R_left in the last column, where [left, rhs] has a row there
         outside = float(r_aug[inner, -1]) if r_aug.shape[0] > inner else 0.0
-        del r_aug  # not held through gelsd
         solved, _, rank, sv = np.linalg.lstsq(core, projected, rcond=sv_cutoff)
         if sv.size == 0 or sv[0] <= 0.0:
             raise DegenerateSystemError("system has no nonzero singular values")
@@ -605,7 +686,7 @@ def solve_coefficients(system: GramSystem, sv_cutoff: float = DEFAULT_SV_CUTOFF)
             raise DegenerateSystemError(
                 f"all singular values below cutoff {sv_cutoff} * {sv[0]:.3e}"
             )
-        coeff = np.zeros(right.shape[0])
+        coeff = np.zeros(reflectors.shape[1])
         coeff[:tau.size] = solved
         # Q_right @ coeff as H_0 H_1 ... H_(k-1) coeff, H_j = I - tau_j v_j v_j^T
         # with v_j = (0, ..., 0, 1, reflectors[j, j+1:])

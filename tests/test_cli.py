@@ -402,6 +402,22 @@ class TestCompare:
         err = capsys.readouterr().err
         assert err.startswith("compare error: report_b") and named in err
 
+    @pytest.mark.parametrize("spikes, named", [
+        ({"B": {"gap_mean": 0.01, "gap_max": 0.02}}, "channel 'B' has no 'count' key"),
+        ({"B": {"count": 9, "gap_max": 0.02}}, "channel 'B' has no 'gap_mean' key"),
+        ({"B": {"count": 9, "gap_mean": 0.01}}, "channel 'B' has no 'gap_max' key"),
+        ({"A": 3}, "channel 'A' has no 'count' key"),
+        ([1, 2], "'spikes' is a JSON list"),
+    ])
+    def test_malformed_spikes_entry_rejected(self, small_run, tmp_path, capsys, spikes, named):
+        _, _, out = small_run
+        report = json.loads((out / "report.json").read_text())
+        report["spikes"] = spikes
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(report))
+        assert run_cli("compare", str(out / "report.json"), str(other)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("compare error: report_b") and named in err
 
 EDGE_VALUES = [-0.0, 5e-324, 1e300, np.inf, -np.inf, np.nan, 1.0 / 3.0, -2.5e-7]
 

@@ -20,7 +20,6 @@ from temcodec import experiment, recon
 from temcodec.recon import (
     DegenerateShiftError,
     DegenerateSystemError,
-    GramSystem,
     ReconModel,
     bandpass_segments,
     build_gram_bandpass,
@@ -32,7 +31,7 @@ from temcodec.recon import (
 )
 
 from kernel_oracle import closed_form_gbp
-from recon_pipeline import reconstruct_bandpass, reconstruct_lowpass
+from recon_pipeline import reconstruct_bandpass, reconstruct_lowpass, reduced_system
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -197,28 +196,35 @@ class TestGramLowpass:
         params = TemParams(1.0, 1.0 / 260.0, 3.0, 2.0)
         train = encode(test_signal, params, (-1.5, 1.5))
         system = build_gram_lowpass(train, omega)
-        assert system.left.shape[1] > 2 * 256
+        assert system.reflectors.shape[0] > 2 * 256
         t, s = train.times, system.knot_times
         rows = np.arange(0, len(train) - 1, 37)
         upper = scipy.special.sici(omega * (t[rows + 1, None] - s[None, :]))[0]
         lower = scipy.special.sici(omega * (t[rows, None] - s[None, :]))[0]
-        entries = system.left[rows] @ system.right.T
+        left, right = recon._spectral_factors(t[:-1], t[1:], system.segments, recon.QUAD_TOL)
+        entries = left[rows] @ right.T
         assert np.max(np.abs(entries - (upper - lower) / np.pi)) <= recon.QUAD_TOL
 
 
 @pytest.fixture(scope="module")
-def preset_systems():
-    """The Gram systems and solver cutoffs of the single- and two-channel presets,
-    built from the snapped spike trains the pipeline writes."""
+def preset_builds():
+    """Per single- and two-channel preset, a call that builds its Gram system
+    from the snapped spike trains the pipeline writes, and its solver cutoff."""
     out = {}
     cfg = experiment.load_config(CONFIG_DIR / "single_channel.cfg")
     train = experiment._snap_train(encode(cfg.signal, cfg.tem_params, cfg.window))
-    out["single_channel"] = (build_gram_lowpass(train, cfg.lowpass_cutoff), cfg.sv_cutoff)
-    cfg = experiment.load_config(CONFIG_DIR / "two_channel.cfg")
-    a, b = encode_two_channel(cfg.signal, cfg.tem_params, cfg.window, alpha=cfg.alpha)
+    out["single_channel"] = (lambda: build_gram_lowpass(train, cfg.lowpass_cutoff), cfg.sv_cutoff)
+    two = experiment.load_config(CONFIG_DIR / "two_channel.cfg")
+    a, b = encode_two_channel(two.signal, two.tem_params, two.window, alpha=two.alpha)
     merged = interleave(experiment._snap_train(a), experiment._snap_train(b))
-    out["two_channel"] = (build_gram_bandpass(merged, cfg.band), cfg.sv_cutoff)
+    out["two_channel"] = (lambda: build_gram_bandpass(merged, two.band), two.sv_cutoff)
     return out
+
+
+@pytest.fixture(scope="module")
+def preset_systems(preset_builds):
+    """The Gram systems and solver cutoffs of the single- and two-channel presets."""
+    return {name: (build(), sv_cutoff) for name, (build, sv_cutoff) in preset_builds.items()}
 
 
 def sausage_polynomial():
@@ -273,8 +279,8 @@ class TestMappedRule:
 
     def test_preset_factor_widths(self, preset_systems):
         # the plain Gauss-Legendre rule needs 468 and 254 columns
-        assert preset_systems["single_channel"][0].left.shape[1] <= 380
-        assert preset_systems["two_channel"][0].left.shape[1] <= 230
+        assert preset_systems["single_channel"][0].reflectors.shape[0] <= 380
+        assert preset_systems["two_channel"][0].reflectors.shape[0] <= 230
 
     def test_import_and_config_loading_leave_the_ellipse_cache_empty(self):
         probe = (
@@ -309,46 +315,89 @@ def direct_right(times, knots, segments, orders):
     return np.hstack(columns)
 
 
+def factors_of(system):
+    """The spectral factors ``(left, right)`` that ``system`` was reduced from."""
+    return recon._spectral_factors(system.starts, system.ends, system.segments, recon.QUAD_TOL)
+
+
 class TestFactorLayout:
-    """Column-major factors, their shared trig table, and a layout-blind solve."""
+    """Column-major factors, their trig tables, and a layout-blind solve."""
 
     @pytest.mark.parametrize("preset", ["single_channel", "two_channel"])
     def test_preset_factors_are_column_major(self, preset_systems, preset):
         system = preset_systems[preset][0]
-        assert system.left.flags.f_contiguous and system.right.flags.f_contiguous
+        left, right = factors_of(system)
+        assert left.flags.f_contiguous and right.flags.f_contiguous
+        assert system.r_aug.flags.c_contiguous and system.reflectors.flags.f_contiguous
 
     def test_lowpass_right_is_the_direct_table(self, small_system):
-        # the knots are the row midpoints, so right reuses left's trig table;
-        # it must equal the table computed at the knots, bit for bit
+        # the knots are the row midpoints, so right's table is left's; it must
+        # equal the table computed at the knots, bit for bit
         train, system = small_system
+        right = factors_of(system)[1]
         expect = direct_right(train.times, system.knot_times, system.segments,
-                              [system.right.shape[1] // 2])
-        assert np.array_equal(system.right, expect)
+                              [right.shape[1] // 2])
+        assert np.array_equal(right, expect)
 
     def test_bandpass_right_is_the_direct_table(self, monkeypatch, two_channel_record,
                                                 band_35_65):
-        # a segment with nonzero psi recomputes its table with the phase added
+        # a segment with nonzero psi adds the phase to right's table
         merged = two_channel_record[3]
+        system = build_gram_bandpass(merged, band_35_65)
         orders, rule = [], recon._mapped_rule
         monkeypatch.setattr(recon, "_mapped_rule", lambda order: orders.append(order) or rule(order))
-        system = build_gram_bandpass(merged, band_35_65)
-        assert len(orders) == 2 and 2 * sum(orders) == system.right.shape[1]
+        right = factors_of(system)[1]
+        assert len(orders) == 2 and 2 * sum(orders) == right.shape[1]
         expect = direct_right(merged.times, system.knot_times, system.segments, orders[:2])
-        assert np.array_equal(system.right, expect)
+        assert np.array_equal(right, expect)
 
     @pytest.mark.parametrize("preset", ["single_channel", "two_channel"])
     def test_solve_independent_of_factor_layout(self, preset_systems, preset):
         system, sv_cutoff = preset_systems[preset]
-        row_major = GramSystem(
-            np.ascontiguousarray(system.left), np.ascontiguousarray(system.right),
-            system.rhs, system.knot_times, system.segments, system.gap_premise_ok,
-        )
-        assert row_major.left.flags.c_contiguous and row_major.right.flags.c_contiguous
+        left, right = (np.ascontiguousarray(f) for f in factors_of(system))
+        assert left.flags.c_contiguous and right.flags.c_contiguous
+        row_major = reduced_system(left, right, system.rhs, system.knot_times, system.segments)
         a = solve_coefficients(system, sv_cutoff=sv_cutoff)
         b = solve_coefficients(row_major, sv_cutoff=sv_cutoff)
         assert np.array_equal(a.coefficients, b.coefficients)
         assert (a.residual_norm, a.effective_rank, a.sigma_max) == (
             b.residual_norm, b.effective_rank, b.sigma_max)
+
+
+class TestReducedSystem:
+    """The builders' reduced systems against the factors they were reduced from."""
+
+    @pytest.mark.parametrize("preset, factor_cols", [("single_channel", 370), ("two_channel", 226)])
+    def test_reduced_system_equals_its_oracle(self, preset_systems, preset, factor_cols):
+        system, sv_cutoff = preset_systems[preset]
+        left, right = factors_of(system)
+        with recon._one_blas_thread():
+            r_aug = np.linalg.qr(np.column_stack([left, system.rhs]), mode="r")
+            reflectors, tau = np.linalg.qr(right, mode="raw")
+        assert np.array_equal(system.r_aug, r_aug)
+        assert np.array_equal(system.reflectors, reflectors)
+        assert np.array_equal(system.tau, tau)
+        assert np.array_equal(system.matrix, left @ right.T)
+        assert system.shape == (left.shape[0], right.shape[0])
+        gram = experiment._gram_dict(system, solve_coefficients(system, sv_cutoff=sv_cutoff))
+        assert gram["factor_cols"] == left.shape[1] == factor_cols
+
+    @pytest.mark.parametrize("preset", ["single_channel", "two_channel"])
+    def test_build_and_solve_peak_memory(self, preset_builds, preset):
+        # one factor and the copy its QR makes are live at a time: 2.5 (single)
+        # and 2.9 (two) factors' bytes; both factors held through the solve
+        # take 4.6 and 4.9
+        build, sv_cutoff = preset_builds[preset]
+        solve_coefficients(build(), sv_cutoff=sv_cutoff)  # warm-up: caches and first-call allocations
+        tracemalloc.start()
+        try:
+            system = build()
+            solve_coefficients(system, sv_cutoff=sv_cutoff)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        factor_bytes = 8 * system.shape[0] * system.reflectors.shape[0]
+        assert peak <= 3.5 * factor_bytes
 
 
 def premise_violating_record(band):
@@ -559,8 +608,7 @@ class TestSolve:
     @pytest.mark.parametrize("sv_cutoff", [0.0, -1.0, 1.0, 2.0, float("nan"), float("inf")])
     def test_cutoff_outside_unit_interval_rejected(self, sv_cutoff):
         rng = np.random.RandomState(3)
-        system = GramSystem(rng.randn(8, 3) @ rng.randn(3, 8), np.eye(8), rng.randn(8),
-                            np.arange(8.0), lowpass_segments(8, 1.0))
+        system = reduced_system(rng.randn(8, 3) @ rng.randn(3, 8), np.eye(8), rng.randn(8))
         with pytest.raises(ValueError, match="sv_cutoff"):
             solve_coefficients(system, sv_cutoff=sv_cutoff)
 
@@ -583,20 +631,17 @@ class TestSolve:
         get, put = blas_threads
         put(2)
         q = np.array([3.0, -1.0, 0.5])
-        solve_coefficients(GramSystem(np.eye(3), np.eye(3), q, np.arange(3.0),
-                                      lowpass_segments(3, 1.0)))
+        solve_coefficients(reduced_system(np.eye(3), np.eye(3), q))
         assert get() == 2
         with pytest.raises(DegenerateSystemError):
-            solve_coefficients(GramSystem(np.zeros((3, 3)), np.eye(3), q, np.arange(3.0),
-                                          lowpass_segments(3, 1.0)))
+            solve_coefficients(reduced_system(np.zeros((3, 3)), np.eye(3), q))
         assert get() == 2
 
     def test_concurrent_solves_restore_caller_blas_threads(self, blas_threads):
         get, put = blas_threads
         put(2)
         rng = np.random.RandomState(5)
-        system = GramSystem(rng.randn(40, 12), rng.randn(30, 12), rng.randn(40), np.arange(30.0),
-                            lowpass_segments(30, 1.0))
+        system = reduced_system(rng.randn(40, 12), rng.randn(30, 12), rng.randn(40))
         expect = solve_coefficients(system).coefficients
         results, errors = [], []
 
@@ -626,22 +671,20 @@ class TestSolve:
         put(2)
         q = np.array([3.0, -1.0, 0.5])
         with recon._one_blas_thread():
-            sol = solve_coefficients(GramSystem(np.eye(3), np.eye(3), q, np.arange(3.0),
-                                                lowpass_segments(3, 1.0)))
+            sol = solve_coefficients(reduced_system(np.eye(3), np.eye(3), q))
             assert get() == 1
         assert sol.blas_threads == 1 and get() == 2
 
     def test_without_thread_controls_solves_on_caller_threads(self, monkeypatch):
         monkeypatch.setattr(recon, "_blas_thread_controls", lambda: None)
         q = np.array([3.0, -1.0, 0.5])
-        sol = solve_coefficients(GramSystem(np.eye(3), np.eye(3), q, np.arange(3.0),
-                                            lowpass_segments(3, 1.0)))
+        sol = solve_coefficients(reduced_system(np.eye(3), np.eye(3), q))
         assert sol.blas_threads is None
         assert np.allclose(sol.coefficients, q, atol=1e-14)
 
     def test_identity_system(self):
         q = np.array([3.0, -1.0, 0.5])
-        system = GramSystem(np.eye(3), np.eye(3), q, np.arange(3.0), lowpass_segments(3, 1.0))
+        system = reduced_system(np.eye(3), np.eye(3), q)
         sol = solve_coefficients(system)
         assert np.allclose(sol.coefficients, q, atol=1e-14)
         assert sol.effective_rank == 3
@@ -649,23 +692,20 @@ class TestSolve:
 
     def test_zero_rhs_gives_exact_zero(self):
         rng = np.random.RandomState(7)
-        system = GramSystem(rng.randn(6, 4), np.eye(4), np.zeros(6), np.arange(4.0),
-                            lowpass_segments(4, 1.0))
+        system = reduced_system(rng.randn(6, 4), np.eye(4), np.zeros(6))
         sol = solve_coefficients(system)
         assert np.all(sol.coefficients == 0.0)
 
     def test_duplicate_columns_share_mass_equally(self):
         # minimum-norm solution splits the coefficient across identical columns
         col = np.array([1.0, 2.0])
-        system = GramSystem(np.column_stack([col, col]), np.eye(2), np.array([1.0, 2.0]),
-                            np.arange(2.0), lowpass_segments(2, 1.0))
+        system = reduced_system(np.column_stack([col, col]), np.eye(2), np.array([1.0, 2.0]))
         sol = solve_coefficients(system)
         assert np.allclose(sol.coefficients, [0.5, 0.5], atol=1e-12)
         assert sol.effective_rank == 1
 
     def test_all_below_cutoff_rejected(self):
-        system = GramSystem(np.zeros((3, 3)), np.eye(3), np.ones(3), np.arange(3.0),
-                            lowpass_segments(3, 1.0))
+        system = reduced_system(np.zeros((3, 3)), np.eye(3), np.ones(3))
         with pytest.raises(DegenerateSystemError):
             solve_coefficients(system)
 
@@ -683,8 +723,8 @@ class TestSolve:
         rng = np.random.RandomState(11)
         matrix = rng.randn(8, 5)
         q = rng.randn(8)
-        base = GramSystem(matrix, np.eye(5), q, np.arange(5.0), lowpass_segments(5, 1.0))
-        scaled = GramSystem(matrix, np.eye(5), gamma * q, np.arange(5.0), lowpass_segments(5, 1.0))
+        base = reduced_system(matrix, np.eye(5), q)
+        scaled = reduced_system(matrix, np.eye(5), gamma * q)
         ca = solve_coefficients(base).coefficients
         cb = solve_coefficients(scaled).coefficients
         assert np.allclose(cb, gamma * ca, rtol=1e-11, atol=1e-13)
@@ -719,7 +759,7 @@ class TestSolve:
         keep = sv >= cutoff
         expect = vt[keep].T @ ((u[:, keep].T @ q) / sv[keep])
         sol = solve_coefficients(
-            GramSystem(left, right, q, np.arange(float(cols)), lowpass_segments(cols, 1.0))
+            reduced_system(left, right, q)
         )
         assert sol.effective_rank == np.count_nonzero(keep)
         scale = np.linalg.norm(expect) + np.linalg.norm(q) / sv[0]
@@ -747,7 +787,7 @@ class TestSolve:
         right = rng.standard_normal((cols, width))
         q = rng.standard_normal(rows)
         sol = solve_coefficients(
-            GramSystem(left, right, q, np.arange(float(cols)), lowpass_segments(cols, 1.0))
+            reduced_system(left, right, q)
         )
         direct = np.linalg.norm(left @ (right.T @ sol.coefficients) - q)
         # relative to the residual, or to q where the system is solved exactly
@@ -761,7 +801,7 @@ class TestSolve:
         # core solved the same way on the same one BLAS thread; the cutoff
         # admits a condition number of 1/sv_cutoff, which amplifies the rounding
         # differences of another core solver or thread count past the tolerance
-        left, right, rhs = system.left, system.right, system.rhs
+        (left, right), rhs = factors_of(system), system.rhs
         inner = min(left.shape)
         with recon._one_blas_thread():
             r_aug = np.linalg.qr(np.column_stack([left, rhs]), mode="r")
