@@ -37,7 +37,6 @@ from .pns import (
     sample_pns,
 )
 from .recon import (
-    BandpassKnots,
     DegenerateShiftError,
     DegenerateSystemError,
     GramSystem,
@@ -48,8 +47,8 @@ from .recon import (
     build_gram_lowpass,
     evaluate_model,
     kernel_gbp,
-    knots_and_shifts,
     lowpass_segments,
+    pair_shifts,
     shift_is_degenerate,
     solve_coefficients,
 )

@@ -221,18 +221,19 @@ def load_config(path) -> ExperimentConfig:
         w0 = exp.num("window_start", "-1")
         w1 = exp.num("window_end", "1")
         if not w0 < w1:
-            raise ConfigError(f"window must be nonempty, got ({w0}, {w1})")
+            raise ConfigError(
+                f"experiment.window_end {w1} must exceed experiment.window_start {w0}")
         grid_step = exp.num("grid_step", "1/1000")
         if not 0 < grid_step <= (w1 - w0):
-            raise ConfigError(f"grid_step {grid_step} outside (0, window span]")
+            raise ConfigError(f"experiment.grid_step {grid_step} outside (0, window span]")
         guard = exp.num("guard_fraction", "0.15")
         if not 0 <= guard < 0.5:
-            raise ConfigError(f"guard_fraction must lie in [0, 0.5), got {guard}")
+            raise ConfigError(f"experiment.guard_fraction must lie in [0, 0.5), got {guard}")
         c0, c1 = _central_window((w0, w1), guard)
         # the first grid point at or after c0 must not lie past c1
         if w0 + grid_step * math.ceil((c0 - w0) / grid_step) > c1:
             raise ConfigError(
-                f"grid_step {grid_step} leaves no evaluation point in the central "
+                f"experiment.grid_step {grid_step} leaves no evaluation point in the central "
                 f"window [{c0}, {c1}]"
             )
 
@@ -244,10 +245,13 @@ def load_config(path) -> ExperimentConfig:
         if mode in ("two_tem", "pns"):
             if "band" not in sections:
                 raise ConfigError(f"mode {mode} requires a [band] section")
-            band = BandSpec(
-                TWO_PI * sections["band"].num("omega_l_hz", "35"),
-                TWO_PI * sections["band"].num("omega_u_hz", "65"),
-            )
+            lo_hz = sections["band"].num("omega_l_hz", "35")
+            hi_hz = sections["band"].num("omega_u_hz", "65")
+            try:
+                band = BandSpec(TWO_PI * lo_hz, TWO_PI * hi_hz)
+            except ValueError:
+                raise ConfigError(f"band.omega_l_hz and band.omega_u_hz must satisfy 0 < "
+                                  f"omega_l_hz < omega_u_hz, got ({lo_hz}, {hi_hz})") from None
 
         tem_params = alpha = lowpass_cutoff = pns_shift = sv_cutoff = None
         if mode in ("single_tem", "two_tem"):
@@ -260,27 +264,30 @@ def load_config(path) -> ExperimentConfig:
             if "tem" not in sections:
                 raise ConfigError(f"mode {mode} requires a [tem] section")
             sec = sections["tem"]
-            tem_params = tem.TemParams(
-                kappa=sec.num("kappa", "1"),
-                delta=sec.num("delta"),
-                bias=sec.num("bias"),
-                amplitude_bound=sig.amplitude_bound,
-            )
+            kappa, delta, bias = sec.num("kappa", "1"), sec.num("delta"), sec.num("bias")
+            try:
+                # each message starts with the field it rejects, which is the [tem] key
+                tem_params = tem.TemParams(kappa, delta, bias, sig.amplitude_bound)
+            except ValueError as exc:
+                raise ConfigError(f"tem.{exc}") from None
             if mode == "two_tem":
-                alpha = sec.num("alpha") if "alpha" in sec else 1.5 * tem_params.delta
-                if not (tem_params.delta < alpha <= 2.0 * tem_params.delta):
-                    raise ConfigError(
-                        f"alpha {alpha} outside (delta, 2*delta] for delta={tem_params.delta}"
-                    )
+                try:
+                    alpha = tem.channel_offset(delta, sec.num("alpha") if "alpha" in sec else None)
+                except ValueError as exc:
+                    raise ConfigError(f"tem.alpha: {exc}") from None
         if mode == "single_tem":
             recon_sec = sections.get("recon", _Section("recon", {}))
-            lowpass_cutoff = TWO_PI * recon_sec.num("lowpass_cutoff_hz")
-            if not lowpass_cutoff > 0:
-                raise ConfigError("lowpass_cutoff_hz must be positive")
+            cutoff_hz = recon_sec.num("lowpass_cutoff_hz")
+            if not cutoff_hz > 0:
+                raise ConfigError(f"recon.lowpass_cutoff_hz must be positive, got {cutoff_hz}")
+            lowpass_cutoff = TWO_PI * cutoff_hz
         if mode == "pns":
             pns_shift = sections.get("pns", _Section("pns", {})).num("shift")
-            # constructing the grid performs the full validity check
-            pns.PnsGrid(band.period, pns_shift, (w0, w1), band)
+            try:
+                # constructing the grid performs the full validity check
+                pns.PnsGrid(pns_shift, (w0, w1), band)
+            except ValueError as exc:
+                raise ConfigError(f"pns.shift: {exc}") from None
         # A key nothing read would silently leave its setting at the default.
         unread = [f"{name}.{key}" for name, sec in sections.items() for key in sec.unread()]
         if unread:
@@ -452,7 +459,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentReport:
     files = []
 
     report = {
-        "schema": 2,
+        "schema": 3,
         "mode": cfg.mode,
         "window": [cfg.window[0], cfg.window[1]],
         "grid_step": cfg.grid_step,
@@ -489,18 +496,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentReport:
                 "A": _gap_stats(train_a.times),
                 "B": _gap_stats(train_b.times),
             }
-            report["merged"] = {
-                "count": int(merged.times.size),
-                "max_gap": merged.max_gap,
-                "kernel_period": cfg.band.period,
-                "gap_premise_ok": bool(merged.max_gap < cfg.band.period),
-            }
+            report["merged"] = {"count": int(merged.times.size), "max_gap": merged.max_gap}
             stage = "assemble"
             system = recon.build_gram_bandpass(merged, cfg.band)
 
         else:  # pns
             stage = "encode"
-            grid = pns.PnsGrid(cfg.band.period, cfg.pns_shift, cfg.window, cfg.band)
+            grid = pns.PnsGrid(cfg.pns_shift, cfg.window, cfg.band)
             samples = pns.sample_pns(cfg.signal, grid)
             _write_csv(
                 out_path / "samples.csv", "index,t,x",
@@ -591,14 +593,20 @@ def _gram_dict(system: recon.GramSystem, sol: recon.SolveResult) -> dict:
     }
 
 
+def _is_number(value, types=(int, float)) -> bool:
+    """True for a JSON number of ``types``; ``true`` and ``false`` are not numbers."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 def compare_runs(report_a: dict, report_b: dict) -> dict:
     """Tabulate spike-rate, max-gap and SNR deltas between two run reports.
 
     Both reports must cover the same window and signal; mismatches are
     rejected with ValueError, and so is a report that is not a JSON object,
-    lacks the ``window``, ``signal`` or ``metrics.snr_db`` key, or has a
-    ``spikes`` entry that is not an object of channels with ``count``,
-    ``gap_mean`` and ``gap_max``.
+    lacks the ``window``, ``signal`` or ``metrics.snr_db`` key, or mistypes
+    a value read: ``window`` must be two increasing numbers, ``snr_db`` and
+    each ``spikes`` channel's ``gap_mean`` and ``gap_max`` a number or
+    null, and its ``count`` an integer.  Each message names report and key.
     """
     for name, rep in (("report_a", report_a), ("report_b", report_b)):
         if not isinstance(rep, dict):
@@ -608,6 +616,12 @@ def compare_runs(report_a: dict, report_b: dict) -> dict:
                 raise ValueError(f"{name} has no {key!r} key: not a run report")
         if not isinstance(rep["metrics"], dict) or "snr_db" not in rep["metrics"]:
             raise ValueError(f"{name} has no 'metrics.snr_db' key: not a run report")
+        window, snr = rep["window"], rep["metrics"]["snr_db"]
+        if not (isinstance(window, list) and len(window) == 2
+                and all(map(_is_number, window)) and window[0] < window[1]):
+            raise ValueError(f"{name} 'window' is not two increasing numbers: {window!r}")
+        if not (snr is None or _is_number(snr)):
+            raise ValueError(f"{name} 'metrics.snr_db' is not a number or null: {snr!r}")
     if report_a["window"] != report_b["window"]:
         raise ValueError(f"windows differ: {report_a['window']} vs {report_b['window']}")
     if report_a["signal"] != report_b["signal"]:
@@ -623,6 +637,13 @@ def compare_runs(report_a: dict, report_b: dict) -> dict:
             for key in ("count", "gap_mean", "gap_max"):
                 if not isinstance(stats, dict) or key not in stats:
                     raise ValueError(f"{name} spikes channel {channel!r} has no {key!r} key")
+            if not _is_number(stats["count"], int):
+                raise ValueError(f"{name} spikes channel {channel!r} 'count' is not an "
+                                 f"integer: {stats['count']!r}")
+            for key in ("gap_mean", "gap_max"):
+                if not (stats[key] is None or _is_number(stats[key])):
+                    raise ValueError(f"{name} spikes channel {channel!r} {key!r} is not a "
+                                     f"number or null: {stats[key]!r}")
         w0, w1 = rep["window"]
         span = w1 - w0
         counts = [ch["count"] for ch in spikes.values()]

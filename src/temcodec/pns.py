@@ -2,21 +2,24 @@
 
 A real signal with spectrum confined to ``(omega_l, omega_u)`` and its
 mirror can be sampled by two uniform streams of period ``T = 2*pi/B``
-(``B`` the bandwidth) offset by a shift ``d`` and reconstructed exactly,
-provided ``d*K0/T`` and ``d*(K0+1)/T`` are not integers, where
-``K0 = ceil(2*omega_l/B)``.  The interpolant is Kohlenberg's second-order
-sampling kernel ``g_bp``: its spectrum is piecewise constant on the two
-sub-segments of the band that alias onto the mirror band under shifts of
-``K0*B`` and ``(K0+1)*B`` respectively, which is what makes the alias
-contributions of the two sample streams cancel.  :mod:`temcodec.recon`
-owns that kernel (:func:`temcodec.recon.kernel_gbp`) and its degeneracy
-rule (:func:`temcodec.recon.shift_is_degenerate`); this module holds only
-the sampling geometry.
+(``B`` the bandwidth; a :class:`PnsGrid` takes ``T`` from its band) offset
+by a shift ``d`` and reconstructed exactly, provided ``d*K0/T`` and
+``d*(K0+1)/T`` are not integers, where ``K0 = ceil(2*omega_l/B)``.  The
+interpolant is Kohlenberg's second-order sampling kernel ``g_bp``: its
+spectrum is piecewise constant on the two sub-segments of the band that
+alias onto the mirror band under shifts of ``K0*B`` and ``(K0+1)*B``
+respectively, which is what makes the alias contributions of the two
+sample streams cancel.  :mod:`temcodec.recon` owns that kernel
+(:func:`temcodec.recon.kernel_gbp`) and its degeneracy rule
+(:func:`temcodec.recon.shift_is_degenerate`); this module holds only the
+sampling geometry.
 
 A sample record is a special case of the bandpass kernel expansion of
 :mod:`temcodec.recon`: the samples are the coefficients, every shift is
 ``d`` and the odd samples carry the time-reversed kernel.
-:func:`reconstruct_pns` evaluates it with :func:`temcodec.recon.evaluate_model`.
+:func:`reconstruct_pns` evaluates it with :func:`temcodec.recon.evaluate_model`
+from the samples and the grid that took them; a :class:`PnsSamples` holds
+only the sample times and values.
 """
 
 from __future__ import annotations
@@ -39,22 +42,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PnsGrid:
-    """Sampling geometry: channel A at ``k*period``, channel B at ``k*period + shift``."""
+    """Sampling geometry: channel A at ``k*period``, channel B at ``k*period + shift``,
+    where ``period`` is the band's ``2*pi/B``."""
 
-    period: float
     shift: float
     window: tuple
     band: BandSpec
+
+    @property
+    def period(self) -> float:
+        return self.band.period
 
     def __post_init__(self):
         object.__setattr__(self, "window", (float(self.window[0]), float(self.window[1])))
         if not (0.0 < self.shift < self.period):
             raise ValueError(f"shift must lie in (0, period), got {self.shift}")
-        nominal = self.band.period
-        if abs(self.period - nominal) > 1e-12 * nominal:
-            raise ValueError(
-                f"period {self.period} does not match 2*pi/bandwidth = {nominal}"
-            )
         if recon.shift_is_degenerate(self.shift, self.period, self.band.k0):
             raise recon.DegenerateShiftError(
                 f"shift {self.shift} is degenerate for k0={self.band.k0}: "
@@ -68,7 +70,6 @@ class PnsSamples:
 
     times: np.ndarray
     values: np.ndarray
-    grid: PnsGrid
 
     def __post_init__(self):
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
@@ -87,7 +88,7 @@ def sample_pns(sig, grid: PnsGrid) -> PnsSamples:
     times = np.empty(2 * ks.size)
     times[0::2] = ks * T
     times[1::2] = ks * T + d
-    return PnsSamples(times, np.asarray(sig(times), dtype=float), grid)
+    return PnsSamples(times, np.asarray(sig(times), dtype=float))
 
 
 def reconstruct_pns(samples: PnsSamples, grid: PnsGrid, t):

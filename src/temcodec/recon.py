@@ -1,19 +1,21 @@
 """Kernel-expansion reconstruction of signals from spike data.
 
 The decoder posits ``x(t) = sum_l c_l * kernel_l(t)`` with one kernel per
-knot (knots are spike-interval midpoints), equates the integral of that
-expansion over every spike interval to the amplitude integrals recovered
-from the spike gaps, and solves the resulting linear system ``G c = q``
-with a truncated-SVD pseudo-inverse.
+knot, equates the integral of that expansion over every spike interval to
+the amplitude integrals recovered from the spike gaps, and solves the
+resulting linear system ``G c = q`` with a truncated-SVD pseudo-inverse.
+Knot ``l`` is the midpoint of row ``l``'s spike interval: every builder's
+:class:`GramSystem` comes from :func:`_gram_system`, which derives the knots
+from the rows.
 
 Two kernel families are supported:
 
 * lowpass: ``sin(omega*t)/(pi*t)`` shifted to each knot;
 * bandpass: the two-channel PNS interpolant ``g_bp`` (:func:`kernel_gbp`),
-  with per-knot shifts derived from the interleaved two-channel spike record.
-  Knots pair up (one per channel); the pair's first knot carries the
-  plain kernel and its partner the time-reversed kernel, mirroring the
-  even/odd roles of exact PNS.
+  with per-knot shifts derived from the interleaved two-channel spike record
+  (:func:`pair_shifts`).  Knots pair up (one per channel); the pair's first
+  knot carries the plain kernel and its partner the time-reversed kernel,
+  mirroring the even/odd roles of exact PNS.
 
 :func:`lowpass_segments` and :func:`bandpass_segments` describe every
 knot's kernel once, as spectral segments ``w_l * integral_lo^hi
@@ -83,12 +85,11 @@ __all__ = [
     "DegenerateShiftError",
     "shift_is_degenerate",
     "kernel_gbp",
-    "BandpassKnots",
     "GramSystem",
     "SolveResult",
     "ReconModel",
     "DegenerateSystemError",
-    "knots_and_shifts",
+    "pair_shifts",
     "lowpass_segments",
     "bandpass_segments",
     "build_gram_lowpass",
@@ -140,44 +141,32 @@ def shift_is_degenerate(shift, period: float, k0: int):
     return degenerate if degenerate.ndim else bool(degenerate)
 
 
-@dataclass(frozen=True)
-class BandpassKnots:
-    """Knot positions and per-knot kernel shifts for bandpass reconstruction.
+def _midpoints(starts, ends):
+    """Midpoints of the intervals ``[starts[r], ends[r]]``: every knot and every Gram row centre."""
+    return 0.5 * (starts + ends)
 
-    ``times[l]`` is the midpoint of the stride-2 spike interval starting at
-    merged index ``l``; even indices are channel-A knots, odd channel-B.
-    Each A knot ``2j`` is paired with the B knot ``2j+1`` that follows it,
-    as in Kohlenberg's second-order interpolant, and both take the pair gap
-    ``times[2j+1] - times[2j]`` as their shift: the local B-behind-A delay,
-    which is the fixed channel shift for a uniform record.  With an odd knot
-    count the last knot is unpaired and copies its predecessor's shift.
+
+def pair_shifts(merged_times) -> np.ndarray:
+    """Kernel shifts of the bandpass knots, the midpoints of ``[t[l], t[l+2]]``, of merged times.
+
+    Even knots are channel A's, odd ones B's.  A knot ``2j`` and the B knot
+    ``2j+1`` after it pair up, as in Kohlenberg's second-order interpolant,
+    and both take the pair gap as their shift: the local B-behind-A delay,
+    the channel shift of a uniform record.  With an odd knot count the last
+    knot copies its predecessor's shift; a single knot takes ``t[1] - t[0]``.
     """
-
-    times: np.ndarray
-    shifts: np.ndarray
-
-    @property
-    def reflected(self) -> np.ndarray:
-        """Mask of knots carrying the time-reversed kernel: the B knots, odd indices."""
-        return np.arange(self.times.size) % 2 == 1
-
-
-def knots_and_shifts(merged_times) -> BandpassKnots:
-    """Derive knots ``(t[l] + t[l+2])/2`` and paired shifts from merged spike times."""
     t = np.asarray(merged_times, dtype=float)
     if t.size < 3:
         raise ValueError(f"need at least 3 merged times, got {t.size}")
     if not np.all(np.diff(t) > 0.0):
         raise ValueError("merged times must be strictly increasing")
-    knots = 0.5 * (t[:-2] + t[2:])
+    knots = _midpoints(t[:-2], t[2:])
     if knots.size == 1:
-        # Single knot; no pair exists, fall back to the spike gap.
-        return BandpassKnots(knots, np.array([t[1] - t[0]]))
-    # pair (2j, 2j+1) takes knots[2j+1] - knots[2j]
+        return np.array([t[1] - t[0]])
     shifts = np.repeat(np.diff(knots)[0::2], 2)
     if knots.size % 2:
         shifts = np.append(shifts, shifts[-1])
-    return BandpassKnots(knots, shifts)
+    return shifts
 
 
 @dataclass(frozen=True)
@@ -397,7 +386,7 @@ def _factor_rule(starts, ends, segments, quad_tol: float):
     centre = 0.5 * (starts[0] + ends[-1])
     span = float(ends[-1] - starts[0])
     half = 0.5 * (ends - starts)
-    mid = 0.5 * (ends + starts) - centre
+    mid = _midpoints(starts, ends) - centre
     segments = [seg for seg in segments if seg[1] > seg[0]]
     parts = []
     for lo, hi, w, psi in segments:
@@ -452,7 +441,7 @@ def _spectral_factors(starts, ends, segments, quad_tol: float):
     """Factors ``(A, B)`` with ``(A @ B.T)[r, l] = integral_{starts[r]}^{ends[r]} kernel_l(u) du``.
 
     The knots are the row midpoints ``s_l = (starts[l] + ends[l])/2``, one per
-    row, as both Gram builders place them; knot ``l``'s kernel is given by
+    row, as :func:`_gram_system` places them; knot ``l``'s kernel is given by
     ``segments`` (see :func:`lowpass_segments`) at offsets ``u - s_l``.  Each
     segment's ``nu`` integral is one mapped Gauss-Legendre rule
     (:func:`_mapped_rule`), scaled to the segment as nodes ``nu_j`` and
@@ -466,7 +455,7 @@ def _spectral_factors(starts, ends, segments, quad_tol: float):
     Since ``s_l = m_l``, ``B``'s table is ``A``'s ``[cos, sin](nu_j*m)`` in a
     segment whose ``psi`` is all zero; each factor computes its own
     (:func:`_left_factor`, :func:`_right_factor`), so that one can be built
-    after the other is gone (:func:`_reduced_factors`).  Both factors are
+    after the other is gone (:func:`_gram_system`).  Both factors are
     column-major, so each node's column is contiguous and QR reads them
     without a transposing copy.
 
@@ -509,11 +498,16 @@ def _reduce(make_left, make_right):
         return r_aug, np.asfortranarray(raw), tau
 
 
-def _reduced_factors(starts, ends, segments, rhs):
-    """:func:`_reduce` of the spectral factors (:func:`_spectral_factors`) at ``QUAD_TOL``,
-    the left one with ``rhs`` in a spare last column."""
+def _gram_system(starts, ends, segments, rhs, gap_premise_ok=True) -> GramSystem:
+    """The :class:`GramSystem` of rows ``[starts[r], ends[r]]``, knots at their midpoints.
+
+    :func:`_reduce` reduces the spectral factors at ``QUAD_TOL`` one at a
+    time, the left one with ``rhs`` in a spare last column.
+    """
     rule = _factor_rule(starts, ends, segments, QUAD_TOL)
-    return _reduce(lambda: _left_factor(rule, rhs), lambda: _right_factor(rule))
+    reduced = _reduce(lambda: _left_factor(rule, rhs), lambda: _right_factor(rule))
+    return GramSystem(*reduced, rhs, _midpoints(starts, ends), segments, starts, ends,
+                      gap_premise_ok)
 
 
 def build_gram_lowpass(train: SpikeTrain, omega: float) -> GramSystem:
@@ -523,41 +517,38 @@ def build_gram_lowpass(train: SpikeTrain, omega: float) -> GramSystem:
     the amplitude-integral sequence of the train.  ``G`` is built as the
     spectral factors (see :func:`_spectral_factors`) of the kernel's one
     segment, every entry within ``QUAD_TOL``, each factor reduced to its QR
-    as soon as it is built (:func:`_reduced_factors`).
+    as soon as it is built (:func:`_gram_system`).
     """
     if not omega > 0.0:
         raise ValueError(f"omega must be positive, got {omega}")
     if len(train) < 2:
         raise ValueError("need at least 2 spikes to assemble a system")
     t = train.times
-    knots = 0.5 * (t[:-1] + t[1:])
-    segments = lowpass_segments(knots.size, omega)
-    rhs = amplitude_integrals(train)
-    return GramSystem(*_reduced_factors(t[:-1], t[1:], segments, rhs), rhs, knots, segments,
-                      t[:-1], t[1:])
+    return _gram_system(t[:-1], t[1:], lowpass_segments(t.size - 1, omega),
+                        amplitude_integrals(train))
 
 
 def build_gram_bandpass(merged: MergedTrain, band: BandSpec) -> GramSystem:
     """Gram system over stride-2 intervals of a merged two-channel record.
 
     Row ``l`` integrates every knot kernel over ``[t[l], t[l+2]]``; column
-    ``k`` holds the kernel of knot ``k`` (time-reversed where the knot is a
-    pair partner), whose pair shift ``d`` fixes its two spectral segments
-    (see :func:`bandpass_segments`).  ``G`` is built as their spectral
+    ``k`` holds the kernel of knot ``k`` (time-reversed for a channel-B
+    knot, odd ``k``), whose pair shift ``d`` (:func:`pair_shifts`) fixes
+    its two spectral segments (see :func:`bandpass_segments`).  ``G`` is built as their spectral
     factors (see :func:`_spectral_factors`), every entry within
     ``QUAD_TOL``, each reduced to its QR as soon as it is built
-    (:func:`_reduced_factors`).  If the largest stride-1 spike gap reaches
-    the kernel period ``2*pi/B``, reconstruction is no longer guaranteed: a
-    warning diagnostic is attached and assembly proceeds.
+    (:func:`_gram_system`).  If the largest stride-1 spike gap reaches the
+    kernel period ``2*pi/B``, reconstruction is no longer guaranteed: a
+    warning is issued, the system's ``gap_premise_ok`` is False, and
+    assembly proceeds.
 
-    Raises :class:`DegenerateShiftError`, naming the knot, if some pair
-    shift makes the kernel singular (:func:`shift_is_degenerate`).
+    Raises ``ValueError`` for fewer than 3 merged spikes, and
+    :class:`DegenerateShiftError`, naming the knot, if some pair shift makes
+    the kernel singular (:func:`shift_is_degenerate`).
     """
     t = merged.times
-    if t.size < 3:
-        raise ValueError(f"need at least 3 merged spikes, got {t.size}")
-    knots = knots_and_shifts(t)
-    segments = bandpass_segments(knots.shifts, knots.reflected, band)
+    shifts = pair_shifts(t)
+    segments = bandpass_segments(shifts, np.arange(shifts.size) % 2 == 1, band)
     premise_ok = merged.max_gap < band.period
     if not premise_ok:
         warnings.warn(
@@ -566,8 +557,7 @@ def build_gram_bandpass(merged: MergedTrain, band: BandSpec) -> GramSystem:
             RuntimeWarning,
             stacklevel=2,
         )
-    return GramSystem(*_reduced_factors(t[:-2], t[2:], segments, merged.integrals),
-                      merged.integrals, knots.times, segments, t[:-2], t[2:], premise_ok)
+    return _gram_system(t[:-2], t[2:], segments, merged.integrals, premise_ok)
 
 
 @functools.cache

@@ -205,16 +205,7 @@ class BandSpec:
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature exhausted its subdivision budget.
-
-    Carries the best value and the achieved error estimate so callers can
-    decide whether the partial result is still usable.
-    """
-
-    def __init__(self, message, value, error_estimate):
-        super().__init__(message)
-        self.value = value
-        self.error_estimate = error_estimate
+    """Adaptive quadrature exhausted its subdivision budget."""
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
@@ -234,11 +225,10 @@ def _adaptive(f, a: float, b: float, tol: float, max_panels: int):
     """Depth-first adaptive bisection with panel-halving error estimates.
 
     ``f`` maps a node array of shape (m,) to values of shape (m,) or
-    (m, ncol); error control uses the max over columns.  Returns
-    ``(value, error_estimate)``.
+    (m, ncol); error control uses the max over columns.  Returns the value;
+    raises :class:`QuadratureError` once ``max_panels`` panels are spent.
     """
     total = None
-    err_total = 0.0
     panels = 0
     width_floor = 1e-15 * max(abs(a), abs(b), 1.0)
     stack = [(a, b, _panel(f, a, b), tol)]
@@ -255,25 +245,12 @@ def _adaptive(f, a: float, b: float, tol: float, max_panels: int):
             err = float(np.max(np.abs(fine - coarse)))
         if err <= tol_loc or (hi - lo) <= width_floor:
             total = fine if total is None else total + fine
-            err_total += err
         elif panels >= max_panels:
-            # Flush remaining work at whatever accuracy we have.
-            total = fine if total is None else total + fine
-            err_total += err
-            while stack:
-                lo, hi, coarse, _ = stack.pop()
-                total = total + coarse
-                err_total += abs(hi - lo)  # crude: unrefined panel, unknown error
-            raise QuadratureError(
-                f"quadrature did not converge within {max_panels} panels "
-                f"(achieved error estimate {err_total:.3e})",
-                value=total,
-                error_estimate=err_total,
-            )
+            raise QuadratureError(f"quadrature did not converge within {max_panels} panels")
         else:
             stack.append((mid, hi, right, 0.5 * tol_loc))
             stack.append((lo, mid, left, 0.5 * tol_loc))
-    return total, err_total
+    return total
 
 
 def integrate(sig, a: float, b: float, tol: float = 1e-10, max_panels: int = 4096) -> float:
@@ -289,8 +266,7 @@ def integrate(sig, a: float, b: float, tol: float = 1e-10, max_panels: int = 409
     tol : float
         Absolute error target, > 0.
     max_panels : int
-        Subdivision budget; exceeding it raises :class:`QuadratureError`
-        carrying the achieved error estimate.
+        Subdivision budget; exceeding it raises :class:`QuadratureError`.
 
     Deterministic: identical inputs always produce the identical result.
     """
@@ -300,8 +276,7 @@ def integrate(sig, a: float, b: float, tol: float = 1e-10, max_panels: int = 409
         raise ValueError(f"tol must be positive, got {tol}")
     if a == b:
         return 0.0
-    value, _ = _adaptive(sig, a, b, tol, max_panels)
-    return float(value)
+    return float(_adaptive(sig, a, b, tol, max_panels))
 
 
 def integrate_columns(f, a: float, b: float, tol: float = 1e-10, max_panels: int = 4096):
@@ -318,5 +293,4 @@ def integrate_columns(f, a: float, b: float, tol: float = 1e-10, max_panels: int
     if a == b:
         probe = np.asarray(f(np.array([a])), dtype=float)
         return np.zeros(probe.shape[1])
-    value, _ = _adaptive(f, a, b, tol, max_panels)
-    return np.asarray(value, dtype=float)
+    return np.asarray(_adaptive(f, a, b, tol, max_panels), dtype=float)

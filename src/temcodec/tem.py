@@ -380,6 +380,17 @@ def amplitude_integrals(train: SpikeTrain) -> np.ndarray:
     return 2.0 * p.kappa * p.delta - p.bias * np.diff(train.times)
 
 
+def channel_offset(delta: float, alpha: Optional[float] = None) -> float:
+    """The two-channel integrator offset ``alpha``, ``1.5*delta`` when ``None``.
+
+    Raises ``ValueError`` unless ``delta < alpha <= 2*delta`` (NaN fails too).
+    """
+    alpha = 1.5 * delta if alpha is None else float(alpha)
+    if not (delta < alpha <= 2.0 * delta):
+        raise ValueError(f"alpha {alpha} outside (delta, 2*delta] for delta={delta}")
+    return alpha
+
+
 def encode_two_channel(
     sig,
     params: TemParams,
@@ -395,14 +406,11 @@ def encode_two_channel(
     ``alpha == 2*delta`` the channels coincide and interleaving degenerates
     to equality; :func:`interleave` then rejects the pair.
 
-    Returns ``(train_a, train_b)``.
+    Returns ``(train_a, train_b)``; ``alpha`` is checked and defaulted by
+    :func:`channel_offset`.
     """
     delta = params.delta
-    if alpha is None:
-        alpha = 1.5 * delta
-    alpha = float(alpha)
-    if not (delta < alpha <= 2.0 * delta):
-        raise ValueError(f"alpha must lie in (delta, 2*delta], got {alpha} with delta={delta}")
+    alpha = channel_offset(delta, alpha)
     train_a = encode(sig, params, window, initial_integrator=delta - alpha, channel="A")
     train_b = encode(sig, params, window, initial_integrator=-delta, channel="B")
     return train_a, train_b
@@ -415,15 +423,15 @@ class MergedTrain:
     ``times`` alternates A and B spikes (A first); ``integrals`` holds the
     stride-2 sequence ``2*kappa*delta - bias*(t[l+2] - t[l])``, i.e. the
     per-channel amplitude integrals in merged order.  ``max_gap`` is the
-    largest stride-1 gap, the quantity that must stay below the kernel
-    period 2*pi/B for bandpass reconstruction.
+    largest stride-1 gap, which must stay below the kernel period 2*pi/B
+    for bandpass reconstruction; :func:`temcodec.recon.build_gram_bandpass`
+    checks it and records the answer as its system's ``gap_premise_ok``.
+    The shared encoder parameters and window stay on the channels' trains.
     """
 
     times: np.ndarray
     integrals: np.ndarray
     max_gap: float
-    params: TemParams
-    window: tuple
 
 
 def interleave(train_a: SpikeTrain, train_b: SpikeTrain) -> MergedTrain:
@@ -456,7 +464,7 @@ def interleave(train_a: SpikeTrain, train_b: SpikeTrain) -> MergedTrain:
     p = train_a.params
     integrals = 2.0 * p.kappa * p.delta - p.bias * (merged[2:] - merged[:-2])
     max_gap = float(np.max(np.diff(merged))) if merged.size > 1 else 0.0
-    return MergedTrain(merged, integrals, max_gap, p, train_a.window)
+    return MergedTrain(merged, integrals, max_gap)
 
 
 # ---------------------------------------------------------------------------

@@ -190,7 +190,7 @@ class TestCriterion4PnsExactness:
         shift = period / 3.0
         tone = Tone(1.0, TWO_PI * 65.0, 0.3)
         n_half = 120_000  # periods per side; 1/t tails need the long record
-        grid = PnsGrid(period, shift, (-n_half * period, n_half * period), band)
+        grid = PnsGrid(shift, (-n_half * period, n_half * period), band)
         samples = sample_pns(tone, grid)
         # the error envelope decays with distance from the window edges, so
         # the max over the central 60% is attained at its boundary; evaluate
@@ -327,12 +327,10 @@ class TestGoldenRegression:
         assert sol.sigma_min < 1e-12 * sol.sigma_max  # numerically rank deficient
 
     def test_two_channel_knot_list_golden(self, two_run):
-        from temcodec.recon import knots_and_shifts
-
-        knots = knots_and_shifts(two_run["merged"].times)
-        assert knots.times.size == 358
-        assert knots.times[0] == pytest.approx(-0.9861178073535364, abs=1e-10)
-        assert knots.times[-1] == pytest.approx(0.9944403185224833, abs=1e-10)
+        knots = two_run["system"].knot_times
+        assert knots.size == 358
+        assert knots[0] == pytest.approx(-0.9861178073535364, abs=1e-10)
+        assert knots[-1] == pytest.approx(0.9944403185224833, abs=1e-10)
 
     def test_single_channel_golden(self, single_run):
         assert len(single_run["train"]) == 780

@@ -193,6 +193,22 @@ class TestValidate:
             # a section the mode does not read is rejected key by key
             (lambda s: as_pns(s) + "\n[solver]\nsv_cutoff = 0.5\n", "solver.sv_cutoff"),
             (lambda s: as_single(s) + "\n" + SMALL_TWO_BAND, "band.omega_l_hz"),
+            # range errors name the key whose value is out of range
+            (lambda s: s.replace("alpha = 1/40", "alpha = 1/20"), "tem.alpha"),
+            (lambda s: s.replace("delta = 1/60", "delta = -1/60"), "tem.delta"),
+            (lambda s: s.replace("kappa = 1", "kappa = 0"), "tem.kappa"),
+            (lambda s: s.replace("bias = 3", "bias = 1"), "tem.bias"),
+            # band edges are reported in the Hz the config gives
+            (lambda s: s.replace("omega_u_hz = 65", "omega_u_hz = 30"),
+             "band.omega_u_hz must satisfy 0 < omega_l_hz < omega_u_hz, got (35.0, 30.0)"),
+            (lambda s: s.replace("guard_fraction = 0.15", "guard_fraction = 0.5"),
+             "experiment.guard_fraction"),
+            (lambda s: s.replace("window_end = 0.3", "window_end = -0.4"),
+             "experiment.window_end"),
+            (lambda s: as_pns(s).replace("shift = 1/100", "shift = 1/10"), "pns.shift"),
+            (lambda s: as_pns(s).replace("shift = 1/100", "shift = 1/90"), "pns.shift"),
+            (lambda s: as_single(s).replace("lowpass_cutoff_hz = 65", "lowpass_cutoff_hz = 0"),
+             "recon.lowpass_cutoff_hz"),
         ],
     )
     def test_config_error_names_the_key(self, tmp_path, capsys, mangle, key):
@@ -278,7 +294,7 @@ class TestRun:
     def test_report_schema_and_manifest(self, small_run):
         _, _, out = small_run
         report = json.loads((out / "report.json").read_text())
-        assert report["schema"] == 2
+        assert report["schema"] == 3
         assert list(report)[0] == "schema"
         gram = report["gram"]
         # cols counts knots; factor_cols is the width 2Q of the factors the solve sees
@@ -293,6 +309,16 @@ class TestRun:
             blob = (out / name).read_bytes()
             assert entry["bytes"] == len(blob)
             assert entry["sha256"] == hashlib.sha256(blob).hexdigest()
+
+    def test_two_channel_report_has_one_gap_premise(self, tmp_path):
+        # the premise has one owner, the Gram system; merged keeps what it alone knows
+        out = tmp_path / "out"
+        assert run_cli("run", str(CONFIG_DIR / "two_channel.cfg"), "--out-dir", str(out)) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["gram"]["gap_premise_ok"] is True
+        assert "gap_premise_ok" not in report["merged"]
+        assert "kernel_period" not in report["merged"]
+        assert set(report["merged"]) == {"count", "max_gap"}
 
     def test_spike_file_round_trips(self, small_run):
         _, _, out = small_run
@@ -402,22 +428,39 @@ class TestCompare:
         err = capsys.readouterr().err
         assert err.startswith("compare error: report_b") and named in err
 
-    @pytest.mark.parametrize("spikes, named", [
-        ({"B": {"gap_mean": 0.01, "gap_max": 0.02}}, "channel 'B' has no 'count' key"),
-        ({"B": {"count": 9, "gap_max": 0.02}}, "channel 'B' has no 'gap_mean' key"),
-        ({"B": {"count": 9, "gap_mean": 0.01}}, "channel 'B' has no 'gap_max' key"),
-        ({"A": 3}, "channel 'A' has no 'count' key"),
-        ([1, 2], "'spikes' is a JSON list"),
+    @pytest.mark.parametrize("path, value, named", [
+        (("spikes",), {"B": {"gap_mean": 0.01, "gap_max": 0.02}},
+         "channel 'B' has no 'count' key"),
+        (("spikes",), {"B": {"count": 9, "gap_max": 0.02}}, "channel 'B' has no 'gap_mean' key"),
+        (("spikes",), {"B": {"count": 9, "gap_mean": 0.01}}, "channel 'B' has no 'gap_max' key"),
+        (("spikes",), {"A": 3}, "channel 'A' has no 'count' key"),
+        (("spikes",), [1, 2], "'spikes' is a JSON list"),
+        # mistyped values compare reads
+        (("spikes", "B", "count"), "780", "channel 'B' 'count' is not an integer"),
+        (("spikes", "B", "count"), 9.5, "channel 'B' 'count' is not an integer"),
+        (("spikes", "B", "count"), True, "channel 'B' 'count' is not an integer"),
+        (("spikes", "B", "gap_max"), "x", "channel 'B' 'gap_max' is not a number or null"),
+        (("spikes", "B", "gap_mean"), [0.01], "channel 'B' 'gap_mean' is not a number or null"),
+        (("window",), "ab", "'window' is not two increasing numbers"),
+        (("window",), [-0.3], "'window' is not two increasing numbers"),
+        (("window",), [-0.3, "0.3"], "'window' is not two increasing numbers"),
+        (("window",), [0.3, -0.3], "'window' is not two increasing numbers"),
+        (("metrics", "snr_db"), "80", "'metrics.snr_db' is not a number or null"),
     ])
-    def test_malformed_spikes_entry_rejected(self, small_run, tmp_path, capsys, spikes, named):
+    def test_malformed_report_value_rejected(self, small_run, tmp_path, capsys, path, value,
+                                             named):
         _, _, out = small_run
         report = json.loads((out / "report.json").read_text())
-        report["spikes"] = spikes
+        entry = report
+        for key in path[:-1]:
+            entry = entry[key]
+        entry[path[-1]] = value
         other = tmp_path / "other.json"
         other.write_text(json.dumps(report))
         assert run_cli("compare", str(out / "report.json"), str(other)) == 2
         err = capsys.readouterr().err
         assert err.startswith("compare error: report_b") and named in err
+
 
 EDGE_VALUES = [-0.0, 5e-324, 1e300, np.inf, -np.inf, np.nan, 1.0 / 3.0, -2.5e-7]
 

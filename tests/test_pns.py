@@ -26,7 +26,7 @@ from kernel_oracle import closed_form_gbp
 @pytest.fixture
 def grid_35_65(band_35_65):
     # 0.3*T; note T/3 itself is degenerate for this band position (k0 = 3)
-    return PnsGrid(band_35_65.period, 0.01, (-2.0, 2.0), band_35_65)
+    return PnsGrid(0.01, (-2.0, 2.0), band_35_65)
 
 
 class TestGridValidation:
@@ -34,17 +34,16 @@ class TestGridValidation:
         T = band_35_65.period
         for bad in (0.0, -0.1, T, 1.5 * T):
             with pytest.raises(ValueError):
-                PnsGrid(T, bad, (-1.0, 1.0), band_35_65)
+                PnsGrid(bad, (-1.0, 1.0), band_35_65)
 
-    def test_period_must_match_band(self, band_35_65):
-        with pytest.raises(ValueError):
-            PnsGrid(0.9 * band_35_65.period, 0.01, (-1.0, 1.0), band_35_65)
+    def test_period_is_the_band_period(self, grid_35_65, band_35_65):
+        assert grid_35_65.period == band_35_65.period
 
     @pytest.mark.parametrize("frac", [1.0 / 3.0, 0.25, 2.0 / 3.0, 0.5])
     def test_degenerate_shifts_rejected(self, band_35_65, frac):
         # k0 = 3: shift*k/period integer for k in (3, 4) at these fractions
         with pytest.raises(DegenerateShiftError):
-            PnsGrid(band_35_65.period, frac * band_35_65.period, (-1.0, 1.0), band_35_65)
+            PnsGrid(frac * band_35_65.period, (-1.0, 1.0), band_35_65)
 
     def test_detector_matches_definition(self, band_35_65):
         T, k0 = band_35_65.period, band_35_65.k0
@@ -84,7 +83,7 @@ class TestSampling:
     def test_tone_values_and_instants(self, band_35_65):
         T = band_35_65.period
         d = T / 4.37
-        grid = PnsGrid(T, d, (-1.0, 1.0), band_35_65)
+        grid = PnsGrid(d, (-1.0, 1.0), band_35_65)
         tone = Tone(1.0, TWO_PI * 50.0)
         s = sample_pns(tone, grid)
         ks = np.round(s.times[0::2] / T).astype(int)
@@ -97,14 +96,14 @@ class TestSampling:
 
     def test_both_instants_must_fit_window(self, band_35_65):
         T = band_35_65.period
-        grid = PnsGrid(T, 0.01, (0.0, 2.0 * T + 0.005), band_35_65)
+        grid = PnsGrid(0.01, (0.0, 2.0 * T + 0.005), band_35_65)
         s = sample_pns(Constant(1.0), grid)
         # k = 0, 1, 2 have k*T in window but k = 2 has k*T + d past the end
         assert s.times.size == 4
 
-    def test_shape_mismatch_rejected(self, grid_35_65):
+    def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            PnsSamples(np.array([0.0, 1.0]), np.array([1.0]), grid_35_65)
+            PnsSamples(np.array([0.0, 1.0]), np.array([1.0]))
 
 
 class TestKernel:
@@ -202,8 +201,7 @@ class TestReconstruction:
         assert np.all(reconstruct_pns(s, grid_35_65, t) == 0.0)
 
     def test_interpolation_identity_at_sample_instants(self, band_35_65):
-        T = band_35_65.period
-        grid = PnsGrid(T, 0.01, (-2.0, 2.0), band_35_65)
+        grid = PnsGrid(0.01, (-2.0, 2.0), band_35_65)
         tone = Tone(1.0, TWO_PI * 50.0, 0.7)
         s = sample_pns(tone, grid)
         central = (s.times >= -2.0 + 0.8) & (s.times <= 2.0 - 0.8)
@@ -250,7 +248,7 @@ class TestReconstruction:
         halves = np.array([30, 60, 120, 240])
         errs = []
         for n_half in halves:
-            grid = PnsGrid(T, 0.01, (-n_half * T, n_half * T), band_35_65)
+            grid = PnsGrid(0.01, (-n_half * T, n_half * T), band_35_65)
             s = sample_pns(tone, grid)
             t = np.linspace(-2 * T, 2 * T, 161)
             errs.append(np.max(np.abs(reconstruct_pns(s, grid, t) - tone(t))))
@@ -276,7 +274,7 @@ class TestReconstruction:
         T = band_35_65.period
         d = 0.01
         tone = Tone(1.0, TWO_PI * 52.0, 1.3)
-        grid = PnsGrid(T, d, (-2.0, 2.0), band_35_65)
+        grid = PnsGrid(d, (-2.0, 2.0), band_35_65)
         s = sample_pns(tone, grid)
         old_even_t, old_odd_t = s.times[0::2], s.times[1::2]
         old_even_v, old_odd_v = s.values[0::2], s.values[1::2]
@@ -285,8 +283,8 @@ class TestReconstruction:
         values2 = np.empty(2 * n)
         times2[0::2], values2[0::2] = old_odd_t[:n], old_odd_v[:n]
         times2[1::2], values2[1::2] = old_even_t[1:], old_even_v[1:]
-        grid2 = PnsGrid(T, T - d, (-2.0, 2.0), band_35_65)
-        s2 = PnsSamples(times2, values2, grid2)
+        grid2 = PnsGrid(T - d, (-2.0, 2.0), band_35_65)
+        s2 = PnsSamples(times2, values2)
         t = np.linspace(-0.8, 0.8, 501)
         x1 = reconstruct_pns(s, grid, t)
         x2 = reconstruct_pns(s2, grid2, t)

@@ -15,7 +15,9 @@ import temcodec
 from temcodec.signals import (
     BandSpec, Constant, Tone, SignalSum, TWO_PI, integrate_columns,
 )
-from temcodec.tem import SpikeTrain, TemParams, encode, encode_two_channel, interleave
+from temcodec.tem import (
+    MergedTrain, SpikeTrain, TemParams, encode, encode_two_channel, interleave,
+)
 from temcodec import experiment, recon
 from temcodec.recon import (
     DegenerateShiftError,
@@ -25,8 +27,8 @@ from temcodec.recon import (
     build_gram_bandpass,
     build_gram_lowpass,
     evaluate_model,
-    knots_and_shifts,
     lowpass_segments,
+    pair_shifts,
     solve_coefficients,
 )
 
@@ -52,57 +54,66 @@ def lowpass_gram(times, omega, quad_tol):
     return left @ right.T
 
 
+def bandpass_knots(times):
+    """Knot times, pair shifts and reflected-knot mask of merged ``times``, as
+    ``build_gram_bandpass`` places them: knot ``l`` at the midpoint of ``[t[l], t[l+2]]``,
+    the B knots (odd ``l``) reflected."""
+    t = np.asarray(times, dtype=float)
+    shifts = pair_shifts(t)
+    return 0.5 * (t[:-2] + t[2:]), shifts, np.arange(shifts.size) % 2 == 1
+
+
 def bandpass_gram(times, band, quad_tol):
     """Dense ``G`` of ``build_gram_bandpass`` on merged ``times``, assembled at ``quad_tol``."""
-    knots = knots_and_shifts(times)
-    segments = bandpass_segments(knots.shifts, knots.reflected, band)
+    _, shifts, reflected = bandpass_knots(times)
+    segments = bandpass_segments(shifts, reflected, band)
     left, right = recon._spectral_factors(times[:-2], times[2:], segments, quad_tol)
     return left @ right.T
 
 
-class TestKnotsAndShifts:
+class TestPairShifts:
     def test_three_times_single_knot(self):
-        k = knots_and_shifts([0.0, 1.0, 2.0])
-        assert np.array_equal(k.times, [1.0])
-        assert np.array_equal(k.shifts, [1.0])
+        knots, shifts, _ = bandpass_knots([0.0, 1.0, 2.0])
+        assert np.array_equal(knots, [1.0])
+        assert np.array_equal(shifts, [1.0])
 
     def test_uniform_record_recovers_channel_shift(self):
         T, d = 0.05, 0.017
-        k = knots_and_shifts(uniform_interleaved(T, d, 12))
+        knots, shifts, reflected = bandpass_knots(uniform_interleaved(T, d, 12))
         # knots are sample instants pushed half a period up
-        assert np.allclose(k.times[0::2], T * np.arange(11) + T / 2, atol=1e-12)
-        assert np.allclose(k.shifts, d, atol=1e-12)
-        assert not k.reflected[0] and k.reflected[1]
+        assert np.allclose(knots[0::2], T * np.arange(11) + T / 2, atol=1e-12)
+        assert np.allclose(shifts, d, atol=1e-12)
+        assert not reflected[0] and reflected[1]
 
     def test_jittered_records_of_both_parities(self):
         # merged counts 4..61 give knot counts 2..59, odd and even alike
         rng = np.random.default_rng(7)
         for count in range(4, 62):
-            k = knots_and_shifts(np.cumsum(rng.uniform(0.5, 1.5, count)))
-            n = k.times.size
+            knots, shifts, reflected = bandpass_knots(np.cumsum(rng.uniform(0.5, 1.5, count)))
+            n = knots.size
             end = n // 2 * 2
-            gap = k.times[1:end:2] - k.times[0:end:2]
+            gap = knots[1:end:2] - knots[0:end:2]
             # each pair (2j, 2j+1) shares its own gap
-            assert np.array_equal(k.shifts[0:end:2], gap)
-            assert np.array_equal(k.shifts[1:end:2], gap)
+            assert np.array_equal(shifts[0:end:2], gap)
+            assert np.array_equal(shifts[1:end:2], gap)
             # a trailing unpaired knot copies its predecessor's shift
-            assert k.shifts.size == n
-            assert n == end or k.shifts[-1] == k.shifts[-2]
-            assert np.array_equal(np.flatnonzero(k.reflected), np.arange(1, n, 2))
+            assert shifts.size == n
+            assert n == end or shifts[-1] == shifts[-2]
+            assert np.array_equal(np.flatnonzero(reflected), np.arange(1, n, 2))
 
     def test_knots_strictly_increasing(self, two_channel_record):
         _, _, _, merged = two_channel_record
-        k = knots_and_shifts(merged.times)
-        assert np.all(np.diff(k.times) > 0.0)
-        assert np.all(k.shifts > 0.0)
+        knots, shifts, _ = bandpass_knots(merged.times)
+        assert np.all(np.diff(knots) > 0.0)
+        assert np.all(shifts > 0.0)
 
     def test_too_few_times_rejected(self):
         with pytest.raises(ValueError):
-            knots_and_shifts([0.0, 1.0])
+            pair_shifts([0.0, 1.0])
 
     def test_non_increasing_rejected(self):
         with pytest.raises(ValueError):
-            knots_and_shifts([0.0, 1.0, 1.0])
+            pair_shifts([0.0, 1.0, 1.0])
 
 
 @pytest.fixture(scope="module")
@@ -225,6 +236,19 @@ def preset_builds():
 def preset_systems(preset_builds):
     """The Gram systems and solver cutoffs of the single- and two-channel presets."""
     return {name: (build(), sv_cutoff) for name, (build, sv_cutoff) in preset_builds.items()}
+
+
+def test_knot_times_are_the_row_midpoints_bit_for_bit(preset_systems, band_35_65):
+    # a jittered record without its last B spike: an odd knot count, the last knot unpaired
+    full = jittered_record(band_35_65, 0.4, 5)
+    t = full.times[:-1]
+    odd = MergedTrain(t, full.integrals[:-1], float(np.max(np.diff(t))))
+    odd_system = build_gram_bandpass(odd, band_35_65)
+    assert odd_system.knot_times.size % 2 == 1
+    assert odd_system.knot_times.tobytes() == (0.5 * (t[:-2] + t[2:])).tobytes()
+    for system in [odd_system] + [system for system, _ in preset_systems.values()]:
+        assert system.starts.size == system.ends.size == system.rhs.size
+        assert system.knot_times.tobytes() == (0.5 * (system.starts + system.ends)).tobytes()
 
 
 def sausage_polynomial():
@@ -418,11 +442,11 @@ def bandpass_oracle(test_signal, band_35_65):
     for name, merged in (("encoded", interleave(a, b)),
                          ("premise_violating", premise_violating_record(band_35_65))):
         t = merged.times
-        knots = knots_and_shifts(t)
-        sign = np.where(knots.reflected, -1.0, 1.0)
+        knots, shifts, reflected = bandpass_knots(t)
+        sign = np.where(reflected, -1.0, 1.0)
 
         def kernel(u):
-            return closed_form_gbp((u[:, None] - knots.times) * sign, knots.shifts, band_35_65)
+            return closed_form_gbp((u[:, None] - knots) * sign, shifts, band_35_65)
 
         rows = [integrate_columns(kernel, lo, hi, tol=1e-14) for lo, hi in zip(t[:-2], t[2:])]
         out[name] = (merged, np.array(rows))
@@ -439,14 +463,14 @@ def bandpass_closed_form(merged, band):
     integrals' difference at ``x = 0``.
     """
     t = merged.times
-    knots = knots_and_shifts(t)
-    segments = bandpass_segments(knots.shifts, knots.reflected, band)
-    out = np.zeros((t.size - 2, knots.times.size))
+    knots, shifts, reflected = bandpass_knots(t)
+    segments = bandpass_segments(shifts, reflected, band)
+    out = np.zeros((t.size - 2, knots.size))
     for lo, hi, w, psi in segments:
         if not hi > lo:
             continue
         for edge, sign in ((t[2:], 1.0), (t[:-2], -1.0)):
-            x = edge[:, None] - knots.times[None, :]
+            x = edge[:, None] - knots[None, :]
             ax = np.abs(x)
             si_hi, ci_hi = scipy.special.sici(hi * ax)
             si_lo, ci_lo = scipy.special.sici(lo * ax)
@@ -487,7 +511,7 @@ class TestGramBandpass:
     ):
         band = BandSpec(TWO_PI * omega_l_hz, TWO_PI * (omega_l_hz + bandwidth_hz))
         merged = jittered_record(band, span, seed)
-        shifts = knots_and_shifts(merged.times).shifts
+        shifts = pair_shifts(merged.times)
         # keep every kernel weight 1/(B*sin(phi)) within 10/B: near a degenerate
         # shift the entries, and their rounding, grow without bound
         for k in (band.k0, band.k0 + 1):
@@ -574,11 +598,11 @@ class TestGramBandpass:
         merged = interleave(a, b)
         system = build_gram_bandpass(merged, band)
         t = merged.times
-        knots = knots_and_shifts(t)
-        sign = np.where(knots.reflected, -1.0, 1.0)
+        knots, shifts, reflected = bandpass_knots(t)
+        sign = np.where(reflected, -1.0, 1.0)
 
         def kernel(u):
-            return closed_form_gbp((u[:, None] - knots.times) * sign, knots.shifts, band)
+            return closed_form_gbp((u[:, None] - knots) * sign, shifts, band)
 
         oracle = [integrate_columns(kernel, lo, hi, tol=1e-14) for lo, hi in zip(t[:-2], t[2:])]
         assert np.max(np.abs(system.matrix - np.array(oracle))) <= recon.QUAD_TOL
