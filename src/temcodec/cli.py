@@ -85,11 +85,17 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _reject_constant(token):
+    """``json.loads`` hook for ``NaN``, ``Infinity`` and ``-Infinity``, which no run writes."""
+    raise ValueError(f"{token} is not a JSON number")
+
+
 def _cmd_compare(args) -> int:
     reports = []
     for path in (args.report_a, args.report_b):
         try:
-            reports.append(json.loads(Path(path).read_text(encoding="ascii")))
+            reports.append(json.loads(Path(path).read_text(encoding="ascii"),
+                                      parse_constant=_reject_constant))
         except (OSError, ValueError) as exc:
             print(f"cannot read report {path}: {exc}", file=sys.stderr)
             return EXIT_CONFIG

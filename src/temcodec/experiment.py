@@ -106,7 +106,6 @@ class ExperimentConfig:
     band: Optional[BandSpec] = None
     lowpass_cutoff: Optional[float] = None
     pns_shift: Optional[float] = None
-    sv_cutoff: Optional[float] = None
 
 
 class _Section:
@@ -194,13 +193,12 @@ def load_config(path) -> ExperimentConfig:
     Every cross-module constraint (encoder parameter bounds, band edges,
     PNS shift degeneracy, alpha range) is checked here, so a config that
     loads is a config that runs.  Every mode reads ``[experiment]`` and
-    ``[signal]``; ``single_tem`` also reads ``[tem]``, ``[recon]`` and
-    ``[solver]``, ``two_tem`` ``[tem]``, ``[band]`` and ``[solver]``, and
-    ``pns`` ``[band]`` and ``[pns]``.  A key the mode does not read, such as
-    a misspelt one or any key of a section the mode does not use, is
-    rejected with its ``section.key`` name, and so is a missing or malformed
-    number.  ``solver.sv_cutoff`` is the one solver setting; when absent it
-    is ``recon.DEFAULT_SV_CUTOFF``.  A file that cannot be parsed (a
+    ``[signal]``; ``single_tem`` also reads ``[tem]`` and ``[recon]``,
+    ``two_tem`` ``[tem]`` and ``[band]``, and ``pns`` ``[band]`` and
+    ``[pns]``.  A key the mode does not read, such as a misspelt one or any
+    key of a section the mode does not use (``[solver]`` in every mode: the
+    solve has no settings), is rejected with its ``section.key`` name, and
+    so is a missing or malformed number.  A file that cannot be parsed (a
     duplicate key or section, no section header, bytes that do not decode)
     is rejected naming its path.
     """
@@ -253,14 +251,8 @@ def load_config(path) -> ExperimentConfig:
                 raise ConfigError(f"band.omega_l_hz and band.omega_u_hz must satisfy 0 < "
                                   f"omega_l_hz < omega_u_hz, got ({lo_hz}, {hi_hz})") from None
 
-        tem_params = alpha = lowpass_cutoff = pns_shift = sv_cutoff = None
+        tem_params = alpha = lowpass_cutoff = pns_shift = None
         if mode in ("single_tem", "two_tem"):
-            solver = sections.get("solver", _Section("solver", {}))
-            sv_cutoff = solver.num("sv_cutoff", str(recon.DEFAULT_SV_CUTOFF))
-            try:
-                recon.check_sv_cutoff(sv_cutoff)
-            except ValueError as exc:
-                raise ConfigError(f"solver.sv_cutoff: {exc}") from None
             if "tem" not in sections:
                 raise ConfigError(f"mode {mode} requires a [tem] section")
             sec = sections["tem"]
@@ -312,7 +304,6 @@ def load_config(path) -> ExperimentConfig:
         band=band,
         lowpass_cutoff=lowpass_cutoff,
         pns_shift=pns_shift,
-        sv_cutoff=sv_cutoff,
     )
 
 
@@ -520,7 +511,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentReport:
 
         if cfg.mode != "pns":  # both encoders end in the same reconstruction
             stage = "solve"
-            solution = recon.solve_coefficients(system, sv_cutoff=cfg.sv_cutoff)
+            solution = recon.solve_coefficients(system)
             model = recon.ReconModel(system.knot_times, solution.coefficients, system.segments)
             report["gram"] = _gram_dict(system, solution)
             del system  # free the reduced factors, the largest arrays, before evaluation
@@ -606,7 +597,8 @@ def compare_runs(report_a: dict, report_b: dict) -> dict:
     lacks the ``window``, ``signal`` or ``metrics.snr_db`` key, or mistypes
     a value read: ``window`` must be two increasing numbers, ``snr_db`` and
     each ``spikes`` channel's ``gap_mean`` and ``gap_max`` a number or
-    null, and its ``count`` an integer.  Each message names report and key.
+    null, and its ``count`` an integer >= 0.  Each message names report and
+    key.
     """
     for name, rep in (("report_a", report_a), ("report_b", report_b)):
         if not isinstance(rep, dict):
@@ -637,9 +629,9 @@ def compare_runs(report_a: dict, report_b: dict) -> dict:
             for key in ("count", "gap_mean", "gap_max"):
                 if not isinstance(stats, dict) or key not in stats:
                     raise ValueError(f"{name} spikes channel {channel!r} has no {key!r} key")
-            if not _is_number(stats["count"], int):
+            if not _is_number(stats["count"], int) or stats["count"] < 0:
                 raise ValueError(f"{name} spikes channel {channel!r} 'count' is not an "
-                                 f"integer: {stats['count']!r}")
+                                 f"integer >= 0: {stats['count']!r}")
             for key in ("gap_mean", "gap_max"):
                 if not (stats[key] is None or _is_number(stats[key])):
                     raise ValueError(f"{name} spikes channel {channel!r} {key!r} is not a "

@@ -3,8 +3,9 @@
 The decoder posits ``x(t) = sum_l c_l * kernel_l(t)`` with one kernel per
 knot, equates the integral of that expansion over every spike interval to
 the amplitude integrals recovered from the spike gaps, and solves the
-resulting linear system ``G c = q`` with a truncated-SVD pseudo-inverse.
-Knot ``l`` is the midpoint of row ``l``'s spike interval: every builder's
+resulting linear system ``G c = q`` with a truncated-SVD pseudo-inverse,
+cut at the rounding floor ``eps * max(shape)`` of the system's core.  Knot
+``l`` is the midpoint of row ``l``'s spike interval: every builder's
 :class:`GramSystem` comes from :func:`_gram_system`, which derives the knots
 from the rows.
 
@@ -98,7 +99,6 @@ __all__ = [
     "evaluate_model",
 ]
 
-DEFAULT_SV_CUTOFF = 1e-8
 # absolute error allowed in each Gram entry
 QUAD_TOL = 1e-9
 # distance of shift*k/period from an integer below which a bandpass shift is degenerate
@@ -117,7 +117,7 @@ BOX_OVERHEAD_TERMS = 50_000
 
 
 class DegenerateSystemError(RuntimeError):
-    """Every singular value fell below the cutoff; the system carries no information."""
+    """The system has no nonzero singular value; it carries no information."""
 
 
 class DegenerateShiftError(ValueError):
@@ -616,18 +616,8 @@ def _one_blas_thread():
             put(before)
 
 
-def check_sv_cutoff(sv_cutoff: float) -> None:
-    """Raise ``ValueError`` unless ``0 < sv_cutoff < 1`` (NaN fails too).
-
-    ``gelsd`` would silently replace a cutoff outside that interval by
-    machine epsilon, keeping noise singular values.
-    """
-    if not 0.0 < sv_cutoff < 1.0:
-        raise ValueError(f"sv_cutoff must lie in (0, 1), got {sv_cutoff}")
-
-
-def solve_coefficients(system: GramSystem, sv_cutoff: float = DEFAULT_SV_CUTOFF) -> SolveResult:
-    """Minimum-norm least squares with a relative singular-value cutoff.
+def solve_coefficients(system: GramSystem) -> SolveResult:
+    """Minimum-norm least squares truncated at the rounding floor of its core.
 
     With ``G = left @ right.T`` and QR factorisations ``left = Qa Ra`` and
     ``right = Qb Rb``, ``G = Qa (Ra Rb^T) Qb^T``, so the singular values of
@@ -639,7 +629,10 @@ def solve_coefficients(system: GramSystem, sv_cutoff: float = DEFAULT_SV_CUTOFF)
     is solved by LAPACK's ``gelsd`` (``np.linalg.lstsq``), which keeps the
     singular values ``sv > sv_cutoff * sigma_max`` and never forms singular
     vectors; ``Qb`` is applied to its solution through its Householder
-    reflectors.  Returns the coefficients together with the residual norm
+    reflectors.  The relative cutoff ``sv_cutoff`` is ``eps *
+    max(core.shape)``, the rounding floor of the core's singular values and
+    numpy's default ``rcond`` (passed explicitly: numpy < 2 warns when it is
+    omitted).  Returns the coefficients together with the residual norm
     ``||G c - q||``, effective rank, and the singular-value extremes;
     ``sigma_min`` is 0.0 when the factors are narrower than the system,
     since ``G`` then has exactly zero singular values.  The residual comes
@@ -655,11 +648,10 @@ def solve_coefficients(system: GramSystem, sv_cutoff: float = DEFAULT_SV_CUTOFF)
     ``blas_threads`` is ``None``.  Deterministic: solving the same system
     twice is bit-identical.
 
-    Raises ``ValueError`` unless ``0 < sv_cutoff < 1``
-    (:func:`check_sv_cutoff`), and :class:`DegenerateSystemError` when no
-    singular value is kept.
+    Raises :class:`DegenerateSystemError` when the system has no nonzero
+    singular value; with a cutoff below 1, ``gelsd`` keeps the largest
+    singular value whenever it is nonzero.
     """
-    check_sv_cutoff(sv_cutoff)
     r_aug, reflectors, tau = system.r_aug, system.reflectors, system.tau
     # Ra is square, of the smaller of left's row and column counts
     inner = min(r_aug.shape[0], r_aug.shape[1] - 1)
@@ -669,13 +661,10 @@ def solve_coefficients(system: GramSystem, sv_cutoff: float = DEFAULT_SV_CUTOFF)
         # the part of rhs outside the column space of left: the entry below
         # R_left in the last column, where [left, rhs] has a row there
         outside = float(r_aug[inner, -1]) if r_aug.shape[0] > inner else 0.0
+        sv_cutoff = float(np.finfo(float).eps * max(core.shape))
         solved, _, rank, sv = np.linalg.lstsq(core, projected, rcond=sv_cutoff)
         if sv.size == 0 or sv[0] <= 0.0:
             raise DegenerateSystemError("system has no nonzero singular values")
-        if rank == 0:
-            raise DegenerateSystemError(
-                f"all singular values below cutoff {sv_cutoff} * {sv[0]:.3e}"
-            )
         coeff = np.zeros(reflectors.shape[1])
         coeff[:tau.size] = solved
         # Q_right @ coeff as H_0 H_1 ... H_(k-1) coeff, H_j = I - tau_j v_j v_j^T

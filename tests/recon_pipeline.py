@@ -10,7 +10,6 @@ import numpy as np
 
 from temcodec import recon
 from temcodec.recon import (
-    DEFAULT_SV_CUTOFF,
     GramSystem,
     ReconModel,
     build_gram_bandpass,
@@ -38,15 +37,15 @@ def reduced_system(left, right, rhs, knot_times=None, segments=None):
     return GramSystem(*reduced, rhs, knot_times, segments, None, None)
 
 
-def reconstruct_lowpass(train, omega, sv_cutoff=DEFAULT_SV_CUTOFF):
+def reconstruct_lowpass(train, omega):
     """Assemble, solve and package a lowpass model; returns (model, system, solution)."""
     system = build_gram_lowpass(train, omega)
-    solution = solve_coefficients(system, sv_cutoff=sv_cutoff)
+    solution = solve_coefficients(system)
     return ReconModel(system.knot_times, solution.coefficients, system.segments), system, solution
 
 
-def reconstruct_bandpass(merged, band, sv_cutoff=DEFAULT_SV_CUTOFF):
+def reconstruct_bandpass(merged, band):
     """Assemble, solve and package a bandpass model; returns (model, system, solution)."""
     system = build_gram_bandpass(merged, band)
-    solution = solve_coefficients(system, sv_cutoff=sv_cutoff)
+    solution = solve_coefficients(system)
     return ReconModel(system.knot_times, solution.coefficients, system.segments), system, solution

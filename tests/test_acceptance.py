@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from temcodec.cli import main as cli_main
-from temcodec.signals import BandSpec, Tone, TWO_PI, integrate
+from temcodec.signals import BandSpec, QuadratureError, Tone, TWO_PI, integrate
 from temcodec.tem import (
     TemParams,
     amplitude_integrals,
@@ -243,11 +243,14 @@ class TestCriterion5Reproduction:
 class TestCriterion6RoundTrip:
     @pytest.mark.xfail(
         strict=True,
+        raises=QuadratureError,
         reason=(
             "the reference waveform carries energy outside the 35..65 Hz "
             "band, so its amplitude integrals are not exactly consistent "
-            "with any bandpass kernel expansion; the per-interval residual "
-            "(~5e-7) re-times spikes by ~1.5e-7 s, above the 1e-8 s budget. "
+            "with any bandpass kernel expansion; solved down to the rounding "
+            "floor, the model's knot coefficients reach ||c||_1 ~ 6.1e9, and "
+            "re-encoding it on either channel ends in QuadratureError (the "
+            "adaptive quadrature does not converge within 4096 panels). "
             "For in-band signals the same round trip passes at ~1e-9 s "
             "(see test_recon round-trip test)."
         ),
@@ -319,10 +322,10 @@ class TestGoldenRegression:
         assert two_run["merged"].max_gap == pytest.approx(
             0.011202878326604195, abs=1e-11
         )
-        assert two_run["snr"] == pytest.approx(74.9762341907711, abs=1e-3)
+        assert two_run["snr"] == pytest.approx(82.30135599678327, abs=1e-3)
         sol = two_run["solution"]
         assert two_run["system"].matrix.shape == (358, 358)
-        assert sol.effective_rank == 142
+        assert sol.effective_rank == 154
         assert sol.sigma_max == pytest.approx(0.027633754673792064, rel=1e-9)
         assert sol.sigma_min < 1e-12 * sol.sigma_max  # numerically rank deficient
 
@@ -334,7 +337,7 @@ class TestGoldenRegression:
 
     def test_single_channel_golden(self, single_run):
         assert len(single_run["train"]) == 780
-        assert single_run["snr"] == pytest.approx(80.01104531743755, abs=1e-3)
+        assert single_run["snr"] == pytest.approx(86.19843133514726, abs=1e-3)
 
 
 class TestCriterion8Determinism:

@@ -342,19 +342,21 @@ class TestRun:
         for name in ("spikes.txt", "recon.csv", "psd.csv", "report.json"):
             assert (out / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_default_sv_cutoff_recorded(self, small_run):
-        _, _, out = small_run
-        report = json.loads((out / "report.json").read_text())
-        assert report["gram"]["sv_cutoff"] == recon.DEFAULT_SV_CUTOFF
-
-    def test_config_sv_cutoff_recorded(self, small_run):
-        # the [solver] key is the one way to set the cutoff; the report records it
-        tmp, _, _ = small_run
-        cfg = write_cfg(tmp, SMALL_TWO + "\n[solver]\nsv_cutoff = 1e-10\n", name="cutoff.cfg")
-        out = tmp / "out_cutoff"
-        assert run_cli("run", cfg, "--out-dir", str(out)) == 0
-        report = json.loads((out / "report.json").read_text())
-        assert report["gram"]["sv_cutoff"] == 1e-10
+    @pytest.mark.parametrize("to_mode", [as_single, lambda s: s, as_pns],
+                             ids=["single_tem", "two_tem", "pns"])
+    def test_sv_cutoff_is_the_rounding_floor_not_a_setting(self, small_run, capsys, to_mode):
+        # the report records the cutoff the solve worked out from its core,
+        # Ra Rb^T of shape (min(rows, factor_cols), min(cols, factor_cols));
+        # no mode reads a [solver] section
+        tmp, _, out = small_run
+        gram = json.loads((out / "report.json").read_text())["gram"]
+        width = gram["factor_cols"]
+        core_shape = (min(gram["rows"], width), min(gram["cols"], width))
+        assert gram["sv_cutoff"] == np.finfo(float).eps * max(core_shape)
+        cfg = write_cfg(tmp, to_mode(SMALL_TWO) + "\n[solver]\nsv_cutoff = 1e-8\n",
+                        name="solver.cfg")
+        assert run_cli("validate", cfg) == 2
+        assert "solver.sv_cutoff" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--sv-cutoff", "--quad-tol"])
     def test_config_setting_flags_rejected(self, small_run, capsys, flag):
@@ -446,6 +448,7 @@ class TestCompare:
         (("window",), [-0.3, "0.3"], "'window' is not two increasing numbers"),
         (("window",), [0.3, -0.3], "'window' is not two increasing numbers"),
         (("metrics", "snr_db"), "80", "'metrics.snr_db' is not a number or null"),
+        (("spikes", "B", "count"), -5, "channel 'B' 'count' is not an integer >= 0: -5"),
     ])
     def test_malformed_report_value_rejected(self, small_run, tmp_path, capsys, path, value,
                                              named):
@@ -460,6 +463,20 @@ class TestCompare:
         assert run_cli("compare", str(out / "report.json"), str(other)) == 2
         err = capsys.readouterr().err
         assert err.startswith("compare error: report_b") and named in err
+
+    @pytest.mark.parametrize("value, token", [
+        (math.nan, "NaN"), (math.inf, "Infinity"), (-math.inf, "-Infinity")])
+    def test_non_finite_token_rejected(self, small_run, tmp_path, capsys, value, token):
+        # json.loads accepts these tokens; no run writes them (allow_nan=False)
+        _, _, out = small_run
+        report = json.loads((out / "report.json").read_text())
+        report["metrics"]["snr_db"] = value
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(report))
+        assert token in other.read_text()
+        assert run_cli("compare", str(out / "report.json"), str(other)) == 2
+        assert capsys.readouterr().err == (
+            f"cannot read report {other}: {token} is not a JSON number\n")
 
 
 EDGE_VALUES = [-0.0, 5e-324, 1e300, np.inf, -np.inf, np.nan, 1.0 / 3.0, -2.5e-7]

@@ -220,22 +220,22 @@ class TestGramLowpass:
 @pytest.fixture(scope="module")
 def preset_builds():
     """Per single- and two-channel preset, a call that builds its Gram system
-    from the snapped spike trains the pipeline writes, and its solver cutoff."""
+    from the snapped spike trains the pipeline writes."""
     out = {}
     cfg = experiment.load_config(CONFIG_DIR / "single_channel.cfg")
     train = experiment._snap_train(encode(cfg.signal, cfg.tem_params, cfg.window))
-    out["single_channel"] = (lambda: build_gram_lowpass(train, cfg.lowpass_cutoff), cfg.sv_cutoff)
+    out["single_channel"] = lambda: build_gram_lowpass(train, cfg.lowpass_cutoff)
     two = experiment.load_config(CONFIG_DIR / "two_channel.cfg")
     a, b = encode_two_channel(two.signal, two.tem_params, two.window, alpha=two.alpha)
     merged = interleave(experiment._snap_train(a), experiment._snap_train(b))
-    out["two_channel"] = (lambda: build_gram_bandpass(merged, two.band), two.sv_cutoff)
+    out["two_channel"] = lambda: build_gram_bandpass(merged, two.band)
     return out
 
 
 @pytest.fixture(scope="module")
 def preset_systems(preset_builds):
-    """The Gram systems and solver cutoffs of the single- and two-channel presets."""
-    return {name: (build(), sv_cutoff) for name, (build, sv_cutoff) in preset_builds.items()}
+    """The Gram systems of the single- and two-channel presets."""
+    return {name: build() for name, build in preset_builds.items()}
 
 
 def test_knot_times_are_the_row_midpoints_bit_for_bit(preset_systems, band_35_65):
@@ -246,7 +246,7 @@ def test_knot_times_are_the_row_midpoints_bit_for_bit(preset_systems, band_35_65
     odd_system = build_gram_bandpass(odd, band_35_65)
     assert odd_system.knot_times.size % 2 == 1
     assert odd_system.knot_times.tobytes() == (0.5 * (t[:-2] + t[2:])).tobytes()
-    for system in [odd_system] + [system for system, _ in preset_systems.values()]:
+    for system in [odd_system, *preset_systems.values()]:
         assert system.starts.size == system.ends.size == system.rhs.size
         assert system.knot_times.tobytes() == (0.5 * (system.starts + system.ends)).tobytes()
 
@@ -303,8 +303,8 @@ class TestMappedRule:
 
     def test_preset_factor_widths(self, preset_systems):
         # the plain Gauss-Legendre rule needs 468 and 254 columns
-        assert preset_systems["single_channel"][0].reflectors.shape[0] <= 380
-        assert preset_systems["two_channel"][0].reflectors.shape[0] <= 230
+        assert preset_systems["single_channel"].reflectors.shape[0] <= 380
+        assert preset_systems["two_channel"].reflectors.shape[0] <= 230
 
     def test_import_and_config_loading_leave_the_ellipse_cache_empty(self):
         probe = (
@@ -349,7 +349,7 @@ class TestFactorLayout:
 
     @pytest.mark.parametrize("preset", ["single_channel", "two_channel"])
     def test_preset_factors_are_column_major(self, preset_systems, preset):
-        system = preset_systems[preset][0]
+        system = preset_systems[preset]
         left, right = factors_of(system)
         assert left.flags.f_contiguous and right.flags.f_contiguous
         assert system.r_aug.flags.c_contiguous and system.reflectors.flags.f_contiguous
@@ -377,12 +377,12 @@ class TestFactorLayout:
 
     @pytest.mark.parametrize("preset", ["single_channel", "two_channel"])
     def test_solve_independent_of_factor_layout(self, preset_systems, preset):
-        system, sv_cutoff = preset_systems[preset]
+        system = preset_systems[preset]
         left, right = (np.ascontiguousarray(f) for f in factors_of(system))
         assert left.flags.c_contiguous and right.flags.c_contiguous
         row_major = reduced_system(left, right, system.rhs, system.knot_times, system.segments)
-        a = solve_coefficients(system, sv_cutoff=sv_cutoff)
-        b = solve_coefficients(row_major, sv_cutoff=sv_cutoff)
+        a = solve_coefficients(system)
+        b = solve_coefficients(row_major)
         assert np.array_equal(a.coefficients, b.coefficients)
         assert (a.residual_norm, a.effective_rank, a.sigma_max) == (
             b.residual_norm, b.effective_rank, b.sigma_max)
@@ -393,7 +393,7 @@ class TestReducedSystem:
 
     @pytest.mark.parametrize("preset, factor_cols", [("single_channel", 370), ("two_channel", 226)])
     def test_reduced_system_equals_its_oracle(self, preset_systems, preset, factor_cols):
-        system, sv_cutoff = preset_systems[preset]
+        system = preset_systems[preset]
         left, right = factors_of(system)
         with recon._one_blas_thread():
             r_aug = np.linalg.qr(np.column_stack([left, system.rhs]), mode="r")
@@ -403,7 +403,7 @@ class TestReducedSystem:
         assert np.array_equal(system.tau, tau)
         assert np.array_equal(system.matrix, left @ right.T)
         assert system.shape == (left.shape[0], right.shape[0])
-        gram = experiment._gram_dict(system, solve_coefficients(system, sv_cutoff=sv_cutoff))
+        gram = experiment._gram_dict(system, solve_coefficients(system))
         assert gram["factor_cols"] == left.shape[1] == factor_cols
 
     @pytest.mark.parametrize("preset", ["single_channel", "two_channel"])
@@ -411,12 +411,12 @@ class TestReducedSystem:
         # one factor and the copy its QR makes are live at a time: 2.5 (single)
         # and 2.9 (two) factors' bytes; both factors held through the solve
         # take 4.6 and 4.9
-        build, sv_cutoff = preset_builds[preset]
-        solve_coefficients(build(), sv_cutoff=sv_cutoff)  # warm-up: caches and first-call allocations
+        build = preset_builds[preset]
+        solve_coefficients(build())  # warm-up: caches and first-call allocations
         tracemalloc.start()
         try:
             system = build()
-            solve_coefficients(system, sv_cutoff=sv_cutoff)
+            solve_coefficients(system)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -629,23 +629,16 @@ def blas_threads():
 
 
 class TestSolve:
-    @pytest.mark.parametrize("sv_cutoff", [0.0, -1.0, 1.0, 2.0, float("nan"), float("inf")])
-    def test_cutoff_outside_unit_interval_rejected(self, sv_cutoff):
-        rng = np.random.RandomState(3)
-        system = reduced_system(rng.randn(8, 3) @ rng.randn(3, 8), np.eye(8), rng.randn(8))
-        with pytest.raises(ValueError, match="sv_cutoff"):
-            solve_coefficients(system, sv_cutoff=sv_cutoff)
-
     @pytest.mark.parametrize("preset", ["single_channel", "two_channel"])
     def test_coefficients_independent_of_caller_blas_threads(
         self, preset_systems, blas_threads, preset
     ):
-        system, sv_cutoff = preset_systems[preset]
+        system = preset_systems[preset]
         _, put = blas_threads
         solutions = []
         for threads in (1, 2):
             put(threads)
-            solutions.append(solve_coefficients(system, sv_cutoff=sv_cutoff))
+            solutions.append(solve_coefficients(system))
         one, two = solutions
         assert one.blas_threads == two.blas_threads == 1
         assert np.array_equal(one.coefficients, two.coefficients)
@@ -760,27 +753,36 @@ class TestSolve:
         cols=st.integers(min_value=1, max_value=12),
         width=st.integers(min_value=1, max_value=16),
         inner=st.integers(min_value=1, max_value=16),
+        zeroed=st.sampled_from(["left", "right"]),
     )
-    @example(seed=1, rows=10, cols=9, width=4, inner=4)  # narrow
-    @example(seed=2, rows=6, cols=8, width=10, inner=10)  # wide
-    @example(seed=3, rows=9, cols=9, width=8, inner=3)  # rank-deficient
-    @example(seed=4, rows=12, cols=5, width=8, inner=8)  # fewer knots than columns
-    def test_factored_solve_matches_dense_truncated_svd(self, seed, rows, cols, width, inner):
-        # narrow (width < min(rows, cols)), wide (width >= rows) and, through a
-        # shared inner dimension below the width, rank-deficient factor pairs;
-        # the right factor has more knots than columns (cols > width: its
-        # reflectors act on a zero-padded vector) or fewer (cols <= width)
+    @example(seed=1, rows=10, cols=9, width=4, inner=4, zeroed="left")  # narrow
+    @example(seed=2, rows=6, cols=8, width=10, inner=10, zeroed="left")  # wide
+    @example(seed=3, rows=9, cols=9, width=8, inner=3, zeroed="left")  # rank-deficient
+    @example(seed=3, rows=9, cols=9, width=8, inner=3, zeroed="right")  # rank-deficient
+    @example(seed=5, rows=12, cols=10, width=16, inner=6, zeroed="right")  # wide, rank-deficient
+    @example(seed=4, rows=12, cols=5, width=8, inner=8, zeroed="left")  # fewer knots than columns
+    def test_factored_solve_matches_dense_truncated_svd(
+        self, seed, rows, cols, width, inner, zeroed
+    ):
+        # narrow (width < min(rows, cols)), wide (width >= rows) and, through
+        # zero columns from ``inner`` on in one factor, exactly rank-deficient
+        # factor pairs; the right factor has more knots than columns (cols >
+        # width: its reflectors act on a zero-padded vector) or fewer (cols <= width)
         rng = np.random.default_rng(seed)
-        mix = rng.standard_normal((min(inner, width), width))
-        left = rng.standard_normal((rows, mix.shape[0])) @ mix
+        left = rng.standard_normal((rows, width)) @ rng.standard_normal((width, width))
         right = rng.standard_normal((cols, width))
+        (left if zeroed == "left" else right)[:, inner:] = 0.0
         q = rng.standard_normal(rows)
         dense = left @ right.T
         u, sv, vt = np.linalg.svd(dense, full_matrices=False)
-        cutoff = recon.DEFAULT_SV_CUTOFF * sv[0]
+        # G's exact rank; its other singular values are rounding noise in ``sv``
+        rank = min(inner, width, rows, cols)
+        core_shape = (min(rows, width), min(cols, width))
+        cutoff = np.finfo(float).eps * max(core_shape) * sv[0]
         # a singular value at the cutoff would make either rank a coin toss
-        assume(sv[0] > 0.0 and not np.any((sv > 1e-3 * cutoff) & (sv < 1e3 * cutoff)))
-        keep = sv >= cutoff
+        genuine = sv[:rank]
+        assume(sv[0] > 0.0 and not np.any((genuine > 1e-3 * cutoff) & (genuine < 1e3 * cutoff)))
+        keep = (sv >= cutoff) & (np.arange(sv.size) < rank)
         expect = vt[keep].T @ ((u[:, keep].T @ q) / sv[keep])
         sol = solve_coefficients(
             reduced_system(left, right, q)
@@ -818,24 +820,26 @@ class TestSolve:
         assert sol.residual_norm == pytest.approx(
             direct, rel=1e-12, abs=1e-12 * np.linalg.norm(q))
 
-    @pytest.mark.parametrize("preset, rank", [("single_channel", 273), ("two_channel", 142)])
+    @pytest.mark.parametrize("preset, rank", [("single_channel", 280), ("two_channel", 154)])
     def test_reflector_solve_matches_explicit_q(self, preset_systems, preset, rank):
-        system, sv_cutoff = preset_systems[preset]
+        system = preset_systems[preset]
         # reference: the same solve with Q_right formed and multiplied out, its
-        # core solved the same way on the same one BLAS thread; the cutoff
-        # admits a condition number of 1/sv_cutoff, which amplifies the rounding
-        # differences of another core solver or thread count past the tolerance
+        # core solved the same way at the same cutoff on the same one BLAS
+        # thread; the cutoff admits a condition number of 1/cutoff, which
+        # amplifies the rounding differences of another core solver or thread
+        # count past the tolerance
         (left, right), rhs = factors_of(system), system.rhs
         inner = min(left.shape)
         with recon._one_blas_thread():
             r_aug = np.linalg.qr(np.column_stack([left, rhs]), mode="r")
             q_right, r_right = np.linalg.qr(right)
+            core = r_aug[:inner, :-1] @ r_right.T
             core, _, rank_ref, _ = np.linalg.lstsq(
-                r_aug[:inner, :-1] @ r_right.T, r_aug[:inner, -1], rcond=sv_cutoff
+                core, r_aug[:inner, -1], rcond=np.finfo(float).eps * max(core.shape)
             )
             expect = q_right @ core
-        first = solve_coefficients(system, sv_cutoff=sv_cutoff)
-        again = solve_coefficients(system, sv_cutoff=sv_cutoff)
+        first = solve_coefficients(system)
+        again = solve_coefficients(system)
         assert first.effective_rank == rank_ref == rank
         assert np.max(np.abs(first.coefficients - expect)) <= 1e-12 * np.linalg.norm(expect)
         assert np.array_equal(first.coefficients, again.coefficients)
@@ -1040,7 +1044,7 @@ class TestModel:
         params = TemParams(1.0, T / 2.0, 3.0, 2.0)
         a, b = encode_two_channel(sig, params, (-1.0, 1.0), alpha=1.5 * params.delta)
         merged = interleave(a, b)
-        model, _, _ = reconstruct_bandpass(merged, band_35_65, sv_cutoff=1e-12)
+        model, _, _ = reconstruct_bandpass(merged, band_35_65)
         worst = 0.0
         for train in (a, b):
             inside = np.flatnonzero((train.times >= -0.7) & (train.times <= 0.7))
