@@ -629,6 +629,28 @@ def blas_threads():
 
 
 class TestSolve:
+    @pytest.mark.parametrize("rows, cols, width", [(10, 9, 4), (6, 8, 10), (12, 5, 8)],
+                             ids=["narrow", "wide", "fewer_knots_than_columns"])
+    def test_cutoff_is_the_rounding_floor_of_the_core(self, rows, cols, width):
+        # G = U diag(s) V^T through factors padded to ``width`` columns; its core
+        # Ra Rb^T has shape (min(rows, width), min(cols, width)).  A singular
+        # value 1e3 times that floor is kept (a hand-set 1e-8 would drop it);
+        # the exactly zero one, a zero column of the left factor, is not
+        rng = np.random.default_rng(rows * cols * width)
+        k = min(rows, cols, width)
+        floor = np.finfo(float).eps * max(min(rows, width), min(cols, width))
+        s = np.concatenate([np.linspace(1.0, 0.5, k - 2), [1e3 * floor, 0.0]])
+        u = np.linalg.qr(rng.standard_normal((rows, k)))[0]
+        v = np.linalg.qr(rng.standard_normal((cols, k)))[0]
+        left = np.zeros((rows, width))
+        left[:, :k] = u * s
+        right = rng.standard_normal((cols, width))
+        right[:, :k] = v
+        sol = solve_coefficients(reduced_system(left, right, rng.standard_normal(rows)))
+        assert sol.sv_cutoff == floor
+        assert sol.effective_rank == k - 1
+        assert sol.sigma_max == pytest.approx(1.0, rel=1e-13)
+
     @pytest.mark.parametrize("preset", ["single_channel", "two_channel"])
     def test_coefficients_independent_of_caller_blas_threads(
         self, preset_systems, blas_threads, preset
