@@ -27,6 +27,7 @@ import hashlib
 import itertools
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -534,6 +535,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentReport:
         _write_csv(out_path / "psd.csv", "freq_hz,psd", (freqs, psd_vals))
         files.append("psd.csv")
         report["files"] = _manifest(out_path, files)
+        _check_report(report, "report")  # no run writes what compare rejects
         payload = json.dumps(report, indent=2, allow_nan=False) + "\n"
         (out_path / "report.json").write_text(payload, encoding="ascii", newline="\n")
     except PipelineError:
@@ -584,70 +586,67 @@ def _gram_dict(system: recon.GramSystem, sol: recon.SolveResult) -> dict:
     }
 
 
-def _is_number(value, types=(int, float)) -> bool:
-    """True for a JSON number of ``types``; ``true`` and ``false`` are not numbers."""
-    return isinstance(value, types) and not isinstance(value, bool)
+def _number(v) -> bool:
+    """A JSON number in the float range; the comparison is exact for an int of any size."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and -sys.float_info.max <= v <= sys.float_info.max)
+
+
+_KINDS = {  # each kind a read report value can be, under the phrase that names it
+    "two increasing numbers": lambda v: (isinstance(v, list) and len(v) == 2
+                                         and all(map(_number, v)) and v[0] < v[1]),
+    "a number or null": lambda v: v is None or _number(v),
+    "an integer >= 0": lambda v: isinstance(v, int) and _number(v) and v >= 0,
+}
+# The report values compare_runs reads, each with its kind; a dict is an object holding its keys.
+REPORT_VALUES = {
+    "window": "two increasing numbers",
+    "signal": {},  # an object, compared for equality only
+    "metrics": {"snr_db": "a number or null"},
+    "spikes": {"*": {"count": "an integer >= 0", "gap_mean": "a number or null",  # "*": a channel
+                     "gap_max": "a number or null"}},  # "spikes" alone may be absent (PNS)
+}
+
+
+def _check_report(value, name: str, spec=REPORT_VALUES, path=()) -> None:
+    """Raise ValueError naming report ``name`` and the key unless ``value`` holds ``spec``."""
+    where = f"{name} {'.'.join(path)!r}" if path else name
+    if isinstance(spec, str) and not _KINDS[spec](value):
+        raise ValueError(f"{where} is not {spec}: {value!r}")
+    if isinstance(spec, dict) and not isinstance(value, dict):
+        raise ValueError(f"{where} is a JSON {type(value).__name__}, not an object")
+    for key, sub in spec.items() if isinstance(spec, dict) else ():
+        for k in value if key == "*" else [key]:
+            if key == "*":  # a spike channel, named as one: "spikes channel 'B'"
+                _check_report(value[k], f"{name} {'.'.join(path)} channel {k!r}", sub)
+            elif k in value:
+                _check_report(value[k], name, sub, path + (k,))
+            elif k != "spikes":
+                raise ValueError(f"{where} has no {k!r} key")
 
 
 def compare_runs(report_a: dict, report_b: dict) -> dict:
-    """Tabulate spike-rate, max-gap and SNR deltas between two run reports.
+    """Tabulate spike-rate, max-gap and SNR deltas between two reports of one window and signal.
 
-    Both reports must cover the same window and signal; mismatches are
-    rejected with ValueError, and so is a report that is not a JSON object,
-    lacks the ``window``, ``signal`` or ``metrics.snr_db`` key, or mistypes
-    a value read: ``window`` must be two increasing numbers, ``snr_db`` and
-    each ``spikes`` channel's ``gap_mean`` and ``gap_max`` a number or
-    null, and its ``count`` an integer >= 0.  Each message names report and
-    key.
+    A ValueError names the report and key of a value not of its :data:`REPORT_VALUES` kind.
     """
-    for name, rep in (("report_a", report_a), ("report_b", report_b)):
-        if not isinstance(rep, dict):
-            raise ValueError(f"{name} is a JSON {type(rep).__name__}, not a run report object")
-        for key in ("window", "signal", "metrics"):
-            if key not in rep:
-                raise ValueError(f"{name} has no {key!r} key: not a run report")
-        if not isinstance(rep["metrics"], dict) or "snr_db" not in rep["metrics"]:
-            raise ValueError(f"{name} has no 'metrics.snr_db' key: not a run report")
-        window, snr = rep["window"], rep["metrics"]["snr_db"]
-        if not (isinstance(window, list) and len(window) == 2
-                and all(map(_is_number, window)) and window[0] < window[1]):
-            raise ValueError(f"{name} 'window' is not two increasing numbers: {window!r}")
-        if not (snr is None or _is_number(snr)):
-            raise ValueError(f"{name} 'metrics.snr_db' is not a number or null: {snr!r}")
+    _check_report(report_a, "report_a")
+    _check_report(report_b, "report_b")
     if report_a["window"] != report_b["window"]:
         raise ValueError(f"windows differ: {report_a['window']} vs {report_b['window']}")
     if report_a["signal"] != report_b["signal"]:
         raise ValueError("signals differ between reports")
 
-    def rate_and_gaps(name, rep):
-        spikes = rep.get("spikes")
-        if not spikes:
-            return None, None, None
-        if not isinstance(spikes, dict):
-            raise ValueError(f"{name} 'spikes' is a JSON {type(spikes).__name__}, not an object")
-        for channel, stats in spikes.items():
-            for key in ("count", "gap_mean", "gap_max"):
-                if not isinstance(stats, dict) or key not in stats:
-                    raise ValueError(f"{name} spikes channel {channel!r} has no {key!r} key")
-            if not _is_number(stats["count"], int) or stats["count"] < 0:
-                raise ValueError(f"{name} spikes channel {channel!r} 'count' is not an "
-                                 f"integer >= 0: {stats['count']!r}")
-            for key in ("gap_mean", "gap_max"):
-                if not (stats[key] is None or _is_number(stats[key])):
-                    raise ValueError(f"{name} spikes channel {channel!r} {key!r} is not a "
-                                     f"number or null: {stats[key]!r}")
+    def rate_and_gaps(rep):
+        channels = list(rep.get("spikes", {}).values())
         w0, w1 = rep["window"]
-        span = w1 - w0
-        counts = [ch["count"] for ch in spikes.values()]
-        means = [ch["gap_mean"] for ch in spikes.values() if ch["gap_mean"] is not None]
-        maxes = [ch["gap_max"] for ch in spikes.values() if ch["gap_max"] is not None]
-        rate = sum(counts) / span / len(counts)
+        means = [ch["gap_mean"] for ch in channels if ch["gap_mean"] is not None]
+        maxes = [ch["gap_max"] for ch in channels if ch["gap_max"] is not None]
+        rate = sum(ch["count"] for ch in channels) / (w1 - w0) / len(channels) if channels else None
         return rate, (sum(means) / len(means) if means else None), (max(maxes) if maxes else None)
 
-    rate_a, mean_a, max_a = rate_and_gaps("report_a", report_a)
-    rate_b, mean_b, max_b = rate_and_gaps("report_b", report_b)
-    snr_a = report_a["metrics"]["snr_db"]
-    snr_b = report_b["metrics"]["snr_db"]
+    (rate_a, mean_a, max_a), (rate_b, mean_b, max_b) = map(rate_and_gaps, (report_a, report_b))
+    snr_a, snr_b = report_a["metrics"]["snr_db"], report_b["metrics"]["snr_db"]
     return {
         "window": report_a["window"],
         "spike_rate_a": rate_a,

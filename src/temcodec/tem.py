@@ -508,8 +508,17 @@ def write_spike_file(path, trains) -> None:
 def read_spike_file(path):
     """Parse a spike-train file back into a list of :class:`SpikeTrain`.
 
-    Raises ``ValueError`` naming the path and the line of a malformed file.
+    Raises ``ValueError`` naming the path and the line of a malformed file,
+    including a header value or spike time that is not a finite number
+    (``inf``, ``nan``, or a literal such as ``1e999`` that overflows).
     """
+
+    def finite(text):
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(f"{text!r} is not a finite number")
+        return value
+
     with open(path, "r", encoding="ascii") as fh:
         lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, 1) if ln.strip()]
     if not lines or not lines[0][1].startswith("# tem "):
@@ -518,16 +527,16 @@ def read_spike_file(path):
     no, ln = lines[0]
     try:
         fields = dict(item.split("=", 1) for item in ln[len("# tem "):].split(" "))
-        w0, w1 = (float(v) for v in fields["window"].split(","))
+        w0, w1 = (finite(v) for v in fields["window"].split(","))
         params = TemParams(
-            kappa=float(fields["kappa"]),
-            delta=float(fields["delta"]),
-            bias=float(fields["bias"]),
-            amplitude_bound=float(fields["bound"]),
+            kappa=finite(fields["kappa"]),
+            delta=finite(fields["delta"]),
+            bias=finite(fields["bias"]),
+            amplitude_bound=finite(fields["bound"]),
         )
         for no, ln in lines[1:]:
             tag, idx, t = ln.split(",")
-            by_channel.setdefault(tag, []).append((int(idx), float(t)))
+            by_channel.setdefault(tag, []).append((int(idx), finite(t)))
     except (KeyError, ValueError) as exc:
         raise ValueError(f"{path}, line {no}: cannot parse {ln!r}: {exc!r}") from exc
     trains = []

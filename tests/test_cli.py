@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from temcodec import recon
+from temcodec import experiment, recon
 from temcodec.cli import main
-from temcodec.experiment import PipelineError, load_config, run_experiment
+from temcodec.experiment import PipelineError, compare_runs, load_config, run_experiment
 from temcodec.signals import TWO_PI, Tone
 from temcodec.tem import TemParams, read_spike_file
 
@@ -114,6 +114,14 @@ def assert_metrics_recomputable(out):
     assert snr == m["snr_db"]
     assert float(np.max(np.abs(err))) == m["max_abs_err"]
     assert int(np.count_nonzero(central)) == m["n_central"]
+
+
+class Raw(str):
+    """A JSON literal written into a report's text as is.
+
+    ``json.dumps(math.inf)`` writes ``Infinity``, which ``compare`` rejects
+    while parsing, before any report value is checked.
+    """
 
 
 @pytest.fixture(scope="module")
@@ -368,6 +376,17 @@ class TestRun:
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert not (tmp / "out_flag").exists()
 
+    def test_report_compare_would_reject_is_not_written(self, tmp_path, monkeypatch):
+        metrics = experiment._metrics
+        monkeypatch.setattr(experiment, "_metrics",
+                            lambda *args: {**metrics(*args), "snr_db": "80"})
+        out = tmp_path / "out"
+        with pytest.raises(PipelineError) as info:
+            run_experiment(load_config(write_cfg(tmp_path, as_pns(SMALL_TWO))), out)
+        assert info.value.stage == "write"
+        assert "report 'metrics.snr_db' is not a number or null: '80'" in str(info.value)
+        assert not (out / "report.json").exists()
+
     def test_uncreatable_out_dir_exits_3_at_write(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")
@@ -407,6 +426,21 @@ class TestCompare:
         assert "spike_rate_delta  0" in lines
         assert "max_gap_delta     0" in lines
 
+    @pytest.mark.parametrize("preset", ["single_channel", "two_channel", "pns"])
+    def test_every_preset_report_compares_with_itself(self, tmp_path, preset):
+        # run checks its report against the table compare reads
+        out = tmp_path / "out"
+        assert run_cli("run", str(CONFIG_DIR / f"{preset}.cfg"), "--out-dir", str(out)) == 0
+        path = str(out / "report.json")
+        assert run_cli("compare", path, path) == 0
+        report = json.loads((out / "report.json").read_text())
+        table = compare_runs(report, report)
+        no_spikes = preset == "pns"
+        assert table["spike_rate_delta"] == (None if no_spikes else 0.0)
+        assert table["mean_gap_ratio"] == (None if no_spikes else 1.0)
+        assert table["max_gap_delta"] == (None if no_spikes else 0.0)
+        assert table["snr_db_delta"] == 0.0
+
     def test_mismatched_windows_rejected(self, tmp_path):
         cfg_a = write_cfg(tmp_path, ZERO_SINGLE, "a.cfg")
         cfg_b = write_cfg(
@@ -435,7 +469,7 @@ class TestCompare:
          "channel 'B' has no 'count' key"),
         (("spikes",), {"B": {"count": 9, "gap_max": 0.02}}, "channel 'B' has no 'gap_mean' key"),
         (("spikes",), {"B": {"count": 9, "gap_mean": 0.01}}, "channel 'B' has no 'gap_max' key"),
-        (("spikes",), {"A": 3}, "channel 'A' has no 'count' key"),
+        (("spikes",), {"A": 3}, "channel 'A' is a JSON int, not an object"),
         (("spikes",), [1, 2], "'spikes' is a JSON list"),
         # mistyped values compare reads
         (("spikes", "B", "count"), "780", "channel 'B' 'count' is not an integer"),
@@ -449,6 +483,17 @@ class TestCompare:
         (("window",), [0.3, -0.3], "'window' is not two increasing numbers"),
         (("metrics", "snr_db"), "80", "'metrics.snr_db' is not a number or null"),
         (("spikes", "B", "count"), -5, "channel 'B' 'count' is not an integer >= 0: -5"),
+        # literals that parse to inf, or to an int past the float range
+        pytest.param(("metrics", "snr_db"), Raw("1e999"),
+                     "'metrics.snr_db' is not a number or null: inf", id="snr_db-1e999"),
+        pytest.param(("window", 1), Raw("1e999"),
+                     "'window' is not two increasing numbers: [-0.3, inf]", id="window-1e999"),
+        pytest.param(("spikes", "B", "gap_mean"), Raw("1e999"),
+                     "channel 'B' 'gap_mean' is not a number or null: inf", id="gap_mean-1e999"),
+        pytest.param(("spikes", "B", "count"), Raw("9" * 400),
+                     "channel 'B' 'count' is not an integer >= 0", id="count-400-digits"),
+        pytest.param(("spikes", "B", "gap_mean"), Raw("9" * 400),
+                     "channel 'B' 'gap_mean' is not a number or null", id="gap_mean-400-digits"),
     ])
     def test_malformed_report_value_rejected(self, small_run, tmp_path, capsys, path, value,
                                              named):
@@ -458,8 +503,12 @@ class TestCompare:
         for key in path[:-1]:
             entry = entry[key]
         entry[path[-1]] = value
+        text = json.dumps(report)
+        if isinstance(value, Raw):
+            text = text.replace(json.dumps(value), value)
+            assert value in text and json.dumps(value) not in text
         other = tmp_path / "other.json"
-        other.write_text(json.dumps(report))
+        other.write_text(text)
         assert run_cli("compare", str(out / "report.json"), str(other)) == 2
         err = capsys.readouterr().err
         assert err.startswith("compare error: report_b") and named in err

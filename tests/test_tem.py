@@ -582,6 +582,24 @@ class TestSpikeFiles:
         with pytest.raises(ValueError, match=re.escape(str(path))):
             read_spike_file(path)
 
+    @pytest.mark.parametrize("good, bad", [
+        ("A,1,0.2", "A,1,inf"),
+        ("A,1,0.2", "A,1,nan"),
+        ("A,1,0.2", "A,1,1e999"),
+        ("bias=3.0", "bias=inf"),
+        ("kappa=1.0", "kappa=1e999"),
+        ("window=0.0,1.0", "window=nan,1.0"),
+    ], ids=["time_inf", "time_nan", "time_overflow", "bias_inf", "kappa_overflow", "window_nan"])
+    def test_non_finite_value_rejected(self, tmp_path, good, bad):
+        text = "# tem kappa=1.0 delta=0.01 bias=3.0 bound=2.0 window=0.0,1.0\nA,0,0.1\nA,1,0.2\n"
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        assert read_spike_file(path)[0].times.tolist() == [0.1, 0.2]
+        path.write_text(text.replace(good, bad))
+        line = 3 if good.startswith("A,") else 1
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line {line}: cannot parse")):
+            read_spike_file(path)
+
     def test_mixed_params_rejected(self, tmp_path, params_free):
         other = TemParams(1.0, 0.02, 3.0, 2.0)
         a = SpikeTrain(np.array([0.1]), "A", params_free, (0.0, 1.0))
