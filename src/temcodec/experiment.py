@@ -120,10 +120,6 @@ class _Section:
     def __contains__(self, key):
         return key in self._proxy
 
-    def __getitem__(self, key):
-        self._read.add(key)
-        return self._proxy[key]
-
     def get(self, key, default=None):
         self._read.add(key)
         return self._proxy.get(key, default)
@@ -637,15 +633,19 @@ def compare_runs(report_a: dict, report_b: dict) -> dict:
     if report_a["signal"] != report_b["signal"]:
         raise ValueError("signals differ between reports")
 
-    def rate_and_gaps(rep):
+    def rate_and_gaps(rep, name):
         channels = list(rep.get("spikes", {}).values())
         w0, w1 = rep["window"]
         means = [ch["gap_mean"] for ch in channels if ch["gap_mean"] is not None]
         maxes = [ch["gap_max"] for ch in channels if ch["gap_max"] is not None]
-        rate = sum(ch["count"] for ch in channels) / (w1 - w0) / len(channels) if channels else None
+        count = sum(ch["count"] for ch in channels)
+        if count > sys.float_info.max:  # each count is in range, their sum need not be
+            raise ValueError(f"{name} 'spikes' counts sum past the float range")
+        rate = count / (w1 - w0) / len(channels) if channels else None
         return rate, (sum(means) / len(means) if means else None), (max(maxes) if maxes else None)
 
-    (rate_a, mean_a, max_a), (rate_b, mean_b, max_b) = map(rate_and_gaps, (report_a, report_b))
+    rate_a, mean_a, max_a = rate_and_gaps(report_a, "report_a")
+    rate_b, mean_b, max_b = rate_and_gaps(report_b, "report_b")
     snr_a, snr_b = report_a["metrics"]["snr_db"], report_b["metrics"]["snr_db"]
     return {
         "window": report_a["window"],

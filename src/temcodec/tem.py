@@ -14,17 +14,18 @@ Toth, IEEE TCAS-I 2004).  :func:`encode` first builds ``F`` once from
 15-point Gauss-Legendre panels, each at most ``min_gap/2`` wide, in
 blocks of ``SEED_BLOCK_PANELS`` panels with one vectorised signal call
 per block and ``F`` carried across blocks, and inverts every target a
-block reaches at once.  Each spike is then polished by a safeguarded
-Newton iteration inside the bracket the slope range gives, started from
-that seed: the seed is within rounding of the crossing, so the first
-adaptive :func:`~temcodec.signals.integrate` call ends the search and
-doubles as the check of the interval identity.  That step takes its
-slope, ``x + b`` at the seed, from the global pass's interpolant, so it
-samples the signal only at the integral's nodes.  That is one quadrature
-call per spike, never fixed-step simulation.  ``x + b > 0`` is checked at
-every node of the global pass and of each per-spike integral, and at the
-start of any further Newton step; a violation names the spike by how
-many spikes precede the offending point.
+block reaches at once.  The seed is within rounding of the crossing, so
+each spike takes one path: one adaptive
+:func:`~temcodec.signals.integrate` call from the previous spike to the
+seed gives the interval identity's miss, and one Newton step, with the
+slope ``x + b`` at the seed from the global pass's interpolant, corrects
+it.  The step must land inside the bracket the slope range gives and
+move the seed by at most ``SPIKE_TOL``; otherwise the encoder fails
+loudly rather than search.  That is one quadrature call per spike, plus
+one to the window end, never fixed-step simulation.  ``x + b > 0`` is
+checked at every node of the global pass and of each per-spike integral,
+and wherever a slope is sampled; a violation names the spike by how many
+spikes precede the offending point.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ __all__ = [
     "read_spike_file",
 ]
 
-# Newton step tolerance (seconds): a spike's search stops once a step, Newton
-# or bisection, moves it by at most this much (or by a few ulps)
+# Largest Newton step (seconds) allowed from a seed to its spike, or a few
+# ulps if that is more; a longer step means the global pass missed the crossing
 SPIKE_TOL = 1e-10
 # absolute tolerance of each per-spike adaptive integral
 QUAD_TOL = 1e-12
@@ -159,7 +160,7 @@ def _legendre_maps():
 # Built once, at import, like the rule itself (``signals._GL_NODES``).
 _TO_COEF, _TO_INT = _legendre_maps()
 
-# Newton steps (or bisections) per seed before the search gives up refining.
+# Newton steps (or bisections) per target before the global pass stops refining.
 MAX_SEED_STEPS = 64
 # Panels per block of the global pass, which holds one block's node values at
 # a time; the presets need 2,600 (single channel) and 600 (per channel).
@@ -178,9 +179,9 @@ def _seed_times(sig, params: TemParams, t0: float, t1: float, first: float):
     iteration inside the target's panel, bisecting whenever a step leaves
     the panel's shrinking bracket.
 
-    Returns ``(seeds, slopes)``.  The seeds end with ``t1``, the seed of
-    any target beyond ``F(t1)``; ``slopes[k]``, one per target, is the
-    panel's interpolant of ``x + bias`` at seed ``k``.
+    Returns ``(seeds, slopes)``, one of each per target ``F`` reaches by
+    ``t1``; ``slopes[k]`` is the panel's interpolant of ``x + bias`` at
+    seed ``k``.
 
     Raises ValueError at the first node where ``x + bias <= 0``; the spike
     index is the number of targets ``F`` has reached at that node.
@@ -240,7 +241,6 @@ def _seed_times(sig, params: TemParams, t0: float, t1: float, first: float):
         seeds.append(mid[j] + half[j] * x)
         slopes.append(np.einsum("ij,ij->i", legendre.legvander(x, coef.shape[1] - 1), coef))
         f_start, n_reached = f_edges[-1], count
-    seeds.append([t1])
     return np.concatenate(seeds), np.concatenate(slopes)
 
 
@@ -262,17 +262,16 @@ def encode(
     A global pass first builds ``F(t) = integral_{t0}^{t} (x + bias)`` on
     Gauss-Legendre panels at most ``min_gap/2`` wide, from one call of
     ``sig`` per block of ``SEED_BLOCK_PANELS`` panels, and seeds every
-    spike where ``F`` reaches its target (a target beyond ``F(t1)`` seeds
-    at ``t1``).  Each spike is then found by safeguarded Newton inside its
-    gap bracket, chained from the previous spike and started from its seed
-    clipped to the bracket.  A step that starts at its unclipped seed takes
-    its slope from the global pass's interpolant of ``x + bias`` there, if
-    that value is finite and positive; any other step samples ``sig``.
-    The seed is within rounding of the crossing, so the search normally
-    ends after one adaptive ``integrate`` call per spike, three calls of
-    ``sig`` on its panels; one more call per spike whose bracket passes
-    ``t1`` decides whether that spike exists.  The search stops at a step
-    of ``SPIKE_TOL`` seconds, and each integral is taken to ``QUAD_TOL``.
+    spike where ``F`` reaches its target by ``t1``.  Each seed, chained
+    from the previous spike, then takes one path: one adaptive
+    ``integrate`` call to the seed (three calls of ``sig``, one per panel)
+    gives the identity's miss ``g``, and one Newton step corrects it, with
+    the slope the global pass's interpolant of ``x + bias`` at the seed if
+    that value is finite and positive, else a sample of ``sig``.  A
+    corrected time past ``t1`` ends the train.  After the seeds, one
+    integral to ``t1`` decides a crossing within rounding of the window
+    end: it is a spike, by the same step from ``t1``, if ``g >= 0``.
+    Each integral is taken to ``QUAD_TOL``.
 
     Parameters
     ----------
@@ -292,12 +291,15 @@ def encode(
     ------
     ValueError
         If ``x + bias <= 0`` at a node of the global pass, at a quadrature
-        node of a per-spike integral or at a sampled Newton point, or a crossing
-        lies outside the gap bracket ``[min_gap, max_gap]`` scaled to its
-        interval integral; either means ``|sig|`` exceeded
-        ``params.amplitude_bound``.  The message names the time and the
-        spike index: the number of spikes before the offending point (for
-        the global pass, the number of targets ``F`` has reached there).
+        node of a per-spike integral or at a sampled slope point, or a
+        corrected time lies outside the gap bracket ``[min_gap, max_gap]``
+        scaled to its interval integral (by more than an integral error of
+        ``QUAD_TOL`` moves it); either means ``|sig|`` exceeded
+        ``params.amplitude_bound``.  Also if a Newton step moves its seed
+        by more than ``max(SPIKE_TOL, 4 ulp)``: the global pass missed that
+        crossing.  The message names the spike index, the number of spikes
+        before the offending point (for the global pass, the number of
+        targets ``F`` has reached there), and the time.
     """
     t0, t1 = float(window[0]), float(window[1])
     if not t1 >= t0:
@@ -311,7 +313,7 @@ def encode(
     times = []
 
     def biased(u):
-        # Every quadrature node and Newton point passes through here, so the
+        # Every quadrature node and sampled slope passes through here, so the
         # whole premise x + bias > 0 is checked wherever x is sampled.
         values = np.asarray(sig(u), dtype=float) + bias
         if not values.min() > 0.0:  # a NaN fails too
@@ -319,54 +321,47 @@ def encode(
             raise _bound_error(len(times), float(values[bad]), float(u[bad]), bound)
         return values
 
+    def corrected(t, g, slope):
+        """One Newton step from ``t``, where the identity misses by ``g``, checked."""
+        if not 0.0 < slope < math.inf:  # none from the seed (a NaN fails too)
+            slope = float(biased(np.array([t]))[0])
+        t_next = t - g / slope
+        # With |x| <= bound the integral of x + bias grows at a rate in
+        # [bias - bound, bias + bound], which brackets the crossing; an error
+        # of QUAD_TOL in g moves the step's end by QUAD_TOL/slope.
+        lo = base + target / (bias + bound)
+        hi = base + target / (bias - bound)
+        slack = QUAD_TOL / slope
+        if not lo - slack <= t_next <= hi + slack:
+            raise ValueError(
+                f"spike {len(times)}: crossing outside [{lo!r}, {hi!r}] seen at "
+                f"t={t_next!r}; the signal exceeds its amplitude bound {bound!r}"
+            )
+        # A step of a few ulps is rounding noise, whatever SPIKE_TOL asks.
+        tol = max(SPIKE_TOL, 4.0 * math.ulp(t))
+        if not abs(t_next - t) <= tol:
+            raise ValueError(
+                f"spike {len(times)}: the Newton step from t={t!r} is {t_next - t!r} s, "
+                f"more than {tol!r}; the global pass missed this crossing"
+            )
+        return t_next
+
     base = t0
     target = kappa * (delta - z0)
     seeds, slopes = _seed_times(sig, params, t0, t1, target)
-    while True:
-        # With |x| <= bound the integral of x + bias grows at a rate in
-        # [bias - bound, bias + bound], which brackets the crossing.
-        lo = base + target / (bias + bound)
-        hi = base + target / (bias - bound)
-        if hi > t1:
-            if integrate(biased, base, t1, QUAD_TOL) < target:
-                break  # the crossing, if any, lies past the window end
-            hi = t1
-        # A spike past every target F reached by t1 takes the last seed, t1.
-        seed = float(seeds[min(len(times), seeds.size - 1)])
-        t = min(max(seed, lo), hi)
-        # A step from the unclipped seed takes its slope from the global pass.
-        slope = float(slopes[len(times)]) if t == seed and len(times) < slopes.size else math.nan
-        while True:
-            g = integrate(biased, base, t, QUAD_TOL) - target
-            if not 0.0 < slope < math.inf:  # none from the seed (a NaN fails too)
-                slope = float(biased(np.array([t]))[0])
-            # The crossing lies at least |g|/(bias + bound) from t, on the side
-            # the sign of g points to; beyond the bracket end means the
-            # integrand left [bias - bound, bias + bound] somewhere.
-            reach = t - lo if g > 0.0 else hi - t
-            if abs(g) > (bias + bound) * reach + QUAD_TOL:
-                raise ValueError(
-                    f"spike {len(times)}: crossing outside [{lo!r}, {hi!r}] seen at "
-                    f"t={t!r}; the signal exceeds its amplitude bound {bound!r}"
-                )
-            if g > 0.0:
-                hi = t
-            elif g < 0.0:
-                lo = t
-            # A step of a few ulps is rounding noise, whatever SPIKE_TOL asks.
-            tol = max(SPIKE_TOL, 4.0 * math.ulp(t))
-            t_next = t - g / slope
-            slope = math.nan  # a further step samples x + bias where it starts
-            if abs(t_next - t) > tol and not lo <= t_next <= hi:
-                t_next = 0.5 * (lo + hi)  # Newton left the bracket: bisect
-            done = abs(t_next - t) <= tol
-            t = t_next
-            if done:
-                break
+    for seed, slope in zip(seeds.tolist(), slopes.tolist()):
+        t = corrected(seed, integrate(biased, base, seed, QUAD_TOL) - target, slope)
+        if t > t1:
+            break
         times.append(t)
         # Exact reset to -delta: the next interval integrates 2*kappa*delta.
         base = t
         target = 2.0 * kappa * delta
+    # A crossing within rounding of t1 may be one the global pass did not
+    # reach by t1: the integral to t1 decides whether it lies in the window.
+    g = integrate(biased, base, t1, QUAD_TOL) - target
+    if g >= 0.0:
+        times.append(corrected(t1, g, math.nan))
     return SpikeTrain(np.asarray(times), channel, params, (t0, t1))
 
 

@@ -494,6 +494,10 @@ class TestCompare:
                      "channel 'B' 'count' is not an integer >= 0", id="count-400-digits"),
         pytest.param(("spikes", "B", "gap_mean"), Raw("9" * 400),
                      "channel 'B' 'gap_mean' is not a number or null", id="gap_mean-400-digits"),
+        # every count in range, their sum past it
+        pytest.param(("spikes",), {ch: {"count": 10**308, "gap_mean": 0.01, "gap_max": 0.02}
+                                   for ch in "AB"},
+                     "'spikes' counts sum past the float range", id="count-sum-overflow"),
     ])
     def test_malformed_report_value_rejected(self, small_run, tmp_path, capsys, path, value,
                                              named):

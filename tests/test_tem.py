@@ -121,6 +121,20 @@ class TestEncode:
         with pytest.raises(ValueError, match=r"spike \d+: .*t=.*amplitude bound"):
             encode(Tone(2.0, TWO_PI * 5.0, phase), p, (0.0, 1.0))
 
+    # x + bias stays positive, but its rate leaves [bias - bound, bias + bound]:
+    # the first crossing lies before (level 1.5) or after (level -1.5) its bracket
+    @pytest.mark.parametrize("level, seen", [(1.5, 0.02 / 3.5), (-1.5, 0.04)])
+    def test_crossing_outside_its_bracket_names_spike_0(self, level, seen):
+        p = TemParams(kappa=1.0, delta=0.01, bias=2.0, amplitude_bound=1.0)
+        with pytest.raises(ValueError) as info:
+            encode(Constant(level), p, (0.0, 0.2))
+        found = re.fullmatch(r"spike 0: crossing outside \[(\S+), (\S+)\] seen at t=(\S+); "
+                             r"the signal exceeds its amplitude bound 1\.0", str(info.value))
+        assert found, str(info.value)
+        assert float(found.group(1)) == pytest.approx(0.02 / 3.0, abs=1e-15)
+        assert float(found.group(2)) == pytest.approx(0.02, abs=1e-15)
+        assert float(found.group(3)) == pytest.approx(seen, abs=1e-15)
+
     def test_violation_between_newton_points_caught_at_a_quadrature_node(self, test_signal):
         # x + bias reaches -0.44 near t = 0, but stays positive at every Newton
         # point and every crossing stays inside its bracket: only the nodes see it
@@ -186,10 +200,10 @@ def _count_signal_calls(sig):
 
 class TestQuadratureBudget:
     """The global pass seeds each spike within rounding of its crossing, so
-    each costs one adaptive integral, plus one per spike whose bracket passes
-    the window end.  The signal is called once for the global pass and once
-    for each of an integral's three panels: the Newton slope at a seed comes
-    from the global pass."""
+    each costs one adaptive integral, plus one integral to the window end.
+    The signal is called once for the global pass and once for each of an
+    integral's three panels: the Newton slope at a seed comes from the
+    global pass."""
 
     def test_single_channel_preset(self, monkeypatch):
         cfg = load_config(str(CONFIG_DIR / "single_channel.cfg"))
@@ -197,8 +211,8 @@ class TestQuadratureBudget:
         sig, signal_calls = _count_signal_calls(cfg.signal)
         train = encode(sig, cfg.tem_params, (-1.0, 1.0))
         assert len(train) == 780
-        assert len(calls) <= len(train) + 4
-        assert len(signal_calls) == 1 + 3 * len(calls) == 2350
+        assert len(calls) == len(train) + 1
+        assert len(signal_calls) == 1 + 3 * len(calls) == 2344
 
     def test_two_channel_preset_each_channel(self, monkeypatch):
         cfg = load_config(str(CONFIG_DIR / "two_channel.cfg"))
@@ -209,8 +223,21 @@ class TestQuadratureBudget:
             del calls[:], signal_calls[:]
             train = encode(sig, p, (-1.0, 1.0), initial_integrator=z0)
             assert len(train) == 180
-            assert len(calls) <= len(train) + 4
+            assert len(calls) == len(train) + 1
             assert len(signal_calls) == 1 + 3 * len(calls)
+
+    # twelve shifts of the window across [0, 1/30) s, one two-channel period
+    @pytest.mark.parametrize("shift", [k / 360.0 for k in range(12)])
+    def test_both_presets_on_shifted_windows(self, monkeypatch, shift):
+        calls = _count_integrate_calls(monkeypatch)
+        for preset in ("single_channel.cfg", "two_channel.cfg"):
+            cfg = load_config(str(CONFIG_DIR / preset))
+            p, window = cfg.tem_params, (-1.0 + shift, 1.0 + shift)
+            starts = [-p.delta] if cfg.alpha is None else [p.delta - cfg.alpha, -p.delta]
+            for z0 in starts:
+                del calls[:]
+                train = encode(cfg.signal, p, window, initial_integrator=z0)
+                assert len(train) > 0 and len(calls) == len(train) + 1
 
 
 def _seeds_with_slopes(monkeypatch, slopes_from):
@@ -245,8 +272,8 @@ class TestSeedSlopes:
         # the global pass's interpolant of x + bias, in place of a sample there
         p = params_free
         seeds, slopes = tem._seed_times(test_signal, p, -0.2, 0.2, p.kappa * p.delta)
-        assert seeds.size == slopes.size + 1 > 1 and seeds[-1] == 0.2
-        sampled = test_signal(seeds[:-1]) + p.bias
+        assert seeds.size == slopes.size > 0 and seeds[-1] <= 0.2
+        sampled = test_signal(seeds) + p.bias
         assert np.max(np.abs(slopes - sampled)) <= 1e-12
 
 
@@ -281,7 +308,7 @@ class TestSeedBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert seeds.size == 15601
+        assert seeds.size == 15600
         assert peak <= 8e6
 
 
@@ -343,16 +370,28 @@ class TestEdgeWindows:
         if len(train) > k:
             assert abs(train.times[k] - crossing) <= 1e-13 and train.times[k] <= window[1]
 
-    def test_spikes_past_the_seeds_start_at_the_window_end(self, test_signal, monkeypatch):
-        # A chained loop that outruns the global pass seeds at t1 and still
-        # converges: here every spike does.
-        window = (-0.2, 0.0)
-        monkeypatch.setattr(tem, "_seed_times",
-                            lambda sig, p, t0, t1, first: (np.array([t1]), np.empty(0)))
-        train = encode(test_signal, self.P, window, initial_integrator=self.Z0)
-        oracle = _oracle_times(test_signal, self.P, window, self.Z0)
-        assert len(train) == len(oracle) > 0
-        assert np.max(np.abs(train.times - oracle)) <= 1e-13
+    def test_crossing_at_the_window_end_past_the_seeds(self):
+        # spike 29 falls on t1 = 0.2 itself: the global pass seeds 29 spikes,
+        # and the integral to t1 decides the thirtieth
+        p = TemParams(1.0, 0.01, 2.0, 1.0)
+        assert tem._seed_times(Constant(1.0), p, 0.0, 0.2, 0.02)[0].size == 29
+        train = encode(Constant(1.0), p, (0.0, 0.2))
+        assert len(train) == 30
+        assert abs(train.times[-1] - 0.2) <= 1e-15
+
+    def test_seed_off_its_crossing_fails_loudly(self, test_signal, monkeypatch):
+        # a seed the global pass got wrong is not searched for: its Newton
+        # step exceeds SPIKE_TOL and names the spike
+        real = tem._seed_times
+
+        def shifted(*args):
+            seeds, slopes = real(*args)
+            return seeds + 1e-7, slopes
+
+        monkeypatch.setattr(tem, "_seed_times", shifted)
+        with pytest.raises(ValueError, match=r"^spike 0: the Newton step from t=\S+ is "
+                                             r"\S+ s, more than 1e-10; the global pass missed"):
+            encode(test_signal, self.P, (-0.2, 0.0), initial_integrator=self.Z0)
 
     @settings(max_examples=15, deadline=None)
     @given(z0_frac=st.floats(min_value=-1.0, max_value=1.0, exclude_max=True))
