@@ -624,7 +624,8 @@ def _check_report(value, name: str, spec=REPORT_VALUES, path=()) -> None:
 def compare_runs(report_a: dict, report_b: dict) -> dict:
     """Tabulate spike-rate, max-gap and SNR deltas between two reports of one window and signal.
 
-    A ValueError names the report and key of a value not of its :data:`REPORT_VALUES` kind.
+    A ValueError names the report and key of a value not of its :data:`REPORT_VALUES` kind,
+    and the report, or the pair, and key of a table value past the float range.
     """
     _check_report(report_a, "report_a")
     _check_report(report_b, "report_b")
@@ -647,7 +648,7 @@ def compare_runs(report_a: dict, report_b: dict) -> dict:
     rate_a, mean_a, max_a = rate_and_gaps(report_a, "report_a")
     rate_b, mean_b, max_b = rate_and_gaps(report_b, "report_b")
     snr_a, snr_b = report_a["metrics"]["snr_db"], report_b["metrics"]["snr_db"]
-    return {
+    table = {
         "window": report_a["window"],
         "spike_rate_a": rate_a,
         "spike_rate_b": rate_b,
@@ -662,3 +663,8 @@ def compare_runs(report_a: dict, report_b: dict) -> dict:
         "snr_db_b": snr_b,
         "snr_db_delta": None if None in (snr_a, snr_b) else snr_b - snr_a,
     }
+    for key, value in table.items():  # in-range inputs can still give an infinite rate or delta
+        if isinstance(value, (int, float)) and not _number(value):
+            name = {"_a": "report_a", "_b": "report_b"}.get(key[-2:], "report_a vs report_b")
+            raise ValueError(f"{name} '{key}' is past the float range: {value}")
+    return table

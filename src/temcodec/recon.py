@@ -318,15 +318,16 @@ def _ellipse_maxima():
 
     ``E_rho`` is ``(rho*e^(i*theta) + e^(-i*theta)/rho)/2``; both functions are
     harmonic or analytic, so their maxima over the ellipse's interior are on
-    it.  ``g`` is odd with real coefficients, so both moduli are symmetric
-    about both axes, and a quarter of the ellipse, ``theta`` in ``[0, pi/2]``,
-    carries their maxima.  Computed on first use, not at import: the
-    sampling costs a few milliseconds.
+    it.  ``g'`` is a polynomial in ``x**2`` with positive coefficients, so
+    ``|g'(z)| <= g'(|z|)`` and ``max|g'| = g'((rho + 1/rho)/2)``.  ``g`` is odd with
+    real coefficients, so ``|Im g|`` is sampled on the quarter ``theta`` in ``[0, pi/2]``,
+    eight ellipses at a time: the first call, made on first use, allocates about 0.2 MB.
     """
     rho = 1.0 + np.logspace(-6.0, 1.0, 141)
     circle = np.exp(1j * np.linspace(0.0, 0.5 * math.pi, 257))
-    g, dg = _sausage(0.5 * (rho[:, None] * circle + 1.0 / (rho[:, None] * circle)))
-    maxima = rho, np.max(np.abs(g.imag), axis=1), np.max(np.abs(dg), axis=1)
+    im_max = [np.max(np.abs(_sausage(0.5 * (r * circle + 1.0 / (r * circle)))[0].imag), axis=1)
+              for r in np.split(rho[:, None], range(8, rho.size, 8))]
+    maxima = rho, np.concatenate(im_max), _sausage(0.5 * (rho + 1.0 / rho))[1]
     for values in maxima:
         values.flags.writeable = False  # one cached copy serves every caller
     return maxima
@@ -340,7 +341,8 @@ def _gl_order(h: float, k_max: float, a_max: float, tol: float) -> int:
     :func:`_sausage`).  ``f`` is entire with ``|f(z)| <= k_max*exp(a_max*|Im z|)``,
     so on the Bernstein ellipse ``E_rho`` the mapped integrand is at most
     ``(h/2)*M`` with ``M = k_max*exp(a_max*(h/2)*max|Im g|)*max|g'|``
-    (:func:`_ellipse_maxima`), and an ``m``-point rule errs by at most
+    (:func:`_ellipse_maxima`: ``max|g'|`` in closed form, ``max|Im g|`` sampled
+    in bounded memory), and an ``m``-point rule errs by at most
     ``(h/2)*(64/15)*M*rho**(-2*(m - 1))/(rho**2 - 1)`` (Trefethen,
     *Approximation Theory and Approximation Practice*, Thm 19.3).  Each
     ``rho`` of the grid gives the least ``m`` meeting ``tol``; the order is

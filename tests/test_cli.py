@@ -517,6 +517,45 @@ class TestCompare:
         err = capsys.readouterr().err
         assert err.startswith("compare error: report_b") and named in err
 
+    @pytest.mark.parametrize("edits_a, edits_b, named", [
+        # every value in range, a rate, mean, ratio or delta computed from them past it
+        pytest.param({("window",): [0.0, 1e-310]}, {("window",): [0.0, 1e-310]},
+                     "report_a 'spike_rate_a' is past the float range: inf",
+                     id="subnormal-window"),
+        pytest.param({("metrics", "snr_db"): -1e308}, {("metrics", "snr_db"): 1e308},
+                     "report_a vs report_b 'snr_db_delta' is past the float range: inf",
+                     id="snr_db-delta"),
+        pytest.param({("spikes", ch, "gap_max"): -1e308 for ch in "AB"},
+                     {("spikes", "A", "gap_max"): 1e308},
+                     "report_a vs report_b 'max_gap_delta' is past the float range: inf",
+                     id="gap_max-delta"),
+        pytest.param({("spikes", ch, "gap_max"): -10**308 for ch in "AB"},
+                     {("spikes", ch, "gap_max"): 10**308 for ch in "AB"},
+                     "report_a vs report_b 'max_gap_delta' is past the float range: 2000",
+                     id="gap_max-int-delta"),
+        pytest.param({("spikes", ch, "gap_mean"): 1e-300 for ch in "AB"},
+                     {("spikes", ch, "gap_mean"): 1e300 for ch in "AB"},
+                     "report_a vs report_b 'mean_gap_ratio' is past the float range: inf",
+                     id="gap_mean-ratio"),
+        pytest.param({}, {("spikes", ch, "gap_mean"): 1e308 for ch in "AB"},
+                     "report_b 'mean_gap_b' is past the float range: inf", id="gap_mean-sum"),
+    ])
+    def test_table_value_past_the_float_range_rejected(self, small_run, tmp_path, capsys,
+                                                         edits_a, edits_b, named):
+        _, _, out = small_run
+        paths = []
+        for name, edits in (("a", edits_a), ("b", edits_b)):
+            report = json.loads((out / "report.json").read_text())
+            for path, value in edits.items():
+                entry = report
+                for key in path[:-1]:
+                    entry = entry[key]
+                entry[path[-1]] = value
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(report, allow_nan=False))
+        assert run_cli("compare", *map(str, paths)) == 2
+        assert capsys.readouterr().err.startswith(f"compare error: {named}")
+
     @pytest.mark.parametrize("value, token", [
         (math.nan, "NaN"), (math.inf, "Infinity"), (-math.inf, "-Infinity")])
     def test_non_finite_token_rejected(self, small_run, tmp_path, capsys, value, token):

@@ -32,6 +32,7 @@ from temcodec.recon import (
     solve_coefficients,
 )
 
+from ellipse_oracle import dense_ellipse_maxima
 from kernel_oracle import closed_form_gbp
 from recon_pipeline import reconstruct_bandpass, reconstruct_lowpass, reduced_system
 
@@ -324,6 +325,78 @@ class TestMappedRule:
             env=dict(os.environ, PYTHONPATH=src),
         )
         assert out.stdout.split() == ["0", "0"]
+
+    def test_ellipse_maxima_equal_the_dense_grid_bit_for_bit(self):
+        got = recon._ellipse_maxima()
+        for values, expect in zip(got, dense_ellipse_maxima(), strict=True):
+            assert values.tobytes() == expect.tobytes()
+            assert not values.flags.writeable
+
+    def test_closed_form_slope_bounds_the_whole_ellipse(self):
+        # |g'(z)| <= g'(|z|) <= g'((rho + 1/rho)/2) at every point of E_rho
+        rho, _, dg_max = recon._ellipse_maxima()
+        circle = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 4097))
+        _, dg = recon._sausage(0.5 * (rho[:, None] * circle + 1.0 / (rho[:, None] * circle)))
+        assert np.all(np.abs(dg) <= dg_max[:, None])
+        # and it is attained at theta = 0
+        assert np.array_equal(np.abs(dg[:, 0]), dg_max)
+
+    def test_preset_orders_match_the_dense_grid(self, monkeypatch, preset_systems):
+        def orders(system):
+            rule = recon._factor_rule(system.starts, system.ends, system.segments, recon.QUAD_TOL)
+            return [nu.size for nu, *_ in rule[2]]
+
+        got = {name: orders(system) for name, system in preset_systems.items()}
+        assert got == {"single_channel": [185], "two_channel": [43, 70]}
+        monkeypatch.setattr(recon, "_ellipse_maxima", dense_ellipse_maxima)
+        assert {name: orders(system) for name, system in preset_systems.items()} == got
+
+
+# A fresh interpreter's first _ellipse_maxima() (argument "maxima") or first run of
+# a config: prints the tracemalloc peak in bytes.  With "dense", the dense-grid
+# oracle stands in for _ellipse_maxima, as the package computed it before.
+FIRST_USE_PROBE = """
+import functools, sys, tempfile, tracemalloc
+from ellipse_oracle import dense_ellipse_maxima
+from temcodec import recon
+from temcodec.experiment import load_config, run_experiment
+if "dense" in sys.argv[2:]:
+    recon._ellipse_maxima = functools.cache(dense_ellipse_maxima)
+cfg = None if sys.argv[1] == "maxima" else load_config(sys.argv[1])
+with tempfile.TemporaryDirectory() as out:
+    tracemalloc.start()
+    recon._ellipse_maxima() if cfg is None else run_experiment(cfg, out)
+    print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def first_use_peak(*args) -> int:
+    src = str(Path(temcodec.__file__).resolve().parent.parent)
+    tests = str(Path(__file__).resolve().parent)
+    out = subprocess.run(
+        [sys.executable, "-c", FIRST_USE_PROBE, *args],
+        capture_output=True, text=True, check=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests])),
+    )
+    return int(out.stdout.split()[-1])
+
+
+class TestFirstUseMemory:
+    """Peak memory of each process's first decode, which builds the ellipse maxima."""
+
+    def test_ellipse_maxima(self):
+        # the dense 141-by-257 grid peaked at 2.9 MB
+        assert first_use_peak("maxima") < 0.5e6
+
+    def test_two_channel_preset(self):
+        # 2.99 MB with the dense grid; the decode itself peaks at about 1.95 MB
+        assert first_use_peak(str(CONFIG_DIR / "two_channel.cfg")) < 2.3e6
+
+    def test_single_channel_preset_not_above_the_dense_grid(self):
+        # the Gram reduction, not the maxima, sets this preset's peak (5.8 MB); the
+        # two runs differ by tens of bytes of numpy and interpreter bookkeeping
+        cfg = str(CONFIG_DIR / "single_channel.cfg")
+        assert first_use_peak(cfg) <= first_use_peak(cfg, "dense") + 1_000
 
 
 def direct_right(times, knots, segments, orders):
