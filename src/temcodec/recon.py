@@ -9,6 +9,14 @@ cut at the rounding floor ``eps * max(shape)`` of the system's core.  Knot
 :class:`GramSystem` comes from :func:`_gram_system`, which derives the knots
 from the rows.
 
+The recovery condition is local, so a record need not be one system:
+:func:`block_split` cuts it into overlapping blocks, equal cores of
+``BLOCK_CORE_HALF_PERIODS*pi/a_max`` widened by a guard of spikes, and
+:func:`temcodec.experiment.run_experiment` builds, solves and evaluates
+each block's system on its own (the overcomplete stitching of Lazar,
+Simonyi & Toth, *IEEE TCAS-I*, 2008).  A block's system and model are
+those of a record that holds only its spikes.
+
 Two kernel families are supported:
 
 * lowpass: ``sin(omega*t)/(pi*t)`` shifted to each knot;
@@ -36,8 +44,9 @@ segments, and everything else is derived from them:
   (:func:`_mapped_rule`).  In ``nu`` the integrand is entire, of
   exponential type the record span, so an a-priori error bound fixes each
   rule's order at ``QUAD_TOL`` per entry; it grows with the span (185
-  nodes, 370 columns, for the 779 rows of the 2 s single-channel preset;
-  the plain rule needs 234).  Both factors are column-major, the layout
+  nodes, 370 columns, for the 779 rows of the whole 2 s single-channel
+  preset, where the plain rule needs 234; 68-74 nodes for its decoding
+  blocks, against 77-85).  Both factors are column-major, the layout
   LAPACK reads.  A builder never holds both: it builds the left factor,
   with the amplitude integrals in a spare last column, reduces it to the R
   of its QR and drops it, and only then builds the right factor and
@@ -95,6 +104,7 @@ __all__ = [
     "bandpass_segments",
     "build_gram_lowpass",
     "build_gram_bandpass",
+    "block_split",
     "solve_coefficients",
     "evaluate_model",
 ]
@@ -114,6 +124,14 @@ EVAL_CHUNK_ELEMENTS = 1 << 17
 # overhead measured 150-170 us against about 3 ns per term of a 1/(t - s) block
 # times its weights, on a 2-core x86-64 host
 BOX_OVERHEAD_TERMS = 50_000
+# a decoding block's core, and the guard of spikes it adds on each inner side, in
+# half-periods pi/a_max of the kernel's highest frequency a_max (see block_split):
+# 0.49 s and 61 ms at 65 Hz, about 240 rows a block on the single-channel preset.
+# Over cores of 32-128 and guards of 4-16, on both presets' encoders over 2 and 8 s,
+# in-band tone sums decode at 154-177 dB, near the whole-record decode's rounding
+# floor; without a guard they read 129-150 dB.
+BLOCK_CORE_HALF_PERIODS = 64
+BLOCK_GUARD_HALF_PERIODS = 8
 
 
 class DegenerateSystemError(RuntimeError):
@@ -465,9 +483,9 @@ def _spectral_factors(starts, ends, segments, quad_tol: float):
     and bounded by ``|w|*2h*exp(span*|Im nu|)`` (``span`` the record span), so
     :func:`_gl_order` fixes each segment's order at an equal share of
     ``quad_tol`` (:func:`_factor_rule`).  At ``QUAD_TOL``, the tolerance both
-    Gram builders use, the orders are 185 for the 2 s single-channel preset,
-    43 and 70 for the two segments of the two-channel one (the plain rule
-    needs 234, and 46 and 81).  Empty segments are skipped.
+    Gram builders use, the orders are 185 for the whole 2 s single-channel
+    preset, 43 and 70 for the two segments of the two-channel one (the plain
+    rule needs 234, and 46 and 81).  Empty segments are skipped.
 
     Only the tests and the dense oracle :attr:`GramSystem.matrix` hold both
     factors at once; the builders reduce them one at a time.
@@ -560,6 +578,39 @@ def build_gram_bandpass(merged: MergedTrain, band: BandSpec) -> GramSystem:
             stacklevel=2,
         )
     return _gram_system(t[:-2], t[2:], segments, merged.integrals, premise_ok)
+
+
+def block_split(times, window, a_max: float, stride: int):
+    """The overlapping blocks a record of spike ``times`` is decoded in: ``(edges, spans)``.
+
+    ``window`` is cut into ``n = max(1, round(span/core))`` equal cores, ``core =
+    BLOCK_CORE_HALF_PERIODS*pi/a_max`` with ``a_max`` the kernel's highest
+    frequency, so a window shorter than about 1.5 cores is one block.  ``edges``
+    holds the ``n + 1`` core edges, from ``window[0]`` to ``window[1]``.  Block
+    ``k`` decodes the spikes ``times[start:stop]`` of ``spans[k]``, whose rows, the
+    intervals ``[t[j], t[j + stride]]``, cover its core ``[edges[k], edges[k+1]]``
+    widened on each inner side by the guard ``BLOCK_GUARD_HALF_PERIODS*pi/a_max``;
+    the first and last blocks reach the record's ends, and every block keeps at
+    least one row.  With ``stride`` 2, a merged two-channel record, a block starts
+    on an even index, a channel-A spike, so its knots keep their A/B parity
+    (:func:`build_gram_bandpass`).
+    """
+    t = np.asarray(times, dtype=float)
+    w0, w1 = window
+    half_period = math.pi / a_max
+    n = max(1, round((w1 - w0) / (BLOCK_CORE_HALF_PERIODS * half_period)))
+    edges = np.linspace(w0, w1, n + 1)
+    guard = BLOCK_GUARD_HALF_PERIODS * half_period
+    # the last spike at or before each inner edge less the guard, and one past the
+    # first spike at or after the edge plus the guard
+    firsts = np.maximum(np.searchsorted(t, edges[1:-1] - guard, side="right") - 1, 0)
+    stops = np.searchsorted(t, edges[1:-1] + guard, side="left") + 1
+    spans = []
+    for start, stop in zip([0, *firsts.tolist()], [*stops.tolist(), t.size]):
+        stop = min(max(stop, start + stride + 1), t.size)
+        start = max(min(start, stop - stride - 1), 0)
+        spans.append((start - start % stride, stop))
+    return edges, spans
 
 
 @functools.cache

@@ -125,6 +125,17 @@ class Raw(str):
 
 
 @pytest.fixture(scope="module")
+def preset_reports(tmp_path_factory):
+    """The reports of runs of the single- and two-channel presets."""
+    reports = {}
+    for preset in ("single_channel", "two_channel"):
+        out = tmp_path_factory.mktemp(preset)
+        assert run_cli("run", str(CONFIG_DIR / f"{preset}.cfg"), "--out-dir", str(out)) == 0
+        reports[preset] = json.loads((out / "report.json").read_text())
+    return reports
+
+
+@pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("small_two")
     cfg = write_cfg(tmp, SMALL_TWO)
@@ -302,13 +313,18 @@ class TestRun:
     def test_report_schema_and_manifest(self, small_run):
         _, _, out = small_run
         report = json.loads((out / "report.json").read_text())
-        assert report["schema"] == 3
+        assert report["schema"] == 4
         assert list(report)[0] == "schema"
         gram = report["gram"]
+        # a 0.6 s window is one decoding block; the totals are its own
+        (block,) = gram["blocks"]
+        assert block["core"] == report["window"]
+        assert [gram[k] for k in ("rows", "cols", "effective_rank", "gap_premise_ok")] == [
+            block[k] for k in ("rows", "cols", "effective_rank", "gap_premise_ok")]
         # cols counts knots; factor_cols is the width 2Q of the factors the solve sees
-        assert gram["factor_cols"] % 2 == 0 and gram["factor_cols"] > 0
+        assert block["factor_cols"] % 2 == 0 and block["factor_cols"] > 0
         controls = recon._blas_thread_controls()
-        assert gram["solve_blas_threads"] == (1 if controls is not None else None)
+        assert block["solve_blas_threads"] == (1 if controls is not None else None)
         manifest = {entry["name"]: entry for entry in report["files"]}
         assert set(manifest) == {"spikes.txt", "recon.csv", "psd.csv"}
         import hashlib
@@ -318,15 +334,39 @@ class TestRun:
             assert entry["bytes"] == len(blob)
             assert entry["sha256"] == hashlib.sha256(blob).hexdigest()
 
-    def test_two_channel_report_has_one_gap_premise(self, tmp_path):
+    def test_two_channel_report_has_one_gap_premise(self, preset_reports):
         # the premise has one owner, the Gram system; merged keeps what it alone knows
-        out = tmp_path / "out"
-        assert run_cli("run", str(CONFIG_DIR / "two_channel.cfg"), "--out-dir", str(out)) == 0
-        report = json.loads((out / "report.json").read_text())
+        report = preset_reports["two_channel"]
         assert report["gram"]["gap_premise_ok"] is True
         assert "gap_premise_ok" not in report["merged"]
         assert "kernel_period" not in report["merged"]
         assert set(report["merged"]) == {"count", "max_gap"}
+
+    @pytest.mark.parametrize("preset", ["single_channel", "two_channel"])
+    def test_gram_totals_sum_the_preset_blocks(self, preset_reports, preset):
+        report = preset_reports[preset]
+        gram, blocks = report["gram"], report["gram"]["blocks"]
+        assert len(blocks) == 4
+        for key in ("rows", "cols", "effective_rank"):
+            assert gram[key] == sum(block[key] for block in blocks)
+        # the cores tile the window in order; spike ranges overlap by the guards
+        assert blocks[0]["core"][0] == report["window"][0]
+        assert blocks[-1]["core"][1] == report["window"][1]
+        for before, after in zip(blocks, blocks[1:]):
+            assert before["core"][1] == after["core"][0]
+            assert after["spike_range"][0] < before["spike_range"][1]
+        for block in blocks:
+            width = block["factor_cols"]
+            core_shape = (min(block["rows"], width), min(block["cols"], width))
+            assert block["sv_cutoff"] == np.finfo(float).eps * max(core_shape)
+
+    def test_gap_premise_holds_only_if_every_block_holds_it(self):
+        blocks = [{"rows": 3, "cols": 3, "effective_rank": 2, "gap_premise_ok": ok}
+                  for ok in (True, False, True)]
+        gram = experiment._gram_dict(blocks)
+        assert gram["gap_premise_ok"] is False
+        assert (gram["rows"], gram["cols"], gram["effective_rank"]) == (9, 9, 6)
+        assert experiment._gram_dict(blocks[:1])["gap_premise_ok"] is True
 
     def test_spike_file_round_trips(self, small_run):
         _, _, out = small_run
@@ -357,10 +397,10 @@ class TestRun:
         # Ra Rb^T of shape (min(rows, factor_cols), min(cols, factor_cols));
         # no mode reads a [solver] section
         tmp, _, out = small_run
-        gram = json.loads((out / "report.json").read_text())["gram"]
-        width = gram["factor_cols"]
-        core_shape = (min(gram["rows"], width), min(gram["cols"], width))
-        assert gram["sv_cutoff"] == np.finfo(float).eps * max(core_shape)
+        for block in json.loads((out / "report.json").read_text())["gram"]["blocks"]:
+            width = block["factor_cols"]
+            core_shape = (min(block["rows"], width), min(block["cols"], width))
+            assert block["sv_cutoff"] == np.finfo(float).eps * max(core_shape)
         cfg = write_cfg(tmp, to_mode(SMALL_TWO) + "\n[solver]\nsv_cutoff = 1e-8\n",
                         name="solver.cfg")
         assert run_cli("validate", cfg) == 2
@@ -440,6 +480,19 @@ class TestCompare:
         assert table["mean_gap_ratio"] == (None if no_spikes else 1.0)
         assert table["max_gap_delta"] == (None if no_spikes else 0.0)
         assert table["snr_db_delta"] == 0.0
+
+    def test_spike_rate_of_a_window_whose_span_overflows(self, preset_reports):
+        # w1 - w0 overflows to inf on [-1e308, 1e308], which once gave a rate of 0.0
+        report = dict(preset_reports["two_channel"])
+        preset_rate = compare_runs(report, report)["spike_rate_a"]
+        assert preset_rate == 90.0  # 180 spikes a channel over 2 s
+        report["window"] = [-1e308, 1e308]
+        table = compare_runs(report, report)
+        # the span is 1e308 times the preset's: 180 spikes a channel over 2e308 s,
+        # 9e-307, a normal float, so halving count and span changes no bit
+        assert table["spike_rate_a"] == preset_rate / 1e308
+        assert table["spike_rate_a"] == pytest.approx(9e-307, rel=1e-15, abs=0.0)
+        assert table["spike_rate_delta"] == 0.0
 
     def test_mismatched_windows_rejected(self, tmp_path):
         cfg_a = write_cfg(tmp_path, ZERO_SINGLE, "a.cfg")

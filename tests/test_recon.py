@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -389,12 +390,14 @@ class TestFirstUseMemory:
         assert first_use_peak("maxima") < 0.5e6
 
     def test_two_channel_preset(self):
-        # 2.99 MB with the dense grid; the decode itself peaks at about 1.95 MB
+        # 2.99 MB with the dense grid; the decode itself peaked at about 1.95 MB as
+        # one system, 0.75 MB in blocks
         assert first_use_peak(str(CONFIG_DIR / "two_channel.cfg")) < 2.3e6
 
     def test_single_channel_preset_not_above_the_dense_grid(self):
-        # the Gram reduction, not the maxima, sets this preset's peak (5.8 MB); the
-        # two runs differ by tens of bytes of numpy and interpreter bookkeeping
+        # decoded as one system, the Gram reduction, not the maxima, set this
+        # preset's peak (5.8 MB; the two runs then differed by tens of bytes of
+        # bookkeeping); in blocks it peaks at 1.66 MB, and 2.99 MB with the dense grid
         cfg = str(CONFIG_DIR / "single_channel.cfg")
         assert first_use_peak(cfg) <= first_use_peak(cfg, "dense") + 1_000
 
@@ -476,8 +479,9 @@ class TestReducedSystem:
         assert np.array_equal(system.tau, tau)
         assert np.array_equal(system.matrix, left @ right.T)
         assert system.shape == (left.shape[0], right.shape[0])
-        gram = experiment._gram_dict(system, solve_coefficients(system))
-        assert gram["factor_cols"] == left.shape[1] == factor_cols
+        block = experiment._block_dict((-1.0, 1.0), (0, system.rhs.size), system,
+                                       solve_coefficients(system))
+        assert block["factor_cols"] == left.shape[1] == factor_cols
 
     @pytest.mark.parametrize("preset", ["single_channel", "two_channel"])
     def test_build_and_solve_peak_memory(self, preset_builds, preset):
@@ -1150,3 +1154,141 @@ class TestModel:
             n = min(orig.size, len(redo))
             worst = max(worst, float(np.max(np.abs(redo.times[:n] - orig[:n]))))
         assert worst <= 1e-9
+
+
+def preset_record(preset, window=None):
+    """The snapped spike times a run of ``preset`` (over ``window``, if given) decodes,
+    with the run's config and the kernel's highest frequency and row stride."""
+    cfg = experiment.load_config(CONFIG_DIR / f"{preset}.cfg")
+    if window is not None:
+        cfg = dataclasses.replace(cfg, window=window)
+    if cfg.mode == "single_tem":
+        train = experiment._snap_train(encode(cfg.signal, cfg.tem_params, cfg.window))
+        return cfg, train, cfg.lowpass_cutoff, 1
+    a, b = encode_two_channel(cfg.signal, cfg.tem_params, cfg.window, alpha=cfg.alpha)
+    merged = interleave(experiment._snap_train(a), experiment._snap_train(b))
+    return cfg, merged, cfg.band.omega_u, 2
+
+
+def preset_config(tmp_path, preset, window=None, signal=None):
+    """The path of ``preset``'s config over ``window`` with ``[signal]`` keys ``signal``."""
+    text = (CONFIG_DIR / f"{preset}.cfg").read_text()
+    if window is not None:
+        text = text.replace("window_start = -1", f"window_start = {window[0]}")
+        text = text.replace("window_end = 1", f"window_end = {window[1]}")
+    if signal is not None:
+        head, rest = text.split("[signal]\n")
+        text = head + "[signal]\n" + signal + rest[rest.index("\n["):]
+    path = tmp_path / f"{preset}.cfg"
+    path.write_text(text)
+    return path
+
+
+class TestBlockSplit:
+    """recon.block_split: the cores tile the window, the rows cover core and guard."""
+
+    @pytest.mark.parametrize("preset, window", [
+        ("single_channel", None), ("two_channel", None),
+        ("single_channel", (-3.0, 3.0)), ("two_channel", (-2.5, 3.5)),
+    ])
+    def test_preset_blocks(self, preset, window):
+        cfg, record, a_max, stride = preset_record(preset, window)
+        t = record.times
+        edges, spans = recon.block_split(t, cfg.window, a_max, stride)
+        core = recon.BLOCK_CORE_HALF_PERIODS * np.pi / a_max
+        guard = recon.BLOCK_GUARD_HALF_PERIODS * np.pi / a_max
+        span = cfg.window[1] - cfg.window[0]
+        assert len(spans) == edges.size - 1 == round(span / core) > 1
+        assert (edges[0], edges[-1]) == cfg.window
+        assert np.allclose(np.diff(edges), span / len(spans), rtol=1e-12, atol=0.0)
+        # each evaluation point falls in exactly one core [edges[k], edges[k+1])
+        t_eval = experiment._snap_grid(cfg.window, cfg.grid_step)
+        owners = np.searchsorted(edges[1:-1], t_eval, side="right")
+        inside = [(t_eval >= edges[k]) & ((t_eval < edges[k + 1]) | (k == len(spans) - 1))
+                  for k in range(len(spans))]
+        assert np.array_equal(np.sum(inside, axis=0), np.ones(t_eval.size))
+        assert np.array_equal(np.argmax(inside, axis=0), owners)
+        for k, (start, stop) in enumerate(spans):
+            # rows [t[j], t[j + stride]] for j in start..stop-1-stride
+            first, last = t[start], t[stop - 1]
+            assert first <= (edges[k] - guard if k else t[0])
+            assert last >= (edges[k + 1] + guard if k < len(spans) - 1 else t[-1])
+            assert start % stride == 0
+        # the guards reach no further than one spike gap (two with stride 2) past their need
+        gap = np.max(np.diff(t)) * stride
+        for k, (start, stop) in enumerate(spans[1:], 1):
+            assert t[start] > edges[k] - guard - gap
+        for k, (start, stop) in enumerate(spans[:-1]):
+            assert t[stop - 1] < edges[k + 1] + guard + gap
+
+    @pytest.mark.parametrize("span, blocks", [(0.73, 1), (0.74, 2), (1.2, 2), (1.24, 3)])
+    def test_block_count_rounds_the_cores(self, span, blocks):
+        # a window under 1.5 cores (0.738 s at 65 Hz) is one block, the whole record
+        a_max = TWO_PI * 65.0
+        t = np.linspace(0.0, span, 200)
+        edges, spans = recon.block_split(t, (0.0, span), a_max, 1)
+        assert len(spans) == blocks
+        if blocks == 1:
+            assert spans == [(0, t.size)] and list(edges) == [0.0, span]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        gaps=st.lists(st.floats(min_value=1e-3, max_value=0.4), min_size=3, max_size=300),
+        stride=st.sampled_from([1, 2]),
+        lead=st.floats(min_value=0.0, max_value=0.5),
+    )
+    def test_every_block_has_rows_and_parity(self, gaps, stride, lead):
+        # sparse and dense records alike: each block keeps one row, starts on its parity
+        t = -1.0 + lead + np.concatenate([[0.0], np.cumsum(gaps)])
+        window = (-1.0, max(float(t[-1]), 0.0))
+        edges, spans = recon.block_split(t, window, TWO_PI * 65.0, stride)
+        assert len(spans) == edges.size - 1
+        for start, stop in spans:
+            assert 0 <= start and stop <= t.size and stop - start >= min(stride + 1, t.size)
+            assert start % stride == 0
+        assert spans[0][0] == 0 and spans[-1][1] == t.size
+
+
+class TestBlockDecode:
+    """run_experiment's blocks: one is the whole-record decode; many keep accuracy and memory."""
+
+    @pytest.mark.parametrize("preset", ["single_channel", "two_channel"])
+    def test_one_block_is_the_single_system_decode_bit_for_bit(self, monkeypatch, tmp_path,
+                                                                 preset):
+        window = (-0.35, 0.35)  # 0.7 s, under 1.5 cores
+        values = []
+        evaluate = recon.evaluate_model
+        monkeypatch.setattr(recon, "evaluate_model",
+                            lambda model, t: values.append(evaluate(model, t)) or values[-1])
+        report = experiment.run_experiment(
+            experiment.load_config(preset_config(tmp_path, preset, window)), tmp_path / "out")
+        assert len(report.data["gram"]["blocks"]) == 1
+        cfg, record, _, _ = preset_record(preset, window)
+        if preset == "single_channel":
+            model, _, solution = reconstruct_lowpass(record, cfg.lowpass_cutoff)
+        else:
+            model, _, solution = reconstruct_bandpass(record, cfg.band)
+        expect = evaluate(model, experiment._snap_grid(cfg.window, cfg.grid_step))
+        (got,) = values
+        assert got.tobytes() == expect.tobytes()
+        assert report.data["gram"]["effective_rank"] == solution.effective_rank
+
+    # an in-band signal fits the kernel model exactly, so only rounding and the
+    # blocks' truncation limit the decode; whole-record decodes read 160.8 and
+    # 176.0 dB on these tone sums, random in-band sums through blocks 155.7-165.8
+    # (lowpass) and 158.0-180.4 dB (bandpass), and blocks without a guard 129-150 dB
+    @pytest.mark.parametrize("preset, freqs, floor", [
+        ("single_channel", "20, 41.5, 58", 150.0),
+        ("two_channel", "40, 50.5, 58", 155.0),
+    ])
+    def test_in_band_tones_through_blocks(self, tmp_path, preset, freqs, floor):
+        signal = (f"kind = tone_sum\nfreqs_hz = {freqs}\namplitudes = 0.8, 0.7, 0.5\n"
+                  "phases = 0.3, 1.1, 2.0\n")
+        cfg = experiment.load_config(preset_config(tmp_path, preset, signal=signal))
+        data = experiment.run_experiment(cfg, tmp_path / "out").data
+        assert len(data["gram"]["blocks"]) == 4
+        assert data["metrics"]["snr_db"] >= floor
+
+    def test_eight_second_record_peaks_below_eight_mb(self, tmp_path):
+        # one 3119-row system took 80 MB over 8 s; 16 blocks of about 240 rows take 3.8 MB
+        assert first_use_peak(str(preset_config(tmp_path, "single_channel", (-4, 4)))) < 8e6
