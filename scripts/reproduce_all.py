@@ -10,12 +10,10 @@ roughly a third of the single-channel spike rate while both reconstruct
 the test waveform well above the acceptance floor.
 """
 
-import json
 import sys
 from pathlib import Path
 
 from temcodec.cli import main as cli_main
-from temcodec.experiment import compare_runs
 
 PRESETS = ("single_channel", "two_channel", "pns")
 
@@ -23,22 +21,16 @@ PRESETS = ("single_channel", "two_channel", "pns")
 def main() -> int:
     root = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("runs")
     config_dir = Path(__file__).resolve().parent.parent / "configs"
-    reports = {}
     for preset in PRESETS:
         out = root / preset
         rc = cli_main(["run", str(config_dir / f"{preset}.cfg"), "--out-dir", str(out)])
         if rc != 0:
             print(f"preset {preset} failed with exit code {rc}", file=sys.stderr)
             return rc
-        reports[preset] = json.loads((out / "report.json").read_text())
 
     print("\nsingle-channel vs two-channel:")
-    table = compare_runs(reports["single_channel"], reports["two_channel"])
-    width = max(len(k) for k in table)
-    for key, value in table.items():
-        text = f"{value:.6g}" if isinstance(value, float) else str(value)
-        print(f"  {key:<{width}}  {text}")
-    return 0
+    return cli_main(["compare", *(str(root / p / "report.json")
+                                  for p in ("single_channel", "two_channel"))])
 
 
 if __name__ == "__main__":

@@ -442,9 +442,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentReport:
     are built into a Gram system by ``recon.build_gram_lowpass`` or
     ``recon.build_gram_bandpass``, solved, and its model evaluated only at
     the evaluation points of its core, so the system of one block, never of
-    the whole record, is alive at a time.  A window shorter than about 1.5
-    cores is one block, the whole-record decode.  The report's ``gram`` sums
-    rows, knots and ranks over the blocks and lists each one.
+    the whole record, is alive at a time; a block whose core holds no
+    evaluation point is skipped.  A window shorter than about 1.5 cores is
+    one block, the whole-record decode.  The report's ``gram`` sums rows,
+    knots and ranks over the decoded blocks and lists each one.
 
     Raises :class:`PipelineError` naming the failing stage (``write`` when
     ``out_dir`` cannot be made).  Deterministic: identical configs produce
@@ -531,6 +532,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentReport:
             x_hat = np.empty_like(t_eval)
             blocks = []
             for k, (start, stop) in enumerate(spans):
+                lo, hi = points[k], points[k + 1]
+                if lo == hi:  # a core without evaluation points is not decoded
+                    continue
                 stage = "assemble"
                 system = build(start, stop)
                 stage = "solve"
@@ -538,9 +542,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentReport:
                 blocks.append(_block_dict(edges[k:k + 2], (start, stop), system, solution))
                 model = recon.ReconModel(system.knot_times, solution.coefficients,
                                          system.segments)
-                del system  # free the reduced factors, the largest arrays, before evaluation
+                del system  # free the factors, the largest arrays, before evaluation
                 stage = "evaluate"
-                lo, hi = points[k], points[k + 1]
                 x_hat[lo:hi] = recon.evaluate_model(model, t_eval[lo:hi])
             report["gram"] = _gram_dict(blocks)
 
@@ -613,7 +616,7 @@ def _block_dict(core, spikes, system: recon.GramSystem, sol: recon.SolveResult) 
         "spike_range": [int(spikes[0]), int(spikes[1])],
         "rows": int(system.shape[0]),
         "cols": int(system.shape[1]),
-        "factor_cols": int(system.reflectors.shape[0]),
+        "factor_cols": int(system.right.shape[1]),
         "sigma_max": sol.sigma_max,
         "sigma_min": sol.sigma_min,
         "effective_rank": sol.effective_rank,
@@ -685,9 +688,13 @@ def compare_runs(report_a: dict, report_b: dict) -> dict:
         count = sum(ch["count"] for ch in channels)
         if count > sys.float_info.max:  # each count is in range, their sum need not be
             raise ValueError(f"{name} 'spikes' counts sum past the float range")
-        # half the count over half the span: exact scalings by 2, and w1/2 - w0/2
-        # stays finite where w1 - w0 overflows
-        rate = count / 2 / (w1 / 2 - w0 / 2) / len(channels) if channels else None
+        rate = None
+        if channels:  # the exact rate, rounded once; inf where it passes the float range
+            exact = Fraction(count, len(channels)) / (Fraction(w1) - Fraction(w0))
+            try:
+                rate = float(exact)
+            except OverflowError:
+                rate = math.inf
         return rate, (sum(means) / len(means) if means else None), (max(maxes) if maxes else None)
 
     rate_a, mean_a, max_a = rate_and_gaps(report_a, "report_a")

@@ -47,16 +47,13 @@ segments, and everything else is derived from them:
   nodes, 370 columns, for the 779 rows of the whole 2 s single-channel
   preset, where the plain rule needs 234; 68-74 nodes for its decoding
   blocks, against 77-85).  Both factors are column-major, the layout
-  LAPACK reads.  A builder never holds both: it builds the left factor,
-  with the amplitude integrals in a spare last column, reduces it to the R
-  of its QR and drops it, and only then builds the right factor and
-  reduces it to its packed QR (:func:`_reduce`); a :class:`GramSystem` is
-  these QRs.  The solve never forms ``G``: the QRs reduce it to a
-  truncated least squares problem on a small core (the
-  trigonometric-space view of TEM decoding of Lazar & Pnevmatikakis,
-  *EURASIP J. Adv. Signal Process.*, 2009, applied here to the paper's own
-  Gram matrix), solved on one BLAS thread; its residual is read from the
-  R factors.  The dense ``G`` is rebuilt only on request, as an oracle
+  LAPACK reads; a :class:`GramSystem` holds them, the amplitude integrals
+  in a spare last column of the left one.  The solve never forms ``G``:
+  the factors' QRs reduce it to a truncated least squares problem on a
+  small core (the trigonometric-space view of TEM decoding of Lazar &
+  Pnevmatikakis, *EURASIP J. Adv. Signal Process.*, 2009, applied here to
+  the paper's own Gram matrix), solved on one BLAS thread; its residual is
+  read from the R factors.  The dense ``G`` is formed only on request
   (:attr:`GramSystem.matrix`).
 * Evaluation: :func:`evaluate_model`, the single evaluator for both
   families and for PNS records (:func:`temcodec.pns.reconstruct_pns`
@@ -189,45 +186,33 @@ def pair_shifts(merged_times) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GramSystem:
-    """Linear system ``G c = q`` linking kernel coefficients to amplitude integrals, held reduced.
+    """Linear system ``G c = q`` linking kernel coefficients to amplitude integrals, as two factors.
 
-    ``G = left @ right.T`` has one row of ``left`` per spike interval
-    ``[starts[r], ends[r]]`` and one row of ``right`` per knot, whose kernel
-    is in ``segments`` (see :func:`_spectral_factors`).  Neither factor is
-    kept, only their QRs (:func:`_reduce`), which is all
-    :func:`solve_coefficients` reads: ``r_aug``, the R of ``[left, rhs]``
-    (upper triangular, row-major), and ``reflectors`` and ``tau``, the packed
-    QR of ``right`` as ``np.linalg.qr(right, mode="raw")`` returns it, made
-    column-major.  A system reduced from hand-made factors has no row
-    intervals (``starts`` and ``ends`` are ``None``).
+    ``G = left[:, :-1] @ right.T`` has one row of ``left`` per spike interval
+    and one row of ``right`` per knot, whose kernel is in ``segments`` (see
+    :func:`_spectral_factors`); the right-hand side ``q`` is ``left``'s spare
+    last column.  The builders make both factors column-major;
+    :func:`solve_coefficients` reduces them to their QRs.
     """
 
-    r_aug: np.ndarray
-    reflectors: np.ndarray
-    tau: np.ndarray
-    rhs: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
     knot_times: np.ndarray
     segments: tuple
-    starts: Optional[np.ndarray]
-    ends: Optional[np.ndarray]
     gap_premise_ok: bool = True
 
     @property
-    def matrix(self) -> np.ndarray:
-        """The dense Gram matrix ``left @ right.T``, rebuilt on each access; an oracle.
+    def rhs(self) -> np.ndarray:
+        return self.left[:, -1]
 
-        The factors are rebuilt from the row intervals by
-        :func:`_spectral_factors` at ``QUAD_TOL``, bit for bit the ones the
-        builder reduced, and both are held at once, as nothing else in the
-        package does.  The solve never calls this; the benchmark tracer and
-        the tests read it until the tracer reads :attr:`shape` instead.
-        """
-        left, right = _spectral_factors(self.starts, self.ends, self.segments, QUAD_TOL)
-        return left @ right.T
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense Gram matrix, the product of the held factors; the solve never forms it."""
+        return self.left[:, :-1] @ self.right.T
 
     @property
     def shape(self):
-        return self.rhs.size, self.knot_times.size
+        return self.left.shape[0], self.right.shape[0]
 
 
 @dataclass(frozen=True)
@@ -457,7 +442,7 @@ def _right_factor(rule):
     return right
 
 
-def _spectral_factors(starts, ends, segments, quad_tol: float):
+def _spectral_factors(starts, ends, segments, quad_tol: float, rhs=None):
     """Factors ``(A, B)`` with ``(A @ B.T)[r, l] = integral_{starts[r]}^{ends[r]} kernel_l(u) du``.
 
     The knots are the row midpoints ``s_l = (starts[l] + ends[l])/2``, one per
@@ -474,10 +459,10 @@ def _spectral_factors(starts, ends, segments, quad_tol: float):
 
     Since ``s_l = m_l``, ``B``'s table is ``A``'s ``[cos, sin](nu_j*m)`` in a
     segment whose ``psi`` is all zero; each factor computes its own
-    (:func:`_left_factor`, :func:`_right_factor`), so that one can be built
-    after the other is gone (:func:`_gram_system`).  Both factors are
+    (:func:`_left_factor`, :func:`_right_factor`).  Both factors are
     column-major, so each node's column is contiguous and QR reads them
-    without a transposing copy.
+    without a transposing copy.  ``rhs``, if given, fills a spare last
+    column of ``A``, as :class:`GramSystem` holds it.
 
     Times are measured from the record midpoint.  In ``nu`` an entry is entire
     and bounded by ``|w|*2h*exp(span*|Im nu|)`` (``span`` the record span), so
@@ -486,48 +471,16 @@ def _spectral_factors(starts, ends, segments, quad_tol: float):
     Gram builders use, the orders are 185 for the whole 2 s single-channel
     preset, 43 and 70 for the two segments of the two-channel one (the plain
     rule needs 234, and 46 and 81).  Empty segments are skipped.
-
-    Only the tests and the dense oracle :attr:`GramSystem.matrix` hold both
-    factors at once; the builders reduce them one at a time.
     """
     rule = _factor_rule(starts, ends, segments, quad_tol)
-    return _left_factor(rule), _right_factor(rule)
-
-
-def _reduce(make_left, make_right):
-    """``(r_aug, reflectors, tau)`` of the factors that ``make_left()`` and ``make_right()`` build.
-
-    ``make_left`` returns the left factor with the right-hand side as its last
-    column.  Each factor is built when its QR needs it and is gone when the
-    QR returns, so the two are never held together: ``r_aug`` is the R of
-    the left one (Householder QR goes column by column, so it is ``R_left``
-    with ``Q_left^T rhs`` as its last column), from ``mode="raw"``,
-    row-major; ``reflectors`` and ``tau`` are the right one's packed QR,
-    column-major.  numpy returns R and the reflectors in layouts that follow
-    its input's; fixing them fixes the summation order of the solve's
-    products.  Both QRs run on one BLAS thread (:func:`_one_blas_thread`),
-    so the result does not depend on the caller's thread count.
-    """
-    with _one_blas_thread():
-        raw, _ = np.linalg.qr(make_left(), mode="raw")
-        # raw is the packed QR transposed: R on and above the diagonal of raw.T
-        r_aug = np.ascontiguousarray(raw.T[:min(raw.shape)])
-        del raw
-        r_aug[np.tri(*r_aug.shape, k=-1, dtype=bool)] = 0.0
-        raw, tau = np.linalg.qr(make_right(), mode="raw")
-        return r_aug, np.asfortranarray(raw), tau
+    return _left_factor(rule, rhs), _right_factor(rule)
 
 
 def _gram_system(starts, ends, segments, rhs, gap_premise_ok=True) -> GramSystem:
-    """The :class:`GramSystem` of rows ``[starts[r], ends[r]]``, knots at their midpoints.
-
-    :func:`_reduce` reduces the spectral factors at ``QUAD_TOL`` one at a
-    time, the left one with ``rhs`` in a spare last column.
-    """
-    rule = _factor_rule(starts, ends, segments, QUAD_TOL)
-    reduced = _reduce(lambda: _left_factor(rule, rhs), lambda: _right_factor(rule))
-    return GramSystem(*reduced, rhs, _midpoints(starts, ends), segments, starts, ends,
-                      gap_premise_ok)
+    """The :class:`GramSystem` of rows ``[starts[r], ends[r]]``, knots at their midpoints,
+    built as its spectral factors at ``QUAD_TOL``."""
+    left, right = _spectral_factors(starts, ends, segments, QUAD_TOL, rhs)
+    return GramSystem(left, right, _midpoints(starts, ends), segments, gap_premise_ok)
 
 
 def build_gram_lowpass(train: SpikeTrain, omega: float) -> GramSystem:
@@ -536,8 +489,7 @@ def build_gram_lowpass(train: SpikeTrain, omega: float) -> GramSystem:
     Knots ``s_l`` are the spike-interval midpoints; the right-hand side is
     the amplitude-integral sequence of the train.  ``G`` is built as the
     spectral factors (see :func:`_spectral_factors`) of the kernel's one
-    segment, every entry within ``QUAD_TOL``, each factor reduced to its QR
-    as soon as it is built (:func:`_gram_system`).
+    segment, every entry within ``QUAD_TOL`` (:func:`_gram_system`).
     """
     if not omega > 0.0:
         raise ValueError(f"omega must be positive, got {omega}")
@@ -556,11 +508,10 @@ def build_gram_bandpass(merged: MergedTrain, band: BandSpec) -> GramSystem:
     knot, odd ``k``), whose pair shift ``d`` (:func:`pair_shifts`) fixes
     its two spectral segments (see :func:`bandpass_segments`).  ``G`` is built as their spectral
     factors (see :func:`_spectral_factors`), every entry within
-    ``QUAD_TOL``, each reduced to its QR as soon as it is built
-    (:func:`_gram_system`).  If the largest stride-1 spike gap reaches the
-    kernel period ``2*pi/B``, reconstruction is no longer guaranteed: a
-    warning is issued, the system's ``gap_premise_ok`` is False, and
-    assembly proceeds.
+    ``QUAD_TOL`` (:func:`_gram_system`).  If the largest stride-1 spike gap
+    reaches the kernel period ``2*pi/B``, reconstruction is no longer
+    guaranteed: a warning is issued, the system's ``gap_premise_ok`` is
+    False, and assembly proceeds.
 
     Raises ``ValueError`` for fewer than 3 merged spikes, and
     :class:`DegenerateShiftError`, naming the knot, if some pair shift makes
@@ -672,27 +623,30 @@ def _one_blas_thread():
 def solve_coefficients(system: GramSystem) -> SolveResult:
     """Minimum-norm least squares truncated at the rounding floor of its core.
 
-    With ``G = left @ right.T`` and QR factorisations ``left = Qa Ra`` and
-    ``right = Qb Rb``, ``G = Qa (Ra Rb^T) Qb^T``, so the singular values of
-    the small core ``Ra Rb^T`` are those of ``G``.  The system holds only
-    the two QRs (see :class:`GramSystem`), and the solve starts from the
-    core product: ``Ra`` and ``Qa^T q`` are ``r_aug`` without and in its
-    last column, ``Rb^T`` is on and below the diagonal of ``reflectors``.
-    Neither ``G``, a factor, ``Qa`` nor ``Qb`` is formed.  The core system
-    is solved by LAPACK's ``gelsd`` (``np.linalg.lstsq``), which keeps the
-    singular values ``sv > sv_cutoff * sigma_max`` and never forms singular
-    vectors; ``Qb`` is applied to its solution through its Householder
-    reflectors.  The relative cutoff ``sv_cutoff`` is ``eps *
-    max(core.shape)``, the rounding floor of the core's singular values and
-    numpy's default ``rcond`` (passed explicitly: numpy < 2 warns when it is
-    omitted).  Returns the coefficients together with the residual norm
-    ``||G c - q||``, effective rank, and the singular-value extremes;
-    ``sigma_min`` is 0.0 when the factors are narrower than the system,
-    since ``G`` then has exactly zero singular values.  The residual comes
-    from the R factors, not from ``G c``: with ``y`` the core solution it
-    is ``sqrt(||core y - Qa^T q||^2 + r^2)``, ``r`` the entry of ``r_aug``
-    below ``Ra`` in its last column (0 when ``left`` has no more rows than
-    columns).
+    The system (see :class:`GramSystem`) holds ``left = [A, q]`` and
+    ``right`` with ``G = A @ right.T``.  With QR factorisations ``A = Qa
+    Ra`` and ``right = Qb Rb``, ``G = Qa (Ra Rb^T) Qb^T``, so the singular
+    values of the small core ``Ra Rb^T`` are those of ``G``.  Householder QR
+    goes column by column, so the R of ``left``, ``r_aug`` (from
+    ``mode="raw"``, made row-major), is ``Ra`` with ``Qa^T q`` as its last
+    column; ``reflectors`` and ``tau``, ``right``'s packed QR made
+    column-major, hold ``Rb^T`` on and below their diagonal.  numpy returns
+    R and the reflectors in layouts that follow its input's; fixing them
+    fixes the summation order of the products below.  Neither ``G``, ``Qa``
+    nor ``Qb`` is formed.  The core system is solved by LAPACK's ``gelsd``
+    (``np.linalg.lstsq``), which keeps the singular values ``sv > sv_cutoff
+    * sigma_max`` and never forms singular vectors; ``Qb`` is applied to its
+    solution through its Householder reflectors.  The relative cutoff
+    ``sv_cutoff`` is ``eps * max(core.shape)``, the rounding floor of the
+    core's singular values and numpy's default ``rcond`` (passed explicitly:
+    numpy < 2 warns when it is omitted).  Returns the coefficients together
+    with the residual norm ``||G c - q||``, effective rank, and the
+    singular-value extremes; ``sigma_min`` is 0.0 when the factors are
+    narrower than the system, since ``G`` then has exactly zero singular
+    values.  The residual comes from the R factors, not from ``G c``: with
+    ``y`` the core solution it is ``sqrt(||core y - Qa^T q||^2 + r^2)``,
+    ``r`` the entry of ``r_aug`` below ``Ra`` in its last column (0 when
+    ``A`` has no more rows than columns).
 
     The whole solve runs on one OpenBLAS thread (see
     :func:`_one_blas_thread`), so its result does not depend on the
@@ -705,14 +659,21 @@ def solve_coefficients(system: GramSystem) -> SolveResult:
     singular value; with a cutoff below 1, ``gelsd`` keeps the largest
     singular value whenever it is nonzero.
     """
-    r_aug, reflectors, tau = system.r_aug, system.reflectors, system.tau
-    # Ra is square, of the smaller of left's row and column counts
-    inner = min(r_aug.shape[0], r_aug.shape[1] - 1)
     with _one_blas_thread() as threads:
+        raw, _ = np.linalg.qr(system.left, mode="raw")
+        # raw is the packed QR transposed: R on and above the diagonal of raw.T
+        r_aug = np.ascontiguousarray(raw.T[:min(raw.shape)])
+        del raw
+        r_aug[np.tri(*r_aug.shape, k=-1, dtype=bool)] = 0.0
+        raw, tau = np.linalg.qr(system.right, mode="raw")
+        reflectors = np.asfortranarray(raw)
+        del raw
+        # Ra is square, of the smaller of A's row and column counts
+        inner = min(r_aug.shape[0], r_aug.shape[1] - 1)
         core = r_aug[:inner, :-1] @ np.tril(reflectors[:, :tau.size])
         projected = r_aug[:inner, -1]
-        # the part of rhs outside the column space of left: the entry below
-        # R_left in the last column, where [left, rhs] has a row there
+        # the part of q outside the column space of A: the entry below Ra in
+        # the last column, where left = [A, q] has a row there
         outside = float(r_aug[inner, -1]) if r_aug.shape[0] > inner else 0.0
         sv_cutoff = float(np.finfo(float).eps * max(core.shape))
         solved, _, rank, sv = np.linalg.lstsq(core, projected, rcond=sv_cutoff)

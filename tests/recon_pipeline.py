@@ -2,13 +2,12 @@
 
 The experiment pipeline runs these steps itself, stage by stage; tests that
 only need the solved model and its system call these.  Tests that solve
-hand-made factors reduce them with :func:`reduced_system`, as the Gram
-builders reduce theirs.
+hand-made factors hold them in a system made by :func:`hand_made_system`,
+as the Gram builders hold theirs.
 """
 
 import numpy as np
 
-from temcodec import recon
 from temcodec.recon import (
     GramSystem,
     ReconModel,
@@ -19,22 +18,18 @@ from temcodec.recon import (
 )
 
 
-def reduced_system(left, right, rhs, knot_times=None, segments=None):
+def hand_made_system(left, right, rhs, knot_times=None, segments=None):
     """The :class:`GramSystem` of ``G = left @ right.T`` and right-hand side ``rhs``.
 
-    The factors go through the builders' two reductions (``recon._reduce``):
-    the R of ``[left, rhs]`` and the packed QR of ``right``.  The knots
-    default to ``0, 1, ...`` and their kernels to ``lowpass_segments(knots,
-    1.0)``; a hand-made system has no row intervals, so it has no dense
-    ``matrix``.
+    ``rhs`` becomes the held left factor's last column.  The knots default to
+    ``0, 1, ...`` and their kernels to ``lowpass_segments(knots, 1.0)``.
     """
     knots = right.shape[0]
     if knot_times is None:
         knot_times = np.arange(float(knots))
     if segments is None:
         segments = lowpass_segments(knots, 1.0)
-    reduced = recon._reduce(lambda: np.column_stack([left, rhs]), lambda: right)
-    return GramSystem(*reduced, rhs, knot_times, segments, None, None)
+    return GramSystem(np.column_stack([left, rhs]), right, knot_times, segments)
 
 
 def reconstruct_lowpass(train, omega):

@@ -30,7 +30,7 @@ from temcodec.recon import (
     solve_coefficients,
 )
 
-from recon_pipeline import reconstruct_bandpass, reconstruct_lowpass, reduced_system
+from recon_pipeline import hand_made_system, reconstruct_bandpass, reconstruct_lowpass
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 WINDOW = (-1.0, 1.0)
@@ -280,11 +280,11 @@ class TestCriterion6RoundTrip:
 class TestCriterion7SolverProperties:
     def test_zero_rhs_duplicate_columns_residual(self, band_35_65):
         rng = np.random.RandomState(3)
-        zero_sys = reduced_system(rng.randn(7, 5), np.eye(5), np.zeros(7))
+        zero_sys = hand_made_system(rng.randn(7, 5), np.eye(5), np.zeros(7))
         zeros_exact = bool(np.all(solve_coefficients(zero_sys).coefficients == 0.0))
 
         col = np.array([1.0, 2.0, -0.5])
-        dup_sys = reduced_system(np.column_stack([col, col]), np.eye(2), col.copy())
+        dup_sys = hand_made_system(np.column_stack([col, col]), np.eye(2), col.copy())
         dup = solve_coefficients(dup_sys).coefficients
         dup_ok = bool(np.allclose(dup, [0.5, 0.5], atol=1e-12))
 

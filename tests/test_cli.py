@@ -489,7 +489,7 @@ class TestCompare:
         report["window"] = [-1e308, 1e308]
         table = compare_runs(report, report)
         # the span is 1e308 times the preset's: 180 spikes a channel over 2e308 s,
-        # 9e-307, a normal float, so halving count and span changes no bit
+        # 9e-307, a normal float, taken from the exact span and rounded once
         assert table["spike_rate_a"] == preset_rate / 1e308
         assert table["spike_rate_a"] == pytest.approx(9e-307, rel=1e-15, abs=0.0)
         assert table["spike_rate_delta"] == 0.0
@@ -575,6 +575,10 @@ class TestCompare:
         pytest.param({("window",): [0.0, 1e-310]}, {("window",): [0.0, 1e-310]},
                      "report_a 'spike_rate_a' is past the float range: inf",
                      id="subnormal-window"),
+        # the least subnormal span: w1/2 - w0/2 rounds to 0 there
+        pytest.param({("window",): [0.0, 5e-324]}, {("window",): [0.0, 5e-324]},
+                     "report_a 'spike_rate_a' is past the float range: inf",
+                     id="least-subnormal-window"),
         pytest.param({("metrics", "snr_db"): -1e308}, {("metrics", "snr_db"): 1e308},
                      "report_a vs report_b 'snr_db_delta' is past the float range: inf",
                      id="snr_db-delta"),

@@ -35,7 +35,7 @@ from temcodec.recon import (
 
 from ellipse_oracle import dense_ellipse_maxima
 from kernel_oracle import closed_form_gbp
-from recon_pipeline import reconstruct_bandpass, reconstruct_lowpass, reduced_system
+from recon_pipeline import hand_made_system, reconstruct_bandpass, reconstruct_lowpass
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -209,38 +209,40 @@ class TestGramLowpass:
         params = TemParams(1.0, 1.0 / 260.0, 3.0, 2.0)
         train = encode(test_signal, params, (-1.5, 1.5))
         system = build_gram_lowpass(train, omega)
-        assert system.reflectors.shape[0] > 2 * 256
+        assert system.right.shape[1] > 2 * 256
         t, s = train.times, system.knot_times
         rows = np.arange(0, len(train) - 1, 37)
         upper = scipy.special.sici(omega * (t[rows + 1, None] - s[None, :]))[0]
         lower = scipy.special.sici(omega * (t[rows, None] - s[None, :]))[0]
-        left, right = recon._spectral_factors(t[:-1], t[1:], system.segments, recon.QUAD_TOL)
-        entries = left[rows] @ right.T
+        entries = system.left[rows, :-1] @ system.right.T
         assert np.max(np.abs(entries - (upper - lower) / np.pi)) <= recon.QUAD_TOL
 
 
 @pytest.fixture(scope="module")
-def preset_builds():
-    """Per single- and two-channel preset, a call that builds its Gram system
-    from the snapped spike trains the pipeline writes."""
-    out = {}
-    cfg = experiment.load_config(CONFIG_DIR / "single_channel.cfg")
-    train = experiment._snap_train(encode(cfg.signal, cfg.tem_params, cfg.window))
-    out["single_channel"] = lambda: build_gram_lowpass(train, cfg.lowpass_cutoff)
-    two = experiment.load_config(CONFIG_DIR / "two_channel.cfg")
-    a, b = encode_two_channel(two.signal, two.tem_params, two.window, alpha=two.alpha)
-    merged = interleave(experiment._snap_train(a), experiment._snap_train(b))
-    out["two_channel"] = lambda: build_gram_bandpass(merged, two.band)
-    return out
+def preset_records():
+    """Per single- and two-channel preset, :func:`preset_record`: the config, the
+    snapped spike record the pipeline writes, the kernel's highest frequency and
+    the row stride."""
+    return {name: preset_record(name) for name in ("single_channel", "two_channel")}
 
 
 @pytest.fixture(scope="module")
-def preset_systems(preset_builds):
-    """The Gram systems of the single- and two-channel presets."""
-    return {name: build() for name, build in preset_builds.items()}
+def preset_systems(preset_records):
+    """The Gram systems of the single- and two-channel presets' whole records."""
+    cfg, train, _, _ = preset_records["single_channel"]
+    two, merged, _, _ = preset_records["two_channel"]
+    return {"single_channel": build_gram_lowpass(train, cfg.lowpass_cutoff),
+            "two_channel": build_gram_bandpass(merged, two.band)}
 
 
-def test_knot_times_are_the_row_midpoints_bit_for_bit(preset_systems, band_35_65):
+def preset_rows(preset_records, preset):
+    """The row intervals ``(starts, ends)`` of ``preset``'s whole-record system."""
+    _, record, _, stride = preset_records[preset]
+    return record.times[:-stride], record.times[stride:]
+
+
+def test_knot_times_are_the_row_midpoints_bit_for_bit(preset_records, preset_systems,
+                                                     band_35_65):
     # a jittered record without its last B spike: an odd knot count, the last knot unpaired
     full = jittered_record(band_35_65, 0.4, 5)
     t = full.times[:-1]
@@ -248,9 +250,11 @@ def test_knot_times_are_the_row_midpoints_bit_for_bit(preset_systems, band_35_65
     odd_system = build_gram_bandpass(odd, band_35_65)
     assert odd_system.knot_times.size % 2 == 1
     assert odd_system.knot_times.tobytes() == (0.5 * (t[:-2] + t[2:])).tobytes()
-    for system in [odd_system, *preset_systems.values()]:
-        assert system.starts.size == system.ends.size == system.rhs.size
-        assert system.knot_times.tobytes() == (0.5 * (system.starts + system.ends)).tobytes()
+    assert odd_system.rhs.size == t.size - 2
+    for preset, system in preset_systems.items():
+        starts, ends = preset_rows(preset_records, preset)
+        assert starts.size == ends.size == system.rhs.size
+        assert system.knot_times.tobytes() == (0.5 * (starts + ends)).tobytes()
 
 
 def sausage_polynomial():
@@ -305,8 +309,8 @@ class TestMappedRule:
 
     def test_preset_factor_widths(self, preset_systems):
         # the plain Gauss-Legendre rule needs 468 and 254 columns
-        assert preset_systems["single_channel"].reflectors.shape[0] <= 380
-        assert preset_systems["two_channel"].reflectors.shape[0] <= 230
+        assert preset_systems["single_channel"].right.shape[1] <= 380
+        assert preset_systems["two_channel"].right.shape[1] <= 230
 
     def test_import_and_config_loading_leave_the_ellipse_cache_empty(self):
         probe = (
@@ -342,15 +346,17 @@ class TestMappedRule:
         # and it is attained at theta = 0
         assert np.array_equal(np.abs(dg[:, 0]), dg_max)
 
-    def test_preset_orders_match_the_dense_grid(self, monkeypatch, preset_systems):
-        def orders(system):
-            rule = recon._factor_rule(system.starts, system.ends, system.segments, recon.QUAD_TOL)
+    def test_preset_orders_match_the_dense_grid(self, monkeypatch, preset_records,
+                                                preset_systems):
+        def orders(name, system):
+            rule = recon._factor_rule(*preset_rows(preset_records, name), system.segments,
+                                      recon.QUAD_TOL)
             return [nu.size for nu, *_ in rule[2]]
 
-        got = {name: orders(system) for name, system in preset_systems.items()}
+        got = {name: orders(name, system) for name, system in preset_systems.items()}
         assert got == {"single_channel": [185], "two_channel": [43, 70]}
         monkeypatch.setattr(recon, "_ellipse_maxima", dense_ellipse_maxima)
-        assert {name: orders(system) for name, system in preset_systems.items()} == got
+        assert {name: orders(name, system) for name, system in preset_systems.items()} == got
 
 
 # A fresh interpreter's first _ellipse_maxima() (argument "maxima") or first run of
@@ -415,26 +421,19 @@ def direct_right(times, knots, segments, orders):
     return np.hstack(columns)
 
 
-def factors_of(system):
-    """The spectral factors ``(left, right)`` that ``system`` was reduced from."""
-    return recon._spectral_factors(system.starts, system.ends, system.segments, recon.QUAD_TOL)
-
-
 class TestFactorLayout:
     """Column-major factors, their trig tables, and a layout-blind solve."""
 
     @pytest.mark.parametrize("preset", ["single_channel", "two_channel"])
     def test_preset_factors_are_column_major(self, preset_systems, preset):
         system = preset_systems[preset]
-        left, right = factors_of(system)
-        assert left.flags.f_contiguous and right.flags.f_contiguous
-        assert system.r_aug.flags.c_contiguous and system.reflectors.flags.f_contiguous
+        assert system.left.flags.f_contiguous and system.right.flags.f_contiguous
 
     def test_lowpass_right_is_the_direct_table(self, small_system):
         # the knots are the row midpoints, so right's table is left's; it must
         # equal the table computed at the knots, bit for bit
         train, system = small_system
-        right = factors_of(system)[1]
+        right = system.right
         expect = direct_right(train.times, system.knot_times, system.segments,
                               [right.shape[1] // 2])
         assert np.array_equal(right, expect)
@@ -443,20 +442,20 @@ class TestFactorLayout:
                                                 band_35_65):
         # a segment with nonzero psi adds the phase to right's table
         merged = two_channel_record[3]
-        system = build_gram_bandpass(merged, band_35_65)
         orders, rule = [], recon._mapped_rule
         monkeypatch.setattr(recon, "_mapped_rule", lambda order: orders.append(order) or rule(order))
-        right = factors_of(system)[1]
+        system = build_gram_bandpass(merged, band_35_65)
+        right = system.right
         assert len(orders) == 2 and 2 * sum(orders) == right.shape[1]
-        expect = direct_right(merged.times, system.knot_times, system.segments, orders[:2])
+        expect = direct_right(merged.times, system.knot_times, system.segments, orders)
         assert np.array_equal(right, expect)
 
     @pytest.mark.parametrize("preset", ["single_channel", "two_channel"])
     def test_solve_independent_of_factor_layout(self, preset_systems, preset):
         system = preset_systems[preset]
-        left, right = (np.ascontiguousarray(f) for f in factors_of(system))
-        assert left.flags.c_contiguous and right.flags.c_contiguous
-        row_major = reduced_system(left, right, system.rhs, system.knot_times, system.segments)
+        row_major = dataclasses.replace(system, left=np.ascontiguousarray(system.left),
+                                        right=np.ascontiguousarray(system.right))
+        assert row_major.left.flags.c_contiguous and row_major.right.flags.c_contiguous
         a = solve_coefficients(system)
         b = solve_coefficients(row_major)
         assert np.array_equal(a.coefficients, b.coefficients)
@@ -464,41 +463,41 @@ class TestFactorLayout:
             b.residual_norm, b.effective_rank, b.sigma_max)
 
 
-class TestReducedSystem:
-    """The builders' reduced systems against the factors they were reduced from."""
+class TestHeldFactors:
+    """A Gram system holds its two spectral factors, and its matrix is their product."""
 
     @pytest.mark.parametrize("preset, factor_cols", [("single_channel", 370), ("two_channel", 226)])
-    def test_reduced_system_equals_its_oracle(self, preset_systems, preset, factor_cols):
+    def test_held_factors_equal_the_spectral_factors(self, preset_records, preset_systems,
+                                                     preset, factor_cols):
         system = preset_systems[preset]
-        left, right = factors_of(system)
-        with recon._one_blas_thread():
-            r_aug = np.linalg.qr(np.column_stack([left, system.rhs]), mode="r")
-            reflectors, tau = np.linalg.qr(right, mode="raw")
-        assert np.array_equal(system.r_aug, r_aug)
-        assert np.array_equal(system.reflectors, reflectors)
-        assert np.array_equal(system.tau, tau)
-        assert np.array_equal(system.matrix, left @ right.T)
+        left, right = recon._spectral_factors(*preset_rows(preset_records, preset),
+                                              system.segments, recon.QUAD_TOL, system.rhs)
+        assert np.array_equal(system.left, left) and np.array_equal(system.right, right)
         assert system.shape == (left.shape[0], right.shape[0])
         block = experiment._block_dict((-1.0, 1.0), (0, system.rhs.size), system,
                                        solve_coefficients(system))
-        assert block["factor_cols"] == left.shape[1] == factor_cols
+        assert block["factor_cols"] == right.shape[1] == left.shape[1] - 1 == factor_cols
 
-    @pytest.mark.parametrize("preset", ["single_channel", "two_channel"])
-    def test_build_and_solve_peak_memory(self, preset_builds, preset):
-        # one factor and the copy its QR makes are live at a time: 2.5 (single)
-        # and 2.9 (two) factors' bytes; both factors held through the solve
-        # take 4.6 and 4.9
-        build = preset_builds[preset]
-        solve_coefficients(build())  # warm-up: caches and first-call allocations
-        tracemalloc.start()
-        try:
-            system = build()
-            solve_coefficients(system)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        factor_bytes = 8 * system.shape[0] * system.reflectors.shape[0]
-        assert peak <= 3.5 * factor_bytes
+    def test_matrix_is_the_product_of_the_held_factors(self, monkeypatch, small_system):
+        train, system = small_system
+        left, right = recon._spectral_factors(train.times[:-1], train.times[1:],
+                                              system.segments, recon.QUAD_TOL)
+
+        def rebuilt(*args):
+            raise AssertionError("the matrix rebuilt a factor")
+
+        for name in ("_factor_rule", "_left_factor", "_right_factor"):
+            monkeypatch.setattr(recon, name, rebuilt)
+        gram = system.matrix
+        assert np.array_equal(gram, system.left[:, :-1] @ system.right.T)
+        assert np.array_equal(gram, left @ right.T)
+
+    def test_hand_made_system_has_a_matrix(self):
+        rng = np.random.default_rng(3)
+        left, right = rng.standard_normal((6, 4)), rng.standard_normal((5, 4))
+        system = hand_made_system(left, right, rng.standard_normal(6))
+        assert system.shape == (6, 5)
+        assert np.array_equal(system.matrix, left @ right.T)
 
 
 def premise_violating_record(band):
@@ -723,7 +722,7 @@ class TestSolve:
         left[:, :k] = u * s
         right = rng.standard_normal((cols, width))
         right[:, :k] = v
-        sol = solve_coefficients(reduced_system(left, right, rng.standard_normal(rows)))
+        sol = solve_coefficients(hand_made_system(left, right, rng.standard_normal(rows)))
         assert sol.sv_cutoff == floor
         assert sol.effective_rank == k - 1
         assert sol.sigma_max == pytest.approx(1.0, rel=1e-13)
@@ -747,17 +746,17 @@ class TestSolve:
         get, put = blas_threads
         put(2)
         q = np.array([3.0, -1.0, 0.5])
-        solve_coefficients(reduced_system(np.eye(3), np.eye(3), q))
+        solve_coefficients(hand_made_system(np.eye(3), np.eye(3), q))
         assert get() == 2
         with pytest.raises(DegenerateSystemError):
-            solve_coefficients(reduced_system(np.zeros((3, 3)), np.eye(3), q))
+            solve_coefficients(hand_made_system(np.zeros((3, 3)), np.eye(3), q))
         assert get() == 2
 
     def test_concurrent_solves_restore_caller_blas_threads(self, blas_threads):
         get, put = blas_threads
         put(2)
         rng = np.random.RandomState(5)
-        system = reduced_system(rng.randn(40, 12), rng.randn(30, 12), rng.randn(40))
+        system = hand_made_system(rng.randn(40, 12), rng.randn(30, 12), rng.randn(40))
         expect = solve_coefficients(system).coefficients
         results, errors = [], []
 
@@ -787,20 +786,20 @@ class TestSolve:
         put(2)
         q = np.array([3.0, -1.0, 0.5])
         with recon._one_blas_thread():
-            sol = solve_coefficients(reduced_system(np.eye(3), np.eye(3), q))
+            sol = solve_coefficients(hand_made_system(np.eye(3), np.eye(3), q))
             assert get() == 1
         assert sol.blas_threads == 1 and get() == 2
 
     def test_without_thread_controls_solves_on_caller_threads(self, monkeypatch):
         monkeypatch.setattr(recon, "_blas_thread_controls", lambda: None)
         q = np.array([3.0, -1.0, 0.5])
-        sol = solve_coefficients(reduced_system(np.eye(3), np.eye(3), q))
+        sol = solve_coefficients(hand_made_system(np.eye(3), np.eye(3), q))
         assert sol.blas_threads is None
         assert np.allclose(sol.coefficients, q, atol=1e-14)
 
     def test_identity_system(self):
         q = np.array([3.0, -1.0, 0.5])
-        system = reduced_system(np.eye(3), np.eye(3), q)
+        system = hand_made_system(np.eye(3), np.eye(3), q)
         sol = solve_coefficients(system)
         assert np.allclose(sol.coefficients, q, atol=1e-14)
         assert sol.effective_rank == 3
@@ -808,20 +807,20 @@ class TestSolve:
 
     def test_zero_rhs_gives_exact_zero(self):
         rng = np.random.RandomState(7)
-        system = reduced_system(rng.randn(6, 4), np.eye(4), np.zeros(6))
+        system = hand_made_system(rng.randn(6, 4), np.eye(4), np.zeros(6))
         sol = solve_coefficients(system)
         assert np.all(sol.coefficients == 0.0)
 
     def test_duplicate_columns_share_mass_equally(self):
         # minimum-norm solution splits the coefficient across identical columns
         col = np.array([1.0, 2.0])
-        system = reduced_system(np.column_stack([col, col]), np.eye(2), np.array([1.0, 2.0]))
+        system = hand_made_system(np.column_stack([col, col]), np.eye(2), np.array([1.0, 2.0]))
         sol = solve_coefficients(system)
         assert np.allclose(sol.coefficients, [0.5, 0.5], atol=1e-12)
         assert sol.effective_rank == 1
 
     def test_all_below_cutoff_rejected(self):
-        system = reduced_system(np.zeros((3, 3)), np.eye(3), np.ones(3))
+        system = hand_made_system(np.zeros((3, 3)), np.eye(3), np.ones(3))
         with pytest.raises(DegenerateSystemError):
             solve_coefficients(system)
 
@@ -839,8 +838,8 @@ class TestSolve:
         rng = np.random.RandomState(11)
         matrix = rng.randn(8, 5)
         q = rng.randn(8)
-        base = reduced_system(matrix, np.eye(5), q)
-        scaled = reduced_system(matrix, np.eye(5), gamma * q)
+        base = hand_made_system(matrix, np.eye(5), q)
+        scaled = hand_made_system(matrix, np.eye(5), gamma * q)
         ca = solve_coefficients(base).coefficients
         cb = solve_coefficients(scaled).coefficients
         assert np.allclose(cb, gamma * ca, rtol=1e-11, atol=1e-13)
@@ -884,7 +883,7 @@ class TestSolve:
         keep = (sv >= cutoff) & (np.arange(sv.size) < rank)
         expect = vt[keep].T @ ((u[:, keep].T @ q) / sv[keep])
         sol = solve_coefficients(
-            reduced_system(left, right, q)
+            hand_made_system(left, right, q)
         )
         assert sol.effective_rank == np.count_nonzero(keep)
         scale = np.linalg.norm(expect) + np.linalg.norm(q) / sv[0]
@@ -912,7 +911,7 @@ class TestSolve:
         right = rng.standard_normal((cols, width))
         q = rng.standard_normal(rows)
         sol = solve_coefficients(
-            reduced_system(left, right, q)
+            hand_made_system(left, right, q)
         )
         direct = np.linalg.norm(left @ (right.T @ sol.coefficients) - q)
         # relative to the residual, or to q where the system is solved exactly
@@ -927,11 +926,10 @@ class TestSolve:
         # thread; the cutoff admits a condition number of 1/cutoff, which
         # amplifies the rounding differences of another core solver or thread
         # count past the tolerance
-        (left, right), rhs = factors_of(system), system.rhs
-        inner = min(left.shape)
+        inner = min(system.left.shape[0], system.right.shape[1])
         with recon._one_blas_thread():
-            r_aug = np.linalg.qr(np.column_stack([left, rhs]), mode="r")
-            q_right, r_right = np.linalg.qr(right)
+            r_aug = np.linalg.qr(system.left, mode="r")
+            q_right, r_right = np.linalg.qr(system.right)
             core = r_aug[:inner, :-1] @ r_right.T
             core, _, rank_ref, _ = np.linalg.lstsq(
                 core, r_aug[:inner, -1], rcond=np.finfo(float).eps * max(core.shape)
@@ -1288,6 +1286,23 @@ class TestBlockDecode:
         data = experiment.run_experiment(cfg, tmp_path / "out").data
         assert len(data["gram"]["blocks"]) == 4
         assert data["metrics"]["snr_db"] >= floor
+
+    def test_cores_without_evaluation_points_are_not_decoded(self, monkeypatch, tmp_path):
+        # 4 s is 8 cores; the 5 points of a 1 s grid fall in 5 of them
+        path = preset_config(tmp_path, "single_channel", (-2, 2))
+        path.write_text(path.read_text().replace("grid_step = 1/1000", "grid_step = 1"))
+        cfg = experiment.load_config(path)
+        built, build = [], recon.build_gram_lowpass
+        monkeypatch.setattr(recon, "build_gram_lowpass",
+                            lambda *args: built.append(args) or build(*args))
+        blocks = experiment.run_experiment(cfg, tmp_path / "out").data["gram"]["blocks"]
+        assert len(blocks) == len(built) == 5
+        t_eval = experiment._snap_grid(cfg.window, cfg.grid_step)
+        assert t_eval.size == 5
+        for block in blocks:
+            lo, hi = block["core"]
+            holds = (t_eval >= lo) & ((t_eval < hi) | (hi == cfg.window[1]))
+            assert np.any(holds)
 
     def test_eight_second_record_peaks_below_eight_mb(self, tmp_path):
         # one 3119-row system took 80 MB over 8 s; 16 blocks of about 240 rows take 3.8 MB
