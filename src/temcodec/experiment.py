@@ -552,6 +552,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentReport:
         # recomputing them from the emitted file reproduces the report exactly
         x_true_q = _snap(x_true)
         x_hat_q = _snap(x_hat)
+        del x_hat  # the snapped trace is the one every later step reads
         report["metrics"] = _metrics(t_eval, x_true_q, x_hat_q, cfg.window, cfg.guard_fraction)
         stage = "write"
         _write_csv(

@@ -14,12 +14,13 @@ Toth, IEEE TCAS-I 2004).  :func:`encode` first builds ``F`` once from
 15-point Gauss-Legendre panels, each at most ``min_gap/2`` wide, in
 blocks of ``SEED_BLOCK_PANELS`` panels with one vectorised signal call
 per block and ``F`` carried across blocks, and inverts every target a
-block reaches at once.  The seed is within rounding of the crossing, so
-each spike takes one path: one adaptive
-:func:`~temcodec.signals.integrate` call from the previous spike to the
-seed gives the interval identity's miss, and one Newton step, with the
-slope ``x + b`` at the seed from the global pass's interpolant, corrects
-it.  The step must land inside the bracket the slope range gives and
+block reaches at once; the pass's working set is one block's nodes, not
+the record's, so a longer record costs the pass time, not memory.  The
+seed is within rounding of the crossing, so each spike takes one path:
+one adaptive :func:`~temcodec.signals.integrate` call from the previous
+spike to the seed gives the interval identity's miss, and one Newton
+step, with the slope ``x + b`` at the seed from the global pass's
+interpolant, corrects it.  The step must land inside the bracket the slope range gives and
 move the seed by at most ``SPIKE_TOL``; otherwise the encoder fails
 loudly rather than search.  That is one quadrature call per spike, plus
 one to the window end, never fixed-step simulation.  ``x + b > 0`` is
@@ -163,8 +164,13 @@ _TO_COEF, _TO_INT = _legendre_maps()
 # Newton steps (or bisections) per target before the global pass stops refining.
 MAX_SEED_STEPS = 64
 # Panels per block of the global pass, which holds one block's node values at
-# a time; the presets need 2,600 (single channel) and 600 (per channel).
-SEED_BLOCK_PANELS = 4096
+# a time.  At 1024 panels (15,360 nodes) a block's transient is about 0.92 MB,
+# below a single-channel decoding block's solve (about 1.5 MB), whatever the
+# window; the preset's 2 s window (2,600 panels) takes three blocks.  Smaller
+# blocks cost time: on that window (2-core Xeon, numpy 2.4) the pass takes
+# 2.7 / 3.1 / 4.4 / 6.0 ms (best of 7) and peaks at 1.62 / 0.92 / 0.47 /
+# 0.24 MB with 4096 / 1024 / 512 / 256 panels per block.
+SEED_BLOCK_PANELS = 1024
 
 
 def _seed_times(sig, params: TemParams, t0: float, t1: float, first: float):
@@ -174,8 +180,10 @@ def _seed_times(sig, params: TemParams, t0: float, t1: float, first: float):
     15-point Gauss-Legendre panels at most ``min_gap/2`` wide (so a panel
     holds at most one crossing), with ``x + bias > 0`` checked at every
     node.  The panels are taken in blocks of ``SEED_BLOCK_PANELS``, one
-    signal call each, with ``F`` carried from block to block; every target
-    a block's ``F`` reaches is inverted at once by a vectorised Newton
+    signal call each, with ``F`` carried from block to block, so only one
+    block's nodes, values and Newton arrays are alive at a time (about
+    0.92 MB at 1024 panels, whatever the window); every target a block's
+    ``F`` reaches is inverted at once by a vectorised Newton
     iteration inside the target's panel, bisecting whenever a step leaves
     the panel's shrinking bracket.
 
@@ -188,7 +196,7 @@ def _seed_times(sig, params: TemParams, t0: float, t1: float, first: float):
     """
     step = 2.0 * params.kappa * params.delta
     n_panels = max(1, math.ceil((t1 - t0) / (0.5 * params.min_gap)))
-    edges = np.linspace(t0, t1, n_panels + 1)
+    width = (t1 - t0) / n_panels
 
     def reached(f):
         """How many targets lie at or below ``f``."""
@@ -197,7 +205,12 @@ def _seed_times(sig, params: TemParams, t0: float, t1: float, first: float):
     seeds, slopes = [], []
     f_start, n_reached = 0.0, 0
     for start in range(0, n_panels, SEED_BLOCK_PANELS):
-        block = edges[start:start + SEED_BLOCK_PANELS + 1]
+        stop = min(start + SEED_BLOCK_PANELS, n_panels)
+        # the block's edges of np.linspace(t0, t1, n_panels + 1), bit for bit,
+        # without the window's whole edge array
+        block = np.arange(start, stop + 1) * width + t0
+        if stop == n_panels:
+            block[-1] = t1
         half = 0.5 * np.diff(block)
         mid = block[:-1] + half
         nodes = mid[:, None] + half[:, None] * _GL_NODES
@@ -262,11 +275,12 @@ def encode(
     A global pass first builds ``F(t) = integral_{t0}^{t} (x + bias)`` on
     Gauss-Legendre panels at most ``min_gap/2`` wide, from one call of
     ``sig`` per block of ``SEED_BLOCK_PANELS`` panels, and seeds every
-    spike where ``F`` reaches its target by ``t1``.  Each seed, chained
-    from the previous spike, then takes one path: one adaptive
-    ``integrate`` call to the seed (three calls of ``sig``, one per panel)
-    gives the identity's miss ``g``, and one Newton step corrects it, with
-    the slope the global pass's interpolant of ``x + bias`` at the seed if
+    spike where ``F`` reaches its target by ``t1``; the pass holds one
+    block's nodes at a time, so its memory does not grow with the window.
+    Each seed, chained from the previous spike, then takes one path: one
+    adaptive ``integrate`` call to the seed (three calls of ``sig``, one
+    per panel) gives the identity's miss ``g``, and one Newton step
+    corrects it, with the slope the global pass's interpolant of ``x + bias`` at the seed if
     that value is finite and positive, else a sample of ``sig``.  A
     corrected time past ``t1`` ends the train.  After the seeds, one
     integral to ``t1`` decides a crossing within rounding of the window
@@ -469,6 +483,10 @@ def interleave(train_a: SpikeTrain, train_b: SpikeTrain) -> MergedTrain:
 # with the time printed to 12 significant digits.  The single header line
 # carries the encoder parameters and window at full precision.
 
+# spike lines formatted per write in write_spike_file: bounds the line text
+# alive at once
+_FILE_CHUNK_LINES = 1024
+
 
 def snap_time(t: float) -> float:
     """Round a time to its 12-significant-digit file representation.
@@ -480,7 +498,12 @@ def snap_time(t: float) -> float:
 
 
 def write_spike_file(path, trains) -> None:
-    """Write one or more same-parameter spike trains to ``path``."""
+    """Write one or more same-parameter spike trains to ``path``.
+
+    Lines are formatted and written ``_FILE_CHUNK_LINES`` at a time, each
+    chunk of times taken as Python floats with ``tolist()``, so no list of
+    every line is built.
+    """
     trains = list(trains)
     if not trains:
         raise ValueError("no trains to write")
@@ -489,15 +512,16 @@ def write_spike_file(path, trains) -> None:
     for tr in trains[1:]:
         if tr.params != p or tr.window != w:
             raise ValueError("all trains in one file must share parameters and window")
-    lines = [
-        f"# tem kappa={p.kappa!r} delta={p.delta!r} bias={p.bias!r} "
-        f"bound={p.amplitude_bound!r} window={w[0]!r},{w[1]!r}"
-    ]
-    for tr in trains:
-        for idx, t in enumerate(tr.times):
-            lines.append(f"{tr.channel},{idx},{t:.12g}")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(
+            f"# tem kappa={p.kappa!r} delta={p.delta!r} bias={p.bias!r} "
+            f"bound={p.amplitude_bound!r} window={w[0]!r},{w[1]!r}\n"
+        )
+        for tr in trains:
+            for start in range(0, len(tr), _FILE_CHUNK_LINES):
+                chunk = tr.times[start:start + _FILE_CHUNK_LINES].tolist()
+                fh.write("".join(f"{tr.channel},{idx},{t:.12g}\n"
+                                 for idx, t in enumerate(chunk, start)))
 
 
 def read_spike_file(path):

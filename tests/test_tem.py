@@ -201,8 +201,8 @@ def _count_signal_calls(sig):
 class TestQuadratureBudget:
     """The global pass seeds each spike within rounding of its crossing, so
     each costs one adaptive integral, plus one integral to the window end.
-    The signal is called once for the global pass and once for each of an
-    integral's three panels: the Newton slope at a seed comes from the
+    The signal is called once per block of the global pass and once for each
+    of an integral's three panels: the Newton slope at a seed comes from the
     global pass."""
 
     def test_single_channel_preset(self, monkeypatch):
@@ -212,7 +212,9 @@ class TestQuadratureBudget:
         train = encode(sig, cfg.tem_params, (-1.0, 1.0))
         assert len(train) == 780
         assert len(calls) == len(train) + 1
-        assert len(signal_calls) == 1 + 3 * len(calls) == 2344
+        # the 2 s window's 2,600 panels take three blocks of the global pass
+        blocks = math.ceil(2600 / tem.SEED_BLOCK_PANELS)
+        assert len(signal_calls) == blocks + 3 * len(calls) == 2346
 
     def test_two_channel_preset_each_channel(self, monkeypatch):
         cfg = load_config(str(CONFIG_DIR / "two_channel.cfg"))
@@ -282,7 +284,7 @@ class TestSeedBlocks:
 
     @pytest.mark.parametrize("block", [1, 100, 1299])
     def test_blocks_match_one_block(self, test_signal, monkeypatch, block):
-        # the preset's 2 s window is 2,600 panels: one block by default
+        # the preset's 2 s window is 2,600 panels: three blocks by default
         p = load_config(str(CONFIG_DIR / "single_channel.cfg")).tem_params
         first = 2.0 * p.kappa * p.delta
         seeds, slopes = tem._seed_times(test_signal, p, -1.0, 1.0, first)
@@ -300,7 +302,8 @@ class TestSeedBlocks:
 
     def test_long_window_memory_is_bounded(self, test_signal):
         # a 40 s window is 52,000 panels, whose node values all held at once
-        # would take 45 MB; one block of them at a time keeps the pass near 4 MB
+        # would take 45 MB; one block of them at a time keeps the pass near
+        # 1.2 MB (4.2 MB with blocks of 4096 panels)
         p = load_config(str(CONFIG_DIR / "single_channel.cfg")).tem_params
         tracemalloc.start()
         try:
@@ -309,7 +312,7 @@ class TestSeedBlocks:
         finally:
             tracemalloc.stop()
         assert seeds.size == 15600
-        assert peak <= 8e6
+        assert peak <= 1.5e6
 
 
 def _oracle_times(sig, p, window, z0):
@@ -608,6 +611,21 @@ class TestSpikeFiles:
         assert lines[0].startswith("# tem kappa=")
         assert lines[1] == "single,0,0.125"
         assert lines[2] == "single,1,0.25"
+
+    @pytest.mark.parametrize("n_spikes", [0, 2 * tem._FILE_CHUNK_LINES + 3])
+    def test_chunked_write_equals_one_join(self, tmp_path, params_free, n_spikes):
+        # the reference: the whole file as one join of every line
+        times = np.linspace(0.0, 1.0, n_spikes, endpoint=False) + np.pi / 1e4
+        trains = [SpikeTrain(times, "A", params_free, (0.0, 1.0)),
+                  SpikeTrain(times + 1e-4, "B", params_free, (0.0, 1.0))]
+        p, w = params_free, trains[0].window
+        lines = [f"# tem kappa={p.kappa!r} delta={p.delta!r} bias={p.bias!r} "
+                 f"bound={p.amplitude_bound!r} window={w[0]!r},{w[1]!r}"]
+        for tr in trains:
+            lines += [f"{tr.channel},{idx},{t:.12g}" for idx, t in enumerate(tr.times)]
+        path = tmp_path / "s.txt"
+        write_spike_file(path, trains)
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
 
     @pytest.mark.parametrize("text", [
         "A,0,0.5\n",
