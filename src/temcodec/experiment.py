@@ -189,11 +189,14 @@ def load_config(path) -> ExperimentConfig:
     """Parse and fully validate an experiment config file.
 
     Every cross-module constraint (encoder parameter bounds, band edges,
-    PNS shift degeneracy, alpha range) is checked here, so a config that
-    loads is a config that runs.  Every mode reads ``[experiment]`` and
-    ``[signal]``; ``single_tem`` also reads ``[tem]`` and ``[recon]``,
-    ``two_tem`` ``[tem]`` and ``[band]``, and ``pns`` ``[band]`` and
-    ``[pns]``.  A key the mode does not read, such as a misspelt one or any
+    PNS shift degeneracy, alpha range, and a TEM window no shorter than the
+    span ``kappa*(delta - z0 + 2*delta)/(bias - bound)`` in which the
+    encoder bounds guarantee one Gram row's spikes, ``z0`` the integrator's
+    start, ``-delta`` or channel A's ``delta - alpha``) is checked here, so
+    a config that loads is a config that runs.  Every mode reads
+    ``[experiment]`` and ``[signal]``; ``single_tem`` also reads ``[tem]``
+    and ``[recon]``, ``two_tem`` ``[tem]`` and ``[band]``, and ``pns``
+    ``[band]`` and ``[pns]``.  A key the mode does not read, such as a misspelt one or any
     key of a section the mode does not use (``[solver]`` in every mode: the
     solve has no settings), is rejected with its ``section.key`` name, and
     so is a missing or malformed number.  A file that cannot be parsed (a
@@ -265,6 +268,16 @@ def load_config(path) -> ExperimentConfig:
                     alpha = tem.channel_offset(delta, sec.num("alpha") if "alpha" in sec else None)
                 except ValueError as exc:
                     raise ConfigError(f"tem.alpha: {exc}") from None
+            # The encoder bounds place the second spike of the channel starting at z0
+            # (two_tem: channel A, with B's first spike before it) within this span of
+            # the window start: the spikes of one Gram row.
+            z0 = -delta if mode == "single_tem" else delta - alpha
+            row_span = kappa * (delta - z0 + 2.0 * delta) / (bias - sig.amplitude_bound)
+            if w1 - w0 < row_span:
+                raise ConfigError(
+                    f"experiment.window_end {w1}: the window from {w0} is shorter than "
+                    f"{row_span:.6g} s, the span in which the encoder is sure to fire the "
+                    f"spikes of one Gram row")
         if mode == "single_tem":
             recon_sec = sections.get("recon", _Section("recon", {}))
             cutoff_hz = recon_sec.num("lowpass_cutoff_hz")

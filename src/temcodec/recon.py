@@ -36,12 +36,12 @@ segments, and everything else is derived from them:
 * the kernel ``g_bp`` itself: :func:`kernel_gbp` sums its segments
   directly (:func:`_segment_kernel`);
 * Gram assembly: one quadrature rule in the frequency ``nu`` per segment
-  writes the Gram matrix exactly as ``G = A @ B.T``
-  (:func:`_spectral_factors`).  The rule is Gauss-Legendre with its nodes
-  moved by a conformal "sausage" map, which spends fewer nodes at the ends
-  of the band than the plain rule (Hale & Trefethen, *SIAM J. Numer.
-  Anal.*, 2008); each order's rule is built once per process
-  (:func:`_mapped_rule`).  In ``nu`` the integrand is entire, of
+  writes the Gram matrix exactly as ``G = A @ B.T``, both factors from one
+  cos/sin table per segment (:func:`_gram_system`).  The rule is
+  Gauss-Legendre with its nodes moved by a conformal "sausage" map, which
+  spends fewer nodes at the ends of the band than the plain rule (Hale &
+  Trefethen, *SIAM J. Numer. Anal.*, 2008); each order's rule is built once
+  per process (:func:`_mapped_rule`).  In ``nu`` the integrand is entire, of
   exponential type the record span, so an a-priori error bound fixes each
   rule's order at ``QUAD_TOL`` per entry; it grows with the span (185
   nodes, 370 columns, for the 779 rows of the whole 2 s single-channel
@@ -189,9 +189,9 @@ class GramSystem:
     """Linear system ``G c = q`` linking kernel coefficients to amplitude integrals, as two factors.
 
     ``G = left[:, :-1] @ right.T`` has one row of ``left`` per spike interval
-    and one row of ``right`` per knot, whose kernel is in ``segments`` (see
-    :func:`_spectral_factors`); the right-hand side ``q`` is ``left``'s spare
-    last column.  The builders make both factors column-major;
+    and one row of ``right`` per knot, whose kernel is in ``segments``; the
+    right-hand side ``q`` is ``left``'s spare last column.  Every builder makes
+    it through :func:`_gram_system`, both factors column-major;
     :func:`solve_coefficients` reduces them to their QRs.
     """
 
@@ -351,7 +351,7 @@ def _gl_order(h: float, k_max: float, a_max: float, tol: float) -> int:
     ``rho`` of the grid gives the least ``m`` meeting ``tol``; the order is
     the smallest of those, and at least 2.  With ``g(x) = x`` this is the
     plain rule's bound.  Gram assembly asks each segment for an equal share
-    of ``QUAD_TOL`` (:func:`_spectral_factors`).
+    of ``QUAD_TOL`` (:func:`_gram_system`).
     """
     rho, im_max, dg_max = _ellipse_maxima()
     log_scale = math.log(0.5 * h * (64.0 / 15.0) * k_max)
@@ -379,75 +379,13 @@ def _mapped_rule(order: int):
     return nodes, weights
 
 
-def _factor_rule(starts, ends, segments, quad_tol: float):
-    """The quadrature behind :func:`_spectral_factors`: ``(half, mid, parts)``.
+def _gram_system(starts, ends, segments, rhs, gap_premise_ok=True) -> GramSystem:
+    """The :class:`GramSystem` of rows ``[starts[r], ends[r]]``, knots at their midpoints.
 
-    ``half`` holds the row intervals' half-widths and ``mid`` their
-    midpoints, measured from the record midpoint; ``parts`` holds per non-empty segment
-    its rule's nodes ``nu``, the gains ``q*2/nu`` of its weights ``q``, and
-    the segment's ``w`` and ``psi``.  Each factor is built from this alone
-    (:func:`_left_factor`, :func:`_right_factor`).
-    """
-    centre = 0.5 * (starts[0] + ends[-1])
-    span = float(ends[-1] - starts[0])
-    half = 0.5 * (ends - starts)
-    mid = _midpoints(starts, ends) - centre
-    segments = [seg for seg in segments if seg[1] > seg[0]]
-    parts = []
-    for lo, hi, w, psi in segments:
-        order = _gl_order(hi - lo, 2.0 * float(np.max(half)) * float(np.max(np.abs(w))), span,
-                          quad_tol / len(segments))
-        nodes, weights = _mapped_rule(order)
-        nu = 0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes
-        parts.append((nu, (0.5 * (hi - lo) * weights) * 2.0 / nu, w, psi))
-    return half, mid, parts
-
-
-def _left_factor(rule, rhs=None):
-    """The factor ``A`` of :func:`_spectral_factors`, column-major; ``rhs``, if
-    given, fills a spare last column."""
-    half, mid, parts = rule
-    width = 2 * sum(nu.size for nu, *_ in parts)
-    left = np.empty((half.size, width + (rhs is not None)), order="F")
-    col = 0
-    for nu, gain, _, _ in parts:
-        # outer products as (nodes, rows), transposed: column-major like the factor
-        # q*2h*sinc(nu*h) = q*2*sin(nu*h)/nu, and nu > 0 at every node
-        amp = np.sin(np.outer(nu, half).T)
-        amp *= gain
-        arg = np.outer(nu, mid).T
-        for trig in (np.cos, np.sin):
-            part = left[:, col:col + nu.size]
-            trig(arg, out=part)
-            part *= amp
-            col += nu.size
-    if rhs is not None:
-        left[:, -1] = rhs
-    return left
-
-
-def _right_factor(rule):
-    """The factor ``B`` of :func:`_spectral_factors`, column-major."""
-    half, mid, parts = rule
-    right = np.empty((half.size, 2 * sum(nu.size for nu, *_ in parts)), order="F")
-    col = 0
-    for nu, _, w, psi in parts:
-        arg = np.outer(nu, mid).T
-        if np.any(psi):
-            arg += psi[:, None]
-        np.cos(arg, out=right[:, col:col + nu.size])
-        np.sin(arg, out=right[:, col + nu.size:col + 2 * nu.size])
-        right[:, col:col + 2 * nu.size] *= w[:, None]
-        col += 2 * nu.size
-    return right
-
-
-def _spectral_factors(starts, ends, segments, quad_tol: float, rhs=None):
-    """Factors ``(A, B)`` with ``(A @ B.T)[r, l] = integral_{starts[r]}^{ends[r]} kernel_l(u) du``.
-
-    The knots are the row midpoints ``s_l = (starts[l] + ends[l])/2``, one per
-    row, as :func:`_gram_system` places them; knot ``l``'s kernel is given by
-    ``segments`` (see :func:`lowpass_segments`) at offsets ``u - s_l``.  Each
+    Its factors ``(A, B)`` have ``(A @ B.T)[r, l] = integral_{starts[r]}^{ends[r]}
+    kernel_l(u) du``, knot ``l`` at ``s_l = (starts[l] + ends[l])/2`` with its
+    kernel given by ``segments`` (see :func:`lowpass_segments`) at offsets
+    ``u - s_l``; ``rhs`` fills ``A``'s spare last column.  Each non-empty
     segment's ``nu`` integral is one mapped Gauss-Legendre rule
     (:func:`_mapped_rule`), scaled to the segment as nodes ``nu_j`` and
     weights ``q_j``.  Splitting the cosine gives per node the column pair
@@ -457,30 +395,49 @@ def _spectral_factors(starts, ends, segments, quad_tol: float, rhs=None):
       (midpoint ``m_r``, half-width ``h_r``), free of cancellation;
     * ``B[l] = w_l*[cos, sin](nu_j*s_l + psi_l)``.
 
-    Since ``s_l = m_l``, ``B``'s table is ``A``'s ``[cos, sin](nu_j*m)`` in a
-    segment whose ``psi`` is all zero; each factor computes its own
-    (:func:`_left_factor`, :func:`_right_factor`).  Both factors are
-    column-major, so each node's column is contiguous and QR reads them
-    without a transposing copy.  ``rhs``, if given, fills a spare last
-    column of ``A``, as :class:`GramSystem` holds it.
+    Since ``s_l = m_l``, one ``[cos, sin](nu_j*m)`` table per segment serves
+    both factors; a segment whose ``psi`` is not all zero recomputes ``B``'s
+    from the shifted phases.  Both factors are column-major, so each node's
+    column is contiguous and QR reads them without a transposing copy.
 
     Times are measured from the record midpoint.  In ``nu`` an entry is entire
     and bounded by ``|w|*2h*exp(span*|Im nu|)`` (``span`` the record span), so
     :func:`_gl_order` fixes each segment's order at an equal share of
-    ``quad_tol`` (:func:`_factor_rule`).  At ``QUAD_TOL``, the tolerance both
-    Gram builders use, the orders are 185 for the whole 2 s single-channel
-    preset, 43 and 70 for the two segments of the two-channel one (the plain
-    rule needs 234, and 46 and 81).  Empty segments are skipped.
+    ``QUAD_TOL``, read at call time.  The orders are 185 for the whole 2 s
+    single-channel preset, 43 and 70 for the two segments of the two-channel
+    one (the plain rule needs 234, and 46 and 81).
     """
-    rule = _factor_rule(starts, ends, segments, quad_tol)
-    return _left_factor(rule, rhs), _right_factor(rule)
-
-
-def _gram_system(starts, ends, segments, rhs, gap_premise_ok=True) -> GramSystem:
-    """The :class:`GramSystem` of rows ``[starts[r], ends[r]]``, knots at their midpoints,
-    built as its spectral factors at ``QUAD_TOL``."""
-    left, right = _spectral_factors(starts, ends, segments, QUAD_TOL, rhs)
-    return GramSystem(left, right, _midpoints(starts, ends), segments, gap_premise_ok)
+    knots = _midpoints(starts, ends)
+    span = float(ends[-1] - starts[0])
+    half = 0.5 * (ends - starts)
+    mid = knots - 0.5 * (starts[0] + ends[-1])
+    live = [seg for seg in segments if seg[1] > seg[0]]
+    rules = [_mapped_rule(_gl_order(hi - lo, 2.0 * float(np.max(half)) * float(np.max(np.abs(w))),
+                                    span, QUAD_TOL / len(live)))
+             for lo, hi, w, _ in live]
+    width = 2 * sum(nodes.size for nodes, _ in rules)
+    left = np.empty((half.size, width + 1), order="F")
+    right = np.empty((half.size, width), order="F")
+    left[:, -1] = rhs
+    col = 0
+    for (lo, hi, w, psi), (nodes, weights) in zip(live, rules):
+        nu = 0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes
+        cols = (slice(col, col + nu.size), slice(col + nu.size, col + 2 * nu.size))
+        # outer products as (nodes, rows), transposed: column-major like the factors
+        # q*2h*sinc(nu*h) = q*2*sin(nu*h)/nu, and nu > 0 at every node
+        amp = np.sin(np.outer(nu, half).T)
+        amp *= (0.5 * (hi - lo) * weights) * 2.0 / nu
+        arg = np.outer(nu, mid).T
+        for trig, part in zip((np.cos, np.sin), cols):
+            trig(arg, out=right[:, part])
+            np.multiply(right[:, part], amp, out=left[:, part])
+        if np.any(psi):
+            arg += psi[:, None]
+            for trig, part in zip((np.cos, np.sin), cols):
+                trig(arg, out=right[:, part])
+        right[:, col:col + 2 * nu.size] *= w[:, None]
+        col += 2 * nu.size
+    return GramSystem(left, right, knots, segments, gap_premise_ok)
 
 
 def build_gram_lowpass(train: SpikeTrain, omega: float) -> GramSystem:
@@ -488,8 +445,8 @@ def build_gram_lowpass(train: SpikeTrain, omega: float) -> GramSystem:
 
     Knots ``s_l`` are the spike-interval midpoints; the right-hand side is
     the amplitude-integral sequence of the train.  ``G`` is built as the
-    spectral factors (see :func:`_spectral_factors`) of the kernel's one
-    segment, every entry within ``QUAD_TOL`` (:func:`_gram_system`).
+    spectral factors of the kernel's one segment, every entry within
+    ``QUAD_TOL`` (see :func:`_gram_system`).
     """
     if not omega > 0.0:
         raise ValueError(f"omega must be positive, got {omega}")
@@ -506,12 +463,12 @@ def build_gram_bandpass(merged: MergedTrain, band: BandSpec) -> GramSystem:
     Row ``l`` integrates every knot kernel over ``[t[l], t[l+2]]``; column
     ``k`` holds the kernel of knot ``k`` (time-reversed for a channel-B
     knot, odd ``k``), whose pair shift ``d`` (:func:`pair_shifts`) fixes
-    its two spectral segments (see :func:`bandpass_segments`).  ``G`` is built as their spectral
-    factors (see :func:`_spectral_factors`), every entry within
-    ``QUAD_TOL`` (:func:`_gram_system`).  If the largest stride-1 spike gap
-    reaches the kernel period ``2*pi/B``, reconstruction is no longer
-    guaranteed: a warning is issued, the system's ``gap_premise_ok`` is
-    False, and assembly proceeds.
+    its two spectral segments (see :func:`bandpass_segments`).  ``G`` is
+    built as their spectral factors, every entry within ``QUAD_TOL`` (see
+    :func:`_gram_system`).  If the largest stride-1 spike gap reaches the
+    kernel period ``2*pi/B``, reconstruction is no longer guaranteed: a
+    warning is issued, the system's ``gap_premise_ok`` is False, and
+    assembly proceeds.
 
     Raises ``ValueError`` for fewer than 3 merged spikes, and
     :class:`DegenerateShiftError`, naming the knot, if some pair shift makes

@@ -363,8 +363,11 @@ def encode(
     base = t0
     target = kappa * (delta - z0)
     seeds, slopes = _seed_times(sig, params, t0, t1, target)
-    for seed, slope in zip(seeds.tolist(), slopes.tolist()):
-        t = corrected(seed, integrate(biased, base, seed, QUAD_TOL) - target, slope)
+    # walked by index: lists of every seed and slope as Python floats would
+    # outweigh the arrays themselves
+    for k in range(seeds.size):
+        seed = float(seeds[k])
+        t = corrected(seed, integrate(biased, base, seed, QUAD_TOL) - target, float(slopes[k]))
         if t > t1:
             break
         times.append(t)

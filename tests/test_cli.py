@@ -71,6 +71,17 @@ def with_signal(body):
     return mangle
 
 
+def short_window(end, single=False):
+    """A mangle that moves SMALL_TWO's window to ``(0, end)``; with ``single``, a
+    single-channel config with the single-channel preset's encoder (delta 1/260)."""
+    def mangle(s):
+        s = s.replace("window_start = -0.3", "window_start = 0")
+        s = s.replace("window_end = 0.3", f"window_end = {end}")
+        return as_single(s).replace("delta = 1/60", "delta = 1/260") if single else s
+
+    return mangle
+
+
 ZERO_SINGLE = """\
 [experiment]
 mode = single_tem
@@ -228,6 +239,12 @@ class TestValidate:
             (lambda s: as_pns(s).replace("shift = 1/100", "shift = 1/90"), "pns.shift"),
             (lambda s: as_single(s).replace("lowpass_cutoff_hz = 65", "lowpass_cutoff_hz = 0"),
              "recon.lowpass_cutoff_hz"),
+            # windows shorter than the span in which the encoder is sure to fire one
+            # Gram row's spikes (15.4 ms single-channel, 58.3 ms two-channel)
+            (short_window(0.005, single=True), "experiment.window_end"),
+            (short_window(0.005), "experiment.window_end"),
+            (short_window(0.012), "experiment.window_end"),
+            (short_window(0.02), "experiment.window_end"),
         ],
     )
     def test_config_error_names_the_key(self, tmp_path, capsys, mangle, key):
@@ -251,6 +268,14 @@ class TestValidate:
         assert run_cli("validate", str(path)) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: cannot parse config file") and str(path) in err
+
+    @pytest.mark.parametrize("mangle", [short_window(0.016, single=True), short_window(0.059)])
+    def test_window_just_above_one_row_span_runs(self, tmp_path, mangle):
+        cfg = write_cfg(tmp_path, mangle(SMALL_TWO))
+        assert run_cli("validate", cfg) == 0
+        assert run_cli("run", cfg, "--out-dir", str(tmp_path / "out")) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["gram"]["rows"] >= 1
 
     @pytest.mark.parametrize("mangle", [as_pns, as_single])
     def test_other_mode_bases_are_valid(self, tmp_path, mangle):

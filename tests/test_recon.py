@@ -49,11 +49,16 @@ def uniform_interleaved(period, shift, n):
     return t
 
 
+def gram_at(quad_tol, starts, ends, segments):
+    """Dense ``G`` of the rows ``[starts, ends]``, built with ``recon.QUAD_TOL`` at ``quad_tol``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(recon, "QUAD_TOL", quad_tol)
+        return recon._gram_system(starts, ends, segments, np.zeros(starts.size)).matrix
+
+
 def lowpass_gram(times, omega, quad_tol):
     """Dense ``G`` of ``build_gram_lowpass`` on spike ``times``, assembled at ``quad_tol``."""
-    segments = lowpass_segments(times.size - 1, omega)
-    left, right = recon._spectral_factors(times[:-1], times[1:], segments, quad_tol)
-    return left @ right.T
+    return gram_at(quad_tol, times[:-1], times[1:], lowpass_segments(times.size - 1, omega))
 
 
 def bandpass_knots(times):
@@ -68,9 +73,7 @@ def bandpass_knots(times):
 def bandpass_gram(times, band, quad_tol):
     """Dense ``G`` of ``build_gram_bandpass`` on merged ``times``, assembled at ``quad_tol``."""
     _, shifts, reflected = bandpass_knots(times)
-    segments = bandpass_segments(shifts, reflected, band)
-    left, right = recon._spectral_factors(times[:-2], times[2:], segments, quad_tol)
-    return left @ right.T
+    return gram_at(quad_tol, times[:-2], times[2:], bandpass_segments(shifts, reflected, band))
 
 
 class TestPairShifts:
@@ -348,10 +351,15 @@ class TestMappedRule:
 
     def test_preset_orders_match_the_dense_grid(self, monkeypatch, preset_records,
                                                 preset_systems):
+        rule = recon._mapped_rule
+
         def orders(name, system):
-            rule = recon._factor_rule(*preset_rows(preset_records, name), system.segments,
-                                      recon.QUAD_TOL)
-            return [nu.size for nu, *_ in rule[2]]
+            got = []
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(recon, "_mapped_rule", lambda order: got.append(order) or rule(order))
+                recon._gram_system(*preset_rows(preset_records, name), system.segments,
+                                   system.rhs)
+            return got
 
         got = {name: orders(name, system) for name, system in preset_systems.items()}
         assert got == {"single_channel": [185], "two_channel": [43, 70]}
@@ -486,8 +494,9 @@ class TestHeldFactors:
     def test_held_factors_equal_the_spectral_factors(self, preset_records, preset_systems,
                                                      preset, factor_cols):
         system = preset_systems[preset]
-        left, right = recon._spectral_factors(*preset_rows(preset_records, preset),
-                                              system.segments, recon.QUAD_TOL, system.rhs)
+        again = recon._gram_system(*preset_rows(preset_records, preset), system.segments,
+                                   system.rhs)
+        left, right = again.left, again.right
         assert np.array_equal(system.left, left) and np.array_equal(system.right, right)
         assert system.shape == (left.shape[0], right.shape[0])
         block = experiment._block_dict((-1.0, 1.0), (0, system.rhs.size), system,
@@ -496,17 +505,17 @@ class TestHeldFactors:
 
     def test_matrix_is_the_product_of_the_held_factors(self, monkeypatch, small_system):
         train, system = small_system
-        left, right = recon._spectral_factors(train.times[:-1], train.times[1:],
-                                              system.segments, recon.QUAD_TOL)
+        again = recon._gram_system(train.times[:-1], train.times[1:], system.segments,
+                                   system.rhs)
 
         def rebuilt(*args):
             raise AssertionError("the matrix rebuilt a factor")
 
-        for name in ("_factor_rule", "_left_factor", "_right_factor"):
+        for name in ("_gram_system", "_mapped_rule"):
             monkeypatch.setattr(recon, name, rebuilt)
         gram = system.matrix
         assert np.array_equal(gram, system.left[:, :-1] @ system.right.T)
-        assert np.array_equal(gram, left @ right.T)
+        assert np.array_equal(gram, again.left[:, :-1] @ again.right.T)
 
     def test_hand_made_system_has_a_matrix(self):
         rng = np.random.default_rng(3)
