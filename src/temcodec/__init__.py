@@ -19,7 +19,6 @@ from .signals import (
 )
 from .tem import (
     InterleavingError,
-    MergedTrain,
     SpikeTrain,
     TemParams,
     amplitude_integrals,

@@ -188,7 +188,8 @@ def _build_signal(section) -> tuple:
 def load_config(path) -> ExperimentConfig:
     """Parse and fully validate an experiment config file.
 
-    Every cross-module constraint (encoder parameter bounds, band edges,
+    Every cross-module constraint (a window span ``w1 - w0`` that is a
+    finite float, encoder parameter bounds, band edges,
     PNS shift degeneracy, alpha range, and a TEM window no shorter than the
     span ``kappa*(delta - z0 + 2*delta)/(bias - bound)`` in which the
     encoder bounds guarantee one Gram row's spikes, ``z0`` the integrator's
@@ -222,6 +223,10 @@ def load_config(path) -> ExperimentConfig:
         if not w0 < w1:
             raise ConfigError(
                 f"experiment.window_end {w1} must exceed experiment.window_start {w0}")
+        if not math.isfinite(w1 - w0):
+            raise ConfigError(
+                f"experiment.window_end {w1}: the window from {w0} spans more than the "
+                f"float range")
         grid_step = exp.num("grid_step", "1/1000")
         if not 0 < grid_step <= (w1 - w0):
             raise ConfigError(f"experiment.grid_step {grid_step} outside (0, window span]")
@@ -358,7 +363,7 @@ def _snap_grid(window, step):
 
 
 def _snap_train(train: tem.SpikeTrain) -> tem.SpikeTrain:
-    return tem.SpikeTrain(_snap(train.times), train.channel, train.params, train.window)
+    return replace(train, times=_snap(train.times))
 
 
 def _gap_stats(times: np.ndarray) -> dict:
@@ -450,9 +455,13 @@ def _manifest(out_dir: Path, names) -> list:
 def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentReport:
     """Execute the configured pipeline and write all output files.
 
-    A TEM record is decoded in the overlapping blocks of
-    :func:`temcodec.recon.block_split`, one after another: each block's spikes
-    are built into a Gram system by ``recon.build_gram_lowpass`` or
+    Both TEM modes take one path.  The encoder's one or two snapped trains
+    are written to ``spikes.txt`` and give the record: the single train, or
+    the two interleaved into one ``"merged"`` :class:`~temcodec.tem.SpikeTrain`
+    (:func:`temcodec.tem.interleave`).  The record is decoded in the
+    overlapping blocks of :func:`temcodec.recon.block_split`, one after
+    another: each block, ``replace(record, times=record.times[start:stop])``,
+    is built into a Gram system by ``recon.build_gram_lowpass`` or
     ``recon.build_gram_bandpass``, solved, and its model evaluated only at
     the evaluation points of its core, so the system of one block, never of
     the whole record, is alive at a time; a block whose core holds no
@@ -460,14 +469,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentReport:
     one block, the whole-record decode.  The report's ``gram`` sums rows,
     knots and ranks over the decoded blocks and lists each one.
 
-    Raises :class:`PipelineError` naming the failing stage (``write`` when
-    ``out_dir`` cannot be made).  Deterministic: identical configs produce
-    byte-identical files.
+    Raises :class:`PipelineError` naming the failing stage (``evaluate``
+    when the evaluation grid or the signal on it cannot be built, ``write``
+    when ``out_dir`` cannot be made).  Deterministic: identical configs
+    produce byte-identical files.
     """
     started = time.perf_counter()
     out_path = Path(out_dir)
-    t_eval = _snap_grid(cfg.window, cfg.grid_step)
-    x_true = np.asarray(cfg.signal(t_eval), dtype=float)
     files = []
 
     report = {
@@ -480,47 +488,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentReport:
     }
 
     try:
+        stage = "evaluate"  # the grid and the signal on it
+        t_eval = _snap_grid(cfg.window, cfg.grid_step)
+        x_true = np.asarray(cfg.signal(t_eval), dtype=float)
         stage = "write"  # a directory that cannot be made fails as an output write
         out_path.mkdir(parents=True, exist_ok=True)
-        if cfg.mode == "single_tem":
-            stage = "encode"
-            train = _snap_train(tem.encode(cfg.signal, cfg.tem_params, cfg.window))
-            tem.write_spike_file(out_path / "spikes.txt", [train])
-            files.append("spikes.txt")
-            report["tem"] = _tem_dict(cfg.tem_params)
-            report["recon_kernel"] = {"kind": "lowpass", "cutoff_hz": cfg.lowpass_cutoff / TWO_PI}
-            report["spikes"] = {"single": _gap_stats(train.times)}
-            times, a_max, stride = train.times, cfg.lowpass_cutoff, 1
-
-            def build(start, stop):
-                block = replace(train, times=times[start:stop])
-                return recon.build_gram_lowpass(block, cfg.lowpass_cutoff)
-
-        elif cfg.mode == "two_tem":
-            stage = "encode"
-            train_a, train_b = tem.encode_two_channel(
-                cfg.signal, cfg.tem_params, cfg.window, alpha=cfg.alpha
-            )
-            train_a, train_b = _snap_train(train_a), _snap_train(train_b)
-            merged = tem.interleave(train_a, train_b)
-            tem.write_spike_file(out_path / "spikes.txt", [train_a, train_b])
-            files.append("spikes.txt")
-            report["tem"] = _tem_dict(cfg.tem_params, alpha=cfg.alpha)
-            report["band"] = _band_dict(cfg.band)
-            report["spikes"] = {
-                "A": _gap_stats(train_a.times),
-                "B": _gap_stats(train_b.times),
-            }
-            report["merged"] = {"count": int(merged.times.size), "max_gap": merged.max_gap}
-            times, a_max, stride = merged.times, cfg.band.omega_u, 2
-
-            def build(start, stop):
-                block = times[start:stop]
-                integrals = merged.integrals[start:stop - 2]
-                return recon.build_gram_bandpass(
-                    tem.MergedTrain(block, integrals, float(np.max(np.diff(block)))), cfg.band)
-
-        else:  # pns
+        if cfg.mode == "pns":
             stage = "encode"
             grid = pns.PnsGrid(cfg.pns_shift, cfg.window, cfg.band)
             samples = pns.sample_pns(cfg.signal, grid)
@@ -537,9 +510,30 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentReport:
             }
             stage = "evaluate"
             x_hat = pns.reconstruct_pns(samples, grid, t_eval)
+        else:  # a TEM mode: encode, then decode the record block by block
+            stage = "encode"
+            two = cfg.mode == "two_tem"
+            if two:
+                trains = tem.encode_two_channel(
+                    cfg.signal, cfg.tem_params, cfg.window, alpha=cfg.alpha)
+            else:
+                trains = [tem.encode(cfg.signal, cfg.tem_params, cfg.window)]
+            trains = [_snap_train(train) for train in trains]
+            record = tem.interleave(*trains) if two else trains[0]
+            tem.write_spike_file(out_path / "spikes.txt", trains)
+            files.append("spikes.txt")
+            report["tem"] = _tem_dict(cfg.tem_params, alpha=cfg.alpha)
+            if two:
+                report["band"] = _band_dict(cfg.band)
+            else:
+                report["recon_kernel"] = {"kind": "lowpass",
+                                          "cutoff_hz": cfg.lowpass_cutoff / TWO_PI}
+            report["spikes"] = {train.channel: _gap_stats(train.times) for train in trains}
+            if two:
+                report["merged"] = {"count": len(record), "max_gap": float(np.max(record.gaps))}
 
-        if cfg.mode != "pns":  # both encoders end in the same block-wise reconstruction
-            edges, spans = recon.block_split(times, cfg.window, a_max, stride)
+            a_max, stride = (cfg.band.omega_u, 2) if two else (cfg.lowpass_cutoff, 1)
+            edges, spans = recon.block_split(record.times, cfg.window, a_max, stride)
             # the evaluation points of each block's core, [edges[k], edges[k+1])
             points = [0, *np.searchsorted(t_eval, edges[1:-1]).tolist(), t_eval.size]
             x_hat = np.empty_like(t_eval)
@@ -549,7 +543,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentReport:
                 if lo == hi:  # a core without evaluation points is not decoded
                     continue
                 stage = "assemble"
-                system = build(start, stop)
+                block = replace(record, times=record.times[start:stop])
+                if two:
+                    system = recon.build_gram_bandpass(block, cfg.band)
+                else:
+                    system = recon.build_gram_lowpass(block, cfg.lowpass_cutoff)
                 stage = "solve"
                 solution = recon.solve_coefficients(system)
                 blocks.append(_block_dict(edges[k:k + 2], (start, stop), system, solution))

@@ -14,17 +14,18 @@ The recovery condition is local, so a record need not be one system:
 ``BLOCK_CORE_HALF_PERIODS*pi/a_max`` widened by a guard of spikes, and
 :func:`temcodec.experiment.run_experiment` builds, solves and evaluates
 each block's system on its own (the overcomplete stitching of Lazar,
-Simonyi & Toth, *IEEE TCAS-I*, 2008).  A block's system and model are
-those of a record that holds only its spikes.
+Simonyi & Toth, *IEEE TCAS-I*, 2008).  A block is the record with its
+times sliced, so its system and model are those of a record of its spikes.
 
 Two kernel families are supported:
 
 * lowpass: ``sin(omega*t)/(pi*t)`` shifted to each knot;
 * bandpass: the two-channel PNS interpolant ``g_bp`` (:func:`kernel_gbp`),
   with per-knot shifts derived from the interleaved two-channel spike record
-  (:func:`pair_shifts`).  Knots pair up (one per channel); the pair's first
-  knot carries the plain kernel and its partner the time-reversed kernel,
-  mirroring the even/odd roles of exact PNS.
+  (:func:`pair_shifts`), a ``"merged"`` spike train read at stride 2.
+  Knots pair up (one per channel); the pair's first knot carries the plain
+  kernel and its partner the time-reversed kernel, mirroring the even/odd
+  roles of exact PNS.
 
 :func:`lowpass_segments` and :func:`bandpass_segments` describe every
 knot's kernel once, as spectral segments ``w_l * integral_lo^hi
@@ -86,7 +87,7 @@ from .signals import BandSpec, sinc_pi
 # integrate_columns is not called here; the benchmark tracer (perfbench/tracing.py)
 # patches and restores the name recon.integrate_columns, so it stays importable.
 from .signals import integrate_columns  # noqa: F401
-from .tem import MergedTrain, SpikeTrain, amplitude_integrals
+from .tem import SpikeTrain, amplitude_integrals
 
 __all__ = [
     "DegenerateShiftError",
@@ -457,15 +458,17 @@ def build_gram_lowpass(train: SpikeTrain, omega: float) -> GramSystem:
                         amplitude_integrals(train))
 
 
-def build_gram_bandpass(merged: MergedTrain, band: BandSpec) -> GramSystem:
+def build_gram_bandpass(merged: SpikeTrain, band: BandSpec) -> GramSystem:
     """Gram system over stride-2 intervals of a merged two-channel record.
 
-    Row ``l`` integrates every knot kernel over ``[t[l], t[l+2]]``; column
-    ``k`` holds the kernel of knot ``k`` (time-reversed for a channel-B
-    knot, odd ``k``), whose pair shift ``d`` (:func:`pair_shifts`) fixes
-    its two spectral segments (see :func:`bandpass_segments`).  ``G`` is
-    built as their spectral factors, every entry within ``QUAD_TOL`` (see
-    :func:`_gram_system`).  If the largest stride-1 spike gap reaches the
+    ``merged`` is the record :func:`temcodec.tem.interleave` makes, or a
+    slice of its times.  Row ``l`` integrates every knot kernel over
+    ``[t[l], t[l+2]]``, with right-hand side ``amplitude_integrals(merged,
+    2)``; column ``k`` holds the kernel of knot ``k`` (time-reversed for a
+    channel-B knot, odd ``k``), whose pair shift ``d`` (:func:`pair_shifts`)
+    fixes its two spectral segments (see :func:`bandpass_segments`).  ``G``
+    is built as their spectral factors, every entry within ``QUAD_TOL`` (see
+    :func:`_gram_system`).  If the record's largest spike gap reaches the
     kernel period ``2*pi/B``, reconstruction is no longer guaranteed: a
     warning is issued, the system's ``gap_premise_ok`` is False, and
     assembly proceeds.
@@ -477,15 +480,16 @@ def build_gram_bandpass(merged: MergedTrain, band: BandSpec) -> GramSystem:
     t = merged.times
     shifts = pair_shifts(t)
     segments = bandpass_segments(shifts, np.arange(shifts.size) % 2 == 1, band)
-    premise_ok = merged.max_gap < band.period
+    max_gap = float(np.max(np.diff(t)))
+    premise_ok = max_gap < band.period
     if not premise_ok:
         warnings.warn(
-            f"max merged spike gap {merged.max_gap:.6g} s reaches the kernel period "
+            f"max merged spike gap {max_gap:.6g} s reaches the kernel period "
             f"{band.period:.6g} s; reconstruction quality is not guaranteed",
             RuntimeWarning,
             stacklevel=2,
         )
-    return _gram_system(t[:-2], t[2:], segments, merged.integrals, premise_ok)
+    return _gram_system(t[:-2], t[2:], segments, amplitude_integrals(merged, 2), premise_ok)
 
 
 def block_split(times, window, a_max: float, stride: int):

@@ -27,6 +27,9 @@ one to the window end, never fixed-step simulation.  ``x + b > 0`` is
 checked at every node of the global pass and of each per-spike integral,
 and wherever a slope is sampled; a violation names the spike by how many
 spikes precede the offending point.
+
+Every record is a :class:`SpikeTrain`, the two channels' merged one too
+(:func:`interleave`); :func:`amplitude_integrals` reads either's gaps.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from .signals import _GL_NODES, _GL_WEIGHTS, integrate
 __all__ = [
     "TemParams",
     "SpikeTrain",
-    "MergedTrain",
     "InterleavingError",
     "encode",
     "amplitude_integrals",
@@ -109,10 +111,10 @@ class TemParams:
 
 @dataclass(frozen=True)
 class SpikeTrain:
-    """Strictly increasing spike times from one encoder channel."""
+    """Strictly increasing spike times from one encoder channel, or two merged."""
 
     times: np.ndarray
-    channel: str  # "A" | "B" | "single"
+    channel: str  # "A" | "B" | "single" | "merged"
     params: TemParams
     window: tuple
 
@@ -382,14 +384,17 @@ def encode(
     return SpikeTrain(np.asarray(times), channel, params, (t0, t1))
 
 
-def amplitude_integrals(train: SpikeTrain) -> np.ndarray:
-    """Signal integrals recovered from the spike gaps.
+def amplitude_integrals(train: SpikeTrain, stride: int = 1) -> np.ndarray:
+    """Signal integrals recovered from the spike gaps at ``stride``.
 
-    Entry ``k`` is ``2*kappa*delta - bias*(t[k+1] - t[k])``, the integral of
-    the raw signal over ``[t[k], t[k+1]]``; empty for fewer than 2 spikes.
+    Entry ``k`` is ``2*kappa*delta - bias*(t[k+stride] - t[k])``, the integral
+    of the raw signal over ``[t[k], t[k+stride]]``; empty for ``stride`` or
+    fewer spikes.  At stride 2 a merged record (:func:`interleave`) gives
+    both channels' stride-1 sequences in merged order.
     """
     p = train.params
-    return 2.0 * p.kappa * p.delta - p.bias * np.diff(train.times)
+    t = train.times
+    return 2.0 * p.kappa * p.delta - p.bias * (t[stride:] - t[:-stride])
 
 
 def channel_offset(delta: float, alpha: Optional[float] = None) -> float:
@@ -428,26 +433,12 @@ def encode_two_channel(
     return train_a, train_b
 
 
-@dataclass(frozen=True)
-class MergedTrain:
-    """Interleaved two-channel spike record.
-
-    ``times`` alternates A and B spikes (A first); ``integrals`` holds the
-    stride-2 sequence ``2*kappa*delta - bias*(t[l+2] - t[l])``, i.e. the
-    per-channel amplitude integrals in merged order.  ``max_gap`` is the
-    largest stride-1 gap, which must stay below the kernel period 2*pi/B
-    for bandpass reconstruction; :func:`temcodec.recon.build_gram_bandpass`
-    checks it and records the answer as its system's ``gap_premise_ok``.
-    The shared encoder parameters and window stay on the channels' trains.
-    """
-
-    times: np.ndarray
-    integrals: np.ndarray
-    max_gap: float
-
-
-def interleave(train_a: SpikeTrain, train_b: SpikeTrain) -> MergedTrain:
+def interleave(train_a: SpikeTrain, train_b: SpikeTrain) -> SpikeTrain:
     """Merge two strictly interleaved trains into one ordered record.
+
+    The record is a :class:`SpikeTrain` of channel ``"merged"`` with the
+    channels' shared parameters and window, its times alternating A and B
+    (A first); it is decoded through ``amplitude_integrals(merged, 2)``.
 
     Raises :class:`InterleavingError` (with the offending pair index) if
     the trains do not satisfy ``t_k[A] < t_k[B] < t_{k+1}[A]`` on their
@@ -473,10 +464,7 @@ def interleave(train_a: SpikeTrain, train_b: SpikeTrain) -> MergedTrain:
     merged = np.empty(len(a) + len(b))
     merged[0::2] = a
     merged[1::2] = b
-    p = train_a.params
-    integrals = 2.0 * p.kappa * p.delta - p.bias * (merged[2:] - merged[:-2])
-    max_gap = float(np.max(np.diff(merged))) if merged.size > 1 else 0.0
-    return MergedTrain(merged, integrals, max_gap)
+    return SpikeTrain(merged, "merged", train_a.params, train_a.window)
 
 
 # ---------------------------------------------------------------------------

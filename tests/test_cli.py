@@ -82,6 +82,20 @@ def short_window(end, single=False):
     return mangle
 
 
+def pns_preset(window, guard=None):
+    """A mangle that ignores its input: the PNS preset over ``window``, and with
+    ``guard`` that guard fraction."""
+    def mangle(_):
+        s = (CONFIG_DIR / "pns.cfg").read_text()
+        s = s.replace("window_start = -1\n", f"window_start = {window[0]}\n")
+        s = s.replace("window_end = 1\n", f"window_end = {window[1]}\n")
+        if guard is not None:
+            s = s.replace("guard_fraction = 0.15", f"guard_fraction = {guard}")
+        return s
+
+    return mangle
+
+
 ZERO_SINGLE = """\
 [experiment]
 mode = single_tem
@@ -245,6 +259,9 @@ class TestValidate:
             (short_window(0.005), "experiment.window_end"),
             (short_window(0.012), "experiment.window_end"),
             (short_window(0.02), "experiment.window_end"),
+            # a window whose span w1 - w0 overflows to inf
+            (pns_preset((-1e308, 1e308)), "experiment.window_end"),
+            (pns_preset((-1e308, 1e308), guard=0), "experiment.window_end"),
         ],
     )
     def test_config_error_names_the_key(self, tmp_path, capsys, mangle, key):
@@ -451,6 +468,16 @@ class TestRun:
         assert info.value.stage == "write"
         assert "report 'metrics.snr_db' is not a number or null: '80'" in str(info.value)
         assert not (out / "report.json").exists()
+
+    def test_unbuildable_grid_exits_3_at_evaluate(self, tmp_path, capsys):
+        # (0, 1e300) validates, but its evaluation grid has more points than an
+        # array can hold: the run fails at a named stage and makes no directory
+        cfg = write_cfg(tmp_path, pns_preset((0, 1e300))(None))
+        assert run_cli("validate", cfg) == 0
+        capsys.readouterr()
+        assert run_cli("run", cfg, "--out-dir", str(tmp_path / "out")) == 3
+        assert "pipeline failure at stage 'evaluate'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_uncreatable_out_dir_exits_3_at_write(self, tmp_path, capsys):
         blocker = tmp_path / "file"

@@ -17,7 +17,7 @@ from temcodec.signals import (
     BandSpec, Constant, Tone, SignalSum, TWO_PI, integrate_columns,
 )
 from temcodec.tem import (
-    MergedTrain, SpikeTrain, TemParams, encode, encode_two_channel, interleave,
+    SpikeTrain, TemParams, amplitude_integrals, encode, encode_two_channel, interleave,
 )
 from temcodec import experiment, recon
 from temcodec.recon import (
@@ -249,7 +249,7 @@ def test_knot_times_are_the_row_midpoints_bit_for_bit(preset_records, preset_sys
     # a jittered record without its last B spike: an odd knot count, the last knot unpaired
     full = jittered_record(band_35_65, 0.4, 5)
     t = full.times[:-1]
-    odd = MergedTrain(t, full.integrals[:-1], float(np.max(np.diff(t))))
+    odd = dataclasses.replace(full, times=t)
     odd_system = build_gram_bandpass(odd, band_35_65)
     assert odd_system.knot_times.size % 2 == 1
     assert odd_system.knot_times.tobytes() == (0.5 * (t[:-2] + t[2:])).tobytes()
@@ -673,7 +673,7 @@ class TestGramBandpass:
 
     def test_gap_premise_violation_warns_and_proceeds(self, band_35_65):
         merged = premise_violating_record(band_35_65)
-        assert merged.max_gap >= band_35_65.period
+        assert np.max(merged.gaps) >= band_35_65.period
         with pytest.warns(RuntimeWarning, match="kernel period"):
             system = build_gram_bandpass(merged, band_35_65)
         assert not system.gap_premise_ok
@@ -1243,6 +1243,19 @@ class TestBlockSplit:
             assert t[start] > edges[k] - guard - gap
         for k, (start, stop) in enumerate(spans[:-1]):
             assert t[stop - 1] < edges[k + 1] + guard + gap
+
+    @pytest.mark.parametrize("preset", ["single_channel", "two_channel"])
+    def test_a_block_sliced_from_the_record_keeps_its_integrals_bit_for_bit(self, preset):
+        # run_experiment decodes dataclasses.replace(record, times=record.times[start:stop]):
+        # its amplitude integrals are the record's over the block's rows, exactly
+        cfg, record, a_max, stride = preset_record(preset)
+        whole = amplitude_integrals(record, stride)
+        _, spans = recon.block_split(record.times, cfg.window, a_max, stride)
+        assert len(spans) > 1
+        for start, stop in spans:
+            block = dataclasses.replace(record, times=record.times[start:stop])
+            assert (amplitude_integrals(block, stride).tobytes()
+                    == whole[start:stop - stride].tobytes())
 
     @pytest.mark.parametrize("span, blocks", [(0.73, 1), (0.74, 2), (1.2, 2), (1.24, 3)])
     def test_block_count_rounds_the_cores(self, span, blocks):

@@ -555,15 +555,25 @@ class TestInterleave:
         gaps = np.diff(merged.times)
         assert np.allclose(gaps[0::2], gaps[0], atol=2e-9, rtol=0)
         assert np.allclose(gaps[1::2], gaps[1], atol=2e-9, rtol=0)
-        assert merged.max_gap == pytest.approx(np.max(gaps), rel=0, abs=0)
+        assert np.max(merged.gaps) == pytest.approx(np.max(gaps), rel=0, abs=0)
 
     def test_merged_integrals_equal_channel_integrals(self, two_channel_record):
         _, train_a, train_b, merged = two_channel_record
         ya = amplitude_integrals(train_a)
         yb = amplitude_integrals(train_b)
-        assert merged.integrals.shape == (merged.times.size - 2,)
-        assert np.array_equal(merged.integrals[0::2], ya)
-        assert np.array_equal(merged.integrals[1::2][: yb.size], yb)
+        merged_integrals = amplitude_integrals(merged, 2)
+        assert merged_integrals.shape == (merged.times.size - 2,)
+        assert np.array_equal(merged_integrals[0::2], ya)
+        assert np.array_equal(merged_integrals[1::2][: yb.size], yb)
+
+    def test_merged_record_is_a_spike_train_of_the_channels_params_and_window(
+            self, two_channel_record):
+        params, train_a, train_b, merged = two_channel_record
+        assert isinstance(merged, SpikeTrain)
+        assert merged.channel == "merged"
+        assert merged.params == train_a.params == train_b.params == params
+        assert merged.window == train_a.window == train_b.window
+        assert len(merged) == len(train_a) + len(train_b)
 
     def test_merged_times_follow_channel_order(self, two_channel_record):
         _, train_a, train_b, merged = two_channel_record
