@@ -7,7 +7,9 @@ Subcommands::
     temcodec compare <report_a.json> <report_b.json>
 
 Every run setting comes from the config file; ``--out-dir`` (default
-``runs/<config stem>``) only says where the output files go.
+``runs/<config stem>``) only says where the output files go.  ``validate``
+also prints the size of the run (:func:`temcodec.experiment.run_size`)
+and sets no limit on it.
 
 Exit codes: 0 success, 2 invalid config, report or arguments (a file that
 cannot be parsed included), 3 pipeline failure.
@@ -26,6 +28,7 @@ from .experiment import (
     compare_runs,
     load_config,
     run_experiment,
+    run_size,
 )
 
 EXIT_OK = 0
@@ -82,6 +85,14 @@ def _cmd_validate(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     print(f"config ok: mode={cfg.mode} window={cfg.window}")
+    size = run_size(cfg)
+    parts = [f"{size['grid_points']:,} grid points"]
+    if cfg.mode == "pns":
+        parts.append(f"{size['samples']:,} samples")
+    else:
+        parts.append("{:,.0f} to {:,.0f} spikes per channel".format(*size["spikes"]))
+        parts.append(f"{size['blocks']:,} decoding blocks")
+    print(f"  run size: {', '.join(parts)}")
     return EXIT_OK
 
 

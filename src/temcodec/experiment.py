@@ -53,6 +53,7 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentReport",
     "load_config",
+    "run_size",
     "run_experiment",
     "compare_runs",
 ]
@@ -350,16 +351,19 @@ def _snap(values) -> np.ndarray:
     return out
 
 
-def _snap_grid(window, step):
-    """Grid ``w0 + k*step`` up to ``w1``, snapped to 12 significant digits.
+def _grid_points(window, step) -> int:
+    """Point count of the grid ``w0 + k*step`` up to ``w1``.
 
-    The point count is floored, not rounded, so no point passes ``w1``; the
+    The count is floored, not rounded, so no point passes ``w1``; the
     tolerance keeps a step that divides the window exactly in float noise
     from losing its last point.
     """
-    w0, w1 = window
-    n = math.floor((w1 - w0) / step + 1e-9)
-    return _snap(w0 + step * np.arange(n + 1))
+    return math.floor((window[1] - window[0]) / step + 1e-9) + 1
+
+
+def _snap_grid(window, step):
+    """The grid ``w0 + k*step`` of :func:`_grid_points` points, snapped to 12 significant digits."""
+    return _snap(window[0] + step * np.arange(_grid_points(window, step)))
 
 
 def _snap_train(train: tem.SpikeTrain) -> tem.SpikeTrain:
@@ -452,6 +456,31 @@ def _manifest(out_dir: Path, names) -> list:
     return entries
 
 
+def _decoding_kernel(cfg: ExperimentConfig) -> tuple:
+    """A TEM mode's kernel's highest frequency and the record's Gram row stride."""
+    return (cfg.band.omega_u, 2) if cfg.mode == "two_tem" else (cfg.lowpass_cutoff, 1)
+
+
+def run_size(cfg: ExperimentConfig) -> dict:
+    """The size of the run of ``cfg``, worked out without running it.
+
+    ``grid_points``: the evaluation grid's point count, in every mode.  In
+    ``pns`` mode ``samples``: the sample count.  In a TEM mode ``spikes``:
+    bounds ``(span/max_gap, span/min_gap)`` on each channel's spike count,
+    from the encoder's gap bounds; and ``blocks``: the decoding block count
+    (:func:`temcodec.recon.block_count`).
+    """
+    size = {"grid_points": _grid_points(cfg.window, cfg.grid_step)}
+    if cfg.mode == "pns":
+        first, last = pns.PnsGrid(cfg.pns_shift, cfg.window, cfg.band).indices
+        size["samples"] = 2 * max(0, last - first + 1)
+    else:
+        span, params = cfg.window[1] - cfg.window[0], cfg.tem_params
+        size["spikes"] = (span / params.max_gap, span / params.min_gap)
+        size["blocks"] = recon.block_count(cfg.window, _decoding_kernel(cfg)[0])
+    return size
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentReport:
     """Execute the configured pipeline and write all output files.
 
@@ -532,7 +561,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentReport:
             if two:
                 report["merged"] = {"count": len(record), "max_gap": float(np.max(record.gaps))}
 
-            a_max, stride = (cfg.band.omega_u, 2) if two else (cfg.lowpass_cutoff, 1)
+            a_max, stride = _decoding_kernel(cfg)
             edges, spans = recon.block_split(record.times, cfg.window, a_max, stride)
             # the evaluation points of each block's core, [edges[k], edges[k+1])
             points = [0, *np.searchsorted(t_eval, edges[1:-1]).tolist(), t_eval.size]

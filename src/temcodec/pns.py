@@ -53,6 +53,13 @@ class PnsGrid:
     def period(self) -> float:
         return self.band.period
 
+    @property
+    def indices(self) -> tuple:
+        """The first and last ``k`` with ``k*period`` and ``k*period + shift`` in the window."""
+        w0, w1 = self.window
+        return (math.ceil(w0 / self.period - 1e-12),
+                math.floor((w1 - self.shift) / self.period + 1e-12))
+
     def __post_init__(self):
         object.__setattr__(self, "window", (float(self.window[0]), float(self.window[1])))
         if not (0.0 < self.shift < self.period):
@@ -79,15 +86,12 @@ class PnsSamples:
 
 
 def sample_pns(sig, grid: PnsGrid) -> PnsSamples:
-    """Sample ``sig`` on the grid; keeps indices k with both instants in window."""
-    w0, w1 = grid.window
-    T, d = grid.period, grid.shift
-    k_min = math.ceil(w0 / T - 1e-12)
-    k_max = math.floor((w1 - d) / T + 1e-12)
+    """Sample ``sig`` on the grid at the indices :attr:`PnsGrid.indices` bound."""
+    k_min, k_max = grid.indices
     ks = np.arange(k_min, k_max + 1)
     times = np.empty(2 * ks.size)
-    times[0::2] = ks * T
-    times[1::2] = ks * T + d
+    times[0::2] = ks * grid.period
+    times[1::2] = ks * grid.period + grid.shift
     return PnsSamples(times, np.asarray(sig(times), dtype=float))
 
 

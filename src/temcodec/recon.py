@@ -60,13 +60,16 @@ segments, and everything else is derived from them:
   families and for PNS records (:func:`temcodec.pns.reconstruct_pns`
   builds a bandpass model), writes the model as ``cos(a*t)`` and
   ``sin(a*t)`` times Cauchy sums ``sum_l W_l/(t - s_l)``, two weight
-  columns per segment edge ``a``.  The sorted points are cut into equal
-  boxes; knots near a box are summed directly, pairs closer than half the
-  shortest kernel period through the segments' cancellation-free form, and
-  the far knots' sums are interpolated from ``CHEB_POINTS`` Chebyshev
-  points per box, a number an a-priori bound fixes at machine precision
-  (the one-level core of the black-box fast multipole method, Fong &
-  Darve, *J. Comput. Phys.* 2009).
+  columns per segment edge ``a``.  Few points, every preset's evaluations
+  among them, are summed densely.  Otherwise the points and knots are cut
+  into the equal leaves of a binary tree: the knots of a point's leaf and
+  its neighbours are summed directly, pairs closer than half the shortest
+  kernel period through the segments' cancellation-free form, and the far
+  knots' sums come from expansions at ``CHEB_POINTS`` Chebyshev nodes per
+  box, a number an a-priori bound fixes at machine precision, passed up and
+  down the tree a level at a time (the multilevel black-box fast multipole
+  method, Fong & Darve, *J. Comput. Phys.* 2009).  The cost is linear in the
+  points and knots.
 """
 
 from __future__ import annotations
@@ -102,6 +105,7 @@ __all__ = [
     "bandpass_segments",
     "build_gram_lowpass",
     "build_gram_bandpass",
+    "block_count",
     "block_split",
     "solve_coefficients",
     "evaluate_model",
@@ -111,16 +115,19 @@ __all__ = [
 QUAD_TOL = 1e-9
 # distance of shift*k/period from an integer below which a bandpass shift is degenerate
 DEGENERACY_TOL = 1e-9
-# entries of one 1/(t - s) block in evaluate_model: a chunk of a box's points
-# against its near knots, or its Chebyshev points against far knots.  1 MiB of
-# float64, half the 2 MiB per-core L2 cache of the x86-64 host it was measured
-# on, so a block stays in cache from subtraction through reciprocal to product.
-# One block is live at a time: each is inverted in place and released before
-# the next is made, so the evaluator's memory is bounded by this budget.
+# entries of one 1/(t - s) block in evaluate_model: a chunk of points against
+# their near knots.  1 MiB of float64, half the 2 MiB per-core L2 cache of the
+# x86-64 host it was measured on, so a block stays in cache from subtraction
+# through reciprocal to product.  One block is live at a time: each is inverted
+# in place and released before the next is made, so the evaluator's memory is
+# bounded by this budget.  Beside the tree's blocks (a piece's near-knot block or
+# its points' reciprocals to its leaves' nodes, and the far field's knot-node and
+# box products) its leaves' expansions are live, so those blocks take half of it.
 EVAL_CHUNK_ELEMENTS = 1 << 17
-# fixed cost of one evaluate_model box in direct 1/(t - s) terms: its numpy call
-# overhead measured 150-170 us against about 3 ns per term of a 1/(t - s) block
-# times its weights, on a 2-core x86-64 host
+# fixed cost of one box of a one-level scheme of equal boxes in direct 1/(t - s)
+# terms, the scheme whose break-even decides where evaluate_model sums every knot
+# directly (see _tree_depth): its numpy call overhead measured 150-170 us against
+# about 3 ns per term of a 1/(t - s) block times its weights, on a 2-core x86-64 host
 BOX_OVERHEAD_TERMS = 50_000
 # a decoding block's core, and the guard of spikes it adds on each inner side, in
 # half-periods pi/a_max of the kernel's highest frequency a_max (see block_split):
@@ -492,13 +499,22 @@ def build_gram_bandpass(merged: SpikeTrain, band: BandSpec) -> GramSystem:
     return _gram_system(t[:-2], t[2:], segments, amplitude_integrals(merged, 2), premise_ok)
 
 
+def block_count(window, a_max: float) -> int:
+    """The number of decoding blocks of a record over ``window``: ``max(1, round(span/core))``.
+
+    ``core = BLOCK_CORE_HALF_PERIODS*pi/a_max``, ``a_max`` the kernel's
+    highest frequency, so a window shorter than about 1.5 cores is one block.
+    """
+    w0, w1 = window
+    return max(1, round((w1 - w0) / (BLOCK_CORE_HALF_PERIODS * (math.pi / a_max))))
+
+
 def block_split(times, window, a_max: float, stride: int):
     """The overlapping blocks a record of spike ``times`` is decoded in: ``(edges, spans)``.
 
-    ``window`` is cut into ``n = max(1, round(span/core))`` equal cores, ``core =
-    BLOCK_CORE_HALF_PERIODS*pi/a_max`` with ``a_max`` the kernel's highest
-    frequency, so a window shorter than about 1.5 cores is one block.  ``edges``
-    holds the ``n + 1`` core edges, from ``window[0]`` to ``window[1]``.  Block
+    ``window`` is cut into ``n`` equal cores, ``n`` the :func:`block_count` of the
+    window at the kernel's highest frequency ``a_max``.  ``edges`` holds the
+    ``n + 1`` core edges, from ``window[0]`` to ``window[1]``.  Block
     ``k`` decodes the spikes ``times[start:stop]`` of ``spans[k]``, whose rows, the
     intervals ``[t[j], t[j + stride]]``, cover its core ``[edges[k], edges[k+1]]``
     widened on each inner side by the guard ``BLOCK_GUARD_HALF_PERIODS*pi/a_max``;
@@ -508,11 +524,8 @@ def block_split(times, window, a_max: float, stride: int):
     (:func:`build_gram_bandpass`).
     """
     t = np.asarray(times, dtype=float)
-    w0, w1 = window
-    half_period = math.pi / a_max
-    n = max(1, round((w1 - w0) / (BLOCK_CORE_HALF_PERIODS * half_period)))
-    edges = np.linspace(w0, w1, n + 1)
-    guard = BLOCK_GUARD_HALF_PERIODS * half_period
+    edges = np.linspace(window[0], window[1], block_count(window, a_max) + 1)
+    guard = BLOCK_GUARD_HALF_PERIODS * (math.pi / a_max)
     # the last spike at or before each inner edge less the guard, and one past the
     # first spike at or after the edge plus the guard
     firsts = np.maximum(np.searchsorted(t, edges[1:-1] - guard, side="right") - 1, 0)
@@ -697,7 +710,9 @@ def _chebyshev_points(tol: float) -> int:
     points errs by at most ``4*M*rho**(1 - p)/(rho - 1)`` (Trefethen,
     *Approximation Theory and Approximation Practice*, Thm 8.2), minimised
     here over a grid of ``rho``.  The bound is held to ``tol`` times 1/4,
-    the smallest value the term takes on the box.
+    the smallest value the term takes on the box.  The evaluator's far field
+    interpolates on both sides of each interaction, in the target box and in
+    the source box, and each sees the other at least a box width away.
     """
     rho = 1.0 + (2.0 + math.sqrt(8.0)) * np.linspace(1e-3, 1.0 - 1e-3, 999)
     log_rest = np.log(4.0 / ((3.0 - 0.5 * (rho + 1.0 / rho)) * (rho - 1.0)))
@@ -709,66 +724,211 @@ def _chebyshev_points(tol: float) -> int:
 
 
 CHEB_POINTS = _chebyshev_points(np.finfo(float).eps)  # 24
-# Chebyshev points of the second kind on [0, 1], and their barycentric weights
-_CHEB_UNIT = np.sin(0.5 * math.pi * np.arange(CHEB_POINTS) / (CHEB_POINTS - 1)) ** 2
+# Chebyshev points of the second kind on [-1, 1], ascending: the nodes of every
+# box of the evaluator's tree, in the box's normalised coordinate; and their
+# barycentric weights
+_CHEB_NODES = np.sin(0.5 * math.pi * np.arange(1 - CHEB_POINTS, CHEB_POINTS, 2) / (CHEB_POINTS - 1))
 _CHEB_WEIGHTS = (-1.0) ** np.arange(CHEB_POINTS)
 _CHEB_WEIGHTS[[0, -1]] *= 0.5
 
 
-def _box_nodes(lo: float, hi: float) -> np.ndarray:
-    """The Chebyshev points of the box ``[lo, hi]``."""
-    return lo + (hi - lo) * _CHEB_UNIT
+def _interpolate(u, values) -> np.ndarray:
+    """The interpolants at normalised points ``u`` of ``values`` at a box's Chebyshev nodes.
+
+    ``values`` is ``(..., CHEB_POINTS, columns)``, its leading axes those of
+    ``u`` but the last, and the result ``u.shape + (columns,)``; the values
+    ``np.eye(CHEB_POINTS)`` give the Lagrange basis at ``u``.  It is the
+    barycentric formula ``sum_j w_j*f_j/(u - x_j) / sum_j w_j/(u - x_j)``,
+    forward stable on Chebyshev points (Higham, *IMA J. Numer. Anal.* 2004),
+    its two sums taken as matrix products.  A point on a node takes that
+    node's value.
+    """
+    u = np.asarray(u, dtype=float)
+    r = u[..., None] - _CHEB_NODES
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.reciprocal(r, out=r)
+        den = r @ _CHEB_WEIGHTS
+        out = r @ (_CHEB_WEIGHTS[:, None] * values)
+        del r
+        out /= den[..., None]
+    hit = np.isinf(den)
+    if hit.any():
+        at = np.nonzero(hit)
+        out[at] = ((u[at][:, None] == _CHEB_NODES)[:, :, None] * values[at[:-1]]).sum(axis=1)
+    return out
 
 
-def _box_edges(x: np.ndarray, s: np.ndarray, near: float) -> Optional[np.ndarray]:
-    """Edges of the equal boxes that split sorted points ``x``; ``None`` for one dense box.
+def _far_operators():
+    """The far field's fixed operators ``(to_parent, m2l)``.
 
-    Work is counted in direct ``1/(t - s)`` terms.  A box of width ``w``
+    They are made for each far field, in about 0.1 ms, and kept in no cache:
+    a process that only sums densely never makes them.
+
+    ``to_parent``, M2M: a left and a right child box's node values onto its
+    parent's nodes; the transposes carry a parent's values at its nodes onto
+    a child's (L2L).  Exact up to rounding: a child's interpolant of a
+    polynomial of the parent's degree is that polynomial.
+
+    ``m2l``, M2L: the node values of a source box ``offset`` box widths right
+    of a target box onto the target's nodes, for boxes of width 2: entries
+    ``1/(x_i - x_j - 2*offset)``, scaled by ``2/h`` for boxes of width
+    ``h``.  In 1-D a box's interaction list, the children of its parent's
+    neighbours that are not its own neighbours, holds the boxes at offsets
+    +-2, +3 for a left child and -3 for a right one: each offset's
+    ``(offset, kernel, targets, sources)``, the last two slices of a level's
+    boxes.
+    """
+    to_parent = tuple(_interpolate(0.5 * (_CHEB_NODES + side), np.eye(CHEB_POINTS)).T
+                      for side in (-1.0, 1.0))
+    m2l = tuple(
+        (offset, 1.0 / (_CHEB_NODES[:, None] - _CHEB_NODES - 2.0 * offset), targets, sources)
+        for offset, targets, sources in (
+            (2, slice(None, -2), slice(2, None)),
+            (-2, slice(2, None), slice(None, -2)),
+            (3, slice(0, -3, 2), slice(3, None, 2)),
+            (-3, slice(3, None, 2), slice(0, -3, 2)),
+        )
+    )
+    return to_parent, m2l
+
+
+def _tree_depth(x: np.ndarray, s: np.ndarray, near: float) -> int:
+    """Depth of the binary tree of equal leaves over sorted points ``x`` and knots ``s``.
+
+    Depth 0 is one leaf, the dense sum of every knot at every point.  It is
+    taken where a one-level scheme of equal boxes would not beat the dense
+    sum, the rule of the one-level evaluator the tree replaced, kept so that
+    every evaluation it summed densely (every preset's among them) is still
+    summed densely, bit for bit.  It is conservative for the tree: on PNS
+    models the tree is slower than the dense sum at 2,001 points and 120
+    knots but already faster at 4,001 and 240, which the rule sums densely,
+    and it first takes the tree at 6,001 and 360.
+
+    The rule counts work in direct ``1/(t - s)`` terms.  A box of width ``w``
     sums about ``3*w*n/L`` knots per point directly (the box and one width
     either side; ``n`` knots, ``L`` the span of points and knots together)
     and interpolates at a cost of about ``2*p`` per point; it evaluates
     ``p*n`` terms at its ``p = CHEB_POINTS`` nodes and has a fixed cost of
-    ``BOX_OVERHEAD_TERMS``.  For ``m`` points over ``span`` the total is least
-    at ``w = sqrt(span*L*(p*n + overhead)/(3*m*n))``, taken at least ``near``
-    so that every pair closer than ``near`` is in the near field.  One box,
-    every knot near, when fewer than two boxes fit or they would not beat the
-    ``m*n`` terms of the dense sum.
+    ``BOX_OVERHEAD_TERMS``.  For ``m`` points over ``span`` the total is
+    least at ``w = sqrt(span*L*(p*n + overhead)/(3*m*n))``, taken at least
+    ``near``.  Dense when fewer than two such boxes fit or they would not
+    beat the ``m*n`` terms of the dense sum.
+
+    Otherwise the depth is the greatest whose leaves, of width ``L/2**depth``,
+    are at least ``near`` wide, so that every pair closer than ``near`` has
+    its knot in the point's leaf or a neighbour, and hold, with both
+    neighbours, at least ``p`` knots on average, so that no point's direct
+    sum is shorter than its interpolation from the ``p`` nodes of its leaf.
     """
     m, n = x.size, s.size
     if m < 2 or n == 0:
-        return None
+        return 0
     span = x[-1] - x[0]
     whole = max(x[-1], s[-1]) - min(x[0], s[0])
     per_box = CHEB_POINTS * n + BOX_OVERHEAD_TERMS
     width = max(near, math.sqrt(span * whole * per_box / (3.0 * m * n)))
     boxes = int(span // width)
     if boxes < 2 or m * (3.0 * width * n / whole + 2.0 * CHEB_POINTS) + boxes * per_box >= m * n:
-        return None
-    edges = x[0] + (span / boxes) * np.arange(boxes + 1)
-    edges[-1] = x[-1]
+        return 0
+    depth = 0
+    while whole / 2 ** (depth + 1) >= near and 3 * n >= 2 ** (depth + 1) * CHEB_POINTS:
+        depth += 1
+    return depth
+
+
+def _leaf_edges(x: np.ndarray, s: np.ndarray, depth: int) -> np.ndarray:
+    """The ``2**depth + 1`` edges of the equal leaves over sorted points ``x`` and knots ``s``."""
+    lo, hi = min(x[0], s[0]), max(x[-1], s[-1])
+    leaves = 1 << depth
+    edges = lo + ((hi - lo) / leaves) * np.arange(leaves + 1)
+    edges[-1] = hi
     return edges
 
 
-def _cauchy_sums(x: np.ndarray, s: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``sum_l weights[l]/(x - s_l)`` at a few points ``x`` that are on no knot."""
-    out = np.zeros((x.size, weights.shape[1]))
-    cols = max(1, EVAL_CHUNK_ELEMENTS // x.size)
-    for lo in range(0, s.size, cols):
-        d = np.subtract.outer(x, s[lo:lo + cols])
-        out += np.reciprocal(d, out=d) @ weights[lo:lo + cols]
-    return out
+def _far_field(s: np.ndarray, weights: np.ndarray, edges: np.ndarray,
+               kstart: np.ndarray) -> np.ndarray:
+    """Every leaf's far-field Cauchy sums at its nodes, ``(CHEB_POINTS, leaves, columns)``.
+
+    The far field of a leaf is the knots outside it and its two neighbours;
+    leaf ``b`` holds the sorted knots ``s[kstart[b]:kstart[b+1]]`` and spans
+    ``[edges[b], edges[b+1]]``.  This is the multilevel scheme of the
+    black-box fast multipole method (Fong & Darve, *J. Comput. Phys.* 2009;
+    Greengard & Rokhlin, *J. Comput. Phys.* 1987) on the binary tree above
+    the leaves.  Each leaf takes its knots' weights onto its ``CHEB_POINTS``
+    Chebyshev nodes through their Lagrange basis (P2M), each parent its
+    children's (M2M), and each box takes the sums of its interaction list
+    at its nodes (M2L) and its parent's (L2L).  Every step but P2M is a
+    matrix product per level, or per offset and level, over runs of the
+    level's boxes; expansions are held as ``(CHEB_POINTS, boxes, columns)``.
+    Besides the expansions, at most ``EVAL_CHUNK_ELEMENTS // 2`` entries of
+    knot-node or box products and their operands are live at a time.  The
+    cost is linear in the knots and the leaves.
+    """
+    to_parent, m2l = _far_operators()
+    leaves = edges.size - 1
+    depth = leaves.bit_length() - 1
+    p, cols = CHEB_POINTS, weights.shape[1]
+    whole = edges[-1] - edges[0]
+    leaf = np.repeat(np.arange(leaves), np.diff(kstart))
+    multipoles = {depth: np.zeros((p, leaves, cols))}
+    # a chunk's Lagrange basis values and their products with one weight column
+    step = max(1, EVAL_CHUNK_ELEMENTS // (4 * p))
+    for lo in range(0, s.size, step):
+        part = leaf[lo:lo + step]
+        basis = _interpolate((s[lo:lo + step] - edges[part]) * (2.0 * leaves / whole) - 1.0,
+                             np.eye(p))
+        first = np.flatnonzero(np.diff(part, prepend=-1))
+        for col in range(cols):
+            multipoles[depth][:, part[first], col] += np.add.reduceat(
+                basis * weights[lo:lo + step, col, None], first).T
+        del basis
+    # a run of boxes and its product with an operator
+    chunk = max(1, EVAL_CHUNK_ELEMENTS // (4 * p * cols))
+
+    def add(op, src, dst):
+        """``dst += op @ src`` for runs of boxes ``(p, boxes, cols)``, ``chunk`` boxes at a time."""
+        for lo in range(0, src.shape[1], chunk):
+            run = src[:, lo:lo + chunk]
+            dst[:, lo:lo + chunk] += (op @ run.reshape(p, -1)).reshape(run.shape)
+
+    for level in range(depth, 2, -1):
+        multipoles[level - 1] = np.zeros((p, 1 << (level - 1), cols))
+        for side, move in enumerate(to_parent):
+            add(move, multipoles[level][:, side::2], multipoles[level - 1])
+    here = None
+    for level in range(2, depth + 1):
+        boxes = 1 << level
+        parent, here = here, np.zeros((p, boxes, cols))
+        if parent is not None:
+            for side, move in enumerate(to_parent):
+                add(move.T, parent, here[:, side::2])
+            del parent
+        sources = multipoles.pop(level)
+        for _, kernel, to, frm in m2l:
+            # a box of this level is whole/boxes wide
+            add((2.0 * boxes / whole) * kernel, sources[:, frm], here[:, to])
+        del sources
+    return here
 
 
-def _barycentric(x: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Matrix taking values at a box's Chebyshev ``nodes`` to their interpolant at ``x``."""
-    d = np.subtract.outer(x, nodes)
-    hit = d == 0.0
-    d[hit] = 1.0
-    q = _CHEB_WEIGHTS / d
-    on_node = hit.any(axis=1)
-    q[on_node] = hit[on_node]  # a point on a node takes that node's value
-    q /= q.sum(axis=1, keepdims=True)
-    return q
+def _near_pairs(x: np.ndarray, s: np.ndarray, near: float, lo=None, hi=None):
+    """Pairs ``(row, knot)`` of points ``x`` and sorted knots ``s`` closer than ``near``.
+
+    Given per-row bounds, only knots ``lo[row] <= knot < hi[row]`` count: a
+    point's near field.  Pairs come row by row, knots ascending: the k-th pair
+    of a row is knot ``first[row] + k``, ``first`` the row's first knot above
+    ``x - near``.
+    """
+    first = np.searchsorted(s, x - near, side="right")
+    count = np.searchsorted(s, x + near, side="left")
+    if lo is not None:
+        first = np.maximum(first, lo)
+        count = np.maximum(np.minimum(count, hi), first)
+    count -= first
+    row = np.repeat(np.arange(x.size), count)
+    knot = np.arange(row.size)
+    knot += np.repeat(first - np.cumsum(count) + count, count)
+    return row, knot
 
 
 def evaluate_model(model: ReconModel, t):
@@ -785,17 +945,22 @@ def evaluate_model(model: ReconModel, t):
     starts a segment with ``psi = 0``, where its term ``sin(-psi)/u``
     vanishes, so it gets no columns.
 
-    The sorted points are cut into equal boxes (see :func:`_box_edges`).  For
-    the points of a box, the knots inside it and within one box width of it
-    (the near field) are summed directly: one ``1/(t - s)`` block times the
-    ``(n, 2F)`` weight matrix per chunk of points.  Point-knot pairs closer
-    than ``pi/a_max``, where that expansion cancels badly, are left out of
-    the block and added back from the segments directly
-    (:func:`_segment_kernel`).  The remaining knots'
-    Cauchy sums are smooth on the box; they are evaluated exactly at its
-    ``CHEB_POINTS`` Chebyshev points and carried to its points by barycentric
-    interpolation, to machine precision per term (:func:`_chebyshev_points`).
-    With few points the whole input is one box and every knot is near.
+    The sorted points and the knots are cut into the equal leaves of a
+    binary tree (see :func:`_tree_depth`).  For the points of a leaf, the
+    knots of the leaf and of its two neighbours (the near field) are summed
+    directly: one ``1/(t - s)`` block times the ``(n, 2F)`` weight matrix.
+    Point-knot pairs closer than ``pi/a_max``, where that expansion cancels
+    badly, are left out of the block and added back from the segments
+    directly (:func:`_segment_kernel`).  The remaining knots' Cauchy sums
+    come from the multilevel far field (:func:`_far_field`), to machine
+    precision per term (:func:`_chebyshev_points`), interpolated from the
+    leaf's Chebyshev nodes (:func:`_interpolate`).  Both run on pieces of
+    whole leaves, their points padded to the piece's fullest leaf, as
+    batched matrix products; a leaf with more points than a block holds is
+    cut into chunks of points.  A block holds ``EVAL_CHUNK_ELEMENTS``
+    entries, half that beside the far field's expansions.  The cost is
+    linear in the points and knots.  With few points the tree is one leaf
+    and every knot is near: the dense sum.
     Non-finite points evaluate to NaN.
     """
     t_in = np.asarray(t, dtype=float)
@@ -820,55 +985,91 @@ def evaluate_model(model: ReconModel, t):
     if np.any(x[1:] < x[:-1]):
         perm = np.argsort(x, kind="stable")
         x = x[perm]
-    values = np.empty_like(x)
 
-    def box(lo, hi, i0, i1, nodes=None):
-        """``values[lo:hi]``: knots ``i0:i1`` summed directly, the rest through ``nodes``."""
-        s_near, w_near = s[i0:i1], weights[i0:i1]
-        if nodes is not None:
-            far = _cauchy_sums(nodes, s[:i0], weights[:i0])
-            far += _cauchy_sums(nodes, s[i1:], weights[i1:])
-        rows = max(1, EVAL_CHUNK_ELEMENTS // max(s_near.size, CHEB_POINTS))
-        for r in range(lo, hi, rows):
-            block = x[r:min(r + rows, hi)]
-            first = np.searchsorted(s_near, block - near, side="right")
-            count = np.searchsorted(s_near, block + near, side="left") - first
-            # near pairs as (row, column): the k-th pair of a row is knot first[row] + k
-            pair_row = np.repeat(np.arange(block.size), count)
-            pair_col = np.arange(pair_row.size)
-            pair_col += np.repeat(first - np.cumsum(count) + count, count)
-            recip = np.subtract.outer(block, s_near)
-            recip[pair_row, pair_col] = np.inf  # 1/inf = 0 drops the near pairs
-            np.reciprocal(recip, out=recip)
-            sums = recip @ w_near
-            del recip  # released before the next chunk's block is made
-            if nodes is not None:
-                sums += _barycentric(block, nodes) @ far
-            idx = i0 + pair_col
-            acc = values[r:r + block.size]
-            acc[:] = np.bincount(
-                pair_row, _segment_kernel(segments, block[pair_row] - s[idx], idx),
-                minlength=block.size,
-            )
-            for f, a in enumerate(freqs):
-                acc += np.cos(a * block) * sums[:, 2 * f] + np.sin(a * block) * sums[:, 2 * f + 1]
+    depth = _tree_depth(x, s, near)
+    leaves = 1 << depth
+    # leaf b holds the points x[pstart[b]:pstart[b+1]] and the knots s[kstart[b]:kstart[b+1]]
+    pstart, kstart = np.array([0, x.size]), np.array([0, s.size])
+    far = None
+    if depth:
+        edges = _leaf_edges(x, s, depth)
+        pstart = np.concatenate(([0], np.searchsorted(x, edges[1:-1]), [x.size]))
+        kstart = np.concatenate(([0], np.searchsorted(s, edges[1:-1]), [s.size]))
+        if depth >= 2:
+            far = _far_field(s, weights, edges, kstart)
+    # each leaf's near field: the knots of it and its neighbours
+    index = np.arange(leaves)
+    near_lo = kstart[np.maximum(index - 1, 0)]
+    near_hi = kstart[np.minimum(index + 2, leaves)]
+    # counts are taken as Python ints: leaves number at most a few thousand
+    width = max(*(near_hi - near_lo).tolist(), CHEB_POINTS)
+    fullest = max(np.diff(pstart).tolist())
+    # the leaves' expansions are live beside a tree's blocks: they take half the budget
+    budget = EVAL_CHUNK_ELEMENTS if far is None else EVAL_CHUNK_ELEMENTS // 2
+    rows = max(1, min(fullest, budget // width))
+    bounds = pstart.tolist()
+    if rows < fullest:  # one leaf at a time, in chunks of its points
+        pieces = ((b, b + 1, i, min(i + rows, bounds[b + 1]))
+                  for b in range(leaves) for i in range(bounds[b], bounds[b + 1], rows))
+    else:  # as many whole leaves as one block and their points' sums hold
+        group = max(1, budget // (rows * (width + 2 * weights.shape[1])))
+        pieces = ((b, min(b + group, leaves), bounds[b], bounds[min(b + group, leaves)])
+                  for b in range(0, leaves, group))
 
-    edges = _box_edges(x, s, near)
-    if edges is None:
-        box(0, x.size, 0, s.size)
-    else:
-        # far knots lie at least a box width (the interpolation bound) and
-        # at least ``near`` (the direct-kernel repair) beyond their box
-        reach = max(edges[1] - edges[0], near)
-        bounds = np.concatenate(([0], np.searchsorted(x, edges[1:-1]), [x.size]))
-        for b in np.flatnonzero(np.diff(bounds)):
-            lo, hi = edges[b], edges[b + 1]
-            box(
-                bounds[b], bounds[b + 1],
-                np.searchsorted(s, lo - reach, side="left"),
-                np.searchsorted(s, hi + reach, side="right"),
-                _box_nodes(lo, hi),
-            )
+    values = np.empty_like(x)  # made after the far field, so the two are not live together
+
+    def piece(b0, b1, i0, i1):
+        """``values[i0:i1]`` for leaves ``b0:b1``: near knots directly, the rest from ``far``."""
+        block = x[i0:i1]
+        if b1 == b0 + 1:  # one leaf's points: its near knots are one run of the knots
+            lo, hi = near_lo[b0], near_hi[b0]
+            padded, height, slot = block, block.size, None
+            s_near, w_near = s[None, lo:hi], weights[None, lo:hi]
+            pair_row, col = _near_pairs(block, s[lo:hi], near)
+            first = lo
+        else:  # whole leaves, padded to the fullest: points NaN, knots at infinity of weight 0
+            counts = np.diff(pstart[b0:b1 + 1])
+            leaf = np.repeat(np.arange(b1 - b0), counts)
+            height = max(counts.tolist())
+            slot = leaf * height + np.arange(i0, i1) - pstart[b0:b1][leaf]  # row in the padding
+            padded = np.full((b1 - b0) * height, np.nan)  # padding rows are computed and dropped
+            padded[slot] = block
+            lo_k, hi_k = near_lo[b0:b1], near_hi[b0:b1]
+            knot = lo_k[:, None] + np.arange(max((hi_k - lo_k).tolist()))
+            inside = knot < hi_k[:, None]
+            knot = np.minimum(knot, s.size - 1)
+            s_near = np.where(inside, s[knot], np.inf)
+            w_near = np.where(inside[:, :, None], weights[knot], 0.0)
+            pair_row, col = _near_pairs(block, s, near, lo_k[leaf], hi_k[leaf])
+            first = lo_k[leaf[pair_row]]
+            col -= first
+        recip = padded.reshape(b1 - b0, height, 1) - s_near[:, None, :]
+        # 1/inf = 0: a near pair's column is its knot's place among its leaf's near knots
+        recip.reshape(padded.size, -1)[pair_row if slot is None else slot[pair_row], col] = np.inf
+        np.reciprocal(recip, out=recip)
+        sums = recip @ w_near
+        del recip, s_near, w_near  # released before the far field is interpolated
+        idx = col + first  # the near pairs' knots
+        del col, first
+        acc = values[i0:i1]
+        acc[:] = np.bincount(
+            pair_row, _segment_kernel(segments, block[pair_row] - s[idx], idx),
+            minlength=block.size,
+        )
+        del pair_row, idx
+        if far is not None:
+            u = (padded.reshape(b1 - b0, height) - edges[b0:b1, None]) * (
+                2.0 * leaves / (edges[-1] - edges[0])) - 1.0
+            sums += _interpolate(u, far[:, b0:b1].transpose(1, 0, 2))
+        sums = sums.reshape(padded.size, -1)
+        if slot is not None:
+            sums = sums[slot]
+        for f, a in enumerate(freqs):
+            acc += np.cos(a * block) * sums[:, 2 * f] + np.sin(a * block) * sums[:, 2 * f + 1]
+
+    for b0, b1, i0, i1 in pieces:
+        if i0 < i1:
+            piece(b0, b1, i0, i1)
     if perm is not None:
         values[perm] = values.copy()
     if not finite.all():

@@ -176,6 +176,31 @@ class TestValidate:
     def test_presets_are_valid(self, preset):
         assert run_cli("validate", str(CONFIG_DIR / preset)) == 0
 
+    @pytest.mark.parametrize("preset, size", [
+        ("single_channel.cfg", "2,001 grid points, 260 to 1,300 spikes per channel, "
+                               "4 decoding blocks"),
+        ("two_channel.cfg", "2,001 grid points, 60 to 300 spikes per channel, 4 decoding blocks"),
+        ("pns.cfg", "2,001 grid points, 120 samples"),
+    ])
+    def test_presets_print_their_run_size(self, capsys, preset, size):
+        # the counts a run of the preset makes: grid points, spikes (bounded by
+        # span/max_gap and span/min_gap) or samples, and decoding blocks
+        assert run_cli("validate", str(CONFIG_DIR / preset)) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"  run size: {size}"
+
+    def test_run_size_matches_the_run(self, tmp_path):
+        # the sizes validate prints are those of the run, not a restatement of them
+        cfg = experiment.load_config(CONFIG_DIR / "two_channel.cfg")
+        size = experiment.run_size(cfg)
+        report = experiment.run_experiment(cfg, tmp_path).data
+        rows = (tmp_path / "recon.csv").read_text().count("\n") - 1  # less the header
+        assert (size["grid_points"], size["blocks"]) == (rows, len(report["gram"]["blocks"]))
+        low, high = size["spikes"]
+        assert all(low <= report["spikes"][ch]["count"] <= high for ch in ("A", "B"))
+        pns_cfg = experiment.load_config(CONFIG_DIR / "pns.cfg")
+        report = experiment.run_experiment(pns_cfg, tmp_path / "pns").data
+        assert experiment.run_size(pns_cfg)["samples"] == report["pns"]["count"]
+
     def test_missing_file(self):
         assert run_cli("validate", "/nonexistent/x.cfg") == 2
 

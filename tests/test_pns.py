@@ -349,7 +349,7 @@ class TestEvaluatorMatchesDirectSum:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_box_path_equals_direct_kernel_sum(self, band_35_65, kind, n, m, seed):
-        # enough points per knot that the evaluator cuts them into several boxes
+        # enough points per knot that the evaluator builds a tree with a far field
         rng = np.random.default_rng(seed)
         knots = rng.uniform(-1.0, 1.0, n)
         coeff = rng.uniform(-1.0, 1.0, n)
@@ -372,19 +372,21 @@ class TestEvaluatorMatchesDirectSum:
         s = np.sort(knots)
 
         def layout(t):
-            edges = recon._box_edges(np.sort(t), s, near)
-            assert edges is not None and edges.size >= 3
-            return edges
+            x = np.sort(t)
+            depth = recon._tree_depth(x, s, near)
+            assert depth >= 2  # some leaves are in others' interaction lists
+            return recon._leaf_edges(x, s, depth)
 
         # points beyond the knot span on both sides; the end points fix the
-        # span, so with the count they fix the box layout
+        # span, so with the count they fix the leaves
         t = rng.uniform(-1.5, 1.5, m)
         t[:2] = -1.5, 1.5
         edges = layout(t)
-        # the rest exercises: points on a knot, duplicates, box edges, Chebyshev nodes
+        # the rest exercises: points on a knot, duplicates, leaf edges, Chebyshev nodes
         special = [knots[:20], t[-20:], edges[1:-1]]
-        special += [recon._box_nodes(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-        special = np.concatenate(special)
+        half = 0.5 * (edges[1] - edges[0])
+        special += [edges[:-1, None] + half * (1.0 + recon._CHEB_NODES)]
+        special = np.concatenate([np.ravel(a) for a in special])
         t[2:2 + special.size] = special
         assert np.unique(t).size < t.size
         rng.shuffle(t)

@@ -20,6 +20,7 @@ from temcodec.tem import (
     SpikeTrain, TemParams, amplitude_integrals, encode, encode_two_channel, interleave,
 )
 from temcodec import experiment, recon
+from temcodec.pns import PnsGrid, sample_pns
 from temcodec.recon import (
     DegenerateShiftError,
     DegenerateSystemError,
@@ -982,16 +983,57 @@ class TestSolve:
 
 
 class TestFarField:
+    ROUNDING = 4.0 * np.finfo(float).eps
+
     def test_nearest_far_term_interpolates_to_rounding(self):
         # on a box [-1, 1], a far knot is at least one box width beyond it:
         # the term 1/(x - z) with |z| >= 3, interpolated at the box's nodes
-        nodes = recon._box_nodes(-1.0, 1.0)
+        nodes = recon._CHEB_NODES
         x = np.linspace(-1.0, 1.0, 2001)
-        interp = recon._barycentric(x, nodes)
         for z in (3.0, -3.0, 4.0, 10.0):
             exact = 1.0 / (x - z)
-            err = np.max(np.abs(interp @ (1.0 / (nodes - z)) - exact))
-            assert err <= 4.0 * np.finfo(float).eps * np.max(np.abs(exact))
+            err = np.max(np.abs(recon._interpolate(x, (1.0 / (nodes - z))[:, None])[:, 0] - exact))
+            assert err <= self.ROUNDING * np.max(np.abs(exact))
+
+    def test_point_on_a_node_takes_its_value(self):
+        # the barycentric formula divides by zero there; a row of points takes
+        # the values of its own box
+        p = recon.CHEB_POINTS
+        np.testing.assert_array_equal(recon._interpolate(recon._CHEB_NODES, np.eye(p)), np.eye(p))
+        values = np.random.default_rng(0).standard_normal((2, p, 3))
+        u = np.stack([recon._CHEB_NODES, np.linspace(-1.0, 1.0, p)])  # the ends are nodes
+        got = recon._interpolate(u, values)
+        np.testing.assert_array_equal(got[0], values[0])
+        np.testing.assert_array_equal(got[1, [0, -1]], values[1, [0, -1]])
+        assert np.isfinite(got).all()
+
+    @pytest.mark.parametrize("offset", [2, -2, 3, -3])
+    def test_interaction_interpolates_to_rounding_on_both_sides(self, offset):
+        # boxes of width 2: the target [-1, 1] and a source box ``offset`` box
+        # widths to its right, one box width beyond it at the nearest offset,
+        # +-2.  A unit weight at y goes onto the source's nodes (P2M), across to
+        # the target's (M2L) and to x (L2P): 1/(x - y) interpolated in x and y.
+        # Dyadic x and y make x - y exact, so the reference is rounded once.  Each
+        # of the two interpolations rounds at the scale of the term's largest
+        # value between the boxes, which a source at the near edge reaches.
+        kernel = next(k for o, k, _, _ in recon._far_operators()[1] if o == offset)
+        x = np.arange(-1024, 1025) / 1024.0
+        largest = 1.0 / (2 * abs(offset) - 2)  # the term's largest value between the boxes
+        for eta in np.arange(-32, 33) / 32.0:  # y's place in the source box
+            exact = 1.0 / (x - (2.0 * offset + eta))
+            multipole = recon._interpolate(np.array([eta]), np.eye(recon.CHEB_POINTS))[0]
+            got = recon._interpolate(x, (kernel @ multipole)[:, None])[:, 0]
+            assert np.max(np.abs(got - exact)) <= self.ROUNDING * largest
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_child_to_parent_keeps_polynomials(self, side):
+        # M2M and, transposed, L2L: a polynomial of the parent's degree is its
+        # own interpolant on either half of the parent box; the monomials x**k
+        # are rounded once at each node
+        powers = np.arange(recon.CHEB_POINTS)
+        child = 0.5 * (recon._CHEB_NODES + (2 * side - 1))  # child nodes in the parent
+        got = recon._far_operators()[0][side].T @ recon._CHEB_NODES[:, None] ** powers
+        np.testing.assert_allclose(got, child[:, None] ** powers, rtol=0, atol=self.ROUNDING)
 
 
 def near_offsets(a_max):
@@ -1058,12 +1100,12 @@ class TestModel:
 
     @pytest.fixture(scope="class")
     def boxed(self):
-        """A lowpass model and points that the evaluator cuts into several boxes."""
+        """A lowpass model and points that the evaluator cuts into a tree with a far field."""
         rng = np.random.default_rng(5)
         knots = rng.uniform(-1.0, 1.0, 400)
         model = ReconModel(knots, rng.uniform(-1.0, 1.0, 400), lowpass_segments(400, TWO_PI * 65.0))
         t = np.linspace(-1.2, 1.2, 5001)
-        assert recon._box_edges(t, np.sort(knots), 1.0 / 130.0).size > 2
+        assert recon._tree_depth(t, np.sort(knots), 1.0 / 130.0) >= 2
         return model, t
 
     def test_non_finite_points_yield_nan_only_there(self, boxed):
@@ -1082,12 +1124,12 @@ class TestModel:
 
     @pytest.fixture(scope="class")
     def dense(self):
-        """A lowpass model of 358 knots and 2,300 points that the evaluator takes as one box."""
+        """A lowpass model of 358 knots and 2,300 points that the evaluator sums densely."""
         rng = np.random.default_rng(7)
         knots = rng.uniform(-1.0, 1.0, 358)
         model = ReconModel(knots, rng.uniform(-1.0, 1.0, 358), lowpass_segments(358, TWO_PI * 65.0))
         t = np.linspace(-1.0, 1.0, 2300)
-        assert recon._box_edges(t, np.sort(knots), 1.0 / 130.0) is None
+        assert recon._tree_depth(t, np.sort(knots), 1.0 / 130.0) == 0
         return model, t
 
     def test_dense_box_holds_one_block_at_a_time(self, dense):
@@ -1106,11 +1148,50 @@ class TestModel:
             tracemalloc.stop()
         assert peak - base < 1.5 * budget
 
+    def test_long_pns_record_holds_one_block_at_a_time(self, test_signal, band_35_65):
+        # the 40 s PNS record, 2,400 samples at 40,001 points: the tree's blocks and
+        # its leaves' expansions together stay within the dense sum's bound
+        grid = PnsGrid(0.01, (-20.0, 20.0), band_35_65)
+        samples = sample_pns(test_signal, grid)
+        n = samples.times.size
+        model = ReconModel(samples.times, samples.values, bandpass_segments(
+            np.full(n, grid.shift), np.arange(n) % 2 == 1, band_35_65))
+        t = np.linspace(-20.0, 20.0, 40001)
+        near = np.pi / band_35_65.omega_u
+        assert (n, recon._tree_depth(t, model.knot_times, near)) == (2400, 8)
+        budget = 8 * recon.EVAL_CHUNK_ELEMENTS
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            evaluate_model(model, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 1.5 * budget
+
+    def test_every_preset_evaluates_densely(self, tmp_path, monkeypatch):
+        # the presets' files were written by the dense sum, which is bit for bit
+        # the same as before the tree; a preset evaluated by the tree would drift
+        depths = []
+        real = recon._tree_depth
+
+        def spy(x, s, near):
+            depths.append(real(x, s, near))
+            return depths[-1]
+
+        monkeypatch.setattr(recon, "_tree_depth", spy)
+        config_dir = Path(__file__).resolve().parent.parent / "configs"
+        for preset in ("single_channel", "two_channel", "pns"):
+            experiment.run_experiment(experiment.load_config(config_dir / f"{preset}.cfg"),
+                                      tmp_path / preset)
+        assert depths == [0] * 9  # four blocks of each TEM preset, and the PNS record
+
     @pytest.mark.parametrize("case", ["dense", "boxed"])
     def test_small_budget_matches_default(self, request, monkeypatch, case):
         # 1,000 elements: a chunk of a few points, so near pairs straddle chunk
-        # edges, and far fields of up to 343 knots (boxed) cut into 41-knot
-        # column chunks of _cauchy_sums
+        # edges, and in the tree (boxed) leaves cut into chunks of their points
+        # where the default groups whole leaves, and P2M chunks of 10 knots
+        # that split leaves
         model, t = request.getfixturevalue(case)
         expect = evaluate_model(model, t)
         monkeypatch.setattr(recon, "EVAL_CHUNK_ELEMENTS", 1000)
