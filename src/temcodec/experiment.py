@@ -189,8 +189,9 @@ def _build_signal(section) -> tuple:
 def load_config(path) -> ExperimentConfig:
     """Parse and fully validate an experiment config file.
 
-    Every cross-module constraint (a window span ``w1 - w0`` that is a
-    finite float, encoder parameter bounds, band edges,
+    Every cross-module constraint (a window span ``w1 - w0`` and a grid
+    point count ``(w1 - w0)/grid_step`` that are finite floats, encoder
+    parameter bounds, band edges,
     PNS shift degeneracy, alpha range, and a TEM window no shorter than the
     span ``kappa*(delta - z0 + 2*delta)/(bias - bound)`` in which the
     encoder bounds guarantee one Gram row's spikes, ``z0`` the integrator's
@@ -231,6 +232,10 @@ def load_config(path) -> ExperimentConfig:
         grid_step = exp.num("grid_step", "1/1000")
         if not 0 < grid_step <= (w1 - w0):
             raise ConfigError(f"experiment.grid_step {grid_step} outside (0, window span]")
+        if not math.isfinite((w1 - w0) / grid_step):
+            raise ConfigError(
+                f"experiment.grid_step {grid_step}: the window from {w0} to {w1} holds more "
+                f"grid points than the float range")
         guard = exp.num("guard_fraction", "0.15")
         if not 0 <= guard < 0.5:
             raise ConfigError(f"experiment.guard_fraction must lie in [0, 0.5), got {guard}")

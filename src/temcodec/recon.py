@@ -60,16 +60,16 @@ segments, and everything else is derived from them:
   families and for PNS records (:func:`temcodec.pns.reconstruct_pns`
   builds a bandpass model), writes the model as ``cos(a*t)`` and
   ``sin(a*t)`` times Cauchy sums ``sum_l W_l/(t - s_l)``, two weight
-  columns per segment edge ``a``.  Few points, every preset's evaluations
-  among them, are summed densely.  Otherwise the points and knots are cut
-  into the equal leaves of a binary tree: the knots of a point's leaf and
-  its neighbours are summed directly, pairs closer than half the shortest
-  kernel period through the segments' cancellation-free form, and the far
-  knots' sums come from expansions at ``CHEB_POINTS`` Chebyshev nodes per
-  box, a number an a-priori bound fixes at machine precision, passed up and
-  down the tree a level at a time (the multilevel black-box fast multipole
-  method, Fong & Darve, *J. Comput. Phys.* 2009).  The cost is linear in the
-  points and knots.
+  columns per segment edge ``a``.  Up to ``DENSE_TERMS`` point-knot terms,
+  every preset's evaluations among them, are summed densely.  Otherwise the
+  points and knots are cut into the equal leaves of a binary tree: the
+  knots of a point's leaf and its neighbours are summed directly, pairs
+  closer than half the shortest kernel period through the segments'
+  cancellation-free form, and the far knots' sums come from expansions at
+  ``CHEB_POINTS`` Chebyshev nodes per box, a number an a-priori bound fixes
+  at machine precision, passed up and down the tree a level at a time (the
+  multilevel black-box fast multipole method, Fong & Darve, *J. Comput.
+  Phys.* 2009).  The cost is linear in the points and knots.
 """
 
 from __future__ import annotations
@@ -124,11 +124,12 @@ DEGENERACY_TOL = 1e-9
 # its points' reciprocals to its leaves' nodes, and the far field's knot-node and
 # box products) its leaves' expansions are live, so those blocks take half of it.
 EVAL_CHUNK_ELEMENTS = 1 << 17
-# fixed cost of one box of a one-level scheme of equal boxes in direct 1/(t - s)
-# terms, the scheme whose break-even decides where evaluate_model sums every knot
-# directly (see _tree_depth): its numpy call overhead measured 150-170 us against
-# about 3 ns per term of a 1/(t - s) block times its weights, on a 2-core x86-64 host
-BOX_OVERHEAD_TERMS = 50_000
+# point-knot terms up to which evaluate_model sums every knot at every point
+# directly (see _tree_depth).  On a 2-core x86-64 host the dense sum and the tree
+# broke even between 0.29 and 0.54 M terms on lowpass and PNS models (best of 7:
+# 1.2 against 1.3 ms at 1,500 points and 195 knots, 2.5 against 2.2 ms at 3,001
+# and 180); at this bound every preset's evaluation, 0.24 M terms at most, is dense.
+DENSE_TERMS = 1 << 19
 # a decoding block's core, and the guard of spikes it adds on each inner side, in
 # half-periods pi/a_max of the kernel's highest frequency a_max (see block_split):
 # 0.49 s and 61 ms at 65 Hz, about 240 rows a block on the single-channel preset.
@@ -795,41 +796,20 @@ def _far_operators():
 def _tree_depth(x: np.ndarray, s: np.ndarray, near: float) -> int:
     """Depth of the binary tree of equal leaves over sorted points ``x`` and knots ``s``.
 
-    Depth 0 is one leaf, the dense sum of every knot at every point.  It is
-    taken where a one-level scheme of equal boxes would not beat the dense
-    sum, the rule of the one-level evaluator the tree replaced, kept so that
-    every evaluation it summed densely (every preset's among them) is still
-    summed densely, bit for bit.  It is conservative for the tree: on PNS
-    models the tree is slower than the dense sum at 2,001 points and 120
-    knots but already faster at 4,001 and 240, which the rule sums densely,
-    and it first takes the tree at 6,001 and 360.
-
-    The rule counts work in direct ``1/(t - s)`` terms.  A box of width ``w``
-    sums about ``3*w*n/L`` knots per point directly (the box and one width
-    either side; ``n`` knots, ``L`` the span of points and knots together)
-    and interpolates at a cost of about ``2*p`` per point; it evaluates
-    ``p*n`` terms at its ``p = CHEB_POINTS`` nodes and has a fixed cost of
-    ``BOX_OVERHEAD_TERMS``.  For ``m`` points over ``span`` the total is
-    least at ``w = sqrt(span*L*(p*n + overhead)/(3*m*n))``, taken at least
-    ``near``.  Dense when fewer than two such boxes fit or they would not
-    beat the ``m*n`` terms of the dense sum.
-
-    Otherwise the depth is the greatest whose leaves, of width ``L/2**depth``,
-    are at least ``near`` wide, so that every pair closer than ``near`` has
-    its knot in the point's leaf or a neighbour, and hold, with both
-    neighbours, at least ``p`` knots on average, so that no point's direct
-    sum is shorter than its interpolation from the ``p`` nodes of its leaf.
+    Depth 0 is one leaf, the dense sum of every knot at every point, taken up
+    to ``DENSE_TERMS`` point-knot terms: below that the tree's fixed costs
+    outweigh the terms it saves.  Above it the depth is the greatest whose
+    leaves, of width ``L/2**depth`` (``L`` the span of points and knots
+    together), are at least ``near`` wide, so that every pair closer than
+    ``near`` has its knot in the point's leaf or a neighbour, and hold, with
+    both neighbours, at least ``CHEB_POINTS`` knots on average, so that no
+    point's direct sum is shorter than its interpolation from the
+    ``CHEB_POINTS`` nodes of its leaf.
     """
-    m, n = x.size, s.size
-    if m < 2 or n == 0:
+    n = s.size
+    if x.size * n <= DENSE_TERMS:
         return 0
-    span = x[-1] - x[0]
     whole = max(x[-1], s[-1]) - min(x[0], s[0])
-    per_box = CHEB_POINTS * n + BOX_OVERHEAD_TERMS
-    width = max(near, math.sqrt(span * whole * per_box / (3.0 * m * n)))
-    boxes = int(span // width)
-    if boxes < 2 or m * (3.0 * width * n / whole + 2.0 * CHEB_POINTS) + boxes * per_box >= m * n:
-        return 0
     depth = 0
     while whole / 2 ** (depth + 1) >= near and 3 * n >= 2 ** (depth + 1) * CHEB_POINTS:
         depth += 1
@@ -911,19 +891,15 @@ def _far_field(s: np.ndarray, weights: np.ndarray, edges: np.ndarray,
     return here
 
 
-def _near_pairs(x: np.ndarray, s: np.ndarray, near: float, lo=None, hi=None):
+def _near_pairs(x: np.ndarray, s: np.ndarray, near: float, lo, hi):
     """Pairs ``(row, knot)`` of points ``x`` and sorted knots ``s`` closer than ``near``.
 
-    Given per-row bounds, only knots ``lo[row] <= knot < hi[row]`` count: a
-    point's near field.  Pairs come row by row, knots ascending: the k-th pair
-    of a row is knot ``first[row] + k``, ``first`` the row's first knot above
-    ``x - near``.
+    Only knots ``lo[row] <= knot < hi[row]`` count: a point's near field.
+    Pairs come row by row, knots ascending: the k-th pair of a row is knot
+    ``first[row] + k``, ``first`` the row's first such knot above ``x - near``.
     """
-    first = np.searchsorted(s, x - near, side="right")
-    count = np.searchsorted(s, x + near, side="left")
-    if lo is not None:
-        first = np.maximum(first, lo)
-        count = np.maximum(np.minimum(count, hi), first)
+    first = np.maximum(np.searchsorted(s, x - near, side="right"), lo)
+    count = np.maximum(np.minimum(np.searchsorted(s, x + near, side="left"), hi), first)
     count -= first
     row = np.repeat(np.arange(x.size), count)
     knot = np.arange(row.size)
@@ -957,10 +933,11 @@ def evaluate_model(model: ReconModel, t):
     leaf's Chebyshev nodes (:func:`_interpolate`).  Both run on pieces of
     whole leaves, their points padded to the piece's fullest leaf, as
     batched matrix products; a leaf with more points than a block holds is
-    cut into chunks of points.  A block holds ``EVAL_CHUNK_ELEMENTS``
-    entries, half that beside the far field's expansions.  The cost is
-    linear in the points and knots.  With few points the tree is one leaf
-    and every knot is near: the dense sum.
+    cut into chunks of points, each a piece of one leaf.  A block holds
+    ``EVAL_CHUNK_ELEMENTS`` entries, half that beside the far field's
+    expansions.  The cost is linear in the points and knots.  Up to
+    ``DENSE_TERMS`` point-knot terms the tree is one leaf and every knot is
+    near: the dense sum.
     Non-finite points evaluate to NaN.
     """
     t_in = np.asarray(t, dtype=float)
@@ -1019,51 +996,48 @@ def evaluate_model(model: ReconModel, t):
     values = np.empty_like(x)  # made after the far field, so the two are not live together
 
     def piece(b0, b1, i0, i1):
-        """``values[i0:i1]`` for leaves ``b0:b1``: near knots directly, the rest from ``far``."""
+        """``values[i0:i1]`` for leaves ``b0:b1``: near knots directly, the rest from ``far``.
+
+        The leaves' points, clipped to ``i0:i1``, are padded to the fullest:
+        points NaN, knots at infinity of weight 0.  A chunk of one leaf's
+        points is a group of one leaf.
+        """
         block = x[i0:i1]
-        if b1 == b0 + 1:  # one leaf's points: its near knots are one run of the knots
-            lo, hi = near_lo[b0], near_hi[b0]
-            padded, height, slot = block, block.size, None
-            s_near, w_near = s[None, lo:hi], weights[None, lo:hi]
-            pair_row, col = _near_pairs(block, s[lo:hi], near)
-            first = lo
-        else:  # whole leaves, padded to the fullest: points NaN, knots at infinity of weight 0
-            counts = np.diff(pstart[b0:b1 + 1])
-            leaf = np.repeat(np.arange(b1 - b0), counts)
-            height = max(counts.tolist())
-            slot = leaf * height + np.arange(i0, i1) - pstart[b0:b1][leaf]  # row in the padding
-            padded = np.full((b1 - b0) * height, np.nan)  # padding rows are computed and dropped
-            padded[slot] = block
-            lo_k, hi_k = near_lo[b0:b1], near_hi[b0:b1]
-            knot = lo_k[:, None] + np.arange(max((hi_k - lo_k).tolist()))
-            inside = knot < hi_k[:, None]
-            knot = np.minimum(knot, s.size - 1)
-            s_near = np.where(inside, s[knot], np.inf)
-            w_near = np.where(inside[:, :, None], weights[knot], 0.0)
-            pair_row, col = _near_pairs(block, s, near, lo_k[leaf], hi_k[leaf])
-            first = lo_k[leaf[pair_row]]
-            col -= first
-        recip = padded.reshape(b1 - b0, height, 1) - s_near[:, None, :]
-        # 1/inf = 0: a near pair's column is its knot's place among its leaf's near knots
-        recip.reshape(padded.size, -1)[pair_row if slot is None else slot[pair_row], col] = np.inf
-        np.reciprocal(recip, out=recip)
-        sums = recip @ w_near
-        del recip, s_near, w_near  # released before the far field is interpolated
-        idx = col + first  # the near pairs' knots
-        del col, first
+        bounds = np.clip(pstart[b0:b1 + 1], i0, i1) - i0
+        counts = np.diff(bounds)
+        leaf = np.repeat(np.arange(b1 - b0), counts)
+        lo_k, hi_k = near_lo[b0:b1], near_hi[b0:b1]
+        pair_row, idx = _near_pairs(block, s, near, lo_k[leaf], hi_k[leaf])  # the pairs' knots
         acc = values[i0:i1]
         acc[:] = np.bincount(
             pair_row, _segment_kernel(segments, block[pair_row] - s[idx], idx),
             minlength=block.size,
         )
-        del pair_row, idx
+        height = max(counts.tolist())
+        slot = leaf * height + np.arange(block.size) - bounds[leaf]  # row in the padding
+        knot = lo_k[:, None] + np.arange(max((hi_k - lo_k).tolist()))
+        # a near pair's entry in the block below: its row in the padding, and its
+        # knot's place among its leaf's near knots
+        entry = slot[pair_row] * knot.shape[1] + idx - lo_k[leaf[pair_row]]
+        del leaf, pair_row, idx  # released before the block is made
+        inside = knot < hi_k[:, None]
+        knot = np.minimum(knot, s.size - 1)
+        s_near = np.where(inside, s[knot], np.inf)
+        w_near = np.where(inside[:, :, None], weights[knot], 0.0)
+        del knot, inside
+        padded = np.full((b1 - b0) * height, np.nan)  # padding rows are computed and dropped
+        padded[slot] = block
+        recip = padded.reshape(b1 - b0, height, 1) - s_near[:, None, :]
+        recip.reshape(-1)[entry] = np.inf  # 1/inf = 0
+        del entry
+        np.reciprocal(recip, out=recip)
+        sums = recip @ w_near
+        del recip, s_near, w_near  # released before the far field is interpolated
         if far is not None:
             u = (padded.reshape(b1 - b0, height) - edges[b0:b1, None]) * (
                 2.0 * leaves / (edges[-1] - edges[0])) - 1.0
             sums += _interpolate(u, far[:, b0:b1].transpose(1, 0, 2))
-        sums = sums.reshape(padded.size, -1)
-        if slot is not None:
-            sums = sums[slot]
+        sums = sums.reshape(padded.size, -1)[slot]
         for f, a in enumerate(freqs):
             acc += np.cos(a * block) * sums[:, 2 * f] + np.sin(a * block) * sums[:, 2 * f + 1]
 

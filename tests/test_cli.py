@@ -82,15 +82,17 @@ def short_window(end, single=False):
     return mangle
 
 
-def pns_preset(window, guard=None):
+def pns_preset(window, guard=None, step=None):
     """A mangle that ignores its input: the PNS preset over ``window``, and with
-    ``guard`` that guard fraction."""
+    ``guard`` that guard fraction, with ``step`` that grid step."""
     def mangle(_):
         s = (CONFIG_DIR / "pns.cfg").read_text()
         s = s.replace("window_start = -1\n", f"window_start = {window[0]}\n")
         s = s.replace("window_end = 1\n", f"window_end = {window[1]}\n")
         if guard is not None:
             s = s.replace("guard_fraction = 0.15", f"guard_fraction = {guard}")
+        if step is not None:
+            s = s.replace("grid_step = 1/1000", f"grid_step = {step}")
         return s
 
     return mangle
@@ -287,12 +289,21 @@ class TestValidate:
             # a window whose span w1 - w0 overflows to inf
             (pns_preset((-1e308, 1e308)), "experiment.window_end"),
             (pns_preset((-1e308, 1e308), guard=0), "experiment.window_end"),
+            # a window whose point count w1 - w0 over the grid step overflows to inf
+            (pns_preset((-1, 1e10), step=1e-300), "experiment.grid_step"),
         ],
     )
     def test_config_error_names_the_key(self, tmp_path, capsys, mangle, key):
         cfg = write_cfg(tmp_path, mangle(SMALL_TWO))
         assert run_cli("validate", cfg) == 2
         assert key in capsys.readouterr().err
+
+    def test_run_of_overflowing_grid_exits_2(self, tmp_path, capsys):
+        # validated above; run once ended in an uncaught OverflowError (exit 1)
+        cfg = write_cfg(tmp_path, pns_preset((-1, 1e10), step=1e-300)(SMALL_TWO))
+        assert run_cli("run", cfg, "--out-dir", str(tmp_path / "out")) == 2
+        assert "experiment.grid_step" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "text",

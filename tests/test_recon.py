@@ -1124,11 +1124,11 @@ class TestModel:
 
     @pytest.fixture(scope="class")
     def dense(self):
-        """A lowpass model of 358 knots and 2,300 points that the evaluator sums densely."""
+        """A lowpass model of 358 knots and 1,400 points that the evaluator sums densely."""
         rng = np.random.default_rng(7)
         knots = rng.uniform(-1.0, 1.0, 358)
         model = ReconModel(knots, rng.uniform(-1.0, 1.0, 358), lowpass_segments(358, TWO_PI * 65.0))
-        t = np.linspace(-1.0, 1.0, 2300)
+        t = np.linspace(-1.0, 1.0, 1400)
         assert recon._tree_depth(t, np.sort(knots), 1.0 / 130.0) == 0
         return model, t
 
@@ -1147,6 +1147,31 @@ class TestModel:
         finally:
             tracemalloc.stop()
         assert peak - base < 1.5 * budget
+
+    def test_dense_up_to_dense_terms(self):
+        # 1,024 points against 512 knots are DENSE_TERMS terms, summed densely;
+        # one point more takes the leaf rule: leaves of 2/2**6 hold, with both
+        # neighbours, 24 knots on average (2/2**7 would hold 12)
+        knots = np.linspace(-1.0, 1.0, 512)
+        assert 1024 * knots.size == recon.DENSE_TERMS
+        assert recon._tree_depth(np.linspace(-1.0, 1.0, 1024), knots, 1.0 / 130.0) == 0
+        assert recon._tree_depth(np.linspace(-1.0, 1.0, 1025), knots, 1.0 / 130.0) == 6
+
+    def test_pns_4s_tree_matches_dense_sum(self, test_signal, band_35_65, monkeypatch):
+        # the PNS preset over 4 s, 240 samples at 4,001 points: 0.96 M terms, on
+        # the tree at depth 4 (the 2 s preset's 0.24 M are summed densely)
+        grid = PnsGrid(0.01, (-2.0, 2.0), band_35_65)
+        samples = sample_pns(test_signal, grid)
+        n = samples.times.size
+        model = ReconModel(samples.times, samples.values, bandpass_segments(
+            np.full(n, grid.shift), np.arange(n) % 2 == 1, band_35_65))
+        t = np.linspace(-2.0, 2.0, 4001)
+        near = np.pi / band_35_65.omega_u
+        assert (n, recon._tree_depth(t, model.knot_times, near)) == (240, 4)
+        expect = evaluate_model(model, t)
+        monkeypatch.setattr(recon, "DENSE_TERMS", t.size * model.knot_times.size)
+        dense = evaluate_model(model, t)
+        assert np.max(np.abs(expect - dense)) <= 1e-13 * np.max(np.abs(dense))
 
     def test_long_pns_record_holds_one_block_at_a_time(self, test_signal, band_35_65):
         # the 40 s PNS record, 2,400 samples at 40,001 points: the tree's blocks and
