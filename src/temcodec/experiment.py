@@ -28,7 +28,6 @@ import hashlib
 import itertools
 import json
 import math
-import sys
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -77,12 +76,31 @@ class PipelineError(RuntimeError):
         self.cause = cause
 
 
+# every number read from a config or a report is 0 or of magnitude in this range
+NUMBER_MIN, NUMBER_MAX = 1e-100, 1e100
+NUMBER_RANGE = f"0 or of magnitude in [{NUMBER_MIN:g}, {NUMBER_MAX:g}]"
+
+
+def _in_range(value) -> bool:
+    """Whether a number read from a config or a report lies in :data:`NUMBER_RANGE`.
+
+    Every quantity derived from in-range numbers is then finite and nonzero:
+    window span, grid count, the encoder's gap bounds ``2*kappa*delta/(bias -+
+    bound)`` (at ``1e+-150`` the smaller underflows to 0), row span, block
+    count, and ``compare``'s rates, mean-gap ratio and deltas.  Exact for an
+    int of any size; ``inf`` and ``nan`` lie outside.
+    """
+    return value == 0 or NUMBER_MIN <= abs(value) <= NUMBER_MAX
+
+
 def _num(text: str, key: str) -> float:
     """Parse the config number ``text`` of ``key``: a decimal/scientific float or a fraction a/b.
 
     Raises :class:`ConfigError` naming ``key`` for text that is not a number
-    and for a value that is not finite (``inf``, ``nan``, a zero
-    denominator, a fraction beyond the float range): no setting takes one.
+    and for a value outside :data:`NUMBER_RANGE` (``inf``, ``nan``, a zero
+    denominator and a fraction beyond the float range included): no
+    setting takes one, and every check :func:`load_config` makes after it
+    works on finite numbers.
     """
     text = text.strip()
     try:
@@ -91,8 +109,8 @@ def _num(text: str, key: str) -> float:
         value = math.nan
     except ValueError:
         raise ConfigError(f"{key} must be a number or a fraction a/b, got {text!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{key} must be finite, got {text!r}")
+    if not _in_range(value):
+        raise ConfigError(f"{key} must be {NUMBER_RANGE}, got {text!r}")
     return value
 
 
@@ -189,9 +207,9 @@ def _build_signal(section) -> tuple:
 def load_config(path) -> ExperimentConfig:
     """Parse and fully validate an experiment config file.
 
-    Every cross-module constraint (a window span ``w1 - w0`` and a grid
-    point count ``(w1 - w0)/grid_step`` that are finite floats, encoder
-    parameter bounds, band edges,
+    Every number is in :data:`NUMBER_RANGE` (:func:`_num`), so the window
+    span, grid point count and encoder gap bounds are finite and nonzero.
+    Every cross-module constraint (encoder parameter bounds, band edges,
     PNS shift degeneracy, alpha range, and a TEM window no shorter than the
     span ``kappa*(delta - z0 + 2*delta)/(bias - bound)`` in which the
     encoder bounds guarantee one Gram row's spikes, ``z0`` the integrator's
@@ -225,17 +243,9 @@ def load_config(path) -> ExperimentConfig:
         if not w0 < w1:
             raise ConfigError(
                 f"experiment.window_end {w1} must exceed experiment.window_start {w0}")
-        if not math.isfinite(w1 - w0):
-            raise ConfigError(
-                f"experiment.window_end {w1}: the window from {w0} spans more than the "
-                f"float range")
         grid_step = exp.num("grid_step", "1/1000")
         if not 0 < grid_step <= (w1 - w0):
             raise ConfigError(f"experiment.grid_step {grid_step} outside (0, window span]")
-        if not math.isfinite((w1 - w0) / grid_step):
-            raise ConfigError(
-                f"experiment.grid_step {grid_step}: the window from {w0} to {w1} holds more "
-                f"grid points than the float range")
         guard = exp.num("guard_fraction", "0.15")
         if not 0 <= guard < 0.5:
             raise ConfigError(f"experiment.guard_fraction must lie in [0, 0.5), got {guard}")
@@ -675,16 +685,15 @@ def _block_dict(core, spikes, system: recon.GramSystem, sol: recon.SolveResult) 
 
 
 def _number(v) -> bool:
-    """A JSON number in the float range; the comparison is exact for an int of any size."""
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and -sys.float_info.max <= v <= sys.float_info.max)
+    """A JSON number, not ``true`` or ``false``, in :data:`NUMBER_RANGE`."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and _in_range(v)
 
 
 _KINDS = {  # each kind a read report value can be, under the phrase that names it
     "two increasing numbers": lambda v: (isinstance(v, list) and len(v) == 2
                                          and all(map(_number, v)) and v[0] < v[1]),
     "a number or null": lambda v: v is None or _number(v),
-    "an integer >= 0": lambda v: isinstance(v, int) and _number(v) and v >= 0,
+    "an integer >= 0": lambda v: isinstance(v, int) and _number(v) and 0 <= v <= 2**53,
 }
 # The report values compare_runs reads, each with its kind; a dict is an object holding its keys.
 REPORT_VALUES = {
@@ -700,7 +709,8 @@ def _check_report(value, name: str, spec=REPORT_VALUES, path=()) -> None:
     """Raise ValueError naming report ``name`` and the key unless ``value`` holds ``spec``."""
     where = f"{name} {'.'.join(path)!r}" if path else name
     if isinstance(spec, str) and not _KINDS[spec](value):
-        raise ValueError(f"{where} is not {spec}: {value!r}")
+        raise ValueError(f"{where} is not {spec}: {value!r} "
+                         f"(a number is {NUMBER_RANGE}, a count at most 2**53)")
     if isinstance(spec, dict) and not isinstance(value, dict):
         raise ValueError(f"{where} is a JSON {type(value).__name__}, not an object")
     for key, sub in spec.items() if isinstance(spec, dict) else ():
@@ -717,7 +727,8 @@ def compare_runs(report_a: dict, report_b: dict) -> dict:
     """Tabulate spike-rate, max-gap and SNR deltas between two reports of one window and signal.
 
     A ValueError names the report and key of a value not of its :data:`REPORT_VALUES` kind,
-    and the report, or the pair, and key of a table value past the float range.
+    each number in :data:`NUMBER_RANGE` and each count at most ``2**53``: under that
+    range every table value is finite.
     """
     _check_report(report_a, "report_a")
     _check_report(report_b, "report_b")
@@ -726,27 +737,19 @@ def compare_runs(report_a: dict, report_b: dict) -> dict:
     if report_a["signal"] != report_b["signal"]:
         raise ValueError("signals differ between reports")
 
-    def rate_and_gaps(rep, name):
+    def rate_and_gaps(rep):
         channels = list(rep.get("spikes", {}).values())
         w0, w1 = rep["window"]
         means = [ch["gap_mean"] for ch in channels if ch["gap_mean"] is not None]
         maxes = [ch["gap_max"] for ch in channels if ch["gap_max"] is not None]
-        count = sum(ch["count"] for ch in channels)
-        if count > sys.float_info.max:  # each count is in range, their sum need not be
-            raise ValueError(f"{name} 'spikes' counts sum past the float range")
-        rate = None
-        if channels:  # the exact rate, rounded once; inf where it passes the float range
-            exact = Fraction(count, len(channels)) / (Fraction(w1) - Fraction(w0))
-            try:
-                rate = float(exact)
-            except OverflowError:
-                rate = math.inf
+        # below 2**52 spikes over one or two channels the first division is exact
+        rate = sum(ch["count"] for ch in channels) / len(channels) / (w1 - w0) if channels else None
         return rate, (sum(means) / len(means) if means else None), (max(maxes) if maxes else None)
 
-    rate_a, mean_a, max_a = rate_and_gaps(report_a, "report_a")
-    rate_b, mean_b, max_b = rate_and_gaps(report_b, "report_b")
+    rate_a, mean_a, max_a = rate_and_gaps(report_a)
+    rate_b, mean_b, max_b = rate_and_gaps(report_b)
     snr_a, snr_b = report_a["metrics"]["snr_db"], report_b["metrics"]["snr_db"]
-    table = {
+    return {
         "window": report_a["window"],
         "spike_rate_a": rate_a,
         "spike_rate_b": rate_b,
@@ -761,8 +764,3 @@ def compare_runs(report_a: dict, report_b: dict) -> dict:
         "snr_db_b": snr_b,
         "snr_db_delta": None if None in (snr_a, snr_b) else snr_b - snr_a,
     }
-    for key, value in table.items():  # in-range inputs can still give an infinite rate or delta
-        if isinstance(value, (int, float)) and not _number(value):
-            name = {"_a": "report_a", "_b": "report_b"}.get(key[-2:], "report_a vs report_b")
-            raise ValueError(f"{name} '{key}' is past the float range: {value}")
-    return table

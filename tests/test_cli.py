@@ -1,10 +1,13 @@
 import json
 import math
+import re
 import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from temcodec import experiment, recon
 from temcodec.cli import main
@@ -96,6 +99,22 @@ def pns_preset(window, guard=None, step=None):
         return s
 
     return mangle
+
+
+def single_preset_tem(kappa, delta, bias):
+    """A mangle that ignores its input: the single-channel preset with these [tem] values."""
+    def mangle(_):
+        s = (CONFIG_DIR / "single_channel.cfg").read_text()
+        for key, value in (("kappa", kappa), ("delta", delta), ("bias", bias)):
+            s, n = re.subn(rf"^{key} = .*$", f"{key} = {value}", s, flags=re.M)
+            assert n == 1
+        return s
+
+    return mangle
+
+
+# the encoder's min_gap, 2*kappa*delta/(bias + bound), is 0 in floats here
+UNDERFLOWING_GAP_BOUND = single_preset_tem("1e-200", "1e-200", "1e300")
 
 
 ZERO_SINGLE = """\
@@ -286,11 +305,13 @@ class TestValidate:
             (short_window(0.005), "experiment.window_end"),
             (short_window(0.012), "experiment.window_end"),
             (short_window(0.02), "experiment.window_end"),
-            # a window whose span w1 - w0 overflows to inf
-            (pns_preset((-1e308, 1e308)), "experiment.window_end"),
-            (pns_preset((-1e308, 1e308), guard=0), "experiment.window_end"),
-            # a window whose point count w1 - w0 over the grid step overflows to inf
+            # numbers out of range, where the window span w1 - w0 would overflow to
+            # inf, the grid point count w1 - w0 over the step too, and the
+            # encoder's min_gap 2*kappa*delta/(bias + bound) would underflow to 0
+            (pns_preset((-1e308, 1e308)), "experiment.window_start"),
+            (pns_preset((-1e308, 1e308), guard=0), "experiment.window_start"),
             (pns_preset((-1, 1e10), step=1e-300), "experiment.grid_step"),
+            (UNDERFLOWING_GAP_BOUND, f"tem.kappa must be {experiment.NUMBER_RANGE}, got '1e-200'"),
         ],
     )
     def test_config_error_names_the_key(self, tmp_path, capsys, mangle, key):
@@ -303,6 +324,13 @@ class TestValidate:
         cfg = write_cfg(tmp_path, pns_preset((-1, 1e10), step=1e-300)(SMALL_TWO))
         assert run_cli("run", cfg, "--out-dir", str(tmp_path / "out")) == 2
         assert "experiment.grid_step" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_run_of_underflowing_gap_bound_exits_2(self, tmp_path, capsys):
+        # rejected before the encoder runs, as validate rejects it above
+        cfg = write_cfg(tmp_path, UNDERFLOWING_GAP_BOUND(None))
+        assert run_cli("run", cfg, "--out-dir", str(tmp_path / "out")) == 2
+        assert "tem.kappa" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -506,9 +534,9 @@ class TestRun:
         assert not (out / "report.json").exists()
 
     def test_unbuildable_grid_exits_3_at_evaluate(self, tmp_path, capsys):
-        # (0, 1e300) validates, but its evaluation grid has more points than an
+        # (0, 1e90) validates, but its evaluation grid has more points than an
         # array can hold: the run fails at a named stage and makes no directory
-        cfg = write_cfg(tmp_path, pns_preset((0, 1e300))(None))
+        cfg = write_cfg(tmp_path, pns_preset((0, 1e90))(None))
         assert run_cli("validate", cfg) == 0
         capsys.readouterr()
         assert run_cli("run", cfg, "--out-dir", str(tmp_path / "out")) == 3
@@ -570,16 +598,18 @@ class TestCompare:
         assert table["snr_db_delta"] == 0.0
 
     def test_spike_rate_of_a_window_whose_span_overflows(self, preset_reports):
-        # w1 - w0 overflows to inf on [-1e308, 1e308], which once gave a rate of 0.0
+        # w1 - w0 overflows to inf on [-1e308, 1e308], which once gave a rate of 0.0;
+        # its ends are out of range, and the widest in-range window gives a normal rate
         report = dict(preset_reports["two_channel"])
         preset_rate = compare_runs(report, report)["spike_rate_a"]
         assert preset_rate == 90.0  # 180 spikes a channel over 2 s
         report["window"] = [-1e308, 1e308]
+        with pytest.raises(ValueError, match=r"^report_a 'window' is not two increasing numbers"):
+            compare_runs(report, report)
+        report["window"] = [-1e100, 1e100]
         table = compare_runs(report, report)
-        # the span is 1e308 times the preset's: 180 spikes a channel over 2e308 s,
-        # 9e-307, a normal float, taken from the exact span and rounded once
-        assert table["spike_rate_a"] == preset_rate / 1e308
-        assert table["spike_rate_a"] == pytest.approx(9e-307, rel=1e-15, abs=0.0)
+        # 180 spikes a channel over 2e100 s, the preset's span times 1e100
+        assert table["spike_rate_a"] == preset_rate / 1e100
         assert table["spike_rate_delta"] == 0.0
 
     def test_mismatched_windows_rejected(self, tmp_path):
@@ -635,10 +665,13 @@ class TestCompare:
                      "channel 'B' 'count' is not an integer >= 0", id="count-400-digits"),
         pytest.param(("spikes", "B", "gap_mean"), Raw("9" * 400),
                      "channel 'B' 'gap_mean' is not a number or null", id="gap_mean-400-digits"),
-        # every count in range, their sum past it
+        # counts past 2**53, whose sum once passed the float range
         pytest.param(("spikes",), {ch: {"count": 10**308, "gap_mean": 0.01, "gap_max": 0.02}
                                    for ch in "AB"},
-                     "'spikes' counts sum past the float range", id="count-sum-overflow"),
+                     "channel 'A' 'count' is not an integer >= 0", id="count-sum-overflow"),
+        pytest.param(("spikes", "B", "count"), 2**53 + 1, "channel 'B' 'count' is not an "
+                     f"integer >= 0: 9007199254740993 (a number is {experiment.NUMBER_RANGE}, "
+                     "a count at most 2**53)", id="count-past-2**53"),
     ])
     def test_malformed_report_value_rejected(self, small_run, tmp_path, capsys, path, value,
                                              named):
@@ -659,31 +692,33 @@ class TestCompare:
         assert err.startswith("compare error: report_b") and named in err
 
     @pytest.mark.parametrize("edits_a, edits_b, named", [
-        # every value in range, a rate, mean, ratio or delta computed from them past it
+        # values from which a rate, mean, ratio or delta would pass the float range
+        # are out of range themselves
         pytest.param({("window",): [0.0, 1e-310]}, {("window",): [0.0, 1e-310]},
-                     "report_a 'spike_rate_a' is past the float range: inf",
+                     "report_a 'window' is not two increasing numbers: [0.0, 1e-310]",
                      id="subnormal-window"),
         # the least subnormal span: w1/2 - w0/2 rounds to 0 there
         pytest.param({("window",): [0.0, 5e-324]}, {("window",): [0.0, 5e-324]},
-                     "report_a 'spike_rate_a' is past the float range: inf",
+                     "report_a 'window' is not two increasing numbers: [0.0, 5e-324]",
                      id="least-subnormal-window"),
         pytest.param({("metrics", "snr_db"): -1e308}, {("metrics", "snr_db"): 1e308},
-                     "report_a vs report_b 'snr_db_delta' is past the float range: inf",
+                     "report_a 'metrics.snr_db' is not a number or null: -1e+308",
                      id="snr_db-delta"),
         pytest.param({("spikes", ch, "gap_max"): -1e308 for ch in "AB"},
                      {("spikes", "A", "gap_max"): 1e308},
-                     "report_a vs report_b 'max_gap_delta' is past the float range: inf",
+                     "report_a spikes channel 'A' 'gap_max' is not a number or null: -1e+308",
                      id="gap_max-delta"),
         pytest.param({("spikes", ch, "gap_max"): -10**308 for ch in "AB"},
                      {("spikes", ch, "gap_max"): 10**308 for ch in "AB"},
-                     "report_a vs report_b 'max_gap_delta' is past the float range: 2000",
+                     "report_a spikes channel 'A' 'gap_max' is not a number or null: -1000",
                      id="gap_max-int-delta"),
         pytest.param({("spikes", ch, "gap_mean"): 1e-300 for ch in "AB"},
                      {("spikes", ch, "gap_mean"): 1e300 for ch in "AB"},
-                     "report_a vs report_b 'mean_gap_ratio' is past the float range: inf",
+                     "report_a spikes channel 'A' 'gap_mean' is not a number or null: 1e-300",
                      id="gap_mean-ratio"),
         pytest.param({}, {("spikes", ch, "gap_mean"): 1e308 for ch in "AB"},
-                     "report_b 'mean_gap_b' is past the float range: inf", id="gap_mean-sum"),
+                     "report_b spikes channel 'A' 'gap_mean' is not a number or null: 1e+308",
+                     id="gap_mean-sum"),
     ])
     def test_table_value_past_the_float_range_rejected(self, small_run, tmp_path, capsys,
                                                          edits_a, edits_b, named):
@@ -714,6 +749,76 @@ class TestCompare:
         assert run_cli("compare", str(out / "report.json"), str(other)) == 2
         assert capsys.readouterr().err == (
             f"cannot read report {other}: {token} is not a JSON number\n")
+
+
+# experiment.NUMBER_RANGE: 0, or a magnitude in [LO, HI]
+LO, HI = experiment.NUMBER_MIN, experiment.NUMBER_MAX
+MAGNITUDES = (st.sampled_from([LO, HI, 1.0]) | st.floats(LO, HI) | st.floats(
+    math.log10(LO), math.log10(HI)).map(lambda e: min(max(10.0 ** e, LO), HI)))
+NUMBERS = st.just(0.0) | MAGNITUDES.flatmap(lambda m: st.sampled_from([m, -m]))
+
+
+PRESET_TEXTS = [(CONFIG_DIR / f"{preset}.cfg").read_text()
+                for preset in ("single_channel", "two_channel", "pns")]
+REPLACE = st.sampled_from([False, False, False, True])  # a quarter of the numbers
+
+
+@st.composite
+def in_range_configs(draw):
+    """A preset config with any of its numbers replaced by in-range numbers."""
+    def replace(match):
+        return f"{match[1]} = {draw(NUMBERS)!r}" if draw(REPLACE) else match[0]
+
+    return re.sub(r"^(\w+) = ([-\d./]+)$", replace, draw(st.sampled_from(PRESET_TEXTS)),
+                  flags=re.M)
+
+
+@st.composite
+def in_range_report_pairs(draw):
+    """Two reports of one window and signal, each value compare reads in range."""
+    w0, w1 = sorted(draw(st.lists(NUMBERS, min_size=2, max_size=2)))
+    assume(w0 < w1)
+
+    def report():
+        names = draw(st.lists(st.sampled_from(["A", "B", "single", "merged"]), max_size=3,
+                              unique=True))
+        rep = {"window": [w0, w1], "signal": {},
+               "metrics": {"snr_db": draw(NUMBERS | st.none())}}
+        if names or draw(st.booleans()):
+            rep["spikes"] = {name: {"count": draw(st.integers(0, 2**53)),
+                                    "gap_mean": draw(NUMBERS | st.none()),
+                                    "gap_max": draw(NUMBERS | st.none())} for name in names}
+        return rep
+
+    return report(), report()
+
+
+class TestNumberRange:
+    """Every number read from a config or a report lies in range, so that no check after
+    it needs a guard against a quantity derived from it overflowing or underflowing."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=in_range_configs())
+    @example(text=single_preset_tem(LO, LO, HI)(None))  # the least min_gap in range
+    def test_in_range_config_loads_and_sizes_or_is_rejected(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "in_range.cfg"
+        path.write_text(text)
+        try:
+            cfg = load_config(path)
+        except experiment.ConfigError:
+            return
+        size = experiment.run_size(cfg)
+        assert size["grid_points"] >= 1
+        if cfg.tem_params is not None:
+            assert 0 < cfg.tem_params.min_gap <= cfg.tem_params.max_gap < math.inf
+            assert size["blocks"] >= 1
+
+    @settings(max_examples=400, deadline=None)
+    @given(reports=in_range_report_pairs())
+    def test_in_range_reports_compare_to_finite_values(self, reports):
+        table = compare_runs(*reports)
+        for key, value in table.items():
+            assert key == "window" or value is None or math.isfinite(value), key
 
 
 EDGE_VALUES = [-0.0, 5e-324, 1e300, np.inf, -np.inf, np.nan, 1.0 / 3.0, -2.5e-7]
