@@ -90,7 +90,7 @@ def _cmd_validate(args) -> int:
     if cfg.mode == "pns":
         parts.append(f"{size['samples']:,} samples")
     else:
-        parts.append("{:,.0f} to {:,.0f} spikes per channel".format(*size["spikes"]))
+        parts.append("{:,} to {:,} spikes per channel".format(*size["spikes"]))
         parts.append(f"{size['blocks']:,} decoding blocks")
     print(f"  run size: {', '.join(parts)}")
     return EXIT_OK

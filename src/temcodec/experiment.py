@@ -482,8 +482,9 @@ def run_size(cfg: ExperimentConfig) -> dict:
     ``grid_points``: the evaluation grid's point count, in every mode.  In
     ``pns`` mode ``samples``: the sample count.  In a TEM mode ``spikes``:
     bounds ``(span/max_gap, span/min_gap)`` on each channel's spike count,
-    from the encoder's gap bounds; and ``blocks``: the decoding block count
-    (:func:`temcodec.recon.block_count`).
+    from the encoder's gap bounds, each rounded to an exact integer (the
+    ratio of two in-range floats can pass the float range); and ``blocks``:
+    the decoding block count (:func:`temcodec.recon.block_count`).
     """
     size = {"grid_points": _grid_points(cfg.window, cfg.grid_step)}
     if cfg.mode == "pns":
@@ -491,7 +492,8 @@ def run_size(cfg: ExperimentConfig) -> dict:
         size["samples"] = 2 * max(0, last - first + 1)
     else:
         span, params = cfg.window[1] - cfg.window[0], cfg.tem_params
-        size["spikes"] = (span / params.max_gap, span / params.min_gap)
+        size["spikes"] = tuple(round(Fraction(span) / Fraction(gap))
+                               for gap in (params.max_gap, params.min_gap))
         size["blocks"] = recon.block_count(cfg.window, _decoding_kernel(cfg)[0])
     return size
 

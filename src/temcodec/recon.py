@@ -46,8 +46,8 @@ segments, and everything else is derived from them:
   exponential type the record span, so an a-priori error bound fixes each
   rule's order at ``QUAD_TOL`` per entry; it grows with the span (185
   nodes, 370 columns, for the 779 rows of the whole 2 s single-channel
-  preset, where the plain rule needs 234; 68-74 nodes for its decoding
-  blocks, against 77-85).  Both factors are column-major, the layout
+  preset, where the plain rule needs 234; 46-53 nodes for its eight
+  decoding blocks, against 48-56).  Both factors are column-major, the layout
   LAPACK reads; a :class:`GramSystem` holds them, the amplitude integrals
   in a spare last column of the left one.  The solve never forms ``G``:
   the factors' QRs reduce it to a truncated least squares problem on a
@@ -132,11 +132,19 @@ EVAL_CHUNK_ELEMENTS = 1 << 17
 DENSE_TERMS = 1 << 19
 # a decoding block's core, and the guard of spikes it adds on each inner side, in
 # half-periods pi/a_max of the kernel's highest frequency a_max (see block_split):
-# 0.49 s and 61 ms at 65 Hz, about 240 rows a block on the single-channel preset.
-# Over cores of 32-128 and guards of 4-16, on both presets' encoders over 2 and 8 s,
-# in-band tone sums decode at 154-177 dB, near the whole-record decode's rounding
-# floor; without a guard they read 129-150 dB.
-BLOCK_CORE_HALF_PERIODS = 64
+# 0.25 s and 61 ms at 65 Hz, eight blocks of at most 147 rows and 106 factor
+# columns on the single-channel preset.  A block's solve is a run's working set, so
+# the core sets the peak: against cores of 64 (up to 244 rows and 148 columns) a
+# 2 s preset peaks at 0.95 instead of 1.50 MB single-channel, where the encoder's
+# global pass now sets it, and 0.42 instead of 0.73 MB two-channel, for up to 7%
+# more run time.  The shorter blocks also decode closer to the signal: 145.7 and 144.3
+# dB instead of 127.0 and 124.2 on the presets; from the encoder's unrounded spike
+# times over (2, 4) and (0, 8), 154.8 and 155.8 dB instead of 153.5 and 153.5
+# single-channel, 160.2 and 158.7 instead of 160.5 and 153.3 two-channel.  Cores
+# of 48 save only a fifth of the memory; at core 32 guards of 16 take 1.12 and
+# 0.58 MB, and guards of 4 lose another 0.9-1.0 dB off t = 0 two-channel.  Without
+# a guard in-band tone sums read 129-150 dB, with one 154-177 dB.
+BLOCK_CORE_HALF_PERIODS = 32
 BLOCK_GUARD_HALF_PERIODS = 8
 
 

@@ -167,11 +167,12 @@ _TO_COEF, _TO_INT = _legendre_maps()
 MAX_SEED_STEPS = 64
 # Panels per block of the global pass, which holds one block's node values at
 # a time.  At 1024 panels (15,360 nodes) a block's transient is about 0.92 MB,
-# below a single-channel decoding block's solve (about 1.5 MB), whatever the
-# window; the preset's 2 s window (2,600 panels) takes three blocks.  Smaller
-# blocks cost time: on that window (2-core Xeon, numpy 2.4) the pass takes
-# 2.7 / 3.1 / 4.4 / 6.0 ms (best of 7) and peaks at 1.62 / 0.92 / 0.47 /
-# 0.24 MB with 4096 / 1024 / 512 / 256 panels per block.
+# whatever the window; the preset's 2 s window (2,600 panels) takes three
+# blocks.  This pass, at 0.95 MB, sets the single-channel run's peak, above a
+# decoding block's solve (0.76 MB).  Smaller blocks cost time: on that window
+# (2-core Xeon, numpy 2.4) the pass takes 2.7 / 3.1 / 4.4 / 6.0 ms (best of 7)
+# and peaks at 1.62 / 0.92 / 0.47 / 0.24 MB with 4096 / 1024 / 512 / 256 panels
+# per block.
 SEED_BLOCK_PANELS = 1024
 
 

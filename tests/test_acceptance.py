@@ -346,21 +346,21 @@ class TestPipelineGolden:
     """Frozen values of the preset runs' reports, decoded in overlapping blocks.
 
     The monolithic goldens above pin the per-block primitive, one Gram system
-    over the whole record; a run decodes each preset's 2 s in four blocks of a
-    0.5 s core, which reads higher SNR against the analytic signal (86.20 and
-    82.32 dB whole).
+    over the whole record; a run decodes each preset's 2 s in eight blocks of a
+    0.25 s core, which reads higher SNR against the analytic signal (86.20 and
+    82.32 dB whole; 127.04 and 124.17 dB in four blocks of a 0.5 s core).
     """
 
     @pytest.mark.parametrize("preset, snr_db", [
-        ("single_channel", 127.04060003162365),
-        ("two_channel", 124.16708382939487),
+        ("single_channel", 145.74366387518126),
+        ("two_channel", 144.2962823661917),
     ])
     def test_preset_report_golden(self, tmp_path, preset, snr_db):
         out = tmp_path / "out"
         assert cli_main(["run", str(CONFIG_DIR / f"{preset}.cfg"), "--out-dir", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["metrics"]["snr_db"] == pytest.approx(snr_db, abs=1e-3)
-        assert len(report["gram"]["blocks"]) == 4
+        assert len(report["gram"]["blocks"]) == 8
 
 
 class TestCriterion8Determinism:

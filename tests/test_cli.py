@@ -2,6 +2,7 @@ import json
 import math
 import re
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -199,8 +200,8 @@ class TestValidate:
 
     @pytest.mark.parametrize("preset, size", [
         ("single_channel.cfg", "2,001 grid points, 260 to 1,300 spikes per channel, "
-                               "4 decoding blocks"),
-        ("two_channel.cfg", "2,001 grid points, 60 to 300 spikes per channel, 4 decoding blocks"),
+                               "8 decoding blocks"),
+        ("two_channel.cfg", "2,001 grid points, 60 to 300 spikes per channel, 8 decoding blocks"),
         ("pns.cfg", "2,001 grid points, 120 samples"),
     ])
     def test_presets_print_their_run_size(self, capsys, preset, size):
@@ -208,6 +209,26 @@ class TestValidate:
         # span/max_gap and span/min_gap) or samples, and decoding blocks
         assert run_cli("validate", str(CONFIG_DIR / preset)) == 0
         assert capsys.readouterr().out.splitlines()[-1] == f"  run size: {size}"
+
+    def test_spike_bounds_past_the_float_range_print_exactly(self, tmp_path, capsys):
+        # span/min_gap of in-range numbers passes the float range (about 1e400 here):
+        # the bounds are exact integers, not inf
+        text = single_preset_tem("1e-100", "1e-100", "1e100")(None)
+        for key, value in (("window_start", "-1e100"), ("window_end", "1e100"),
+                           ("grid_step", "1e99")):
+            text, n = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+            assert n == 1
+        path = write_cfg(tmp_path, text)
+        assert run_cli("validate", path) == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        match = re.fullmatch(r"  run size: 21 grid points, ([\d,]+) to ([\d,]+) spikes per "
+                             r"channel, [\d,]+ decoding blocks", line)
+        assert match is not None, line
+        low, high = (int(group.replace(",", "")) for group in match.groups())
+        params = load_config(path).tem_params
+        assert (low, high) == tuple(round(Fraction(2e100) / Fraction(gap))
+                                    for gap in (params.max_gap, params.min_gap))
+        assert 0 < low <= high and high > 10**308
 
     def test_run_size_matches_the_run(self, tmp_path):
         # the sizes validate prints are those of the run, not a restatement of them
@@ -416,13 +437,19 @@ class TestRun:
         names = {p.name for p in out.iterdir()}
         assert names == {"spikes.txt", "recon.csv", "psd.csv", "report.json"}
 
-    def test_report_schema_and_manifest(self, small_run):
-        _, _, out = small_run
+    def test_report_schema_and_manifest(self, tmp_path):
+        # a window of one core at SMALL_TWO's 65 Hz is one decoding block
+        half = recon.BLOCK_CORE_HALF_PERIODS * math.pi / (TWO_PI * 65.0) / 2
+        text = SMALL_TWO.replace("window_start = -0.3", f"window_start = {-half!r}")
+        cfg = write_cfg(tmp_path, text.replace("window_end = 0.3", f"window_end = {half!r}"))
+        out = tmp_path / "out"
+        assert run_cli("run", cfg, "--out-dir", str(out)) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["schema"] == 4
         assert list(report)[0] == "schema"
+        assert report["window"] == [-half, half]
         gram = report["gram"]
-        # a 0.6 s window is one decoding block; the totals are its own
+        # the totals are the one block's own
         (block,) = gram["blocks"]
         assert block["core"] == report["window"]
         assert [gram[k] for k in ("rows", "cols", "effective_rank", "gap_premise_ok")] == [
@@ -452,7 +479,8 @@ class TestRun:
     def test_gram_totals_sum_the_preset_blocks(self, preset_reports, preset):
         report = preset_reports[preset]
         gram, blocks = report["gram"], report["gram"]["blocks"]
-        assert len(blocks) == 4
+        cfg = load_config(CONFIG_DIR / f"{preset}.cfg")
+        assert len(blocks) == experiment.run_size(cfg)["blocks"] > 1
         for key in ("rows", "cols", "effective_rank"):
             assert gram[key] == sum(block[key] for block in blocks)
         # the cores tile the window in order; spike ranges overlap by the guards
@@ -811,6 +839,7 @@ class TestNumberRange:
         assert size["grid_points"] >= 1
         if cfg.tem_params is not None:
             assert 0 < cfg.tem_params.min_gap <= cfg.tem_params.max_gap < math.inf
+            assert all(isinstance(bound, int) for bound in size["spikes"])
             assert size["blocks"] >= 1
 
     @settings(max_examples=400, deadline=None)

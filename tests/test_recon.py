@@ -1206,10 +1206,13 @@ class TestModel:
 
         monkeypatch.setattr(recon, "_tree_depth", spy)
         config_dir = Path(__file__).resolve().parent.parent / "configs"
+        evaluations = 0
         for preset in ("single_channel", "two_channel", "pns"):
-            experiment.run_experiment(experiment.load_config(config_dir / f"{preset}.cfg"),
-                                      tmp_path / preset)
-        assert depths == [0] * 9  # four blocks of each TEM preset, and the PNS record
+            cfg = experiment.load_config(config_dir / f"{preset}.cfg")
+            experiment.run_experiment(cfg, tmp_path / preset)
+            # each block of a TEM preset, and the PNS record
+            evaluations += experiment.run_size(cfg).get("blocks", 1)
+        assert depths == [0] * evaluations
 
     @pytest.mark.parametrize("case", ["dense", "boxed"])
     def test_small_budget_matches_default(self, request, monkeypatch, case):
@@ -1363,10 +1366,11 @@ class TestBlockSplit:
             assert (amplitude_integrals(block, stride).tobytes()
                     == whole[start:stop - stride].tobytes())
 
-    @pytest.mark.parametrize("span, blocks", [(0.73, 1), (0.74, 2), (1.2, 2), (1.24, 3)])
-    def test_block_count_rounds_the_cores(self, span, blocks):
-        # a window under 1.5 cores (0.738 s at 65 Hz) is one block, the whole record
+    @pytest.mark.parametrize("cores, blocks", [(1.48, 1), (1.52, 2), (2.44, 2), (2.52, 3)])
+    def test_block_count_rounds_the_cores(self, cores, blocks):
+        # a window under 1.5 cores is one block, the whole record
         a_max = TWO_PI * 65.0
+        span = cores * recon.BLOCK_CORE_HALF_PERIODS * np.pi / a_max
         t = np.linspace(0.0, span, 200)
         edges, spans = recon.block_split(t, (0.0, span), a_max, 1)
         assert len(spans) == blocks
@@ -1397,7 +1401,8 @@ class TestBlockDecode:
     @pytest.mark.parametrize("preset", ["single_channel", "two_channel"])
     def test_one_block_is_the_single_system_decode_bit_for_bit(self, monkeypatch, tmp_path,
                                                                  preset):
-        window = (-0.35, 0.35)  # 0.7 s, under 1.5 cores
+        core = recon.BLOCK_CORE_HALF_PERIODS * np.pi / (TWO_PI * 65.0)  # both presets' a_max
+        window = (-round(0.7 * core, 3), round(0.7 * core, 3))  # 1.4 cores, under 1.5
         values = []
         evaluate = recon.evaluate_model
         monkeypatch.setattr(recon, "evaluate_model",
@@ -1417,8 +1422,10 @@ class TestBlockDecode:
 
     # an in-band signal fits the kernel model exactly, so only rounding and the
     # blocks' truncation limit the decode; whole-record decodes read 160.8 and
-    # 176.0 dB on these tone sums, random in-band sums through blocks 155.7-165.8
-    # (lowpass) and 158.0-180.4 dB (bandpass), and blocks without a guard 129-150 dB
+    # 176.0 dB on these tone sums, and the runs' blocks 165.3 and 167.4 dB (159.4
+    # and 163.7 over (2, 4); 160.7 and 161.7 with cores of twice the length); with
+    # those longer cores random in-band sums read 155.7-165.8 (lowpass) and
+    # 158.0-180.4 dB (bandpass), and blocks without a guard 129-150 dB
     @pytest.mark.parametrize("preset, freqs, floor", [
         ("single_channel", "20, 41.5, 58", 150.0),
         ("two_channel", "40, 50.5, 58", 155.0),
@@ -1428,7 +1435,19 @@ class TestBlockDecode:
                   "phases = 0.3, 1.1, 2.0\n")
         cfg = experiment.load_config(preset_config(tmp_path, preset, signal=signal))
         data = experiment.run_experiment(cfg, tmp_path / "out").data
-        assert len(data["gram"]["blocks"]) == 4
+        assert len(data["gram"]["blocks"]) == experiment.run_size(cfg)["blocks"] > 1
+        assert data["metrics"]["snr_db"] >= floor
+
+    # every other window sits at t = 0; away from it the 12-digit spike times a run
+    # decodes cap the SNR (131.1 and 125.4 dB over (2, 4); the encoder's raw times
+    # read 154.8 and 160.2 dB)
+    @pytest.mark.parametrize("preset, floor", [("single_channel", 130.0),
+                                               ("two_channel", 124.0)])
+    def test_window_away_from_t0(self, tmp_path, preset, floor):
+        cfg = experiment.load_config(preset_config(tmp_path, preset, (2, 4)))
+        data = experiment.run_experiment(cfg, tmp_path / "out").data
+        assert data["window"] == [2.0, 4.0]
+        assert len(data["gram"]["blocks"]) > 1
         assert data["metrics"]["snr_db"] >= floor
 
     def test_cores_without_evaluation_points_are_not_decoded(self, monkeypatch, tmp_path):
