@@ -590,16 +590,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentReport:
                     continue
                 stage = "assemble"
                 block = replace(record, times=record.times[start:stop])
-                if two:
-                    system = recon.build_gram_bandpass(block, cfg.band)
-                else:
-                    system = recon.build_gram_lowpass(block, cfg.lowpass_cutoff)
+                held = [recon.build_gram_bandpass(block, cfg.band) if two
+                        else recon.build_gram_lowpass(block, cfg.lowpass_cutoff)]
+                facts = _system_facts(held[0])
+                knots, segments = held[0].knot_times, held[0].segments
                 stage = "solve"
-                solution = recon.solve_coefficients(system)
-                blocks.append(_block_dict(edges[k:k + 2], (start, stop), system, solution))
-                model = recon.ReconModel(system.knot_times, solution.coefficients,
-                                         system.segments)
-                del system  # free the factors, the largest arrays, before evaluation
+                # handed over, not held: the solve frees each factor, the largest
+                # arrays, once its QR is taken
+                solution = recon.solve_coefficients(held.pop())
+                blocks.append(_block_dict(edges[k:k + 2], (start, stop), facts, solution))
+                model = recon.ReconModel(knots, solution.coefficients, segments)
                 stage = "evaluate"
                 x_hat[lo:hi] = recon.evaluate_model(model, t_eval[lo:hi])
             report["gram"] = _gram_dict(blocks)
@@ -666,15 +666,26 @@ def _gram_dict(blocks) -> dict:
     }
 
 
-def _block_dict(core, spikes, system: recon.GramSystem, sol: recon.SolveResult) -> dict:
-    """One decoding block's core, spike span and solve diagnostics."""
-    rhs_norm = float(np.linalg.norm(system.rhs))
+def _system_facts(system: recon.GramSystem) -> dict:
+    """What a block's report entry reads of its system, taken before the solve frees it."""
     return {
-        "core": [float(core[0]), float(core[1])],
-        "spike_range": [int(spikes[0]), int(spikes[1])],
         "rows": int(system.shape[0]),
         "cols": int(system.shape[1]),
         "factor_cols": int(system.right.shape[1]),
+        "rhs_norm": float(np.linalg.norm(system.rhs)),
+        "gap_premise_ok": bool(system.gap_premise_ok),
+    }
+
+
+def _block_dict(core, spikes, facts: dict, sol: recon.SolveResult) -> dict:
+    """One decoding block's core, spike span, system facts and solve diagnostics."""
+    rhs_norm = facts["rhs_norm"]
+    return {
+        "core": [float(core[0]), float(core[1])],
+        "spike_range": [int(spikes[0]), int(spikes[1])],
+        "rows": facts["rows"],
+        "cols": facts["cols"],
+        "factor_cols": facts["factor_cols"],
         "sigma_max": sol.sigma_max,
         "sigma_min": sol.sigma_min,
         "effective_rank": sol.effective_rank,
@@ -682,7 +693,7 @@ def _block_dict(core, spikes, system: recon.GramSystem, sol: recon.SolveResult) 
         "relative_residual": sol.residual_norm / rhs_norm if rhs_norm > 0 else None,
         "sv_cutoff": sol.sv_cutoff,
         "solve_blas_threads": sol.blas_threads,
-        "gap_premise_ok": bool(system.gap_premise_ok),
+        "gap_premise_ok": facts["gap_premise_ok"],
     }
 
 

@@ -133,17 +133,19 @@ DENSE_TERMS = 1 << 19
 # a decoding block's core, and the guard of spikes it adds on each inner side, in
 # half-periods pi/a_max of the kernel's highest frequency a_max (see block_split):
 # 0.25 s and 61 ms at 65 Hz, eight blocks of at most 147 rows and 106 factor
-# columns on the single-channel preset.  A block's solve is a run's working set, so
-# the core sets the peak: against cores of 64 (up to 244 rows and 148 columns) a
-# 2 s preset peaks at 0.95 instead of 1.50 MB single-channel, where the encoder's
-# global pass now sets it, and 0.42 instead of 0.73 MB two-channel, for up to 7%
-# more run time.  The shorter blocks also decode closer to the signal: 145.7 and 144.3
-# dB instead of 127.0 and 124.2 on the presets; from the encoder's unrounded spike
-# times over (2, 4) and (0, 8), 154.8 and 155.8 dB instead of 153.5 and 153.5
-# single-channel, 160.2 and 158.7 instead of 160.5 and 153.3 two-channel.  Cores
-# of 48 save only a fifth of the memory; at core 32 guards of 16 take 1.12 and
-# 0.58 MB, and guards of 4 lose another 0.9-1.0 dB off t = 0 two-channel.  Without
-# a guard in-band tone sums read 129-150 dB, with one 154-177 dB.
+# columns on the single-channel preset.  A block's Gram build and solve are a run's
+# working set, so the core sets the peak: against cores of 64 (up to 244 rows and
+# 148 columns) a 2 s preset peaked at 0.95 instead of 1.50 MB single-channel and
+# 0.42 instead of 0.73 MB two-channel, for up to 7% more run time.  With the
+# solve freeing each factor at its last use, a block's Gram build now sets the
+# single-channel peak, at 0.61 MB.  The shorter blocks also decode closer to the
+# signal: 145.7 and 144.3 dB instead of 127.0 and 124.2 on the presets; from the
+# encoder's unrounded spike times over (2, 4) and (0, 8), 154.8 and 155.8 dB
+# instead of 153.5 and 153.5 single-channel, 160.2 and 158.7 instead of 160.5 and
+# 153.3 two-channel.  Cores of 48 save only a fifth of the memory; at core 32
+# guards of 16 take 1.12 and 0.58 MB, and guards of 4 lose another 0.9-1.0 dB off
+# t = 0 two-channel.  Without a guard in-band tone sums read 129-150 dB, with one
+# 154-177 dB.
 BLOCK_CORE_HALF_PERIODS = 32
 BLOCK_GUARD_HALF_PERIODS = 8
 
@@ -631,6 +633,11 @@ def solve_coefficients(system: GramSystem) -> SolveResult:
     ``r`` the entry of ``r_aug`` below ``Ra`` in its last column (0 when
     ``A`` has no more rows than columns).
 
+    The solve keeps no reference to ``system``, and drops ``left`` once its
+    QR is taken and ``right`` once its own is: a factor the caller does not
+    hold either is freed there, before the next step allocates.  The result
+    is the same whether the caller holds the system or not.
+
     The whole solve runs on one OpenBLAS thread (see
     :func:`_one_blas_thread`), so its result does not depend on the
     caller's thread count; ``blas_threads`` is 1 then.  Where numpy's
@@ -642,13 +649,17 @@ def solve_coefficients(system: GramSystem) -> SolveResult:
     singular value; with a cutoff below 1, ``gelsd`` keeps the largest
     singular value whenever it is nonzero.
     """
+    left, right, full_rank = system.left, system.right, min(system.shape)
+    del system
     with _one_blas_thread() as threads:
-        raw, _ = np.linalg.qr(system.left, mode="raw")
+        raw, _ = np.linalg.qr(left, mode="raw")
+        del left
         # raw is the packed QR transposed: R on and above the diagonal of raw.T
         r_aug = np.ascontiguousarray(raw.T[:min(raw.shape)])
         del raw
         r_aug[np.tri(*r_aug.shape, k=-1, dtype=bool)] = 0.0
-        raw, tau = np.linalg.qr(system.right, mode="raw")
+        raw, tau = np.linalg.qr(right, mode="raw")
+        del right
         reflectors = np.asfortranarray(raw)
         del raw
         # Ra is square, of the smaller of A's row and column counts
@@ -679,7 +690,7 @@ def solve_coefficients(system: GramSystem) -> SolveResult:
         residual_norm=residual,
         effective_rank=int(rank),
         sigma_max=float(sv[0]),
-        sigma_min=float(sv[-1]) if sv.size == min(system.shape) else 0.0,
+        sigma_min=float(sv[-1]) if sv.size == full_rank else 0.0,
         sv_cutoff=sv_cutoff,
         blas_threads=threads,
     )

@@ -19,14 +19,15 @@ the record's, so a longer record costs the pass time, not memory.  The
 seed is within rounding of the crossing, so each spike takes one path:
 one adaptive :func:`~temcodec.signals.integrate` call from the previous
 spike to the seed gives the interval identity's miss, and one Newton
-step, with the slope ``x + b`` at the seed from the global pass's
-interpolant, corrects it.  The step must land inside the bracket the slope range gives and
-move the seed by at most ``SPIKE_TOL``; otherwise the encoder fails
-loudly rather than search.  That is one quadrature call per spike, plus
-one to the window end, never fixed-step simulation.  ``x + b > 0`` is
-checked at every node of the global pass and of each per-spike integral,
-and wherever a slope is sampled; a violation names the spike by how many
-spikes precede the offending point.
+step, with the slope ``x + b`` from the global pass's interpolant at its
+last iterate, within rounding of the seed, corrects it.  The step must
+land inside the bracket the slope range gives and move the seed by at
+most ``SPIKE_TOL``; otherwise the encoder fails loudly rather than
+search.  That is one quadrature call per spike, plus one to the window
+end, never fixed-step simulation.  ``x + b > 0`` is checked at every node
+of the global pass and of each per-spike integral, and wherever a slope
+is sampled; a violation names the spike by how many spikes precede the
+offending point.
 
 Every record is a :class:`SpikeTrain`, the two channels' merged one too
 (:func:`interleave`); :func:`amplitude_integrals` reads either's gaps.
@@ -166,14 +167,15 @@ _TO_COEF, _TO_INT = _legendre_maps()
 # Newton steps (or bisections) per target before the global pass stops refining.
 MAX_SEED_STEPS = 64
 # Panels per block of the global pass, which holds one block's node values at
-# a time.  At 1024 panels (15,360 nodes) a block's transient is about 0.92 MB,
-# whatever the window; the preset's 2 s window (2,600 panels) takes three
-# blocks.  This pass, at 0.95 MB, sets the single-channel run's peak, above a
-# decoding block's solve (0.76 MB).  Smaller blocks cost time: on that window
-# (2-core Xeon, numpy 2.4) the pass takes 2.7 / 3.1 / 4.4 / 6.0 ms (best of 7)
-# and peaks at 1.62 / 0.92 / 0.47 / 0.24 MB with 4096 / 1024 / 512 / 256 panels
-# per block.
-SEED_BLOCK_PANELS = 1024
+# a time: a block's arrays are freed before the next block's signal call.  At
+# 512 panels (7,680 nodes) a block's transient is about 0.35 MB, whatever the
+# window; the preset's 2 s window (2,600 panels) takes six blocks.  The pass
+# then stays below a decoding block's Gram build (about 0.6 MB), which sets the
+# single-channel run's peak.  Smaller blocks cost time: on that window (2-core
+# Xeon, numpy 2.4) the pass takes 3.0 / 3.1 / 4.2 / 5.6 ms (best of 100) and
+# peaks at 1.62 / 0.68 / 0.35 / 0.18 MB with 4096 / 1024 / 512 / 256 panels per
+# block.
+SEED_BLOCK_PANELS = 512
 
 
 def _seed_times(sig, params: TemParams, t0: float, t1: float, first: float):
@@ -183,16 +185,18 @@ def _seed_times(sig, params: TemParams, t0: float, t1: float, first: float):
     15-point Gauss-Legendre panels at most ``min_gap/2`` wide (so a panel
     holds at most one crossing), with ``x + bias > 0`` checked at every
     node.  The panels are taken in blocks of ``SEED_BLOCK_PANELS``, one
-    signal call each, with ``F`` carried from block to block, so only one
-    block's nodes, values and Newton arrays are alive at a time (about
-    0.92 MB at 1024 panels, whatever the window); every target a block's
-    ``F`` reaches is inverted at once by a vectorised Newton
-    iteration inside the target's panel, bisecting whenever a step leaves
-    the panel's shrinking bracket.
+    signal call each, with ``F`` carried from block to block; a block's
+    nodes, values and Newton arrays are deleted before the next block's
+    signal call, so only one block's are alive at a time (about 0.35 MB at
+    512 panels, whatever the window).  Every target a block's ``F`` reaches
+    is inverted at once by a vectorised Newton iteration inside the
+    target's panel, bisecting whenever a step leaves the panel's shrinking
+    bracket.
 
     Returns ``(seeds, slopes)``, one of each per target ``F`` reaches by
-    ``t1``; ``slopes[k]`` is the panel's interpolant of ``x + bias`` at
-    seed ``k``.
+    ``t1``; ``slopes[k]`` is the panel's interpolant of ``x + bias`` at the
+    last Newton iterate, which the final step moved to seed ``k``: by at
+    most 4 ulps of the panel coordinate once the iteration has converged.
 
     Raises ValueError at the first node where ``x + bias <= 0``; the spike
     index is the number of targets ``F`` has reached at that node.
@@ -255,8 +259,9 @@ def _seed_times(sig, params: TemParams, t0: float, t1: float, first: float):
                 if not moved.size or moved.max() <= 4.0 * np.finfo(float).eps:
                     break
         seeds.append(mid[j] + half[j] * x)
-        slopes.append(np.einsum("ij,ij->i", legendre.legvander(x, coef.shape[1] - 1), coef))
+        slopes.append(slope)
         f_start, n_reached = f_edges[-1], count
+        del nodes, values, coef, coef_int, vander  # not alive beside the next block's
     return np.concatenate(seeds), np.concatenate(slopes)
 
 
@@ -283,11 +288,12 @@ def encode(
     Each seed, chained from the previous spike, then takes one path: one
     adaptive ``integrate`` call to the seed (three calls of ``sig``, one
     per panel) gives the identity's miss ``g``, and one Newton step
-    corrects it, with the slope the global pass's interpolant of ``x + bias`` at the seed if
-    that value is finite and positive, else a sample of ``sig``.  A
-    corrected time past ``t1`` ends the train.  After the seeds, one
-    integral to ``t1`` decides a crossing within rounding of the window
-    end: it is a spike, by the same step from ``t1``, if ``g >= 0``.
+    corrects it, with the slope the global pass's interpolant of ``x + bias``
+    within rounding of the seed if that value is finite and positive, else a
+    sample of ``sig``.  A corrected time past ``t1`` ends the train.  After
+    the seeds, one integral to ``t1`` decides a crossing within rounding of
+    the window end: it is a spike, by the same step from ``t1``, if
+    ``g >= 0``.
     Each integral is taken to ``QUAD_TOL``.
 
     Parameters
@@ -327,7 +333,7 @@ def encode(
     if not (-delta <= z0 < delta):
         raise ValueError(f"initial integrator {z0} outside [-delta, delta)")
 
-    times = []
+    n = 0  # spikes recorded so far, the index of the next
 
     def biased(u):
         # Every quadrature node and sampled slope passes through here, so the
@@ -335,7 +341,7 @@ def encode(
         values = np.asarray(sig(u), dtype=float) + bias
         if not values.min() > 0.0:  # a NaN fails too
             bad = int(np.argmax(~(values > 0.0)))  # the first offending point
-            raise _bound_error(len(times), float(values[bad]), float(u[bad]), bound)
+            raise _bound_error(n, float(values[bad]), float(u[bad]), bound)
         return values
 
     def corrected(t, g, slope):
@@ -351,14 +357,14 @@ def encode(
         slack = QUAD_TOL / slope
         if not lo - slack <= t_next <= hi + slack:
             raise ValueError(
-                f"spike {len(times)}: crossing outside [{lo!r}, {hi!r}] seen at "
+                f"spike {n}: crossing outside [{lo!r}, {hi!r}] seen at "
                 f"t={t_next!r}; the signal exceeds its amplitude bound {bound!r}"
             )
         # A step of a few ulps is rounding noise, whatever SPIKE_TOL asks.
         tol = max(SPIKE_TOL, 4.0 * math.ulp(t))
         if not abs(t_next - t) <= tol:
             raise ValueError(
-                f"spike {len(times)}: the Newton step from t={t!r} is {t_next - t!r} s, "
+                f"spike {n}: the Newton step from t={t!r} is {t_next - t!r} s, "
                 f"more than {tol!r}; the global pass missed this crossing"
             )
         return t_next
@@ -366,6 +372,9 @@ def encode(
     base = t0
     target = kappa * (delta - z0)
     seeds, slopes = _seed_times(sig, params, t0, t1, target)
+    # one slot per seed and one for a crossing at t1: 8 bytes a spike, where a
+    # list of Python floats takes 32 and a copy at the end
+    times = np.empty(seeds.size + 1)
     # walked by index: lists of every seed and slope as Python floats would
     # outweigh the arrays themselves
     for k in range(seeds.size):
@@ -373,7 +382,8 @@ def encode(
         t = corrected(seed, integrate(biased, base, seed, QUAD_TOL) - target, float(slopes[k]))
         if t > t1:
             break
-        times.append(t)
+        times[n] = t
+        n += 1
         # Exact reset to -delta: the next interval integrates 2*kappa*delta.
         base = t
         target = 2.0 * kappa * delta
@@ -381,8 +391,9 @@ def encode(
     # reach by t1: the integral to t1 decides whether it lies in the window.
     g = integrate(biased, base, t1, QUAD_TOL) - target
     if g >= 0.0:
-        times.append(corrected(t1, g, math.nan))
-    return SpikeTrain(np.asarray(times), channel, params, (t0, t1))
+        times[n] = corrected(t1, g, math.nan)
+        n += 1
+    return SpikeTrain(times[:n], channel, params, (t0, t1))
 
 
 def amplitude_integrals(train: SpikeTrain, stride: int = 1) -> np.ndarray:

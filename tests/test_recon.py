@@ -417,16 +417,18 @@ class TestFirstUseMemory:
         assert first_use_peak(cfg) <= first_use_peak(cfg, "dense") + 1_000
 
     def test_single_channel_preset(self):
-        # a decoding block's solve sets the peak, 1.52 MB; the encoder's global
-        # pass set it at 1.66 MB with blocks of 4096 panels
-        assert first_use_peak(str(CONFIG_DIR / "single_channel.cfg")) < 1.6e6
+        # a decoding block's Gram build sets the peak, 0.62 MB; 0.95 MB when the
+        # encoder's global pass held the previous block's arrays beside the next
+        # one's and the run held each block's system through its solve, 1.52 MB
+        # with decoding cores of twice the length
+        assert first_use_peak(str(CONFIG_DIR / "single_channel.cfg")) < 0.66e6
 
     # Long records: past one block's working set, memory is the run's own
     # full-length arrays (grid, traces), about 30 kB per second of record.
     # One 3119-row system took 80 MB over 8 s single-channel.
     @pytest.mark.parametrize("preset, seconds, bound", [
-        ("single_channel", 8, 2.2e6),  # 1.69 MB; 3.84 MB with 4096-panel seed blocks
-        ("two_channel", 16, 1.6e6),  # 1.21 MB; 2.84 MB with 4096-panel seed blocks
+        ("single_channel", 8, 0.87e6),  # 0.80 MB; 1.10 MB with the arrays held longer
+        ("two_channel", 16, 1.25e6),  # 1.14 MB; 1.20 MB with the arrays held longer
     ])
     def test_long_record(self, tmp_path, preset, seconds, bound):
         window = (-seconds // 2, seconds // 2)
@@ -500,7 +502,8 @@ class TestHeldFactors:
         left, right = again.left, again.right
         assert np.array_equal(system.left, left) and np.array_equal(system.right, right)
         assert system.shape == (left.shape[0], right.shape[0])
-        block = experiment._block_dict((-1.0, 1.0), (0, system.rhs.size), system,
+        block = experiment._block_dict((-1.0, 1.0), (0, system.rhs.size),
+                                       experiment._system_facts(system),
                                        solve_coefficients(system))
         assert block["factor_cols"] == right.shape[1] == left.shape[1] - 1 == factor_cols
 
@@ -767,6 +770,32 @@ class TestSolve:
         assert one.blas_threads == two.blas_threads == 1
         assert np.array_equal(one.coefficients, two.coefficients)
         assert (one.residual_norm, one.sigma_max) == (two.residual_norm, two.sigma_max)
+
+    def test_solve_frees_the_factors_a_caller_does_not_hold(self, preset_records):
+        # one preset-sized block's system, solved once while the caller holds it
+        # and once handed over: the same result bit for bit, and a peak above the
+        # system lower by at least its left factor when only the solve holds it
+        cfg, train, _, _ = preset_records["single_channel"]
+        block = dataclasses.replace(train, times=train.times[100:248])
+        results, peaks = [], []
+        for hold in (True, False):
+            tracemalloc.start()
+            try:
+                handed = [build_gram_lowpass(block, cfg.lowpass_cutoff)]
+                kept = handed[0] if hold else None
+                left_bytes = handed[0].left.nbytes
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                results.append(solve_coefficients(handed.pop()))
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            finally:
+                tracemalloc.stop()
+            del kept
+        held, released = results
+        assert held.coefficients.tobytes() == released.coefficients.tobytes()
+        assert dataclasses.replace(held, coefficients=None) == dataclasses.replace(
+            released, coefficients=None)
+        assert peaks[0] - peaks[1] >= left_bytes
 
     def test_caller_blas_threads_restored(self, blas_threads):
         get, put = blas_threads
