@@ -588,20 +588,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> ExperimentReport:
                 lo, hi = points[k], points[k + 1]
                 if lo == hi:  # a core without evaluation points is not decoded
                     continue
-                stage = "assemble"
+                stage = "decode"
                 block = replace(record, times=record.times[start:stop])
-                held = [recon.build_gram_bandpass(block, cfg.band) if two
-                        else recon.build_gram_lowpass(block, cfg.lowpass_cutoff)]
-                facts = _system_facts(held[0])
-                knots, segments = held[0].knot_times, held[0].segments
-                stage = "solve"
-                # handed over, not held: the solve frees each factor, the largest
-                # arrays, once its QR is taken
-                solution = recon.solve_coefficients(held.pop())
-                blocks.append(_block_dict(edges[k:k + 2], (start, stop), facts, solution))
-                model = recon.ReconModel(knots, solution.coefficients, segments)
+                # the system goes straight into the solve, held by no name here,
+                # so the solve frees each factor, the largest arrays, once its QR
+                # is taken; the result carries what is read of the system after
+                solution = recon.solve_coefficients(
+                    recon.build_gram_bandpass(block, cfg.band) if two
+                    else recon.build_gram_lowpass(block, cfg.lowpass_cutoff))
+                blocks.append(_block_dict(edges[k:k + 2], (start, stop), solution))
                 stage = "evaluate"
-                x_hat[lo:hi] = recon.evaluate_model(model, t_eval[lo:hi])
+                x_hat[lo:hi] = recon.evaluate_model(solution.model, t_eval[lo:hi])
             report["gram"] = _gram_dict(blocks)
 
         stage = "metrics"
@@ -666,34 +663,22 @@ def _gram_dict(blocks) -> dict:
     }
 
 
-def _system_facts(system: recon.GramSystem) -> dict:
-    """What a block's report entry reads of its system, taken before the solve frees it."""
-    return {
-        "rows": int(system.shape[0]),
-        "cols": int(system.shape[1]),
-        "factor_cols": int(system.right.shape[1]),
-        "rhs_norm": float(np.linalg.norm(system.rhs)),
-        "gap_premise_ok": bool(system.gap_premise_ok),
-    }
-
-
-def _block_dict(core, spikes, facts: dict, sol: recon.SolveResult) -> dict:
-    """One decoding block's core, spike span, system facts and solve diagnostics."""
-    rhs_norm = facts["rhs_norm"]
+def _block_dict(core, spikes, sol: recon.SolveResult) -> dict:
+    """One decoding block's core, spike span, system and solve diagnostics."""
     return {
         "core": [float(core[0]), float(core[1])],
         "spike_range": [int(spikes[0]), int(spikes[1])],
-        "rows": facts["rows"],
-        "cols": facts["cols"],
-        "factor_cols": facts["factor_cols"],
+        "rows": sol.shape[0],
+        "cols": sol.shape[1],
+        "factor_cols": sol.factor_cols,
         "sigma_max": sol.sigma_max,
         "sigma_min": sol.sigma_min,
         "effective_rank": sol.effective_rank,
         "residual_norm": sol.residual_norm,
-        "relative_residual": sol.residual_norm / rhs_norm if rhs_norm > 0 else None,
+        "relative_residual": sol.residual_norm / sol.rhs_norm if sol.rhs_norm > 0 else None,
         "sv_cutoff": sol.sv_cutoff,
         "solve_blas_threads": sol.blas_threads,
-        "gap_premise_ok": facts["gap_premise_ok"],
+        "gap_premise_ok": sol.gap_premise_ok,
     }
 
 

@@ -236,13 +236,32 @@ class GramSystem:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """A solved :class:`GramSystem`: coefficients, diagnostics and what is read of the system after.
+
+    Besides the solve's own figures it carries the system's ``shape``, its
+    factors' column count, the norm of its right-hand side, its gap premise,
+    and the knots and kernels the coefficients belong to, so that no caller
+    needs the system, and its factors, past the solve; :attr:`model` is the
+    solved :class:`ReconModel`.
+    """
+
     coefficients: np.ndarray
     residual_norm: float
     effective_rank: int
     sigma_max: float
     sigma_min: float
     sv_cutoff: float
+    shape: tuple
+    factor_cols: int
+    rhs_norm: float
+    gap_premise_ok: bool
+    knot_times: np.ndarray
+    segments: tuple
     blas_threads: Optional[int] = None  # 1 when the solve ran pinned; None: the caller's threads
+
+    @property
+    def model(self) -> "ReconModel":
+        return ReconModel(self.knot_times, self.coefficients, self.segments)
 
 
 def lowpass_segments(n: int, omega: float):
@@ -633,10 +652,15 @@ def solve_coefficients(system: GramSystem) -> SolveResult:
     ``r`` the entry of ``r_aug`` below ``Ra`` in its last column (0 when
     ``A`` has no more rows than columns).
 
-    The solve keeps no reference to ``system``, and drops ``left`` once its
-    QR is taken and ``right`` once its own is: a factor the caller does not
-    hold either is freed there, before the next step allocates.  The result
-    is the same whether the caller holds the system or not.
+    The result carries what is read of the system after the solve (see
+    :class:`SolveResult`), and the solve drops its reference to ``system``
+    at once, to ``left`` once its QR is taken and to ``right`` once its own
+    is.  So a caller that hands the system over without holding it, passing
+    a builder's result straight in as ``solve_coefficients(
+    build_gram_lowpass(train, omega))``, has each factor freed there, before
+    the next step allocates: CPython, from 3.11, passes a call's arguments
+    to the called function's frame without keeping them.  The result is the
+    same whether the caller holds the system or not.
 
     The whole solve runs on one OpenBLAS thread (see
     :func:`_one_blas_thread`), so its result does not depend on the
@@ -649,7 +673,11 @@ def solve_coefficients(system: GramSystem) -> SolveResult:
     singular value; with a cutoff below 1, ``gelsd`` keeps the largest
     singular value whenever it is nonzero.
     """
-    left, right, full_rank = system.left, system.right, min(system.shape)
+    of_system = dict(shape=system.shape, factor_cols=system.right.shape[1],
+                     rhs_norm=float(np.linalg.norm(system.rhs)),
+                     gap_premise_ok=bool(system.gap_premise_ok),
+                     knot_times=system.knot_times, segments=system.segments)
+    left, right = system.left, system.right
     del system
     with _one_blas_thread() as threads:
         raw, _ = np.linalg.qr(left, mode="raw")
@@ -690,9 +718,10 @@ def solve_coefficients(system: GramSystem) -> SolveResult:
         residual_norm=residual,
         effective_rank=int(rank),
         sigma_max=float(sv[0]),
-        sigma_min=float(sv[-1]) if sv.size == full_rank else 0.0,
+        sigma_min=float(sv[-1]) if sv.size == min(of_system["shape"]) else 0.0,
         sv_cutoff=sv_cutoff,
         blas_threads=threads,
+        **of_system,
     )
 
 

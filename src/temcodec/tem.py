@@ -20,11 +20,12 @@ seed is within rounding of the crossing, so each spike takes one path:
 one adaptive :func:`~temcodec.signals.integrate` call from the previous
 spike to the seed gives the interval identity's miss, and one Newton
 step, with the slope ``x + b`` from the global pass's interpolant at its
-last iterate, within rounding of the seed, corrects it.  The step must
-land inside the bracket the slope range gives and move the seed by at
-most ``SPIKE_TOL``; otherwise the encoder fails loudly rather than
-search.  That is one quadrature call per spike, plus one to the window
-end, never fixed-step simulation.  ``x + b > 0`` is checked at every node
+last iterate (within ``4*eps`` of the seed in the panel's coordinate once
+that iteration has converged), corrects it.  The step must land inside
+the bracket the slope range gives and move the seed by at most
+``SPIKE_TOL``; otherwise the encoder fails loudly rather than search.
+That is one quadrature call per spike, plus one to the window end, never
+fixed-step simulation.  ``x + b > 0`` is checked at every node
 of the global pass and of each per-spike integral, and wherever a slope
 is sampled; a violation names the spike by how many spikes precede the
 offending point.
@@ -195,8 +196,10 @@ def _seed_times(sig, params: TemParams, t0: float, t1: float, first: float):
 
     Returns ``(seeds, slopes)``, one of each per target ``F`` reaches by
     ``t1``; ``slopes[k]`` is the panel's interpolant of ``x + bias`` at the
-    last Newton iterate, which the final step moved to seed ``k``: by at
-    most 4 ulps of the panel coordinate once the iteration has converged.
+    iteration's last iterate, from which its final step moved to seed ``k``:
+    by at most ``4*eps`` in the panel coordinate on ``[-1, 1]`` when the
+    iteration stops on that tolerance, and by up to one Newton step or
+    bisection when it runs out its ``MAX_SEED_STEPS`` steps.
 
     Raises ValueError at the first node where ``x + bias <= 0``; the spike
     index is the number of targets ``F`` has reached at that node.
@@ -289,8 +292,8 @@ def encode(
     adaptive ``integrate`` call to the seed (three calls of ``sig``, one
     per panel) gives the identity's miss ``g``, and one Newton step
     corrects it, with the slope the global pass's interpolant of ``x + bias``
-    within rounding of the seed if that value is finite and positive, else a
-    sample of ``sig``.  A corrected time past ``t1`` ends the train.  After
+    at its last iterate (see :func:`_seed_times`) if that value is finite and
+    positive, else a sample of ``sig``.  A corrected time past ``t1`` ends the train.  After
     the seeds, one integral to ``t1`` decides a crossing within rounding of
     the window end: it is a spike, by the same step from ``t1``, if
     ``g >= 0``.

@@ -10,7 +10,6 @@ import numpy as np
 
 from temcodec.recon import (
     GramSystem,
-    ReconModel,
     build_gram_bandpass,
     build_gram_lowpass,
     lowpass_segments,
@@ -36,11 +35,11 @@ def reconstruct_lowpass(train, omega):
     """Assemble, solve and package a lowpass model; returns (model, system, solution)."""
     system = build_gram_lowpass(train, omega)
     solution = solve_coefficients(system)
-    return ReconModel(system.knot_times, solution.coefficients, system.segments), system, solution
+    return solution.model, system, solution
 
 
 def reconstruct_bandpass(merged, band):
     """Assemble, solve and package a bandpass model; returns (model, system, solution)."""
     system = build_gram_bandpass(merged, band)
     solution = solve_coefficients(system)
-    return ReconModel(system.knot_times, solution.coefficients, system.segments), system, solution
+    return solution.model, system, solution

@@ -305,8 +305,8 @@ class TestSeedBlocks:
     def test_long_window_memory_is_bounded(self, test_signal):
         # a 40 s window is 52,000 panels, whose node values all held at once
         # would take 45 MB; one block of them at a time keeps the pass near
-        # 0.64 MB, most of it the seeds and slopes (1.19 MB with blocks of 1024
-        # panels whose arrays outlived their block, 4.2 MB with blocks of 4096)
+        # 0.64 MB, most of it the seeds and slopes (0.76 MB when a block's arrays
+        # outlive it, 1.19 MB with blocks of 1024 panels, 4.2 MB with 4096)
         p = load_config(str(CONFIG_DIR / "single_channel.cfg")).tem_params
         tracemalloc.start()
         try:
@@ -315,7 +315,7 @@ class TestSeedBlocks:
         finally:
             tracemalloc.stop()
         assert seeds.size == 15600
-        assert peak <= 0.7e6
+        assert peak <= 0.72e6
 
 
 def _oracle_times(sig, p, window, z0):
