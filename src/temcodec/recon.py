@@ -36,26 +36,25 @@ segments, and everything else is derived from them:
 
 * the kernel ``g_bp`` itself: :func:`kernel_gbp` sums its segments
   directly (:func:`_segment_kernel`);
-* Gram assembly: one quadrature rule in the frequency ``nu`` per segment
-  writes the Gram matrix exactly as ``G = A @ B.T``, both factors from one
-  cos/sin table per segment (:func:`_gram_system`).  The rule is
+* Gram assembly: one quadrature rule in the frequency ``nu`` per segment writes
+  the Gram matrix exactly as ``G = A @ B.T``, both factors from one cos/sin
+  table per segment, made in place (:func:`_gram_system`).  The rule is
   Gauss-Legendre with its nodes moved by a conformal "sausage" map, which
   spends fewer nodes at the ends of the band than the plain rule (Hale &
-  Trefethen, *SIAM J. Numer. Anal.*, 2008); each order's rule is built once
-  per process (:func:`_mapped_rule`).  In ``nu`` the integrand is entire, of
+  Trefethen, *SIAM J. Numer. Anal.*, 2008); each order's rule is built once per
+  process (:func:`_mapped_rule`).  In ``nu`` the integrand is entire, of
   exponential type the record span, so an a-priori error bound fixes each
-  rule's order at ``QUAD_TOL`` per entry; it grows with the span (185
-  nodes, 370 columns, for the 779 rows of the whole 2 s single-channel
-  preset, where the plain rule needs 234; 46-53 nodes for its eight
-  decoding blocks, against 48-56).  Both factors are column-major, the layout
-  LAPACK reads; a :class:`GramSystem` holds them, the amplitude integrals
-  in a spare last column of the left one.  The solve never forms ``G``:
-  the factors' QRs reduce it to a truncated least squares problem on a
-  small core (the trigonometric-space view of TEM decoding of Lazar &
-  Pnevmatikakis, *EURASIP J. Adv. Signal Process.*, 2009, applied here to
-  the paper's own Gram matrix), solved on one BLAS thread; its residual is
-  read from the R factors.  The dense ``G`` is formed only on request
-  (:attr:`GramSystem.matrix`).
+  rule's order at ``QUAD_TOL`` per entry; it grows with the span (185 nodes,
+  370 columns, for the 779 rows of the whole 2 s single-channel preset, where
+  the plain rule needs 234; 46-53 nodes for its eight decoding blocks, against
+  48-56).  Both factors are column-major, the layout LAPACK reads; a
+  :class:`GramSystem` holds them, the amplitude integrals in a spare last
+  column of the left one.  The solve never forms ``G``: the factors' QRs reduce
+  it to a truncated least squares problem on a small core (the
+  trigonometric-space view of TEM decoding of Lazar & Pnevmatikakis, *EURASIP
+  J. Adv. Signal Process.*, 2009, applied here to the paper's own Gram matrix),
+  solved on one BLAS thread; its residual is read from the R factors.  The
+  dense ``G`` is formed only on request (:attr:`GramSystem.matrix`).
 * Evaluation: :func:`evaluate_model`, the single evaluator for both
   families and for PNS records (:func:`temcodec.pns.reconstruct_pns`
   builds a bandpass model), writes the model as ``cos(a*t)`` and
@@ -118,9 +117,10 @@ DEGENERACY_TOL = 1e-9
 # entries of one 1/(t - s) block in evaluate_model: a chunk of points against
 # their near knots.  1 MiB of float64, half the 2 MiB per-core L2 cache of the
 # x86-64 host it was measured on, so a block stays in cache from subtraction
-# through reciprocal to product.  One block is live at a time: each is inverted
-# in place and released before the next is made, so the evaluator's memory is
-# bounded by this budget.  Beside the tree's blocks (a piece's near-knot block or
+# through reciprocal to product.  One block is live at a time: made as its points
+# repeated, less its knots in place (one broadcast operand: one 64 kB ufunc buffer),
+# inverted in place and released before the next is made, so the evaluator's memory
+# is bounded by this budget.  Beside the tree's blocks (a piece's near-knot block or
 # its points' reciprocals to its leaves' nodes, and the far field's knot-node and
 # box products) its leaves' expansions are live, so those blocks take half of it.
 EVAL_CHUNK_ELEMENTS = 1 << 17
@@ -136,16 +136,16 @@ DENSE_TERMS = 1 << 19
 # columns on the single-channel preset.  A block's Gram build and solve are a run's
 # working set, so the core sets the peak: against cores of 64 (up to 244 rows and
 # 148 columns) a 2 s preset peaked at 0.95 instead of 1.50 MB single-channel and
-# 0.42 instead of 0.73 MB two-channel, for up to 7% more run time.  With the
-# solve freeing each factor at its last use, a block's Gram build now sets the
-# single-channel peak, at 0.61 MB.  The shorter blocks also decode closer to the
-# signal: 145.7 and 144.3 dB instead of 127.0 and 124.2 on the presets; from the
-# encoder's unrounded spike times over (2, 4) and (0, 8), 154.8 and 155.8 dB
-# instead of 153.5 and 153.5 single-channel, 160.2 and 158.7 instead of 160.5 and
-# 153.3 two-channel.  Cores of 48 save only a fifth of the memory; at core 32
-# guards of 16 take 1.12 and 0.58 MB, and guards of 4 lose another 0.9-1.0 dB off
-# t = 0 two-channel.  Without a guard in-band tone sums read 129-150 dB, with one
-# 154-177 dB.
+# 0.42 instead of 0.73 MB two-channel, for up to 7% more run time.  Now the solve
+# frees each factor at its last use and the build and evaluator write into arrays
+# they keep, so a block's solve and dense evaluation set the single-channel peak,
+# at 0.50 MB.  The shorter blocks also decode closer to the signal: 145.7 and 144.3
+# dB instead of 127.0 and 124.2 on the presets; from the encoder's unrounded spike
+# times over (2, 4) and (0, 8), 154.8 and 155.8 dB instead of 153.5 and 153.5
+# single-channel, 160.2 and 158.7 instead of 160.5 and 153.3 two-channel.  Cores of
+# 48 save only a fifth of the memory; at core 32 guards of 16 take 1.12 and 0.58
+# MB, and guards of 4 lose another 0.9-1.0 dB off t = 0 two-channel.  Without a
+# guard in-band tone sums read 129-150 dB, with one 154-177 dB.
 BLOCK_CORE_HALF_PERIODS = 32
 BLOCK_GUARD_HALF_PERIODS = 8
 
@@ -435,8 +435,12 @@ def _gram_system(starts, ends, segments, rhs, gap_premise_ok=True) -> GramSystem
 
     Since ``s_l = m_l``, one ``[cos, sin](nu_j*m)`` table per segment serves
     both factors; a segment whose ``psi`` is not all zero recomputes ``B``'s
-    from the shifted phases.  Both factors are column-major, so each node's
-    column is contiguous and QR reads them without a transposing copy.
+    from the shifted phases.  Each table is made in the factor columns it
+    ends in (``sin(nu_j*h)`` in ``A``'s sine columns, ``nu_j*m`` in ``B``'s
+    cosine ones) by a broadcast copy and in-place ufuncs: numpy buffers each
+    broadcast operand of an arithmetic ufunc (64 kB), two in an outer product.
+    Both factors are column-major, so each node's column is contiguous and QR
+    reads them without a transposing copy.
 
     Times are measured from the record midpoint.  In ``nu`` an entry is entire
     and bounded by ``|w|*2h*exp(span*|Im nu|)`` (``span`` the record span), so
@@ -461,18 +465,22 @@ def _gram_system(starts, ends, segments, rhs, gap_premise_ok=True) -> GramSystem
     for (lo, hi, w, psi), (nodes, weights) in zip(live, rules):
         nu = 0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes
         cols = (slice(col, col + nu.size), slice(col + nu.size, col + 2 * nu.size))
-        # outer products as (nodes, rows), transposed: column-major like the factors
+        amp, arg = left[:, cols[1]], right[:, cols[0]]
         # q*2h*sinc(nu*h) = q*2*sin(nu*h)/nu, and nu > 0 at every node
-        amp = np.sin(np.outer(nu, half).T)
+        amp[...] = half[:, None]
+        amp *= nu
+        np.sin(amp, out=amp)
         amp *= (0.5 * (hi - lo) * weights) * 2.0 / nu
-        arg = np.outer(nu, mid).T
-        for trig, part in zip((np.cos, np.sin), cols):
-            trig(arg, out=right[:, part])
-            np.multiply(right[:, part], amp, out=left[:, part])
-        if np.any(psi):
-            arg += psi[:, None]
-            for trig, part in zip((np.cos, np.sin), cols):
-                trig(arg, out=right[:, part])
+        for shift in (None, psi) if np.any(psi) else (None,):
+            arg[...] = mid[:, None]
+            arg *= nu
+            if shift is not None:  # right's own phases, once left has its table
+                arg += shift[:, None]
+            np.sin(arg, out=right[:, cols[1]])
+            np.cos(arg, out=arg)
+            if shift is None:
+                np.multiply(arg, amp, out=left[:, cols[0]])
+                amp *= right[:, cols[1]]
         right[:, col:col + 2 * nu.size] *= w[:, None]
         col += 2 * nu.size
     return GramSystem(left, right, knots, segments, gap_premise_ok)
@@ -653,14 +661,11 @@ def solve_coefficients(system: GramSystem) -> SolveResult:
     ``A`` has no more rows than columns).
 
     The result carries what is read of the system after the solve (see
-    :class:`SolveResult`), and the solve drops its reference to ``system``
-    at once, to ``left`` once its QR is taken and to ``right`` once its own
-    is.  So a caller that hands the system over without holding it, passing
-    a builder's result straight in as ``solve_coefficients(
-    build_gram_lowpass(train, omega))``, has each factor freed there, before
-    the next step allocates: CPython, from 3.11, passes a call's arguments
-    to the called function's frame without keeping them.  The result is the
-    same whether the caller holds the system or not.
+    :class:`SolveResult`); the solve drops ``system`` at once and each factor
+    once its QR is taken.  So a caller that passes a builder's result straight
+    in, ``solve_coefficients(build_gram_lowpass(train, omega))``, has each
+    factor freed there (CPython, from 3.11, hands a call's arguments to the
+    callee's frame without keeping them).  The result is the same either way.
 
     The whole solve runs on one OpenBLAS thread (see
     :func:`_one_blas_thread`), so its result does not depend on the
@@ -686,10 +691,9 @@ def solve_coefficients(system: GramSystem) -> SolveResult:
         r_aug = np.ascontiguousarray(raw.T[:min(raw.shape)])
         del raw
         r_aug[np.tri(*r_aug.shape, k=-1, dtype=bool)] = 0.0
-        raw, tau = np.linalg.qr(right, mode="raw")
+        reflectors, tau = np.linalg.qr(right, mode="raw")
         del right
-        reflectors = np.asfortranarray(raw)
-        del raw
+        reflectors = np.asfortranarray(reflectors)
         # Ra is square, of the smaller of A's row and column counts
         inner = min(r_aug.shape[0], r_aug.shape[1] - 1)
         core = r_aug[:inner, :-1] @ np.tril(reflectors[:, :tau.size])
@@ -1075,7 +1079,8 @@ def evaluate_model(model: ReconModel, t):
         del knot, inside
         padded = np.full((b1 - b0) * height, np.nan)  # padding rows are computed and dropped
         padded[slot] = block
-        recip = padded.reshape(b1 - b0, height, 1) - s_near[:, None, :]
+        recip = np.repeat(padded.reshape(b1 - b0, height, 1), s_near.shape[1], axis=2)
+        recip -= s_near[:, None, :]
         recip.reshape(-1)[entry] = np.inf  # 1/inf = 0
         del entry
         np.reciprocal(recip, out=recip)

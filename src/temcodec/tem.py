@@ -170,12 +170,11 @@ MAX_SEED_STEPS = 64
 # Panels per block of the global pass, which holds one block's node values at
 # a time: a block's arrays are freed before the next block's signal call.  At
 # 512 panels (7,680 nodes) a block's transient is about 0.35 MB, whatever the
-# window; the preset's 2 s window (2,600 panels) takes six blocks.  The pass
-# then stays below a decoding block's Gram build (about 0.6 MB), which sets the
-# single-channel run's peak.  Smaller blocks cost time: on that window (2-core
-# Xeon, numpy 2.4) the pass takes 3.0 / 3.1 / 4.2 / 5.6 ms (best of 100) and
-# peaks at 1.62 / 0.68 / 0.35 / 0.18 MB with 4096 / 1024 / 512 / 256 panels per
-# block.
+# window; the preset's 2 s window (2,600 panels) takes six blocks.  The pass then
+# stays below a decoding block's solve and evaluation (about 0.5 MB), which set the
+# single-channel run's peak.  Smaller blocks cost time: on that window (2-core Xeon,
+# numpy 2.4) the pass takes 3.0 / 3.1 / 4.2 / 5.6 ms (best of 100) and peaks at
+# 1.62 / 0.68 / 0.35 / 0.18 MB with 4096 / 1024 / 512 / 256 panels per block.
 SEED_BLOCK_PANELS = 512
 
 

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import textwrap
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -897,6 +898,24 @@ class TestOutputHelpers:
         # one snap_time call per value, in order
         assert len(seen) == n
         assert np.array_equal(seen, values, equal_nan=True)
+
+    def test_csv_holds_one_chunk_of_rows(self, tmp_path):
+        # a 40 s record's recon.csv, 40,001 rows of 4 columns: its rows' numbers and
+        # text live a chunk at a time, 0.16 MB above the columns (0.31 MB in chunks
+        # of 1024 rows, which then set the two-channel preset's peak)
+        from temcodec.experiment import _write_csv
+
+        n = 40_001
+        rng = np.random.default_rng(4)
+        columns = (np.linspace(-20.0, 20.0, n),) + tuple(rng.standard_normal(n) for _ in range(3))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _write_csv(tmp_path / "x.csv", "t,a,b,c", columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 0.175e6
 
     def test_csv_rows_format_each_value_to_12_digits(self, tmp_path):
         from temcodec.experiment import _write_csv

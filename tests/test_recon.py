@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import os
 import subprocess
 import sys
@@ -417,19 +418,22 @@ class TestFirstUseMemory:
         assert first_use_peak(cfg) <= first_use_peak(cfg, "dense") + 1_000
 
     def test_single_channel_preset(self):
-        # a decoding block's Gram build sets the peak, 0.62 MB (CPython 3.11,
-        # numpy 2.4); 0.77 MB when the run holds each block's system through its
-        # solve, 0.95 MB when the encoder's global pass also held the previous
+        # a decoding block's solve, level with its dense evaluation, sets the peak,
+        # 0.52 MB (CPython 3.11, numpy 2.4); 0.62 MB when the Gram build made its
+        # tables as new arrays and the evaluator its block by a broadcast
+        # subtraction, 0.77 MB when the run also held each block's system through
+        # its solve, 0.95 MB when the encoder's global pass also held the previous
         # block's arrays beside the next one's, 1.52 MB with decoding cores of
         # twice the length
-        assert first_use_peak(str(CONFIG_DIR / "single_channel.cfg")) < 0.7e6
+        assert first_use_peak(str(CONFIG_DIR / "single_channel.cfg")) < 0.58e6
 
     # Long records: past one block's working set, memory is the run's own
     # full-length arrays (grid, traces), about 30 kB per second of record.
     # One 3119-row system took 80 MB over 8 s single-channel.
     @pytest.mark.parametrize("preset, seconds, bound", [
-        ("single_channel", 8, 0.9e6),  # 0.80 MB; 0.94 with each system held
-        # through its solve, 1.10 with the pass's arrays held longer too
+        ("single_channel", 8, 0.77e6),  # 0.70 MB; 0.80 with the build's tables and
+        # the evaluator's block made apart, 0.94 with each system held through its
+        # solve too, 1.10 with the pass's arrays held longer too
         ("two_channel", 16, 1.3e6),  # 1.14 MB; 1.20 MB with the arrays held longer
     ])
     def test_long_record(self, tmp_path, preset, seconds, bound):
@@ -450,8 +454,61 @@ def direct_right(times, knots, segments, orders):
     return np.hstack(columns)
 
 
+def outer_product_factors(starts, ends, segments, rhs):
+    """The factors of rows ``[starts, ends]`` from whole-table formulas, each table a new
+    array: per segment the amplitude table ``sin(np.outer(nu, half).T)`` and the phase table
+    ``np.outer(nu, mid).T``.  :func:`recon._gram_system` makes the same tables in its factor
+    columns, by the same operations on the same operands."""
+    half = 0.5 * (ends - starts)
+    mid = 0.5 * (starts + ends) - 0.5 * (starts[0] + ends[-1])
+    live = [seg for seg in segments if seg[1] > seg[0]]
+    left, right = [], []
+    for lo, hi, w, psi in live:
+        order = recon._gl_order(hi - lo, 2.0 * float(np.max(half)) * float(np.max(np.abs(w))),
+                                float(ends[-1] - starts[0]), recon.QUAD_TOL / len(live))
+        nodes, weights = recon._mapped_rule(order)
+        nu = 0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes
+        amp = np.sin(np.outer(nu, half).T)
+        amp *= (0.5 * (hi - lo) * weights) * 2.0 / nu
+        arg = np.outer(nu, mid).T
+        left += [np.cos(arg) * amp, np.sin(arg) * amp]
+        if np.any(psi):
+            arg = arg + psi[:, None]
+        right += [np.cos(arg) * w[:, None], np.sin(arg) * w[:, None]]
+    return np.column_stack(left + [rhs]), np.column_stack(right)
+
+
 class TestFactorLayout:
     """Column-major factors, their trig tables, and a layout-blind solve."""
+
+    @pytest.mark.parametrize("preset", ["single_channel", "two_channel"])
+    def test_block_factors_are_the_outer_product_tables_built_in_place(self, preset_records,
+                                                                       preset):
+        # a run's largest decoding block: its factors equal those of the whole-table
+        # formulas bit for bit, and the build's peak above them stays under the left
+        # factor's bytes (71 and 35 kB; single-channel 251 kB above a 123 kB factor,
+        # two-channel 76 kB above 52 kB, when the tables were new arrays)
+        cfg, record, a_max, stride = preset_records[preset]
+        _, spans = recon.block_split(record.times, cfg.window, a_max, stride)
+        start, stop = max(spans, key=lambda span: span[1] - span[0])
+        block = dataclasses.replace(record, times=record.times[start:stop])
+        if stride == 1:
+            build = functools.partial(build_gram_lowpass, block, cfg.lowpass_cutoff)
+        else:
+            build = functools.partial(build_gram_bandpass, block, cfg.band)
+        build()  # the first build makes and caches the rule
+        tracemalloc.start()
+        try:
+            system = build()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert any(np.any(psi) for _, _, _, psi in system.segments) == (stride == 2)
+        t = block.times
+        left, right = outer_product_factors(t[:-stride], t[stride:], system.segments, system.rhs)
+        assert system.left.tobytes() == left.tobytes()
+        assert system.right.tobytes() == right.tobytes()
+        assert peak - held < system.left.nbytes
 
     @pytest.mark.parametrize("preset", ["single_channel", "two_channel"])
     def test_preset_factors_are_column_major(self, preset_systems, preset):
@@ -1189,6 +1246,26 @@ class TestModel:
         finally:
             tracemalloc.stop()
         assert peak - base < 1.5 * budget
+
+    def test_dense_block_is_filled_in_place(self):
+        # a single-channel preset block's evaluation: 250 points of a 0.25 s core
+        # against 147 knots over core and guards.  Besides its 1/(t - s) block it
+        # holds a ufunc buffer and the near pairs (1.35 times the block); a block
+        # made by a broadcast subtraction took 1.57 times its bytes
+        rng = np.random.default_rng(8)
+        knots = np.sort(rng.uniform(-0.19, 0.19, 147))
+        model = ReconModel(knots, rng.uniform(-1.0, 1.0, 147), lowpass_segments(147, TWO_PI * 65.0))
+        t = np.linspace(-0.125, 0.125, 250)
+        assert recon._tree_depth(t, knots, 1.0 / 130.0) == 0
+        evaluate_model(model, t)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            evaluate_model(model, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 1.45 * 8 * t.size * knots.size
 
     def test_dense_up_to_dense_terms(self):
         # 1,024 points against 512 knots are DENSE_TERMS terms, summed densely;
