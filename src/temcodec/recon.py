@@ -125,11 +125,11 @@ DEGENERACY_TOL = 1e-9
 # box products) its leaves' expansions are live, so those blocks take half of it.
 EVAL_CHUNK_ELEMENTS = 1 << 17
 # point-knot terms up to which evaluate_model sums every knot at every point
-# directly (see _tree_depth).  On a 2-core x86-64 host the dense sum and the tree
-# broke even between 0.29 and 0.54 M terms on lowpass and PNS models (best of 7:
-# 1.2 against 1.3 ms at 1,500 points and 195 knots, 2.5 against 2.2 ms at 3,001
-# and 180); at this bound every preset's evaluation, 0.24 M terms at most, is dense.
-DENSE_TERMS = 1 << 19
+# directly (see _tree_depth).  On a 2-core x86-64 host the two broke even at 0.41 to
+# 0.44 M terms on lowpass and PNS models (median of 101, tree against dense: 1.16 /
+# 1.11 / 0.98 at the PNS preset widened to 0.32 / 0.38 / 0.44 M); every preset's
+# evaluation, 0.24 M terms at most, is dense.
+DENSE_TERMS = 3 << 17
 # a decoding block's core, and the guard of spikes it adds on each inner side, in
 # half-periods pi/a_max of the kernel's highest frequency a_max (see block_split):
 # 0.25 s and 61 ms at 65 Hz, eight blocks of at most 147 rows and 106 factor

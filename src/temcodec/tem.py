@@ -11,24 +11,22 @@ Because the reset is exact, spike ``k`` is where the one global
 antiderivative ``F(t) = integral_{t0}^{t} (x + b)`` reaches
 ``kappa*(delta - z0) + 2*kappa*delta*k`` (the t-transform of Lazar and
 Toth, IEEE TCAS-I 2004).  :func:`encode` first builds ``F`` once from
-15-point Gauss-Legendre panels, each at most ``min_gap/2`` wide, in
-blocks of ``SEED_BLOCK_PANELS`` panels with one vectorised signal call
-per block and ``F`` carried across blocks, and inverts every target a
-block reaches at once; the pass's working set is one block's nodes, not
-the record's, so a longer record costs the pass time, not memory.  The
-seed is within rounding of the crossing, so each spike takes one path:
-one adaptive :func:`~temcodec.signals.integrate` call from the previous
-spike to the seed gives the interval identity's miss, and one Newton
-step, with the slope ``x + b`` from the global pass's interpolant at its
-last iterate (within ``4*eps`` of the seed in the panel's coordinate once
-that iteration has converged), corrects it.  The step must land inside
+15-point Gauss-Legendre panels, each at most ``min_gap/2`` wide, in blocks
+of ``SEED_BLOCK_PANELS`` panels with ``F`` carried across blocks, and
+inverts every target a block reaches at once; the pass's working set is one
+block's values, not the record's, so a longer record costs the pass time,
+not memory.  The seed is within rounding of the crossing, so each spike
+takes one path: one adaptive :func:`~temcodec.signals.integrate` call from
+the previous spike to the seed gives the interval identity's miss, and one
+Newton step, with the slope ``x + b`` from the global pass's interpolant at
+its last iterate (within ``4*eps`` of the seed in the panel's coordinate
+once that iteration has converged), corrects it.  The step must land inside
 the bracket the slope range gives and move the seed by at most
-``SPIKE_TOL``; otherwise the encoder fails loudly rather than search.
-That is one quadrature call per spike, plus one to the window end, never
-fixed-step simulation.  ``x + b > 0`` is checked at every node
-of the global pass and of each per-spike integral, and wherever a slope
-is sampled; a violation names the spike by how many spikes precede the
-offending point.
+``SPIKE_TOL``; otherwise the encoder fails loudly rather than search.  That
+is one quadrature call per spike, plus one to the window end, never
+fixed-step simulation.  ``x + b > 0`` is checked at every node of the global
+pass and of each per-spike integral, and wherever a slope is sampled; a
+violation names the spike by how many spikes precede the offending point.
 
 Every record is a :class:`SpikeTrain`, the two channels' merged one too
 (:func:`interleave`); :func:`amplitude_integrals` reads either's gaps.
@@ -167,30 +165,28 @@ _TO_COEF, _TO_INT = _legendre_maps()
 
 # Newton steps (or bisections) per target before the global pass stops refining.
 MAX_SEED_STEPS = 64
-# Panels per block of the global pass, which holds one block's node values at
-# a time: a block's arrays are freed before the next block's signal call.  At
-# 512 panels (7,680 nodes) a block's transient is about 0.35 MB, whatever the
-# window; the preset's 2 s window (2,600 panels) takes six blocks.  The pass then
-# stays below a decoding block's solve and evaluation (about 0.5 MB), which set the
-# single-channel run's peak.  Smaller blocks cost time: on that window (2-core Xeon,
-# numpy 2.4) the pass takes 3.0 / 3.1 / 4.2 / 5.6 ms (best of 100) and peaks at
-# 1.62 / 0.68 / 0.35 / 0.18 MB with 4096 / 1024 / 512 / 256 panels per block.
+# Panels per block of the global pass, and per signal call in a block.  A block's
+# values and Newton arrays are freed before the next block's, a call's nodes and
+# signal tables before the next call.  On the preset's 2 s window (2,600 panels;
+# 2-core Xeon, numpy 2.4) the pass peaks at 0.19 MB in 4.5 ms (best of 100); calls
+# of 64 / 256 / 512 panels peak at 0.19 / 0.26 / 0.41 MB in 4.8 / 4.4 / 4.3 ms, and
+# blocks of 4096 / 1024 / 256 panels, one call each, took 3.0 / 3.1 / 5.6 ms.
 SEED_BLOCK_PANELS = 512
+SEED_CALL_PANELS = 128
 
 
 def _seed_times(sig, params: TemParams, t0: float, t1: float, first: float):
     """Where ``F(t) = integral_{t0}^{t} (x + bias)`` reaches each spike target.
 
-    The targets are ``first + 2*kappa*delta*k``.  ``F`` is built from
-    15-point Gauss-Legendre panels at most ``min_gap/2`` wide (so a panel
-    holds at most one crossing), with ``x + bias > 0`` checked at every
-    node.  The panels are taken in blocks of ``SEED_BLOCK_PANELS``, one
-    signal call each, with ``F`` carried from block to block; a block's
-    nodes, values and Newton arrays are deleted before the next block's
-    signal call, so only one block's are alive at a time (about 0.35 MB at
-    512 panels, whatever the window).  Every target a block's ``F`` reaches
-    is inverted at once by a vectorised Newton iteration inside the
-    target's panel, bisecting whenever a step leaves the panel's shrinking
+    The targets are ``first + 2*kappa*delta*k``.  ``F`` is built from 15-point
+    Gauss-Legendre panels at most ``min_gap/2`` wide (so a panel holds at most
+    one crossing), with ``x + bias > 0`` checked at every node.  The panels are
+    taken in blocks of ``SEED_BLOCK_PANELS``, with ``F`` carried from block to
+    block, and a block's values filled by one signal call per
+    ``SEED_CALL_PANELS`` panels, each call's nodes made for it: one block's
+    arrays are alive at a time, whatever the window.  Every target a block's
+    ``F`` reaches is inverted at once by a vectorised Newton iteration inside
+    the target's panel, bisecting whenever a step leaves the panel's shrinking
     bracket.
 
     Returns ``(seeds, slopes)``, one of each per target ``F`` reaches by
@@ -222,8 +218,12 @@ def _seed_times(sig, params: TemParams, t0: float, t1: float, first: float):
             block[-1] = t1
         half = 0.5 * np.diff(block)
         mid = block[:-1] + half
-        nodes = mid[:, None] + half[:, None] * _GL_NODES
-        values = np.asarray(sig(nodes.ravel()), dtype=float).reshape(nodes.shape) + params.bias
+        values = np.empty((half.size, _GL_NODES.size))
+        for a in range(0, half.size, SEED_CALL_PANELS):
+            b = a + SEED_CALL_PANELS
+            values[a:b] = np.reshape(sig((mid[a:b, None] + half[a:b, None] * _GL_NODES).ravel()),
+                                     (-1, _GL_NODES.size))
+        values += params.bias
         # F at the block's panel edges: the carried value, then the running
         # panel sums, in the same sequential order as one sum over the window.
         f_edges = np.cumsum(np.concatenate(([f_start], half * (values @ _GL_WEIGHTS))))
@@ -236,7 +236,8 @@ def _seed_times(sig, params: TemParams, t0: float, t1: float, first: float):
             if math.isnan(f_node):  # a NaN in the panel: count up to its left edge
                 f_node = f_edges[panel]
             raise _bound_error(reached(f_node), float(values.flat[bad]),
-                               float(nodes.flat[bad]), params.amplitude_bound)
+                               float(mid[panel] + half[panel] * _GL_NODES[node]),
+                               params.amplitude_bound)
 
         count = reached(f_edges[-1])
         targets = first + step * np.arange(n_reached, count)
@@ -263,7 +264,7 @@ def _seed_times(sig, params: TemParams, t0: float, t1: float, first: float):
         seeds.append(mid[j] + half[j] * x)
         slopes.append(slope)
         f_start, n_reached = f_edges[-1], count
-        del nodes, values, coef, coef_int, vander  # not alive beside the next block's
+        del values, coef, coef_int, vander  # not alive beside the next block's
     return np.concatenate(seeds), np.concatenate(slopes)
 
 
@@ -283,10 +284,9 @@ def encode(
     ``|sig| <= params.amplitude_bound`` on the window.
 
     A global pass first builds ``F(t) = integral_{t0}^{t} (x + bias)`` on
-    Gauss-Legendre panels at most ``min_gap/2`` wide, from one call of
-    ``sig`` per block of ``SEED_BLOCK_PANELS`` panels, and seeds every
-    spike where ``F`` reaches its target by ``t1``; the pass holds one
-    block's nodes at a time, so its memory does not grow with the window.
+    Gauss-Legendre panels at most ``min_gap/2`` wide, from vectorised calls
+    of ``sig`` (see :func:`_seed_times`), and seeds every spike where ``F``
+    reaches its target by ``t1``; its memory does not grow with the window.
     Each seed, chained from the previous spike, then takes one path: one
     adaptive ``integrate`` call to the seed (three calls of ``sig``, one
     per panel) gives the identity's miss ``g``, and one Newton step

@@ -917,6 +917,28 @@ class TestOutputHelpers:
             tracemalloc.stop()
         assert peak - base < 0.175e6
 
+    def test_manifest_reads_through_one_buffer(self, tmp_path):
+        # a 1 MB file is hashed 64 kB at a time through one reused buffer (137 kB
+        # above the base when each read made a new block, kept while the next was read)
+        import hashlib
+
+        from temcodec.experiment import _manifest
+
+        (tmp_path / "big").write_bytes(np.random.default_rng(5).bytes(1 << 20))
+        (tmp_path / "empty").write_bytes(b"")
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            entries = _manifest(tmp_path, ["big", "empty"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 0.1e6
+        assert entries == [
+            {"name": name, "bytes": (tmp_path / name).stat().st_size,
+             "sha256": hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()}
+            for name in ("big", "empty")]
+
     def test_csv_rows_format_each_value_to_12_digits(self, tmp_path):
         from temcodec.experiment import _write_csv
 

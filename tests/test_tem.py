@@ -201,9 +201,9 @@ def _count_signal_calls(sig):
 class TestQuadratureBudget:
     """The global pass seeds each spike within rounding of its crossing, so
     each costs one adaptive integral, plus one integral to the window end.
-    The signal is called once per block of the global pass and once for each
-    of an integral's three panels: the Newton slope at a seed comes from the
-    global pass."""
+    The signal is called once per ``SEED_CALL_PANELS`` panels of each block of
+    the global pass and once for each of an integral's three panels: the
+    Newton slope at a seed comes from the global pass."""
 
     def test_single_channel_preset(self, monkeypatch):
         cfg = load_config(str(CONFIG_DIR / "single_channel.cfg"))
@@ -212,9 +212,9 @@ class TestQuadratureBudget:
         train = encode(sig, cfg.tem_params, (-1.0, 1.0))
         assert len(train) == 780
         assert len(calls) == len(train) + 1
-        # the 2 s window's 2,600 panels take six blocks of the global pass
-        blocks = math.ceil(2600 / tem.SEED_BLOCK_PANELS)
-        assert len(signal_calls) == blocks + 3 * len(calls) == 2349
+        # the 2 s window's 2,600 panels take five blocks of 512 panels, four
+        # calls each, and one of 40, one call
+        assert len(signal_calls) == 5 * 4 + 1 + 3 * len(calls) == 2364
 
     def test_two_channel_preset_each_channel(self, monkeypatch):
         cfg = load_config(str(CONFIG_DIR / "two_channel.cfg"))
@@ -226,9 +226,9 @@ class TestQuadratureBudget:
             train = encode(sig, p, (-1.0, 1.0), initial_integrator=z0)
             assert len(train) == 180
             assert len(calls) == len(train) + 1
-            # the 2 s window's 600 panels take two blocks of the global pass
-            blocks = math.ceil(600 / tem.SEED_BLOCK_PANELS)
-            assert len(signal_calls) == blocks + 3 * len(calls) == 545
+            # the 2 s window's 600 panels take a block of 512 panels, four
+            # calls, and one of 88, one call
+            assert len(signal_calls) == 4 + 1 + 3 * len(calls) == 548
 
     # twelve shifts of the window across [0, 1/30) s, one two-channel period
     @pytest.mark.parametrize("shift", [k / 360.0 for k in range(12)])
@@ -282,11 +282,16 @@ class TestSeedSlopes:
 
 
 class TestSeedBlocks:
-    """The global pass takes ``SEED_BLOCK_PANELS`` panels per signal call."""
+    """The global pass takes ``SEED_BLOCK_PANELS`` panels per block, and
+    ``SEED_CALL_PANELS`` (128) of a block's panels per signal call."""
 
-    @pytest.mark.parametrize("block", [1, 100, 1299])
-    def test_blocks_match_one_block(self, test_signal, monkeypatch, block):
-        # the preset's 2 s window is 2,600 panels: six blocks by default
+    # the preset's 2 s window is 2,600 panels: blocks of 1 take a call each, of
+    # 100 (26 blocks) one call each, and of 1,299 (two, then one of 2 panels)
+    # 11, 11 and 1 calls, of up to 128 panels
+    @pytest.mark.parametrize("block, n_calls, max_nodes",
+                             [(1, 2600, 15), (100, 26, 1500), (1299, 23, 1920)])
+    def test_blocks_match_one_block(self, test_signal, monkeypatch, block, n_calls,
+                                    max_nodes):
         p = load_config(str(CONFIG_DIR / "single_channel.cfg")).tem_params
         first = 2.0 * p.kappa * p.delta
         seeds, slopes = tem._seed_times(test_signal, p, -1.0, 1.0, first)
@@ -294,28 +299,42 @@ class TestSeedBlocks:
         monkeypatch.setattr(tem, "SEED_BLOCK_PANELS", block)
         sig, signal_calls = _count_signal_calls(test_signal)
         blocked_seeds, blocked_slopes = tem._seed_times(sig, p, -1.0, 1.0, first)
-        assert len(signal_calls) == math.ceil(2600 / block)
-        assert max(signal_calls) == 15 * block
+        assert len(signal_calls) == n_calls
+        assert max(signal_calls) == max_nodes
         assert blocked_seeds.size == seeds.size and blocked_slopes.size == slopes.size
         assert np.max(np.abs(blocked_seeds - seeds)) <= 1e-14
         got = encode(test_signal, p, (-1.0, 1.0))
         assert len(got) == len(expect) == 780
         assert np.max(np.abs(got.times - expect.times)) <= 1e-14
 
-    def test_long_window_memory_is_bounded(self, test_signal):
-        # a 40 s window is 52,000 panels, whose node values all held at once
-        # would take 45 MB; one block of them at a time keeps the pass near
-        # 0.64 MB, most of it the seeds and slopes (0.76 MB when a block's arrays
-        # outlive it, 1.19 MB with blocks of 1024 panels, 4.2 MB with 4096)
+    @staticmethod
+    def _seed_count_and_peak(sig, half_span):
+        """Seeds and tracemalloc peak of the preset's pass over ``(-half_span, half_span)``."""
         p = load_config(str(CONFIG_DIR / "single_channel.cfg")).tem_params
         tracemalloc.start()
         try:
-            seeds, _ = tem._seed_times(test_signal, p, -20.0, 20.0, 2.0 * p.kappa * p.delta)
-            peak = tracemalloc.get_traced_memory()[1]
+            seeds, _ = tem._seed_times(sig, p, -half_span, half_span, 2.0 * p.kappa * p.delta)
+            return seeds.size, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert seeds.size == 15600
-        assert peak <= 0.72e6
+
+    def test_preset_window_memory_is_bounded(self, test_signal):
+        # the preset's 2 s window peaks at 0.19 MB: one block's node values and
+        # Newton arrays, and one call's nodes and signal tables (0.35 MB when a
+        # block's nodes were made whole for one signal call)
+        n_seeds, peak = self._seed_count_and_peak(test_signal, 1.0)
+        assert n_seeds == 780
+        assert peak < 0.25e6
+
+    def test_long_window_memory_is_bounded(self, test_signal):
+        # a 40 s window is 52,000 panels, whose node values all held at once
+        # would take 45 MB; one block of them at a time keeps the pass near
+        # 0.58 MB, most of it the seeds and slopes (0.64 MB when a block's nodes
+        # were made whole, 0.76 MB when its arrays outlived it, 1.19 MB with
+        # blocks of 1024 panels, 4.2 MB with 4096)
+        n_seeds, peak = self._seed_count_and_peak(test_signal, 20.0)
+        assert n_seeds == 15600
+        assert peak <= 0.63e6
 
 
 def _oracle_times(sig, p, window, z0):
