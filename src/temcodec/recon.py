@@ -36,20 +36,17 @@ segments, and everything else is derived from them:
 
 * the kernel ``g_bp`` itself: :func:`kernel_gbp` sums its segments
   directly (:func:`_segment_kernel`);
-* Gram assembly: one quadrature rule in the frequency ``nu`` per segment writes
-  the Gram matrix exactly as ``G = A @ B.T``, both factors from one cos/sin
-  table per segment, made in place (:func:`_gram_system`).  The rule is
-  Gauss-Legendre with its nodes moved by a conformal "sausage" map, which
-  spends fewer nodes at the ends of the band than the plain rule (Hale &
-  Trefethen, *SIAM J. Numer. Anal.*, 2008); each order's rule is built once per
-  process (:func:`_mapped_rule`).  In ``nu`` the integrand is entire, of
-  exponential type the record span, so an a-priori error bound fixes each
-  rule's order at ``QUAD_TOL`` per entry; it grows with the span (185 nodes,
-  370 columns, for the 779 rows of the whole 2 s single-channel preset, where
-  the plain rule needs 234; 46-53 nodes for its eight decoding blocks, against
-  48-56).  Both factors are column-major, the layout LAPACK reads; a
-  :class:`GramSystem` holds them, the amplitude integrals in a spare last
-  column of the left one.  The solve never forms ``G``: the factors' QRs reduce
+* Gram assembly: one Gauss-Legendre rule in the frequency ``nu`` per segment
+  writes the Gram matrix exactly as ``G = A @ B.T``, both factors from one
+  cos/sin table per segment, made in place (:func:`_gram_system`); each
+  order's rule is built once per process
+  (:func:`temcodec.signals.gauss_legendre`).  In ``nu`` the integrand is
+  entire, of exponential type the record span, so an a-priori error bound
+  fixes each rule's order at ``QUAD_TOL`` per entry; it grows with the span
+  (234 nodes, 468 columns, for the 779 rows of the whole 2 s single-channel
+  preset; 48-56 nodes for its eight decoding blocks).  Both factors are
+  column-major, the layout LAPACK reads; a :class:`GramSystem` holds them,
+  the amplitude integrals in a spare last column of the left one.  The solve never forms ``G``: the factors' QRs reduce
   it to a truncated least squares problem on a small core (the
   trigonometric-space view of TEM decoding of Lazar & Pnevmatikakis, *EURASIP
   J. Adv. Signal Process.*, 2009, applied here to the paper's own Gram matrix),
@@ -85,7 +82,7 @@ from typing import Optional
 
 import numpy as np
 
-from .signals import BandSpec, sinc_pi
+from .signals import BandSpec, gauss_legendre, sinc_pi
 # integrate_columns is not called here; the benchmark tracer (perfbench/tracing.py)
 # patches and restores the name recon.integrate_columns, so it stays importable.
 from .signals import integrate_columns  # noqa: F401
@@ -132,22 +129,32 @@ EVAL_CHUNK_ELEMENTS = 1 << 17
 DENSE_TERMS = 3 << 17
 # a decoding block's core, and the guard of spikes it adds on each inner side, in
 # half-periods pi/a_max of the kernel's highest frequency a_max (see block_split):
-# 0.25 s and 61 ms at 65 Hz, eight blocks of at most 147 rows and 106 factor
+# 0.25 s and 61 ms at 65 Hz, eight blocks of at most 147 rows and 112 factor
 # columns on the single-channel preset.  A block's Gram build and solve are a run's
 # working set, so the core sets the peak: against cores of 64 (up to 244 rows and
 # 148 columns) a 2 s preset peaked at 0.95 instead of 1.50 MB single-channel and
 # 0.42 instead of 0.73 MB two-channel, for up to 7% more run time.  Now the solve
-# frees each factor at its last use and the build and evaluator write into arrays
-# they keep, so a block's solve and dense evaluation set the single-channel peak,
-# at 0.50 MB.  The shorter blocks also decode closer to the signal: 145.7 and 144.3
-# dB instead of 127.0 and 124.2 on the presets; from the encoder's unrounded spike
-# times over (2, 4) and (0, 8), 154.8 and 155.8 dB instead of 153.5 and 153.5
-# single-channel, 160.2 and 158.7 instead of 160.5 and 153.3 two-channel.  Cores of
-# 48 save only a fifth of the memory; at core 32 guards of 16 take 1.12 and 0.58
-# MB, and guards of 4 lose another 0.9-1.0 dB off t = 0 two-channel.  Without a
-# guard in-band tone sums read 129-150 dB, with one 154-177 dB.
+# frees each factor at its last use and makes its core a few columns at a time, and
+# the build and evaluator write into arrays they keep, so a block's solve, level
+# with its dense evaluation, sets the single-channel peak, at 0.49 MB.  The shorter
+# blocks also decode closer to the signal: 145.7 and 144.3 dB instead of 127.0 and
+# 124.2 on the presets; from the encoder's unrounded spike times over (2, 4) and
+# (0, 8), 154.8 and 155.8 dB instead of 153.5 and 153.5 single-channel, 160.2 and
+# 158.7 instead of 160.5 and 153.3 two-channel.  Cores of 48 save only a fifth of
+# the memory; at core 32 guards of 16 take 1.12 and 0.58 MB, and guards of 4 lose
+# another 0.9-1.0 dB off t = 0 two-channel.  Without a guard in-band tone sums read
+# 129-150 dB, with one 154-177 dB.
 BLOCK_CORE_HALF_PERIODS = 32
 BLOCK_GUARD_HALF_PERIODS = 8
+# columns of the solve's core product Ra Rb^T made at a time, each block from a
+# lower-triangular copy of as many columns of Rb^T (see solve_coefficients).  On the
+# single-channel preset's largest decoding block (147 rows, 112 factor columns; 2-core
+# x86-64, numpy 2.4) the solve allocates at most 370 / 400 / 461 kB at 16 / 32 / 64
+# columns and 518 kB with all 112 in one product.  A fresh run of the preset peaks at
+# 0.510 MB at 8 to 32 columns, where a block's dense evaluation is level with the
+# solve, at 0.571 MB at 64 and at 0.548 MB with one product.  The width does not
+# change the solve's time (2.6-2.7 ms on that block).
+SOLVE_CORE_COLUMNS = 32
 
 
 class DegenerateSystemError(RuntimeError):
@@ -337,84 +344,26 @@ def kernel_gbp(t, d, band: BandSpec):
     return _segment_kernel(segments, t.ravel(), np.arange(d.size)).reshape(t.shape)[()]
 
 
-# Hale & Trefethen's "sausage" map g of [-1, 1] onto itself: arcsin's Taylor
-# series to degree 9, coefficients of x, x^3, ..., x^9 scaled so g(+-1) = +-1
-_MAP_ODD = np.array([1.0, 1.0 / 6.0, 3.0 / 40.0, 5.0 / 112.0, 35.0 / 1152.0])
-_MAP_ODD /= _MAP_ODD.sum()
-
-
-def _sausage(x):
-    """The map ``g`` and its derivative ``g'`` at ``x`` (real or complex)."""
-    x2 = x * x
-    g = dg = 0.0
-    for k in range(_MAP_ODD.size - 1, -1, -1):
-        g = g * x2 + _MAP_ODD[k]
-        dg = dg * x2 + (2 * k + 1) * _MAP_ODD[k]
-    return x * g, dg
-
-
-@functools.cache
-def _ellipse_maxima():
-    """Bernstein parameters ``rho`` with ``max |Im g|`` and ``max |g'|`` on each ellipse ``E_rho``.
-
-    ``E_rho`` is ``(rho*e^(i*theta) + e^(-i*theta)/rho)/2``; both functions are
-    harmonic or analytic, so their maxima over the ellipse's interior are on
-    it.  ``g'`` is a polynomial in ``x**2`` with positive coefficients, so
-    ``|g'(z)| <= g'(|z|)`` and ``max|g'| = g'((rho + 1/rho)/2)``.  ``g`` is odd with
-    real coefficients, so ``|Im g|`` is sampled on the quarter ``theta`` in ``[0, pi/2]``,
-    eight ellipses at a time: the first call, made on first use, allocates about 0.2 MB.
-    """
-    rho = 1.0 + np.logspace(-6.0, 1.0, 141)
-    circle = np.exp(1j * np.linspace(0.0, 0.5 * math.pi, 257))
-    im_max = [np.max(np.abs(_sausage(0.5 * (r * circle + 1.0 / (r * circle)))[0].imag), axis=1)
-              for r in np.split(rho[:, None], range(8, rho.size, 8))]
-    maxima = rho, np.concatenate(im_max), _sausage(0.5 * (rho + 1.0 / rho))[1]
-    for values in maxima:
-        values.flags.writeable = False  # one cached copy serves every caller
-    return maxima
-
-
 def _gl_order(h: float, k_max: float, a_max: float, tol: float) -> int:
-    """Least order of the mapped Gauss-Legendre rule that meets ``tol`` on a length-``h`` interval.
+    """Least order of the Gauss-Legendre rule that meets ``tol`` on a length-``h`` interval.
 
-    The rule integrates ``f`` over ``[c - h/2, c + h/2]`` as the plain rule in
-    ``x`` on ``[-1, 1]`` applied to ``(h/2)*g'(x)*f(c + (h/2)*g(x))`` (see
-    :func:`_sausage`).  ``f`` is entire with ``|f(z)| <= k_max*exp(a_max*|Im z|)``,
-    so on the Bernstein ellipse ``E_rho`` the mapped integrand is at most
-    ``(h/2)*M`` with ``M = k_max*exp(a_max*(h/2)*max|Im g|)*max|g'|``
-    (:func:`_ellipse_maxima`: ``max|g'|`` in closed form, ``max|Im g|`` sampled
-    in bounded memory), and an ``m``-point rule errs by at most
-    ``(h/2)*(64/15)*M*rho**(-2*(m - 1))/(rho**2 - 1)`` (Trefethen,
-    *Approximation Theory and Approximation Practice*, Thm 19.3).  Each
-    ``rho`` of the grid gives the least ``m`` meeting ``tol``; the order is
-    the smallest of those, and at least 2.  With ``g(x) = x`` this is the
-    plain rule's bound.  Gram assembly asks each segment for an equal share
-    of ``QUAD_TOL`` (:func:`_gram_system`).
+    The rule integrates ``f`` over ``[c - h/2, c + h/2]`` as the rule in ``x``
+    on ``[-1, 1]`` applied to ``(h/2)*f(c + (h/2)*x)``.  ``f`` is entire with
+    ``|f(z)| <= k_max*exp(a_max*|Im z|)``, and ``max|Im x| = (rho - 1/rho)/2``
+    on the Bernstein ellipse ``E_rho``, so there the integrand is at most
+    ``(h/2)*M`` with ``M = k_max*exp(a_max*h*(rho - 1/rho)/4)``, and an
+    ``m``-point rule errs by at most ``(h/2)*(64/15)*M*rho**(-2*(m - 1))/(rho**2 - 1)``
+    (Trefethen, *Approximation Theory and Approximation Practice*, Thm 19.3).
+    Each ``rho`` of a log grid, made per call, gives the least ``m`` meeting
+    ``tol``; the order is the smallest of those, and at least 2.  Gram
+    assembly asks each segment for an equal share of ``QUAD_TOL``
+    (:func:`_gram_system`).
     """
-    rho, im_max, dg_max = _ellipse_maxima()
+    rho = 1.0 + np.logspace(-6.0, 6.0, 481)
     log_scale = math.log(0.5 * h * (64.0 / 15.0) * k_max)
-    log_rest = 0.5 * a_max * h * im_max + np.log(dg_max) - np.log(rho * rho - 1.0)
+    log_rest = 0.25 * a_max * h * (rho - 1.0 / rho) - np.log(rho * rho - 1.0)
     needed = 1.0 + (log_scale + log_rest - math.log(tol)) / (2.0 * np.log(rho))
     return math.ceil(max(2.0, float(np.min(needed))))
-
-
-# bounded because the order follows the record span: a process decoding many
-# spans would otherwise keep every order's rule (16*order bytes each)
-@functools.lru_cache(maxsize=64)
-def _mapped_rule(order: int):
-    """Nodes ``g(x_j)`` and weights ``c_j*g'(x_j)`` of the ``order``-point mapped rule on ``[-1, 1]``.
-
-    ``x_j`` and ``c_j`` are the Gauss-Legendre nodes and weights and ``g`` the
-    sausage map (:func:`_sausage`).  ``leggauss`` solves an eigenproblem of
-    the order's size, so each order's rule is built once per process and its
-    read-only arrays are shared by every later Gram assembly.
-    """
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    nodes, stretch = _sausage(nodes)
-    weights *= stretch
-    for values in (nodes, weights):
-        values.flags.writeable = False  # one cached copy serves every caller
-    return nodes, weights
 
 
 def _gram_system(starts, ends, segments, rhs, gap_premise_ok=True) -> GramSystem:
@@ -424,9 +373,9 @@ def _gram_system(starts, ends, segments, rhs, gap_premise_ok=True) -> GramSystem
     kernel_l(u) du``, knot ``l`` at ``s_l = (starts[l] + ends[l])/2`` with its
     kernel given by ``segments`` (see :func:`lowpass_segments`) at offsets
     ``u - s_l``; ``rhs`` fills ``A``'s spare last column.  Each non-empty
-    segment's ``nu`` integral is one mapped Gauss-Legendre rule
-    (:func:`_mapped_rule`), scaled to the segment as nodes ``nu_j`` and
-    weights ``q_j``.  Splitting the cosine gives per node the column pair
+    segment's ``nu`` integral is one Gauss-Legendre rule
+    (:func:`temcodec.signals.gauss_legendre`), scaled to the segment as nodes
+    ``nu_j`` and weights ``q_j``.  Splitting the cosine gives per node the column pair
 
     * ``A[r] = q_j*2h_r*sinc(nu_j*h_r)*[cos, sin](nu_j*m_r)``, the exact
       integrals of ``cos(nu*u)`` and ``sin(nu*u)`` over the row interval
@@ -445,17 +394,18 @@ def _gram_system(starts, ends, segments, rhs, gap_premise_ok=True) -> GramSystem
     Times are measured from the record midpoint.  In ``nu`` an entry is entire
     and bounded by ``|w|*2h*exp(span*|Im nu|)`` (``span`` the record span), so
     :func:`_gl_order` fixes each segment's order at an equal share of
-    ``QUAD_TOL``, read at call time.  The orders are 185 for the whole 2 s
-    single-channel preset, 43 and 70 for the two segments of the two-channel
-    one (the plain rule needs 234, and 46 and 81).
+    ``QUAD_TOL``, read at call time.  The orders are 234 for the whole 2 s
+    single-channel preset, 46 and 81 for the two segments of the two-channel
+    one.
     """
     knots = _midpoints(starts, ends)
     span = float(ends[-1] - starts[0])
     half = 0.5 * (ends - starts)
     mid = knots - 0.5 * (starts[0] + ends[-1])
     live = [seg for seg in segments if seg[1] > seg[0]]
-    rules = [_mapped_rule(_gl_order(hi - lo, 2.0 * float(np.max(half)) * float(np.max(np.abs(w))),
-                                    span, QUAD_TOL / len(live)))
+    longest = 2.0 * float(np.max(half))
+    rules = [gauss_legendre(_gl_order(hi - lo, longest * float(np.max(np.abs(w))), span,
+                                      QUAD_TOL / len(live)))
              for lo, hi, w, _ in live]
     width = 2 * sum(nodes.size for nodes, _ in rules)
     left = np.empty((half.size, width + 1), order="F")
@@ -642,10 +592,13 @@ def solve_coefficients(system: GramSystem) -> SolveResult:
     goes column by column, so the R of ``left``, ``r_aug`` (from
     ``mode="raw"``, made row-major), is ``Ra`` with ``Qa^T q`` as its last
     column; ``reflectors`` and ``tau``, ``right``'s packed QR made
-    column-major, hold ``Rb^T`` on and below their diagonal.  numpy returns
-    R and the reflectors in layouts that follow its input's; fixing them
-    fixes the summation order of the products below.  Neither ``G``, ``Qa``
-    nor ``Qb`` is formed.  The core system is solved by LAPACK's ``gelsd``
+    column-major, hold ``Rb^T`` on and below their diagonal.  The core is
+    made ``SOLVE_CORE_COLUMNS`` columns at a time, each block the product of
+    ``Ra`` and a lower-triangular copy of as many columns of ``Rb^T``, so no
+    whole copy of ``Rb^T`` is held beside it.  numpy returns R and the
+    reflectors in layouts that follow its input's; fixing them fixes the
+    summation order of the products below.  Neither ``G``, ``Qa`` nor ``Qb``
+    is formed.  The core system is solved by LAPACK's ``gelsd``
     (``np.linalg.lstsq``), which keeps the singular values ``sv > sv_cutoff
     * sigma_max`` and never forms singular vectors; ``Qb`` is applied to its
     solution through its Householder reflectors.  The relative cutoff
@@ -696,7 +649,10 @@ def solve_coefficients(system: GramSystem) -> SolveResult:
         reflectors = np.asfortranarray(reflectors)
         # Ra is square, of the smaller of A's row and column counts
         inner = min(r_aug.shape[0], r_aug.shape[1] - 1)
-        core = r_aug[:inner, :-1] @ np.tril(reflectors[:, :tau.size])
+        core = np.empty((inner, tau.size))
+        for a in range(0, tau.size, SOLVE_CORE_COLUMNS):
+            b = min(a + SOLVE_CORE_COLUMNS, tau.size)
+            np.matmul(r_aug[:inner, :-1], np.tril(reflectors[:, a:b], -a), out=core[:, a:b])
         projected = r_aug[:inner, -1]
         # the part of q outside the column space of A: the entry below Ra in
         # the last column, where left = [A, q] has a row there

@@ -7,11 +7,14 @@ time-encoder bias settings derived from them are safe.
 
 ``integrate`` is the integration oracle used throughout the package:
 deterministic globally-adaptive Gauss-Legendre quadrature with error
-control by panel halving.
+control by panel halving.  Every Gauss-Legendre rule of the package, the
+encoder's 15-point panels and each Gram order, comes from
+:func:`gauss_legendre`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -26,6 +29,7 @@ __all__ = [
     "BandSpec",
     "integrate",
     "QuadratureError",
+    "gauss_legendre",
     "sinc_pi",
 ]
 
@@ -208,7 +212,23 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature exhausted its subdivision budget."""
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+# bounded because a Gram rule's order follows the record span: a process decoding
+# many spans would otherwise keep every order's rule (16*order bytes each)
+@functools.lru_cache(maxsize=64)
+def gauss_legendre(order: int):
+    """Nodes and weights of the ``order``-point Gauss-Legendre rule on ``[-1, 1]``.
+
+    ``leggauss`` solves an eigenproblem of the order's size, so each order's
+    rule is built once per process and its read-only arrays are shared by
+    every later caller.
+    """
+    rule = np.polynomial.legendre.leggauss(order)
+    for values in rule:
+        values.flags.writeable = False  # one cached copy serves every caller
+    return rule
+
+
+_GL_NODES, _GL_WEIGHTS = gauss_legendre(15)
 
 
 def _panel(f, a: float, b: float):

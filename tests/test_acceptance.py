@@ -324,7 +324,7 @@ class TestGoldenRegression:
         assert np.max(two_run["merged"].gaps) == pytest.approx(
             0.011202878326604195, abs=1e-11
         )
-        assert two_run["snr"] == pytest.approx(82.30135599678327, abs=1e-3)
+        assert two_run["snr"] == pytest.approx(82.32274009565748, abs=1e-3)
         sol = two_run["solution"]
         assert two_run["system"].matrix.shape == (358, 358)
         assert sol.effective_rank == 154
@@ -352,8 +352,8 @@ class TestPipelineGolden:
     """
 
     @pytest.mark.parametrize("preset, snr_db", [
-        ("single_channel", 145.74366387518126),
-        ("two_channel", 144.2962823661917),
+        ("single_channel", 145.74213613819984),
+        ("two_channel", 144.84189655666415),
     ])
     def test_preset_report_golden(self, tmp_path, preset, snr_db):
         out = tmp_path / "out"

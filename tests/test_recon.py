@@ -20,7 +20,7 @@ from temcodec.signals import (
 from temcodec.tem import (
     SpikeTrain, TemParams, amplitude_integrals, encode, encode_two_channel, interleave,
 )
-from temcodec import experiment, recon
+from temcodec import experiment, recon, signals
 from temcodec.pns import PnsGrid, sample_pns
 from temcodec.recon import (
     DegenerateShiftError,
@@ -35,7 +35,6 @@ from temcodec.recon import (
     solve_coefficients,
 )
 
-from ellipse_oracle import dense_ellipse_maxima
 from kernel_oracle import closed_form_gbp
 from recon_pipeline import hand_made_system, reconstruct_bandpass, reconstruct_lowpass
 
@@ -262,24 +261,25 @@ def test_knot_times_are_the_row_midpoints_bit_for_bit(preset_records, preset_sys
         assert system.knot_times.tobytes() == (0.5 * (starts + ends)).tobytes()
 
 
-def sausage_polynomial():
-    """The map as a polynomial: arcsin's Taylor series to degree 9, scaled to g(1) = 1."""
-    coef = np.zeros(10)
-    coef[1::2] = [1.0, 1.0 / 6.0, 3.0 / 40.0, 5.0 / 112.0, 35.0 / 1152.0]
-    return np.polynomial.Polynomial(coef / coef.sum())
+def brute_force_order(h, k_max, a_max, tol):
+    """The plain rule's least order by its error bound (see ``recon._gl_order``), minimised
+    over a dense grid of Bernstein parameters ``rho``."""
+    rho = 1.0 + np.logspace(-8.0, 8.0, 200_001)
+    bound = (np.log(0.5 * h * (64.0 / 15.0) * k_max) + 0.25 * a_max * h * (rho - 1.0 / rho)
+             - np.log(rho * rho - 1.0) - np.log(tol))
+    return int(np.ceil(max(2.0, np.min(1.0 + bound / (2.0 * np.log(rho))))))
 
 
-class TestMappedRule:
-    def test_map_fixes_the_interval_ends(self):
-        g = sausage_polynomial()
-        x = np.linspace(-1.0, 1.0, 101)
-        got, slope = recon._sausage(x)
-        np.testing.assert_allclose(got, g(x), rtol=0.0, atol=1e-15)
-        np.testing.assert_allclose(slope, g.deriv()(x), rtol=0.0, atol=1e-15)
-        assert got[0] == pytest.approx(-1.0, abs=1e-15) and got[-1] == pytest.approx(1.0, abs=1e-15)
-        assert slope[-1] == pytest.approx(1.869, abs=1e-3)
-        assert np.all(np.diff(got) > 0.0)
+def gram_orders(preset_records, preset, system):
+    """The rule orders ``recon._gram_system`` asks for on ``preset``'s whole record."""
+    got, rule = [], signals.gauss_legendre
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(recon, "gauss_legendre", lambda order: got.append(order) or rule(order))
+        recon._gram_system(*preset_rows(preset_records, preset), system.segments, system.rhs)
+    return got
 
+
+class TestGramRule:
     @pytest.mark.parametrize("h, k_max, a_max, tol", [
         (TWO_PI * 65.0, 2.0 / (260.0 * np.pi), 2.0, 1e-9),  # the lowpass preset
         (TWO_PI * 10.0, 1e-4, 2.0, 5e-10),  # the bandpass preset's two segments
@@ -292,41 +292,43 @@ class TestMappedRule:
         (TWO_PI * 30.0, 5.0, 3.0, 1e-6),
         (1e-3, 1.0, 1.0, 1e-9),
     ])
-    def test_quarter_ellipse_orders_match_full_ellipse(self, monkeypatch, h, k_max, a_max, tol):
-        expect = recon._gl_order(h, k_max, a_max, tol)
-        rho = recon._ellipse_maxima()[0]
-        g = sausage_polynomial()
-        circle = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 4097))
-        z = 0.5 * (rho[:, None] * circle + 1.0 / (rho[:, None] * circle))
-        full = (rho, np.max(np.abs(g(z).imag), axis=1), np.max(np.abs(g.deriv()(z)), axis=1))
-        monkeypatch.setattr(recon, "_ellipse_maxima", lambda: full)
-        assert recon._gl_order(h, k_max, a_max, tol) == expect
+    def test_order_is_the_dense_grid_minimum(self, h, k_max, a_max, tol):
+        assert recon._gl_order(h, k_max, a_max, tol) == brute_force_order(h, k_max, a_max, tol)
 
-    @pytest.mark.parametrize("order", [2, 43, 185])
+    @pytest.mark.parametrize("order", [2, 15, 46, 234])
     def test_rule_is_cached_read_only(self, order):
-        nodes, weights = recon._mapped_rule(order)
-        again = recon._mapped_rule(order)
+        nodes, weights = signals.gauss_legendre(order)
+        again = signals.gauss_legendre(order)
         assert again[0] is nodes and again[1] is weights
         assert not nodes.flags.writeable and not weights.flags.writeable
         x, c = np.polynomial.legendre.leggauss(order)
-        g, dg = recon._sausage(x)
-        assert np.array_equal(nodes, g) and np.array_equal(weights, c * dg)
+        assert nodes.tobytes() == x.tobytes() and weights.tobytes() == c.tobytes()
+
+    def test_encoder_panels_use_the_cached_rule(self):
+        assert signals._GL_NODES is signals.gauss_legendre(15)[0]
+        assert signals._GL_WEIGHTS is signals.gauss_legendre(15)[1]
+
+    def test_preset_orders(self, preset_records, preset_systems):
+        got = {name: gram_orders(preset_records, name, system)
+               for name, system in preset_systems.items()}
+        assert got == {"single_channel": [234], "two_channel": [46, 81]}
 
     def test_preset_factor_widths(self, preset_systems):
-        # the plain Gauss-Legendre rule needs 468 and 254 columns
-        assert preset_systems["single_channel"].right.shape[1] <= 380
-        assert preset_systems["two_channel"].right.shape[1] <= 230
+        assert preset_systems["single_channel"].right.shape[1] == 468
+        assert preset_systems["two_channel"].right.shape[1] == 254
 
-    def test_import_and_config_loading_leave_the_ellipse_cache_empty(self):
+    def test_import_and_config_loading_build_no_gram_rule(self):
+        # the cache holds the encoder's 15-point rule, made at import, and nothing else
         probe = (
             "import sys\n"
             "import temcodec\n"
-            "from temcodec import recon\n"
+            "from temcodec import signals\n"
             "from temcodec.experiment import load_config\n"
             "for path in sys.argv[1:]:\n"
             "    load_config(path)\n"
-            "print(recon._ellipse_maxima.cache_info().currsize,\n"
-            "      recon._mapped_rule.cache_info().currsize)\n"
+            "print(signals.gauss_legendre.cache_info().currsize)\n"
+            "signals.gauss_legendre(15)\n"
+            "print(signals.gauss_legendre.cache_info().currsize)\n"
         )
         src = str(Path(temcodec.__file__).resolve().parent.parent)
         out = subprocess.run(
@@ -334,95 +336,47 @@ class TestMappedRule:
             capture_output=True, text=True, check=True, timeout=60,
             env=dict(os.environ, PYTHONPATH=src),
         )
-        assert out.stdout.split() == ["0", "0"]
-
-    def test_ellipse_maxima_equal_the_dense_grid_bit_for_bit(self):
-        got = recon._ellipse_maxima()
-        for values, expect in zip(got, dense_ellipse_maxima(), strict=True):
-            assert values.tobytes() == expect.tobytes()
-            assert not values.flags.writeable
-
-    def test_closed_form_slope_bounds_the_whole_ellipse(self):
-        # |g'(z)| <= g'(|z|) <= g'((rho + 1/rho)/2) at every point of E_rho
-        rho, _, dg_max = recon._ellipse_maxima()
-        circle = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 4097))
-        _, dg = recon._sausage(0.5 * (rho[:, None] * circle + 1.0 / (rho[:, None] * circle)))
-        assert np.all(np.abs(dg) <= dg_max[:, None])
-        # and it is attained at theta = 0
-        assert np.array_equal(np.abs(dg[:, 0]), dg_max)
-
-    def test_preset_orders_match_the_dense_grid(self, monkeypatch, preset_records,
-                                                preset_systems):
-        rule = recon._mapped_rule
-
-        def orders(name, system):
-            got = []
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(recon, "_mapped_rule", lambda order: got.append(order) or rule(order))
-                recon._gram_system(*preset_rows(preset_records, name), system.segments,
-                                   system.rhs)
-            return got
-
-        got = {name: orders(name, system) for name, system in preset_systems.items()}
-        assert got == {"single_channel": [185], "two_channel": [43, 70]}
-        monkeypatch.setattr(recon, "_ellipse_maxima", dense_ellipse_maxima)
-        assert {name: orders(name, system) for name, system in preset_systems.items()} == got
+        assert out.stdout.split() == ["1", "1"]
 
 
-# A fresh interpreter's first _ellipse_maxima() (argument "maxima") or first run of
-# a config: prints the tracemalloc peak in bytes.  With "dense", the dense-grid
-# oracle stands in for _ellipse_maxima, as the package computed it before.
+# A fresh interpreter's first run of a config: prints the tracemalloc peak in bytes.
 FIRST_USE_PROBE = """
-import functools, sys, tempfile, tracemalloc
-from ellipse_oracle import dense_ellipse_maxima
-from temcodec import recon
+import sys, tempfile, tracemalloc
 from temcodec.experiment import load_config, run_experiment
-if "dense" in sys.argv[2:]:
-    recon._ellipse_maxima = functools.cache(dense_ellipse_maxima)
-cfg = None if sys.argv[1] == "maxima" else load_config(sys.argv[1])
+cfg = load_config(sys.argv[1])
 with tempfile.TemporaryDirectory() as out:
     tracemalloc.start()
-    recon._ellipse_maxima() if cfg is None else run_experiment(cfg, out)
+    run_experiment(cfg, out)
     print(tracemalloc.get_traced_memory()[1])
 """
 
 
-def first_use_peak(*args) -> int:
+def first_use_peak(cfg) -> int:
     src = str(Path(temcodec.__file__).resolve().parent.parent)
-    tests = str(Path(__file__).resolve().parent)
     out = subprocess.run(
-        [sys.executable, "-c", FIRST_USE_PROBE, *args],
+        [sys.executable, "-c", FIRST_USE_PROBE, cfg],
         capture_output=True, text=True, check=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests])),
+        env=dict(os.environ, PYTHONPATH=src),
     )
     return int(out.stdout.split()[-1])
 
 
 class TestFirstUseMemory:
-    """Peak memory of each process's first decode, which builds the ellipse maxima."""
-
-    def test_ellipse_maxima(self):
-        # the dense 141-by-257 grid peaked at 2.9 MB
-        assert first_use_peak("maxima") < 0.5e6
+    """Peak memory of each process's first decode."""
 
     def test_two_channel_preset(self):
         # a decoding block's evaluation, level with the CSV writes and the file
-        # manifest, sets the peak, 0.35 MB (CPython 3.11, numpy 2.4); 0.41 MB while
-        # the manifest held its last read through the next and the encoder's
-        # global pass made a block's nodes whole, 0.75 MB with cores twice as long,
-        # 1.95 MB decoded as one system, 2.99 MB with the dense ellipse grid too
+        # manifest, sets the peak, 0.34 MB (CPython 3.11, numpy 2.4); 0.35 MB with
+        # the conformally mapped Gram rule, 0.41 MB while the manifest held its last
+        # read through the next and the encoder's global pass made a block's nodes
+        # whole, 0.75 MB with cores twice as long, 1.95 MB decoded as one system
         assert first_use_peak(str(CONFIG_DIR / "two_channel.cfg")) < 0.38e6
-
-    def test_single_channel_preset_not_above_the_dense_grid(self):
-        # decoded as one system, the Gram reduction, not the maxima, set this
-        # preset's peak (5.8 MB; the two runs then differed by tens of bytes of
-        # bookkeeping); 2.99 MB with the dense grid
-        cfg = str(CONFIG_DIR / "single_channel.cfg")
-        assert first_use_peak(cfg) <= first_use_peak(cfg, "dense") + 1_000
 
     def test_single_channel_preset(self):
         # a decoding block's solve, level with its dense evaluation, sets the peak,
-        # 0.52 MB (CPython 3.11, numpy 2.4); 0.62 MB when the Gram build made its
+        # 0.51 MB (CPython 3.11, numpy 2.4); 0.52 MB with the conformally mapped
+        # Gram rule's narrower factors but the core's whole triangular copy of Rb^T
+        # (0.55 MB with the plain rule's), 0.62 MB when the Gram build made its
         # tables as new arrays and the evaluator its block by a broadcast
         # subtraction, 0.77 MB when the run also held each block's system through
         # its solve, 0.95 MB when the encoder's global pass also held the previous
@@ -445,13 +399,13 @@ class TestFirstUseMemory:
 
 
 def direct_right(times, knots, segments, orders):
-    """The right factor computed entry by entry: per segment and mapped-rule node,
+    """The right factor computed entry by entry: per segment and rule node,
     the columns ``w*cos(nu*s + psi)`` and ``w*sin(nu*s + psi)`` at the knots ``s``
     measured from the record midpoint."""
     s = knots - 0.5 * (times[0] + times[-1])
     columns = []
     for (lo, hi, w, psi), order in zip(segments, orders):
-        nu = 0.5 * (hi + lo) + 0.5 * (hi - lo) * recon._mapped_rule(order)[0]
+        nu = 0.5 * (hi + lo) + 0.5 * (hi - lo) * signals.gauss_legendre(order)[0]
         phase = np.outer(s, nu) + psi[:, None]
         columns += [np.cos(phase) * w[:, None], np.sin(phase) * w[:, None]]
     return np.hstack(columns)
@@ -469,7 +423,7 @@ def outer_product_factors(starts, ends, segments, rhs):
     for lo, hi, w, psi in live:
         order = recon._gl_order(hi - lo, 2.0 * float(np.max(half)) * float(np.max(np.abs(w))),
                                 float(ends[-1] - starts[0]), recon.QUAD_TOL / len(live))
-        nodes, weights = recon._mapped_rule(order)
+        nodes, weights = signals.gauss_legendre(order)
         nu = 0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes
         amp = np.sin(np.outer(nu, half).T)
         amp *= (0.5 * (hi - lo) * weights) * 2.0 / nu
@@ -531,8 +485,8 @@ class TestFactorLayout:
                                                 band_35_65):
         # a segment with nonzero psi adds the phase to right's table
         merged = two_channel_record[3]
-        orders, rule = [], recon._mapped_rule
-        monkeypatch.setattr(recon, "_mapped_rule", lambda order: orders.append(order) or rule(order))
+        orders, rule = [], signals.gauss_legendre
+        monkeypatch.setattr(recon, "gauss_legendre", lambda order: orders.append(order) or rule(order))
         system = build_gram_bandpass(merged, band_35_65)
         right = system.right
         assert len(orders) == 2 and 2 * sum(orders) == right.shape[1]
@@ -555,7 +509,7 @@ class TestFactorLayout:
 class TestHeldFactors:
     """A Gram system holds its two spectral factors, and its matrix is their product."""
 
-    @pytest.mark.parametrize("preset, factor_cols", [("single_channel", 370), ("two_channel", 226)])
+    @pytest.mark.parametrize("preset, factor_cols", [("single_channel", 468), ("two_channel", 254)])
     def test_held_factors_equal_the_spectral_factors(self, preset_records, preset_systems,
                                                      preset, factor_cols):
         system = preset_systems[preset]
@@ -576,7 +530,7 @@ class TestHeldFactors:
         def rebuilt(*args):
             raise AssertionError("the matrix rebuilt a factor")
 
-        for name in ("_gram_system", "_mapped_rule"):
+        for name in ("_gram_system", "gauss_legendre"):
             monkeypatch.setattr(recon, name, rebuilt)
         gram = system.matrix
         assert np.array_equal(gram, system.left[:, :-1] @ system.right.T)
@@ -1050,15 +1004,17 @@ class TestSolve:
     def test_reflector_solve_matches_explicit_q(self, preset_systems, preset, rank):
         system = preset_systems[preset]
         # reference: the same solve with Q_right formed and multiplied out, its
-        # core solved the same way at the same cutoff on the same one BLAS
-        # thread; the cutoff admits a condition number of 1/cutoff, which
-        # amplifies the rounding differences of another core solver or thread
-        # count past the tolerance
+        # core made by the same column blocks and solved the same way at the same
+        # cutoff on the same one BLAS thread; the cutoff admits a condition number
+        # of 1/cutoff, which amplifies the rounding differences of another core
+        # product, core solver or thread count past the tolerance
         inner = min(system.left.shape[0], system.right.shape[1])
+        step = recon.SOLVE_CORE_COLUMNS
         with recon._one_blas_thread():
             r_aug = np.linalg.qr(system.left, mode="r")
             q_right, r_right = np.linalg.qr(system.right)
-            core = r_aug[:inner, :-1] @ r_right.T
+            core = np.hstack([r_aug[:inner, :-1] @ r_right.T[:, a:a + step]
+                              for a in range(0, r_right.shape[0], step)])
             core, _, rank_ref, _ = np.linalg.lstsq(
                 core, r_aug[:inner, -1], rcond=np.finfo(float).eps * max(core.shape)
             )
