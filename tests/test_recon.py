@@ -824,6 +824,53 @@ class TestSolve:
         left_bytes = 8 * released.shape[0] * (released.factor_cols + 1)
         assert peaks[0] - peaks[1] >= left_bytes
 
+    @pytest.mark.parametrize("rows, width, cols", [
+        (14, 11, 13),  # tall: every block takes columns below the diagonal
+        (8, 11, 6),  # fewer knots than factor columns: six reflectors
+    ])
+    @pytest.mark.parametrize("columns", [1, 3, 4, 16])
+    def test_core_blocks_equal_one_product(self, monkeypatch, rows, width, cols, columns):
+        # core blocks of one column, of widths that end inside the last block or
+        # at it, and one block wider than the core, against the core made in one
+        # product: the same solve up to the summation order of each block
+        rng = np.random.default_rng(cols * 100 + columns)
+        left = rng.standard_normal((rows, width))
+        right = rng.standard_normal((cols, width))
+        q = rng.standard_normal(rows)
+        monkeypatch.setattr(recon, "SOLVE_CORE_COLUMNS", 10**6)
+        whole = solve_coefficients(hand_made_system(left, right, q))
+        monkeypatch.setattr(recon, "SOLVE_CORE_COLUMNS", columns)
+        blocked = solve_coefficients(hand_made_system(left, right, q))
+        assert blocked.effective_rank == whole.effective_rank == min(rows, width, cols)
+        scale = np.linalg.norm(whole.coefficients)
+        assert np.max(np.abs(blocked.coefficients - whole.coefficients)) <= 1e-12 * scale
+        assert blocked.sigma_max == pytest.approx(whole.sigma_max, rel=1e-13)
+        assert blocked.residual_norm == pytest.approx(
+            whole.residual_norm, rel=1e-9, abs=1e-12 * np.linalg.norm(q))
+
+    def test_core_blocks_hold_no_whole_copy_of_the_right_r(self, monkeypatch, preset_records):
+        # the preset's largest single-channel decoding block (147 rows, 112 factor
+        # columns): made in blocks, the core's peak above the held system is lower
+        # than with one product by at least a whole copy of Rb^T less one block
+        cfg, train, _, _ = preset_records["single_channel"]
+        system = build_gram_lowpass(dataclasses.replace(train, times=train.times[100:248]),
+                                    cfg.lowpass_cutoff)
+        rows, cols = system.right.shape
+        assert cols > 3 * recon.SOLVE_CORE_COLUMNS
+        peaks, results = [], []
+        for width in (10**6, recon.SOLVE_CORE_COLUMNS):
+            monkeypatch.setattr(recon, "SOLVE_CORE_COLUMNS", width)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                results.append(solve_coefficients(system))
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        whole, blocked = results
+        assert blocked.effective_rank == whole.effective_rank
+        assert peaks[0] - peaks[1] >= 8 * rows * (cols - recon.SOLVE_CORE_COLUMNS)
+
     def test_caller_blas_threads_restored(self, blas_threads):
         get, put = blas_threads
         put(2)
