@@ -46,12 +46,13 @@ segments, and everything else is derived from them:
   (234 nodes, 468 columns, for the 779 rows of the whole 2 s single-channel
   preset; 48-56 nodes for its eight decoding blocks).  Both factors are
   column-major, the layout LAPACK reads; a :class:`GramSystem` holds them,
-  the amplitude integrals in a spare last column of the left one.  The solve never forms ``G``: the factors' QRs reduce
-  it to a truncated least squares problem on a small core (the
+  the amplitude integrals in a spare last column of the left one.  The solve
+  never forms ``G``: the left factor's QR reduces it to a truncated least
+  squares problem with no more rows than factor columns (the
   trigonometric-space view of TEM decoding of Lazar & Pnevmatikakis, *EURASIP
-  J. Adv. Signal Process.*, 2009, applied here to the paper's own Gram matrix),
-  solved on one BLAS thread; its residual is read from the R factors.  The
-  dense ``G`` is formed only on request (:attr:`GramSystem.matrix`).
+  J. Adv. Signal Process.*, 2009, applied here to the paper's own Gram
+  matrix), solved on one BLAS thread for the knot coefficients.  The dense
+  ``G`` is formed only on request (:attr:`GramSystem.matrix`).
 * Evaluation: :func:`evaluate_model`, the single evaluator for both
   families and for PNS records (:func:`temcodec.pns.reconstruct_pns`
   builds a bandpass model), writes the model as ``cos(a*t)`` and
@@ -134,9 +135,9 @@ DENSE_TERMS = 3 << 17
 # working set, so the core sets the peak: against cores of 64 (up to 244 rows and
 # 148 columns) a 2 s preset peaked at 0.95 instead of 1.50 MB single-channel and
 # 0.42 instead of 0.73 MB two-channel, for up to 7% more run time.  Now the solve
-# frees each factor at its last use and makes its core a few columns at a time, and
-# the build and evaluator write into arrays they keep, so a block's solve, level
-# with its dense evaluation, sets the single-channel peak, at 0.49 MB.  The shorter
+# frees each factor at its last use, and the build and evaluator write into arrays
+# they keep, so a block's solve at its left factor's QR, level with its dense
+# evaluation, sets the single-channel peak, at 0.49 MB.  The shorter
 # blocks also decode closer to the signal: 145.7 and 144.3 dB instead of 127.0 and
 # 124.2 on the presets; from the encoder's unrounded spike times over (2, 4) and
 # (0, 8), 154.8 and 155.8 dB instead of 153.5 and 153.5 single-channel, 160.2 and
@@ -146,15 +147,6 @@ DENSE_TERMS = 3 << 17
 # 129-150 dB, with one 154-177 dB.
 BLOCK_CORE_HALF_PERIODS = 32
 BLOCK_GUARD_HALF_PERIODS = 8
-# columns of the solve's core product Ra Rb^T made at a time, each block from a
-# lower-triangular copy of as many columns of Rb^T (see solve_coefficients).  On the
-# single-channel preset's largest decoding block (147 rows, 112 factor columns; 2-core
-# x86-64, numpy 2.4) the solve allocates at most 370 / 400 / 461 kB at 16 / 32 / 64
-# columns and 518 kB with all 112 in one product.  A fresh run of the preset peaks at
-# 0.510 MB at 8 to 32 columns, where a block's dense evaluation is level with the
-# solve, at 0.571 MB at 64 and at 0.548 MB with one product.  The width does not
-# change the solve's time (2.6-2.7 ms on that block).
-SOLVE_CORE_COLUMNS = 32
 
 
 class DegenerateSystemError(RuntimeError):
@@ -218,7 +210,7 @@ class GramSystem:
     and one row of ``right`` per knot, whose kernel is in ``segments``; the
     right-hand side ``q`` is ``left``'s spare last column.  Every builder makes
     it through :func:`_gram_system`, both factors column-major;
-    :func:`solve_coefficients` reduces them to their QRs.
+    :func:`solve_coefficients` reduces the system by ``left``'s QR.
     """
 
     left: np.ndarray
@@ -388,8 +380,8 @@ def _gram_system(starts, ends, segments, rhs, gap_premise_ok=True) -> GramSystem
     ends in (``sin(nu_j*h)`` in ``A``'s sine columns, ``nu_j*m`` in ``B``'s
     cosine ones) by a broadcast copy and in-place ufuncs: numpy buffers each
     broadcast operand of an arithmetic ufunc (64 kB), two in an outer product.
-    Both factors are column-major, so each node's column is contiguous and QR
-    reads them without a transposing copy.
+    Both factors are column-major, so each node's column is contiguous: the
+    solve's QR reads ``A`` without a transposing copy, and ``B.T`` is row-major.
 
     Times are measured from the record midpoint.  In ``nu`` an entry is entire
     and bounded by ``|w|*2h*exp(span*|Im nu|)`` (``span`` the record span), so
@@ -586,39 +578,36 @@ def solve_coefficients(system: GramSystem) -> SolveResult:
     """Minimum-norm least squares truncated at the rounding floor of its core.
 
     The system (see :class:`GramSystem`) holds ``left = [A, q]`` and
-    ``right`` with ``G = A @ right.T``.  With QR factorisations ``A = Qa
-    Ra`` and ``right = Qb Rb``, ``G = Qa (Ra Rb^T) Qb^T``, so the singular
-    values of the small core ``Ra Rb^T`` are those of ``G``.  Householder QR
-    goes column by column, so the R of ``left``, ``r_aug`` (from
-    ``mode="raw"``, made row-major), is ``Ra`` with ``Qa^T q`` as its last
-    column; ``reflectors`` and ``tau``, ``right``'s packed QR made
-    column-major, hold ``Rb^T`` on and below their diagonal.  The core is
-    made ``SOLVE_CORE_COLUMNS`` columns at a time, each block the product of
-    ``Ra`` and a lower-triangular copy of as many columns of ``Rb^T``, so no
-    whole copy of ``Rb^T`` is held beside it.  numpy returns R and the
-    reflectors in layouts that follow its input's; fixing them fixes the
-    summation order of the products below.  Neither ``G``, ``Qa`` nor ``Qb``
-    is formed.  The core system is solved by LAPACK's ``gelsd``
-    (``np.linalg.lstsq``), which keeps the singular values ``sv > sv_cutoff
-    * sigma_max`` and never forms singular vectors; ``Qb`` is applied to its
-    solution through its Householder reflectors.  The relative cutoff
-    ``sv_cutoff`` is ``eps * max(core.shape)``, the rounding floor of the
-    core's singular values and numpy's default ``rcond`` (passed explicitly:
-    numpy < 2 warns when it is omitted).  Returns the coefficients together
+    ``right`` with ``G = A @ right.T``.  With the QR factorisation ``A = Qa
+    Ra``, ``G = Qa (Ra right^T)`` and ``Qa`` has orthonormal columns, so the
+    reduced system ``(Ra right^T) c = Qa^T q`` has ``G``'s singular values and
+    its truncated minimum-norm least-squares solution.  Householder QR goes
+    column by column, so the R of ``left``, ``r_aug`` (from ``mode="raw"``,
+    made row-major), is ``Ra`` with ``Qa^T q`` as its last column; numpy
+    returns R in a layout that follows its input's, and fixing it fixes the
+    summation order of the product.  Neither ``G`` nor ``Qa`` is formed.  The
+    reduced system is solved by LAPACK's ``gelsd`` (``np.linalg.lstsq``),
+    which keeps the singular values ``sv > sv_cutoff * sigma_max``, never
+    forms singular vectors, and returns the knot coefficients directly.  The
+    relative cutoff ``sv_cutoff`` is ``eps * max(min(rows, factor_cols),
+    min(knots, factor_cols))``, the rounding floor of ``G``'s singular values
+    on the smallest core that holds them.  Returns the coefficients together
     with the residual norm ``||G c - q||``, effective rank, and the
     singular-value extremes; ``sigma_min`` is 0.0 when the factors are
     narrower than the system, since ``G`` then has exactly zero singular
-    values.  The residual comes from the R factors, not from ``G c``: with
-    ``y`` the core solution it is ``sqrt(||core y - Qa^T q||^2 + r^2)``,
-    ``r`` the entry of ``r_aug`` below ``Ra`` in its last column (0 when
-    ``A`` has no more rows than columns).
+    values.  The residual comes from the reduced system, not from ``G c``: it
+    is ``sqrt(||Ra right^T c - Qa^T q||^2 + r^2)``, ``r`` the entry of
+    ``r_aug`` below ``Ra`` in its last column (0 when ``A`` has no more rows
+    than columns).
 
     The result carries what is read of the system after the solve (see
-    :class:`SolveResult`); the solve drops ``system`` at once and each factor
-    once its QR is taken.  So a caller that passes a builder's result straight
-    in, ``solve_coefficients(build_gram_lowpass(train, omega))``, has each
-    factor freed there (CPython, from 3.11, hands a call's arguments to the
-    callee's frame without keeping them).  The result is the same either way.
+    :class:`SolveResult`); the solve drops ``system`` at once, ``left`` once
+    its QR is taken, and ``right`` and ``r_aug`` once the reduced system is
+    made, before ``gelsd`` runs.  So a caller that passes a builder's result
+    straight in, ``solve_coefficients(build_gram_lowpass(train, omega))``, has
+    both factors freed there (CPython, from 3.11, hands a call's arguments to
+    the callee's frame without keeping them).  The result is the same either
+    way.
 
     The whole solve runs on one OpenBLAS thread (see
     :func:`_one_blas_thread`), so its result does not depend on the
@@ -644,35 +633,22 @@ def solve_coefficients(system: GramSystem) -> SolveResult:
         r_aug = np.ascontiguousarray(raw.T[:min(raw.shape)])
         del raw
         r_aug[np.tri(*r_aug.shape, k=-1, dtype=bool)] = 0.0
-        reflectors, tau = np.linalg.qr(right, mode="raw")
-        del right
-        reflectors = np.asfortranarray(reflectors)
         # Ra is square, of the smaller of A's row and column counts
         inner = min(r_aug.shape[0], r_aug.shape[1] - 1)
-        core = np.empty((inner, tau.size))
-        for a in range(0, tau.size, SOLVE_CORE_COLUMNS):
-            b = min(a + SOLVE_CORE_COLUMNS, tau.size)
-            np.matmul(r_aug[:inner, :-1], np.tril(reflectors[:, a:b], -a), out=core[:, a:b])
-        projected = r_aug[:inner, -1]
+        reduced = r_aug[:inner, :-1] @ right.T
+        del right
+        projected = r_aug[:inner, -1].copy()
         # the part of q outside the column space of A: the entry below Ra in
         # the last column, where left = [A, q] has a row there
         outside = float(r_aug[inner, -1]) if r_aug.shape[0] > inner else 0.0
-        sv_cutoff = float(np.finfo(float).eps * max(core.shape))
-        solved, _, rank, sv = np.linalg.lstsq(core, projected, rcond=sv_cutoff)
+        del r_aug
+        sv_cutoff = float(np.finfo(float).eps
+                          * max(inner, min(reduced.shape[1], of_system["factor_cols"])))
+        coeff, _, rank, sv = np.linalg.lstsq(reduced, projected, rcond=sv_cutoff)
         if sv.size == 0 or sv[0] <= 0.0:
             raise DegenerateSystemError("system has no nonzero singular values")
-        coeff = np.zeros(reflectors.shape[1])
-        coeff[:tau.size] = solved
-        # Q_right @ coeff as H_0 H_1 ... H_(k-1) coeff, H_j = I - tau_j v_j v_j^T
-        # with v_j = (0, ..., 0, 1, reflectors[j, j+1:])
-        for j in range(tau.size - 1, -1, -1):
-            v = reflectors[j, j + 1:]
-            step = tau[j] * (coeff[j] + v @ coeff[j + 1:])
-            coeff[j] -= step
-            coeff[j + 1:] -= step * v
-        # G c - q = Q_left (R_left R_right^T Q_right^T c - Q_left^T q), and
-        # Q_right^T c is ``solved`` padded with zeros
-        residual = math.hypot(float(np.linalg.norm(core @ solved - projected)), outside)
+        # G c - q = Qa (Ra B^T c - Qa^T q) plus q's part outside A's columns
+        residual = math.hypot(float(np.linalg.norm(reduced @ coeff - projected)), outside)
     return SolveResult(
         coefficients=coeff,
         residual_norm=residual,

@@ -324,7 +324,7 @@ class TestGoldenRegression:
         assert np.max(two_run["merged"].gaps) == pytest.approx(
             0.011202878326604195, abs=1e-11
         )
-        assert two_run["snr"] == pytest.approx(82.32274009565748, abs=1e-3)
+        assert two_run["snr"] == pytest.approx(82.3266409235717, abs=1e-3)
         sol = two_run["solution"]
         assert two_run["system"].matrix.shape == (358, 358)
         assert sol.effective_rank == 154
@@ -348,12 +348,12 @@ class TestPipelineGolden:
     The monolithic goldens above pin the per-block primitive, one Gram system
     over the whole record; a run decodes each preset's 2 s in eight blocks of a
     0.25 s core, which reads higher SNR against the analytic signal (86.20 and
-    82.32 dB whole; 127.04 and 124.17 dB in four blocks of a 0.5 s core).
+    82.33 dB whole; 127.04 and 124.17 dB in four blocks of a 0.5 s core).
     """
 
     @pytest.mark.parametrize("preset, snr_db", [
-        ("single_channel", 145.74213613819984),
-        ("two_channel", 144.84189655666415),
+        ("single_channel", 145.73937606738474),
+        ("two_channel", 144.8460756133454),
     ])
     def test_preset_report_golden(self, tmp_path, preset, snr_db):
         out = tmp_path / "out"
@@ -361,6 +361,25 @@ class TestPipelineGolden:
         report = json.loads((out / "report.json").read_text())
         assert report["metrics"]["snr_db"] == pytest.approx(snr_db, abs=1e-3)
         assert len(report["gram"]["blocks"]) == 8
+
+    @pytest.mark.parametrize("preset, rows, factor_cols, ranks", [
+        ("single_channel", [121, 147, 146, 146, 147, 146, 147, 122],
+         [96] + [112] * 6 + [96], [56, 65, 64, 64, 65, 64, 65, 56]),
+        ("two_channel", [55, 67, 69, 67, 69, 67, 69, 56],
+         [66] + [76] * 6 + [66], [42, 47, 48, 48, 48, 47, 48, 42]),
+    ])
+    def test_preset_block_shapes_and_ranks(self, tmp_path, preset, rows, factor_cols, ranks):
+        # each block's system (one knot per row) and the rank its solve keeps at
+        # the rounding floor of the smallest core that holds G's singular values
+        out = tmp_path / "out"
+        assert cli_main(["run", str(CONFIG_DIR / f"{preset}.cfg"), "--out-dir", str(out)]) == 0
+        blocks = json.loads((out / "report.json").read_text())["gram"]["blocks"]
+        assert [b["rows"] for b in blocks] == [b["cols"] for b in blocks] == rows
+        assert [b["factor_cols"] for b in blocks] == factor_cols
+        assert [b["effective_rank"] for b in blocks] == ranks
+        for b in blocks:
+            core = (min(b["rows"], b["factor_cols"]), min(b["cols"], b["factor_cols"]))
+            assert b["sv_cutoff"] == np.finfo(float).eps * max(core)
 
 
 class TestCriterion8Determinism:

@@ -528,9 +528,10 @@ class TestRun:
     @pytest.mark.parametrize("to_mode", [as_single, lambda s: s, as_pns],
                              ids=["single_tem", "two_tem", "pns"])
     def test_sv_cutoff_is_the_rounding_floor_not_a_setting(self, small_run, capsys, to_mode):
-        # the report records the cutoff the solve worked out from its core,
-        # Ra Rb^T of shape (min(rows, factor_cols), min(cols, factor_cols));
-        # no mode reads a [solver] section
+        # the report records the cutoff the solve worked out, the rounding floor
+        # of the smallest core that holds G's singular values, of shape
+        # (min(rows, factor_cols), min(cols, factor_cols)); no mode reads a
+        # [solver] section
         tmp, _, out = small_run
         for block in json.loads((out / "report.json").read_text())["gram"]["blocks"]:
             width = block["factor_cols"]

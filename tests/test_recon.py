@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import math
 import os
 import subprocess
 import sys
@@ -373,9 +374,10 @@ class TestFirstUseMemory:
         assert first_use_peak(str(CONFIG_DIR / "two_channel.cfg")) < 0.38e6
 
     def test_single_channel_preset(self):
-        # a decoding block's solve, level with its dense evaluation, sets the peak,
-        # 0.51 MB (CPython 3.11, numpy 2.4); 0.52 MB with the conformally mapped
-        # Gram rule's narrower factors but the core's whole triangular copy of Rb^T
+        # a decoding block's solve at its left factor's QR, level with its dense
+        # evaluation, sets the peak, 0.51 MB (CPython 3.11, numpy 2.4), as when the
+        # solve also took the right factor's QR; 0.52 MB with the conformally mapped
+        # Gram rule's narrower factors and a whole triangular copy of that QR's R
         # (0.55 MB with the plain rule's), 0.62 MB when the Gram build made its
         # tables as new arrays and the evaluator its block by a broadcast
         # subtraction, 0.77 MB when the run also held each block's system through
@@ -752,10 +754,12 @@ class TestSolve:
     @pytest.mark.parametrize("rows, cols, width", [(10, 9, 4), (6, 8, 10), (12, 5, 8)],
                              ids=["narrow", "wide", "fewer_knots_than_columns"])
     def test_cutoff_is_the_rounding_floor_of_the_core(self, rows, cols, width):
-        # G = U diag(s) V^T through factors padded to ``width`` columns; its core
-        # Ra Rb^T has shape (min(rows, width), min(cols, width)).  A singular
-        # value 1e3 times that floor is kept (a hand-set 1e-8 would drop it);
-        # the exactly zero one, a zero column of the left factor, is not
+        # G = U diag(s) V^T through factors padded to ``width`` columns; the
+        # smallest core that holds its singular values has shape (min(rows,
+        # width), min(cols, width)), and the cutoff is that core's rounding
+        # floor.  A singular value 1e3 times that floor is kept (a hand-set 1e-8
+        # would drop it); the exactly zero one, a zero column of the left factor,
+        # is not
         rng = np.random.default_rng(rows * cols * width)
         k = min(rows, cols, width)
         floor = np.finfo(float).eps * max(min(rows, width), min(cols, width))
@@ -786,33 +790,42 @@ class TestSolve:
         assert np.array_equal(one.coefficients, two.coefficients)
         assert (one.residual_norm, one.sigma_max) == (two.residual_norm, two.sigma_max)
 
-    def test_solve_frees_the_factors_a_caller_does_not_hold(self, preset_records):
+    def test_solve_frees_the_factors_a_caller_does_not_hold(self, preset_records, monkeypatch):
         # one preset-sized block's system, solved once while the caller holds it
         # and once passed straight from its builder, as run_experiment does: the
-        # same result bit for bit, and a peak above the built system lower by at
-        # least its left factor when only the solve holds it
+        # same result bit for bit, and, when only the solve holds the system, both
+        # factors gone by the core solve.  The solve drops left after its QR and
+        # right and r_aug once the reduced system is made, so at the core solve
+        # the traced memory above the built system less both factors is the
+        # reduced system and its right-hand side, plus small objects (1.8 kB
+        # measured; 8 kB more in a process's first solve)
         cfg, train, _, _ = preset_records["single_channel"]
         block = dataclasses.replace(train, times=train.times[100:248])
-        built = []
+        built, at_core = [], []
+        lstsq = np.linalg.lstsq
 
         def measured(system):
-            # the traced memory with the system built; the peak counts from here
+            # the traced memory with the system built
             built.append(tracemalloc.get_traced_memory()[0])
-            tracemalloc.reset_peak()
             return system
 
-        results, peaks = [], []
+        def core_solve(*args, **kwargs):
+            at_core.append(tracemalloc.get_traced_memory()[0])
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", core_solve)
+        results = []
         for hold in (True, False):
             tracemalloc.start()
             try:
                 if hold:
                     system = build_gram_lowpass(block, cfg.lowpass_cutoff)
+                    factor_bytes = system.left.nbytes + system.right.nbytes
                     results.append(solve_coefficients(measured(system)))
                     del system
                 else:
                     results.append(solve_coefficients(
                         measured(build_gram_lowpass(block, cfg.lowpass_cutoff))))
-                peaks.append(tracemalloc.get_traced_memory()[1] - built[-1])
             finally:
                 tracemalloc.stop()
         held, released = results
@@ -821,55 +834,12 @@ class TestSolve:
         figures = ("residual_norm", "effective_rank", "sigma_max", "sigma_min", "sv_cutoff",
                    "shape", "factor_cols", "rhs_norm", "gap_premise_ok", "blas_threads")
         assert [getattr(held, f) for f in figures] == [getattr(released, f) for f in figures]
-        left_bytes = 8 * released.shape[0] * (released.factor_cols + 1)
-        assert peaks[0] - peaks[1] >= left_bytes
-
-    @pytest.mark.parametrize("rows, width, cols", [
-        (14, 11, 13),  # tall: every block takes columns below the diagonal
-        (8, 11, 6),  # fewer knots than factor columns: six reflectors
-    ])
-    @pytest.mark.parametrize("columns", [1, 3, 4, 16])
-    def test_core_blocks_equal_one_product(self, monkeypatch, rows, width, cols, columns):
-        # core blocks of one column, of widths that end inside the last block or
-        # at it, and one block wider than the core, against the core made in one
-        # product: the same solve up to the summation order of each block
-        rng = np.random.default_rng(cols * 100 + columns)
-        left = rng.standard_normal((rows, width))
-        right = rng.standard_normal((cols, width))
-        q = rng.standard_normal(rows)
-        monkeypatch.setattr(recon, "SOLVE_CORE_COLUMNS", 10**6)
-        whole = solve_coefficients(hand_made_system(left, right, q))
-        monkeypatch.setattr(recon, "SOLVE_CORE_COLUMNS", columns)
-        blocked = solve_coefficients(hand_made_system(left, right, q))
-        assert blocked.effective_rank == whole.effective_rank == min(rows, width, cols)
-        scale = np.linalg.norm(whole.coefficients)
-        assert np.max(np.abs(blocked.coefficients - whole.coefficients)) <= 1e-12 * scale
-        assert blocked.sigma_max == pytest.approx(whole.sigma_max, rel=1e-13)
-        assert blocked.residual_norm == pytest.approx(
-            whole.residual_norm, rel=1e-9, abs=1e-12 * np.linalg.norm(q))
-
-    def test_core_blocks_hold_no_whole_copy_of_the_right_r(self, monkeypatch, preset_records):
-        # the preset's largest single-channel decoding block (147 rows, 112 factor
-        # columns): made in blocks, the core's peak above the held system is lower
-        # than with one product by at least a whole copy of Rb^T less one block
-        cfg, train, _, _ = preset_records["single_channel"]
-        system = build_gram_lowpass(dataclasses.replace(train, times=train.times[100:248]),
-                                    cfg.lowpass_cutoff)
-        rows, cols = system.right.shape
-        assert cols > 3 * recon.SOLVE_CORE_COLUMNS
-        peaks, results = [], []
-        for width in (10**6, recon.SOLVE_CORE_COLUMNS):
-            monkeypatch.setattr(recon, "SOLVE_CORE_COLUMNS", width)
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                results.append(solve_coefficients(system))
-                peaks.append(tracemalloc.get_traced_memory()[1] - base)
-            finally:
-                tracemalloc.stop()
-        whole, blocked = results
-        assert blocked.effective_rank == whole.effective_rank
-        assert peaks[0] - peaks[1] >= 8 * rows * (cols - recon.SOLVE_CORE_COLUMNS)
+        rows, knots = released.shape
+        inner = min(rows, released.factor_cols)
+        reduced_bytes = 8 * inner * (knots + 1)
+        # held: the factors are the caller's, alive beside the reduced system
+        assert at_core[0] - built[0] >= reduced_bytes
+        assert at_core[1] - (built[1] - factor_bytes) <= reduced_bytes + 16_000
 
     def test_caller_blas_threads_restored(self, blas_threads):
         get, put = blas_threads
@@ -994,7 +964,7 @@ class TestSolve:
         # narrow (width < min(rows, cols)), wide (width >= rows) and, through
         # zero columns from ``inner`` on in one factor, exactly rank-deficient
         # factor pairs; the right factor has more knots than columns (cols >
-        # width: its reflectors act on a zero-padded vector) or fewer (cols <= width)
+        # width) or fewer (cols <= width)
         rng = np.random.default_rng(seed)
         left = rng.standard_normal((rows, width)) @ rng.standard_normal((width, width))
         right = rng.standard_normal((cols, width))
@@ -1047,29 +1017,62 @@ class TestSolve:
         assert sol.residual_norm == pytest.approx(
             direct, rel=1e-12, abs=1e-12 * np.linalg.norm(q))
 
+    @pytest.mark.parametrize("rows, width, cols", [
+        (14, 11, 13),  # tall: G of rank 11, below both of its sides
+        (13, 11, 14),  # tall, more knots than rows
+        (8, 11, 6),  # fewer knots than factor columns
+        (9, 11, 9),  # fewer rows than factor columns, one knot a row: two-channel blocks
+        (6, 11, 9),  # fewer rows than knots, both below the factor columns
+        (9, 11, 14),  # fewer rows than factor columns, more knots
+    ])
+    def test_one_qr_solve_matches_dense_lstsq(self, rows, width, cols):
+        # well-conditioned factors: the solve from left's QR equals lstsq on the
+        # dense G at the solve's own cutoff
+        rng = np.random.default_rng(rows * 100 + cols)
+        system = hand_made_system(rng.standard_normal((rows, width)),
+                                  rng.standard_normal((cols, width)), rng.standard_normal(rows))
+        sol = solve_coefficients(system)
+        expect, _, rank, _ = np.linalg.lstsq(system.matrix, system.rhs, rcond=sol.sv_cutoff)
+        assert sol.effective_rank == rank == min(rows, width, cols)
+        assert np.max(np.abs(sol.coefficients - expect)) <= 1e-12 * np.linalg.norm(expect)
+
+    @pytest.mark.parametrize("preset, stop", [("single_channel", 248), ("two_channel", 172)])
+    def test_block_solve_takes_one_qr_of_the_left_factor(self, preset_records, monkeypatch,
+                                                         preset, stop):
+        # a preset-sized block, 147 or 70 rows, is reduced by the QR of [A, q]
+        # alone; the right factor enters one product
+        cfg, record, _, stride = preset_records[preset]
+        block = dataclasses.replace(record, times=record.times[100:stop])
+        system = (build_gram_bandpass(block, cfg.band) if stride == 2
+                  else build_gram_lowpass(block, cfg.lowpass_cutoff))
+        # two-channel blocks have fewer rows than factor columns
+        assert (system.shape[0] < system.right.shape[1]) == (stride == 2)
+        qr, shapes = np.linalg.qr, []
+
+        def counted(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counted)
+        sol = solve_coefficients(system)
+        assert shapes == [system.left.shape]
+        assert sol.effective_rank > 0
+
     @pytest.mark.parametrize("preset, rank", [("single_channel", 280), ("two_channel", 154)])
-    def test_reflector_solve_matches_explicit_q(self, preset_systems, preset, rank):
+    def test_whole_record_rank_and_residual(self, preset_systems, preset, rank):
+        # the whole preset records' systems (779 x 779 and 358 x 358): the rank the
+        # goldens pin, and the residual read from the reduced system equal to
+        # ||G c - q|| formed from the dense G, up to that product's rounding,
+        # about sqrt(rows)*eps*||G||*||c|| (1-4% of the residual; 0.004-0.04% seen)
         system = preset_systems[preset]
-        # reference: the same solve with Q_right formed and multiplied out, its
-        # core made by the same column blocks and solved the same way at the same
-        # cutoff on the same one BLAS thread; the cutoff admits a condition number
-        # of 1/cutoff, which amplifies the rounding differences of another core
-        # product, core solver or thread count past the tolerance
-        inner = min(system.left.shape[0], system.right.shape[1])
-        step = recon.SOLVE_CORE_COLUMNS
-        with recon._one_blas_thread():
-            r_aug = np.linalg.qr(system.left, mode="r")
-            q_right, r_right = np.linalg.qr(system.right)
-            core = np.hstack([r_aug[:inner, :-1] @ r_right.T[:, a:a + step]
-                              for a in range(0, r_right.shape[0], step)])
-            core, _, rank_ref, _ = np.linalg.lstsq(
-                core, r_aug[:inner, -1], rcond=np.finfo(float).eps * max(core.shape)
-            )
-            expect = q_right @ core
         first = solve_coefficients(system)
         again = solve_coefficients(system)
-        assert first.effective_rank == rank_ref == rank
-        assert np.max(np.abs(first.coefficients - expect)) <= 1e-12 * np.linalg.norm(expect)
+        gram = system.matrix
+        direct = np.linalg.norm(gram @ first.coefficients - system.rhs)
+        rounding = (math.sqrt(gram.shape[0]) * np.finfo(float).eps
+                    * np.linalg.norm(gram, 2) * np.linalg.norm(first.coefficients))
+        assert first.effective_rank == rank
+        assert first.residual_norm == pytest.approx(direct, abs=rounding)
         assert np.array_equal(first.coefficients, again.coefficients)
 
     def test_residual_consistency_at_full_effective_rank(self, band_35_65):
