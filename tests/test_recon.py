@@ -1036,7 +1036,35 @@ class TestSolve:
         assert sol.effective_rank == rank == min(rows, width, cols)
         assert np.max(np.abs(sol.coefficients - expect)) <= 1e-12 * np.linalg.norm(expect)
 
-    @pytest.mark.parametrize("preset, stop", [("single_channel", 248), ("two_channel", 172)])
+    @pytest.mark.parametrize("rows, width, cols", [
+        (14, 11, 13),  # tall: G of rank 11, below both of its sides
+        (8, 11, 6),  # fewer knots than factor columns
+    ])
+    @pytest.mark.parametrize("columns", [1, 3, 4, 16])
+    def test_core_blocks_equal_one_product(self, rows, width, cols, columns):
+        # the reduced system Ra B^T c = Qa^T q assembled here in blocks of one
+        # knot column, of widths that end inside the last block or at it, and of
+        # one block wider than the core, against the solve's core made in one
+        # product: the same solve up to the summation order of each block
+        rng = np.random.default_rng(cols * 100 + columns)
+        left = rng.standard_normal((rows, width))
+        right = rng.standard_normal((cols, width))
+        q = rng.standard_normal(rows)
+        sol = solve_coefficients(hand_made_system(left, right, q))
+        qa, ra = np.linalg.qr(left)
+        core = np.hstack([ra @ right[a:a + columns].T for a in range(0, cols, columns)])
+        projected = qa.T @ q
+        expect, _, rank, sv = np.linalg.lstsq(core, projected, rcond=sol.sv_cutoff)
+        assert sol.effective_rank == rank == min(rows, width, cols)
+        scale = np.linalg.norm(expect)
+        assert np.max(np.abs(sol.coefficients - expect)) <= 1e-12 * scale
+        assert sol.sigma_max == pytest.approx(sv[0], rel=1e-13)
+        outside = np.linalg.norm(q - qa @ projected)
+        assert sol.residual_norm == pytest.approx(
+            math.hypot(np.linalg.norm(core @ expect - projected), outside),
+            rel=1e-9, abs=1e-12 * np.linalg.norm(q))
+
+    @pytest.mark.parametrize("preset, stop",[("single_channel", 248), ("two_channel", 172)])
     def test_block_solve_takes_one_qr_of_the_left_factor(self, preset_records, monkeypatch,
                                                          preset, stop):
         # a preset-sized block, 147 or 70 rows, is reduced by the QR of [A, q]
